@@ -6,7 +6,7 @@
 // follow; static placements and heterogeneity-unaware policies cannot.
 #include "common.hpp"
 
-#include "exp/dvfs.hpp"
+#include "exp/runner.hpp"
 #include "workload/workloads.hpp"
 
 namespace {
@@ -33,13 +33,14 @@ void runDvfsBench(const BenchOptions& opts) {
   for (const SchedulerKind kind :
        {SchedulerKind::Cfs, SchedulerKind::Dio, SchedulerKind::Dike,
         SchedulerKind::DikeAF}) {
-    dike::exp::DvfsRunSpec spec;
+    dike::exp::RunSpec spec;
     spec.workloadId = 2;
     spec.kind = kind;
     spec.scale = opts.scale;
     spec.seed = opts.seed;
-    spec.script = script();
-    const RunMetrics m = dike::exp::runDvfsWorkload(spec);
+    spec.heterogeneous = false;  // homogeneous until the script throttles
+    spec.dvfs = script();
+    const RunMetrics m = dike::exp::runWorkload(spec);
     table.newRow()
         .cell(m.scheduler)
         .cell(m.fairness, 3)
@@ -55,12 +56,13 @@ void runDvfsBench(const BenchOptions& opts) {
 
 void BM_DvfsRun(benchmark::State& state) {
   for (auto _ : state) {
-    dike::exp::DvfsRunSpec spec;
+    dike::exp::RunSpec spec;
     spec.workloadId = 2;
     spec.kind = SchedulerKind::Dike;
     spec.scale = 0.25;
-    spec.script = script();
-    const RunMetrics m = dike::exp::runDvfsWorkload(spec);
+    spec.heterogeneous = false;
+    spec.dvfs = script();
+    const RunMetrics m = dike::exp::runWorkload(spec);
     benchmark::DoNotOptimize(m.fairness);
   }
 }

@@ -6,7 +6,7 @@
 // re-learn placement each time.
 #include "common.hpp"
 
-#include "exp/dynamic.hpp"
+#include "exp/runner.hpp"
 #include "workload/workloads.hpp"
 
 namespace {
@@ -36,13 +36,13 @@ void runDynamicBench(const BenchOptions& opts) {
   for (const SchedulerKind kind :
        {SchedulerKind::Cfs, SchedulerKind::Dio, SchedulerKind::Dike,
         SchedulerKind::DikeAF, SchedulerKind::DikeAP}) {
-    dike::exp::DynamicRunSpec spec;
+    dike::exp::RunSpec spec;
     spec.workloadId = 8;
     spec.kind = kind;
     spec.scale = opts.scale;
     spec.seed = opts.seed;
     spec.arrivals = arrivalWave(opts.scale);
-    const RunMetrics m = dike::exp::runDynamicWorkload(spec);
+    const RunMetrics m = dike::exp::runWorkload(spec);
     if (kind == SchedulerKind::Cfs)
       cfsMakespan = dike::util::ticksToSeconds(m.makespan);
     int arrived = 0;
@@ -66,12 +66,12 @@ void runDynamicBench(const BenchOptions& opts) {
 
 void BM_DynamicRun(benchmark::State& state) {
   for (auto _ : state) {
-    dike::exp::DynamicRunSpec spec;
+    dike::exp::RunSpec spec;
     spec.workloadId = 8;
     spec.kind = SchedulerKind::Dike;
     spec.scale = 0.25;
     spec.arrivals = arrivalWave(0.25);
-    const RunMetrics m = dike::exp::runDynamicWorkload(spec);
+    const RunMetrics m = dike::exp::runWorkload(spec);
     benchmark::DoNotOptimize(m.fairness);
   }
 }

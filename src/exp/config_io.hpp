@@ -124,6 +124,20 @@ struct ExperimentConfig {
 [[nodiscard]] ExperimentConfig parseExperimentConfig(
     const util::JsonValue& document);
 
+/// The RunSpec of one grid cell: `workloadId` under `kind`, repetition
+/// `rep` (seeded config.seed + 1000 * rep), without telemetry. This is the
+/// one ExperimentConfig -> RunSpec mapping: runExperiment and the
+/// single-run tools (dike_run --checkpoint-out, dike_supervise) all build
+/// their runs through it.
+[[nodiscard]] RunSpec cellRunSpec(const ExperimentConfig& config,
+                                  int workloadId, SchedulerKind kind,
+                                  int rep = 0);
+
+/// The experiment's first cell (first workload x first scheduler, rep 0):
+/// the run single-run tools execute. Throws std::runtime_error when the
+/// config selects no workloads or schedulers.
+[[nodiscard]] RunSpec firstCellRunSpec(const ExperimentConfig& config);
+
 /// Parse a scheduler name ("dike-af"...). Throws on unknown names.
 [[nodiscard]] SchedulerKind schedulerKindFromName(std::string_view name);
 

@@ -1,12 +1,27 @@
 #include "exp/dynamic.hpp"
 
 #include <algorithm>
+#include <string>
 
-#include "sched/placement.hpp"
+#include "ckpt/archive.hpp"
 #include "workload/benchmarks.hpp"
-#include "workload/workloads.hpp"
 
 namespace dike::exp {
+
+namespace {
+
+/// Short-lived churn processes alternate a memory-bound and a compute-bound
+/// model so arrivals perturb both halves of the machine.
+constexpr const char* kChurnBenchmarks[2] = {"stream_omp", "srad"};
+
+int addArrivalProcess(sim::Machine& machine, const Arrival& arrival) {
+  const wl::BenchmarkSpec bench =
+      wl::makeBenchmark(arrival.benchmark, arrival.scale);
+  return machine.addProcess(bench.name, bench.program, arrival.threads,
+                            bench.memoryIntensive);
+}
+
+}  // namespace
 
 ArrivalInjector::ArrivalInjector(sim::QuantumPolicy& inner,
                                  std::vector<Arrival> schedule)
@@ -33,11 +48,7 @@ void ArrivalInjector::onQuantum(sim::Machine& machine) {
       if (machine.coreOccupant(c) == -1) freeCores.push_back(c);
     if (static_cast<int>(freeCores.size()) < next.threads) break;
 
-    const wl::BenchmarkSpec bench =
-        wl::makeBenchmark(next.benchmark, next.scale);
-    const int processId = machine.addProcess(bench.name, bench.program,
-                                             next.threads,
-                                             bench.memoryIntensive);
+    const int processId = addArrivalProcess(machine, next);
     const auto& threadIds = machine.process(processId).threadIds;
     for (std::size_t i = 0; i < threadIds.size(); ++i)
       machine.placeThread(threadIds[i], freeCores[i]);
@@ -46,58 +57,75 @@ void ArrivalInjector::onQuantum(sim::Machine& machine) {
   inner_->onQuantum(machine);
 }
 
-RunMetrics runDynamicWorkload(const DynamicRunSpec& spec) {
-  RunSpec base;
-  base.workloadId = spec.workloadId;
-  base.kind = spec.kind;
-  base.params = spec.params;
-  base.scale = spec.scale;
-  base.seed = spec.seed;
+void ArrivalInjector::restoreInjected(sim::Machine& machine,
+                                      std::int64_t count) {
+  if (count < 0 || count > static_cast<std::int64_t>(schedule_.size()))
+    throw ckpt::CheckpointError{
+        "checkpoint claims " + std::to_string(count) +
+        " injected arrivals but the run spec schedules " +
+        std::to_string(schedule_.size())};
+  for (std::int64_t i = 0; i < count; ++i)
+    addArrivalProcess(machine, schedule_[static_cast<std::size_t>(i)]);
+  injected_ = static_cast<int>(count);
+}
 
-  sim::MachineConfig machineCfg;
-  machineCfg.seed = spec.seed;
-  sim::Machine machine{sim::MachineTopology::paperTestbed(), machineCfg};
-  wl::addWorkloadProcesses(machine, wl::workload(spec.workloadId),
-                           spec.scale);
-  sched::placeRandom(machine, spec.seed);
+DvfsScript::DvfsScript(sim::QuantumPolicy& inner,
+                       std::vector<FrequencyChange> script)
+    : inner_(&inner), script_(std::move(script)) {
+  std::stable_sort(script_.begin(), script_.end(),
+                   [](const FrequencyChange& a, const FrequencyChange& b) {
+                     return a.atTick < b.atTick;
+                   });
+}
 
-  const std::unique_ptr<sched::Scheduler> scheduler = makeScheduler(base);
-  sched::SchedulerAdapter adapter{*scheduler};
-  ArrivalInjector injector{adapter, spec.arrivals};
+util::Tick DvfsScript::quantumTicks() const { return inner_->quantumTicks(); }
 
-  // Like sim::runMachine, but the run is not over while arrivals are
-  // outstanding (the machine may be momentarily idle between waves): while
-  // arrivals are pending, stepUntil must keep advancing time across the
-  // idle gap rather than stop at the last finish.
-  constexpr util::Tick kMaxTicks = 4'000'000;
-  util::Tick nextQuantumAt = injector.quantumTicks();
-  while ((!machine.allFinished() || injector.pendingArrivals() > 0) &&
-         machine.now() < kMaxTicks) {
-    const util::Tick target =
-        std::min(kMaxTicks, std::max(nextQuantumAt, machine.now() + 1));
-    machine.stepUntil(target, injector.pendingArrivals() == 0);
-    if (machine.now() >= nextQuantumAt) {
-      if (machine.allFinished() && injector.pendingArrivals() == 0) break;
-      injector.onQuantum(machine);
-      nextQuantumAt = std::max(
-          nextQuantumAt + std::max<util::Tick>(1, injector.quantumTicks()),
-          machine.now() + 1);
-    }
+void DvfsScript::onQuantum(sim::Machine& machine) {
+  while (applied_ < static_cast<int>(script_.size()) &&
+         script_[static_cast<std::size_t>(applied_)].atTick <=
+             machine.now()) {
+    const FrequencyChange& change =
+        script_[static_cast<std::size_t>(applied_)];
+    machine.setSocketFrequency(change.socket, change.freqGhz);
+    ++applied_;
   }
+  inner_->onQuantum(machine);
+}
 
-  RunMetrics metrics;
-  metrics.scheduler = std::string{scheduler->name()};
-  metrics.workload = wl::workload(spec.workloadId).name + "+dynamic";
-  metrics.makespan = machine.now();
-  metrics.timedOut = !machine.allFinished();
-  metrics.swaps = machine.swapCount();
-  metrics.migrations = machine.migrationCount();
-  metrics.energyJoules = machine.energyJoules();
-  if (!metrics.timedOut) {
-    metrics.fairness = fairnessEq4(machine);
-    metrics.processes = processResults(machine);
+void DvfsScript::restoreApplied(std::int64_t count) {
+  if (count < 0 || count > static_cast<std::int64_t>(script_.size()))
+    throw ckpt::CheckpointError{
+        "checkpoint claims " + std::to_string(count) +
+        " applied frequency changes but the run spec scripts " +
+        std::to_string(script_.size())};
+  applied_ = static_cast<int>(count);
+}
+
+std::vector<Arrival> churnSchedule(const fault::FaultPlan& plan,
+                                   util::Rng rng, util::Tick quantumTicks) {
+  std::vector<Arrival> schedule;
+  if (plan.churn.arrivals <= 0) return schedule;
+  const util::Tick start = plan.window.startTick;
+  const util::Tick end = plan.window.endTick > 0
+                             ? plan.window.endTick
+                             : start + 200 * std::max<util::Tick>(
+                                                 1, quantumTicks);
+  for (int i = 0; i < plan.churn.arrivals; ++i) {
+    Arrival a;
+    a.atTick = start + static_cast<util::Tick>(
+                           rng.uniform() *
+                           static_cast<double>(std::max<util::Tick>(
+                               1, end - start)));
+    a.benchmark = kChurnBenchmarks[i % 2];
+    a.threads = plan.churn.threadsPerArrival;
+    a.scale = plan.churn.arrivalScale;
+    schedule.push_back(std::move(a));
   }
-  return metrics;
+  std::sort(schedule.begin(), schedule.end(),
+            [](const Arrival& a, const Arrival& b) {
+              return a.atTick < b.atTick;
+            });
+  return schedule;
 }
 
 }  // namespace dike::exp

@@ -1,29 +1,31 @@
-// Open-system (dynamic) workloads: applications arriving while the machine
-// runs — the situation the paper's adaptation explicitly targets ("the
-// optimal configuration may change as ... new applications enter the
-// system, or old applications exit", Section II).
+// Run-time scripts: the QuantumPolicy decorators RunSession composes from
+// RunSpec::arrivals (plus the fault plan's churn) and RunSpec::dvfs.
 //
-// Arrivals are injected at quantum boundaries (an OS notices new runnable
-// threads at scheduling-tick granularity) and placed on free cores
-// first-fit, like wakeup balancing would. Arrivals that do not fit are
-// deferred to the next boundary with free capacity.
+// Open-system workloads: applications arriving while the machine runs —
+// the situation the paper's adaptation explicitly targets ("the optimal
+// configuration may change as ... new applications enter the system, or
+// old applications exit", Section II). Arrivals are injected at quantum
+// boundaries (an OS notices new runnable threads at scheduling-tick
+// granularity) and placed on free cores first-fit, like wakeup balancing
+// would. Arrivals that do not fit are deferred to the next boundary with
+// free capacity.
+//
+// Scripted DVFS: frequency changes applied at quantum boundaries — the
+// "dynamic heterogeneity" of Section III-A ("a core may become
+// low-bandwidth due to contention, or a core might become high-bandwidth
+// if other sources of contention clear up"; with DVFS, capability itself
+// moves under the scheduler's feet).
 #pragma once
 
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "exp/runner.hpp"
+#include "fault/fault_plan.hpp"
 #include "sim/machine.hpp"
+#include "util/rng.hpp"
 
 namespace dike::exp {
-
-/// One scheduled arrival.
-struct Arrival {
-  util::Tick atTick = 0;
-  std::string benchmark;  ///< a workload/benchmarks.hpp model name
-  int threads = 8;
-  double scale = 1.0;
-};
 
 /// QuantumPolicy decorator that injects arrivals before delegating to the
 /// real scheduler's quantum handler.
@@ -40,23 +42,46 @@ class ArrivalInjector final : public sim::QuantumPolicy {
   }
   [[nodiscard]] int injectedArrivals() const noexcept { return injected_; }
 
+  /// Checkpoint restore: re-add the processes of the first `count`
+  /// arrivals, unplaced, so Machine::loadState finds the process table it
+  /// saved and overwrites their placement and progress. Throws
+  /// ckpt::CheckpointError when `count` does not fit the schedule.
+  void restoreInjected(sim::Machine& machine, std::int64_t count);
+
  private:
   sim::QuantumPolicy* inner_;
   std::vector<Arrival> schedule_;  // sorted by atTick
   int injected_ = 0;
 };
 
-/// A dynamic-workload experiment: a Table-II base workload plus arrivals.
-struct DynamicRunSpec {
-  int workloadId = 2;
-  SchedulerKind kind = SchedulerKind::Cfs;
-  std::vector<Arrival> arrivals;
-  double scale = 0.5;
-  std::uint64_t seed = 42;
-  core::DikeParams params = core::defaultParams();
+/// QuantumPolicy decorator applying due frequency changes before the real
+/// scheduler's quantum handler (composable with ArrivalInjector).
+class DvfsScript final : public sim::QuantumPolicy {
+ public:
+  DvfsScript(sim::QuantumPolicy& inner, std::vector<FrequencyChange> script);
+
+  [[nodiscard]] util::Tick quantumTicks() const override;
+  void onQuantum(sim::Machine& machine) override;
+
+  [[nodiscard]] int applied() const noexcept { return applied_; }
+
+  /// Checkpoint restore: mark the first `count` changes applied (the
+  /// frequencies themselves are machine state). Throws
+  /// ckpt::CheckpointError when `count` does not fit the script.
+  void restoreApplied(std::int64_t count);
+
+ private:
+  sim::QuantumPolicy* inner_;
+  std::vector<FrequencyChange> script_;  // sorted by atTick
+  int applied_ = 0;
 };
 
-/// Run it; RunMetrics::processes includes the arrived applications.
-[[nodiscard]] RunMetrics runDynamicWorkload(const DynamicRunSpec& spec);
+/// The fault plan's thread churn as arrivals: `plan.churn.arrivals`
+/// short-lived processes at ticks drawn from `rng` inside the fault window
+/// (an open-ended window spans 200 quanta of `quantumTicks`), sorted by
+/// tick. Empty when the plan has no churn.
+[[nodiscard]] std::vector<Arrival> churnSchedule(const fault::FaultPlan& plan,
+                                                 util::Rng rng,
+                                                 util::Tick quantumTicks);
 
 }  // namespace dike::exp

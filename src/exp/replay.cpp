@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -11,10 +14,18 @@
 #include "ckpt/checkpoint.hpp"
 #include "core/clustered_scheduler.hpp"
 #include "core/dike_scheduler.hpp"
+#include "exp/analysis.hpp"
+#include "exp/chrome_trace.hpp"
 #include "exp/stream_listener.hpp"
-#include "fault/fault_policy.hpp"
 #include "sched/placement.hpp"
-#include "telemetry/quantum_stream.hpp"
+#include "telemetry/aggregator.hpp"
+#include "telemetry/health.hpp"
+#include "telemetry/live.hpp"
+#include "telemetry/slowdown.hpp"
+#include "util/atomic_file.hpp"
+#include "util/log.hpp"
+#include "util/stop.hpp"
+#include "workload/benchmarks.hpp"
 
 namespace dike::exp {
 
@@ -260,6 +271,85 @@ util::JsonValue ticksToJson(util::Tick t) {
   return util::JsonValue{static_cast<double>(t)};
 }
 
+/// The typed run-spec error for `field`, unless `ok`.
+void requireField(bool ok, const std::string& field, const std::string& what) {
+  if (!ok) throw std::runtime_error{"run spec field '" + field + "' " + what};
+}
+
+/// Script ticks: whole, non-negative, and exactly representable.
+util::Tick scriptTickFromJson(const util::JsonValue& v,
+                              const std::string& prefix) {
+  const double t = v.numberOr("atTick", 0.0);
+  requireField(t >= 0.0 && t <= 9007199254740992.0 && t == std::floor(t),
+               prefix + "atTick", "must be a non-negative whole tick");
+  return static_cast<util::Tick>(t);
+}
+
+util::JsonValue arrivalsToJson(const std::vector<Arrival>& arrivals) {
+  util::JsonArray out;
+  for (const Arrival& a : arrivals) {
+    util::JsonObject o;
+    o["atTick"] = ticksToJson(a.atTick);
+    o["benchmark"] = a.benchmark;
+    o["threads"] = a.threads;
+    o["scale"] = a.scale;
+    out.emplace_back(std::move(o));
+  }
+  return util::JsonValue{std::move(out)};
+}
+
+std::vector<Arrival> arrivalsFromJson(const util::JsonValue& v) {
+  requireField(v.isArray(), "arrivals", "must be an array");
+  std::vector<Arrival> arrivals;
+  for (const util::JsonValue& av : v.asArray()) {
+    const std::string f = "arrivals[" + std::to_string(arrivals.size()) + "].";
+    Arrival a;
+    a.atTick = scriptTickFromJson(av, f);
+    a.benchmark = av.stringOr("benchmark", "");
+    requireField(wl::isKnownBenchmark(a.benchmark), f + "benchmark",
+                 "names an unknown benchmark: '" + a.benchmark + "'");
+    a.threads = av.intOr("threads", a.threads);
+    requireField(a.threads >= 1, f + "threads", "must be positive");
+    a.scale = av.numberOr("scale", a.scale);
+    requireField(a.scale > 0.0 && std::isfinite(a.scale), f + "scale",
+                 "must be positive");
+    arrivals.push_back(std::move(a));
+  }
+  return arrivals;
+}
+
+util::JsonValue dvfsToJson(const std::vector<FrequencyChange>& script) {
+  util::JsonArray out;
+  for (const FrequencyChange& c : script) {
+    util::JsonObject o;
+    o["atTick"] = ticksToJson(c.atTick);
+    o["socket"] = c.socket;
+    o["freqGhz"] = c.freqGhz;
+    out.emplace_back(std::move(o));
+  }
+  return util::JsonValue{std::move(out)};
+}
+
+std::vector<FrequencyChange> dvfsFromJson(const util::JsonValue& v,
+                                          int socketCount) {
+  requireField(v.isArray(), "dvfs", "must be an array");
+  std::vector<FrequencyChange> script;
+  for (const util::JsonValue& cv : v.asArray()) {
+    const std::string f = "dvfs[" + std::to_string(script.size()) + "].";
+    FrequencyChange c;
+    c.atTick = scriptTickFromJson(cv, f);
+    c.socket = cv.intOr("socket", c.socket);
+    requireField(c.socket >= 0 && c.socket < socketCount, f + "socket",
+                 "is " + std::to_string(c.socket) + " but the machine has " +
+                     std::to_string(socketCount) + " sockets");
+    c.freqGhz = cv.numberOr("freqGhz", c.freqGhz);
+    requireField(c.freqGhz > 0.0 && std::isfinite(c.freqGhz), f + "freqGhz",
+                 "must be positive");
+    script.push_back(c);
+  }
+  return script;
+}
+
 }  // namespace
 
 util::JsonValue runSpecToJson(const RunSpec& spec) {
@@ -289,6 +379,9 @@ util::JsonValue runSpecToJson(const RunSpec& spec) {
   o["machine"] = machineConfigToJson(spec.machine);
   o["threadsPerApp"] = spec.threadsPerApp;
   if (spec.faults) o["faults"] = fault::toJson(*spec.faults);
+  // Written only when scripted, so every other spec encodes as before.
+  if (!spec.arrivals.empty()) o["arrivals"] = arrivalsToJson(spec.arrivals);
+  if (!spec.dvfs.empty()) o["dvfs"] = dvfsToJson(spec.dvfs);
   return util::JsonValue{std::move(o)};
 }
 
@@ -335,6 +428,10 @@ RunSpec runSpecFromJson(const util::JsonValue& doc) {
   spec.threadsPerApp = doc.intOr("threadsPerApp", spec.threadsPerApp);
   if (const auto faults = doc.get("faults"))
     spec.faults = fault::parseFaultPlan(*faults);
+  if (const auto arrivals = doc.get("arrivals"))
+    spec.arrivals = arrivalsFromJson(*arrivals);
+  if (const auto dvfs = doc.get("dvfs"))
+    spec.dvfs = dvfsFromJson(*dvfs, topologyForSpec(spec).socketCount());
   return spec;
 }
 
@@ -487,13 +584,105 @@ RunMetrics runMetricsFromJson(const util::JsonValue& doc) {
   return m;
 }
 
+/// Publishes the per-quantum live events (thread slowdowns, fairness
+/// spread) into the ring transport and refreshes the aggregator's placement
+/// snapshot for /state. Runs its own SlowdownEstimator over exactly the
+/// inputs QuantumMetricsListener sees, so live aggregates and the NDJSON
+/// stream agree sample-for-sample.
+class LiveQuantumPublisher final : public sched::QuantumListener {
+ public:
+  void afterQuantum(const sim::Machine& machine,
+                    const sched::SchedulerView& view,
+                    sched::Scheduler& scheduler) override {
+    const double dt = util::ticksToSeconds(machine.now() - lastTick_);
+    lastTick_ = machine.now();
+    slowdown_.beginQuantum(dt);
+    const sim::QuantumSample& sample = view.sample();
+    for (const sim::ThreadSample& s : sample.threads) {
+      if (s.finished || s.coreId < 0) continue;
+      slowdown_.add(s.threadId, s.processId, s.accessRate);
+    }
+    slowdown_.finishQuantum();
+
+    const auto* dike = dynamic_cast<const core::DikeScheduler*>(&scheduler);
+    const double unfairness =
+        dike != nullptr ? dike->observer().systemUnfairness()
+                        : std::numeric_limits<double>::quiet_NaN();
+    const double spread = slowdown_.fairnessSpread();
+
+    // Ring events flow every quantum (the live histograms must match the
+    // NDJSON stream sample-for-sample), but the /state placement snapshot
+    // only feeds a few-Hz dike_top poll — rebuilding and mutex-publishing
+    // it per quantum is pure simulation-thread overhead. Refresh every
+    // eighth quantum; sub-millisecond staleness at observed quantum rates.
+    const bool refresh = (quantumIndex_ & 0x7) == 0;
+    telemetry::LiveState state;
+    if (refresh) {
+      state.tick = machine.now();
+      state.quantum = quantumIndex_;
+      state.unfairness = unfairness;
+      state.fairnessSpread = std::isnan(spread) ? 0.0 : spread;
+      state.scheduler.assign(scheduler.name());
+      state.cores.reserve(static_cast<std::size_t>(view.coreCount()));
+      for (int core = 0; core < view.coreCount(); ++core) {
+        telemetry::LiveCoreState c;
+        c.core = core;
+        c.thread = view.coreOccupant(core);
+        if (dike != nullptr && dike->observer().ready())
+          c.highBw = dike->observer().isHighBandwidthCore(core);
+        state.cores.push_back(c);
+      }
+    }
+    for (const sim::ThreadSample& s : sample.threads) {
+      if (s.finished || s.coreId < 0) continue;
+      const double sd = slowdown_.slowdownOf(s.threadId);
+      telemetry::publish(telemetry::EventKind::ThreadSlowdown,
+                         static_cast<std::uint32_t>(s.threadId),
+                         machine.now(), sd);
+      if (refresh) {
+        auto& c = state.cores[static_cast<std::size_t>(s.coreId)];
+        c.process = s.processId;
+        c.slowdown = std::isnan(sd) ? 0.0 : sd;
+      }
+    }
+    telemetry::publish(telemetry::EventKind::FairnessSpread,
+                       static_cast<std::uint32_t>(quantumIndex_),
+                       machine.now(), spread, unfairness);
+    if (refresh)
+      telemetry::Aggregator::instance().updateLiveState(std::move(state));
+    // Liveness stamp for /healthz (two relaxed stores — negligible against
+    // the live-plane overhead gate): this quantum just completed, now.
+    telemetry::heartbeat(quantumIndex_);
+    ++quantumIndex_;
+  }
+
+ private:
+  std::int64_t quantumIndex_ = 0;
+  util::Tick lastTick_ = 0;
+  telemetry::SlowdownEstimator slowdown_;
+};
+
+namespace {
+
+/// Fail fast (before the simulation runs) with a path-carrying error when a
+/// telemetry output location is not writable. The artifact itself is
+/// buffered and committed atomically at end of run — a kill mid-run leaves
+/// the previous complete file (or nothing), never a torn one. Probing in
+/// append mode never clobbers that previous file.
+void probeTelemetryOutput(const std::string& path) {
+  std::ofstream probe{path, std::ios::app};
+  if (!probe)
+    throw std::runtime_error{"cannot open telemetry output for writing: " +
+                             path};
+}
+
+}  // namespace
+
 RunSession::RunSession(RunSpec spec)
     : spec_(std::move(spec)),
       workload_(spec_.customWorkload ? *spec_.customWorkload
-                                     : wl::workload(spec_.workloadId)) {
-  // Construction mirrors runWorkload exactly (minus telemetry, which is
-  // read-only and never attached to checkpointed runs) so a rebuilt stack
-  // is bit-identical to the one the checkpoint was taken from.
+                                     : wl::workload(spec_.workloadId)),
+      recorder_(spec_.telemetry.traceCapacity) {
   sim::MachineConfig machineCfg = spec_.machine;
   machineCfg.seed = spec_.seed;
   machine_.emplace(topologyForSpec(spec_), machineCfg);
@@ -507,23 +696,87 @@ RunSession::RunSession(RunSpec spec)
   scheduler_ = makeScheduler(spec_);
   adapter_.emplace(*scheduler_);
   policy_ = &*adapter_;
+
+  // Policy decorators, innermost first: arrivals (the spec's plus the fault
+  // plan's churn), the DVFS script, then the fault layer — counter and
+  // actuation seams on the adapter, core faults (and the faults-active
+  // hint the fairness watchdog keys on) in front of everything. An absent
+  // or empty plan attaches nothing, and the churn stream is forked only
+  // when there is churn, so fault runs without it keep their RNG draws.
+  std::vector<Arrival> arrivals = spec_.arrivals;
   if (spec_.faults && spec_.faults->enabled()) {
     injector_.emplace(*spec_.faults);
     adapter_->setSampleFilter(&*injector_);
     adapter_->setActuationHook(&*injector_);
-    faultPolicy_.emplace(*adapter_, *injector_);
+    if (spec_.faults->churn.arrivals > 0) {
+      const std::vector<Arrival> churn =
+          churnSchedule(*spec_.faults, injector_->forkStream(),
+                        scheduler_->quantumTicks());
+      arrivals.insert(arrivals.end(), churn.begin(), churn.end());
+    }
+  }
+  if (!arrivals.empty()) {
+    arrivals_.emplace(*policy_, std::move(arrivals));
+    policy_ = &*arrivals_;
+  }
+  if (!spec_.dvfs.empty()) {
+    dvfs_.emplace(*policy_, spec_.dvfs);
+    policy_ = &*dvfs_;
+  }
+  if (injector_) {
+    faultPolicy_.emplace(*policy_, *injector_);
     if (auto* dike = dynamic_cast<core::DikeScheduler*>(scheduler_.get()))
       faultPolicy_->setFaultsActiveListener(
           [dike](bool active) { dike->setFaultsActiveHint(active); });
     policy_ = &*faultPolicy_;
   }
+  // Last: nothing may throw once the live SLO monitor points at this run.
+  attachTelemetry();
 }
 
-RunSession::~RunSession() = default;
+RunSession::~RunSession() {
+  // Drain before detaching so late SLO alerts still land in this run's
+  // decision trace, whatever exit path ends the session.
+  if (liveSlo_ != nullptr) {
+    telemetry::Aggregator::instance().drainNow();
+    liveSlo_->setDecisionTrace(nullptr);
+  }
+}
+
+void RunSession::attachTelemetry() {
+  // Outputs are opened before the simulation so an unwritable path fails in
+  // milliseconds, not after a full run.
+  const RunTelemetry& tel = spec_.telemetry;
+  if (!tel.eventsCsvPath.empty()) probeTelemetryOutput(tel.eventsCsvPath);
+  if (!tel.chromeTracePath.empty()) probeTelemetryOutput(tel.chromeTracePath);
+  if (tel.wantsEvents()) machine_->setTraceRecorder(&recorder_);
+  if (!tel.quantumMetricsPath.empty()) {
+    metricsFile_.emplace(tel.quantumMetricsPath);
+    attachQuantumStream(metricsFile_->writer());
+  }
+  if (tel.livePublish) {
+    livePublisher_ = std::make_unique<LiveQuantumPublisher>();
+    addQuantumListener(*livePublisher_);
+  }
+  if (tel.any())
+    if (auto* dike = dynamic_cast<core::DikeScheduler*>(scheduler_.get()))
+      dike->setDecisionTrace(&decisions_);
+  // Route live-SLO alerts into this run's decision trace so breach records
+  // line up with the scheduler decisions around them.
+  if (tel.livePublish) liveSlo_ = telemetry::Aggregator::instance().slo();
+  if (liveSlo_ != nullptr) liveSlo_->setDecisionTrace(&decisions_);
+}
 
 void RunSession::attachQuantumStream(telemetry::QuantumStreamWriter& writer) {
+  if (streamListener_)
+    throw std::logic_error{"run session already has a quantum stream"};
   streamListener_ = std::make_unique<QuantumMetricsListener>(writer);
-  adapter_->setListener(streamListener_.get());
+  addQuantumListener(*streamListener_);
+}
+
+void RunSession::addQuantumListener(sched::QuantumListener& listener) {
+  listeners_.add(&listener);
+  adapter_->setListener(&listeners_);
 }
 
 void RunSession::setDecideJobs(int jobs) {
@@ -532,50 +785,68 @@ void RunSession::setDecideJobs(int jobs) {
     clustered->setDecideJobs(jobs);
 }
 
+int RunSession::arrivalsInjected() const noexcept {
+  return arrivals_ ? arrivals_->injectedArrivals() : 0;
+}
+
+int RunSession::arrivalsPending() const noexcept {
+  return arrivals_ ? arrivals_->pendingArrivals() : 0;
+}
+
 bool RunSession::done() const {
-  return machine_->allFinished() || machine_->now() >= limits_.maxTicks;
+  return !sim::runOpen(*machine_, limits_, arrivalsPending() > 0);
 }
 
 bool RunSession::stepQuantum() {
-  // This loop is runMachine's body verbatim, stopped after one quantum: a
-  // stepped-then-finished run must execute exactly the arithmetic an
-  // uninterrupted run would.
-  if (nextQuantumAt_ < 0) nextQuantumAt_ = policy_->quantumTicks();
-  while (!machine_->allFinished() && machine_->now() < limits_.maxTicks) {
-    const util::Tick target = std::min(
-        limits_.maxTicks, std::max(nextQuantumAt_, machine_->now() + 1));
-    machine_->stepUntil(target);
-    if (machine_->now() >= nextQuantumAt_) {
-      if (machine_->allFinished()) return false;
-      policy_->onQuantum(*machine_);
-      nextQuantumAt_ = std::max(
-          nextQuantumAt_ + std::max<util::Tick>(1, policy_->quantumTicks()),
-          machine_->now() + 1);
-      ++quantumIndex_;
-      return true;
-    }
-  }
-  return false;
+  if (!sim::stepQuantum(*machine_, *policy_, limits_, nextQuantumAt_,
+                        arrivalsPending() > 0))
+    return false;
+  ++quantumIndex_;
+  return true;
 }
 
 RunMetrics RunSession::finish(const CheckpointOptions& opts) {
-  const sim::QuantumHook hook =
-      [this, &opts](sim::Machine&, std::int64_t quantumIndex,
-                    util::Tick nextQuantumAt) {
-        quantumIndex_ = quantumIndex + 1;
-        nextQuantumAt_ = nextQuantumAt;
-        if (opts.enabled() && quantumIndex_ % opts.everyQuanta == 0)
-          writeCheckpoint(opts.path);
-      };
-  const sim::RunOutcome outcome = sim::runMachine(
-      *machine_, *policy_, limits_,
-      sim::RunCursor{quantumIndex_, nextQuantumAt_}, hook);
-  RunMetrics metrics = collectRunMetrics(*machine_, outcome, *scheduler_);
+  // The stop flag is checked once per quantum, so a SIGINT unwinds through
+  // the normal return path and every telemetry sink finalises cleanly.
+  while (!util::stopRequested() && stepQuantum()) {
+    sim::publishQuantumLength(*machine_, *policy_, quantumIndex_ - 1);
+    if (opts.enabled() && quantumIndex_ % opts.everyQuanta == 0)
+      writeCheckpoint(opts.path);
+  }
+  RunMetrics metrics = collectRunMetrics(
+      *machine_, sim::runOutcome(*machine_, arrivalsPending() > 0),
+      *scheduler_);
   metrics.workload = workload_.name;
+  if (!spec_.arrivals.empty()) metrics.workload += "+dynamic";
+  if (!spec_.dvfs.empty()) metrics.workload += "+dvfs";
   if (injector_) {
     metrics.faults = injector_->tally();
     metrics.coreFreqDips = faultPolicy_->freqDips();
   }
+  const RunTelemetry& tel = spec_.telemetry;
+  if (tel.wantsEvents()) {
+    metrics.traceDropped = recorder_.dropped();
+    if (recorder_.dropped() > 0)
+      util::logWarn("trace recorder dropped ", recorder_.dropped(),
+                    " events (capacity ", tel.traceCapacity,
+                    "); raise telemetry.traceCapacity to keep the full run");
+    if (!tel.eventsCsvPath.empty()) {
+      std::ostringstream csv;
+      writeTraceCsv(recorder_, csv);
+      util::writeFileAtomic(tel.eventsCsvPath, csv.str());
+    }
+    if (!tel.chromeTracePath.empty()) {
+      const ChromeTraceMeta meta = metaFromMachine(*machine_);
+      const util::JsonValue doc = buildChromeTrace(
+          recorder_.events(), meta,
+          decisions_.records().empty() ? nullptr : &decisions_);
+      util::writeFileAtomic(tel.chromeTracePath, doc.dump(2) + "\n");
+    }
+    machine_->setTraceRecorder(nullptr);
+  }
+  if (decisions_.dropped() > 0)
+    util::logWarn("decision trace dropped ", decisions_.dropped(),
+                  " quantum records");
   return metrics;
 }
 
@@ -587,6 +858,12 @@ std::string RunSession::checkpointPayload() const {
   w.i64("quantumIndex", quantumIndex_);
   w.i64("nextQuantumAt", nextQuantumAt_);
   w.i64("maxTicks", limits_.maxTicks);
+  // Script progress (only scripted runs carry it) precedes the machine:
+  // restore re-adds the arrived processes before loading the machine.
+  if (arrivals_ || dvfs_) {
+    w.i64("arrivalsInjected", arrivalsInjected());
+    w.i64("dvfsApplied", dvfs_ ? dvfs_->applied() : 0);
+  }
   machine_->saveState(w);
   scheduler_->saveState(w);
   w.boolean("hasFaultLayer", injector_.has_value());
@@ -635,6 +912,21 @@ std::unique_ptr<RunSession> RunSession::restore(
   session->quantumIndex_ = r.i64("quantumIndex");
   session->nextQuantumAt_ = r.i64("nextQuantumAt");
   session->limits_.maxTicks = r.i64("maxTicks");
+  if (session->arrivals_ || session->dvfs_) {
+    const std::int64_t injected = r.i64("arrivalsInjected");
+    const std::int64_t applied = r.i64("dvfsApplied");
+    if (session->arrivals_)
+      session->arrivals_->restoreInjected(*session->machine_, injected);
+    else if (injected != 0)
+      throw ckpt::CheckpointError{
+          "checkpoint claims injected arrivals but the run spec has none"};
+    if (session->dvfs_)
+      session->dvfs_->restoreApplied(applied);
+    else if (applied != 0)
+      throw ckpt::CheckpointError{
+          "checkpoint claims applied frequency changes but the run spec "
+          "scripts none"};
+  }
   session->machine_->loadState(r);
   session->scheduler_->loadState(r);
   const bool hasFaultLayer = r.boolean("hasFaultLayer");
@@ -681,6 +973,7 @@ RunMetrics resumeWorkload(const std::string& checkpointPath,
   if (decideJobs >= 0) session->setDecideJobs(decideJobs);
   return session->finish(opts);
 }
+
 
 std::optional<std::string> firstDivergence(std::string_view payloadA,
                                            std::string_view payloadB) {

@@ -1,43 +1,44 @@
-// Deterministic checkpoint/restore and differential replay.
+// RunSession, the one run engine, with deterministic checkpoint/restore.
+//
+// Every simulated run is built and stepped by a RunSession from a RunSpec
+// alone: machine -> workload -> placement -> scheduler -> adapter ->
+// arrivals -> DVFS script -> fault layer, plus the telemetry the spec asks
+// for. Stepping goes through sim::stepQuantum, the engine's one loop body.
 //
 // A checkpoint captures the complete run state at a quantum boundary — the
-// machine (clock, thread progress, placement, RNG stream, counters), the
-// active scheduler (Dike's Observer moving means, prediction-tracker error
-// state, Decider cooldowns, fault-injector RNG forks), and the run cursor
-// (completed-quantum count plus the next quantum deadline, which is not
-// derivable from the clock under adaptive quanta). A run restored from a
-// checkpoint produces a final report byte-identical to the uninterrupted
-// run: every accumulator is serialized raw rather than recomputed, because
-// floating-point accumulation is path dependent.
-//
-// The checkpoint payload embeds the full RunSpec as JSON, so restore
-// rebuilds the machine/scheduler/fault stack exactly as runWorkload would
-// and then overwrites the mutable state — validation happens before any
-// mutation, so a corrupt or mismatched checkpoint never yields a
-// half-restored session. Telemetry attachments are deliberately not part of
-// a checkpoint: they are read-only observers and checkpointed runs do not
-// carry them.
+// machine, the scheduler, the fault layer, the run cursor (the next
+// quantum deadline is not derivable from the clock under adaptive quanta)
+// and how far the arrival and DVFS scripts have got. Every accumulator is
+// serialized raw, because floating-point accumulation is path dependent,
+// so a restored run finishes byte-identical to the uninterrupted one. The
+// payload embeds the RunSpec as JSON: restore rebuilds the stack exactly
+// as a fresh run would, then overwrites the mutable state, and a throw
+// anywhere discards the half-built session.
 //
 // tools/dike_diff builds on the same machinery: it restores two checkpoints
 // and steps them in lockstep, comparing the serialized state after every
 // quantum and reporting the first named quantity that diverges.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
+#include "exp/dynamic.hpp"
 #include "exp/runner.hpp"
 #include "fault/fault_policy.hpp"
+#include "sched/scheduler.hpp"
+#include "telemetry/decision_trace.hpp"
+#include "telemetry/quantum_stream.hpp"
 #include "util/json.hpp"
 
 namespace dike::telemetry {
-class QuantumStreamWriter;
+class SloMonitor;
 }  // namespace dike::telemetry
 
 namespace dike::exp {
-
-class QuantumMetricsListener;
 
 /// Encode a RunSpec as JSON (embedded in every checkpoint). 64-bit seeds
 /// are written as decimal strings — JSON numbers are doubles and lose
@@ -45,7 +46,10 @@ class QuantumMetricsListener;
 [[nodiscard]] util::JsonValue runSpecToJson(const RunSpec& spec);
 
 /// Decode a RunSpec encoded by runSpecToJson. Throws std::runtime_error
-/// with the offending field on malformed input.
+/// with the offending field on malformed input — including arrivals naming
+/// an unknown benchmark or a non-positive thread count or scale, and
+/// frequency changes outside the machine's sockets or at a non-positive
+/// frequency; negative ticks are rejected in both scripts.
 [[nodiscard]] RunSpec runSpecFromJson(const util::JsonValue& doc);
 
 /// Encode run metrics as JSON. Deterministic: object keys sort, doubles
@@ -58,6 +62,9 @@ class QuantumMetricsListener;
 /// doubles parse back bit-identical.
 [[nodiscard]] RunMetrics runMetricsFromJson(const util::JsonValue& doc);
 
+class QuantumMetricsListener;
+class LiveQuantumPublisher;
+
 /// Rolling-checkpoint settings for finish()/runWorkloadCheckpointed.
 struct CheckpointOptions {
   std::string path;             ///< checkpoint file (atomically replaced)
@@ -68,12 +75,13 @@ struct CheckpointOptions {
   }
 };
 
-/// One checkpointable run: the same machine/scheduler/fault-layer stack
-/// runWorkload builds (minus telemetry), plus the run cursor, steppable one
-/// quantum at a time. Not movable — the fault policy holds pointers into
-/// sibling members — so restore() hands back a unique_ptr.
+/// One run, steppable one quantum at a time. Not movable — the policy
+/// decorators hold pointers into sibling members — so restore() hands back
+/// a unique_ptr.
 class RunSession {
  public:
+  /// Build the stack `spec` describes, with its telemetry attachments.
+  /// Throws before any simulation when a telemetry output is not writable.
   explicit RunSession(RunSpec spec);
   ~RunSession();
   RunSession(const RunSession&) = delete;
@@ -86,17 +94,22 @@ class RunSession {
   /// appends records byte-identical to the uninterrupted stream's.
   void attachQuantumStream(telemetry::QuantumStreamWriter& writer);
 
+  /// Chain one more per-quantum listener (the soak's invariant checker).
+  /// It must outlive the session and is not part of any checkpoint.
+  void addQuantumListener(sched::QuantumListener& listener);
+
   /// Advance the run through exactly one more quantum boundary. Returns
-  /// false once the run finished (or hit the tick limit) instead.
+  /// false once the run is over (finished with no arrivals pending, or at
+  /// the tick limit). Never honours util::stopRequested(): a supervised
+  /// child must not publish a partial run as final.
   bool stepQuantum();
 
-  /// Run to completion from the current cursor, writing a rolling
-  /// checkpoint every opts.everyQuanta completed quanta when enabled, and
-  /// collect the final report.
+  /// Run to completion from the current cursor, or until a stop request,
+  /// writing a rolling checkpoint every opts.everyQuanta completed quanta
+  /// when enabled; collect the report and commit the telemetry files.
   [[nodiscard]] RunMetrics finish(const CheckpointOptions& opts = {});
 
-  /// Serialize the complete current state (spec, cursor, machine,
-  /// scheduler, fault layer) into a checkpoint payload.
+  /// Serialize the complete current state into a checkpoint payload.
   [[nodiscard]] std::string checkpointPayload() const;
 
   /// checkpointPayload() wrapped in the versioned, checksummed container,
@@ -130,23 +143,40 @@ class RunSession {
   }
   [[nodiscard]] const RunSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] bool done() const;
+  /// Arrivals (RunSpec::arrivals plus fault-plan churn) injected so far and
+  /// still pending.
+  [[nodiscard]] int arrivalsInjected() const noexcept;
+  [[nodiscard]] int arrivalsPending() const noexcept;
 
  private:
+  void attachTelemetry();
+
   RunSpec spec_;
   wl::WorkloadSpec workload_;
+  // Telemetry sinks first: they outlive everything that points into them.
+  std::optional<telemetry::QuantumStreamFile> metricsFile_;
+  sim::TraceRecorder recorder_;
+  telemetry::DecisionTrace decisions_;
   std::optional<sim::Machine> machine_;
   std::unique_ptr<sched::Scheduler> scheduler_;
   std::optional<sched::SchedulerAdapter> adapter_;
   std::optional<fault::FaultInjector> injector_;
+  std::optional<ArrivalInjector> arrivals_;
+  std::optional<DvfsScript> dvfs_;
   std::optional<fault::FaultInjectionPolicy> faultPolicy_;
   sim::QuantumPolicy* policy_ = nullptr;
   sim::RunLimits limits_{};
   std::int64_t quantumIndex_ = 0;
   util::Tick nextQuantumAt_ = -1;  ///< < 0 until the first quantum
+  sched::QuantumListenerChain listeners_;
   std::unique_ptr<QuantumMetricsListener> streamListener_;
+  std::unique_ptr<LiveQuantumPublisher> livePublisher_;
+  /// The live SLO monitor whose alerts this run's decision trace receives
+  /// (detached, after a final drain, when the session ends).
+  telemetry::SloMonitor* liveSlo_ = nullptr;
 };
 
-/// runWorkload with rolling checkpoints (no telemetry attachments).
+/// A run with rolling checkpoints.
 [[nodiscard]] RunMetrics runWorkloadCheckpointed(const RunSpec& spec,
                                                  const CheckpointOptions& opts);
 

@@ -1,32 +1,17 @@
 #include "exp/runner.hpp"
 
-#include <cmath>
-#include <fstream>
-#include <limits>
 #include <memory>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/clustered_scheduler.hpp"
 #include "core/dike_scheduler.hpp"
 #include "exp/analysis.hpp"
-#include "exp/chrome_trace.hpp"
-#include "exp/stream_listener.hpp"
-#include "fault/fault_policy.hpp"
+#include "exp/replay.hpp"
 #include "sched/cfs.hpp"
 #include "sched/dio.hpp"
 #include "sched/extra_baselines.hpp"
 #include "sched/suspension.hpp"
 #include "sched/placement.hpp"
-#include "telemetry/aggregator.hpp"
-#include "telemetry/health.hpp"
-#include "telemetry/live.hpp"
-#include "telemetry/quantum_stream.hpp"
-#include "telemetry/slowdown.hpp"
-#include "util/atomic_file.hpp"
-#include "util/log.hpp"
 #include "util/stats.hpp"
 
 namespace dike::exp {
@@ -91,105 +76,6 @@ sim::MachineTopology topologyForSpec(const RunSpec& spec) {
                             : sim::MachineTopology::homogeneousTestbed();
 }
 
-namespace {
-
-constexpr double kQuietNaN = std::numeric_limits<double>::quiet_NaN();
-
-// The QuantumMetricsListener that used to live here moved to
-// exp/stream_listener.{hpp,cpp}: supervised runs need its stream cursor in
-// checkpoints, so it became a first-class, serialisable component.
-
-/// Publishes the per-quantum live events (thread slowdowns, fairness
-/// spread) into the ring transport and refreshes the aggregator's placement
-/// snapshot for /state. Runs its own SlowdownEstimator over exactly the
-/// inputs QuantumMetricsListener sees, so live aggregates and the NDJSON
-/// stream agree sample-for-sample.
-class LiveQuantumPublisher final : public sched::QuantumListener {
- public:
-  void afterQuantum(const sim::Machine& machine,
-                    const sched::SchedulerView& view,
-                    sched::Scheduler& scheduler) override {
-    const double dt = util::ticksToSeconds(machine.now() - lastTick_);
-    lastTick_ = machine.now();
-    slowdown_.beginQuantum(dt);
-    const sim::QuantumSample& sample = view.sample();
-    for (const sim::ThreadSample& s : sample.threads) {
-      if (s.finished || s.coreId < 0) continue;
-      slowdown_.add(s.threadId, s.processId, s.accessRate);
-    }
-    slowdown_.finishQuantum();
-
-    const auto* dike = dynamic_cast<const core::DikeScheduler*>(&scheduler);
-    const double unfairness =
-        dike != nullptr ? dike->observer().systemUnfairness() : kQuietNaN;
-    const double spread = slowdown_.fairnessSpread();
-
-    // Ring events flow every quantum (the live histograms must match the
-    // NDJSON stream sample-for-sample), but the /state placement snapshot
-    // only feeds a few-Hz dike_top poll — rebuilding and mutex-publishing
-    // it per quantum is pure simulation-thread overhead. Refresh every
-    // eighth quantum; sub-millisecond staleness at observed quantum rates.
-    const bool refresh = (quantumIndex_ & 0x7) == 0;
-    telemetry::LiveState state;
-    if (refresh) {
-      state.tick = machine.now();
-      state.quantum = quantumIndex_;
-      state.unfairness = unfairness;
-      state.fairnessSpread = std::isnan(spread) ? 0.0 : spread;
-      state.scheduler.assign(scheduler.name());
-      state.cores.reserve(static_cast<std::size_t>(view.coreCount()));
-      for (int core = 0; core < view.coreCount(); ++core) {
-        telemetry::LiveCoreState c;
-        c.core = core;
-        c.thread = view.coreOccupant(core);
-        if (dike != nullptr && dike->observer().ready())
-          c.highBw = dike->observer().isHighBandwidthCore(core);
-        state.cores.push_back(c);
-      }
-    }
-    for (const sim::ThreadSample& s : sample.threads) {
-      if (s.finished || s.coreId < 0) continue;
-      const double sd = slowdown_.slowdownOf(s.threadId);
-      telemetry::publish(telemetry::EventKind::ThreadSlowdown,
-                         static_cast<std::uint32_t>(s.threadId),
-                         machine.now(), sd);
-      if (refresh) {
-        auto& c = state.cores[static_cast<std::size_t>(s.coreId)];
-        c.process = s.processId;
-        c.slowdown = std::isnan(sd) ? 0.0 : sd;
-      }
-    }
-    telemetry::publish(telemetry::EventKind::FairnessSpread,
-                       static_cast<std::uint32_t>(quantumIndex_),
-                       machine.now(), spread, unfairness);
-    if (refresh)
-      telemetry::Aggregator::instance().updateLiveState(std::move(state));
-    // Liveness stamp for /healthz (two relaxed stores — negligible against
-    // the live-plane overhead gate): this quantum just completed, now.
-    telemetry::heartbeat(quantumIndex_);
-    ++quantumIndex_;
-  }
-
- private:
-  std::int64_t quantumIndex_ = 0;
-  util::Tick lastTick_ = 0;
-  telemetry::SlowdownEstimator slowdown_;
-};
-
-/// Fail fast (before the simulation runs) with a path-carrying error when a
-/// telemetry output location is not writable. The artifact itself is
-/// buffered and committed atomically at end of run — a kill mid-run leaves
-/// the previous complete file (or nothing), never a torn one. Probing in
-/// append mode never clobbers that previous file.
-void probeTelemetryOutput(const std::string& path) {
-  std::ofstream probe{path, std::ios::app};
-  if (!probe)
-    throw std::runtime_error{"cannot open telemetry output for writing: " +
-                             path};
-}
-
-}  // namespace
-
 RunMetrics collectRunMetrics(sim::Machine& machine,
                              const sim::RunOutcome& outcome,
                              const sched::Scheduler& scheduler) {
@@ -201,7 +87,7 @@ RunMetrics collectRunMetrics(sim::Machine& machine,
   m.swaps = machine.swapCount();
   m.migrations = machine.migrationCount();
   m.energyJoules = machine.energyJoules();
-  if (!m.timedOut) {
+  if (!m.timedOut && !m.stopped) {
     m.fairness = fairnessEq4(machine);
     m.processes = processResults(machine);
   }
@@ -222,114 +108,7 @@ RunMetrics collectRunMetrics(sim::Machine& machine,
 }
 
 RunMetrics runWorkload(const RunSpec& spec) {
-  const wl::WorkloadSpec& workload = spec.customWorkload
-                                         ? *spec.customWorkload
-                                         : wl::workload(spec.workloadId);
-
-  sim::MachineConfig machineCfg = spec.machine;
-  machineCfg.seed = spec.seed;
-  sim::Machine machine{topologyForSpec(spec), machineCfg};
-  wl::addWorkloadProcesses(machine, workload, spec.scale, spec.threadsPerApp);
-  if (spec.kind == SchedulerKind::StaticOracle)
-    sched::placeOracle(machine);
-  else
-    sched::placeRandom(machine, spec.seed);
-
-  const std::unique_ptr<sched::Scheduler> scheduler = makeScheduler(spec);
-  sched::SchedulerAdapter adapter{*scheduler};
-
-  // Telemetry attachments. Outputs are opened before the simulation so an
-  // unwritable path fails in milliseconds, not after a full run.
-  const RunTelemetry& tel = spec.telemetry;
-  std::optional<telemetry::QuantumStreamFile> metricsFile;
-  std::unique_ptr<QuantumMetricsListener> metricsListener;
-  std::unique_ptr<LiveQuantumPublisher> livePublisher;
-  sched::QuantumListenerChain listenerChain;
-  sim::TraceRecorder recorder{tel.traceCapacity};
-  telemetry::DecisionTrace decisions;
-  if (!tel.eventsCsvPath.empty()) probeTelemetryOutput(tel.eventsCsvPath);
-  if (!tel.chromeTracePath.empty()) probeTelemetryOutput(tel.chromeTracePath);
-  if (tel.wantsEvents()) machine.setTraceRecorder(&recorder);
-  if (!tel.quantumMetricsPath.empty()) {
-    metricsFile.emplace(tel.quantumMetricsPath);
-    metricsListener =
-        std::make_unique<QuantumMetricsListener>(metricsFile->writer());
-    listenerChain.add(metricsListener.get());
-  }
-  if (tel.livePublish) {
-    livePublisher = std::make_unique<LiveQuantumPublisher>();
-    listenerChain.add(livePublisher.get());
-  }
-  if (listenerChain.size() > 0) adapter.setListener(&listenerChain);
-  if (tel.any())
-    if (auto* dike = dynamic_cast<core::DikeScheduler*>(scheduler.get()))
-      dike->setDecisionTrace(&decisions);
-  // Route live-SLO alerts into this run's decision trace so breach records
-  // line up with the scheduler decisions around them. The guard detaches
-  // before `decisions` goes out of scope, whatever exit path is taken.
-  telemetry::SloMonitor* const liveSlo =
-      tel.livePublish ? telemetry::Aggregator::instance().slo() : nullptr;
-  if (liveSlo != nullptr) liveSlo->setDecisionTrace(&decisions);
-  struct SloTraceGuard {
-    telemetry::SloMonitor* slo;
-    ~SloTraceGuard() {
-      if (slo != nullptr) {
-        telemetry::Aggregator::instance().drainNow();
-        slo->setDecisionTrace(nullptr);
-      }
-    }
-  } sloTraceGuard{liveSlo};
-
-  // Fault layer: counter/actuation seams on the adapter, core faults (and
-  // the faults-active hint the fairness watchdog keys on) on a policy
-  // decorator in front of it. An absent or empty plan attaches nothing.
-  std::optional<fault::FaultInjector> injector;
-  std::optional<fault::FaultInjectionPolicy> faultPolicy;
-  sim::QuantumPolicy* policy = &adapter;
-  if (spec.faults && spec.faults->enabled()) {
-    injector.emplace(*spec.faults);
-    adapter.setSampleFilter(&*injector);
-    adapter.setActuationHook(&*injector);
-    faultPolicy.emplace(adapter, *injector);
-    if (auto* dike = dynamic_cast<core::DikeScheduler*>(scheduler.get()))
-      faultPolicy->setFaultsActiveListener(
-          [dike](bool active) { dike->setFaultsActiveHint(active); });
-    policy = &*faultPolicy;
-  }
-
-  const sim::RunOutcome outcome = sim::runMachine(machine, *policy);
-
-  RunMetrics metrics = collectRunMetrics(machine, outcome, *scheduler);
-  metrics.workload = workload.name;
-  if (injector) {
-    metrics.faults = injector->tally();
-    metrics.coreFreqDips = faultPolicy->freqDips();
-  }
-
-  if (tel.wantsEvents()) {
-    metrics.traceDropped = recorder.dropped();
-    if (recorder.dropped() > 0)
-      util::logWarn("trace recorder dropped ", recorder.dropped(),
-                    " events (capacity ", tel.traceCapacity,
-                    "); raise telemetry.traceCapacity to keep the full run");
-    if (!tel.eventsCsvPath.empty()) {
-      std::ostringstream csv;
-      writeTraceCsv(recorder, csv);
-      util::writeFileAtomic(tel.eventsCsvPath, csv.str());
-    }
-    if (!tel.chromeTracePath.empty()) {
-      const ChromeTraceMeta meta = metaFromMachine(machine);
-      const util::JsonValue doc = buildChromeTrace(
-          recorder.events(), meta,
-          decisions.records().empty() ? nullptr : &decisions);
-      util::writeFileAtomic(tel.chromeTracePath, doc.dump(2) + "\n");
-    }
-    machine.setTraceRecorder(nullptr);
-  }
-  if (decisions.dropped() > 0)
-    util::logWarn("decision trace dropped ", decisions.dropped(),
-                  " quantum records");
-  return metrics;
+  return RunSession{spec}.finish();
 }
 
 RunMetrics runStandalone(const std::string& benchmark, double scale,

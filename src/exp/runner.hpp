@@ -61,6 +61,24 @@ struct RunTelemetry {
   }
 };
 
+/// One scheduled arrival of an open-system run: an application entering
+/// the machine mid-run ("new applications enter the system", Section II).
+struct Arrival {
+  util::Tick atTick = 0;
+  std::string benchmark;  ///< a workload/benchmarks.hpp model name
+  int threads = 8;
+  double scale = 1.0;
+};
+
+/// One scripted frequency change (whole socket, like acpi-cpufreq
+/// policies): DVFS moving core capability under the scheduler (Section
+/// III-A).
+struct FrequencyChange {
+  util::Tick atTick = 0;
+  int socket = 0;
+  double freqGhz = 1.0;
+};
+
 /// One experiment's inputs.
 struct RunSpec {
   /// Workload id (1..16) from Table II. Ignored when customWorkload is set.
@@ -92,6 +110,13 @@ struct RunSpec {
   /// Fault-injection plan. Unset (or set but with nothing enabled) leaves
   /// the run byte-identical to one without the fault layer attached.
   std::optional<fault::FaultPlan> faults;
+  /// Applications arriving mid-run (see exp/dynamic.hpp). While any is
+  /// pending the run stays open, even across an idle machine. Non-empty
+  /// arrivals append "+dynamic" to the reported workload name.
+  std::vector<Arrival> arrivals;
+  /// Socket frequency changes applied at quantum boundaries (see
+  /// exp/dynamic.hpp). Non-empty scripts append "+dvfs" to the workload name.
+  std::vector<FrequencyChange> dvfs;
 };
 
 /// One experiment's outputs.
@@ -127,25 +152,24 @@ struct RunMetrics {
   std::vector<core::PredictionErrorPoint> predTrace;
 };
 
-/// Instantiate the scheduler a RunSpec names (public so composed runners —
-/// e.g. exp/dynamic.hpp — can reuse the construction rules). Dike kinds
-/// with `dikeConfig->cluster.clusters >= 1` build a ClusteredDikeScheduler.
+/// Instantiate the scheduler a RunSpec names. Dike kinds with
+/// `dikeConfig->cluster.clusters >= 1` build a ClusteredDikeScheduler.
 [[nodiscard]] std::unique_ptr<sched::Scheduler> makeScheduler(
     const RunSpec& spec);
 
 /// The machine topology a RunSpec describes: the explicit socket list when
 /// `spec.topology` is non-empty, else the paper testbed (heterogeneous or
-/// homogeneous). Shared by the runner, the soak harness, and replay so a
-/// checkpoint always rebuilds the machine it was taken on.
+/// homogeneous). RunSession builds every machine from it, so a checkpoint
+/// always rebuilds the machine it was taken on.
 [[nodiscard]] sim::MachineTopology topologyForSpec(const RunSpec& spec);
 
-/// Assemble the RunMetrics for a finished machine/scheduler pair (shared by
-/// runWorkload and the checkpoint/replay session in exp/replay.hpp).
+/// Assemble the RunMetrics for a finished machine/scheduler pair (used by
+/// RunSession::finish and runStandalone).
 [[nodiscard]] RunMetrics collectRunMetrics(sim::Machine& machine,
                                            const sim::RunOutcome& outcome,
                                            const sched::Scheduler& scheduler);
 
-/// Run one workload under one scheduler.
+/// Run one workload under one scheduler: `RunSession{spec}.finish()`.
 [[nodiscard]] RunMetrics runWorkload(const RunSpec& spec);
 
 /// Run a single benchmark standalone (8 threads, spread placement, no

@@ -1,19 +1,13 @@
 #include "exp/soak.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "core/dike_scheduler.hpp"
-#include "exp/dynamic.hpp"
-#include "fault/fault_policy.hpp"
-#include "fault/injector.hpp"
-#include "sched/placement.hpp"
+#include "exp/replay.hpp"
 #include "telemetry/slowdown.hpp"
-#include "util/rng.hpp"
 #include "util/types.hpp"
-#include "workload/workloads.hpp"
 
 namespace dike::exp {
 
@@ -111,37 +105,6 @@ class SoakInvariantListener final : public sched::QuantumListener {
   std::int64_t placementViolations_ = 0;
 };
 
-/// Short-lived churn processes alternate a memory-bound and a compute-bound
-/// model so arrivals perturb both halves of the machine.
-constexpr const char* kChurnBenchmarks[2] = {"stream_omp", "srad"};
-
-std::vector<Arrival> churnSchedule(const fault::FaultPlan& plan,
-                                   util::Rng rng, util::Tick quantumTicks) {
-  std::vector<Arrival> schedule;
-  if (plan.churn.arrivals <= 0) return schedule;
-  const util::Tick start = plan.window.startTick;
-  const util::Tick end = plan.window.endTick > 0
-                             ? plan.window.endTick
-                             : start + 200 * std::max<util::Tick>(
-                                                 1, quantumTicks);
-  for (int i = 0; i < plan.churn.arrivals; ++i) {
-    Arrival a;
-    a.atTick = start + static_cast<util::Tick>(
-                           rng.uniform() *
-                           static_cast<double>(std::max<util::Tick>(
-                               1, end - start)));
-    a.benchmark = kChurnBenchmarks[i % 2];
-    a.threads = plan.churn.threadsPerArrival;
-    a.scale = plan.churn.arrivalScale;
-    schedule.push_back(std::move(a));
-  }
-  std::sort(schedule.begin(), schedule.end(),
-            [](const Arrival& a, const Arrival& b) {
-              return a.atTick < b.atTick;
-            });
-  return schedule;
-}
-
 struct SoakRun {
   RunMetrics metrics;
   std::int64_t quantaChecked = 0;
@@ -158,6 +121,11 @@ SoakRun runOnce(const SoakSpec& spec, bool withFaults) {
     throw std::invalid_argument{"soak spec needs at least one app"};
 
   RunSpec runSpec;
+  runSpec.customWorkload.emplace();
+  runSpec.customWorkload->id = 0;
+  runSpec.customWorkload->name = "soak";
+  runSpec.customWorkload->apps = spec.apps;
+  runSpec.customWorkload->includeKmeans = false;
   runSpec.kind = spec.kind;
   runSpec.params = spec.params;
   runSpec.dikeConfig = spec.dikeConfig;
@@ -165,69 +133,19 @@ SoakRun runOnce(const SoakSpec& spec, bool withFaults) {
   runSpec.seed = spec.seed;
   runSpec.heterogeneous = spec.heterogeneous;
   runSpec.threadsPerApp = spec.threadsPerApp;
-
-  wl::WorkloadSpec workload;
-  workload.id = 0;
-  workload.name = "soak";
-  workload.apps = spec.apps;
-  workload.includeKmeans = false;
-
-  sim::MachineConfig machineCfg;
-  machineCfg.seed = spec.seed;
-  sim::Machine machine{topologyForSpec(runSpec), machineCfg};
-  wl::addWorkloadProcesses(machine, workload, spec.scale, spec.threadsPerApp);
-  sched::placeRandom(machine, spec.seed);
-
-  const std::unique_ptr<sched::Scheduler> scheduler = makeScheduler(runSpec);
-  auto* dike = dynamic_cast<core::DikeScheduler*>(scheduler.get());
-  sched::SchedulerAdapter adapter{*scheduler};
+  // The plan's churn becomes arrivals inside the session.
+  if (withFaults) runSpec.faults = spec.faults;
 
   std::optional<telemetry::SloMonitor> slo;
   if (spec.slo.enabled) slo.emplace(spec.slo);
   SoakInvariantListener invariants{slo ? &*slo : nullptr};
-  adapter.setListener(&invariants);
-
-  std::optional<fault::FaultInjector> injector;
-  std::optional<ArrivalInjector> arrivals;
-  std::optional<fault::FaultInjectionPolicy> faultPolicy;
-  sim::QuantumPolicy* policy = &adapter;
-  if (withFaults && spec.faults.enabled()) {
-    injector.emplace(spec.faults);
-    adapter.setSampleFilter(&*injector);
-    adapter.setActuationHook(&*injector);
-    arrivals.emplace(adapter,
-                     churnSchedule(spec.faults, injector->forkStream(),
-                                   scheduler->quantumTicks()));
-    faultPolicy.emplace(*arrivals, *injector);
-    if (dike != nullptr)
-      faultPolicy->setFaultsActiveListener(
-          [dike](bool active) { dike->setFaultsActiveHint(active); });
-    policy = &*faultPolicy;
-  }
-
-  const sim::RunOutcome outcome = sim::runMachine(machine, *policy);
+  RunSession session{runSpec};
+  session.addQuantumListener(invariants);
 
   SoakRun run;
-  run.metrics.scheduler = std::string{scheduler->name()};
-  run.metrics.workload = "soak";
-  run.metrics.makespan = outcome.finishTick;
-  run.metrics.timedOut = outcome.timedOut;
-  run.metrics.swaps = machine.swapCount();
-  run.metrics.migrations = machine.migrationCount();
-  run.metrics.energyJoules = machine.energyJoules();
-  if (!outcome.timedOut) {
-    run.metrics.fairness = fairnessEq4(machine);
-    run.metrics.processes = processResults(machine);
-  }
-  if (dike != nullptr) run.metrics.decisions = dike->decisionTotals();
-  if (injector) {
-    run.metrics.faults = injector->tally();
-    run.metrics.coreFreqDips = faultPolicy->freqDips();
-  }
-  if (arrivals) {
-    run.churnInjected = arrivals->injectedArrivals();
-    run.churnPending = arrivals->pendingArrivals();
-  }
+  run.metrics = session.finish();
+  run.churnInjected = session.arrivalsInjected();
+  run.churnPending = session.arrivalsPending();
   run.quantaChecked = invariants.quantaChecked();
   run.nanViolations = invariants.nanViolations();
   run.placementViolations = invariants.placementViolations();

@@ -63,9 +63,11 @@ struct CoreFaults {
 };
 
 /// Mid-run thread churn. The fault library only carries the parameters;
-/// the soak harness (src/exp/soak.*) turns them into an arrival schedule
-/// via exp::ArrivalInjector using the plan's forked RNG, keeping this
-/// library free of workload-table dependencies.
+/// every run with churn (exp::RunSession) turns them into an arrival
+/// schedule for exp::ArrivalInjector from a stream forked off the
+/// injector's RNG — forked only when `arrivals > 0`, so plans without
+/// churn keep their draws — keeping this library free of workload-table
+/// dependencies.
 struct ChurnFaults {
   int arrivals = 0;           ///< extra short-lived processes to launch
   int threadsPerArrival = 2;  ///< threads per churn process

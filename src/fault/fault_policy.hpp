@@ -17,7 +17,7 @@ namespace dike::fault {
 
 class FaultInjectionPolicy final : public sim::QuantumPolicy {
  public:
-  /// Wraps `inner` (usually the SchedulerAdapter or an ArrivalInjector
+  /// Wraps `inner` (the SchedulerAdapter, or the arrival/DVFS decorators
   /// chained onto it). `injector` supplies the plan and the core-fault RNG
   /// stream; both must outlive this policy.
   FaultInjectionPolicy(sim::QuantumPolicy& inner, FaultInjector& injector);

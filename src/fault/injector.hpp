@@ -51,7 +51,7 @@ class FaultInjector final : public sched::SampleFilter,
   }
 
   /// Forked stream for fault categories handled outside this class (core
-  /// faults in FaultInjectionPolicy, churn scheduling in the soak harness).
+  /// faults in FaultInjectionPolicy, churn scheduling in exp::RunSession).
   /// Deterministic: the nth call returns the same stream for a given seed.
   [[nodiscard]] util::Rng forkStream() noexcept { return streamSource_.fork(); }
 

@@ -976,44 +976,60 @@ void Machine::loadState(ckpt::BinReader& r) {
   rebuildHotState();
 }
 
-RunOutcome runMachine(Machine& machine, QuantumPolicy& policy,
-                      RunLimits limits) {
-  return runMachine(machine, policy, limits, RunCursor{}, nullptr);
+bool stepQuantum(Machine& machine, QuantumPolicy& policy,
+                 const RunLimits& limits, util::Tick& nextQuantumAt,
+                 bool holdOpen) {
+  if (nextQuantumAt < 0) nextQuantumAt = policy.quantumTicks();
+  while (runOpen(machine, limits, holdOpen)) {
+    const util::Tick target = std::min(
+        limits.maxTicks, std::max(nextQuantumAt, machine.now() + 1));
+    machine.stepUntil(target, !holdOpen);
+    if (machine.now() < nextQuantumAt) continue;
+    if (machine.allFinished() && !holdOpen) return false;
+    policy.onQuantum(machine);
+    // Schedule from the previous deadline, not the observed tick, so one
+    // late quantum cannot shift the whole subsequent schedule. stepUntil
+    // never overshoots the target, so the clamp only guards pathological
+    // policies that move the deadline into the past.
+    nextQuantumAt =
+        std::max(nextQuantumAt + std::max<util::Tick>(1, policy.quantumTicks()),
+                 machine.now() + 1);
+    return true;
+  }
+  return false;
+}
+
+bool runOpen(const Machine& machine, const RunLimits& limits, bool holdOpen) {
+  return (holdOpen || !machine.allFinished()) &&
+         machine.now() < limits.maxTicks;
+}
+
+RunOutcome runOutcome(const Machine& machine, bool holdOpen) {
+  const bool workLeft = holdOpen || !machine.allFinished();
+  const bool stopped = workLeft && util::stopRequested();
+  return RunOutcome{machine.now(), workLeft && !stopped, stopped};
+}
+
+void publishQuantumLength(const Machine& machine, const QuantumPolicy& policy,
+                          std::int64_t quantumIndex) {
+  telemetry::publish(
+      telemetry::EventKind::QuantumTicks,
+      static_cast<std::uint32_t>(quantumIndex), machine.now(),
+      static_cast<double>(std::max<util::Tick>(1, policy.quantumTicks())));
 }
 
 RunOutcome runMachine(Machine& machine, QuantumPolicy& policy,
-                      RunLimits limits, RunCursor start,
-                      const QuantumHook& afterQuantum) {
-  util::Tick nextQuantumAt =
-      start.nextQuantumAt >= 0 ? start.nextQuantumAt : policy.quantumTicks();
-  std::int64_t quantumIndex = start.quantumIndex;
-  // The stop flag is checked once per loop pass (a quantum boundary at
-  // most), so a SIGINT unwinds through the normal return path and every
-  // telemetry sink finalises cleanly — never mid-row, never mid-file.
-  while (!machine.allFinished() && machine.now() < limits.maxTicks &&
-         !util::stopRequested()) {
-    const util::Tick target = std::min(
-        limits.maxTicks, std::max(nextQuantumAt, machine.now() + 1));
-    machine.stepUntil(target);
-    if (machine.now() >= nextQuantumAt) {
-      if (machine.allFinished()) break;
-      policy.onQuantum(machine);
-      const util::Tick quantum = std::max<util::Tick>(1, policy.quantumTicks());
-      telemetry::publish(telemetry::EventKind::QuantumTicks,
-                         static_cast<std::uint32_t>(quantumIndex),
-                         machine.now(), static_cast<double>(quantum));
-      // Schedule from the previous deadline, not the observed tick, so one
-      // late quantum cannot shift the whole subsequent schedule. stepUntil
-      // never overshoots the target, so the clamp only guards pathological
-      // policies that move the deadline into the past.
-      nextQuantumAt = std::max(nextQuantumAt + quantum, machine.now() + 1);
-      if (afterQuantum) afterQuantum(machine, quantumIndex, nextQuantumAt);
-      ++quantumIndex;
-    }
-  }
-  const bool stopped = util::stopRequested() && !machine.allFinished();
-  return RunOutcome{machine.now(), !machine.allFinished() && !stopped,
-                    stopped};
+                      RunLimits limits) {
+  // The stop flag is checked once per quantum, so a SIGINT unwinds through
+  // the normal return path and every telemetry sink finalises cleanly —
+  // never mid-row, never mid-file.
+  util::Tick nextQuantumAt = -1;
+  for (std::int64_t quantum = 0;
+       !util::stopRequested() &&
+       stepQuantum(machine, policy, limits, nextQuantumAt);
+       ++quantum)
+    publishQuantumLength(machine, policy, quantum);
+  return runOutcome(machine);
 }
 
 }  // namespace dike::sim

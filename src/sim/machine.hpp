@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -400,34 +399,44 @@ struct RunOutcome {
   bool stopped = false;
 };
 
-/// Drive the machine until every thread completes (or the tick limit hits),
-/// invoking the policy at each quantum boundary.
+/// The run loop's one step body: advance `machine` to the next quantum
+/// deadline and invoke the policy there. `nextQuantumAt` is the run's
+/// schedule cursor, advanced in place; pass a negative value on a fresh run
+/// (the first deadline is then policy.quantumTicks()). A resumed run must
+/// pass the exact deadline its checkpoint recorded: the drift-free schedule
+/// (`next = max(prev + quantum, now + 1)`) chains off the previous deadline,
+/// which is not derivable from the clock under adaptive quanta.
+///
+/// While `holdOpen` is set (an open system with arrivals still pending) the
+/// run is not over when every thread has finished: the clock keeps
+/// advancing across the idle gap. Returns true after a quantum boundary was
+/// handled and false, without invoking the policy, once the run is over.
+/// Every run loop (runMachine, exp::RunSession) steps through this
+/// function, so stepped, resumed and uninterrupted runs execute the same
+/// arithmetic.
+bool stepQuantum(Machine& machine, QuantumPolicy& policy,
+                 const RunLimits& limits, util::Tick& nextQuantumAt,
+                 bool holdOpen = false);
+
+/// True while a run has work left: a live thread (or `holdOpen`) and the
+/// tick limit not yet reached.
+[[nodiscard]] bool runOpen(const Machine& machine, const RunLimits& limits,
+                           bool holdOpen = false);
+
+/// The outcome of a run whose loop has exited: stopped when a stop request
+/// cut it short, timed out when work remains otherwise.
+[[nodiscard]] RunOutcome runOutcome(const Machine& machine,
+                                    bool holdOpen = false);
+
+/// Publish the live quantum-length event for the quantum that just
+/// completed (a no-op unless the live plane is on). Called by the
+/// run-to-completion loops after each stepQuantum.
+void publishQuantumLength(const Machine& machine, const QuantumPolicy& policy,
+                          std::int64_t quantumIndex);
+
+/// Drive the machine until every thread completes (or the tick limit hits,
+/// or a stop is requested), invoking the policy at each quantum boundary.
 RunOutcome runMachine(Machine& machine, QuantumPolicy& policy,
                       RunLimits limits = {});
-
-/// Where in the quantum schedule a (possibly resumed) run stands.
-/// `nextQuantumAt < 0` means a fresh run: the first deadline is
-/// policy.quantumTicks(). A resumed run must supply the exact deadline the
-/// checkpoint recorded — the drift-free schedule (`nextQuantumAt = max(prev
-/// + quantum, now + 1)`) chains off the previous deadline, which is not
-/// derivable from the clock under adaptive quanta.
-struct RunCursor {
-  std::int64_t quantumIndex = 0;
-  util::Tick nextQuantumAt = -1;
-};
-
-/// Called after each quantum's onQuantum and deadline update, with the index
-/// of the quantum that just completed and the next deadline — everything a
-/// checkpoint needs to resume the loop bit-exactly.
-using QuantumHook =
-    std::function<void(Machine&, std::int64_t quantumIndex,
-                       util::Tick nextQuantumAt)>;
-
-/// runMachine with an explicit start cursor and an optional per-quantum
-/// hook. The loop body is shared with the plain overload, so a resumed run
-/// executes exactly the arithmetic an uninterrupted run would.
-RunOutcome runMachine(Machine& machine, QuantumPolicy& policy,
-                      RunLimits limits, RunCursor start,
-                      const QuantumHook& afterQuantum);
 
 }  // namespace dike::sim

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
+#include "exp/replay.hpp"
+#include "exp/supervise.hpp"
+
 namespace dike::exp {
 namespace {
 
@@ -129,6 +137,75 @@ TEST(ConfigIo, SpeedupsDefinedWithoutCfsListed) {
   EXPECT_GT(cells[0].speedupVsCfs, 0.5);
   EXPECT_LT(cells[0].speedupVsCfs, 2.0);
 }
+
+// One ExperimentConfig -> RunSpec mapping for grids and single runs: every
+// field a grid cell uses reaches the single-run spec too.
+TEST(ConfigIo, CellRunSpecCarriesEveryRunField) {
+  const ExperimentConfig config = parseExperimentConfig(parseJson(R"({
+    "workloads": [4, 2], "schedulers": ["dike-af", "cfs"],
+    "scale": 0.2, "seed": 9, "heterogeneous": false, "threadsPerApp": 3,
+    "topology": [{"sockets": 3, "physicalCores": 4}],
+    "machine": {"conflictSpread": 0.2},
+    "dike": {"swapSize": 4, "cluster": {"clusters": 3}},
+    "faults": {"samples": {"dropProbability": 0.1}}
+  })"));
+  const RunSpec first = firstCellRunSpec(config);
+  EXPECT_EQ(first.workloadId, 4);
+  EXPECT_EQ(first.kind, SchedulerKind::DikeAF);
+  EXPECT_DOUBLE_EQ(first.scale, 0.2);
+  EXPECT_EQ(first.seed, 9u);
+  EXPECT_FALSE(first.heterogeneous);
+  EXPECT_EQ(first.threadsPerApp, 3);
+  EXPECT_EQ(first.topology.size(), 3u);
+  EXPECT_DOUBLE_EQ(first.machine.conflictSpread, 0.2);
+  EXPECT_EQ(first.params.swapSize, 4);
+  ASSERT_TRUE(first.dikeConfig.has_value());
+  EXPECT_EQ(first.dikeConfig->cluster.clusters, 3);
+  ASSERT_TRUE(first.faults.has_value());
+  EXPECT_FALSE(first.telemetry.any());
+  EXPECT_EQ(cellRunSpec(config, 2, SchedulerKind::Cfs, 2).seed, 2009u);
+
+  ExperimentConfig empty = config;
+  empty.kinds.clear();
+  EXPECT_THROW((void)firstCellRunSpec(empty), std::runtime_error);
+}
+
+#if defined(DIKE_RUN_BIN) && defined(DIKE_SUPERVISE_BIN) && \
+    defined(DIKE_CONFIG_DIR)
+std::string slurp(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// The checkpointing tools run the grid's first cell exactly as the grid
+// does — on the config's topology, with its threads per application —
+// rather than the paper testbed with 8 threads per application.
+TEST(ConfigIoTools, SingleRunToolsRunTheConfiguredCell) {
+  const std::string config =
+      std::string{DIKE_CONFIG_DIR} + "/decide_jobs_equivalence.json";
+  const std::string expected =
+      runMetricsToJson(runWorkload(firstCellRunSpec(
+                           parseExperimentConfig(util::parseJsonFile(config)))))
+          .dump(2) +
+      "\n";
+  const std::string dir = ::testing::TempDir() + "/config_io_tools";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  const std::string run = std::string{DIKE_RUN_BIN} + " " + config +
+                          " --checkpoint-out " + dir + "/run.ckpt" +
+                          " --json " + dir + "/run.json > /dev/null";
+  ASSERT_EQ(std::system(run.c_str()), 0) << run;
+  EXPECT_EQ(slurp(dir + "/run.json"), expected) << "dike_run --checkpoint-out";
+
+  const std::string supervise = std::string{DIKE_SUPERVISE_BIN} + " " +
+                                config + " --dir " + dir + "/sup > /dev/null";
+  ASSERT_EQ(std::system(supervise.c_str()), 0) << supervise;
+  EXPECT_EQ(slurp(reportPath(dir + "/sup")), expected) << "dike_supervise";
+}
+#endif
 
 TEST(ConfigIo, ToJsonRoundTrips) {
   ExperimentConfig config;

@@ -1,4 +1,4 @@
-#include "exp/dvfs.hpp"
+#include "exp/dynamic.hpp"
 
 #include <gtest/gtest.h>
 
@@ -77,12 +77,13 @@ TEST(DvfsRun, DikeAdaptsToAppearingHeterogeneity) {
   // up fairer than CFS despite having learned capability on the
   // pre-throttle machine.
   auto run = [](SchedulerKind kind) {
-    DvfsRunSpec spec;
+    RunSpec spec;
     spec.workloadId = 2;
     spec.kind = kind;
     spec.scale = 0.2;
-    spec.script = {FrequencyChange{2'000, 1, 1.21}};
-    return runDvfsWorkload(spec);
+    spec.heterogeneous = false;
+    spec.dvfs = {FrequencyChange{2'000, 1, 1.21}};
+    return runWorkload(spec);
   };
   const RunMetrics cfs = run(SchedulerKind::Cfs);
   const RunMetrics dike = run(SchedulerKind::Dike);
@@ -90,6 +91,8 @@ TEST(DvfsRun, DikeAdaptsToAppearingHeterogeneity) {
   ASSERT_FALSE(dike.timedOut);
   EXPECT_GT(dike.fairness, cfs.fairness);
   EXPECT_EQ(dike.workload, "wl2+dvfs");
+  EXPECT_GT(dike.decisions.quanta, 0);
+  EXPECT_TRUE(dike.hasPredictions);
 }
 
 }  // namespace

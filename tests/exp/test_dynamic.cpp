@@ -82,39 +82,43 @@ TEST(ArrivalInjector, OrderPreservedAcrossWaves) {
   EXPECT_EQ(m.processes()[2].name, "stream_omp");
 }
 
-TEST(DynamicRun, CompletesWithArrivals) {
-  DynamicRunSpec spec;
+/// wl2 plus one jacobi arrival: an open-system run is a plain RunSpec.
+RunSpec dynamicSpec() {
+  RunSpec spec;
   spec.workloadId = 2;
   spec.kind = SchedulerKind::Dike;
   spec.scale = 0.1;
   spec.arrivals = {Arrival{2'000, "jacobi", 8, 0.1}};
-  const RunMetrics m = runDynamicWorkload(spec);
+  return spec;
+}
+
+TEST(DynamicRun, CompletesWithArrivals) {
+  const RunMetrics m = runWorkload(dynamicSpec());
   EXPECT_FALSE(m.timedOut);
   EXPECT_EQ(m.processes.size(), 6u);  // 5 base + 1 arrival
   EXPECT_GT(m.fairness, 0.0);
   EXPECT_EQ(m.workload, "wl2+dynamic");
+  // A full report: the decision totals and prediction-error statistics
+  // every other Dike run carries.
+  EXPECT_GT(m.decisions.quanta, 0);
+  EXPECT_TRUE(m.hasPredictions);
 }
 
 TEST(DynamicRun, ArrivalAfterEveryoneFinishedStillRuns) {
-  DynamicRunSpec spec;
+  RunSpec spec;
   spec.workloadId = 2;
   spec.kind = SchedulerKind::Cfs;
   spec.scale = 0.05;  // base finishes quickly
   spec.arrivals = {Arrival{60'000, "hotspot", 8, 0.05}};
-  const RunMetrics m = runDynamicWorkload(spec);
+  const RunMetrics m = runWorkload(spec);
   EXPECT_FALSE(m.timedOut);
   EXPECT_EQ(m.processes.size(), 6u);
   EXPECT_GT(m.makespan, 60'000);
 }
 
 TEST(DynamicRun, DeterministicPerSeed) {
-  DynamicRunSpec spec;
-  spec.workloadId = 2;
-  spec.kind = SchedulerKind::Dike;
-  spec.scale = 0.1;
-  spec.arrivals = {Arrival{2'000, "jacobi", 8, 0.1}};
-  const RunMetrics a = runDynamicWorkload(spec);
-  const RunMetrics b = runDynamicWorkload(spec);
+  const RunMetrics a = runWorkload(dynamicSpec());
+  const RunMetrics b = runWorkload(dynamicSpec());
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.swaps, b.swaps);
 }

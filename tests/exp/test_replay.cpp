@@ -20,6 +20,7 @@
 #include "exp/config_io.hpp"
 #include "exp/parallel.hpp"
 #include "util/json.hpp"
+#include "util/stop.hpp"
 
 namespace dike::exp {
 namespace {
@@ -254,6 +255,92 @@ TEST(Replay, LongRunCheckpointAtQuantum100) {
   EXPECT_EQ(report(fromStepped), uninterrupted);
 }
 
+// --- open-system, DVFS and churn runs -------------------------------------
+
+/// wl3 plus two arrivals and one socket throttle, all landing mid-run.
+RunSpec scriptedSpec() {
+  RunSpec spec = smallSpec(SchedulerKind::DikeAF);
+  spec.arrivals = {Arrival{1'500, "jacobi", 4, 0.05},
+                   Arrival{3'000, "stream_omp", 4, 0.05}};
+  spec.dvfs = {FrequencyChange{2'000, 1, 1.6}};
+  return spec;
+}
+
+/// Checkpoint `spec` after `quanta` steps, restore it, and require the
+/// restored state and both final reports to match the uninterrupted run.
+void expectResumesByteExact(const RunSpec& spec, int quanta,
+                            const std::string& tag) {
+  const std::string uninterrupted = report(runWorkload(spec));
+  RunSession stepped{spec};
+  for (int i = 0; i < quanta; ++i) ASSERT_TRUE(stepped.stepQuantum());
+  const std::string path = tempPath(tag + ".ckpt");
+  stepped.writeCheckpoint(path);
+  const std::unique_ptr<RunSession> restored = RunSession::restore(path);
+  EXPECT_EQ(restored->arrivalsInjected(), stepped.arrivalsInjected());
+  EXPECT_EQ(firstDivergence(stepped.checkpointPayload(),
+                            restored->checkpointPayload()),
+            std::nullopt)
+      << tag;
+  EXPECT_EQ(report(stepped.finish()), uninterrupted) << tag;
+  EXPECT_EQ(report(restored->finish()), uninterrupted) << tag;
+}
+
+TEST(Replay, ScriptedRunResumesByteExactAroundEveryScriptEvent) {
+  // The base load fills every core, so arrivals wait for free cores: find
+  // the quanta that admitted them, then checkpoint before the first, at
+  // each admission, and after the last.
+  std::vector<int> admitted;
+  {
+    RunSession probe{scriptedSpec()};
+    while (probe.stepQuantum())
+      if (probe.arrivalsInjected() > static_cast<int>(admitted.size()))
+        admitted.push_back(static_cast<int>(probe.quantumIndex()));
+  }
+  ASSERT_EQ(admitted.size(), 2u) << "both arrivals must land mid-run";
+  for (const int k : {1, admitted[0], admitted[1], admitted[1] + 2})
+    expectResumesByteExact(scriptedSpec(), k,
+                           "scripted_" + std::to_string(k));
+  const RunMetrics m = runWorkload(scriptedSpec());
+  EXPECT_EQ(m.workload, "wl3+dynamic+dvfs");
+  EXPECT_EQ(m.processes.size(),
+            runWorkload(smallSpec(SchedulerKind::DikeAF)).processes.size() +
+                2);
+}
+
+// The fault plan's churn runs in every faulted run, not only the soak:
+// `churn.arrivals` short-lived processes join, and a checkpoint taken
+// between them resumes byte-identically.
+TEST(Replay, ChurnArrivesInPlainRunsAndResumesByteExact) {
+  RunSpec spec = smallSpec(SchedulerKind::DikeAF);
+  fault::FaultPlan plan;
+  plan.seed = 5;
+  plan.window.startTick = 500;
+  plan.window.endTick = 4'000;
+  plan.churn.arrivals = 4;
+  spec.faults = plan;
+  const RunMetrics m = runWorkload(spec);
+  EXPECT_FALSE(m.timedOut);
+  EXPECT_EQ(m.processes.size(),
+            runWorkload(smallSpec(SchedulerKind::DikeAF)).processes.size() +
+                4);
+  EXPECT_EQ(m.workload, "wl3") << "churn is not an open-system workload";
+  for (const int k : {1, 4, 9})
+    expectResumesByteExact(spec, k, "churn_" + std::to_string(k));
+}
+
+// stepQuantum never honours a stop request (a supervised child must not
+// publish a partial run as final); finish() does, at the next boundary.
+TEST(Replay, OnlyFinishHonoursStopRequests) {
+  RunSession session{smallSpec(SchedulerKind::Dike)};
+  util::requestStop();
+  EXPECT_TRUE(session.stepQuantum());
+  const RunMetrics m = session.finish();
+  util::resetStopRequest();
+  EXPECT_TRUE(m.stopped);
+  EXPECT_FALSE(m.timedOut);
+  EXPECT_EQ(session.quantumIndex(), 1);
+}
+
 // --- spec / metrics JSON codecs ------------------------------------------
 
 TEST(Replay, RunSpecJsonRoundTripsExactly) {
@@ -299,6 +386,57 @@ TEST(Replay, RunSpecFromJsonRejectsBadInput) {
   EXPECT_THROW(
       (void)runSpecFromJson(util::parseJson(R"({"seed": "12x"})")),
       std::runtime_error);
+}
+
+TEST(Replay, RunSpecScriptsRoundTripAndStayOptional) {
+  const RunSpec plain = smallSpec(SchedulerKind::Dike);
+  const std::string plainJson = runSpecToJson(plain).dump();
+  EXPECT_EQ(plainJson.find("arrivals"), std::string::npos);
+  EXPECT_EQ(plainJson.find("dvfs"), std::string::npos);
+
+  const RunSpec spec = scriptedSpec();
+  const util::JsonValue encoded = runSpecToJson(spec);
+  const RunSpec decoded = runSpecFromJson(util::parseJson(encoded.dump(2)));
+  ASSERT_EQ(decoded.arrivals.size(), 2u);
+  EXPECT_EQ(decoded.arrivals[1].benchmark, "stream_omp");
+  EXPECT_EQ(decoded.arrivals[1].atTick, 3'000);
+  ASSERT_EQ(decoded.dvfs.size(), 1u);
+  EXPECT_DOUBLE_EQ(decoded.dvfs[0].freqGhz, 1.6);
+  EXPECT_EQ(runSpecToJson(decoded).dump(), encoded.dump());
+}
+
+TEST(Replay, RunSpecScriptsRejectBadInputNamingTheField) {
+  const auto rejects = [](const char* json, const std::string& field) {
+    try {
+      (void)runSpecFromJson(util::parseJson(json));
+      ADD_FAILURE() << "accepted: " << json;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects(R"({"arrivals": [{"atTick": 10, "benchmark": "nope"}]})",
+          "arrivals[0].benchmark");
+  rejects(R"({"arrivals": [{"atTick": -1, "benchmark": "jacobi"}]})",
+          "arrivals[0].atTick");
+  rejects(R"({"arrivals": [{"atTick": 1, "benchmark": "jacobi"},
+                           {"atTick": 2, "benchmark": "jacobi",
+                            "threads": 0}]})",
+          "arrivals[1].threads");
+  rejects(R"({"arrivals": {"atTick": 1}})", "arrivals");
+  rejects(R"({"dvfs": [{"atTick": -5, "socket": 0, "freqGhz": 1.0}]})",
+          "dvfs[0].atTick");
+  rejects(R"({"dvfs": [{"atTick": 5, "socket": 2, "freqGhz": 1.0}]})",
+          "dvfs[0].socket");
+  rejects(R"({"dvfs": [{"atTick": 5, "socket": -1, "freqGhz": 1.0}]})",
+          "dvfs[0].socket");
+  rejects(R"({"dvfs": [{"atTick": 5, "socket": 0, "freqGhz": 0}]})",
+          "dvfs[0].freqGhz");
+  // The socket bound follows the spec's own topology.
+  EXPECT_NO_THROW((void)runSpecFromJson(util::parseJson(
+      R"({"topology": [{"physicalCores": 2}, {"physicalCores": 2},
+                       {"physicalCores": 2}],
+          "dvfs": [{"atTick": 5, "socket": 2, "freqGhz": 1.0}]})")));
 }
 
 TEST(Replay, RunMetricsJsonRoundTripsExactly) {

@@ -241,6 +241,33 @@ TEST(SuperviseChaos, FaultSoakConfigSurvivesTenSeededInterruptions) {
   EXPECT_TRUE(report.passed()) << report.firstDifference;
 }
 
+/// Open-system chaos: two arrivals and a socket throttle land mid-run, so
+/// every resume must re-add the arrived processes and restore the script
+/// cursors from the checkpoint before the machine state loads over them.
+TEST(SuperviseChaos, ScriptedQuickConfigSurvivesSeededInterruptions) {
+  dexp::ChaosSpec chaos;
+  chaos.spec = quickSpec(freshDir("chaos_scripted"));
+  chaos.spec.run.arrivals = {dexp::Arrival{2'000, "jacobi", 4, 0.05},
+                             dexp::Arrival{5'000, "stream_omp", 4, 0.05}};
+  chaos.spec.run.dvfs = {dexp::FrequencyChange{3'000, 1, 1.6}};
+  chaos.spec.heartbeatDeadlineMs = 400;
+  chaos.kills = 5;
+  chaos.stops = 2;
+  chaos.seed = 1313;
+  const dexp::ChaosReport report = dexp::runChaos(chaos);
+  EXPECT_EQ(report.killsDelivered, 5);
+  EXPECT_EQ(report.stopsDelivered, 2);
+  EXPECT_TRUE(report.reportIdentical) << report.firstDifference;
+  EXPECT_TRUE(report.streamIdentical) << report.firstDifference;
+  EXPECT_TRUE(report.checkpointsIdentical) << report.firstDifference;
+  EXPECT_TRUE(report.passed()) << report.firstDifference;
+  const std::string twinReport =
+      slurp(dexp::reportPath(chaos.spec.dir + ".twin"));
+  EXPECT_NE(twinReport.find("\"workload\": \"wl3+dynamic+dvfs\""),
+            std::string::npos);
+  EXPECT_EQ(twinReport, uninterruptedReport(chaos.spec));
+}
+
 /// Opt-in seed sweep (`ctest --preset crash-soak` sets DIKE_CRASH_SOAK):
 /// the same chaos contract across many seeds, so schedule-dependent
 /// recovery bugs cannot hide behind one lucky interleaving.

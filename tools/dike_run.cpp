@@ -300,21 +300,9 @@ int main(int argc, char** argv) {
     // deterministic report instead of the grid. Resume it with
     // --resume-from to reproduce the uninterrupted report byte for byte.
     if (args.has("checkpoint-out")) {
-      if (config.workloadIds.empty() || config.kinds.empty())
-        throw std::runtime_error{
-            "config selects no workloads or schedulers"};
-      dike::exp::RunSpec spec;
-      spec.workloadId = config.workloadIds.front();
-      spec.kind = config.kinds.front();
-      spec.scale = config.scale;
-      spec.seed = config.seed;
-      spec.heterogeneous = config.heterogeneous;
-      spec.machine = config.machine;
-      spec.params = config.dike.params;
-      spec.dikeConfig = config.dike;
-      spec.faults = config.faults;
       printSingleRunReport(
-          dike::exp::runWorkloadCheckpointed(spec, checkpointOptions(args)),
+          dike::exp::runWorkloadCheckpointed(
+              dike::exp::firstCellRunSpec(config), checkpointOptions(args)),
           args);
       return 0;
     }

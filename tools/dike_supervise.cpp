@@ -40,21 +40,9 @@ namespace {
 dike::exp::SuperviseSpec specFromArgs(const dike::util::CliArgs& args) {
   const dike::util::JsonValue document =
       dike::util::parseJsonFile(args.positional().front());
-  const dike::exp::ExperimentConfig config =
-      dike::exp::parseExperimentConfig(document);
-  if (config.workloadIds.empty() || config.kinds.empty())
-    throw std::runtime_error{"config selects no workloads or schedulers"};
-
   dike::exp::SuperviseSpec spec;
-  spec.run.workloadId = config.workloadIds.front();
-  spec.run.kind = config.kinds.front();
-  spec.run.scale = config.scale;
-  spec.run.seed = config.seed;
-  spec.run.heterogeneous = config.heterogeneous;
-  spec.run.machine = config.machine;
-  spec.run.params = config.dike.params;
-  spec.run.dikeConfig = config.dike;
-  spec.run.faults = config.faults;
+  spec.run = dike::exp::firstCellRunSpec(
+      dike::exp::parseExperimentConfig(document));
 
   const auto dir = args.get("dir");
   if (!dir || dir->empty())
