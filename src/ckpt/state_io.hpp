@@ -65,8 +65,7 @@ inline void save(BinWriter& w, std::string_view name,
                  const util::MovingMean& mm) {
   w.beginSection(name);
   w.u64("window", mm.window());
-  const std::vector<double> samples{mm.samples().begin(), mm.samples().end()};
-  w.vecF64("samples", samples);
+  w.vecF64("samples", mm.samples());
   w.f64("sum", mm.rawSum());
   w.endSection();
 }

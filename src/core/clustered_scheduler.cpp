@@ -87,17 +87,39 @@ void ClusteredDikeScheduler::resolveGeometry(int coreCount) {
   for (int k = 0; k < clusterCount_; ++k)
     clusters_.push_back(std::make_unique<DikeScheduler>(clusterConfig()));
   clusterSamples_.resize(static_cast<std::size_t>(clusterCount_));
+  indexClusterCores(coreCount);
+}
+
+void ClusteredDikeScheduler::indexClusterCores(int coreCount) {
+  // A restored geometry names machine core ids: on a machine of another
+  // size it would index past (or fall short of) the cores, so refuse it.
+  if (util::isize(clusterOfCore_) != coreCount)
+    throw ckpt::CheckpointError{
+        "clustered checkpoint: clusterOfCore covers " +
+        std::to_string(clusterOfCore_.size()) +
+        " cores but this machine has " + std::to_string(coreCount)};
+  clusterCores_.assign(static_cast<std::size_t>(clusterCount_), {});
+  for (int c = 0; c < coreCount; ++c)
+    clusterCores_[static_cast<std::size_t>(
+                      clusterOfCore_[static_cast<std::size_t>(c)])]
+        .push_back(c);
 }
 
 void ClusteredDikeScheduler::scatterSample(const sched::SchedulerView& view) {
   const sim::QuantumSample& sample = view.sample();
-  for (sim::QuantumSample& s : clusterSamples_) {
+  for (std::size_t k = 0; k < clusterSamples_.size(); ++k) {
+    sim::QuantumSample& s = clusterSamples_[k];
     s.periodTicks = sample.periodTicks;
     s.threads.clear();
-    // Full-size bandwidth vector with foreign entries zeroed: the cluster
-    // observer indexes it by global core id, and its foreign-core guards
-    // never read the zeros into an estimate.
-    s.coreAchievedBw.assign(sample.coreAchievedBw.size(), 0.0);
+    // Full-size bandwidth vector indexed by global core id. Only the
+    // cluster's own entries are ever written, so the foreign ones keep the
+    // zero they were sized with — and the cluster observer never reads
+    // them.
+    if (s.coreAchievedBw.size() != sample.coreAchievedBw.size())
+      s.coreAchievedBw.assign(sample.coreAchievedBw.size(), 0.0);
+    for (const int c : clusterCores_[k])
+      s.coreAchievedBw[static_cast<std::size_t>(c)] =
+          sample.coreAchievedBw[static_cast<std::size_t>(c)];
   }
   for (const sim::ThreadSample& t : sample.threads) {
     // Rows without a core (finished threads) are invisible to every
@@ -105,11 +127,6 @@ void ClusteredDikeScheduler::scatterSample(const sched::SchedulerView& view) {
     if (t.coreId < 0) continue;
     const int k = clusterOfCore_[static_cast<std::size_t>(t.coreId)];
     clusterSamples_[static_cast<std::size_t>(k)].threads.push_back(t);
-  }
-  for (std::size_t c = 0; c < sample.coreAchievedBw.size(); ++c) {
-    const int k = clusterOfCore_[c];
-    clusterSamples_[static_cast<std::size_t>(k)].coreAchievedBw[c] =
-        sample.coreAchievedBw[c];
   }
 }
 
@@ -123,7 +140,10 @@ void ClusteredDikeScheduler::onQuantum(sched::SchedulerView& view) {
   }
 
   DIKE_SCOPE_TIMER("core.dike.clustered_quantum");
-  if (clusters_.empty()) resolveGeometry(view.coreCount());
+  if (clusters_.empty())
+    resolveGeometry(view.coreCount());
+  else if (clusterCores_.empty())
+    indexClusterCores(view.coreCount());  // first quantum after a restore
 
   const auto scatterStart = Clock::now();
   scatterSample(view);
@@ -139,8 +159,9 @@ void ClusteredDikeScheduler::onQuantum(sched::SchedulerView& view) {
     DikeScheduler& sub = *clusters_[static_cast<std::size_t>(k)];
     sub.setFaultsActiveHint(faultsActiveHint());
     sub.setDecisionTrace(decisionTrace());
-    childViews_.emplace_back(
-        view, clusterSamples_[static_cast<std::size_t>(k)], clusterOfCore_, k);
+    childViews_.emplace_back(view, clusterSamples_[static_cast<std::size_t>(k)],
+                             clusterOfCore_, k,
+                             clusterCores_[static_cast<std::size_t>(k)]);
   }
   planNs_.assign(static_cast<std::size_t>(clusterCount_), 0);
   commitNs_.assign(static_cast<std::size_t>(clusterCount_), 0);
@@ -246,7 +267,9 @@ void ClusteredDikeScheduler::rebalance(sched::SchedulerView& view) {
             });
 
   int moved = 0;
-  int freeScan = 0;  // resume point into the recipient's core range
+  const std::vector<int>& recipientCores =
+      clusterCores_[static_cast<std::size_t>(best)];
+  std::size_t freeScan = 0;  // resume point into the recipient's cores
   std::size_t surplusIdx = 0;
   const std::vector<ThreadInfo>& recipientThreads =
       recipient.threadsByAccessRate();
@@ -262,10 +285,9 @@ void ClusteredDikeScheduler::rebalance(sched::SchedulerView& view) {
     if (moved >= config_.cluster.rebalanceBudget) break;
     // Free core in the recipient cluster?
     int dest = -1;
-    for (; freeScan < view.coreCount(); ++freeScan) {
-      if (clusterOfCore_[static_cast<std::size_t>(freeScan)] != best) continue;
-      if (view.coreOccupant(freeScan) == -1) {
-        dest = freeScan++;
+    for (; freeScan < recipientCores.size(); ++freeScan) {
+      if (view.coreOccupant(recipientCores[freeScan]) == -1) {
+        dest = recipientCores[freeScan++];
         break;
       }
     }
@@ -384,6 +406,9 @@ void ClusteredDikeScheduler::loadExtraState(ckpt::BinReader& r) {
   rebalanceMoves_ = moves;
   clusters_.clear();
   clusterSamples_.clear();
+  // Derived from clusterOfCore_ on the first post-restore quantum, once
+  // the machine is known to match it (indexClusterCores).
+  clusterCores_.clear();
   clusters_.reserve(static_cast<std::size_t>(count));
   for (int k = 0; k < count; ++k)
     clusters_.push_back(std::make_unique<DikeScheduler>(clusterConfig()));

@@ -8,8 +8,15 @@
 // ("clusters", normally one per socket), runs one complete Dike instance
 // per cluster over cluster-local observations, and layers a cheap top-level
 // rebalancer on top that migrates whole threads between clusters only on
-// *sustained* fairness imbalance. Per-quantum decide work becomes
-// O((n/K) log(n/K)) per cluster instance.
+// *sustained* fairness imbalance. Each instance's per-quantum work —
+// observe, select, predict, decide — is O((n/K) log(n/K)) in its own n/K
+// threads and C/K cores: the child view hands it the cluster's ascending
+// core list, so no per-instance loop walks the machine's C cores, and its
+// per-thread state lives in slots found by thread id. The parent's
+// per-quantum scatter is O(n + C) for all clusters together. Per-core
+// vectors stay machine-sized (indexed by core id; foreign entries are never
+// touched after sizing), so each instance's memory is O(C) words plus
+// O(n/K) thread slots.
 //
 // Equivalence contract: with `cluster.clusters <= 1` every virtual call
 // delegates straight to the base DikeScheduler — same name, same decisions,
@@ -100,6 +107,10 @@ class ClusteredDikeScheduler final : public DikeScheduler {
   }
   [[nodiscard]] DikeConfig clusterConfig() const;
   void resolveGeometry(int coreCount);
+  /// Derive clusterCores_ from clusterOfCore_, which must cover exactly
+  /// `coreCount` cores (throws ckpt::CheckpointError otherwise — a restored
+  /// geometry from another machine).
+  void indexClusterCores(int coreCount);
   void scatterSample(const sched::SchedulerView& view);
   void rebalance(sched::SchedulerView& view);
   void refreshAggregates(bool anyActed);
@@ -109,6 +120,10 @@ class ClusteredDikeScheduler final : public DikeScheduler {
   int configuredClusters_;
   int clusterCount_ = 0;  ///< resolved (min(configured, cores)); 0 = not yet
   std::vector<int> clusterOfCore_;
+  /// Ascending core ids of each cluster (derived from clusterOfCore_; not
+  /// serialized). Child views and the rebalancer walk these instead of the
+  /// machine's cores. Empty after a restore until the first quantum.
+  std::vector<std::vector<int>> clusterCores_;
   std::vector<std::unique_ptr<DikeScheduler>> clusters_;
   /// Per-cluster sample buffers; capacity persists across quanta.
   std::vector<sim::QuantumSample> clusterSamples_;

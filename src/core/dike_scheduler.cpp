@@ -313,10 +313,10 @@ void DikeScheduler::rotateRoundRobin(sched::SchedulerView& view,
   // thread visits every core class, which is what restores fairness.
   std::vector<int>& occupants = arena_.occupants;
   occupants.clear();
-  for (int c = 0; c < view.coreCount(); ++c) {
+  view.forEachCore([&](int c) {
     const int t = view.coreOccupant(c);
     if (t >= 0 && !view.isSuspended(t)) occupants.push_back(t);
-  }
+  });
   if (occupants.size() < 2) return;
   const int anchor = occupants.front();
   for (std::size_t i = 1; i < occupants.size(); ++i) {
@@ -348,10 +348,10 @@ void DikeScheduler::migrateToFreeCores(sched::SchedulerView& view,
   std::vector<int>& freeLow = arena_.freeLow;
   freeHigh.clear();
   freeLow.clear();
-  for (int c = 0; c < view.coreCount(); ++c) {
-    if (view.coreOccupant(c) != -1) continue;
-    (observer_.isHighBandwidthCore(c) ? freeHigh : freeLow).push_back(c);
-  }
+  view.forEachCore([&](int c) {
+    if (view.coreOccupant(c) == -1)
+      (observer_.isHighBandwidthCore(c) ? freeHigh : freeLow).push_back(c);
+  });
   if (freeHigh.empty() && freeLow.empty()) return;
 
   const int budget = params_.swapSize / 2;

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <numeric>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ckpt/state_io.hpp"
 #include "telemetry/registry.hpp"
+#include "util/types.hpp"
 
 namespace dike::core {
 
@@ -29,43 +30,85 @@ Observation makeObservation(const sched::SchedulerView& view) {
 }
 
 void makeObservationInto(const sched::SchedulerView& view, Observation& out) {
-  // Copy-assignment into the existing sample reuses the capacity of its
-  // per-thread and per-core vectors; the topology vectors likewise keep
-  // theirs across clear().
-  out.sample = view.sample();
+  const sim::QuantumSample& sample = view.sample();
+  const std::span<const int> domain = view.clusterCores();
   const int cores = view.coreCount();
-  out.coreOccupant.clear();
-  out.coreSocket.clear();
-  out.coreOccupant.reserve(static_cast<std::size_t>(cores));
-  out.coreSocket.reserve(static_cast<std::size_t>(cores));
-  for (int c = 0; c < cores; ++c) {
-    out.coreOccupant.push_back(view.coreOccupant(c));
-    out.coreSocket.push_back(view.socketOf(c));
+  const std::size_t n = static_cast<std::size_t>(cores);
+  // The per-core vectors are machine-sized and indexed by global core id.
+  // Entries outside the view's domain never change, so they are written
+  // only when the shape changes; every quantum then refreshes just the
+  // domain (copy-assignment of the thread rows reuses their capacity).
+  if (out.coreOccupant.size() != n || out.sample.coreAchievedBw.size() != n ||
+      !std::equal(out.cores.begin(), out.cores.end(), domain.begin(),
+                  domain.end())) {
+    out.cores.assign(domain.begin(), domain.end());
+    out.coreOccupant.assign(n, sched::SchedulerView::kForeignCore);
+    out.coreSocket.resize(n);
+    for (int c = 0; c < cores; ++c)
+      out.coreSocket[static_cast<std::size_t>(c)] = view.socketOf(c);
+    out.sample.coreAchievedBw.assign(n, 0.0);
   }
+  out.sample.periodTicks = sample.periodTicks;
+  out.sample.threads = sample.threads;
+  view.forEachCore([&](int c) {
+    const std::size_t i = static_cast<std::size_t>(c);
+    out.coreOccupant[i] = view.coreOccupant(c);
+    out.coreSocket[i] = view.socketOf(c);
+    out.sample.coreAchievedBw[i] = sample.coreAchievedBw[i];
+  });
 }
 
 Observer::Observer(ObserverConfig config) : config_(config) {}
 
 void Observer::observe(const Observation& obs) {
-  if (coreBwRaw_.empty()) {
-    const std::size_t cores = obs.coreOccupant.size();
-    coreBwRaw_.assign(cores, 0.0);
-    coreBwEffective_.assign(cores, 0.0);
-    highBandwidth_.assign(cores, false);
-    if (config_.symmetricMovingMean)
-      coreBwWindow_.assign(cores, util::MovingMean{config_.movingMeanWindow});
-  }
+  // Per-core estimates are indexed by core id. They are sized by the first
+  // observation and grow if a wider one arrives (new cores start
+  // unexercised), so no covered core is ever indexed past them.
+  const std::size_t cores = obs.coreOccupant.size();
+  if (coreBwRaw_.size() < cores) coreBwRaw_.resize(cores, 0.0);
+  if (coreBwEffective_.size() < cores) coreBwEffective_.resize(cores, 0.0);
+  if (highBandwidth_.size() < cores) highBandwidth_.resize(cores, false);
+  if (config_.symmetricMovingMean && coreBwWindow_.size() < cores)
+    coreBwWindow_.resize(cores, util::MovingMean{config_.movingMeanWindow});
 
+  const std::vector<int>& domain = domainOf(obs);
   classifyThreads(obs.sample);
-  updateCoreBw(obs);
-  partitionCores(obs);
+  updateCoreBw(obs, domain);
+  partitionCores(obs, domain);
   computeUnfairness();
   classifyWorkload();
   ++observedQuanta_;
 }
 
-bool Observer::sanitize(const sim::ThreadSample& raw, double& accessRate,
-                        double& llcMissRatio, int& staleAge) {
+const std::vector<int>& Observer::domainOf(const Observation& obs) {
+  if (!obs.cores.empty()) return obs.cores;
+  domainScratch_.clear();
+  for (int c = 0; c < util::isize(obs.coreOccupant); ++c)
+    if (obs.coreOccupant[static_cast<std::size_t>(c)] >
+        sched::SchedulerView::kForeignCore)
+      domainScratch_.push_back(c);
+  return domainScratch_;
+}
+
+int Observer::slotIndex(int threadId) const noexcept {
+  if (threadId < 0 || threadId >= util::isize(slotOfThread_)) return -1;
+  return slotOfThread_[static_cast<std::size_t>(threadId)];
+}
+
+Observer::ThreadSlot& Observer::slotFor(int threadId) {
+  const std::size_t id = static_cast<std::size_t>(threadId);
+  if (id >= slotOfThread_.size()) slotOfThread_.resize(id + 1, -1);
+  int& index = slotOfThread_[id];
+  if (index < 0) {
+    index = util::isize(slots_);
+    slots_.emplace_back(config_.threadRateWindow);
+  }
+  return slots_[static_cast<std::size_t>(index)];
+}
+
+bool Observer::sanitize(const sim::ThreadSample& raw, ThreadSlot& slot,
+                        double& accessRate, double& llcMissRatio,
+                        int& staleAge) {
   const bool bad = raw.dropped || !std::isfinite(raw.accessRate) ||
                    raw.accessRate < 0.0 ||
                    raw.accessRate > config_.maxPlausibleRate ||
@@ -76,7 +119,8 @@ bool Observer::sanitize(const sim::ThreadSample& raw, double& accessRate,
     // counters still carry the "memory-bound" signal).
     llcMissRatio = std::min(raw.llcMissRatio, 1.0);
     staleAge = 0;
-    lastGood_[raw.threadId] = HeldSample{accessRate, llcMissRatio, 0};
+    slot.hold = HeldSample{accessRate, llcMissRatio, 0};
+    slot.hasHold = true;
     return true;
   }
   if (!config_.sanitizeSamples) {
@@ -91,24 +135,27 @@ bool Observer::sanitize(const sim::ThreadSample& raw, double& accessRate,
     staleAge = 0;
     return true;
   }
-  const auto it = lastGood_.find(raw.threadId);
-  if (it == lastGood_.end() || it->second.age >= config_.maxSampleHoldQuanta) {
+  if (!slot.hasHold || slot.hold.age >= config_.maxSampleHoldQuanta) {
     // Nothing trustworthy to hold: treat the thread as unobserved this
     // quantum instead of feeding garbage into the moving means.
     ++discardedSamples_;
     DIKE_COUNTER("core.observer.sample_discarded");
     return false;
   }
-  ++it->second.age;
-  accessRate = it->second.accessRate;
-  llcMissRatio = it->second.llcMissRatio;
-  staleAge = it->second.age;
+  ++slot.hold.age;
+  accessRate = slot.hold.accessRate;
+  llcMissRatio = slot.hold.llcMissRatio;
+  staleAge = slot.hold.age;
   ++heldSamples_;
   DIKE_COUNTER("core.observer.sample_held");
   return true;
 }
 
 void Observer::classifyThreads(const sim::QuantumSample& sample) {
+  // infoIndex is valid for the latest quantum only: unmark the previous
+  // quantum's threads before rebuilding the list.
+  for (const ThreadInfo& t : threads_)
+    slots_[static_cast<std::size_t>(slotIndex(t.threadId))].infoIndex = -1;
   threads_.clear();
   memCount_ = 0;
   compCount_ = 0;
@@ -120,27 +167,28 @@ void Observer::classifyThreads(const sim::QuantumSample& sample) {
           ? static_cast<double>(sample.periodTicks) * util::kTickSeconds
           : 0.0;
   for (const sim::ThreadSample& s : sample.threads) {
-    if (s.finished || s.coreId < 0) continue;
+    // Rows without a core (finished) or without a valid id are unobserved.
+    if (s.finished || s.coreId < 0 || s.threadId < 0) continue;
     ThreadInfo info;
     info.threadId = s.threadId;
     info.processId = s.processId;
     info.coreId = s.coreId;
-    if (!sanitize(s, info.accessRate, info.llcMissRatio, info.staleAge))
+    ThreadSlot& slot = slotFor(s.threadId);
+    if (!sanitize(s, slot, info.accessRate, info.llcMissRatio,
+                  info.staleAge))
       continue;
-    auto [it, inserted] = threadRate_.try_emplace(
-        s.threadId, util::MovingMean{config_.threadRateWindow});
-    it->second.add(info.accessRate);
-    info.avgAccessRate = it->second.value();
-    cumAccesses_[s.threadId] += info.accessRate * periodSec;
-    cumSeconds_[s.threadId] += periodSec;
-    info.cumAccessRate = cumSeconds_[s.threadId] > 0.0
-                             ? cumAccesses_[s.threadId] /
-                                   cumSeconds_[s.threadId]
-                             : 0.0;
+    slot.rate.add(info.accessRate);
+    info.avgAccessRate = slot.rate.value();
+    slot.cumAccesses += info.accessRate * periodSec;
+    slot.cumSeconds += periodSec;
+    slot.hasCum = true;
+    info.cumAccessRate =
+        slot.cumSeconds > 0.0 ? slot.cumAccesses / slot.cumSeconds : 0.0;
     info.cls = info.llcMissRatio > config_.llcMissThreshold
                    ? ThreadClass::Memory
                    : ThreadClass::Compute;
     (info.cls == ThreadClass::Memory ? memCount_ : compCount_) += 1;
+    slot.infoIndex = util::isize(threads_);
     threads_.push_back(info);
   }
 
@@ -149,12 +197,12 @@ void Observer::classifyThreads(const sim::QuantumSample& sample) {
   // order) matches the historical behaviour exactly.
   accumulatePerProcess();
   for (ThreadInfo& t : threads_) {
-    double mean = 0.0;
-    for (const auto& [pid, stats] : perProcess_)
-      if (pid == t.processId) {
-        mean = stats.mean();
-        break;
-      }
+    const ThreadSlot& slot =
+        slots_[static_cast<std::size_t>(slotIndex(t.threadId))];
+    const int perIndex =
+        processes_[static_cast<std::size_t>(slot.processSlot)].perIndex;
+    const double mean =
+        perProcess_[static_cast<std::size_t>(perIndex)].second.mean();
     t.deficit = mean > config_.processRateFloor
                     ? 1.0 - t.cumAccessRate / mean
                     : 0.0;
@@ -166,23 +214,19 @@ void Observer::classifyThreads(const sim::QuantumSample& sample) {
     return a.threadId < b.threadId;
   };
 
-  // Index the fresh (sample-order) list by id, then decide between the
-  // incremental repair path and a full sort. Membership is unchanged when
-  // the previous order has the same length and every id it names is still
-  // live — distinct ids on both sides make that a bijection.
-  int maxId = -1;
-  for (const ThreadInfo& t : threads_) maxId = std::max(maxId, t.threadId);
-  threadIndexById_.assign(static_cast<std::size_t>(maxId + 1), -1);
-  for (int i = 0; i < util::isize(threads_); ++i)
-    threadIndexById_[static_cast<std::size_t>(threads_[static_cast<std::size_t>(i)]
-                                                  .threadId)] = i;
+  // Decide between the incremental repair path and a full sort.
+  // Membership is unchanged when the previous order has the same length
+  // and every id it names is live this quantum — distinct ids on both
+  // sides make that a bijection.
   bool sameMembership = prevOrder_.size() == threads_.size();
   if (sameMembership)
-    for (int id : prevOrder_)
-      if (id > maxId || threadIndexById_[static_cast<std::size_t>(id)] < 0) {
+    for (int id : prevOrder_) {
+      const int k = slotIndex(id);
+      if (k < 0 || slots_[static_cast<std::size_t>(k)].infoIndex < 0) {
         sameMembership = false;
         break;
       }
+    }
 
   if (sameMembership) {
     // Rates drift slowly quantum to quantum, so the previous sorted order
@@ -194,7 +238,7 @@ void Observer::classifyThreads(const sim::QuantumSample& sample) {
     orderScratch_.clear();
     for (int id : prevOrder_)
       orderScratch_.push_back(threads_[static_cast<std::size_t>(
-          threadIndexById_[static_cast<std::size_t>(id)])]);
+          slots_[static_cast<std::size_t>(slotIndex(id))].infoIndex)]);
     threads_.swap(orderScratch_);
     for (std::size_t i = 1; i < threads_.size(); ++i) {
       ThreadInfo key = threads_[i];
@@ -213,50 +257,56 @@ void Observer::classifyThreads(const sim::QuantumSample& sample) {
 }
 
 void Observer::accumulatePerProcess() {
+  // O(threads): each thread's slot caches its process slot, which records
+  // the process's perProcess_ index for this pass — no scan over the
+  // processes, and the process-id hash is consulted only on a cache miss.
   perProcess_.clear();
+  ++accumulatePass_;
   for (const ThreadInfo& t : threads_) {
-    util::OnlineStats* stats = nullptr;
-    for (auto& [pid, s] : perProcess_)
-      if (pid == t.processId) {
-        stats = &s;
-        break;
-      }
-    if (stats == nullptr) {
-      perProcess_.emplace_back(t.processId, util::OnlineStats{});
-      stats = &perProcess_.back().second;
+    ThreadSlot& slot = slotFor(t.threadId);
+    if (slot.processSlot < 0 || slot.processId != t.processId) {
+      const auto [it, inserted] =
+          processSlotOf_.try_emplace(t.processId, util::isize(processes_));
+      if (inserted) processes_.emplace_back();
+      slot.processId = t.processId;
+      slot.processSlot = it->second;
     }
-    stats->add(t.cumAccessRate);
+    ProcessSlot& process =
+        processes_[static_cast<std::size_t>(slot.processSlot)];
+    if (process.pass != accumulatePass_) {
+      process.pass = accumulatePass_;
+      process.perIndex = util::isize(perProcess_);
+      perProcess_.emplace_back(t.processId, util::OnlineStats{});
+    }
+    perProcess_[static_cast<std::size_t>(process.perIndex)].second.add(
+        t.cumAccessRate);
   }
 }
 
 void Observer::recordThreadOrder() {
-  int maxId = -1;
-  for (const ThreadInfo& t : threads_) maxId = std::max(maxId, t.threadId);
-  threadIndexById_.assign(static_cast<std::size_t>(maxId + 1), -1);
   prevOrder_.clear();
   for (int i = 0; i < util::isize(threads_); ++i) {
     const ThreadInfo& t = threads_[static_cast<std::size_t>(i)];
     prevOrder_.push_back(t.threadId);
-    threadIndexById_[static_cast<std::size_t>(t.threadId)] = i;
+    slotFor(t.threadId).infoIndex = i;
   }
 }
 
 const ThreadInfo* Observer::findThread(int threadId) const noexcept {
-  if (threadId < 0 ||
-      threadId >= static_cast<int>(threadIndexById_.size()))
-    return nullptr;
-  const int idx = threadIndexById_[static_cast<std::size_t>(threadId)];
+  const int k = slotIndex(threadId);
+  if (k < 0) return nullptr;
+  const int idx = slots_[static_cast<std::size_t>(k)].infoIndex;
   return idx >= 0 ? &threads_[static_cast<std::size_t>(idx)] : nullptr;
 }
 
-void Observer::updateCoreBw(const Observation& obs) {
+void Observer::updateCoreBw(const Observation& obs,
+                            const std::vector<int>& cores) {
   // Per-core filter: rise immediately to demonstrated bandwidth, decay
-  // slowly when the core hosts an undemanding thread. Foreign cores (a
-  // cluster-scoped view marks cores outside its domain with kForeignCore)
-  // are skipped outright: their bandwidth belongs to another cluster's
-  // observer and must not enter this one's estimates.
-  for (std::size_t c = 0; c < coreBwRaw_.size(); ++c) {
-    if (obs.coreOccupant[c] <= sched::SchedulerView::kForeignCore) continue;
+  // slowly when the core hosts an undemanding thread. Only covered cores
+  // are visited: a cluster-scoped observation's foreign cores belong to
+  // another cluster's observer, so their estimates here stay at zero.
+  for (const int core : cores) {
+    const std::size_t c = static_cast<std::size_t>(core);
     const double achieved = obs.sample.coreAchievedBw[c];
     if (obs.coreOccupant[c] < 0 && achieved <= 0.0)
       continue;  // idle core: keep the last estimate
@@ -272,23 +322,22 @@ void Observer::updateCoreBw(const Observation& obs) {
   }
 
   // Socket blending: a core can deliver at least `socketShare` of what the
-  // best core on its (homogeneous-silicon) socket has demonstrated.
+  // best core on its (homogeneous-silicon) socket has demonstrated. A
+  // socket may straddle a cluster boundary; only covered cores enter the
+  // maxima, so a neighbour cluster's capability never leaks onto cores
+  // this observer cannot schedule.
   int socketCount = 0;
-  for (int s : obs.coreSocket) socketCount = std::max(socketCount, s + 1);
+  for (const int c : cores)
+    socketCount =
+        std::max(socketCount, obs.coreSocket[static_cast<std::size_t>(c)] + 1);
   socketCapScratch_.assign(static_cast<std::size_t>(socketCount), 0.0);
-  for (std::size_t c = 0; c < coreBwRaw_.size(); ++c) {
-    if (obs.coreOccupant[c] <= sched::SchedulerView::kForeignCore) continue;
+  for (const int core : cores) {
+    const std::size_t c = static_cast<std::size_t>(core);
     double& cap = socketCapScratch_[static_cast<std::size_t>(obs.coreSocket[c])];
     cap = std::max(cap, coreBwRaw_[c]);
   }
-  for (std::size_t c = 0; c < coreBwRaw_.size(); ++c) {
-    if (obs.coreOccupant[c] <= sched::SchedulerView::kForeignCore) {
-      // A socket may straddle a cluster boundary; blending must not leak
-      // a neighbour cluster's capability onto cores this observer cannot
-      // schedule.
-      coreBwEffective_[c] = 0.0;
-      continue;
-    }
+  for (const int core : cores) {
+    const std::size_t c = static_cast<std::size_t>(core);
     const double blended =
         config_.socketShare *
         socketCapScratch_[static_cast<std::size_t>(obs.coreSocket[c])];
@@ -296,22 +345,21 @@ void Observer::updateCoreBw(const Observation& obs) {
   }
 }
 
-void Observer::partitionCores(const Observation& obs) {
-  // Rank every core with a bandwidth estimate (occupied now, or exercised
-  // earlier — a freed fast core keeps its capability); top half is "high
-  // bandwidth".
+void Observer::partitionCores(const Observation& obs,
+                              const std::vector<int>& cores) {
+  // Rank every covered core with a bandwidth estimate (occupied now, or
+  // exercised earlier — a freed fast core keeps its capability); top half
+  // is "high bandwidth". Uncovered cores are never ranked and stay false.
   std::vector<int>& known = knownScratch_;
   known.clear();
-  known.reserve(coreBwEffective_.size());
-  for (int c = 0; c < util::isize(coreBwEffective_); ++c) {
-    const int occupant = obs.coreOccupant[static_cast<std::size_t>(c)];
-    if (occupant <= sched::SchedulerView::kForeignCore)
-      continue;  // another cluster's core: never rank it here
-    if (occupant >= 0 || coreBwEffective_[static_cast<std::size_t>(c)] > 0.0)
+  known.reserve(cores.size());
+  for (const int c : cores) {
+    const std::size_t i = static_cast<std::size_t>(c);
+    highBandwidth_[i] = false;
+    if (obs.coreOccupant[i] >= 0 || coreBwEffective_[i] > 0.0)
       known.push_back(c);
   }
 
-  std::fill(highBandwidth_.begin(), highBandwidth_.end(), false);
   if (known.empty()) return;
   std::sort(known.begin(), known.end(), [this](int a, int b) {
     const double ea = coreBwEffective_[static_cast<std::size_t>(a)];
@@ -357,13 +405,15 @@ void Observer::classifyWorkload() {
 }
 
 void Observer::resetClosedLoopState() {
-  threadRate_.clear();
-  lastGood_.clear();
+  for (ThreadSlot& slot : slots_) {
+    slot.rate.reset();
+    slot.hasHold = false;
+  }
   if (config_.symmetricMovingMean && !coreBwWindow_.empty()) {
     // Restart each window from the current effective estimate: the filter
     // forgets poisoned history without zeroing the capability map.
     for (std::size_t c = 0; c < coreBwWindow_.size(); ++c) {
-      coreBwWindow_[c] = util::MovingMean{config_.movingMeanWindow};
+      coreBwWindow_[c].reset();
       if (coreBwRaw_[c] > 0.0) coreBwWindow_[c].add(coreBwRaw_[c]);
     }
   }
@@ -377,18 +427,6 @@ double Observer::coreBw(int coreId) const {
 bool Observer::isHighBandwidthCore(int coreId) const {
   return highBandwidth_.at(static_cast<std::size_t>(coreId));
 }
-
-namespace {
-
-/// Serialize an int-keyed map in ascending key order (the maps are
-/// lookup-only, so insertion order carries no state; sorting makes the
-/// byte stream deterministic).
-template <typename V>
-std::map<int, V> sorted(const std::unordered_map<int, V>& m) {
-  return std::map<int, V>{m.begin(), m.end()};
-}
-
-}  // namespace
 
 void Observer::saveState(ckpt::BinWriter& w) const {
   w.beginSection("observer");
@@ -416,36 +454,49 @@ void Observer::saveState(ckpt::BinWriter& w) const {
     w.endSection();
   }
 
-  const auto rates = sorted(threadRate_);
-  w.i64("threadRateCount", static_cast<std::int64_t>(rates.size()));
-  for (const auto& [id, mm] : rates) {
+  // Slots in ascending thread-id order, not creation order: the bytes
+  // depend only on the state, never on the order threads were first seen.
+  std::vector<std::pair<std::int64_t, const ThreadSlot*>> byId;
+  for (std::size_t id = 0; id < slotOfThread_.size(); ++id)
+    if (slotOfThread_[id] >= 0)
+      byId.emplace_back(static_cast<std::int64_t>(id),
+                        &slots_[static_cast<std::size_t>(slotOfThread_[id])]);
+
+  w.i64("threadRateCount",
+        std::count_if(byId.begin(), byId.end(),
+                      [](const auto& e) { return !e.second->rate.empty(); }));
+  for (const auto& [id, slot] : byId) {
+    if (slot->rate.empty()) continue;
     w.beginSection("rate");
     w.i64("threadId", id);
-    ckpt::save(w, "window", mm);
+    ckpt::save(w, "window", slot->rate);
     w.endSection();
   }
 
-  const auto holds = sorted(lastGood_);
-  w.i64("holdCount", static_cast<std::int64_t>(holds.size()));
-  for (const auto& [id, h] : holds) {
+  w.i64("holdCount",
+        std::count_if(byId.begin(), byId.end(),
+                      [](const auto& e) { return e.second->hasHold; }));
+  for (const auto& [id, slot] : byId) {
+    if (!slot->hasHold) continue;
     w.beginSection("hold");
     w.i64("threadId", id);
-    w.f64("accessRate", h.accessRate);
-    w.f64("llcMissRatio", h.llcMissRatio);
-    w.i64("age", h.age);
+    w.f64("accessRate", slot->hold.accessRate);
+    w.f64("llcMissRatio", slot->hold.llcMissRatio);
+    w.i64("age", slot->hold.age);
     w.endSection();
   }
 
   {
-    std::vector<std::int64_t> ids;
+    std::vector<std::int64_t> cumIds;
     std::vector<double> accesses;
     std::vector<double> seconds;
-    for (const auto& [id, v] : sorted(cumAccesses_)) {
-      ids.push_back(id);
-      accesses.push_back(v);
-      seconds.push_back(cumSeconds_.count(id) != 0 ? cumSeconds_.at(id) : 0.0);
+    for (const auto& [id, slot] : byId) {
+      if (!slot->hasCum) continue;
+      cumIds.push_back(id);
+      accesses.push_back(slot->cumAccesses);
+      seconds.push_back(slot->cumSeconds);
     }
-    w.vecI64("cumThreadIds", ids);
+    w.vecI64("cumThreadIds", cumIds);
     w.vecF64("cumAccesses", accesses);
     w.vecF64("cumSeconds", seconds);
   }
@@ -463,6 +514,12 @@ void Observer::saveState(ckpt::BinWriter& w) const {
 }
 
 void Observer::loadState(ckpt::BinReader& r) {
+  // Thread ids index the slot table: a negative or non-int id in the
+  // stream is refused rather than used.
+  const auto threadIdOf = [](std::int64_t v) {
+    return util::checkedIndex<ckpt::CheckpointError>(
+        v, "observer checkpoint: threadId");
+  };
   Observer fresh{config_};
   r.beginSection("observer");
   fresh.observedQuanta_ = r.i64("observedQuanta");
@@ -478,7 +535,7 @@ void Observer::loadState(ckpt::BinReader& r) {
   for (std::int64_t i = 0; i < infoCount; ++i) {
     r.beginSection("info");
     ThreadInfo t;
-    t.threadId = static_cast<int>(r.i64("threadId"));
+    t.threadId = threadIdOf(r.i64("threadId"));
     t.processId = static_cast<int>(r.i64("processId"));
     t.coreId = static_cast<int>(r.i64("coreId"));
     t.accessRate = r.f64("accessRate");
@@ -495,23 +552,20 @@ void Observer::loadState(ckpt::BinReader& r) {
   const std::int64_t rateCount = r.i64("threadRateCount");
   for (std::int64_t i = 0; i < rateCount; ++i) {
     r.beginSection("rate");
-    const int id = static_cast<int>(r.i64("threadId"));
-    util::MovingMean mm{config_.threadRateWindow};
-    ckpt::load(r, "window", mm);
+    ThreadSlot& slot = fresh.slotFor(threadIdOf(r.i64("threadId")));
+    ckpt::load(r, "window", slot.rate);
     r.endSection();
-    fresh.threadRate_.emplace(id, std::move(mm));
   }
 
   const std::int64_t holdCount = r.i64("holdCount");
   for (std::int64_t i = 0; i < holdCount; ++i) {
     r.beginSection("hold");
-    const int id = static_cast<int>(r.i64("threadId"));
-    HeldSample h;
-    h.accessRate = r.f64("accessRate");
-    h.llcMissRatio = r.f64("llcMissRatio");
-    h.age = static_cast<int>(r.i64("age"));
+    ThreadSlot& slot = fresh.slotFor(threadIdOf(r.i64("threadId")));
+    slot.hold.accessRate = r.f64("accessRate");
+    slot.hold.llcMissRatio = r.f64("llcMissRatio");
+    slot.hold.age = static_cast<int>(r.i64("age"));
+    slot.hasHold = true;
     r.endSection();
-    fresh.lastGood_.emplace(id, h);
   }
 
   const std::vector<std::int64_t> cumIds = r.vecI64("cumThreadIds");
@@ -523,8 +577,10 @@ void Observer::loadState(ckpt::BinReader& r) {
         "observer checkpoint: cumulative id/accesses/seconds lists disagree "
         "in length"};
   for (std::size_t i = 0; i < cumIds.size(); ++i) {
-    fresh.cumAccesses_[static_cast<int>(cumIds[i])] = cumAccesses[i];
-    fresh.cumSeconds_[static_cast<int>(cumIds[i])] = cumSeconds[i];
+    ThreadSlot& slot = fresh.slotFor(threadIdOf(cumIds[i]));
+    slot.cumAccesses = cumAccesses[i];
+    slot.cumSeconds = cumSeconds[i];
+    slot.hasCum = true;
   }
 
   fresh.coreBwRaw_ = r.vecF64("coreBwRaw");

@@ -26,6 +26,12 @@ struct Observation {
   sim::QuantumSample sample;
   std::vector<int> coreOccupant;  ///< thread id per core, -1 when free
   std::vector<int> coreSocket;    ///< socket id per core
+  /// Ascending ids of the cores this observation covers (a cluster-scoped
+  /// view's domain). Empty means every core whose coreOccupant entry is
+  /// not SchedulerView::kForeignCore. The per-core vectors above stay
+  /// indexed by machine core id either way; the Observer only reads and
+  /// writes the entries of covered cores.
+  std::vector<int> cores;
 };
 
 /// Build an Observation from a simulator scheduler view.
@@ -33,6 +39,10 @@ struct Observation {
 
 /// Allocation-free makeObservation: refills `out` in place so its vectors
 /// (and the sample's per-thread rows) keep their capacity across quanta.
+/// A cluster-scoped view refreshes only its own cores' entries — O(cluster
+/// cores) per quantum; the machine-sized vectors are (re)initialised, with
+/// foreign entries reading kForeignCore / zero bandwidth, only when the
+/// view's core count or domain differs from the one `out` last held.
 void makeObservationInto(const sched::SchedulerView& view, Observation& out);
 
 enum class ThreadClass { Compute, Memory };
@@ -142,15 +152,17 @@ class Observer {
   void loadState(ckpt::BinReader& r);
 
  private:
-  void updateCoreBw(const Observation& obs);
+  /// The covered cores of `obs` (see Observation::cores), ascending.
+  [[nodiscard]] const std::vector<int>& domainOf(const Observation& obs);
+  void updateCoreBw(const Observation& obs, const std::vector<int>& cores);
   void classifyThreads(const sim::QuantumSample& sample);
-  void partitionCores(const Observation& obs);
+  void partitionCores(const Observation& obs, const std::vector<int>& cores);
   void computeUnfairness();
   void classifyWorkload();
   /// Accumulate per-process OnlineStats of cumAccessRate over threads_ in
   /// its current iteration order, into the reusable flat scratch.
   void accumulatePerProcess();
-  /// Rebuild prevOrder_ and threadIndexById_ from the (sorted) threads_.
+  /// Rebuild prevOrder_ and the slots' infoIndex from the (sorted) threads_.
   void recordThreadOrder();
 
   ObserverConfig config_;
@@ -162,18 +174,45 @@ class Observer {
     double llcMissRatio = 0.0;
     int age = 0;  ///< quanta since the reading was taken
   };
+  /// Everything the Observer keeps about one thread, in one slot. A slot
+  /// is created on the thread's first sample row and never freed: a thread
+  /// that leaves keeps its history. Each piece of state has its own
+  /// presence (a non-empty rate window, hasHold, hasCum) because they come
+  /// and go independently — a discarded first sample creates none of them,
+  /// and resetClosedLoopState drops the window and the hold but keeps the
+  /// cumulative progress — and the checkpoint lists each kind separately.
+  struct ThreadSlot {
+    explicit ThreadSlot(std::size_t rateWindow) : rate{rateWindow} {}
+    util::MovingMean rate;  ///< avg-rate window; empty = no window yet
+    HeldSample hold;
+    bool hasHold = false;
+    bool hasCum = false;  ///< cumulative progress recorded at least once
+    double cumAccesses = 0.0;
+    double cumSeconds = 0.0;
+    // --- Scratch (never serialized). ---
+    int processId = -1;    ///< process the cached processSlot belongs to
+    int processSlot = -1;  ///< index into processes_, -1 = unresolved
+    int infoIndex = -1;    ///< index into threads_, -1 = not observed now
+  };
+  /// Slot index of a thread, or -1 when it has none (or the id is
+  /// negative — such rows are never observed).
+  [[nodiscard]] int slotIndex(int threadId) const noexcept;
+  /// Slot of a (non-negative) thread id, created on first use.
+  ThreadSlot& slotFor(int threadId);
   /// Sanitized copy of one raw sample, or nullopt to skip the thread.
-  [[nodiscard]] bool sanitize(const sim::ThreadSample& raw,
+  [[nodiscard]] bool sanitize(const sim::ThreadSample& raw, ThreadSlot& slot,
                               double& accessRate, double& llcMissRatio,
                               int& staleAge);
 
   std::vector<ThreadInfo> threads_;       // live, ascending avg access rate
-  std::unordered_map<int, util::MovingMean> threadRate_;
-  std::unordered_map<int, HeldSample> lastGood_;
+  std::vector<ThreadSlot> slots_;
+  /// Thread id -> index into slots_ (-1 when absent). Dense by thread id:
+  /// both backends number threads densely (the simulator's global ids, the
+  /// host's denseId), so it grows with the threads this observer has seen,
+  /// and it is never sized by a process id.
+  std::vector<int> slotOfThread_;
   std::int64_t heldSamples_ = 0;
   std::int64_t discardedSamples_ = 0;
-  std::unordered_map<int, double> cumAccesses_;
-  std::unordered_map<int, double> cumSeconds_;
   std::vector<double> coreBwRaw_;         // per-core filtered estimate
   std::vector<double> coreBwEffective_;   // after socket blending
   std::vector<util::MovingMean> coreBwWindow_;  // symmetric variant storage
@@ -184,13 +223,24 @@ class Observer {
   int compCount_ = 0;
 
   // --- Reusable per-quantum scratch (never serialized; pure caches). ---
-  /// (processId, stats) pairs, first-encounter order. A flat vector beats a
-  /// node-based map here: a handful of processes, scanned linearly, zero
-  /// steady-state allocation. Accumulation order per process is unchanged
-  /// from the historical std::map version (encounter order), and the
+  /// (processId, stats) pairs, first-encounter order over threads_. The
+  /// accumulation order per process is the encounter order, and the
   /// unfairness reduction is a max — order-independent — so the fairness
-  /// signal stays bit-identical.
+  /// signal is bit-identical to the historical std::map version.
   std::vector<std::pair<int, util::OnlineStats>> perProcess_;
+  /// One entry per process ever seen, found through a thread's cached
+  /// processSlot; it records where the process sits in perProcess_ during
+  /// the current accumulation pass, so each pass is O(threads).
+  struct ProcessSlot {
+    int perIndex = -1;         ///< index into perProcess_, valid for `pass`
+    std::uint64_t pass = 0;    ///< accumulation pass that set perIndex
+  };
+  std::vector<ProcessSlot> processes_;
+  /// Process id -> index into processes_. Hashed, not dense: the host
+  /// backend reports real PIDs. Consulted only when a thread's cached
+  /// process slot is unresolved or stale.
+  std::unordered_map<int, int> processSlotOf_;
+  std::uint64_t accumulatePass_ = 0;
   /// Thread ids in the previous quantum's sorted order. When the live set
   /// is unchanged, threads_ is permuted into this order and repaired with
   /// an adaptive insertion sort instead of a full re-sort; the comparator
@@ -199,11 +249,9 @@ class Observer {
   /// is bit-identical to the full sort by construction.
   std::vector<int> prevOrder_;
   std::vector<ThreadInfo> orderScratch_;  ///< permutation staging buffer
-  /// Dense threadId -> index into threads_ (-1 when absent); backs
-  /// findThread and the membership check of the sort-repair path.
-  std::vector<int> threadIndexById_;
   std::vector<double> socketCapScratch_;  ///< updateCoreBw per-socket maxima
   std::vector<int> knownScratch_;         ///< partitionCores ranking buffer
+  std::vector<int> domainScratch_;  ///< domainOf when obs.cores is empty
 };
 
 }  // namespace dike::core

@@ -3,20 +3,48 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "ckpt/state_io.hpp"
 
 namespace dike::core {
 
+int PredictionTracker::slotIndex(int threadId) const noexcept {
+  if (threadId < 0 || threadId >= util::isize(slotOfThread_)) return -1;
+  return slotOfThread_[static_cast<std::size_t>(threadId)];
+}
+
+PredictionTracker::Slot& PredictionTracker::slotFor(int threadId) {
+  if (threadId < 0)
+    throw std::invalid_argument{"prediction tracker: negative thread id " +
+                                std::to_string(threadId)};
+  const std::size_t id = static_cast<std::size_t>(threadId);
+  if (id >= slotOfThread_.size()) slotOfThread_.resize(id + 1, -1);
+  int& index = slotOfThread_[id];
+  if (index < 0) {
+    index = util::isize(slots_);
+    slots_.emplace_back();
+  }
+  return slots_[static_cast<std::size_t>(index)];
+}
+
 void PredictionTracker::setPrediction(int threadId, double predictedRate) {
-  pending_[threadId] = predictedRate;
+  Slot& slot = slotFor(threadId);
+  if (!slot.hasPending) {
+    slot.hasPending = true;
+    pendingSlots_.push_back(slotIndex(threadId));
+  }
+  slot.pending = predictedRate;
 }
 
 void PredictionTracker::setPredictionIfAbsent(int threadId,
                                               double predictedRate) {
-  pending_.try_emplace(threadId, predictedRate);
+  if (const int k = slotIndex(threadId);
+      k >= 0 && slots_[static_cast<std::size_t>(k)].hasPending)
+    return;
+  setPrediction(threadId, predictedRate);
 }
 
 void PredictionTracker::scoreQuantum(const sim::QuantumSample& sample,
@@ -24,11 +52,13 @@ void PredictionTracker::scoreQuantum(const sim::QuantumSample& sample,
   util::OnlineStats quantum;
   lastScored_.clear();
   for (const sim::ThreadSample& s : sample.threads) {
-    const auto it = pending_.find(s.threadId);
-    if (it == pending_.end()) continue;
+    const int k = slotIndex(s.threadId);
+    if (k < 0) continue;
+    Slot& slot = slots_[static_cast<std::size_t>(k)];
+    if (!slot.hasPending) continue;
     if (s.finished) continue;
     const double actual = s.accessRate;
-    const double predicted = it->second;
+    const double predicted = slot.pending;
     if (actual < kMinScoredRate || predicted < kMinScoredRate) {
       lastScored_.push_back(ScoredPrediction{
           s.threadId, predicted, actual,
@@ -41,11 +71,15 @@ void PredictionTracker::scoreQuantum(const sim::QuantumSample& sample,
                                            error});
     quantum.add(error);
     overall_.add(error);
-    auto [threadIt, inserted] = perThread_.try_emplace(s.threadId);
-    if (inserted) threadOrder_.push_back(s.threadId);
-    threadIt->second.add(error);
+    if (!slot.scored) {
+      slot.scored = true;
+      threadOrder_.push_back(s.threadId);
+    }
+    slot.errors.add(error);
   }
-  pending_.clear();
+  for (const int k : pendingSlots_)
+    slots_[static_cast<std::size_t>(k)].hasPending = false;
+  pendingSlots_.clear();
 
   if (quantum.count() > 0) {
     trace_.push_back(PredictionErrorPoint{
@@ -74,13 +108,20 @@ void PredictionTracker::armDivergenceWatchdog(double errorThreshold,
 std::vector<double> PredictionTracker::perThreadMeanErrors() const {
   std::vector<double> means;
   means.reserve(threadOrder_.size());
-  for (int id : threadOrder_) means.push_back(perThread_.at(id).mean());
+  for (int id : threadOrder_) {
+    const int k = slotIndex(id);
+    if (k < 0 || !slots_[static_cast<std::size_t>(k)].scored)
+      throw std::out_of_range{"prediction tracker: no error aggregate for "
+                              "thread " + std::to_string(id)};
+    means.push_back(slots_[static_cast<std::size_t>(k)].errors.mean());
+  }
   return means;
 }
 
 void PredictionTracker::reset() {
-  pending_.clear();
-  perThread_.clear();
+  slots_.clear();
+  slotOfThread_.clear();
+  pendingSlots_.clear();
   threadOrder_.clear();
   trace_.clear();
   lastScored_.clear();
@@ -91,34 +132,36 @@ void PredictionTracker::reset() {
 
 void PredictionTracker::saveState(ckpt::BinWriter& w) const {
   w.beginSection("predictionTracker");
-  {
-    const std::map<int, double> pending{pending_.begin(), pending_.end()};
-    std::vector<std::int64_t> ids;
-    std::vector<double> rates;
-    for (const auto& [id, rate] : pending) {
-      ids.push_back(id);
-      rates.push_back(rate);
+  // Slots in ascending thread-id order, not creation order: the bytes
+  // depend only on the state, never on the order threads were first seen.
+  std::vector<std::int64_t> pendingIds;
+  std::vector<double> pendingRates;
+  std::vector<std::pair<std::int64_t, const util::OnlineStats*>> scored;
+  for (std::size_t id = 0; id < slotOfThread_.size(); ++id) {
+    if (slotOfThread_[id] < 0) continue;
+    const Slot& slot = slots_[static_cast<std::size_t>(slotOfThread_[id])];
+    if (slot.hasPending) {
+      pendingIds.push_back(static_cast<std::int64_t>(id));
+      pendingRates.push_back(slot.pending);
     }
-    w.vecI64("pendingThreadIds", ids);
-    w.vecF64("pendingRates", rates);
+    if (slot.scored)
+      scored.emplace_back(static_cast<std::int64_t>(id), &slot.errors);
   }
-  // threadOrder_ is first-appearance order; perThread_ keys are a subset of
-  // it plus any thread scored before the order vector existed, so persist
-  // the aggregates keyed explicitly.
+  w.vecI64("pendingThreadIds", pendingIds);
+  w.vecF64("pendingRates", pendingRates);
+  // threadOrder_ is first-appearance order; a restored stream may name a
+  // thread in only one of the two lists, so persist the aggregates keyed
+  // explicitly.
   {
     std::vector<std::int64_t> order{threadOrder_.begin(), threadOrder_.end()};
     w.vecI64("threadOrder", order);
   }
-  {
-    const std::map<int, util::OnlineStats> perThread{perThread_.begin(),
-                                                     perThread_.end()};
-    w.i64("perThreadCount", static_cast<std::int64_t>(perThread.size()));
-    for (const auto& [id, stats] : perThread) {
-      w.beginSection("perThread");
-      w.i64("threadId", id);
-      ckpt::save(w, "stats", stats);
-      w.endSection();
-    }
+  w.i64("perThreadCount", util::isize(scored));
+  for (const auto& [id, errors] : scored) {
+    w.beginSection("perThread");
+    w.i64("threadId", id);
+    ckpt::save(w, "stats", *errors);
+    w.endSection();
   }
   w.i64("traceCount", util::isize(trace_));
   for (const PredictionErrorPoint& p : trace_) {
@@ -146,6 +189,12 @@ void PredictionTracker::saveState(ckpt::BinWriter& w) const {
 }
 
 void PredictionTracker::loadState(ckpt::BinReader& r) {
+  // Thread ids index the slot table: a negative or non-int id in the
+  // stream is refused rather than used.
+  const auto threadIdOf = [](std::int64_t v) {
+    return util::checkedIndex<ckpt::CheckpointError>(
+        v, "prediction tracker checkpoint: threadId");
+  };
   PredictionTracker fresh;
   fresh.watchdogArmed_ = watchdogArmed_;
   fresh.watchdogThreshold_ = watchdogThreshold_;
@@ -158,7 +207,7 @@ void PredictionTracker::loadState(ckpt::BinReader& r) {
         "prediction tracker checkpoint: pending id/rate lists disagree in "
         "length"};
   for (std::size_t i = 0; i < pendingIds.size(); ++i)
-    fresh.pending_[static_cast<int>(pendingIds[i])] = pendingRates[i];
+    fresh.setPrediction(threadIdOf(pendingIds[i]), pendingRates[i]);
   const std::vector<std::int64_t> order = r.vecI64("threadOrder");
   fresh.threadOrder_.reserve(order.size());
   for (const std::int64_t id : order)
@@ -166,11 +215,14 @@ void PredictionTracker::loadState(ckpt::BinReader& r) {
   const std::int64_t perThreadCount = r.i64("perThreadCount");
   for (std::int64_t i = 0; i < perThreadCount; ++i) {
     r.beginSection("perThread");
-    const int id = static_cast<int>(r.i64("threadId"));
+    Slot& slot = fresh.slotFor(threadIdOf(r.i64("threadId")));
     util::OnlineStats stats;
     ckpt::load(r, "stats", stats);
     r.endSection();
-    fresh.perThread_.emplace(id, stats);
+    if (!slot.scored) {
+      slot.scored = true;
+      slot.errors = stats;
+    }
   }
   const std::int64_t traceCount = r.i64("traceCount");
   fresh.trace_.reserve(static_cast<std::size_t>(traceCount));

@@ -8,7 +8,6 @@
 // the tracker computes signed relative errors against the measured rates.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -49,6 +48,8 @@ class PredictionTracker {
   static constexpr double kDenominatorFloor = 4e6;
 
   /// Register the predicted access rate for a thread's next quantum.
+  /// Thread ids index the tracker's slot table: a negative id throws
+  /// std::invalid_argument.
   void setPrediction(int threadId, double predictedRate);
 
   /// Register a prediction only if the thread has none outstanding.
@@ -108,8 +109,24 @@ class PredictionTracker {
   void loadState(ckpt::BinReader& r);
 
  private:
-  std::unordered_map<int, double> pending_;
-  std::unordered_map<int, util::OnlineStats> perThread_;
+  /// One thread's state: its outstanding prediction and its whole-run
+  /// error aggregate. Created on first use, never freed.
+  struct Slot {
+    double pending = 0.0;
+    bool hasPending = false;
+    bool scored = false;  ///< `errors` holds at least one scored quantum
+    util::OnlineStats errors;
+  };
+  /// Slot index of a thread, or -1 when it has none (or the id is negative).
+  [[nodiscard]] int slotIndex(int threadId) const noexcept;
+  Slot& slotFor(int threadId);
+
+  std::vector<Slot> slots_;
+  /// Thread id -> index into slots_ (-1 when absent), dense by thread id.
+  std::vector<int> slotOfThread_;
+  /// Slots holding an outstanding prediction, so scoring clears them in
+  /// O(pending) instead of walking every slot.
+  std::vector<int> pendingSlots_;
   std::vector<int> threadOrder_;
   std::vector<PredictionErrorPoint> trace_;
   std::vector<ScoredPrediction> lastScored_;

@@ -37,13 +37,14 @@ SchedulerView::SchedulerView(sim::Machine& machine,
 SchedulerView::SchedulerView(SchedulerView& parent,
                              const sim::QuantumSample& clusterSample,
                              const std::vector<int>& clusterOfCore,
-                             int cluster)
+                             int cluster, std::span<const int> clusterCores)
     : machine_(parent.machine_),
       sample_(&clusterSample),
       hook_(nullptr),  // the parent applies its hook when we delegate
       parent_(&parent),
       clusterOfCore_(&clusterOfCore),
-      cluster_(cluster) {}
+      cluster_(cluster),
+      clusterCores_(clusterCores) {}
 
 int SchedulerView::coreCount() const {
   return machine_->topology().coreCount();

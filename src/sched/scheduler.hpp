@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -57,10 +58,13 @@ class SchedulerView {
   /// quantum's rows filtered to one cluster) while delegating every
   /// actuation and topology query to `parent`, whose swap/migration
   /// counters keep the totals. Cores whose `clusterOfCore` entry differs
-  /// from `cluster` read as kForeignCore. Used by ClusteredDikeScheduler;
-  /// `parent`, and `clusterOfCore` must outlive this view.
+  /// from `cluster` read as kForeignCore; `clusterCores` lists the others
+  /// in ascending order (the caller derives it from `clusterOfCore`). Used
+  /// by ClusteredDikeScheduler; `parent`, `clusterOfCore` and
+  /// `clusterCores` must outlive this view.
   SchedulerView(SchedulerView& parent, const sim::QuantumSample& clusterSample,
-                const std::vector<int>& clusterOfCore, int cluster);
+                const std::vector<int>& clusterOfCore, int cluster,
+                std::span<const int> clusterCores);
 
   /// Counter readings for the quantum that just ended.
   [[nodiscard]] const sim::QuantumSample& sample() const noexcept {
@@ -74,6 +78,25 @@ class SchedulerView {
   /// Thread currently occupying a core, -1 when free, or kForeignCore when
   /// the core lies outside this (cluster-scoped) view's domain.
   [[nodiscard]] int coreOccupant(int coreId) const;
+
+  /// Ascending ids of a cluster-scoped view's own cores; empty for a
+  /// machine view, whose domain is every core.
+  [[nodiscard]] std::span<const int> clusterCores() const noexcept {
+    return clusterCores_;
+  }
+
+  /// Visit this view's own cores in ascending id order: every core of a
+  /// machine view, only the cluster's cores of a child view (foreign cores
+  /// are never visited). O(cores in the domain), not O(machine cores).
+  template <typename Visit>
+  void forEachCore(Visit&& visit) const {
+    if (clusterOfCore_ != nullptr) {
+      for (const int c : clusterCores_) visit(c);
+      return;
+    }
+    const int cores = coreCount();
+    for (int c = 0; c < cores; ++c) visit(c);
+  }
 
   [[nodiscard]] util::Tick now() const;
 
@@ -114,6 +137,7 @@ class SchedulerView {
   SchedulerView* parent_ = nullptr;
   const std::vector<int>* clusterOfCore_ = nullptr;
   int cluster_ = -1;
+  std::span<const int> clusterCores_;
   std::int64_t swaps_ = 0;
   std::int64_t migrations_ = 0;
   std::int64_t failedActuations_ = 0;

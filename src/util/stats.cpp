@@ -96,34 +96,52 @@ MovingMean::MovingMean(std::size_t window) : window_(window) {
 }
 
 void MovingMean::add(double x) {
-  samples_.push_back(x);
+  if (ring_.empty()) ring_.resize(window_);
+  // Add first, then subtract the evicted sample: the running sum's
+  // round-off is path dependent and checkpoints carry it verbatim.
   sum_ += x;
-  if (samples_.size() > window_) {
-    sum_ -= samples_.front();
-    samples_.pop_front();
+  if (size_ < window_) {
+    ring_[(head_ + size_) % window_] = x;
+    ++size_;
+    return;
   }
+  sum_ -= ring_[head_];
+  ring_[head_] = x;
+  head_ = (head_ + 1) % window_;
 }
 
 void MovingMean::reset() noexcept {
-  samples_.clear();
+  head_ = 0;
+  size_ = 0;
   sum_ = 0.0;
+}
+
+std::vector<double> MovingMean::samples() const {
+  std::vector<double> out;
+  out.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i)
+    out.push_back(ring_[(head_ + i) % window_]);
+  return out;
 }
 
 void MovingMean::restore(std::span<const double> samples, double sum) {
   if (samples.size() > window_)
     throw std::invalid_argument{
         "MovingMean::restore: more samples than the window holds"};
-  samples_.assign(samples.begin(), samples.end());
+  if (!samples.empty() && ring_.empty()) ring_.resize(window_);
+  std::copy(samples.begin(), samples.end(), ring_.begin());
+  head_ = 0;
+  size_ = samples.size();
   sum_ = sum;
 }
 
 double MovingMean::value() const noexcept {
-  if (samples_.empty()) return 0.0;
-  return sum_ / static_cast<double>(samples_.size());
+  if (size_ == 0) return 0.0;
+  return sum_ / static_cast<double>(size_);
 }
 
 double MovingMean::last() const noexcept {
-  return samples_.empty() ? 0.0 : samples_.back();
+  return size_ == 0 ? 0.0 : ring_[(head_ + size_ - 1) % window_];
 }
 
 EwmaMean::EwmaMean(double alpha) : alpha_(alpha) {

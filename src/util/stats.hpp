@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -67,35 +66,40 @@ class OnlineStats {
 [[nodiscard]] double maxOf(std::span<const double> xs) noexcept;
 
 /// Fixed-capacity sliding-window mean. Used for the per-core CoreBW moving
-/// mean the paper's Observer maintains (Section III-A).
+/// mean the paper's Observer maintains (Section III-A) and the per-thread
+/// rate windows. The window lives in a ring whose storage is allocated on
+/// the first add (or non-empty restore): a never-fed window — e.g. one of
+/// the foreign-core entries of a cluster observer — costs no heap memory.
 class MovingMean {
  public:
   explicit MovingMean(std::size_t window);
 
   void add(double x);
+  /// Empty the window; the ring's storage is kept for reuse.
   void reset() noexcept;
 
-  [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t window() const noexcept { return window_; }
   /// Mean over the last `window` samples; zero when no samples yet.
   [[nodiscard]] double value() const noexcept;
   [[nodiscard]] double last() const noexcept;
 
-  /// Window contents for checkpointing. The running sum is serialized too:
-  /// it accumulates add/subtract round-off over the window's history, so
-  /// recomputing it from the samples would not be bit-exact.
-  [[nodiscard]] const std::deque<double>& samples() const noexcept {
-    return samples_;
-  }
+  /// Window contents, oldest first, for checkpointing. The running sum is
+  /// serialized too: it accumulates add/subtract round-off over the
+  /// window's history, so recomputing it from the samples would not be
+  /// bit-exact.
+  [[nodiscard]] std::vector<double> samples() const;
   [[nodiscard]] double rawSum() const noexcept { return sum_; }
-  /// Restore a previously captured window verbatim. Throws
+  /// Restore a previously captured window verbatim (oldest first). Throws
   /// std::invalid_argument when more samples than the window are supplied.
   void restore(std::span<const double> samples, double sum);
 
  private:
   std::size_t window_;
-  std::deque<double> samples_;
+  std::vector<double> ring_;  ///< window_ slots once allocated, else empty
+  std::size_t head_ = 0;      ///< ring index of the oldest sample
+  std::size_t size_ = 0;
   double sum_ = 0.0;
 };
 

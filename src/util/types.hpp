@@ -60,4 +60,15 @@ template <typename E, typename From>
   return static_cast<int>(v);
 }
 
+/// checkedInt for a value used as an index (e.g. a thread id keying a slot
+/// table): negative values throw too.
+template <typename E, typename From>
+[[nodiscard]] int checkedIndex(From v, const char* what) {
+  const int index = checkedInt<E>(v, what);
+  if (index < 0)
+    throw E{std::string{what} + " is negative (" + std::to_string(index) +
+            ")"};
+  return index;
+}
+
 }  // namespace dike::util

@@ -10,6 +10,8 @@
 #include "ckpt/archive.hpp"
 #include "core/decider.hpp"
 #include "core/dike_scheduler.hpp"
+#include "core/observer.hpp"
+#include "core/prediction_tracker.hpp"
 #include "util/types.hpp"
 
 namespace dike::core {
@@ -63,6 +65,74 @@ TEST(CheckedRestore, DeciderRejectsOutOfRangeThreadId) {
     EXPECT_NE(std::string{e.what()}.find("migration thread id"),
               std::string::npos);
   }
+}
+
+TEST(CheckedIndex, RejectsNegativeValues) {
+  EXPECT_EQ(util::checkedIndex<ckpt::CheckpointError>(std::int64_t{0}, "x"),
+            0);
+  EXPECT_THROW((void)util::checkedIndex<ckpt::CheckpointError>(
+                   std::int64_t{-1}, "x"),
+               ckpt::CheckpointError);
+}
+
+TEST(CheckedRestore, PredictionTrackerRejectsNegativeThreadId) {
+  // Hand-crafted head of PredictionTracker::saveState's layout: thread ids
+  // key the tracker's slot table, so a negative one must not be used.
+  ckpt::BinWriter w;
+  w.beginSection("predictionTracker");
+  const std::int64_t ids[] = {4, -2};
+  const double rates[] = {1e7, 2e7};
+  w.vecI64("pendingThreadIds", ids);
+  w.vecF64("pendingRates", rates);
+  w.endSection();
+
+  PredictionTracker tracker;
+  const std::string bytes = w.take();
+  ckpt::BinReader r{bytes};
+  try {
+    tracker.loadState(r);
+    FAIL() << "negative pending thread id was accepted";
+  } catch (const ckpt::CheckpointError& e) {
+    EXPECT_NE(std::string{e.what()}.find("threadId"), std::string::npos);
+  }
+}
+
+TEST(CheckedRestore, ObserverRejectsNegativeThreadId) {
+  // A valid observer stream with one thread; then the same stream with that
+  // thread's id patched to -1 (ids key the observer's slot table).
+  Observer observer;
+  Observation obs;
+  obs.sample.periodTicks = 500;
+  obs.sample.coreAchievedBw = {1e7, 0.0};
+  obs.coreOccupant = {5, -1};
+  obs.coreSocket = {0, 0};
+  sim::ThreadSample t;
+  t.threadId = 5;
+  t.processId = 1;
+  t.coreId = 0;
+  t.accessRate = 1e7;
+  t.llcMissRatio = 0.1;
+  obs.sample.threads.push_back(t);
+  observer.observe(obs);
+  ckpt::BinWriter w;
+  observer.saveState(w);
+  std::string bytes = w.take();
+
+  Observer restored;
+  {
+    ckpt::BinReader r{bytes};
+    EXPECT_NO_THROW(restored.loadState(r));
+  }
+  // Patch the first "threadId" field (the thread-info record) to -1.
+  const std::string key = "threadId";
+  const std::size_t pos = bytes.find(key);
+  ASSERT_NE(pos, std::string::npos);
+  const std::uint64_t bad = static_cast<std::uint64_t>(std::int64_t{-1});
+  for (int i = 0; i < 8; ++i)
+    bytes[pos + key.size() + static_cast<std::size_t>(i)] =
+        static_cast<char>((bad >> (8 * i)) & 0xFF);
+  ckpt::BinReader r{bytes};
+  EXPECT_THROW(restored.loadState(r), ckpt::CheckpointError);
 }
 
 TEST(CheckedRestore, DeciderRejectsOutOfRangeFailureCount) {

@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "ckpt/archive.hpp"
 #include "sched/placement.hpp"
@@ -39,10 +39,11 @@ namespace {
 
 /// A 4-socket, 16-vcore machine (alternating fast/slow) filled by a
 /// 16-thread two-app workload — small enough for fast runs, large enough
-/// for 4 real clusters of 4 cores each.
-sim::Machine clusterMachine(std::uint64_t seed = 42) {
-  std::array<sim::SocketSpec, 4> sockets{};
-  for (int s = 0; s < 4; ++s) {
+/// for 4 real clusters of 4 cores each. More sockets give a wider machine
+/// with the same workload.
+sim::Machine clusterMachine(std::uint64_t seed = 42, int socketCount = 4) {
+  std::vector<sim::SocketSpec> sockets(static_cast<std::size_t>(socketCount));
+  for (int s = 0; s < socketCount; ++s) {
     sockets[static_cast<std::size_t>(s)] = sim::SocketSpec{
         .physicalCores = 4,
         .smtWays = 1,
@@ -209,6 +210,160 @@ TEST(ClusteredDikeScheduler, RejectsCorruptGeometry) {
   ClusteredDikeScheduler target{clusteredConfig(4)};
   ckpt::BinReader r{saved};
   EXPECT_THROW(target.loadState(r), ckpt::CheckpointError);
+}
+
+/// A restored geometry names machine core ids. Stepped on a machine with
+/// more cores, it used to index clusterOfCore past its end while
+/// scattering the sample; the first post-restore quantum must refuse it.
+TEST(ClusteredDikeScheduler, RestoredGeometryMustMatchTheMachine) {
+  sim::Machine machine = clusterMachine();
+  ClusteredDikeScheduler scheduler{clusteredConfig(4)};
+  sched::SchedulerAdapter adapter{scheduler};
+  (void)sim::runMachine(machine, adapter);
+  const std::string saved = stateBytes(scheduler);
+
+  sim::Machine wider = clusterMachine(42, /*socketCount=*/8);
+  ASSERT_GT(wider.topology().coreCount(), machine.topology().coreCount());
+  ClusteredDikeScheduler restored{clusteredConfig(4)};
+  ckpt::BinReader r{saved};
+  restored.loadState(r);
+  sched::SchedulerAdapter widerAdapter{restored};
+  EXPECT_THROW(widerAdapter.onQuantum(wider), ckpt::CheckpointError);
+
+  // The same checkpoint on a machine of the recorded size steps normally.
+  sim::Machine same = clusterMachine();
+  ClusteredDikeScheduler resumed{clusteredConfig(4)};
+  ckpt::BinReader again{saved};
+  resumed.loadState(again);
+  sched::SchedulerAdapter sameAdapter{resumed};
+  EXPECT_NO_THROW(sameAdapter.onQuantum(same));
+}
+
+/// The full-scan observation builder the cluster-scoped path replaced,
+/// kept as the oracle: every machine core read through the view, foreign
+/// ones included, and the whole sample copied.
+Observation fullScanObservation(const sched::SchedulerView& view) {
+  Observation obs;
+  obs.sample = view.sample();
+  for (int c = 0; c < view.coreCount(); ++c) {
+    obs.coreOccupant.push_back(view.coreOccupant(c));
+    obs.coreSocket.push_back(view.socketOf(c));
+  }
+  return obs;
+}
+
+std::string observerBytes(const Observer& observer) {
+  ckpt::BinWriter w;
+  observer.saveState(w);
+  return w.take();
+}
+
+/// Runs a clustered Dike scheduler and, before it decides each quantum,
+/// observes every cluster twice: through makeObservationInto on a
+/// cluster-scoped child view (which touches only the cluster's cores) and
+/// through the full-scan oracle. Both observations must agree, and so must
+/// two observers fed one each.
+class ObserveOracle final : public sched::Scheduler {
+ public:
+  explicit ObserveOracle(int clusters)
+      : inner_{clusteredConfig(clusters)}, clusters_(clusters) {}
+
+  [[nodiscard]] std::string_view name() const override {
+    return inner_.name();
+  }
+  [[nodiscard]] util::Tick quantumTicks() const override {
+    return inner_.quantumTicks();
+  }
+  [[nodiscard]] int quantaChecked() const noexcept { return checked_; }
+
+  void onQuantum(sched::SchedulerView& view) override {
+    const int cores = view.coreCount();
+    const std::size_t clusterCount = static_cast<std::size_t>(clusters_);
+    if (clusterOfCore_.empty()) {
+      coresOf_.resize(clusterCount);
+      for (int c = 0; c < cores; ++c) {
+        const int k = c * clusters_ / cores;
+        clusterOfCore_.push_back(k);
+        coresOf_[static_cast<std::size_t>(k)].push_back(c);
+      }
+      samples_.resize(clusterCount);
+      scoped_.resize(clusterCount);
+      fast_.resize(clusterCount, Observer{DikeConfig{}.observer});
+      reference_.resize(clusterCount, Observer{DikeConfig{}.observer});
+    }
+    const sim::QuantumSample& sample = view.sample();
+    for (std::size_t k = 0; k < clusterCount; ++k) {
+      samples_[k].periodTicks = sample.periodTicks;
+      samples_[k].threads.clear();
+      samples_[k].coreAchievedBw.assign(sample.coreAchievedBw.size(), 0.0);
+      for (const int c : coresOf_[k])
+        samples_[k].coreAchievedBw[static_cast<std::size_t>(c)] =
+            sample.coreAchievedBw[static_cast<std::size_t>(c)];
+    }
+    for (const sim::ThreadSample& t : sample.threads)
+      if (t.coreId >= 0)
+        samples_[static_cast<std::size_t>(
+                     clusterOfCore_[static_cast<std::size_t>(t.coreId)])]
+            .threads.push_back(t);
+
+    for (int k = 0; k < clusters_; ++k) {
+      const std::size_t kk = static_cast<std::size_t>(k);
+      sched::SchedulerView child{view, samples_[kk], clusterOfCore_, k,
+                                 coresOf_[kk]};
+      makeObservationInto(child, scoped_[kk]);
+      const Observation full = fullScanObservation(child);
+      EXPECT_EQ(scoped_[kk].coreOccupant, full.coreOccupant) << "cluster " << k;
+      EXPECT_EQ(scoped_[kk].coreSocket, full.coreSocket) << "cluster " << k;
+      EXPECT_EQ(scoped_[kk].sample.coreAchievedBw, full.sample.coreAchievedBw)
+          << "cluster " << k;
+      EXPECT_EQ(scoped_[kk].sample.threads.size(), full.sample.threads.size())
+          << "cluster " << k;
+      EXPECT_EQ(scoped_[kk].cores, coresOf_[kk]) << "cluster " << k;
+
+      fast_[kk].observe(scoped_[kk]);
+      reference_[kk].observe(full);
+      const auto& a = fast_[kk].threadsByAccessRate();
+      const auto& b = reference_[kk].threadsByAccessRate();
+      ASSERT_EQ(a.size(), b.size()) << "cluster " << k;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].threadId, b[i].threadId);
+        EXPECT_EQ(a[i].deficit, b[i].deficit);
+      }
+      for (int c = 0; c < cores; ++c) {
+        EXPECT_EQ(fast_[kk].coreBw(c), reference_[kk].coreBw(c))
+            << "cluster " << k << " core " << c;
+        EXPECT_EQ(fast_[kk].isHighBandwidthCore(c),
+                  reference_[kk].isHighBandwidthCore(c))
+            << "cluster " << k << " core " << c;
+      }
+      EXPECT_EQ(fast_[kk].systemUnfairness(),
+                reference_[kk].systemUnfairness());
+      EXPECT_EQ(observerBytes(fast_[kk]), observerBytes(reference_[kk]))
+          << "cluster " << k;
+    }
+    ++checked_;
+    inner_.onQuantum(view);
+  }
+
+ private:
+  ClusteredDikeScheduler inner_;
+  int clusters_;
+  int checked_ = 0;
+  std::vector<int> clusterOfCore_;
+  std::vector<std::vector<int>> coresOf_;
+  std::vector<sim::QuantumSample> samples_;
+  std::vector<Observation> scoped_;  ///< reused across quanta, like the arena
+  std::vector<Observer> fast_;
+  std::vector<Observer> reference_;
+};
+
+TEST(ClusteredDikeScheduler, ClusterScopedObservationMatchesFullScanOracle) {
+  sim::Machine machine = clusterMachine(7);
+  ObserveOracle oracle{4};
+  sched::SchedulerAdapter adapter{oracle};
+  (void)sim::runMachine(machine, adapter);
+  EXPECT_GT(oracle.quantaChecked(), 10);
+  EXPECT_GT(machine.swapCount(), 0) << "threads must move between quanta";
 }
 
 TEST(ClusteredDikeScheduler, RejectsInvalidDecideJobs) {

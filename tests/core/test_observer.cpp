@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "observation_builder.hpp"
 
 namespace dike::core {
@@ -244,6 +246,72 @@ TEST(Observer, MovingMeanRateUsesWindow) {
   }
   // Window 2: mean of the last two samples.
   EXPECT_NEAR(obs.threadsByAccessRate()[0].avgAccessRate, 4e7, 1e-3);
+}
+
+/// Host backend contract: DikeHost reports real PIDs as processId next to
+/// its own thread ids, so no Observer index may be sized by a process id
+/// (or by a negative one). A run under PID 4'000'000 (plus a negative id)
+/// and sparse thread ids must match the same run relabelled to small ids
+/// in every derived signal.
+TEST(Observer, HostPidsAndSparseThreadIdsMatchTheSmallIdRun) {
+  struct Label {
+    int thread;
+    int process;
+  };
+  using Labels = std::array<Label, 5>;
+  const Labels small{{{0, 0}, {1, 0}, {2, 0}, {3, 1}, {4, 1}}};
+  const Labels host{{{9000, 4'000'000},
+                     {17, 4'000'000},
+                     {2047, 4'000'000},
+                     {5, -3},
+                     {600, -3}}};
+  const auto run = [](const Labels& ids, Observer& obs) {
+    for (int q = 0; q < 6; ++q) {
+      ObservationBuilder b{6, 2};
+      for (int i = 0; i < 5; ++i) {
+        const std::size_t k = static_cast<std::size_t>(i);
+        const double rate = (1.0 + i) * 1e7 + 1e6 * ((q + i) % 3);
+        b.thread(ids[k].thread, ids[k].process, i, rate,
+                 i % 2 == 0 ? 0.3 : 0.02);
+      }
+      obs.observe(b.get());
+    }
+  };
+  Observer a{quietConfig()};
+  Observer b{quietConfig()};
+  run(small, a);
+  run(host, b);
+
+  EXPECT_GT(a.systemUnfairness(), 0.0);
+  EXPECT_EQ(a.systemUnfairness(), b.systemUnfairness());
+  EXPECT_EQ(a.workloadType(), b.workloadType());
+  const auto& ta = a.threadsByAccessRate();
+  const auto& tb = b.threadsByAccessRate();
+  ASSERT_EQ(ta.size(), small.size());
+  ASSERT_EQ(tb.size(), ta.size());
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    const Label& relabelled = host[static_cast<std::size_t>(ta[i].threadId)];
+    EXPECT_EQ(tb[i].threadId, relabelled.thread) << "position " << i;
+    EXPECT_EQ(tb[i].processId, relabelled.process) << "position " << i;
+    EXPECT_EQ(tb[i].deficit, ta[i].deficit) << "position " << i;
+    EXPECT_EQ(tb[i].cumAccessRate, ta[i].cumAccessRate) << "position " << i;
+    EXPECT_EQ(tb[i].avgAccessRate, ta[i].avgAccessRate) << "position " << i;
+    const ThreadInfo* found = b.findThread(relabelled.thread);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found->deficit, ta[i].deficit);
+  }
+  EXPECT_EQ(b.findThread(-3), nullptr);
+  EXPECT_EQ(b.findThread(4'000'000), nullptr);
+}
+
+TEST(Observer, NegativeThreadIdRowsAreUnobserved) {
+  ObservationBuilder b{4, 2};
+  b.thread(0, 0, 0, 2e7, 0.3).thread(-4, 0, 1, 1e7, 0.3);
+  Observer obs{quietConfig()};
+  obs.observe(b.get());
+  ASSERT_EQ(obs.threadsByAccessRate().size(), 1u);
+  EXPECT_EQ(obs.threadsByAccessRate()[0].threadId, 0);
+  EXPECT_EQ(obs.findThread(-4), nullptr);
 }
 
 // Property: unfairness is scale-invariant in the rates.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/machine.hpp"
 
 namespace dike::sched {
@@ -36,6 +38,27 @@ TEST(SchedulerView, ExposesTopologyAndOccupancy) {
   EXPECT_EQ(view.coreOccupant(0), 0);
   EXPECT_EQ(view.coreOccupant(1), -1);
   EXPECT_EQ(view.coreOccupant(2), 1);
+}
+
+TEST(SchedulerView, ForEachCoreVisitsOnlyTheViewsDomain) {
+  sim::Machine m = twoThreadMachine();
+  const sim::QuantumSample sample = m.sampleAndReset();
+  SchedulerView view{m, sample};
+  std::vector<int> visited;
+  view.forEachCore([&](int c) { visited.push_back(c); });
+  EXPECT_EQ(visited, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_TRUE(view.clusterCores().empty());
+
+  // Cluster 1 owns cores 1 and 3 (non-contiguous on purpose).
+  const std::vector<int> clusterOfCore{0, 1, 0, 1};
+  const std::vector<int> cores{1, 3};
+  SchedulerView child{view, sample, clusterOfCore, 1, cores};
+  visited.clear();
+  child.forEachCore([&](int c) { visited.push_back(c); });
+  EXPECT_EQ(visited, cores);
+  EXPECT_EQ(child.coreOccupant(0), SchedulerView::kForeignCore);
+  EXPECT_EQ(child.coreOccupant(1), -1);
+  EXPECT_EQ(child.coreCount(), 4);
 }
 
 TEST(SchedulerView, SwapCountsAndForwards) {

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <vector>
 
+#include "ckpt/archive.hpp"
+#include "ckpt/state_io.hpp"
 #include "util/rng.hpp"
 
 namespace dike::util {
@@ -135,6 +137,101 @@ TEST(MovingMeanTest, Reset) {
   m.reset();
   EXPECT_TRUE(m.empty());
   EXPECT_DOUBLE_EQ(m.value(), 0.0);
+}
+
+TEST(MovingMeanTest, RingWrapsAroundManyTimes) {
+  MovingMean m{3};
+  for (int i = 1; i <= 10; ++i) m.add(static_cast<double>(i));
+  EXPECT_EQ(m.size(), 3u);
+  EXPECT_DOUBLE_EQ(m.value(), 9.0);  // (8 + 9 + 10) / 3
+  EXPECT_DOUBLE_EQ(m.last(), 10.0);
+  EXPECT_EQ(m.samples(), (std::vector<double>{8.0, 9.0, 10.0}));
+}
+
+TEST(MovingMeanTest, SamplesAreOldestFirstBeforeAndAfterWrap) {
+  MovingMean m{4};
+  m.add(1.0);
+  m.add(2.0);
+  EXPECT_EQ(m.samples(), (std::vector<double>{1.0, 2.0}));
+  m.add(3.0);
+  m.add(4.0);
+  m.add(5.0);
+  m.add(6.0);
+  EXPECT_EQ(m.samples(), (std::vector<double>{3.0, 4.0, 5.0, 6.0}));
+}
+
+TEST(MovingMeanTest, WindowOfOneTracksTheLastSample) {
+  MovingMean m{1};
+  m.add(4.0);
+  EXPECT_DOUBLE_EQ(m.value(), 4.0);
+  m.add(7.0);
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_DOUBLE_EQ(m.value(), 7.0);
+  EXPECT_DOUBLE_EQ(m.last(), 7.0);
+  EXPECT_EQ(m.samples(), (std::vector<double>{7.0}));
+}
+
+TEST(MovingMeanTest, ResetAfterWrapStartsAFreshWindow) {
+  MovingMean m{3};
+  for (int i = 0; i < 5; ++i) m.add(static_cast<double>(i));
+  m.reset();
+  EXPECT_TRUE(m.empty());
+  EXPECT_DOUBLE_EQ(m.last(), 0.0);
+  EXPECT_TRUE(m.samples().empty());
+  m.add(2.0);
+  m.add(4.0);
+  EXPECT_DOUBLE_EQ(m.value(), 3.0);
+  EXPECT_EQ(m.samples(), (std::vector<double>{2.0, 4.0}));
+}
+
+TEST(MovingMeanTest, RunningSumIsAddThenSubtract) {
+  // The sum accrues the new sample before the evicted one leaves; with
+  // values whose round-off depends on that order the raw sum must match
+  // the same sequence of double operations bit for bit.
+  MovingMean m{2};
+  const std::array<double, 5> xs{0.1, 1e16, 0.3, -1e16, 0.7};
+  double sum = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    m.add(xs[i]);
+    sum += xs[i];
+    if (i >= 2) sum -= xs[i - 2];
+  }
+  EXPECT_EQ(m.rawSum(), sum);
+}
+
+TEST(MovingMeanTest, RestoredFullWindowKeepsEvictingOldestFirst) {
+  MovingMean m{3};
+  m.restore(std::vector<double>{1.0, 2.0, 3.0}, 6.0);
+  EXPECT_EQ(m.size(), 3u);
+  m.add(10.0);  // evicts 1.0
+  EXPECT_EQ(m.samples(), (std::vector<double>{2.0, 3.0, 10.0}));
+  EXPECT_DOUBLE_EQ(m.rawSum(), 15.0);
+  EXPECT_DOUBLE_EQ(m.last(), 10.0);
+  EXPECT_THROW(m.restore(std::vector<double>{1.0, 2.0, 3.0, 4.0}, 10.0),
+               std::invalid_argument);
+}
+
+TEST(MovingMeanTest, WrappedWindowCheckpointRoundTripIsByteIdentical) {
+  MovingMean m{4};
+  for (int i = 0; i < 7; ++i) m.add(0.1 * static_cast<double>(i * i));
+  ckpt::BinWriter w;
+  ckpt::save(w, "mm", m);
+  const std::string bytes = w.take();
+
+  MovingMean restored{4};
+  ckpt::BinReader r{bytes};
+  ckpt::load(r, "mm", restored);
+  EXPECT_EQ(restored.samples(), m.samples());
+  EXPECT_EQ(restored.rawSum(), m.rawSum());
+  ckpt::BinWriter again;
+  ckpt::save(again, "mm", restored);
+  EXPECT_EQ(again.take(), bytes);
+
+  // Both continue identically past the restore point.
+  m.add(3.3);
+  restored.add(3.3);
+  EXPECT_EQ(restored.samples(), m.samples());
+  EXPECT_EQ(restored.rawSum(), m.rawSum());
 }
 
 TEST(EwmaMeanTest, SeedsWithFirstSample) {
