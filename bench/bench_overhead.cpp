@@ -34,12 +34,9 @@ struct Fixture {
   }
 
   [[nodiscard]] Observation observation() const {
+    dike::sched::MachineBackend backend{*machine};
     Observation obs;
-    obs.sample = sample;
-    for (int c = 0; c < machine->topology().coreCount(); ++c) {
-      obs.coreOccupant.push_back(machine->coreOccupant(c));
-      obs.coreSocket.push_back(machine->topology().core(c).socket);
-    }
+    dike::core::makeObservationInto({backend, sample}, obs);
     return obs;
   }
 
@@ -91,8 +88,10 @@ void BM_SelectorFormPairs(benchmark::State& state) {
   observer.observe(obs);
   const dike::core::Selector selector{
       dike::core::SelectorConfig{.fairnessThreshold = 0.0}};
+  dike::core::SelectorScratch scratch;
+  std::vector<dike::core::ThreadPair> pairs;
   for (auto _ : state) {
-    auto pairs = selector.formPairs(observer, 16);
+    selector.formPairsInto(observer, 16, scratch, pairs);
     benchmark::DoNotOptimize(pairs.data());
   }
 }
@@ -104,7 +103,9 @@ void BM_PredictorPredict(benchmark::State& state) {
   observer.observe(obs);
   const dike::core::Selector selector{
       dike::core::SelectorConfig{.fairnessThreshold = 0.0}};
-  const auto pairs = selector.formPairs(observer, 16);
+  dike::core::SelectorScratch scratch;
+  std::vector<dike::core::ThreadPair> pairs;
+  selector.formPairsInto(observer, 16, scratch, pairs);
   if (pairs.empty()) {
     state.SkipWithError("no pairs to predict");
     return;

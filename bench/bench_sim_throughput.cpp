@@ -306,7 +306,8 @@ class DecideLatencyPolicy final : public dike::sim::QuantumPolicy {
 
   void onQuantum(dike::sim::Machine& machine) override {
     machine.sampleAndResetInto(sample_);
-    dike::sched::SchedulerView view{machine, sample_};
+    dike::sched::MachineBackend backend{machine};
+    dike::sched::SchedulerView view{backend, sample_};
     if (clustered_ != nullptr) {
       clustered_->onQuantum(view);
       decideNs.push_back(clustered_->lastDecideNs());
@@ -385,7 +386,7 @@ ScalingRun runScalingPointOnce(const ScalingPoint& point, int clusters,
   cfg.cluster.clusters = clusters;
   cfg.cluster.decideJobs = decideJobs;
   const std::unique_ptr<dike::sched::Scheduler> scheduler =
-      clusters >= 1
+      clusters >= 2
           ? std::make_unique<dike::core::ClusteredDikeScheduler>(cfg)
           : std::make_unique<dike::core::DikeScheduler>(cfg);
 

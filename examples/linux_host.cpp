@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nTotal swaps: %lld\n",
-              static_cast<long long>(host.totalSwaps()));
+              static_cast<long long>(host.scheduler().totalSwaps()));
   for (const pid_t pid : pids) {
     ::kill(pid, SIGKILL);
     ::waitpid(pid, nullptr, 0);

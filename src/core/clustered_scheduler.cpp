@@ -26,9 +26,10 @@ using Clock = std::chrono::steady_clock;
 }  // namespace
 
 ClusteredDikeScheduler::ClusteredDikeScheduler(DikeConfig config)
-    : DikeScheduler(config), configuredClusters_(config.cluster.clusters) {
-  if (config.cluster.clusters < 0)
-    throw std::invalid_argument{"cluster.clusters must be >= 0"};
+    : DikeScheduler(config) {
+  if (config.cluster.clusters < 2)
+    throw std::invalid_argument{
+        "cluster.clusters must be >= 2 (fewer runs the plain DikeScheduler)"};
   if (config.cluster.rebalanceQuanta <= 0)
     throw std::invalid_argument{"cluster.rebalanceQuanta must be > 0"};
   if (config.cluster.rebalanceThreshold <= 0.0)
@@ -54,12 +55,6 @@ int ClusteredDikeScheduler::effectiveDecideJobs() const {
   return std::min(resolved, std::max(clusterCount_, 1));
 }
 
-std::string_view ClusteredDikeScheduler::name() const {
-  // Flat mode is the equivalence contract: same policy name (checkpoints
-  // taken flat restore here and vice versa), same everything.
-  return flatMode() ? DikeScheduler::name() : "dike-clustered";
-}
-
 DikeConfig ClusteredDikeScheduler::clusterConfig() const {
   DikeConfig sub = configuration();
   // The sub-schedulers must not recurse into clustering, and per-cluster
@@ -73,7 +68,7 @@ DikeConfig ClusteredDikeScheduler::clusterConfig() const {
 }
 
 void ClusteredDikeScheduler::resolveGeometry(int coreCount) {
-  clusterCount_ = std::min(configuredClusters_, coreCount);
+  clusterCount_ = std::min(config_.cluster.clusters, coreCount);
   clusterOfCore_.resize(static_cast<std::size_t>(coreCount));
   for (int c = 0; c < coreCount; ++c) {
     // Contiguous equal chunks in core-id order. Core ids are socket-major
@@ -131,14 +126,6 @@ void ClusteredDikeScheduler::scatterSample(const sched::SchedulerView& view) {
 }
 
 void ClusteredDikeScheduler::onQuantum(sched::SchedulerView& view) {
-  if (flatMode()) {
-    const auto start = Clock::now();
-    DikeScheduler::onQuantum(view);
-    lastDecideNs_ = nsSince(start);
-    lastScatterNs_ = 0;
-    return;
-  }
-
   DIKE_SCOPE_TIMER("core.dike.clustered_quantum");
   if (clusters_.empty())
     resolveGeometry(view.coreCount());
@@ -355,10 +342,7 @@ void ClusteredDikeScheduler::refreshAggregates(bool anyActed) {
 }
 
 void ClusteredDikeScheduler::saveExtraState(ckpt::BinWriter& w) const {
-  // Flat mode writes exactly the base layout: a flat checkpoint and a
-  // 1-cluster checkpoint are interchangeable (byte-identical).
   DikeScheduler::saveExtraState(w);
-  if (flatMode()) return;
   w.beginSection("clustered");
   w.i64("clusterCount", clusterCount_);
   w.vecInt("clusterOfCore", clusterOfCore_);
@@ -375,7 +359,6 @@ void ClusteredDikeScheduler::saveExtraState(ckpt::BinWriter& w) const {
 
 void ClusteredDikeScheduler::loadExtraState(ckpt::BinReader& r) {
   DikeScheduler::loadExtraState(r);
-  if (flatMode()) return;
   r.beginSection("clustered");
   const int count = util::checkedInt<ckpt::CheckpointError>(
       r.i64("clusterCount"), "clustered checkpoint: clusterCount");

@@ -18,10 +18,10 @@
 // touched after sizing), so each instance's memory is O(C) words plus
 // O(n/K) thread slots.
 //
-// Equivalence contract: with `cluster.clusters <= 1` every virtual call
-// delegates straight to the base DikeScheduler — same name, same decisions,
-// same checkpoint bytes — so the clustered entry point is byte-identical to
-// the flat policy at 1 cluster (enforced by the `scale` test tier).
+// At least 2 clusters are required: exp::makeScheduler builds the plain
+// DikeScheduler for `cluster.clusters <= 1`, so a 1-cluster run is the flat
+// policy itself — same name, decisions and checkpoint bytes (the `scale`
+// test tier checks this end to end).
 #pragma once
 
 #include <cstdint>
@@ -38,21 +38,19 @@ class ClusteredDikeScheduler final : public DikeScheduler {
  public:
   explicit ClusteredDikeScheduler(DikeConfig config);
 
-  [[nodiscard]] std::string_view name() const override;
+  [[nodiscard]] std::string_view name() const override {
+    return "dike-clustered";
+  }
   void onQuantum(sched::SchedulerView& view) override;
 
-  /// Clusters requested by the configuration (the resolved count is capped
-  /// at the machine's core count on first quantum).
-  [[nodiscard]] int configuredClusters() const noexcept {
-    return configuredClusters_;
-  }
-  /// Clusters actually formed; 0 until the first quantum (or a restore)
+  /// Clusters actually formed: configuration().cluster.clusters capped at
+  /// the machine's core count; 0 until the first quantum (or a restore)
   /// reveals the machine size.
   [[nodiscard]] int resolvedClusters() const noexcept { return clusterCount_; }
   [[nodiscard]] const std::vector<int>& clusterOfCore() const noexcept {
     return clusterOfCore_;
   }
-  /// Per-cluster Dike instance (multi-cluster mode only; k < resolved).
+  /// Per-cluster Dike instance (k < resolved).
   [[nodiscard]] const DikeScheduler& clusterScheduler(int k) const {
     return *clusters_[static_cast<std::size_t>(k)];
   }
@@ -77,8 +75,8 @@ class ClusteredDikeScheduler final : public DikeScheduler {
   /// Wall-clock decide time of the last quantum, in nanoseconds: cluster
   /// plans (concurrent when decideJobs > 1) + serial commits + rebalance,
   /// excluding the sample scatter. This is the parallel critical path the
-  /// live plane's decide-latency record reports in multi-cluster mode,
-  /// unlike the *modeled* per-instance latency of lastDecideNs().
+  /// live plane's decide-latency record reports, unlike the *modeled*
+  /// per-instance latency of lastDecideNs().
   [[nodiscard]] std::int64_t lastDecideWallNs() const noexcept {
     return lastDecideWallNs_;
   }
@@ -102,9 +100,6 @@ class ClusteredDikeScheduler final : public DikeScheduler {
   /// observes before rebalancing).
   friend struct ClusteredSchedulerTestPeer;
 
-  [[nodiscard]] bool flatMode() const noexcept {
-    return configuredClusters_ <= 1;
-  }
   [[nodiscard]] DikeConfig clusterConfig() const;
   void resolveGeometry(int coreCount);
   /// Derive clusterCores_ from clusterOfCore_, which must cover exactly
@@ -117,7 +112,6 @@ class ClusteredDikeScheduler final : public DikeScheduler {
   /// decideJobs resolved against DIKE_JOBS and the cluster count.
   [[nodiscard]] int effectiveDecideJobs() const;
 
-  int configuredClusters_;
   int clusterCount_ = 0;  ///< resolved (min(configured, cores)); 0 = not yet
   std::vector<int> clusterOfCore_;
   /// Ascending core ids of each cluster (derived from clusterOfCore_; not

@@ -98,13 +98,12 @@ struct ResilienceConfig {
 };
 
 /// Clustered-scheduling knobs (large-machine mode; see DESIGN.md). With
-/// `clusters == 0` the flat single-instance pipeline runs unchanged; with
-/// `clusters == 1` the clustered scheduler is instantiated but degenerates
-/// to pure delegation (byte-identical to flat — the equivalence contract
-/// the scale test tier enforces); `clusters >= 2` splits the machine into
-/// that many contiguous core ranges, each served by its own Dike instance
-/// over cluster-local observations, with a top-level rebalancer migrating
-/// whole threads between clusters on sustained fairness imbalance.
+/// `clusters <= 1` the flat single-instance DikeScheduler runs (so 0 and 1
+/// are byte-identical — the equivalence the scale test tier enforces);
+/// `clusters >= 2` splits the machine into that many contiguous core
+/// ranges, each served by its own Dike instance over cluster-local
+/// observations, with a top-level rebalancer migrating whole threads
+/// between clusters on sustained fairness imbalance.
 struct ClusterConfig {
   int clusters = 0;
   /// Rebalancer cadence: inspect per-cluster unfairness every N quanta.

@@ -136,12 +136,11 @@ class DikeScheduler : public sched::Scheduler {
   /// (the Selector's ranking input); NaN when the thread is not listed.
   [[nodiscard]] double observedRate(int threadId) const noexcept;
 
-  // State is protected (not private) for ClusteredDikeScheduler, which in
-  // multi-cluster mode bypasses this object's pipeline entirely and
-  // maintains the aggregate-facing members (lastStats_, totals_,
-  // totalSwaps_, quantumIndex_) from its per-cluster instances, so every
-  // consumer that dynamic_casts to DikeScheduler keeps reading meaningful
-  // numbers.
+  // State is protected (not private) for ClusteredDikeScheduler, which
+  // bypasses this object's pipeline entirely and maintains the
+  // aggregate-facing members (lastStats_, totals_, totalSwaps_,
+  // quantumIndex_) from its per-cluster instances, so every consumer that
+  // dynamic_casts to DikeScheduler keeps reading meaningful numbers.
   DikeConfig config_;
   DikeParams params_;
   Observer observer_;

@@ -23,12 +23,6 @@ std::string_view toString(WorkloadType type) noexcept {
   return "?";
 }
 
-Observation makeObservation(const sched::SchedulerView& view) {
-  Observation obs;
-  makeObservationInto(view, obs);
-  return obs;
-}
-
 void makeObservationInto(const sched::SchedulerView& view, Observation& out) {
   const sim::QuantumSample& sample = view.sample();
   const std::span<const int> domain = view.clusterCores();

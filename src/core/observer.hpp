@@ -18,10 +18,9 @@
 
 namespace dike::core {
 
-/// One quantum's raw observations, backend-independent: the simulator's
-/// SchedulerView produces one per quantum, and the Linux host driver builds
-/// the same struct from /proc + perf counters — so the entire Dike pipeline
-/// is reusable on live systems.
+/// One quantum's raw observations, built from a SchedulerView by
+/// makeObservationInto — over the simulator or the Linux host backend
+/// alike.
 struct Observation {
   sim::QuantumSample sample;
   std::vector<int> coreOccupant;  ///< thread id per core, -1 when free
@@ -34,11 +33,9 @@ struct Observation {
   std::vector<int> cores;
 };
 
-/// Build an Observation from a simulator scheduler view.
-[[nodiscard]] Observation makeObservation(const sched::SchedulerView& view);
-
-/// Allocation-free makeObservation: refills `out` in place so its vectors
-/// (and the sample's per-thread rows) keep their capacity across quanta.
+/// Build an Observation from a scheduler view, refilling `out` in place so
+/// its vectors (and the sample's per-thread rows) keep their capacity
+/// across quanta.
 /// A cluster-scoped view refreshes only its own cores' entries — O(cluster
 /// cores) per quantum; the machine-sized vectors are (re)initialised, with
 /// foreign entries reading kForeignCore / zero bandwidth, only when the

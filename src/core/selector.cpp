@@ -9,14 +9,6 @@ namespace dike::core {
 
 Selector::Selector(SelectorConfig config) : config_(config) {}
 
-std::vector<ThreadPair> Selector::formPairs(const Observer& observer,
-                                            int swapSize) const {
-  SelectorScratch scratch;
-  std::vector<ThreadPair> pairs;
-  formPairsInto(observer, swapSize, scratch, pairs);
-  return pairs;
-}
-
 void Selector::formPairsInto(const Observer& observer, int swapSize,
                              SelectorScratch& scratch,
                              std::vector<ThreadPair>& pairs) const {

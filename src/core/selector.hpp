@@ -50,14 +50,10 @@ class Selector {
  public:
   explicit Selector(SelectorConfig config = {});
 
-  /// Algorithm 1. Returns at most swapSize/2 pairs (swapSize counts threads
-  /// to migrate; each pair migrates two). Empty when the system is already
-  /// fair or no eligible pairs exist. Every returned thread id is distinct.
-  [[nodiscard]] std::vector<ThreadPair> formPairs(const Observer& observer,
-                                                  int swapSize) const;
-
-  /// Allocation-free formPairs: identical pair sequence, refilling `pairs`
-  /// in place and reusing `scratch` across quanta.
+  /// Algorithm 1. Refills `pairs` with at most swapSize/2 pairs (swapSize
+  /// counts threads to migrate; each pair migrates two), reusing `scratch`
+  /// across quanta. Empty when the system is already fair or no eligible
+  /// pairs exist. Every thread id in `pairs` is distinct.
   void formPairsInto(const Observer& observer, int swapSize,
                      SelectorScratch& scratch,
                      std::vector<ThreadPair>& pairs) const;

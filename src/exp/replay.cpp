@@ -134,8 +134,8 @@ util::JsonValue dikeConfigToJson(const core::DikeConfig& c) {
       c.resilience.failedActuationCooldownQuanta;
   o["resilience"] = util::JsonValue{std::move(res)};
   // The cluster section is written only when clustering actually changes
-  // behaviour (>= 2 clusters): a 1-cluster run is byte-identical to flat by
-  // contract, and dike_diff compares embedded specs verbatim — the
+  // behaviour (>= 2 clusters): a 1-cluster run builds the flat scheduler,
+  // and dike_diff compares embedded specs verbatim — the
   // equivalence check depends on these specs matching too.
   if (c.cluster.clusters >= 2) {
     // decideJobs is deliberately NOT encoded: it is an execution knob

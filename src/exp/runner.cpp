@@ -59,10 +59,9 @@ std::unique_ptr<sched::Scheduler> makeScheduler(const RunSpec& spec) {
                      : (spec.kind == SchedulerKind::DikeAF
                             ? core::AdaptationGoal::Fairness
                             : core::AdaptationGoal::Performance);
-      // clusters >= 1 selects the clustered entry point even at 1 cluster,
-      // where it degenerates to pure delegation — that is exactly the
-      // configuration the equivalence tests drive.
-      if (cfg.cluster.clusters >= 1)
+      // One cluster is the flat policy: same name, decisions and
+      // checkpoint bytes as clusters = 0.
+      if (cfg.cluster.clusters >= 2)
         return std::make_unique<core::ClusteredDikeScheduler>(cfg);
       return std::make_unique<core::DikeScheduler>(cfg);
     }

@@ -153,7 +153,8 @@ struct RunMetrics {
 };
 
 /// Instantiate the scheduler a RunSpec names. Dike kinds with
-/// `dikeConfig->cluster.clusters >= 1` build a ClusteredDikeScheduler.
+/// `dikeConfig->cluster.clusters >= 2` build a ClusteredDikeScheduler;
+/// fewer clusters build the plain DikeScheduler.
 [[nodiscard]] std::unique_ptr<sched::Scheduler> makeScheduler(
     const RunSpec& spec);
 

@@ -49,15 +49,4 @@ std::error_code getAffinity(pid_t tid, std::vector<int>& cpus) {
   return {};
 }
 
-std::error_code swapPinnedCpus(pid_t tidA, pid_t tidB) {
-  std::vector<int> cpusA;
-  std::vector<int> cpusB;
-  if (auto ec = getAffinity(tidA, cpusA)) return ec;
-  if (auto ec = getAffinity(tidB, cpusB)) return ec;
-  if (cpusA.size() != 1 || cpusB.size() != 1)
-    return std::make_error_code(std::errc::invalid_argument);
-  if (auto ec = pinToCpu(tidA, cpusB.front())) return ec;
-  return pinToCpu(tidB, cpusA.front());
-}
-
 }  // namespace dike::oslinux

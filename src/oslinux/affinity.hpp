@@ -22,9 +22,4 @@ namespace dike::oslinux {
 /// Read the affinity mask of `tid` into `cpus` (sorted ascending).
 [[nodiscard]] std::error_code getAffinity(pid_t tid, std::vector<int>& cpus);
 
-/// Swap the single-CPU pins of two threads (the Migrator's swap operation:
-/// each thread migrates to the core the other occupied). Both threads must
-/// currently be pinned to exactly one CPU; returns the first error hit.
-[[nodiscard]] std::error_code swapPinnedCpus(pid_t tidA, pid_t tidB);
-
 }  // namespace dike::oslinux

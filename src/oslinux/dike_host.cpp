@@ -4,11 +4,12 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
-#include "oslinux/affinity.hpp"
 #include "oslinux/procstat.hpp"
 #include "telemetry/registry.hpp"
 #include "util/log.hpp"
+#include "util/types.hpp"
 
 namespace dike::oslinux {
 
@@ -40,33 +41,35 @@ void openThreadCounters(HostThread& t) {
 
 }  // namespace
 
-DikeHost::DikeHost(HostConfig config)
-    : config_(config),
-      observer_(config.dike.observer),
-      selector_(core::SelectorConfig{config.dike.fairnessThreshold,
-                                     config.dike.rotateWhenNoViolator,
-                                     config.dike.pairRateMargin}),
-      predictor_(core::PredictorConfig{config.dike.swapOhMs}),
-      decider_(core::DeciderConfig{config.dike.cooldownQuanta,
-                                   config.dike.minCooldownMs,
-                                   config.dike.requirePositiveProfit}) {}
+DikeHost::DikeHost(HostConfig config, PinFn pin)
+    : config_(std::move(config)),
+      pin_(std::move(pin)),
+      scheduler_(config_.dike) {
+  if (config_.dike.cluster.clusters > 1)
+    throw std::invalid_argument{
+        "DikeHost runs one Dike instance: dike.cluster.clusters must be <= 1"};
+}
+
+HostThread& DikeHost::manage(pid_t pid, pid_t tid) {
+  const auto [it, added] = threads_.try_emplace(tid);
+  HostThread& t = it->second;
+  if (!added) return t;
+  t.pid = pid;
+  t.tid = tid;
+  t.denseId = util::isize(byDenseId_);
+  byDenseId_.push_back(&t);
+  if (config_.usePerf) {
+    openThreadCounters(t);
+    if (t.llcMisses && t.llcRefs) perfActive_ = true;
+  }
+  return t;
+}
 
 std::error_code DikeHost::addProcess(pid_t pid) {
   const std::vector<pid_t> tids = listThreads(pid);
   if (tids.empty())
     return std::make_error_code(std::errc::no_such_process);
-  for (const pid_t tid : tids) {
-    if (threads_.count(tid) != 0) continue;
-    HostThread t;
-    t.pid = pid;
-    t.tid = tid;
-    t.denseId = nextDenseId_++;
-    if (config_.usePerf) {
-      openThreadCounters(t);
-      if (t.llcMisses && t.llcRefs) perfActive_ = true;
-    }
-    threads_.emplace(tid, std::move(t));
-  }
+  for (const pid_t tid : tids) (void)manage(pid, tid);
   return {};
 }
 
@@ -94,19 +97,40 @@ std::error_code DikeHost::initialize() {
     }
     cpuSocket_.push_back(socket);
   }
+  occupant_.assign(cpus_.size(), -1);
 
   // Initial placement: round-robin pinning (the CFS-agnostic starting
   // point; Dike corrects it from here).
-  std::size_t next = 0;
+  int next = 0;
   for (auto& [tid, thread] : threads_) {
-    const int cpu = cpus_[next % cpus_.size()];
-    if (const std::error_code ec = pinToCpu(tid, cpu)) return ec;
-    thread.cpu = static_cast<int>(next % cpus_.size());
+    if (const std::error_code ec = place(thread, next % coreCount()))
+      return ec;
     ++next;
   }
   lastSample_ = std::chrono::steady_clock::now();
   initialized_ = true;
   return {};
+}
+
+std::error_code DikeHost::place(HostThread& t, int cpu) {
+  if (const std::error_code ec = pin_(t.tid, cpus_[idx(cpu)])) return ec;
+  t.cpu = cpu;
+  occupant_[idx(cpu)] = t.denseId;
+  return {};
+}
+
+void DikeHost::vacate(int cpu, int denseId) {
+  if (cpu < 0) return;
+  int& occupant = occupant_[idx(cpu)];
+  if (occupant != denseId) return;
+  occupant = -1;
+  for (const auto& [tid, t] : threads_)
+    if (t.cpu == cpu) occupant = t.denseId;
+}
+
+HostThread* DikeHost::threadOf(int denseId) {
+  if (denseId < 0 || denseId >= util::isize(byDenseId_)) return nullptr;
+  return byDenseId_[idx(denseId)];
 }
 
 void DikeHost::adoptNewThreads() {
@@ -119,15 +143,8 @@ void DikeHost::adoptNewThreads() {
   for (const pid_t pid : pids) {
     for (const pid_t tid : listThreads(pid)) {
       if (threads_.count(tid) != 0) continue;
-      HostThread t;
-      t.pid = pid;
-      t.tid = tid;
-      t.denseId = nextDenseId_++;
-      if (config_.usePerf) openThreadCounters(t);
-      const int cpuIdx = leastLoadedCpuIndex();
-      if (!pinToCpu(tid, cpus_[static_cast<std::size_t>(cpuIdx)]))
-        t.cpu = cpuIdx;
-      threads_.emplace(tid, std::move(t));
+      const int cpu = leastLoadedCpuIndex();
+      (void)place(manage(pid, tid), cpu);
     }
   }
 }
@@ -135,32 +152,30 @@ void DikeHost::adoptNewThreads() {
 int DikeHost::leastLoadedCpuIndex() const {
   std::vector<int> load(cpus_.size(), 0);
   for (const auto& [tid, t] : threads_)
-    if (t.cpu >= 0) ++load[static_cast<std::size_t>(t.cpu)];
-  int best = 0;
-  for (int i = 1; i < static_cast<int>(load.size()); ++i)
-    if (load[static_cast<std::size_t>(i)] <
-        load[static_cast<std::size_t>(best)])
-      best = i;
-  return best;
+    if (t.cpu >= 0) ++load[idx(t.cpu)];
+  return static_cast<int>(std::min_element(load.begin(), load.end()) -
+                          load.begin());
 }
 
 void DikeHost::pruneDeadThreads() {
   for (auto it = threads_.begin(); it != threads_.end();) {
-    if (readProcStat(it->second.pid, it->first).has_value())
+    if (readProcStat(it->second.pid, it->first).has_value()) {
       ++it;
-    else
-      it = threads_.erase(it);
+      continue;
+    }
+    const int cpu = it->second.cpu;
+    const int denseId = it->second.denseId;
+    byDenseId_[idx(denseId)] = nullptr;
+    it = threads_.erase(it);
+    vacate(cpu, denseId);
   }
 }
 
-core::Observation DikeHost::sampleObservation(double periodSeconds) {
-  core::Observation obs;
-  obs.sample.periodTicks =
+sim::QuantumSample DikeHost::sampleCounters(double periodSeconds) {
+  sim::QuantumSample sample;
+  sample.periodTicks =
       std::max<util::Tick>(1, static_cast<util::Tick>(periodSeconds * 1e3));
-  obs.sample.coreAchievedBw.assign(cpus_.size(), 0.0);
-  obs.coreOccupant.assign(cpus_.size(), -1);
-  obs.coreSocket = cpuSocket_;
-
+  sample.coreAchievedBw.assign(cpus_.size(), 0.0);
   const double tickHz = clockTicksPerSecond();
   for (auto& [tid, t] : threads_) {
     const auto stat = readProcStat(t.pid, tid);
@@ -213,14 +228,11 @@ core::Observation DikeHost::sampleObservation(double periodSeconds) {
     s.accesses = s.accessRate * periodSeconds;
     t.haveBaseline = true;
 
-    if (t.cpu >= 0) {
-      obs.sample.coreAchievedBw[static_cast<std::size_t>(t.cpu)] +=
-          s.accessRate;
-      obs.coreOccupant[static_cast<std::size_t>(t.cpu)] = t.denseId;
-    }
-    obs.sample.threads.push_back(s);
+    if (t.cpu >= 0)
+      sample.coreAchievedBw[idx(t.cpu)] += s.accessRate;
+    sample.threads.push_back(s);
   }
-  return obs;
+  return sample;
 }
 
 HostQuantumReport DikeHost::runQuantum() {
@@ -233,71 +245,56 @@ HostQuantumReport DikeHost::runQuantum() {
   report.liveThreads = managedThreadCount();
   if (threads_.empty()) return report;
 
-  const auto now = std::chrono::steady_clock::now();
+  const auto wallNow = std::chrono::steady_clock::now();
   const double periodSeconds = std::max(
-      1e-3, std::chrono::duration<double>(now - lastSample_).count());
-  lastSample_ = now;
+      1e-3, std::chrono::duration<double>(wallNow - lastSample_).count());
+  lastSample_ = wallNow;
 
-  observer_.observe(sampleObservation(periodSeconds));
-  report.unfairness = observer_.systemUnfairness();
+  const sim::QuantumSample sample = sampleCounters(periodSeconds);
+  sched::SchedulerView view{*this, sample};
+  scheduler_.onQuantum(view);
+  now_ += scheduler_.quantumTicks();
 
-  if (report.unfairness < config_.dike.fairnessThreshold) {
-    ++quantumIndex_;
-    return report;
-  }
-
-  const util::Tick quantaTicks =
-      util::millisToTicks(config_.dike.params.quantaLengthMs);
-  const util::Tick nowTicks = quantumIndex_ * quantaTicks;
-  // Arena-backed selection, matching core/dike_scheduler.cpp: the scratch
-  // and pair buffers are members, so steady-state quanta allocate nothing
-  // and the host path cannot drift from the simulator pipeline.
-  selector_.formPairsInto(observer_, config_.dike.params.swapSize * 2,
-                          selectorScratch_, pairs_);
-  const std::vector<core::ThreadPair>& pairs = pairs_;
-  const int maxSwaps = config_.dike.params.swapSize / 2;
-
-  for (const core::ThreadPair& pair : pairs) {
-    if (report.swapsExecuted >= maxSwaps) break;
-    const core::SwapPrediction prediction = predictor_.predict(
-        observer_, pair, config_.dike.params.quantaLengthMs);
-    if (!decider_.shouldSwap(prediction, nowTicks, quantaTicks)) continue;
-
-    // Map dense ids back to tids.
-    HostThread* low = nullptr;
-    HostThread* high = nullptr;
-    for (auto& [tid, t] : threads_) {
-      if (t.denseId == pair.lowThread) low = &t;
-      if (t.denseId == pair.highThread) high = &t;
-    }
-    if (low == nullptr || high == nullptr || low->cpu < 0 || high->cpu < 0)
-      continue;
-
-    if (pinToCpu(low->tid, cpus_[static_cast<std::size_t>(high->cpu)]))
-      continue;
-    if (pinToCpu(high->tid, cpus_[static_cast<std::size_t>(low->cpu)])) {
-      // Roll the first pin back on partial failure.
-      (void)pinToCpu(low->tid, cpus_[static_cast<std::size_t>(low->cpu)]);
-      continue;
-    }
-    std::swap(low->cpu, high->cpu);
-    decider_.recordSwap(pair, nowTicks);
-    ++report.swapsExecuted;
-    ++swaps_;
-    util::logDebug("dike-host: swapped tid ", low->tid, " <-> ", high->tid);
-  }
-  ++quantumIndex_;
+  const core::QuantumDecisionStats& stats = scheduler_.lastQuantumStats();
+  report.unfairness = stats.unfairness;
+  report.swapsExecuted = stats.swapsExecuted;
   return report;
 }
 
 void DikeHost::runFor(std::chrono::milliseconds duration) {
   const auto deadline = std::chrono::steady_clock::now() + duration;
-  const auto quantum =
-      std::chrono::milliseconds(config_.dike.params.quantaLengthMs);
   while (std::chrono::steady_clock::now() < deadline && !threads_.empty()) {
-    std::this_thread::sleep_for(quantum);
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(scheduler_.params().quantaLengthMs));
     (void)runQuantum();
   }
+}
+
+bool DikeHost::swap(int threadA, int threadB) {
+  HostThread* a = threadOf(threadA);
+  HostThread* b = threadOf(threadB);
+  if (a == nullptr || b == nullptr || a->cpu < 0 || b->cpu < 0) return false;
+  const int cpuA = a->cpu;
+  const int occupantB = occupant_[idx(b->cpu)];
+  if (place(*a, b->cpu)) return false;
+  if (place(*b, cpuA)) {
+    // Roll the first pin back on partial failure.
+    (void)pin_(a->tid, cpus_[idx(cpuA)]);
+    occupant_[idx(a->cpu)] = occupantB;
+    a->cpu = cpuA;
+    return false;
+  }
+  util::logDebug("dike-host: swapped tid ", a->tid, " <-> ", b->tid);
+  return true;
+}
+
+bool DikeHost::migrateTo(int threadId, int coreId) {
+  HostThread* t = threadOf(threadId);
+  if (t == nullptr) return false;
+  const int from = t->cpu;
+  if (place(*t, coreId)) return false;
+  vacate(from, threadId);
+  return true;
 }
 
 }  // namespace dike::oslinux

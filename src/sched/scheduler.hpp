@@ -42,6 +42,52 @@ class ActuationHook {
                                                 util::Tick now) = 0;
 };
 
+/// What a SchedulerView reads and actuates through: core topology,
+/// occupancy, the clock, and the actuation calls. MachineBackend wraps the
+/// simulator; oslinux::DikeHost implements it over live cpus and threads,
+/// so both drive the same scheduler code. Core and thread ids are the
+/// backend's dense ids. swap/migrateTo return false when the backend
+/// refused the actuation; the placement is then unchanged.
+class Backend {
+ public:
+  virtual ~Backend() = default;
+  [[nodiscard]] virtual int coreCount() const = 0;
+  [[nodiscard]] virtual int socketOf(int coreId) const = 0;
+  /// Thread currently occupying a core, or -1 when free.
+  [[nodiscard]] virtual int coreOccupant(int coreId) const = 0;
+  [[nodiscard]] virtual util::Tick now() const = 0;
+  [[nodiscard]] virtual bool swap(int threadA, int threadB) = 0;
+  [[nodiscard]] virtual bool migrateTo(int threadId, int coreId) = 0;
+  [[nodiscard]] virtual bool isSuspended(int threadId) const = 0;
+  virtual void suspend(int threadId) = 0;
+  virtual void resume(int threadId) = 0;
+};
+
+/// The simulator backend: every call forwards to the machine, and every
+/// actuation succeeds.
+class MachineBackend final : public Backend {
+ public:
+  explicit MachineBackend(sim::Machine& machine) : m_(&machine) {}
+  int coreCount() const override { return m_->topology().coreCount(); }
+  int socketOf(int c) const override { return m_->topology().core(c).socket; }
+  int coreOccupant(int c) const override { return m_->coreOccupant(c); }
+  util::Tick now() const override { return m_->now(); }
+  bool swap(int a, int b) override {
+    m_->swapThreads(a, b);
+    return true;
+  }
+  bool migrateTo(int t, int c) override {
+    m_->migrateThread(t, c);
+    return true;
+  }
+  bool isSuspended(int t) const override { return m_->isSuspended(t); }
+  void suspend(int t) override { m_->suspendThread(t); }
+  void resume(int t) override { m_->resumeThread(t); }
+
+ private:
+  sim::Machine* m_;
+};
+
 /// Per-quantum window a scheduler operates through.
 class SchedulerView {
  public:
@@ -51,7 +97,8 @@ class SchedulerView {
   /// walks never mistake it for a thread id).
   static constexpr int kForeignCore = -2;
 
-  SchedulerView(sim::Machine& machine, const sim::QuantumSample& sample,
+  /// `backend` must outlive this view.
+  SchedulerView(Backend& backend, const sim::QuantumSample& sample,
                 ActuationHook* hook = nullptr);
 
   /// Cluster-scoped child view: presents `clusterSample` (the parent
@@ -72,9 +119,10 @@ class SchedulerView {
   }
 
   // Observable topology (an OS can always read this from sysfs).
-  [[nodiscard]] int coreCount() const;
-  [[nodiscard]] int socketCount() const;
-  [[nodiscard]] int socketOf(int coreId) const;
+  [[nodiscard]] int coreCount() const { return backend_->coreCount(); }
+  [[nodiscard]] int socketOf(int coreId) const {
+    return backend_->socketOf(coreId);
+  }
   /// Thread currently occupying a core, -1 when free, or kForeignCore when
   /// the core lies outside this (cluster-scoped) view's domain.
   [[nodiscard]] int coreOccupant(int coreId) const;
@@ -98,21 +146,24 @@ class SchedulerView {
     for (int c = 0; c < cores; ++c) visit(c);
   }
 
-  [[nodiscard]] util::Tick now() const;
+  [[nodiscard]] util::Tick now() const { return backend_->now(); }
 
   /// Exchange the cores of two live threads (one swap = two migrations).
-  /// Returns false when an attached ActuationHook failed the operation; the
-  /// placement is then unchanged and the caller should retry later.
+  /// Returns false when an attached ActuationHook or the backend failed the
+  /// operation; the placement is then unchanged and the caller should retry
+  /// later.
   [[nodiscard]] bool swap(int threadA, int threadB);
 
   /// Move a live thread to a currently free core (a single migration).
-  /// Returns false when an attached ActuationHook failed the operation.
+  /// Returns false when an attached ActuationHook or the backend failed it.
   [[nodiscard]] bool migrateTo(int threadId, int coreId);
 
   /// Suspension enforcement (for policies that pause instead of migrate).
-  void suspend(int threadId);
-  void resume(int threadId);
-  [[nodiscard]] bool isSuspended(int threadId) const;
+  void suspend(int threadId) { backend_->suspend(threadId); }
+  void resume(int threadId) { backend_->resume(threadId); }
+  [[nodiscard]] bool isSuspended(int threadId) const {
+    return backend_->isSuspended(threadId);
+  }
 
   /// Swaps performed through this view during the current quantum. Child
   /// views report the parent's tally (actuations land on the parent).
@@ -123,13 +174,14 @@ class SchedulerView {
   [[nodiscard]] std::int64_t migrationsThisQuantum() const noexcept {
     return parent_ != nullptr ? parent_->migrations_ : migrations_;
   }
-  /// Actuations (swaps + migrations) an ActuationHook failed this quantum.
+  /// Actuations (swaps + migrations) an ActuationHook or the backend failed
+  /// this quantum.
   [[nodiscard]] std::int64_t failedActuationsThisQuantum() const noexcept {
     return parent_ != nullptr ? parent_->failedActuations_ : failedActuations_;
   }
 
  private:
-  sim::Machine* machine_;
+  Backend* backend_;
   const sim::QuantumSample* sample_;
   ActuationHook* hook_ = nullptr;
   /// Set on cluster-scoped child views; actuations and counters then live
@@ -229,23 +281,14 @@ class SchedulerAdapter final : public sim::QuantumPolicy {
   void setListener(QuantumListener* listener) noexcept {
     listener_ = listener;
   }
-  [[nodiscard]] QuantumListener* listener() const noexcept {
-    return listener_;
-  }
 
   /// Attach (or detach with nullptr) a counter-path fault seam. Applied to
   /// every sample before the scheduler observes it.
   void setSampleFilter(SampleFilter* filter) noexcept { filter_ = filter; }
-  [[nodiscard]] SampleFilter* sampleFilter() const noexcept {
-    return filter_;
-  }
 
   /// Attach (or detach with nullptr) an actuation-path fault seam. Passed
   /// into every SchedulerView this adapter constructs.
   void setActuationHook(ActuationHook* hook) noexcept { hook_ = hook; }
-  [[nodiscard]] ActuationHook* actuationHook() const noexcept {
-    return hook_;
-  }
 
  private:
   Scheduler* scheduler_;

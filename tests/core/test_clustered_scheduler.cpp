@@ -1,15 +1,17 @@
-// ClusteredDikeScheduler: the equivalence contract at 1 cluster, cluster
-// geometry, multi-cluster aggregates and determinism, and the checkpoint
-// round trip (including corrupt-geometry rejection).
+// ClusteredDikeScheduler: the flat scheduler standing in at 1 cluster,
+// cluster geometry, multi-cluster aggregates and determinism, and the
+// checkpoint round trip (including corrupt-geometry rejection).
 #include "core/clustered_scheduler.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "ckpt/archive.hpp"
+#include "exp/runner.hpp"
 #include "sched/placement.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/machine.hpp"
@@ -76,10 +78,20 @@ std::string stateBytes(const sched::Scheduler& scheduler) {
   return w.take();
 }
 
+/// The Dike scheduler exp::makeScheduler builds for `clusters`.
+std::unique_ptr<sched::Scheduler> specScheduler(int clusters) {
+  exp::RunSpec spec;
+  spec.kind = exp::SchedulerKind::Dike;
+  spec.dikeConfig = clusteredConfig(clusters);
+  return exp::makeScheduler(spec);
+}
+
 TEST(ClusteredDikeScheduler, RejectsInvalidClusterKnobs) {
-  DikeConfig bad = clusteredConfig(-1);
-  EXPECT_THROW(ClusteredDikeScheduler{bad}, std::invalid_argument);
-  bad = clusteredConfig(2);
+  for (const int clusters : {-1, 0, 1})
+    EXPECT_THROW(ClusteredDikeScheduler{clusteredConfig(clusters)},
+                 std::invalid_argument)
+        << "clusters=" << clusters;
+  DikeConfig bad = clusteredConfig(2);
   bad.cluster.rebalanceQuanta = 0;
   EXPECT_THROW(ClusteredDikeScheduler{bad}, std::invalid_argument);
   bad = clusteredConfig(2);
@@ -87,29 +99,34 @@ TEST(ClusteredDikeScheduler, RejectsInvalidClusterKnobs) {
   EXPECT_THROW(ClusteredDikeScheduler{bad}, std::invalid_argument);
 }
 
+/// A 1-cluster spec builds the flat DikeScheduler itself: same name, same
+/// run, same checkpoint bytes as a 0-cluster spec.
 TEST(ClusteredDikeScheduler, OneClusterIsByteIdenticalToFlat) {
+  const std::unique_ptr<sched::Scheduler> flat = specScheduler(0);
+  const std::unique_ptr<sched::Scheduler> oneCluster = specScheduler(1);
+  EXPECT_NE(dynamic_cast<DikeScheduler*>(oneCluster.get()), nullptr);
+  EXPECT_EQ(dynamic_cast<ClusteredDikeScheduler*>(oneCluster.get()), nullptr);
+  EXPECT_EQ(oneCluster->name(), "dike");
+  EXPECT_EQ(oneCluster->name(), flat->name());
+
   sim::Machine flatMachine = clusterMachine();
-  DikeScheduler flat{DikeConfig{}};
-  sched::SchedulerAdapter flatAdapter{flat};
+  sched::SchedulerAdapter flatAdapter{*flat};
   const sim::RunOutcome flatOutcome = sim::runMachine(flatMachine, flatAdapter);
+  sim::Machine oneClusterMachine = clusterMachine();
+  sched::SchedulerAdapter oneClusterAdapter{*oneCluster};
+  const sim::RunOutcome oneClusterOutcome =
+      sim::runMachine(oneClusterMachine, oneClusterAdapter);
 
-  sim::Machine clusteredMachine = clusterMachine();
-  ClusteredDikeScheduler clustered{clusteredConfig(1)};
-  EXPECT_EQ(clustered.name(), flat.name());
-  sched::SchedulerAdapter clusteredAdapter{clustered};
-  const sim::RunOutcome clusteredOutcome =
-      sim::runMachine(clusteredMachine, clusteredAdapter);
-
-  EXPECT_EQ(flatOutcome.finishTick, clusteredOutcome.finishTick);
-  EXPECT_EQ(flatMachine.swapCount(), clusteredMachine.swapCount());
-  EXPECT_EQ(flatMachine.migrationCount(), clusteredMachine.migrationCount());
-  EXPECT_EQ(stateBytes(flat), stateBytes(clustered));
+  EXPECT_EQ(flatOutcome.finishTick, oneClusterOutcome.finishTick);
+  EXPECT_EQ(flatMachine.swapCount(), oneClusterMachine.swapCount());
+  EXPECT_EQ(flatMachine.migrationCount(), oneClusterMachine.migrationCount());
+  EXPECT_EQ(stateBytes(*flat), stateBytes(*oneCluster));
 }
 
 TEST(ClusteredDikeScheduler, ResolvesContiguousSocketAlignedGeometry) {
   sim::Machine machine = clusterMachine();
   ClusteredDikeScheduler scheduler{clusteredConfig(4)};
-  EXPECT_EQ(scheduler.configuredClusters(), 4);
+  EXPECT_EQ(scheduler.configuration().cluster.clusters, 4);
   EXPECT_EQ(scheduler.resolvedClusters(), 0);  // unknown before a quantum
 
   sched::SchedulerAdapter adapter{scheduler};
@@ -420,7 +437,8 @@ TEST(ClusteredDikeScheduler, RebalanceRetriesWhileObserversWarmUp) {
   // Drive rebalance directly with never-warmed observers. The view is only
   // touched past the cadence and readiness gates, so a dummy sample works.
   sim::QuantumSample sample;
-  sched::SchedulerView view{machine, sample};
+  sched::MachineBackend backend{machine};
+  sched::SchedulerView view{backend, sample};
   for (int q = 1; q <= 2; ++q) {
     ClusteredSchedulerTestPeer::rebalance(scheduler, view);
     EXPECT_EQ(ClusteredSchedulerTestPeer::quantaSinceRebalance(scheduler), q)
@@ -441,11 +459,11 @@ TEST(ClusteredDikeScheduler, RebalanceRetriesWhileObserversWarmUp) {
 }
 
 TEST(ClusteredDikeScheduler, ForeignCoreSentinelNeverLeaksIntoFlatRuns) {
-  // Flat-mode child plumbing is bypassed entirely; a full flat run must
-  // never see kForeignCore from the public occupant surface.
+  // A 1-cluster spec runs flat, with no child views; a full run must never
+  // see kForeignCore from the public occupant surface.
   sim::Machine machine = clusterMachine();
-  ClusteredDikeScheduler scheduler{clusteredConfig(1)};
-  sched::SchedulerAdapter adapter{scheduler};
+  const std::unique_ptr<sched::Scheduler> scheduler = specScheduler(1);
+  sched::SchedulerAdapter adapter{*scheduler};
   (void)sim::runMachine(machine, adapter);
   for (int c = 0; c < machine.topology().coreCount(); ++c)
     EXPECT_GE(machine.coreOccupant(c), -1) << "core " << c;

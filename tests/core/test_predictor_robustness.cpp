@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "core/optimizer.hpp"
 #include "core/predictor.hpp"
@@ -110,7 +111,10 @@ TEST(PredictorRobustness, SelectorPairsOverCorruptFeedStaySane) {
 
   Selector selector;
   Predictor predictor;
-  for (const ThreadPair& pair : selector.formPairs(observer, /*swapSize=*/8))
+  SelectorScratch scratch;
+  std::vector<ThreadPair> pairs;
+  selector.formPairsInto(observer, /*swapSize=*/8, scratch, pairs);
+  for (const ThreadPair& pair : pairs)
     expectSanePrediction(predictor.predict(observer, pair, 500));
 }
 

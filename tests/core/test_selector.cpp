@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "observation_builder.hpp"
 
@@ -20,6 +21,15 @@ ObserverConfig observerConfig() {
 SelectorConfig selectorConfig(double threshold = 0.01, bool rotate = true,
                               double margin = 0.03) {
   return SelectorConfig{threshold, rotate, margin};
+}
+
+/// One formPairsInto call on a fresh scratch.
+std::vector<ThreadPair> pairsOf(const Selector& selector, const Observer& obs,
+                                int swapSize) {
+  SelectorScratch scratch;
+  std::vector<ThreadPair> pairs;
+  selector.formPairsInto(obs, swapSize, scratch, pairs);
+  return pairs;
 }
 
 /// Canonical unfair system on 4 cores (0,1 = socket 0 high-BW):
@@ -40,7 +50,7 @@ Observer violatorObserver() {
 TEST(Selector, NoPairsWhenObserverNotReady) {
   Observer obs{observerConfig()};
   const Selector selector{selectorConfig()};
-  EXPECT_TRUE(selector.formPairs(obs, 8).empty());
+  EXPECT_TRUE(pairsOf(selector, obs, 8).empty());
 }
 
 TEST(Selector, NoPairsWhenSystemFair) {
@@ -49,14 +59,14 @@ TEST(Selector, NoPairsWhenSystemFair) {
   b.thread(0, 0, 0, 2e7, 0.3).thread(1, 0, 1, 2e7, 0.3);
   obs.observe(b.get());
   const Selector selector{selectorConfig(/*threshold=*/0.1)};
-  EXPECT_TRUE(selector.formPairs(obs, 8).empty());
+  EXPECT_TRUE(pairsOf(selector, obs, 8).empty());
 }
 
 TEST(Selector, PairsViolatorsAcrossBandwidthClasses) {
   Observer obs = violatorObserver();
   ASSERT_GE(obs.systemUnfairness(), 0.01);
   const Selector selector{selectorConfig()};
-  const auto pairs = selector.formPairs(obs, 8);
+  const auto pairs = pairsOf(selector, obs, 8);
   ASSERT_FALSE(pairs.empty());
   // The first pair must fix the classic violation: compute thread 1 off the
   // high-BW core, memory thread 2 onto it.
@@ -77,10 +87,10 @@ TEST(Selector, SwapSizeBoundsPairCount) {
   obs.observe(b.get());
 
   const Selector selector{selectorConfig()};
-  EXPECT_EQ(selector.formPairs(obs, 2).size(), 1u);
-  EXPECT_EQ(selector.formPairs(obs, 4).size(), 2u);
-  EXPECT_EQ(selector.formPairs(obs, 8).size(), 4u);
-  EXPECT_EQ(selector.formPairs(obs, 1).size(), 0u);  // < 2 threads to move
+  EXPECT_EQ(pairsOf(selector, obs, 2).size(), 1u);
+  EXPECT_EQ(pairsOf(selector, obs, 4).size(), 2u);
+  EXPECT_EQ(pairsOf(selector, obs, 8).size(), 4u);
+  EXPECT_EQ(pairsOf(selector, obs, 1).size(), 0u);  // < 2 threads to move
 }
 
 TEST(Selector, PairsNeverReuseAThread) {
@@ -92,7 +102,7 @@ TEST(Selector, PairsNeverReuseAThread) {
   obs.observe(b.get());
 
   const Selector selector{selectorConfig()};
-  const auto pairs = selector.formPairs(obs, 16);
+  const auto pairs = pairsOf(selector, obs, 16);
   std::set<int> seen;
   for (const ThreadPair& p : pairs) {
     EXPECT_TRUE(seen.insert(p.lowThread).second);
@@ -112,7 +122,7 @@ TEST(Selector, AllSameClassPairsFromBothEnds) {
   obs.observe(b.get());
 
   const Selector selector{selectorConfig()};
-  const auto pairs = selector.formPairs(obs, 4);
+  const auto pairs = pairsOf(selector, obs, 4);
   ASSERT_EQ(pairs.size(), 2u);
   EXPECT_EQ(pairs[0].lowThread, 0);
   EXPECT_EQ(pairs[0].highThread, 3);
@@ -136,7 +146,7 @@ TEST(Selector, RotationPairsSameClassByDeficit) {
   ASSERT_GT(obs.systemUnfairness(), 0.01);
 
   const Selector rotating{selectorConfig(0.01, /*rotate=*/true)};
-  const auto pairs = rotating.formPairs(obs, 8);
+  const auto pairs = pairsOf(rotating, obs, 8);
   ASSERT_FALSE(pairs.empty());
   // The surplus compute thread rotates with a starved sibling.
   EXPECT_EQ(pairs[0].lowThread, 0);
@@ -145,7 +155,7 @@ TEST(Selector, RotationPairsSameClassByDeficit) {
   // Without rotation, the compute violator has no memory partner stuck on
   // a low-BW core, so nothing can be paired.
   const Selector strict{selectorConfig(0.01, /*rotate=*/false)};
-  EXPECT_TRUE(strict.formPairs(obs, 8).empty());
+  EXPECT_TRUE(pairsOf(strict, obs, 8).empty());
 }
 
 TEST(Selector, MarginSuppressesEqualRotation) {
@@ -163,7 +173,7 @@ TEST(Selector, MarginSuppressesEqualRotation) {
   ASSERT_GT(obs.systemUnfairness(), 0.05);
 
   const Selector selector{selectorConfig(0.05, true, /*margin=*/0.5)};
-  EXPECT_TRUE(selector.formPairs(obs, 8).empty());
+  EXPECT_TRUE(pairsOf(selector, obs, 8).empty());
 }
 
 TEST(Selector, CrossClassViolatorPairIgnoresMargin) {
@@ -171,7 +181,7 @@ TEST(Selector, CrossClassViolatorPairIgnoresMargin) {
   // Even with a huge margin, fixing a C-on-fast/M-on-slow violation is
   // always worthwhile.
   const Selector selector{selectorConfig(0.01, true, /*margin=*/10.0)};
-  const auto pairs = selector.formPairs(obs, 8);
+  const auto pairs = pairsOf(selector, obs, 8);
   ASSERT_FALSE(pairs.empty());
   EXPECT_EQ(pairs[0].lowThread, 1);
   EXPECT_EQ(pairs[0].highThread, 2);

@@ -1,8 +1,8 @@
 // Property tests for Selector::formPairsInto on populations from the
 // paper's 40 threads up to the large-machine 4096: structural invariants
-// (no thread in two pairs, swapSize bound), determinism, parity with the
-// allocating formPairs, and the all-same-class both-ends walk against an
-// explicitly computed reference.
+// (no thread in two pairs, swapSize bound), determinism, a reused dirty
+// scratch matching a fresh one, and the all-same-class both-ends walk
+// against an explicitly computed reference.
 #include "core/selector.hpp"
 
 #include <gtest/gtest.h>
@@ -116,16 +116,20 @@ TEST(SelectorProperties, DeterministicAcrossCallsAndScratchReuse) {
   }
 }
 
-TEST(SelectorProperties, MatchesAllocatingFormPairsAtEveryScale) {
+TEST(SelectorProperties, DirtyScratchMatchesFreshScratchAtEveryScale) {
   const Selector selector{selectorConfig()};
+  // The scratch and pair buffer carry every earlier call's contents (and a
+  // different population's to start with); the reference starts clean.
   SelectorScratch scratch;
   std::vector<ThreadPair> pairs;
+  selector.formPairsInto(sameClassObserver(8), 4, scratch, pairs);
   for (const int n : kPopulations) {
     for (const bool sameClass : {false, true}) {
       const Observer obs = sameClass ? sameClassObserver(n) : mixedObserver(n);
       for (const int swapSize : {2, 8, 16}) {
-        const std::vector<ThreadPair> reference =
-            selector.formPairs(obs, swapSize);
+        SelectorScratch freshScratch;
+        std::vector<ThreadPair> reference;
+        selector.formPairsInto(obs, swapSize, freshScratch, reference);
         selector.formPairsInto(obs, swapSize, scratch, pairs);
         ASSERT_EQ(reference.size(), pairs.size())
             << "n=" << n << " swapSize=" << swapSize;

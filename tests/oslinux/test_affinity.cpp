@@ -47,19 +47,5 @@ TEST(Affinity, MissingThreadFails) {
   EXPECT_TRUE(static_cast<bool>(getAffinity(-2, cpus)));
 }
 
-TEST(Affinity, SwapRequiresSinglePins) {
-  std::vector<int> original;
-  ASSERT_FALSE(getAffinity(0, original));
-  if (original.size() > 1) {
-    // Current mask has several cpus: swap must refuse.
-    EXPECT_EQ(swapPinnedCpus(0, 0),
-              std::make_error_code(std::errc::invalid_argument));
-  } else {
-    // Single-cpu machine: the swap of self with self is a valid no-op.
-    EXPECT_FALSE(swapPinnedCpus(0, 0));
-  }
-  EXPECT_FALSE(setAffinity(0, original));
-}
-
 }  // namespace
 }  // namespace dike::oslinux

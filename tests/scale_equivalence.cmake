@@ -1,9 +1,9 @@
-# Clustered-at-1 equivalence, end to end: the ClusteredDikeScheduler with
-# `cluster.clusters = 1` must be byte-identical to the flat DikeScheduler —
-# same report JSON, and checkpoints dike_diff sees as identical (the config
-# codec omits a <2-cluster section precisely so the embedded specs match).
-# Checked on a plain config and on one with the fault layer active, so the
-# delegation holds under failed actuations and corrupted samples too.
+# Clustered-at-1 equivalence, end to end: a `cluster.clusters = 1` config
+# builds the flat DikeScheduler, so it must be byte-identical to the flat
+# config — same report JSON, and checkpoints dike_diff sees as identical
+# (the config codec omits a <2-cluster section precisely so the embedded
+# specs match). Checked on a plain config and on one with the fault layer
+# active, so it holds under failed actuations and corrupted samples too.
 #
 # Invoked by ctest (see tests/CMakeLists.txt) with:
 #   -DDIKE_RUN=<dike_run binary> -DDIKE_DIFF=<dike_diff binary>

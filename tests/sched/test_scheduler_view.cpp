@@ -30,9 +30,9 @@ sim::Machine twoThreadMachine() {
 TEST(SchedulerView, ExposesTopologyAndOccupancy) {
   sim::Machine m = twoThreadMachine();
   const sim::QuantumSample sample = m.sampleAndReset();
-  SchedulerView view{m, sample};
+  MachineBackend backend{m};
+  SchedulerView view{backend, sample};
   EXPECT_EQ(view.coreCount(), 4);
-  EXPECT_EQ(view.socketCount(), 2);
   EXPECT_EQ(view.socketOf(0), 0);
   EXPECT_EQ(view.socketOf(3), 1);
   EXPECT_EQ(view.coreOccupant(0), 0);
@@ -43,7 +43,8 @@ TEST(SchedulerView, ExposesTopologyAndOccupancy) {
 TEST(SchedulerView, ForEachCoreVisitsOnlyTheViewsDomain) {
   sim::Machine m = twoThreadMachine();
   const sim::QuantumSample sample = m.sampleAndReset();
-  SchedulerView view{m, sample};
+  MachineBackend backend{m};
+  SchedulerView view{backend, sample};
   std::vector<int> visited;
   view.forEachCore([&](int c) { visited.push_back(c); });
   EXPECT_EQ(visited, (std::vector<int>{0, 1, 2, 3}));
@@ -64,7 +65,8 @@ TEST(SchedulerView, ForEachCoreVisitsOnlyTheViewsDomain) {
 TEST(SchedulerView, SwapCountsAndForwards) {
   sim::Machine m = twoThreadMachine();
   const sim::QuantumSample sample = m.sampleAndReset();
-  SchedulerView view{m, sample};
+  MachineBackend backend{m};
+  SchedulerView view{backend, sample};
   EXPECT_TRUE(view.swap(0, 1));
   EXPECT_EQ(view.swapsThisQuantum(), 1);
   EXPECT_EQ(m.coreOccupant(0), 1);
@@ -75,7 +77,8 @@ TEST(SchedulerView, SwapCountsAndForwards) {
 TEST(SchedulerView, MigrateToCountsSeparately) {
   sim::Machine m = twoThreadMachine();
   const sim::QuantumSample sample = m.sampleAndReset();
-  SchedulerView view{m, sample};
+  MachineBackend backend{m};
+  SchedulerView view{backend, sample};
   EXPECT_TRUE(view.migrateTo(0, 1));
   EXPECT_EQ(view.migrationsThisQuantum(), 1);
   EXPECT_EQ(view.swapsThisQuantum(), 0);

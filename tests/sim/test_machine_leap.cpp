@@ -37,7 +37,8 @@ class CapturingAdapter final : public sim::QuantumPolicy {
 
   void onQuantum(sim::Machine& machine) override {
     samples_.push_back(machine.sampleAndReset());
-    sched::SchedulerView view{machine, samples_.back()};
+    sched::MachineBackend backend{machine};
+    sched::SchedulerView view{backend, samples_.back()};
     scheduler_->onQuantum(view);
   }
 
