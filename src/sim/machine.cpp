@@ -33,6 +33,53 @@ constexpr double kEps = 1e-9;
   return whole > margin ? whole - margin : 0;
 }
 
+/// Restored placement must be one the engine could have produced: the
+/// per-tick loops index per-core arrays by thread coreId, and the leap
+/// replay treats each active thread's core counter as its own accumulator,
+/// so a checksum-valid but inconsistent payload must fail here rather than
+/// index out of bounds or alias two lanes. Thread coreIds are range-checked
+/// as they are read.
+void checkPlacement(const std::vector<SimThread>& threads,
+                    const std::vector<int>& coreToThread,
+                    const std::vector<int>& liveThreads) {
+  const auto fail = [](const std::string& what) {
+    throw ckpt::CheckpointError{"checkpointed placement is inconsistent: " +
+                                what};
+  };
+  for (std::size_t c = 0; c < coreToThread.size(); ++c) {
+    const int id = coreToThread[c];
+    if (id < -1 || id >= util::isize(threads))
+      fail("core " + std::to_string(c) + " holds thread " +
+           std::to_string(id) + " of " + std::to_string(threads.size()));
+    if (id < 0) continue;
+    const SimThread& t = threads[static_cast<std::size_t>(id)];
+    if (t.finished || t.coreId != static_cast<int>(c))
+      fail("core " + std::to_string(c) + " holds thread " +
+           std::to_string(id) + ", which is " +
+           (t.finished ? std::string{"finished"}
+                       : "on core " + std::to_string(t.coreId)));
+  }
+  // A finished thread keeps its last coreId after its core is freed.
+  for (const SimThread& t : threads)
+    if (!t.finished && t.coreId >= 0 &&
+        coreToThread[static_cast<std::size_t>(t.coreId)] != t.id)
+      fail("thread " + std::to_string(t.id) + " is on core " +
+           std::to_string(t.coreId) + ", which holds thread " +
+           std::to_string(coreToThread[static_cast<std::size_t>(t.coreId)]));
+  std::vector<std::uint8_t> listed(threads.size(), 0);
+  for (const int id : liveThreads) {
+    if (id < 0 || id >= util::isize(threads))
+      fail("live thread " + std::to_string(id) + " of " +
+           std::to_string(threads.size()));
+    const auto i = static_cast<std::size_t>(id);
+    if (listed[i] != 0)
+      fail("thread " + std::to_string(id) + " is listed live twice");
+    if (threads[i].finished)
+      fail("finished thread " + std::to_string(id) + " is listed live");
+    listed[i] = 1;
+  }
+}
+
 /// Bitwise equality of two demand vectors (the arbitration memo key).
 /// Bit-level comparison, not operator==: distinguishing -0.0 from 0.0 (and
 /// never equating NaNs) is what makes "equal demands" imply "bit-identical
@@ -482,14 +529,17 @@ util::Tick Machine::leapHorizon(util::Tick target) const {
 }
 
 void Machine::replayTicks(util::Tick n, double watts) {
-  // Bit-identity rule: per accumulator, perform exactly the additions the
-  // per-tick loop would have performed (repeated FP addition of a constant
-  // is not equal to one multiply-add). Integer counters are exact either
-  // way. Everything else — pressure, arbitration, phase lookups — is
-  // provably unchanged across the window and simply not recomputed.
+  // Bit-identity rule: per accumulator, end exactly where the per-tick loop
+  // would have ended (repeated FP addition of a constant is not one
+  // multiply-add). Each floating-point accumulator is a lane of the replay
+  // kernel (sim/replay_kernel.hpp), which finishes it in O(1) when that is
+  // provably exact and performs the literal additions otherwise. Integer
+  // counters are exact either way. Everything else — pressure, arbitration,
+  // phase lookups — is provably unchanged across the window and simply not
+  // recomputed.
   hotDirty_ = true;
-  const double wJ = watts * util::kTickSeconds;
-  for (util::Tick k = 0; k < n; ++k) energyJ_ += wJ;
+  replay_.begin(n);
+  replay_.add(energyJ_, watts * util::kTickSeconds);
 
   for (int id : liveThreads_) {
     const auto i = static_cast<std::size_t>(id);
@@ -509,40 +559,31 @@ void Machine::replayTicks(util::Tick n, double watts) {
     }
   }
 
+  // Lanes are distinct accumulators: each active thread owns its own
+  // counters and occupies its own core (loadState enforces one occupant
+  // per core for restored placements).
   for (std::size_t k = 0; k < activeScratch_.size(); ++k) {
     const auto i = static_cast<std::size_t>(activeScratch_[k]);
     const double e = executedScratch_[k];
     const double a = accessesScratch_[k];
-    // The six chains are independent of each other, so one fused loop lets
-    // them retire in parallel instead of serialising six latency-bound
-    // chains; within each chain the addition order is unchanged.
-    double executed = hot_.executed[i];
-    double phaseExecuted = hot_.phaseExecuted[i];
-    double quantumInstructions = hot_.quantumInstructions[i];
-    double quantumAccesses = hot_.quantumAccesses[i];
-    double totalAccesses = hot_.totalAccesses[i];
-    double coreAccesses =
-        coreQuantumAccesses_[static_cast<std::size_t>(hot_.coreId[i])];
-    for (util::Tick t = 0; t < n; ++t) {
-      executed += e;
-      phaseExecuted += e;
-      quantumInstructions += e;
-      quantumAccesses += a;
-      totalAccesses += a;
-      coreAccesses += a;
-    }
-    hot_.executed[i] = executed;
-    hot_.phaseExecuted[i] = phaseExecuted;
-    hot_.quantumInstructions[i] = quantumInstructions;
-    hot_.quantumAccesses[i] = quantumAccesses;
-    hot_.totalAccesses[i] = totalAccesses;
-    coreQuantumAccesses_[static_cast<std::size_t>(hot_.coreId[i])] =
-        coreAccesses;
+    replay_.add(hot_.executed[i], e);
+    replay_.add(hot_.phaseExecuted[i], e);
+    replay_.add(hot_.totalAccesses[i], a);
+    // The per-quantum counters restart at zero every quantum, so a leap
+    // usually carries them across several binades, where the jump cannot
+    // apply: trying it would only cost time.
+    replay_.addLiteral(hot_.quantumInstructions[i], e);
+    replay_.addLiteral(hot_.quantumAccesses[i], a);
+    replay_.addLiteral(
+        coreQuantumAccesses_[static_cast<std::size_t>(hot_.coreId[i])], a);
   }
+  replay_.finish();
 
   now_ += n;
   stats_.leapedTicks += n;
   DIKE_COUNTER("sim.leap.replays");
+  DIKE_COUNTER_ADD("sim.leap.lanes_jumped", replay_.jumped());
+  DIKE_COUNTER_ADD("sim.leap.lanes_literal", replay_.literal());
   DIKE_COUNTER_ADD("sim.ticks.leaped", n);
 }
 
@@ -904,7 +945,13 @@ void Machine::loadState(ckpt::BinReader& r) {
     t.executed = r.f64("executed");
     t.phaseExecuted = r.f64("phaseExecuted");
     t.phaseIndex = static_cast<int>(r.i64("phaseIndex"));
-    t.coreId = static_cast<int>(r.i64("coreId"));
+    const std::int64_t coreId = r.i64("coreId");
+    if (coreId < -1 || coreId >= util::isize(coreToThread_))
+      throw ckpt::CheckpointError{
+          "checkpointed thread " + std::to_string(t.id) + " sits on core " +
+          std::to_string(coreId) + " but this topology has " +
+          std::to_string(coreToThread_.size()) + " vcores"};
+    t.coreId = static_cast<int>(coreId);
     t.stallUntilTick = r.i64("stallUntilTick");
     t.coldUntilTick = r.i64("coldUntilTick");
     t.suspended = r.boolean("suspended");
@@ -935,6 +982,7 @@ void Machine::loadState(ckpt::BinReader& r) {
     t.slowCoreTicks = r.i64("slowCoreTicks");
     r.endSection();
   }
+  checkPlacement(restored, coreToThread, liveThreads);
   const std::int64_t processCount = r.i64("processCount");
   if (processCount != util::isize(processes_))
     throw ckpt::CheckpointError{

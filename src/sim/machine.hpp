@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "sim/memory.hpp"
+#include "sim/replay_kernel.hpp"
 #include "sim/thread.hpp"
 #include "sim/topology.hpp"
 #include "sim/trace.hpp"
@@ -357,6 +358,8 @@ class Machine {
   std::vector<double> accessesScratch_;
   std::vector<double> servedScratch_;
   ArbitrationScratch arbScratch_;
+  /// replayTicks' lane block: per machine, since machines step concurrently.
+  LaneReplay replay_;
 
   /// LLC-pressure inflation factor per socket, cached across ticks: its
   /// inputs (which threads are resident where, and their phases' working

@@ -4,6 +4,12 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <string_view>
+
+#include "ckpt/archive.hpp"
+#include "ckpt/checkpoint.hpp"
 
 namespace dike::sim {
 namespace {
@@ -409,6 +415,96 @@ TEST(Machine, RunMachineTimesOutAtLimit) {
   const RunOutcome outcome = runMachine(m, policy, RunLimits{500});
   EXPECT_TRUE(outcome.timedOut);
   EXPECT_EQ(outcome.finishTick, 500);
+}
+
+/// 8 vcores, 4 threads: thread 0 finished (its core 0 freed), threads 1-3
+/// live on cores 1, 2 and 5.
+Machine restoreFixture() {
+  Machine m = smallMachine(4);
+  m.addProcess("quick", simpleProgram(2.33e6 * 5), 1, false);
+  m.addProcess("long", simpleProgram(1e12, 0.002), 3, true);
+  m.placeThread(0, 0);
+  m.placeThread(1, 1);
+  m.placeThread(2, 2);
+  m.placeThread(3, 5);
+  return m;
+}
+
+std::string savedFixture() {
+  Machine m = restoreFixture();
+  for (int t = 0; t < 20; ++t) m.step();
+  EXPECT_TRUE(m.thread(0).finished);
+  ckpt::BinWriter w;
+  m.saveState(w);
+  return w.take();
+}
+
+/// Overwrite one i64 of the record at `path` (element `index` of a vector
+/// record) and wrap the corrupted payload in a container with a fresh,
+/// valid checksum, as a writer with a placement bug would have.
+std::string corrupted(std::string payload, std::string_view path,
+                      std::size_t index, std::int64_t value) {
+  for (const ckpt::Token& tok : ckpt::tokenize(payload)) {
+    if (tok.path != path) continue;
+    const std::size_t nameLength = path.size() - path.rfind('/') - 1;
+    std::size_t at = tok.offset + 1 + 4 + nameLength;
+    if (tok.tag == ckpt::Tag::VecI64) at += 4 + 8 * index;
+    const auto raw = static_cast<std::uint64_t>(value);
+    for (std::size_t b = 0; b < 8; ++b)
+      payload[at + b] = static_cast<char>((raw >> (8 * b)) & 0xFF);
+    return ckpt::encodeCheckpoint(payload);
+  }
+  ADD_FAILURE() << "no record " << path;
+  return ckpt::encodeCheckpoint(payload);
+}
+
+/// Decode (the checksum passes) and restore into a fresh machine.
+void restoreInto(Machine& m, const std::string& container) {
+  const std::string payload = ckpt::decodeCheckpoint(container);
+  ckpt::BinReader r{payload};
+  m.loadState(r);
+}
+
+TEST(MachineRestore, ConsistentPlacementRoundTrips) {
+  const std::string saved = savedFixture();
+  Machine m = restoreFixture();
+  restoreInto(m, ckpt::encodeCheckpoint(saved));
+  ckpt::BinWriter w;
+  m.saveState(w);
+  EXPECT_EQ(w.take(), saved);
+}
+
+TEST(MachineRestore, InconsistentPlacementIsRejected) {
+  const std::string saved = savedFixture();
+  struct Corruption {
+    const char* what;
+    std::string_view path;
+    std::size_t index;
+    std::int64_t value;
+  };
+  const Corruption cases[] = {
+      {"thread coreId past the last vcore", "machine/thread 1/coreId", 0, 8},
+      {"thread coreId below -1", "machine/thread 1/coreId", 0, -2},
+      {"two live threads on one core", "machine/thread 2/coreId", 0, 1},
+      {"core occupant past the last thread", "machine/coreToThread", 3, 4},
+      {"core occupant below -1", "machine/coreToThread", 3, -2},
+      {"core names a thread placed elsewhere", "machine/coreToThread", 7, 3},
+      {"core names a finished thread", "machine/coreToThread", 0, 0},
+      {"live thread's core is empty", "machine/coreToThread", 1, -1},
+      {"live thread id past the last thread", "machine/liveThreads", 0, 7},
+      {"live thread id negative", "machine/liveThreads", 0, -1},
+      {"live thread listed twice", "machine/liveThreads", 0, 2},
+      {"finished thread listed live", "machine/liveThreads", 0, 0},
+  };
+  for (const Corruption& c : cases) {
+    SCOPED_TRACE(c.what);
+    Machine m = restoreFixture();
+    EXPECT_THROW(restoreInto(m, corrupted(saved, c.path, c.index, c.value)),
+                 ckpt::CheckpointError);
+    // A rejected restore leaves the machine as constructed.
+    EXPECT_EQ(m.now(), 0);
+    EXPECT_EQ(m.coreOccupant(1), 1);
+  }
 }
 
 }  // namespace

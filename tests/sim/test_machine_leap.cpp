@@ -8,9 +8,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "ckpt/archive.hpp"
+#include "core/dike_scheduler.hpp"
 #include "exp/metrics.hpp"
+#include "exp/replay.hpp"
 #include "exp/runner.hpp"
 #include "sched/cfs.hpp"
 #include "sched/placement.hpp"
@@ -310,6 +314,78 @@ TEST(MachineLeap, StepUntilMatchesStepLoopMidRun) {
     expectThreadsIdentical(a, b);
     EXPECT_EQ(leap.energyJoules(), tick.energyJoules());
   }
+}
+
+/// The paper testbed's 40 threads fill only a handful of the replay
+/// kernel's 16-lane blocks. A wider machine fills dozens, under clustered
+/// Dike: 8 sockets x 16 cores x 2 SMT, 32 tenants of 8 threads, and a
+/// socket's worth of controller bandwidth per socket so Dike acts. The
+/// checkpoint payloads after 40 quanta must match token for token, except
+/// the run config (which records the leap switch) and the step statistics
+/// (which count how ticks were advanced).
+struct LargeRun {
+  std::string payload;
+  std::int64_t swaps = 0;
+  sim::StepStats stats;
+};
+
+LargeRun runLargeMachine(bool leap) {
+  constexpr int kSockets = 8;
+  exp::RunSpec spec;
+  spec.seed = 5;
+  for (int s = 0; s < kSockets; ++s) {
+    const bool fast = s % 2 == 0;
+    spec.topology.push_back(sim::SocketSpec{
+        .physicalCores = 16,
+        .smtWays = 2,
+        .freqGhz = fast ? 2.33 : 1.21,
+        .type = fast ? sim::CoreType::Fast : sim::CoreType::Slow});
+  }
+  std::vector<std::string> models;
+  for (const std::string& name : wl::benchmarkNames())
+    if (name != "kmeans") models.push_back(name);
+  wl::WorkloadSpec tenants;
+  tenants.name = "tenants32";
+  tenants.includeKmeans = false;
+  for (std::size_t t = 0; t < 32; ++t)
+    tenants.apps.push_back(models[(t * 5) % models.size()]);
+  spec.customWorkload = tenants;
+  spec.threadsPerApp = 8;
+  spec.kind = exp::SchedulerKind::Dike;
+  core::DikeConfig cfg;
+  cfg.cluster.clusters = kSockets;
+  spec.dikeConfig = cfg;
+  spec.params = cfg.params;
+  spec.machine.memory.controllerAccessesPerSec *= kSockets;
+  spec.machine.tickLeaping = leap;
+
+  exp::RunSession session{spec};
+  for (int q = 0; q < 40; ++q)
+    if (!session.stepQuantum()) break;
+  return LargeRun{session.checkpointPayload(), session.machine().swapCount(),
+                  session.machine().stepStats()};
+}
+
+TEST(MachineLeap, GoldenEquivalenceOnALargeClusteredMachine) {
+  const LargeRun leapRun = runLargeMachine(true);
+  const LargeRun tickRun = runLargeMachine(false);
+  const std::vector<ckpt::Token> leap = ckpt::tokenize(leapRun.payload);
+  const std::vector<ckpt::Token> tick = ckpt::tokenize(tickRun.payload);
+  ASSERT_EQ(leap.size(), tick.size());
+  for (std::size_t k = 0; k < leap.size(); ++k) {
+    const std::string& path = leap[k].path;
+    if (path == "run/config" || path == "run/machine/computedTicks" ||
+        path == "run/machine/leapedTicks")
+      continue;
+    ASSERT_EQ(leap[k], tick[k]) << path << ": " << leap[k].value << " vs "
+                                << tick[k].value;
+  }
+  EXPECT_EQ(leapRun.stats.computedTicks + leapRun.stats.leapedTicks,
+            tickRun.stats.computedTicks);
+  EXPECT_EQ(tickRun.stats.leapedTicks, 0);
+  // Not vacuous: most ticks were leaped and Dike moved threads.
+  EXPECT_GT(leapRun.stats.leapedTicks, leapRun.stats.computedTicks);
+  EXPECT_GT(leapRun.swaps, 0);
 }
 
 }  // namespace

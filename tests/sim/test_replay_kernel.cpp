@@ -1,0 +1,215 @@
+// Differential test of the leap replay kernel (sim/replay_kernel.hpp): for
+// seeded random accumulators, increments and tick counts, the O(1) jump and
+// the blocked literal replay must leave every accumulator bitwise where n
+// literal additions leave it. The cases concentrate on the inputs where a
+// closed form is most likely to be wrong: zero starts, exact rounding ties,
+// sums that cross a power of two, increments too small to move the
+// accumulator, subnormals and non-finite values.
+#include "sim/replay_kernel.hpp"
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
+namespace dike::sim {
+namespace {
+
+constexpr int kCases = 200'000;
+
+double literalSum(double x, double e, std::int64_t n) {
+  for (std::int64_t t = 0; t < n; ++t) x += e;
+  return x;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The spacing of doubles in x's binade (x normal and positive).
+double ulpOf(double x) { return std::ldexp(1.0, std::ilogb(x) - 52); }
+
+struct Case {
+  double x = 0.0;
+  double e = 0.0;
+  std::int64_t n = 0;
+};
+
+/// One seeded case; `kind` picks the input family.
+class CaseGen {
+ public:
+  explicit CaseGen(std::uint64_t seed) : rng_(seed) {}
+
+  Case next(int kind) {
+    Case c;
+    c.n = ticks();
+    switch (kind) {
+      case 0:  // zero start (the per-quantum counters after a reset)
+        c.x = pick(2) == 0 ? 0.0 : -0.0;
+        c.e = magnitude(-3, 12);
+        break;
+      case 1: {  // exact ties e = (q + 1/2) ulp(x), x odd or even
+        c.x = magnitude(-20, 20);
+        c.e = (static_cast<double>(pick(64)) + 0.5) * ulpOf(c.x);
+        break;
+      }
+      case 2: {  // just below a power of two, so the sum may cross it
+        const double top = std::ldexp(1.0, static_cast<int>(pick(80)) - 20);
+        c.x = top - static_cast<double>(1 + pick(1000)) * ulpOf(top / 2);
+        c.e = ulpOf(c.x) * std::ldexp(unit(), static_cast<int>(pick(12)));
+        break;
+      }
+      case 3:  // increments below half an ulp (some exactly half)
+        c.x = magnitude(-10, 30);
+        c.e = ulpOf(c.x) * (pick(8) == 0 ? 0.5 : 0.5 * unit());
+        break;
+      case 4: {  // subnormal accumulators or increments
+        const double sub = std::numeric_limits<double>::denorm_min() *
+                           static_cast<double>(1 + pick(1u << 20));
+        c.x = pick(2) == 0 ? sub : magnitude(-1022, -1000);
+        c.e = pick(2) == 0 ? sub : magnitude(-1074, -1030);
+        break;
+      }
+      case 5: {  // non-finite, negative and zero operands: never jumped
+        const double specials[] = {
+            std::numeric_limits<double>::infinity(),
+            -std::numeric_limits<double>::infinity(),
+            std::numeric_limits<double>::quiet_NaN(), -1.5, 0.0,
+            std::numeric_limits<double>::max()};
+        c.x = pick(2) == 0 ? specials[pick(6)] : magnitude(-5, 5);
+        c.e = pick(2) == 0 ? specials[pick(6)] : magnitude(-5, 5);
+        break;
+      }
+      default:  // the engine's shape: a large total and a per-tick step
+        c.x = magnitude(0, 40);
+        c.e = c.x * std::ldexp(unit(), -static_cast<int>(pick(40)));
+        break;
+    }
+    return c;
+  }
+
+ private:
+  std::uint64_t pick(std::uint64_t n) { return rng_() % n; }
+  double unit() {
+    return std::uniform_real_distribution<double>{0.0, 1.0}(rng_);
+  }
+  /// A positive double with a random significand and binary exponent in
+  /// [lo, hi].
+  double magnitude(int lo, int hi) {
+    const auto span = static_cast<std::uint64_t>(hi - lo + 1);
+    return std::ldexp(1.0 + unit(), lo + static_cast<int>(pick(span)));
+  }
+  std::int64_t ticks() {
+    switch (pick(8)) {
+      case 0: return 0;
+      case 1: return 1;
+      case 2: return 2;
+      case 3: return 3;
+      case 4: return pick(50) == 0 ? 5000 : 499;
+      default: return static_cast<std::int64_t>(4 + pick(600));
+    }
+  }
+
+  std::mt19937_64 rng_;
+};
+
+constexpr int kKinds = 7;
+
+TEST(ReplayKernel, JumpMatchesLiteralAdditionsBitwise) {
+  CaseGen gen{0x5eed'1eaf};
+  int fired = 0;
+  int firedTies = 0;
+  int eligible = 0;  // n >= 3, the only counts the jump may take
+  for (int i = 0; i < kCases; ++i) {
+    const int kind = i % kKinds;
+    const Case c = gen.next(kind);
+    const double want = literalSum(c.x, c.e, c.n);
+    double got = c.x;
+    const bool jumped = jumpInBinade(got, c.e, c.n);
+    if (c.n >= 3) ++eligible;
+    if (jumped) {
+      ++fired;
+      if (kind == 1) ++firedTies;
+      ASSERT_EQ(bits(got), bits(want))
+          << "case " << i << ": x=" << c.x << " e=" << c.e << " n=" << c.n;
+    } else {
+      ASSERT_EQ(bits(got), bits(c.x)) << "refused jump changed x, case " << i;
+    }
+    if (jumped) {
+      ASSERT_GE(c.n, 3);
+      ASSERT_TRUE(c.x > 0.0 && std::isfinite(c.e) && c.e > 0.0)
+          << "jumped from x=" << c.x << " by e=" << c.e;
+    }
+  }
+  // Not vacuous: the jump takes a large share of the eligible cases,
+  // including exact ties.
+  EXPECT_GT(fired, eligible / 4) << fired << " of " << eligible;
+  EXPECT_GT(firedTies, 0);
+}
+
+TEST(ReplayKernel, TieFromAnOddStartIsLeftToTheLiteralPath) {
+  // x odd in its binade, e half an ulp: the first addition rounds up to
+  // even, every later one is absorbed. The jump must not extrapolate the
+  // first step.
+  const double x = 1.0 + std::ldexp(1.0, -52);
+  const double e = std::ldexp(1.0, -53);
+  double got = x;
+  EXPECT_FALSE(jumpInBinade(got, e, 10));
+  EXPECT_EQ(bits(got), bits(x));
+  EXPECT_EQ(literalSum(x, e, 10), 1.0 + std::ldexp(1.0, -51));
+}
+
+TEST(ReplayKernel, SumReachingTheBinadeTopIsLeftToTheLiteralPath) {
+  const double x = 2.0 - std::ldexp(1.0, -50);  // 4 ulps below 2
+  const double e = std::ldexp(1.0, -52);        // one ulp
+  double got = x;
+  EXPECT_TRUE(jumpInBinade(got, e, 3));  // ends one ulp below 2
+  EXPECT_EQ(got, literalSum(x, e, 3));
+  got = x;
+  EXPECT_FALSE(jumpInBinade(got, e, 4));  // would land exactly on 2
+}
+
+TEST(ReplayKernel, LaneReplayMatchesLiteralAdditionsBitwise) {
+  CaseGen gen{0xb10c'4ed};
+  std::mt19937_64 rng{99};
+  LaneReplay replay;
+  std::size_t jumped = 0;
+  std::size_t literal = 0;
+  for (int batch = 0; batch < 2000; ++batch) {
+    // Lane counts on both sides of the 16-lane block, tails included.
+    const auto lanes = static_cast<std::size_t>(1 + rng() % 70);
+    const std::int64_t n = gen.next(0).n;
+    std::vector<double> acc(lanes);
+    std::vector<double> inc(lanes);
+    std::vector<double> want(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const Case c = gen.next(static_cast<int>(rng() % kKinds));
+      acc[l] = c.x;
+      inc[l] = c.e;
+      want[l] = literalSum(c.x, c.e, n);
+    }
+    replay.begin(n);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      if (rng() % 3 == 0)
+        replay.addLiteral(acc[l], inc[l]);
+      else
+        replay.add(acc[l], inc[l]);
+    }
+    replay.finish();
+    ASSERT_EQ(replay.jumped() + replay.literal(), lanes);
+    jumped += replay.jumped();
+    literal += replay.literal();
+    for (std::size_t l = 0; l < lanes; ++l)
+      ASSERT_EQ(bits(acc[l]), bits(want[l]))
+          << "batch " << batch << " lane " << l << " of " << lanes
+          << " n=" << n;
+  }
+  EXPECT_GT(jumped, 0u);
+  EXPECT_GT(literal, 0u);
+}
+
+}  // namespace
+}  // namespace dike::sim
