@@ -20,6 +20,7 @@
 
 #include "core/clustered_scheduler.hpp"
 #include "sched/placement.hpp"
+#include "sim/replay_kernel.hpp"
 #include "telemetry/aggregator.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/registry.hpp"
@@ -264,6 +265,10 @@ void runSweepThroughput(const BenchOptions& opts,
   out.emplace("sweep_scale", opts.scale);
   out.emplace("sweep_jobs", jobs);
   out.emplace("hardware_concurrency", hw);
+  // Doubles per register of the leap replay's literal lanes (2, 4 or 8,
+  // picked from the CPU at startup): leap speed-ups depend on it.
+  out.emplace("replay_lane_width",
+              static_cast<int>(dike::sim::literalKernel().width));
   out.emplace("sweep_serial_no_leap_sec", serialNoLeap);
   out.emplace("sweep_serial_leap_sec", serialLeap);
   out.emplace("sweep_parallel_leap_sec", parallelLeap);

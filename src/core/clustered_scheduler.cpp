@@ -4,6 +4,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "ckpt/archive.hpp"
 #include "telemetry/live.hpp"
@@ -161,7 +162,14 @@ void ClusteredDikeScheduler::onQuantum(sched::SchedulerView& view) {
   // commit-all sequence inline, which is what keeps every jobs value
   // byte-identical.
   const int jobs = effectiveDecideJobs();
-  const auto planOne = [this](std::size_t k) {
+  // Where each plan ran: a pool helper, or the thread that called
+  // onQuantum (always, when planning serially).
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto planOne = [this, caller](std::size_t k) {
+    if (std::this_thread::get_id() == caller)
+      DIKE_COUNTER("core.dike.plans_on_caller");
+    else
+      DIKE_COUNTER("core.dike.plans_on_helper");
     const auto start = Clock::now();
     clusters_[k]->planQuantum(childViews_[k]);
     planNs_[k] = nsSince(start);

@@ -355,13 +355,18 @@ void Observer::partitionCores(const Observation& obs,
   }
 
   if (known.empty()) return;
-  std::sort(known.begin(), known.end(), [this](int a, int b) {
-    const double ea = coreBwEffective_[static_cast<std::size_t>(a)];
-    const double eb = coreBwEffective_[static_cast<std::size_t>(b)];
-    if (ea != eb) return ea > eb;
-    return a < b;
-  });
+  // Bandwidth, then core id, is a strict total order, so the top half is
+  // one set however the selection reaches it: no full sort is needed.
   const std::size_t highCount = (known.size() + 1) / 2;
+  std::nth_element(
+      known.begin(),
+      known.begin() + static_cast<std::ptrdiff_t>(highCount - 1), known.end(),
+      [this](int a, int b) {
+        const double ea = coreBwEffective_[static_cast<std::size_t>(a)];
+        const double eb = coreBwEffective_[static_cast<std::size_t>(b)];
+        if (ea != eb) return ea > eb;
+        return a < b;
+      });
   for (std::size_t i = 0; i < highCount; ++i)
     highBandwidth_[static_cast<std::size_t>(known[i])] = true;
 }

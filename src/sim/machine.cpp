@@ -562,6 +562,7 @@ void Machine::replayTicks(util::Tick n, double watts) {
   // Lanes are distinct accumulators: each active thread owns its own
   // counters and occupies its own core (loadState enforces one occupant
   // per core for restored placements).
+  mirrorScratch_.clear();
   for (std::size_t k = 0; k < activeScratch_.size(); ++k) {
     const auto i = static_cast<std::size_t>(activeScratch_[k]);
     const double e = executedScratch_[k];
@@ -574,16 +575,32 @@ void Machine::replayTicks(util::Tick n, double watts) {
     // apply: trying it would only cost time.
     replay_.addLiteral(hot_.quantumInstructions[i], e);
     replay_.addLiteral(hot_.quantumAccesses[i], a);
-    replay_.addLiteral(
-        coreQuantumAccesses_[static_cast<std::size_t>(hot_.coreId[i])], a);
+    // A core counter holding the same bits as its occupant's (the thread
+    // ran there all quantum) gets the same n additions of `a`, so it ends
+    // on the same bits: copy the thread lane's result instead of replaying
+    // it. It is then never a lane, so the lanes stay distinct.
+    double& core =
+        coreQuantumAccesses_[static_cast<std::size_t>(hot_.coreId[i])];
+    if (std::bit_cast<std::uint64_t>(core) ==
+        std::bit_cast<std::uint64_t>(hot_.quantumAccesses[i]))
+      mirrorScratch_.push_back(k);
+    else
+      replay_.addLiteral(core, a);
   }
   replay_.finish();
+  for (const std::size_t k : mirrorScratch_) {
+    const auto i = static_cast<std::size_t>(activeScratch_[k]);
+    coreQuantumAccesses_[static_cast<std::size_t>(hot_.coreId[i])] =
+        hot_.quantumAccesses[i];
+  }
 
   now_ += n;
   stats_.leapedTicks += n;
   DIKE_COUNTER("sim.leap.replays");
   DIKE_COUNTER_ADD("sim.leap.lanes_jumped", replay_.jumped());
   DIKE_COUNTER_ADD("sim.leap.lanes_literal", replay_.literal());
+  DIKE_COUNTER_ADD("sim.leap.lanes_mirrored", mirrorScratch_.size());
+  DIKE_GAUGE_SET("sim.leap.lane_width", replay_.width());
   DIKE_COUNTER_ADD("sim.ticks.leaped", n);
 }
 

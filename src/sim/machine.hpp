@@ -360,6 +360,9 @@ class Machine {
   ArbitrationScratch arbScratch_;
   /// replayTicks' lane block: per machine, since machines step concurrently.
   LaneReplay replay_;
+  /// replayTicks' mirrored cores, as indices into activeScratch_: each
+  /// core's counter takes its occupant's quantumAccesses result.
+  std::vector<std::size_t> mirrorScratch_;
 
   /// LLC-pressure inflation factor per socket, cached across ticks: its
   /// inputs (which threads are resident where, and their phases' working

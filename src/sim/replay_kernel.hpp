@@ -6,16 +6,20 @@
 // for bit. Each accumulator is a *lane* (accumulator, increment). A lane
 // whose n-fold sum provably stays inside its starting binade is finished in
 // O(1) (jumpInBinade); every other lane is replayed with the literal
-// additions, 16 lanes at a time with the accumulators held in registers, so
-// the additions run at the FP ports' throughput instead of their latency.
-// Either way each lane performs exactly its own sequence of IEEE additions
-// under round-to-nearest-even.
+// additions, a block of eight vector registers at a time with the
+// accumulators held in registers, so the additions run at the FP ports'
+// throughput instead of their latency. The register width (2, 4 or 8
+// doubles) is the widest the CPU supports, picked once per process
+// (literalKernel). Either way each lane performs exactly its own sequence of
+// IEEE additions under round-to-nearest-even, so the result is the same bits
+// at every width.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace dike::sim {
 
@@ -58,14 +62,49 @@ namespace dike::sim {
   return true;
 }
 
+/// One lane of a literal replay: `*acc += inc`, n times.
+struct ReplayLane {
+  double* acc = nullptr;
+  double inc = 0.0;
+};
+
+/// The literal replay at one vector width (replay_kernel.cpp). `replay`
+/// performs n literal additions on each of `block` lanes, eight registers
+/// of `width` doubles each with the accumulators held in registers. Every
+/// width adds each lane's increment to it one IEEE round-to-nearest-even
+/// addition at a time (no FMA, no flush-to-zero), so all widths give the
+/// same bits.
+struct LiteralKernel {
+  const char* isa = "";     // the instruction set the kernel needs
+  std::size_t width = 0;    // doubles per register
+  std::size_t block = 0;    // lanes per call: 8 registers x width
+  bool supported = false;   // the host CPU can run it
+  void (*replay)(const ReplayLane* lanes, std::int64_t n) noexcept = nullptr;
+};
+
+/// The widest block any kernel replays.
+inline constexpr std::size_t kMaxLiteralBlock = 64;
+
+/// Every compiled width, widest first: AVX-512F (8 doubles) and AVX2 (4) on
+/// x86-64 GCC/Clang, then the baseline 2-wide kernel, which every target
+/// has. `supported` is read from the CPU once per process.
+[[nodiscard]] std::span<const LiteralKernel> literalKernels() noexcept;
+
+/// The widest supported kernel, chosen once per process.
+[[nodiscard]] const LiteralKernel& literalKernel() noexcept;
+
 /// One replay of n ticks over a set of lanes. Lanes the jump finishes are
-/// done when add() returns; the rest are gathered into 16-lane blocks, each
-/// replayed literally as soon as it fills, and finish() replays the last,
-/// partial block. Every lane of one replay must name a distinct
-/// accumulator, and no accumulator may be read or written between add()
-/// and finish().
+/// done when add() returns; the rest are gathered into blocks of the
+/// kernel's size, each replayed literally as soon as it fills, and finish()
+/// replays the last, partial block. Every lane of one replay must name a
+/// distinct accumulator, and no accumulator may be read or written between
+/// add() and finish().
 class LaneReplay {
  public:
+  /// Replay literal lanes with `kernel`, which must be supported.
+  explicit LaneReplay(const LiteralKernel& kernel = literalKernel()) noexcept
+      : kernel_(&kernel) {}
+
   /// Start a replay of `n` ticks.
   void begin(std::int64_t n) noexcept {
     n_ = n;
@@ -88,9 +127,9 @@ class LaneReplay {
   /// (counters that restart at zero), where the attempt would be wasted.
   void addLiteral(double& acc, double inc) noexcept {
     ++literal_;
-    block_[fill_++] = Lane{&acc, inc};
-    if (fill_ == kBlock) {
-      replayBlock(block_.data(), n_);
+    block_[fill_++] = ReplayLane{&acc, inc};
+    if (fill_ == kernel_->block) {
+      kernel_->replay(block_.data(), n_);
       fill_ = 0;
     }
   }
@@ -99,57 +138,25 @@ class LaneReplay {
   /// private sink.
   void finish() noexcept {
     if (fill_ == 0) return;
-    for (std::size_t j = fill_; j < kBlock; ++j)
-      block_[j] = Lane{&sink_, 0.0};
-    replayBlock(block_.data(), n_);
+    for (std::size_t j = fill_; j < kernel_->block; ++j)
+      block_[j] = ReplayLane{&sink_, 0.0};
+    kernel_->replay(block_.data(), n_);
     fill_ = 0;
   }
 
   /// Lanes the last replay finished by the jump / by literal additions.
   [[nodiscard]] std::size_t jumped() const noexcept { return jumped_; }
   [[nodiscard]] std::size_t literal() const noexcept { return literal_; }
+  /// Doubles per register of the literal replay.
+  [[nodiscard]] std::size_t width() const noexcept { return kernel_->width; }
 
  private:
-  struct Lane {
-    double* acc = nullptr;
-    double inc = 0.0;
-  };
-  // Two lanes per 128-bit register (baseline SSE2 on x86-64; GCC and Clang
-  // lower the extension to scalar code elsewhere). Eight accumulator and
-  // eight increment registers make one block of 16 lanes.
-  using Pair = double __attribute__((vector_size(16)));
-  static constexpr std::size_t kBlock = 16;
-
-  static void replayBlock(const Lane* l, std::int64_t n) noexcept {
-    Pair a0{*l[0].acc, *l[1].acc}, a1{*l[2].acc, *l[3].acc},
-        a2{*l[4].acc, *l[5].acc}, a3{*l[6].acc, *l[7].acc},
-        a4{*l[8].acc, *l[9].acc}, a5{*l[10].acc, *l[11].acc},
-        a6{*l[12].acc, *l[13].acc}, a7{*l[14].acc, *l[15].acc};
-    const Pair i0{l[0].inc, l[1].inc}, i1{l[2].inc, l[3].inc},
-        i2{l[4].inc, l[5].inc}, i3{l[6].inc, l[7].inc},
-        i4{l[8].inc, l[9].inc}, i5{l[10].inc, l[11].inc},
-        i6{l[12].inc, l[13].inc}, i7{l[14].inc, l[15].inc};
-    // Named locals, not an array: GCC keeps them in registers, so the loop
-    // body is eight independent addpd with no loads or stores.
-    for (std::int64_t t = 0; t < n; ++t) {
-      a0 += i0;
-      a1 += i1;
-      a2 += i2;
-      a3 += i3;
-      a4 += i4;
-      a5 += i5;
-      a6 += i6;
-      a7 += i7;
-    }
-    const Pair out[] = {a0, a1, a2, a3, a4, a5, a6, a7};
-    for (std::size_t j = 0; j < kBlock; ++j) *l[j].acc = out[j / 2][j % 2];
-  }
-
+  const LiteralKernel* kernel_;
   std::int64_t n_ = 0;
   std::size_t jumped_ = 0;
   std::size_t literal_ = 0;
   std::size_t fill_ = 0;
-  std::array<Lane, kBlock> block_{};
+  std::array<ReplayLane, kMaxLiteralBlock> block_{};
   double sink_ = 0.0;
 };
 

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/archive.hpp"
@@ -15,6 +16,7 @@
 #include "sched/placement.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/machine.hpp"
+#include "telemetry/registry.hpp"
 #include "workload/workloads.hpp"
 
 namespace dike::core {
@@ -419,6 +421,37 @@ TEST(ClusteredDikeScheduler, DecideJobsDoNotChangeAnyByte) {
   EXPECT_EQ(serialMachine.swapCount(), pooledMachine.swapCount());
   EXPECT_EQ(serialMachine.migrationCount(), pooledMachine.migrationCount());
   EXPECT_EQ(stateBytes(serial), stateBytes(pooled));
+}
+
+/// core.dike.plans_on_caller / plans_on_helper count every cluster plan
+/// once: all on the caller when planning serially, split between the
+/// caller and pool helpers (as the OS places them) when pooled.
+TEST(ClusteredDikeScheduler, PlanCountersCountEveryClusterPlanOnce) {
+  const bool wasEnabled = telemetry::enabled();
+  telemetry::setEnabled(true);
+  telemetry::Counter& onCaller =
+      telemetry::Registry::instance().counter("core.dike.plans_on_caller");
+  telemetry::Counter& onHelper =
+      telemetry::Registry::instance().counter("core.dike.plans_on_helper");
+  const auto plansWith = [&](int jobs) {
+    onCaller.reset();
+    onHelper.reset();
+    sim::Machine machine = clusterMachine();
+    DikeConfig cfg = clusteredConfig(4);
+    cfg.cluster.decideJobs = jobs;
+    ClusteredDikeScheduler scheduler{cfg};
+    sched::SchedulerAdapter adapter{scheduler};
+    (void)sim::runMachine(machine, adapter);
+    return std::pair{onCaller.value(), onHelper.value()};
+  };
+  const auto [serialCaller, serialHelper] = plansWith(1);
+  const auto [pooledCaller, pooledHelper] = plansWith(4);
+  telemetry::setEnabled(wasEnabled);
+
+  EXPECT_GT(serialCaller, 0u);
+  EXPECT_EQ(serialCaller % 4, 0u) << "four clusters plan every quantum";
+  EXPECT_EQ(serialHelper, 0u);
+  EXPECT_EQ(pooledCaller + pooledHelper, serialCaller);
 }
 
 /// Regression: a not-ready observer used to hit the warmup early-return

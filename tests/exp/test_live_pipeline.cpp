@@ -196,6 +196,17 @@ std::string waitForFile(const std::string& path, int timeoutMs) {
   return "";
 }
 
+/// Wait until `path` holds at least one newline-terminated line.
+bool waitForCompleteLine(const std::string& path, int timeoutMs) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeoutMs);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (slurp(path).find('\n') != std::string::npos) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return false;
+}
+
 // SIGINT against a live run: the stop handler requests a quantum-boundary
 // unwind, every telemetry output is flushed whole (no truncated NDJSON
 // line), and the process exits 130.
@@ -205,6 +216,7 @@ TEST(LiveSubprocess, SigintFlushesOutputsAndExits130) {
   const std::string qmPath = dir + "sigint_qm.jsonl";
   const std::string portFile = dir + "sigint_port.txt";
   std::remove(portFile.c_str());
+  std::remove(qmPath.c_str());
   {
     std::ofstream config{configPath};
     config << R"({"experiment": "sigint-live", "workloads": [2],
@@ -226,9 +238,13 @@ TEST(LiveSubprocess, SigintFlushesOutputsAndExits130) {
 
   ASSERT_FALSE(waitForFile(portFile, 15000).empty())
       << "dike_run never published its ephemeral port";
-  // Let a few quanta stream before interrupting.
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  // Interrupt once the stream holds a whole row: the port file appears
+  // well before the first quantum is written, by how much depends on the
+  // build (a sanitizer build is several times slower), so a fixed delay
+  // can interrupt a run that has not streamed anything yet.
+  const bool streamed = waitForCompleteLine(qmPath, 15000);
   ASSERT_EQ(::kill(pid, SIGINT), 0);
+  EXPECT_TRUE(streamed) << "no complete quantum row within 15 s";
 
   int status = 0;
   const auto deadline =

@@ -6,12 +6,15 @@
 // prove identical. Every EXPECT below is exact equality, not tolerance.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ckpt/archive.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "core/dike_scheduler.hpp"
 #include "exp/metrics.hpp"
 #include "exp/replay.hpp"
@@ -21,6 +24,7 @@
 #include "sched/scheduler.hpp"
 #include "sim/machine.hpp"
 #include "sim/trace.hpp"
+#include "telemetry/registry.hpp"
 #include "workload/workloads.hpp"
 
 namespace dike {
@@ -284,24 +288,26 @@ TEST(MachineLeap, StepStatsConserveSimulatedTime) {
   }
 }
 
+/// Four threads of one program (`instructions` each) on the small testbed
+/// with two cores per socket (one fast socket, one slow), one per core.
+sim::Machine fourThreadMachine(bool leapEnabled, double instructions) {
+  sim::MachineConfig cfg;
+  cfg.tickLeaping = leapEnabled;
+  cfg.seed = 11;
+  sim::Machine machine{sim::MachineTopology::smallTestbed(2), cfg};
+  sim::PhaseProgram prog;
+  prog.phases = {sim::Phase{"main", instructions, 0.003, 0.4, 1.0, 4.0}};
+  machine.addProcess("app", prog, 4, true);
+  for (int i = 0; i < 4; ++i) machine.placeThread(i, i);
+  return machine;
+}
+
 /// stepUntil with a mid-run target never overshoots and stays bit-identical
 /// to a step() loop paused at the same tick — the property runMachine's
 /// quantum boundaries rely on.
 TEST(MachineLeap, StepUntilMatchesStepLoopMidRun) {
-  auto build = [](bool leapEnabled) {
-    sim::MachineConfig cfg;
-    cfg.tickLeaping = leapEnabled;
-    cfg.seed = 11;
-    sim::Machine machine{sim::MachineTopology::smallTestbed(2), cfg};
-    sim::PhaseProgram prog;
-    prog.phases = {sim::Phase{"main", 2.33e6 * 500, 0.003, 0.4, 1.0, 4.0}};
-    machine.addProcess("app", prog, 4, true);
-    for (int i = 0; i < 4; ++i) machine.placeThread(i, i);
-    return machine;
-  };
-
-  sim::Machine leap = build(true);
-  sim::Machine tick = build(false);
+  sim::Machine leap = fourThreadMachine(true, 2.33e6 * 500);
+  sim::Machine tick = fourThreadMachine(false, 2.33e6 * 500);
   for (const util::Tick target : {7, 100, 101, 350}) {
     leap.stepUntil(target);
     while (tick.now() < target && !tick.allFinished()) tick.step();
@@ -316,13 +322,81 @@ TEST(MachineLeap, StepUntilMatchesStepLoopMidRun) {
   }
 }
 
+/// A leap copies a core's per-quantum access counter from its occupant's
+/// `quantumAccesses` lane only when the two held the same bits before the
+/// leap. Here core 1's counter is edited in a saved payload (re-wrapped
+/// with a valid checksum) so it differs from thread 1's; the leap must then
+/// replay it on its own and still match per-tick stepping field by field.
+TEST(MachineLeap, CoreCounterUnlikeItsOccupantsIsNotMirrored) {
+  sim::Machine source = fourThreadMachine(false, 2.33e6 * 5000);
+  source.stepUntil(37);
+  ckpt::BinWriter w;
+  source.saveState(w);
+  std::string payload = w.take();
+  constexpr std::size_t kCore = 1;
+  const double before = source.threads()[kCore].quantumAccesses;
+  ASSERT_GT(before, 0.0);
+  bool edited = false;
+  for (const ckpt::Token& tok : ckpt::tokenize(payload)) {
+    if (tok.path != "machine/coreQuantumAccesses") continue;
+    ASSERT_EQ(tok.tag, ckpt::Tag::VecF64);
+    const std::size_t name = std::string_view{"coreQuantumAccesses"}.size();
+    const std::size_t at = tok.offset + 1 + 4 + name + 4 + 8 * kCore;
+    const auto raw = std::bit_cast<std::uint64_t>(before * 1.5 + 0.1);
+    for (std::size_t b = 0; b < 8; ++b)
+      payload[at + b] = static_cast<char>((raw >> (8 * b)) & 0xFF);
+    edited = true;
+  }
+  ASSERT_TRUE(edited);
+  const std::string container = ckpt::encodeCheckpoint(payload);
+
+  auto resume = [&](bool leapEnabled) {
+    sim::Machine machine = fourThreadMachine(leapEnabled, 2.33e6 * 5000);
+    const std::string restored = ckpt::decodeCheckpoint(container);
+    ckpt::BinReader r{restored};
+    machine.loadState(r);
+    machine.stepUntil(37 + 450);
+    return machine;
+  };
+  const bool wasEnabled = telemetry::enabled();
+  telemetry::setEnabled(true);
+  telemetry::Counter& replays =
+      telemetry::Registry::instance().counter("sim.leap.replays");
+  telemetry::Counter& mirrored =
+      telemetry::Registry::instance().counter("sim.leap.lanes_mirrored");
+  replays.reset();
+  mirrored.reset();
+  sim::Machine leap = resume(true);
+  telemetry::setEnabled(wasEnabled);
+  sim::Machine tick = resume(false);
+  EXPECT_GT(leap.stepStats().leapedTicks, 0);
+  // The three unedited cores mirror their occupants; core 1 never does.
+  EXPECT_GT(mirrored.value(), 0u);
+  EXPECT_LE(mirrored.value(), 3 * replays.value());
+  expectThreadsIdentical(
+      {leap.threads().begin(), leap.threads().end()},
+      {tick.threads().begin(), tick.threads().end()});
+  EXPECT_EQ(leap.energyJoules(), tick.energyJoules());
+  const sim::QuantumSample a = leap.sampleAndReset();
+  const sim::QuantumSample b = tick.sampleAndReset();
+  expectSamplesIdentical({a}, {b});
+  // Not vacuous: per-tick stepping ends core 1 off its occupant's bits, so
+  // a wrongly mirrored copy would have shown above; core 0, never edited,
+  // ends on them.
+  const double periodSec =
+      static_cast<double>(b.periodTicks) * util::kTickSeconds;
+  EXPECT_NE(b.coreAchievedBw[kCore], b.threads[kCore].accesses / periodSec);
+  EXPECT_EQ(b.coreAchievedBw[0], b.threads[0].accesses / periodSec);
+}
+
 /// The paper testbed's 40 threads fill only a handful of the replay
-/// kernel's 16-lane blocks. A wider machine fills dozens, under clustered
-/// Dike: 8 sockets x 16 cores x 2 SMT, 32 tenants of 8 threads, and a
-/// socket's worth of controller bandwidth per socket so Dike acts. The
-/// checkpoint payloads after 40 quanta must match token for token, except
-/// the run config (which records the leap switch) and the step statistics
-/// (which count how ticks were advanced).
+/// kernel's blocks (16 to 64 lanes, by the CPU's vector width). A wider
+/// machine fills many more, under clustered Dike: 8 sockets x 16 cores x
+/// 2 SMT, 32 tenants of 8 threads, and a socket's worth of controller
+/// bandwidth per socket so Dike acts. The checkpoint payloads after 40
+/// quanta must match token for token, except the run config (which records
+/// the leap switch) and the step statistics (which count how ticks were
+/// advanced).
 struct LargeRun {
   std::string payload;
   std::int64_t swaps = 0;

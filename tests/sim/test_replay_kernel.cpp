@@ -1,10 +1,11 @@
 // Differential test of the leap replay kernel (sim/replay_kernel.hpp): for
 // seeded random accumulators, increments and tick counts, the O(1) jump and
-// the blocked literal replay must leave every accumulator bitwise where n
-// literal additions leave it. The cases concentrate on the inputs where a
-// closed form is most likely to be wrong: zero starts, exact rounding ties,
-// sums that cross a power of two, increments too small to move the
-// accumulator, subnormals and non-finite values.
+// the blocked literal replay, at every vector width the CPU runs, must leave
+// every accumulator bitwise where n literal additions leave it. The cases
+// concentrate on the inputs where a closed form is most likely to be wrong:
+// zero starts, exact rounding ties, sums that cross a power of two,
+// increments too small to move the accumulator, subnormals and non-finite
+// values.
 #include "sim/replay_kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -172,14 +174,16 @@ TEST(ReplayKernel, SumReachingTheBinadeTopIsLeftToTheLiteralPath) {
   EXPECT_FALSE(jumpInBinade(got, e, 4));  // would land exactly on 2
 }
 
-TEST(ReplayKernel, LaneReplayMatchesLiteralAdditionsBitwise) {
+/// Mixed add/addLiteral replays of 1-70 lanes through `kernel`, checked
+/// bitwise against the literal loop.
+void expectLaneReplayMatchesLiteral(const LiteralKernel& kernel) {
   CaseGen gen{0xb10c'4ed};
   std::mt19937_64 rng{99};
-  LaneReplay replay;
+  LaneReplay replay{kernel};
   std::size_t jumped = 0;
   std::size_t literal = 0;
   for (int batch = 0; batch < 2000; ++batch) {
-    // Lane counts on both sides of the 16-lane block, tails included.
+    // Lane counts on both sides of a block, tails included.
     const auto lanes = static_cast<std::size_t>(1 + rng() % 70);
     const std::int64_t n = gen.next(0).n;
     std::vector<double> acc(lanes);
@@ -204,12 +208,87 @@ TEST(ReplayKernel, LaneReplayMatchesLiteralAdditionsBitwise) {
     literal += replay.literal();
     for (std::size_t l = 0; l < lanes; ++l)
       ASSERT_EQ(bits(acc[l]), bits(want[l]))
-          << "batch " << batch << " lane " << l << " of " << lanes
-          << " n=" << n;
+          << kernel.isa << " batch " << batch << " lane " << l << " of "
+          << lanes << " n=" << n;
   }
   EXPECT_GT(jumped, 0u);
   EXPECT_GT(literal, 0u);
 }
+
+TEST(ReplayKernel, LaneReplayMatchesLiteralAdditionsBitwise) {
+  // The width this process picked, as the engine uses it.
+  expectLaneReplayMatchesLiteral(literalKernel());
+}
+
+TEST(ReplayKernel, PicksTheWidestSupportedKernel) {
+  const std::span<const LiteralKernel> kernels = literalKernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_TRUE(kernels.back().supported) << "the baseline kernel always runs";
+  EXPECT_EQ(kernels.back().width, 2u);
+  for (std::size_t k = 0; k < kernels.size(); ++k) {
+    EXPECT_EQ(kernels[k].block, 8 * kernels[k].width) << kernels[k].isa;
+    EXPECT_LE(kernels[k].block, kMaxLiteralBlock) << kernels[k].isa;
+    if (k > 0) {
+      EXPECT_LT(kernels[k].width, kernels[k - 1].width);
+    }
+  }
+  const LiteralKernel* widest = nullptr;
+  for (const LiteralKernel& k : kernels)
+    if (k.supported && widest == nullptr) widest = &k;
+  EXPECT_EQ(&literalKernel(), widest);
+  EXPECT_EQ(LaneReplay{}.width(), widest->width);
+}
+
+/// The same checks at every compiled width the host CPU supports.
+class LiteralKernelWidth : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override {
+    if (!kernel().supported)
+      GTEST_SKIP() << "this CPU lacks " << kernel().isa;
+  }
+  static const LiteralKernel& kernel() {
+    return literalKernels()[GetParam()];
+  }
+};
+
+TEST_P(LiteralKernelWidth, LaneReplayMatchesLiteralAdditionsBitwise) {
+  expectLaneReplayMatchesLiteral(kernel());
+}
+
+TEST_P(LiteralKernelWidth, EveryPartialBlockUpToTwoBlocksIsExact) {
+  // 1 to 2 x block lanes: one partial block, one full block, and a full
+  // block followed by a partial one, with literal lanes only.
+  const LiteralKernel& k = kernel();
+  CaseGen gen{0x7a11'0000 + k.width};
+  LaneReplay replay{k};
+  for (std::size_t lanes = 1; lanes <= 2 * k.block; ++lanes) {
+    for (const std::int64_t n : {std::int64_t{0}, std::int64_t{1},
+                                 std::int64_t{27}, std::int64_t{499}}) {
+      std::vector<double> acc(lanes);
+      std::vector<double> inc(lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const Case c = gen.next(static_cast<int>(l % kKinds));
+        acc[l] = c.x;
+        inc[l] = c.e;
+      }
+      const std::vector<double> start = acc;
+      replay.begin(n);
+      for (std::size_t l = 0; l < lanes; ++l) replay.addLiteral(acc[l], inc[l]);
+      replay.finish();
+      EXPECT_EQ(replay.literal(), lanes);
+      for (std::size_t l = 0; l < lanes; ++l)
+        ASSERT_EQ(bits(acc[l]), bits(literalSum(start[l], inc[l], n)))
+            << k.isa << ": lane " << l << " of " << lanes << " n=" << n;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Compiled, LiteralKernelWidth,
+    ::testing::Range(std::size_t{0}, literalKernels().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& param) {
+      return std::string{literalKernels()[param.param].isa};
+    });
 
 }  // namespace
 }  // namespace dike::sim
