@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <limits>
 
+#include "util/number_text.hpp"
+
 namespace dike::ckpt {
 
 namespace {
@@ -28,9 +30,9 @@ std::string printable(std::string_view s) {
 }
 
 std::string formatF64(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  std::string text;
+  util::appendGeneral(text, v, 17);
+  return text;
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -18,6 +17,7 @@
 #include "telemetry/health.hpp"
 #include "telemetry/registry.hpp"
 #include "util/json.hpp"
+#include "util/number_text.hpp"
 
 namespace dike::telemetry {
 namespace {
@@ -43,9 +43,7 @@ void appendValue(std::string& out, double value) {
     out += "NaN";
     return;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  out += buf;
+  util::appendGeneral(out, value, 17);
 }
 
 void appendLine(std::string& out, const std::string& name, double value) {

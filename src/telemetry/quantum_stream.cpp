@@ -1,33 +1,45 @@
 #include "telemetry/quantum_stream.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "util/csv.hpp"
 #include "util/json.hpp"
+#include "util/number_text.hpp"
 
 namespace dike::telemetry {
 
 namespace {
 
-/// Deterministic shortest-ish representation; empty for NaN (CSV) — the
+/// Deterministic 12-significant-digit text; empty for NaN (CSV) — the
 /// stream must be byte-identical across repeated runs of the same build.
 /// Formats into a caller-owned buffer so row emission reuses capacity.
 const std::string& formatDouble(std::string& buf, double v) {
-  if (std::isnan(v)) {
-    buf.clear();
-    return buf;
-  }
-  char tmp[40];
-  const int n = std::snprintf(tmp, sizeof tmp, "%.12g", v);
-  buf.assign(tmp, static_cast<std::size_t>(n));
+  buf.clear();
+  if (!std::isnan(v)) util::appendGeneral(buf, v, 12);
   return buf;
 }
 
-util::JsonValue jsonNumberOrNull(double v) {
-  if (std::isnan(v)) return util::JsonValue{nullptr};
-  return util::JsonValue{v};
+/// `"key":` — keys are fixed identifiers, so no escaping is needed.
+void appendKey(std::string& out, std::string_view key) {
+  out.push_back('"');
+  out.append(key);
+  out += "\":";
+}
+
+/// Integer fields take the JSON number rule too, as doubles: a value past
+/// 1e15 prints as %.17g, exactly as JsonValue::dump() would print it.
+void appendInt(std::string& out, std::string_view key, double v) {
+  appendKey(out, key);
+  util::appendJsonNumber(out, v);
+}
+
+void appendNumberOrNull(std::string& out, std::string_view key, double v) {
+  appendKey(out, key);
+  if (std::isnan(v))
+    out += "null";
+  else
+    util::appendJsonNumber(out, v);
 }
 
 }  // namespace
@@ -91,44 +103,77 @@ void QuantumStreamWriter::writeCsv(const QuantumRecord& record) {
   }
 }
 
+// One object per quantum, appended straight into a reused buffer with keys
+// in the byte-sorted order JsonValue::dump() gives a std::map, so the line is
+// byte-identical to dumping the equivalent JsonObject tree (the test keeps
+// that tree as its reference).
 void QuantumStreamWriter::writeJsonLine(const QuantumRecord& record) {
-  util::JsonArray threads;
-  threads.reserve(record.threads.size());
+  std::string& out = line_;
+  out.clear();
+  out.push_back('{');
+  appendNumberOrNull(out, "fairness_spread", record.fairnessSpread);
+  out.push_back(',');
+  appendInt(out, "migrations_executed",
+            static_cast<double>(record.migrationsExecuted));
+  out.push_back(',');
+  appendInt(out, "quanta_length_ms", record.quantaLengthMs);
+  out.push_back(',');
+  appendInt(out, "quantum", static_cast<double>(record.quantumIndex));
+  out.push_back(',');
+  appendKey(out, "scheduler");
+  util::appendJsonString(out, record.scheduler);
+  out.push_back(',');
+  appendInt(out, "swap_size", record.swapSize);
+  out.push_back(',');
+  appendInt(out, "swaps_executed", static_cast<double>(record.swapsExecuted));
+  out.push_back(',');
+  appendKey(out, "threads");
+  out.push_back('[');
+  bool first = true;
   for (const QuantumThreadRecord& t : record.threads) {
-    util::JsonObject o;
-    o.emplace("thread", t.threadId);
-    o.emplace("process", t.processId);
-    o.emplace("core", t.coreId);
-    o.emplace("high_bw_core",
-              t.highBandwidthCore < 0
-                  ? util::JsonValue{nullptr}
-                  : util::JsonValue{t.highBandwidthCore != 0});
-    o.emplace("access_rate", jsonNumberOrNull(t.accessRate));
-    o.emplace("llc_miss_ratio", jsonNumberOrNull(t.llcMissRatio));
-    o.emplace("core_achieved_bw", jsonNumberOrNull(t.coreAchievedBw));
-    o.emplace("core_bw_estimate", jsonNumberOrNull(t.coreBwEstimate));
-    o.emplace("predicted_rate", jsonNumberOrNull(t.predictedRate));
-    o.emplace("realized_rate", jsonNumberOrNull(t.realizedRate));
-    o.emplace("prediction_error", jsonNumberOrNull(t.predictionError));
-    o.emplace("slowdown", jsonNumberOrNull(t.slowdown));
-    threads.emplace_back(std::move(o));
+    if (!first) out.push_back(',');
+    first = false;
+    out.push_back('{');
+    appendNumberOrNull(out, "access_rate", t.accessRate);
+    out.push_back(',');
+    appendInt(out, "core", t.coreId);
+    out.push_back(',');
+    appendNumberOrNull(out, "core_achieved_bw", t.coreAchievedBw);
+    out.push_back(',');
+    appendNumberOrNull(out, "core_bw_estimate", t.coreBwEstimate);
+    out.push_back(',');
+    appendKey(out, "high_bw_core");
+    out += t.highBandwidthCore < 0    ? "null"
+           : t.highBandwidthCore != 0 ? "true"
+                                      : "false";
+    out.push_back(',');
+    appendNumberOrNull(out, "llc_miss_ratio", t.llcMissRatio);
+    out.push_back(',');
+    appendNumberOrNull(out, "predicted_rate", t.predictedRate);
+    out.push_back(',');
+    appendNumberOrNull(out, "prediction_error", t.predictionError);
+    out.push_back(',');
+    appendInt(out, "process", t.processId);
+    out.push_back(',');
+    appendNumberOrNull(out, "realized_rate", t.realizedRate);
+    out.push_back(',');
+    appendNumberOrNull(out, "slowdown", t.slowdown);
+    out.push_back(',');
+    appendInt(out, "thread", t.threadId);
+    out.push_back('}');
   }
-  util::JsonObject doc;
-  doc.emplace("tick", static_cast<double>(record.tick));
-  doc.emplace("quantum", static_cast<double>(record.quantumIndex));
-  doc.emplace("scheduler", record.scheduler);
-  doc.emplace("unfairness", jsonNumberOrNull(record.unfairness));
-  doc.emplace("fairness_spread", jsonNumberOrNull(record.fairnessSpread));
-  doc.emplace("workload_class", record.workloadClass.empty()
-                                    ? util::JsonValue{nullptr}
-                                    : util::JsonValue{record.workloadClass});
-  doc.emplace("quanta_length_ms", record.quantaLengthMs);
-  doc.emplace("swap_size", record.swapSize);
-  doc.emplace("swaps_executed", static_cast<double>(record.swapsExecuted));
-  doc.emplace("migrations_executed",
-              static_cast<double>(record.migrationsExecuted));
-  doc.emplace("threads", std::move(threads));
-  *out_ << util::JsonValue{std::move(doc)}.dump() << '\n';
+  out += "],";
+  appendInt(out, "tick", static_cast<double>(record.tick));
+  out.push_back(',');
+  appendNumberOrNull(out, "unfairness", record.unfairness);
+  out.push_back(',');
+  appendKey(out, "workload_class");
+  if (record.workloadClass.empty())
+    out += "null";
+  else
+    util::appendJsonString(out, record.workloadClass);
+  out += "}\n";
+  out_->write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 QuantumStreamFile::QuantumStreamFile(const std::string& path)

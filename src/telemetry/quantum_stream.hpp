@@ -100,6 +100,9 @@ class QuantumStreamWriter {
   /// column): the stream emits one row per thread per quantum, so the
   /// string storage is recycled instead of reallocated each row.
   std::array<std::string, 10> fmt_;
+  /// Reusable JSON Lines record buffer: each record is appended here and
+  /// handed to the stream with one write.
+  std::string line_;
 };
 
 /// File-backed writer; format chosen from the path's extension. Throws

@@ -1,7 +1,8 @@
 #include "util/csv.hpp"
 
-#include <cstdio>
 #include <stdexcept>
+
+#include "util/number_text.hpp"
 
 namespace dike::util {
 
@@ -45,9 +46,9 @@ void CsvWriter::writeField(std::string_view v, bool first) {
 
 void CsvWriter::writeField(double v, bool first) {
   if (!first) *out_ << ',';
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  *out_ << buf;
+  std::string text;
+  appendGeneral(text, v, 6);
+  *out_ << text;
 }
 
 void CsvWriter::writeField(int v, bool first) {

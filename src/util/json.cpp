@@ -7,6 +7,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/number_text.hpp"
+
 namespace dike::util {
 
 bool JsonValue::asBool() const {
@@ -63,9 +65,7 @@ std::string JsonValue::stringOr(std::string_view key,
   return v && v->isString() ? v->asString() : std::string{fallback};
 }
 
-namespace {
-
-void escapeInto(std::string& out, const std::string& s) {
+void appendJsonString(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -95,15 +95,18 @@ void escapeInto(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
-void dumpNumber(std::string& out, double d) {
+void appendJsonNumber(std::string& out, double d) {
   if (std::isfinite(d) && d == std::floor(d) && std::abs(d) < 1e15) {
-    out += std::to_string(static_cast<long long>(d));
+    char buf[24];
+    const auto end =
+        std::to_chars(buf, buf + sizeof buf, static_cast<long long>(d)).ptr;
+    out.append(buf, end);
     return;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  out += buf;
+  appendGeneral(out, d, 17);
 }
+
+namespace {
 
 void dumpValue(std::string& out, const JsonValue& value, int indent,
                int depth);
@@ -121,9 +124,9 @@ void dumpValue(std::string& out, const JsonValue& value, int indent,
   } else if (value.isBool()) {
     out += value.asBool() ? "true" : "false";
   } else if (value.isNumber()) {
-    dumpNumber(out, value.asNumber());
+    appendJsonNumber(out, value.asNumber());
   } else if (value.isString()) {
-    escapeInto(out, value.asString());
+    appendJsonString(out, value.asString());
   } else if (value.isArray()) {
     const JsonArray& array = value.asArray();
     if (array.empty()) {
@@ -152,7 +155,7 @@ void dumpValue(std::string& out, const JsonValue& value, int indent,
       if (!first) out.push_back(',');
       first = false;
       newline(out, indent, depth + 1);
-      escapeInto(out, key);
+      appendJsonString(out, key);
       out.push_back(':');
       if (indent > 0) out.push_back(' ');
       dumpValue(out, item, indent, depth + 1);

@@ -99,6 +99,20 @@ class JsonParseError : public std::runtime_error {
 
 [[nodiscard]] JsonValue parseJson(std::string_view text);
 
+// The writer's two leaf encoders, for code that emits JSON text directly
+// instead of building a JsonValue tree (the quantum stream): same bytes as
+// dump().
+
+/// Append `s` as a quoted JSON string: `"` and `\` escaped, \b \f \n \r \t
+/// short-escaped, other control bytes as \u00XX, every other byte verbatim.
+void appendJsonString(std::string& out, std::string_view s);
+
+/// Append `d` as dump() prints numbers: a finite integral value below 1e15
+/// in magnitude as an exact integer, everything else as printf("%.17g")
+/// would (see util::appendGeneral). NaN and infinities print as "nan" /
+/// "inf", which JSON cannot hold — callers that may see them write null.
+void appendJsonNumber(std::string& out, double d);
+
 /// Parse a JSON file; wraps I/O failures in std::runtime_error.
 [[nodiscard]] JsonValue parseJsonFile(const std::string& path);
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -12,6 +13,7 @@
 #include "exp/runner.hpp"
 #include "util/csv.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace telemetry = dike::telemetry;
 
@@ -125,6 +127,145 @@ TEST(QuantumStream, FileWriterRejectsUnwritablePath) {
   EXPECT_THROW(
       telemetry::QuantumStreamFile{"/nonexistent-dir/deep/qm.csv"},
       std::runtime_error);
+}
+
+// --- JSON Lines: direct emission against the JsonValue tree --------------
+
+// The writer used to build each record as a util::JsonObject and dump() it.
+// That construction lives on here as the reference: the direct emitter must
+// reproduce its bytes (sorted keys, NaN as null, the integer rule) exactly.
+dike::util::JsonValue jsonNumberOrNull(double v) {
+  if (std::isnan(v)) return dike::util::JsonValue{nullptr};
+  return dike::util::JsonValue{v};
+}
+
+std::string referenceJsonLine(const telemetry::QuantumRecord& record) {
+  using dike::util::JsonValue;
+  dike::util::JsonArray threads;
+  for (const telemetry::QuantumThreadRecord& t : record.threads) {
+    dike::util::JsonObject o;
+    o.emplace("thread", t.threadId);
+    o.emplace("process", t.processId);
+    o.emplace("core", t.coreId);
+    o.emplace("high_bw_core", t.highBandwidthCore < 0
+                                  ? JsonValue{nullptr}
+                                  : JsonValue{t.highBandwidthCore != 0});
+    o.emplace("access_rate", jsonNumberOrNull(t.accessRate));
+    o.emplace("llc_miss_ratio", jsonNumberOrNull(t.llcMissRatio));
+    o.emplace("core_achieved_bw", jsonNumberOrNull(t.coreAchievedBw));
+    o.emplace("core_bw_estimate", jsonNumberOrNull(t.coreBwEstimate));
+    o.emplace("predicted_rate", jsonNumberOrNull(t.predictedRate));
+    o.emplace("realized_rate", jsonNumberOrNull(t.realizedRate));
+    o.emplace("prediction_error", jsonNumberOrNull(t.predictionError));
+    o.emplace("slowdown", jsonNumberOrNull(t.slowdown));
+    threads.emplace_back(std::move(o));
+  }
+  dike::util::JsonObject doc;
+  doc.emplace("tick", static_cast<double>(record.tick));
+  doc.emplace("quantum", static_cast<double>(record.quantumIndex));
+  doc.emplace("scheduler", record.scheduler);
+  doc.emplace("unfairness", jsonNumberOrNull(record.unfairness));
+  doc.emplace("fairness_spread", jsonNumberOrNull(record.fairnessSpread));
+  doc.emplace("workload_class", record.workloadClass.empty()
+                                    ? JsonValue{nullptr}
+                                    : JsonValue{record.workloadClass});
+  doc.emplace("quanta_length_ms", record.quantaLengthMs);
+  doc.emplace("swap_size", record.swapSize);
+  doc.emplace("swaps_executed", static_cast<double>(record.swapsExecuted));
+  doc.emplace("migrations_executed",
+              static_cast<double>(record.migrationsExecuted));
+  doc.emplace("threads", std::move(threads));
+  return JsonValue{std::move(doc)}.dump() + "\n";
+}
+
+/// A double from the shapes that stress the number text: NaN, +-inf, -0.0,
+/// integer-valued doubles on both sides of the 1e15 integer cutoff, raw bit
+/// patterns, and ordinary rates and ratios.
+double randomField(dike::util::Rng& rng) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  switch (rng.below(8)) {
+    case 0: return std::numeric_limits<double>::quiet_NaN();
+    case 1: return rng.below(2) == 0 ? inf : -inf;
+    case 2: return -0.0;
+    case 3: {
+      const double near = 1e15 + static_cast<double>(rng.below(9)) - 4.0;
+      return rng.below(2) == 0 ? near : -near;
+    }
+    case 4: {
+      const double edge = rng.below(2) == 0 ? 1e15 : -1e15;
+      return std::nextafter(edge, rng.below(2) == 0 ? 0.0 : edge * 2);
+    }
+    case 5: return std::bit_cast<double>(rng());
+    case 6: return std::round(rng.uniform(-1e7, 1e7));
+    default: return rng.uniform(-2.0, 2.0) * std::pow(10.0, rng.uniform(-9, 9));
+  }
+}
+
+std::int64_t randomCount(dike::util::Rng& rng) {
+  // Mostly small counters; sometimes past 1e15, where the integer rule
+  // hands over to %.17g.
+  if (rng.below(4) == 0)
+    return static_cast<std::int64_t>(rng.below(std::uint64_t{1} << 62));
+  return static_cast<std::int64_t>(rng.below(100000)) - 10;
+}
+
+telemetry::QuantumRecord randomRecord(dike::util::Rng& rng) {
+  static const char* const kSchedulers[] = {"dike", "cfs", "",
+                                            "a\"quote\\slash\x01ctl"};
+  static const char* const kClasses[] = {"", "balanced", "memory-bound",
+                                         "tab\tand \"quote\""};
+  telemetry::QuantumRecord r;
+  r.tick = randomCount(rng);
+  r.quantumIndex = randomCount(rng);
+  r.scheduler = kSchedulers[rng.below(4)];
+  r.unfairness = randomField(rng);
+  r.workloadClass = kClasses[rng.below(4)];
+  r.quantaLengthMs = static_cast<int>(rng.below(2000)) - 1;
+  r.swapSize = static_cast<int>(rng.below(64)) - 1;
+  r.swapsExecuted = randomCount(rng);
+  r.migrationsExecuted = randomCount(rng);
+  r.fairnessSpread = randomField(rng);
+  const std::uint64_t threads = rng.below(5);
+  for (std::uint64_t i = 0; i < threads; ++i) {
+    telemetry::QuantumThreadRecord t;
+    t.threadId = static_cast<int>(rng.below(5000)) - 1;
+    t.processId = static_cast<int>(rng.below(600)) - 1;
+    t.coreId = static_cast<int>(rng.below(4096)) - 2;
+    t.highBandwidthCore = static_cast<int>(rng.below(3)) - 1;
+    t.accessRate = randomField(rng);
+    t.llcMissRatio = randomField(rng);
+    t.coreAchievedBw = randomField(rng);
+    t.coreBwEstimate = randomField(rng);
+    t.predictedRate = randomField(rng);
+    t.realizedRate = randomField(rng);
+    t.predictionError = randomField(rng);
+    t.slowdown = randomField(rng);
+    r.threads.push_back(t);
+  }
+  return r;
+}
+
+TEST(QuantumStream, JsonLineMatchesTreeDump) {
+  std::ostringstream out;
+  telemetry::QuantumStreamWriter writer{out,
+                                        telemetry::StreamFormat::JsonLines};
+  const auto check = [&](const telemetry::QuantumRecord& record,
+                         const std::string& label) {
+    out.str("");
+    writer.write(record);
+    EXPECT_EQ(out.str(), referenceJsonLine(record)) << label;
+  };
+
+  check(sampleRecord(), "sample record");
+  telemetry::QuantumRecord empty;
+  check(empty, "default record: no threads, no workload class");
+
+  dike::util::Rng rng{0x0E5C'A9E5ULL};
+  for (int i = 0; i < 5000; ++i) {
+    check(randomRecord(rng), "random record " + std::to_string(i));
+    if (HasFailure()) break;  // one readable diff, not thousands
+  }
+  EXPECT_EQ(writer.recordsWritten(), 5002);
 }
 
 // --- end-to-end: the stream a real run produces -------------------------

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <vector>
 
+#include "util/number_text.hpp"
 #include "util/rng.hpp"
 
 namespace dike::util {
@@ -196,6 +202,111 @@ TEST(Json, ParseFileRoundTrip) {
   const JsonValue v = parseJsonFile(path);
   EXPECT_DOUBLE_EQ(v.numberOr("scale", 0.0), 0.5);
   EXPECT_EQ(v.get("workloads")->asArray().size(), 2u);
+}
+
+// ---------------------------------------------------------- number text
+
+// The number text the library wrote before it moved to std::to_chars,
+// kept here as the reference the fast path must reproduce byte for byte.
+std::string printfGeneral(double d, int precision) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*g", precision, d);
+  return buf;
+}
+
+std::string printfJsonNumber(double d) {
+  if (std::isfinite(d) && d == std::floor(d) && std::abs(d) < 1e15)
+    return std::to_string(static_cast<long long>(d));
+  return printfGeneral(d, 17);
+}
+
+/// The edge cases named in the number contract, then `randomCount` seeded
+/// doubles drawn four ways: raw bit patterns (every exponent, subnormals,
+/// NaN payloads), decimal magnitudes 1e-30..1e30, integers up to 2^54
+/// (both sides of the 1e15 integer cutoff), and short decimals of the kind
+/// the simulator's rates and ratios print as.
+std::vector<double> numberSamples(std::size_t randomCount) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> v{0.0,
+                        -0.0,
+                        inf,
+                        -inf,
+                        nan,
+                        -nan,
+                        std::numeric_limits<double>::denorm_min(),
+                        -std::numeric_limits<double>::denorm_min(),
+                        std::numeric_limits<double>::min(),
+                        std::numeric_limits<double>::max(),
+                        std::numeric_limits<double>::lowest(),
+                        9007199254740992.0,  // 2^53
+                        1e15,
+                        std::nextafter(1e15, 0.0),
+                        std::nextafter(1e15, inf),
+                        -1e15,
+                        std::nextafter(-1e15, 0.0),
+                        std::nextafter(-1e15, -inf),
+                        0.1,
+                        1.0 / 3.0,
+                        -0.0667};
+  Rng rng{0x5EED'0F'7E47ULL};
+  for (std::size_t i = 0; i < randomCount; ++i) {
+    const double sign = rng.below(2) == 0 ? 1.0 : -1.0;
+    switch (i % 4) {
+      case 0: v.push_back(std::bit_cast<double>(rng())); break;
+      case 1:
+        v.push_back(sign * rng.uniform(1.0, 10.0) *
+                    std::pow(10.0, static_cast<double>(rng.below(61)) - 30));
+        break;
+      case 2:
+        v.push_back(sign * static_cast<double>(rng.below(1ULL << 54)));
+        break;
+      default: {
+        const double scale = std::pow(10.0, static_cast<double>(rng.below(8)));
+        v.push_back(sign * std::round(rng.uniform(0.0, 1e7) * scale) / scale);
+      }
+    }
+  }
+  return v;
+}
+
+/// Bit pattern of `d` for failure messages: NaNs and -0.0 print ambiguously.
+std::string bitsOf(double d) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(d)));
+  return buf;
+}
+
+TEST(Json, NumberTextMatchesPrintfReference) {
+  std::size_t mismatches = 0;
+  std::string first;
+  std::string text;
+  for (const double d : numberSamples(1'000'000)) {
+    text.clear();
+    appendJsonNumber(text, d);
+    const std::string want = printfJsonNumber(d);
+    if (text != want && mismatches++ == 0)
+      first = bitsOf(d) + ": got " + text + ", want " + want;
+  }
+  EXPECT_EQ(mismatches, 0u) << "first mismatch " << first;
+}
+
+TEST(NumberText, GeneralMatchesPrintfAtPrecisions6And12) {
+  for (const int precision : {6, 12}) {
+    std::size_t mismatches = 0;
+    std::string first;
+    std::string text;
+    for (const double d : numberSamples(1'000'000)) {
+      text.clear();
+      appendGeneral(text, d, precision);
+      const std::string want = printfGeneral(d, precision);
+      if (text != want && mismatches++ == 0)
+        first = bitsOf(d) + ": got " + text + ", want " + want;
+    }
+    EXPECT_EQ(mismatches, 0u)
+        << "precision " << precision << ", first mismatch " << first;
+  }
 }
 
 }  // namespace
