@@ -20,10 +20,101 @@ SchedulerKind schedulerKindFromName(std::string_view name) {
 
 namespace {
 
-std::vector<int> decodeWorkloads(const util::JsonValue& document) {
-  const auto field = document.get("workloads");
+constexpr auto kExperimentFields = [](auto& c, auto&& field) {
+  field("experiment", c.name);
+  field("scale", c.scale);
+  field("seed", c.seed);
+  field("reps", c.reps);
+  field("heterogeneous", c.heterogeneous);
+  field("threadsPerApp", c.threadsPerApp);
+};
+
+constexpr auto kMachineFields = [](auto& m, auto&& field) {
+  field("controllerAccessesPerSec", m.memory.controllerAccessesPerSec);
+  field("socketLinkAccessesPerSec", m.memory.socketLinkAccessesPerSec);
+  field("smtSharedFactor", m.smtSharedFactor);
+  field("migrationStallTicks", m.migrationStallTicks);
+  field("cacheColdTicks", m.cacheColdTicks);
+  field("cacheColdFactor", m.cacheColdFactor);
+  field("cacheColdSlowdown", m.cacheColdSlowdown);
+  field("llcPerSocketMB", m.llcPerSocketMB);
+  field("llcPressureFactor", m.llcPressureFactor);
+  field("conflictSpread", m.conflictSpread);
+  field("measurementNoiseSigma", m.measurementNoiseSigma);
+  field("idlePowerW", m.idlePowerW);
+  field("dynamicPowerW", m.dynamicPowerW);
+  field("refFreqGhz", m.refFreqGhz);
+  field("tickLeaping", m.tickLeaping);
+  field("utilizationSnapEpsilon", m.utilizationSnapEpsilon);
+};
+
+constexpr auto kDikeFields = [](auto& c, auto&& field) {
+  field("swapSize", c.params.swapSize);
+  field("quantaLengthMs", c.params.quantaLengthMs);
+  field("fairnessThreshold", c.fairnessThreshold);
+  field("swapOhMs", c.swapOhMs);
+  field("cooldownQuanta", c.cooldownQuanta);
+  field("minCooldownMs", c.minCooldownMs);
+  field("requirePositiveProfit", c.requirePositiveProfit);
+  field("rotateWhenNoViolator", c.rotateWhenNoViolator);
+  field("pairRateMargin", c.pairRateMargin);
+  field("useFreeCores", c.useFreeCores);
+};
+
+constexpr auto kObserverFields = [](auto& o, auto&& field) {
+  field("llcMissThreshold", o.llcMissThreshold);
+  field("coreBwDecay", o.coreBwDecay);
+  field("symmetricMovingMean", o.symmetricMovingMean);
+  field("movingMeanWindow", o.movingMeanWindow);
+  field("socketShare", o.socketShare);
+  field("balanceTolerance", o.balanceTolerance);
+  field("threadRateWindow", o.threadRateWindow);
+  field("processRateFloor", o.processRateFloor);
+  field("sanitizeSamples", o.sanitizeSamples);
+  field("maxSampleHoldQuanta", o.maxSampleHoldQuanta);
+  field("maxPlausibleRate", o.maxPlausibleRate);
+};
+
+constexpr auto kResilienceFields = [](auto& r, auto&& field) {
+  field("divergenceWatchdog", r.divergenceWatchdog);
+  field("divergenceErrorThreshold", r.divergenceErrorThreshold);
+  field("divergenceQuanta", r.divergenceQuanta);
+  field("fairnessWatchdog", r.fairnessWatchdog);
+  field("fairnessStallQuanta", r.fairnessStallQuanta);
+  field("fallbackQuanta", r.fallbackQuanta);
+  field("failedActuationCooldownQuanta", r.failedActuationCooldownQuanta);
+};
+
+/// The logical cluster keys: decideJobs is handled on its own (see
+/// ConfigDocument).
+constexpr auto kClusterFields = [](auto& c, auto&& field) {
+  field("clusters", c.clusters);
+  field("rebalanceQuanta", c.rebalanceQuanta);
+  field("rebalanceThreshold", c.rebalanceThreshold);
+  field("rebalanceStreak", c.rebalanceStreak);
+  field("rebalanceBudget", c.rebalanceBudget);
+};
+
+constexpr auto kSocketFields = [](auto& s, auto&& field) {
+  field("physicalCores", s.physicalCores);
+  field("smtWays", s.smtWays);
+  field("freqGhz", s.freqGhz);
+};
+
+constexpr auto kTelemetryFields = [](auto& t, auto&& field) {
+  field("enabled", t.enabled);
+  field("quantumMetrics", t.quantumMetrics);
+  field("traceOut", t.traceOut);
+  field("eventsCsv", t.eventsCsv);
+  field("registryOut", t.registryOut);
+  field("traceCapacity", t.traceCapacity);
+  field("livePublish", t.livePublish);
+};
+
+std::vector<int> decodeWorkloads(util::JsonReader& r) {
+  const util::JsonValue* field = r.take("workloads");
   std::vector<int> ids;
-  if (!field || (field->isString() && field->asString() == "all")) {
+  if (field == nullptr || (field->isString() && field->asString() == "all")) {
     for (const wl::WorkloadSpec& w : wl::workloadTable()) ids.push_back(w.id);
     return ids;
   }
@@ -31,197 +122,171 @@ std::vector<int> decodeWorkloads(const util::JsonValue& document) {
     const std::string& cls = field->asString();
     for (const wl::WorkloadSpec& w : wl::workloadTable())
       if (toString(w.cls) == cls) ids.push_back(w.id);
-    if (ids.empty())
-      throw std::runtime_error{"unknown workload selector: " + cls};
+    r.require(!ids.empty(), "workloads",
+              "is an unknown workload selector: " + cls);
     return ids;
   }
-  if (!field->isArray())
-    throw std::runtime_error{"'workloads' must be an array or selector string"};
+  r.require(field->isArray(), "workloads",
+            "must be an array or selector string");
   for (const util::JsonValue& v : field->asArray()) {
-    if (!v.isNumber())
-      throw std::runtime_error{"'workloads' entries must be numbers"};
-    const int id = static_cast<int>(v.asNumber());
+    int id = 0;
+    util::decodeValue(
+        v, r.pathOf("workloads") + "[" + std::to_string(ids.size()) + "]",
+        id);
     (void)wl::workload(id);  // validates the range
     ids.push_back(id);
   }
-  if (ids.empty()) throw std::runtime_error{"'workloads' is empty"};
+  r.require(!ids.empty(), "workloads", "is empty");
   return ids;
 }
 
-std::vector<SchedulerKind> decodeSchedulers(const util::JsonValue& document) {
-  const auto field = document.get("schedulers");
-  if (!field) return allSchedulerKinds();
-  if (!field->isArray())
-    throw std::runtime_error{"'schedulers' must be an array of names"};
+std::vector<SchedulerKind> decodeSchedulers(util::JsonReader& r) {
+  const util::JsonValue* field = r.take("schedulers");
+  if (field == nullptr) return allSchedulerKinds();
+  r.require(field->isArray(), "schedulers", "must be an array of names");
   std::vector<SchedulerKind> kinds;
-  for (const util::JsonValue& v : field->asArray())
-    kinds.push_back(schedulerKindFromName(v.asString()));
-  if (kinds.empty()) throw std::runtime_error{"'schedulers' is empty"};
+  for (const util::JsonValue& v : field->asArray()) {
+    std::string name;
+    util::decodeValue(
+        v, r.pathOf("schedulers") + "[" + std::to_string(kinds.size()) + "]",
+        name);
+    kinds.push_back(schedulerKindFromName(name));
+  }
+  r.require(!kinds.empty(), "schedulers", "is empty");
   return kinds;
-}
-
-void decodeMachine(const util::JsonValue& m, sim::MachineConfig& out) {
-  out.smtSharedFactor = m.numberOr("smtSharedFactor", out.smtSharedFactor);
-  out.migrationStallTicks = static_cast<util::Tick>(
-      m.numberOr("migrationStallTicks",
-                 static_cast<double>(out.migrationStallTicks)));
-  out.cacheColdTicks = static_cast<util::Tick>(m.numberOr(
-      "cacheColdTicks", static_cast<double>(out.cacheColdTicks)));
-  out.cacheColdFactor = m.numberOr("cacheColdFactor", out.cacheColdFactor);
-  out.cacheColdSlowdown =
-      m.numberOr("cacheColdSlowdown", out.cacheColdSlowdown);
-  out.conflictSpread = m.numberOr("conflictSpread", out.conflictSpread);
-  out.llcPerSocketMB = m.numberOr("llcPerSocketMB", out.llcPerSocketMB);
-  out.llcPressureFactor =
-      m.numberOr("llcPressureFactor", out.llcPressureFactor);
-  out.memory.controllerAccessesPerSec = m.numberOr(
-      "controllerAccessesPerSec", out.memory.controllerAccessesPerSec);
-  out.memory.socketLinkAccessesPerSec = m.numberOr(
-      "socketLinkAccessesPerSec", out.memory.socketLinkAccessesPerSec);
-  out.measurementNoiseSigma =
-      m.numberOr("measurementNoiseSigma", out.measurementNoiseSigma);
-  out.tickLeaping = m.boolOr("tickLeaping", out.tickLeaping);
-  out.utilizationSnapEpsilon =
-      m.numberOr("utilizationSnapEpsilon", out.utilizationSnapEpsilon);
-}
-
-void decodeDike(const util::JsonValue& d, core::DikeConfig& out) {
-  out.params.swapSize = d.intOr("swapSize", out.params.swapSize);
-  out.params.quantaLengthMs =
-      d.intOr("quantaLengthMs", out.params.quantaLengthMs);
-  out.fairnessThreshold =
-      d.numberOr("fairnessThreshold", out.fairnessThreshold);
-  out.swapOhMs = d.numberOr("swapOhMs", out.swapOhMs);
-  out.cooldownQuanta = d.intOr("cooldownQuanta", out.cooldownQuanta);
-  out.minCooldownMs = d.intOr("minCooldownMs", out.minCooldownMs);
-  out.requirePositiveProfit =
-      d.boolOr("requirePositiveProfit", out.requirePositiveProfit);
-  out.rotateWhenNoViolator =
-      d.boolOr("rotateWhenNoViolator", out.rotateWhenNoViolator);
-  out.pairRateMargin = d.numberOr("pairRateMargin", out.pairRateMargin);
-  out.useFreeCores = d.boolOr("useFreeCores", out.useFreeCores);
-  if (const auto o = d.get("observer")) {
-    out.observer.sanitizeSamples =
-        o->boolOr("sanitizeSamples", out.observer.sanitizeSamples);
-    out.observer.maxSampleHoldQuanta =
-        o->intOr("maxSampleHoldQuanta", out.observer.maxSampleHoldQuanta);
-    out.observer.maxPlausibleRate =
-        o->numberOr("maxPlausibleRate", out.observer.maxPlausibleRate);
-  }
-  if (const auto c = d.get("cluster")) {
-    out.cluster.clusters = c->intOr("clusters", out.cluster.clusters);
-    if (out.cluster.clusters < 0)
-      throw std::runtime_error{"'dike.cluster.clusters' must be >= 0"};
-    out.cluster.rebalanceQuanta =
-        c->intOr("rebalanceQuanta", out.cluster.rebalanceQuanta);
-    out.cluster.rebalanceThreshold =
-        c->numberOr("rebalanceThreshold", out.cluster.rebalanceThreshold);
-    out.cluster.rebalanceStreak =
-        c->intOr("rebalanceStreak", out.cluster.rebalanceStreak);
-    out.cluster.rebalanceBudget =
-        c->intOr("rebalanceBudget", out.cluster.rebalanceBudget);
-    out.cluster.decideJobs = c->intOr("decideJobs", out.cluster.decideJobs);
-    if (out.cluster.decideJobs < 0)
-      throw std::runtime_error{
-          "'dike.cluster.decideJobs' must be >= 0 (0 = DIKE_JOBS/auto)"};
-  }
-  if (const auto r = d.get("resilience")) {
-    out.resilience.divergenceWatchdog =
-        r->boolOr("divergenceWatchdog", out.resilience.divergenceWatchdog);
-    out.resilience.divergenceErrorThreshold = r->numberOr(
-        "divergenceErrorThreshold", out.resilience.divergenceErrorThreshold);
-    out.resilience.divergenceQuanta =
-        r->intOr("divergenceQuanta", out.resilience.divergenceQuanta);
-    out.resilience.fairnessWatchdog =
-        r->boolOr("fairnessWatchdog", out.resilience.fairnessWatchdog);
-    out.resilience.fairnessStallQuanta =
-        r->intOr("fairnessStallQuanta", out.resilience.fairnessStallQuanta);
-    out.resilience.fallbackQuanta =
-        r->intOr("fallbackQuanta", out.resilience.fallbackQuanta);
-    out.resilience.failedActuationCooldownQuanta =
-        r->intOr("failedActuationCooldownQuanta",
-                 out.resilience.failedActuationCooldownQuanta);
-  }
-}
-
-std::vector<sim::SocketSpec> decodeTopology(const util::JsonValue& field) {
-  if (!field.isArray())
-    throw std::runtime_error{"'topology' must be an array of socket specs"};
-  std::vector<sim::SocketSpec> sockets;
-  for (const util::JsonValue& v : field.asArray()) {
-    if (!v.isObject())
-      throw std::runtime_error{"'topology' entries must be objects"};
-    sim::SocketSpec spec;
-    const int repeat = v.intOr("sockets", 1);
-    if (repeat < 1)
-      throw std::runtime_error{"'topology[].sockets' must be >= 1"};
-    spec.physicalCores = v.intOr("physicalCores", spec.physicalCores);
-    if (spec.physicalCores < 1)
-      throw std::runtime_error{"'topology[].physicalCores' must be >= 1"};
-    spec.smtWays = v.intOr("smtWays", spec.smtWays);
-    if (spec.smtWays < 1)
-      throw std::runtime_error{"'topology[].smtWays' must be >= 1"};
-    spec.freqGhz = v.numberOr("freqGhz", spec.freqGhz);
-    if (spec.freqGhz <= 0.0)
-      throw std::runtime_error{"'topology[].freqGhz' must be > 0"};
-    const std::string type = v.stringOr("type", "fast");
-    if (type == "fast")
-      spec.type = sim::CoreType::Fast;
-    else if (type == "slow")
-      spec.type = sim::CoreType::Slow;
-    else
-      throw std::runtime_error{"'topology[].type' must be 'fast' or 'slow'"};
-    for (int i = 0; i < repeat; ++i) sockets.push_back(spec);
-  }
-  if (sockets.empty()) throw std::runtime_error{"'topology' is empty"};
-  return sockets;
-}
-
-void decodeTelemetry(const util::JsonValue& t, ExperimentTelemetry& out) {
-  out.enabled = t.boolOr("enabled", out.enabled);
-  out.quantumMetrics = t.stringOr("quantumMetrics", out.quantumMetrics);
-  out.traceOut = t.stringOr("traceOut", out.traceOut);
-  out.eventsCsv = t.stringOr("eventsCsv", out.eventsCsv);
-  out.registryOut = t.stringOr("registryOut", out.registryOut);
-  out.livePublish = t.boolOr("livePublish", out.livePublish);
-  const double capacity = t.numberOr(
-      "traceCapacity", static_cast<double>(out.traceCapacity));
-  if (capacity < 1.0)
-    throw std::runtime_error{"'telemetry.traceCapacity' must be >= 1"};
-  out.traceCapacity = static_cast<std::size_t>(capacity);
 }
 
 }  // namespace
 
+util::JsonObject toJson(const sim::MachineConfig& machine) {
+  return util::encodeFields(machine, kMachineFields);
+}
+
+void readMachineConfig(util::JsonReader& section,
+                       sim::MachineConfig& machine) {
+  section.readFields(machine, kMachineFields);
+}
+
+util::JsonObject toJson(const core::DikeConfig& dike,
+                        ConfigDocument document) {
+  util::JsonObject out = util::encodeFields(dike, kDikeFields);
+  out.emplace("observer", util::encodeFields(dike.observer, kObserverFields));
+  out.emplace("resilience",
+              util::encodeFields(dike.resilience, kResilienceFields));
+  if (document == ConfigDocument::Experiment) {
+    util::JsonObject cluster =
+        util::encodeFields(dike.cluster, kClusterFields);
+    cluster.emplace("decideJobs", dike.cluster.decideJobs);
+    out.emplace("cluster", std::move(cluster));
+  } else if (dike.cluster.clusters >= 2) {
+    out.emplace("cluster", util::encodeFields(dike.cluster, kClusterFields));
+  }
+  return out;
+}
+
+void readDikeConfig(util::JsonReader& section, core::DikeConfig& dike) {
+  section.readFields(dike, kDikeFields);
+  section.readObject("observer", [&dike](util::JsonReader& o) {
+    o.readFields(dike.observer, kObserverFields);
+    o.require(dike.observer.movingMeanWindow >= 1, "movingMeanWindow",
+              "must be >= 1");
+    o.require(dike.observer.threadRateWindow >= 1, "threadRateWindow",
+              "must be >= 1");
+    o.require(dike.observer.processRateFloor >= 0.0, "processRateFloor",
+              "must be >= 0");
+  });
+  section.readObject("resilience", [&dike](util::JsonReader& r) {
+    r.readFields(dike.resilience, kResilienceFields);
+  });
+  section.readObject("cluster", [&dike](util::JsonReader& c) {
+    c.readFields(dike.cluster, kClusterFields);
+    c.require(dike.cluster.clusters >= 0, "clusters", "must be >= 0");
+    c.read("decideJobs", dike.cluster.decideJobs);
+    c.require(dike.cluster.decideJobs >= 0, "decideJobs",
+              "must be >= 0 (0 = DIKE_JOBS/auto)");
+  });
+}
+
+util::JsonArray topologyToJson(const std::vector<sim::SocketSpec>& sockets) {
+  util::JsonArray out;
+  for (const sim::SocketSpec& socket : sockets) {
+    util::JsonObject entry = util::encodeFields(socket, kSocketFields);
+    entry.emplace("type", std::string{sim::toString(socket.type)});
+    out.emplace_back(std::move(entry));
+  }
+  return out;
+}
+
+std::vector<sim::SocketSpec> readTopology(util::JsonReader& parent) {
+  std::vector<sim::SocketSpec> sockets;
+  const bool present =
+      parent.readObjects("topology", [&sockets](util::JsonReader& entry) {
+        sim::SocketSpec spec;
+        int repeat = 1;
+        entry.read("sockets", repeat);
+        entry.require(repeat >= 1, "sockets", "must be >= 1");
+        entry.readFields(spec, kSocketFields);
+        entry.require(spec.physicalCores >= 1, "physicalCores",
+                      "must be >= 1");
+        entry.require(spec.smtWays >= 1, "smtWays", "must be >= 1");
+        entry.require(spec.freqGhz > 0.0, "freqGhz", "must be > 0");
+        std::string type{sim::toString(spec.type)};
+        entry.read("type", type);
+        entry.require(type == "fast" || type == "slow", "type",
+                      "must be 'fast' or 'slow'");
+        spec.type = type == "fast" ? sim::CoreType::Fast : sim::CoreType::Slow;
+        sockets.insert(sockets.end(), static_cast<std::size_t>(repeat), spec);
+      });
+  parent.require(!present || !sockets.empty(), "topology", "is empty");
+  return sockets;
+}
+
 ExperimentConfig parseExperimentConfig(const util::JsonValue& document) {
-  if (!document.isObject())
-    throw std::runtime_error{"experiment config must be a JSON object"};
+  util::JsonReader r{document, ""};
   ExperimentConfig config;
-  config.name = document.stringOr("experiment", config.name);
-  config.workloadIds = decodeWorkloads(document);
-  config.kinds = decodeSchedulers(document);
-  config.scale = document.numberOr("scale", config.scale);
-  if (config.scale <= 0.0) throw std::runtime_error{"'scale' must be > 0"};
-  config.seed =
-      static_cast<std::uint64_t>(document.numberOr("seed", 42.0));
-  config.reps = document.intOr("reps", 1);
-  if (config.reps < 1) throw std::runtime_error{"'reps' must be >= 1"};
-  config.heterogeneous = document.boolOr("heterogeneous", true);
-  config.threadsPerApp = document.intOr("threadsPerApp", config.threadsPerApp);
-  if (config.threadsPerApp < 1)
-    throw std::runtime_error{"'threadsPerApp' must be >= 1"};
-  if (const auto topology = document.get("topology"))
-    config.topology = decodeTopology(*topology);
-  if (const auto machine = document.get("machine"))
-    decodeMachine(*machine, config.machine);
-  if (const auto dike = document.get("dike")) decodeDike(*dike, config.dike);
-  if (const auto telemetry = document.get("telemetry"))
-    decodeTelemetry(*telemetry, config.telemetry);
-  if (const auto slo = document.get("slo"))
+  r.readFields(config, kExperimentFields);
+  r.require(config.scale > 0.0, "scale", "must be > 0");
+  r.require(config.reps >= 1, "reps", "must be >= 1");
+  r.require(config.threadsPerApp >= 1, "threadsPerApp", "must be >= 1");
+  config.workloadIds = decodeWorkloads(r);
+  config.kinds = decodeSchedulers(r);
+  config.topology = readTopology(r);
+  r.readObject("machine", [&config](util::JsonReader& m) {
+    readMachineConfig(m, config.machine);
+  });
+  r.readObject("dike", [&config](util::JsonReader& d) {
+    readDikeConfig(d, config.dike);
+  });
+  r.readObject("telemetry", [&config](util::JsonReader& t) {
+    t.readFields(config.telemetry, kTelemetryFields);
+    t.require(config.telemetry.traceCapacity >= 1, "traceCapacity",
+              "must be >= 1");
+  });
+  if (const util::JsonValue* slo = r.take("slo"))
     config.slo = telemetry::parseSloConfig(*slo);
-  if (const auto faults = document.get("faults"))
+  if (const util::JsonValue* faults = r.take("faults"))
     config.faults = fault::parseFaultPlan(*faults);
+  r.finish();
   return config;
+}
+
+util::JsonValue experimentConfigToJson(const ExperimentConfig& config) {
+  util::JsonObject out = util::encodeFields(config, kExperimentFields);
+  out.emplace("workloads", util::JsonArray(config.workloadIds.begin(),
+                                           config.workloadIds.end()));
+  util::JsonArray schedulers;
+  for (const SchedulerKind kind : config.kinds)
+    schedulers.emplace_back(std::string{toString(kind)});
+  out.emplace("schedulers", std::move(schedulers));
+  if (!config.topology.empty())
+    out.emplace("topology", topologyToJson(config.topology));
+  out.emplace("machine", toJson(config.machine));
+  out.emplace("dike", toJson(config.dike, ConfigDocument::Experiment));
+  out.emplace("telemetry",
+              util::encodeFields(config.telemetry, kTelemetryFields));
+  out.emplace("slo", telemetry::toJson(config.slo));
+  if (config.faults) out.emplace("faults", fault::toJson(*config.faults));
+  return util::JsonValue{std::move(out)};
 }
 
 RunSpec cellRunSpec(const ExperimentConfig& config, int workloadId,

@@ -1,48 +1,28 @@
 // JSON experiment configuration: the reproducible-run format behind the
 // dike_run tool (the analogue of the paper's released running scripts).
 //
-// Schema (all fields optional unless noted):
+// Top-level keys (all optional):
 //   {
 //     "experiment":    "name",
 //     "workloads":     [1, 2, 16] | "all" | "B" | "UC" | "UM",
 //     "schedulers":    ["cfs", "dio", "dike", "dike-af", "dike-ap",
 //                       "random", "static-oracle"],
-//     "scale":         0.5,
-//     "seed":          42,
-//     "reps":          1,
-//     "heterogeneous": true,
+//     "scale": 0.5, "seed": 42, "reps": 1, "heterogeneous": true,
 //     "threadsPerApp": 8,
-//     "topology":      [ { "sockets": 8, "physicalCores": 32, "smtWays": 1,
-//                          "freqGhz": 2.33, "type": "fast" }, ... ],
-//     "machine": { "smtSharedFactor": .., "migrationStallTicks": ..,
-//                  "cacheColdTicks": .., "cacheColdFactor": ..,
-//                  "cacheColdSlowdown": .., "conflictSpread": ..,
-//                  "llcPerSocketMB": .., "llcPressureFactor": ..,
-//                  "controllerAccessesPerSec": ..,
-//                  "socketLinkAccessesPerSec": ..,
-//                  "measurementNoiseSigma": .. },
-//     "dike":    { "swapSize": .., "quantaLengthMs": ..,
-//                  "fairnessThreshold": .., "swapOhMs": ..,
-//                  "cooldownQuanta": .., "minCooldownMs": ..,
-//                  "requirePositiveProfit": .., "rotateWhenNoViolator": ..,
-//                  "pairRateMargin": .., "useFreeCores": ..,
-//                  "cluster": { "clusters": .., "rebalanceQuanta": ..,
-//                               "rebalanceThreshold": ..,
-//                               "rebalanceStreak": ..,
-//                               "rebalanceBudget": .. } },
-//     "telemetry": { "enabled": false, "quantumMetrics": "qm.csv",
-//                    "traceOut": "chrome.json", "eventsCsv": "events.csv",
-//                    "registryOut": "registry.json",
-//                    "traceCapacity": 1048576, "livePublish": false },
-//     "slo":     { "enabled": false, "maxFairnessSpread": 1.25,
-//                  "maxPredictionAbsError": 0.0, "windowQuanta": 100,
-//                  "warmupQuanta": 0 },
-//     "faults":  { "seed": 1, "window": {"startTick": .., "endTick": ..},
-//                  "samples": { "dropProbability": .., ... },
-//                  "actuation": { "swapFailProbability": .., ... },
-//                  "cores": { "freqDipProbability": .., ... },
-//                  "churn": { "arrivals": .., ... } }   // see fault_plan.hpp
+//     "topology":  [ { "sockets": 8, "physicalCores": 32, "smtWays": 1,
+//                      "freqGhz": 2.33, "type": "fast" }, ... ],
+//     "machine":   { sim::MachineConfig },
+//     "dike":      { core::DikeConfig, with "observer", "resilience" and
+//                    "cluster" sections },
+//     "telemetry": { ExperimentTelemetry },
+//     "slo":       { telemetry::SloConfig },
+//     "faults":    { fault::FaultPlan }
 //   }
+// `dike_run --print-default-config` prints every key with its default: it
+// is the encoders' output for a default config, so it is the full schema.
+// Every key is read through util::JsonReader: a key a section does not
+// read, a mistyped value, a fraction where an integer is expected or a
+// value out of range throws util::ConfigError naming its path.
 //
 // Telemetry run outputs (quantumMetrics/traceOut/eventsCsv) attach to the
 // experiment's *first* cell — first listed workload and scheduler, rep 0 —
@@ -118,11 +98,47 @@ struct ExperimentConfig {
   std::optional<fault::FaultPlan> faults;
 };
 
-/// Decode a configuration document. Throws std::runtime_error with a
-/// descriptive message on unknown scheduler names, bad workload selectors,
-/// or out-of-range values.
+/// Decode a configuration document. Throws util::ConfigError naming the
+/// path of an unknown, mistyped or out-of-range key, and std::runtime_error
+/// on unknown scheduler names or workload ids.
 [[nodiscard]] ExperimentConfig parseExperimentConfig(
     const util::JsonValue& document);
+
+/// Encode a configuration document parseExperimentConfig reads back to an
+/// equal config (dike_run --print-default-config prints a default one).
+[[nodiscard]] util::JsonValue experimentConfigToJson(
+    const ExperimentConfig& config);
+
+// One encoder/decoder pair per config struct, shared by the experiment
+// config and the run spec a checkpoint embeds (exp/replay.hpp). Keys only
+// one of the two documents has are added by that document's codec.
+
+/// Which document a DikeConfig is encoded into. The run spec carries only
+/// what decides the run's result: its "cluster" section appears only when
+/// clustering is on (>= 2 clusters; one cluster builds the flat scheduler,
+/// whose checkpoints must byte-match), and never with "decideJobs", an
+/// execution knob a restore may change freely.
+enum class ConfigDocument { Experiment, RunSpec };
+
+[[nodiscard]] util::JsonObject toJson(const sim::MachineConfig& machine);
+/// Read `section`'s MachineConfig keys into `machine` (the caller finishes
+/// the section).
+void readMachineConfig(util::JsonReader& section,
+                       sim::MachineConfig& machine);
+
+[[nodiscard]] util::JsonObject toJson(const core::DikeConfig& dike,
+                                      ConfigDocument document);
+/// Read `section`'s DikeConfig keys, with its observer, resilience and
+/// cluster sections, into `dike` (the caller finishes the section).
+void readDikeConfig(util::JsonReader& section, core::DikeConfig& dike);
+
+/// One entry per socket.
+[[nodiscard]] util::JsonArray topologyToJson(
+    const std::vector<sim::SocketSpec>& sockets);
+/// Read `parent`'s optional "topology" list (empty when absent). An entry's
+/// "sockets" repeats it that many times.
+[[nodiscard]] std::vector<sim::SocketSpec> readTopology(
+    util::JsonReader& parent);
 
 /// The RunSpec of one grid cell: `workloadId` under `kind`, repetition
 /// `rep` (seeded config.seed + 1000 * rep), without telemetry. This is the

@@ -1,7 +1,6 @@
 #include "exp/replay.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -16,6 +15,7 @@
 #include "core/dike_scheduler.hpp"
 #include "exp/analysis.hpp"
 #include "exp/chrome_trace.hpp"
+#include "exp/config_io.hpp"
 #include "exp/stream_listener.hpp"
 #include "sched/placement.hpp"
 #include "telemetry/aggregator.hpp"
@@ -31,323 +31,68 @@ namespace dike::exp {
 
 namespace {
 
-/// 64-bit seeds round-trip as decimal strings: JSON numbers are doubles and
-/// silently lose integer precision above 2^53.
-std::string u64ToString(std::uint64_t v) { return std::to_string(v); }
+constexpr auto kArrivalFields = [](auto& a, auto&& field) {
+  field("atTick", a.atTick);
+  field("benchmark", a.benchmark);
+  field("threads", a.threads);
+  field("scale", a.scale);
+};
 
-std::uint64_t u64FromString(const std::string& text, const char* field) {
-  std::uint64_t v = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), v);
-  if (ec != std::errc{} || end != text.data() + text.size() || text.empty())
-    throw std::runtime_error{std::string{"run spec field '"} + field +
-                             "' is not a valid unsigned integer: '" + text +
-                             "'"};
-  return v;
-}
-
-util::JsonValue machineConfigToJson(const sim::MachineConfig& m) {
-  util::JsonObject o;
-  o["controllerAccessesPerSec"] = m.memory.controllerAccessesPerSec;
-  o["socketLinkAccessesPerSec"] = m.memory.socketLinkAccessesPerSec;
-  o["smtSharedFactor"] = m.smtSharedFactor;
-  o["migrationStallTicks"] = m.migrationStallTicks;
-  o["cacheColdTicks"] = m.cacheColdTicks;
-  o["cacheColdFactor"] = m.cacheColdFactor;
-  o["cacheColdSlowdown"] = m.cacheColdSlowdown;
-  o["llcPerSocketMB"] = m.llcPerSocketMB;
-  o["llcPressureFactor"] = m.llcPressureFactor;
-  o["conflictSpread"] = m.conflictSpread;
-  o["measurementNoiseSigma"] = m.measurementNoiseSigma;
-  o["idlePowerW"] = m.idlePowerW;
-  o["dynamicPowerW"] = m.dynamicPowerW;
-  o["refFreqGhz"] = m.refFreqGhz;
-  o["tickLeaping"] = m.tickLeaping;
-  o["utilizationSnapEpsilon"] = m.utilizationSnapEpsilon;
-  o["seed"] = u64ToString(m.seed);
-  return util::JsonValue{std::move(o)};
-}
-
-sim::MachineConfig machineConfigFromJson(const util::JsonValue& v) {
-  sim::MachineConfig m;
-  m.memory.controllerAccessesPerSec = v.numberOr(
-      "controllerAccessesPerSec", m.memory.controllerAccessesPerSec);
-  m.memory.socketLinkAccessesPerSec = v.numberOr(
-      "socketLinkAccessesPerSec", m.memory.socketLinkAccessesPerSec);
-  m.smtSharedFactor = v.numberOr("smtSharedFactor", m.smtSharedFactor);
-  m.migrationStallTicks = static_cast<util::Tick>(v.numberOr(
-      "migrationStallTicks", static_cast<double>(m.migrationStallTicks)));
-  m.cacheColdTicks = static_cast<util::Tick>(
-      v.numberOr("cacheColdTicks", static_cast<double>(m.cacheColdTicks)));
-  m.cacheColdFactor = v.numberOr("cacheColdFactor", m.cacheColdFactor);
-  m.cacheColdSlowdown = v.numberOr("cacheColdSlowdown", m.cacheColdSlowdown);
-  m.llcPerSocketMB = v.numberOr("llcPerSocketMB", m.llcPerSocketMB);
-  m.llcPressureFactor = v.numberOr("llcPressureFactor", m.llcPressureFactor);
-  m.conflictSpread = v.numberOr("conflictSpread", m.conflictSpread);
-  m.measurementNoiseSigma =
-      v.numberOr("measurementNoiseSigma", m.measurementNoiseSigma);
-  m.idlePowerW = v.numberOr("idlePowerW", m.idlePowerW);
-  m.dynamicPowerW = v.numberOr("dynamicPowerW", m.dynamicPowerW);
-  m.refFreqGhz = v.numberOr("refFreqGhz", m.refFreqGhz);
-  m.tickLeaping = v.boolOr("tickLeaping", m.tickLeaping);
-  m.utilizationSnapEpsilon =
-      v.numberOr("utilizationSnapEpsilon", m.utilizationSnapEpsilon);
-  if (const auto seed = v.get("seed"))
-    m.seed = u64FromString(seed->asString(), "machine.seed");
-  return m;
-}
-
-util::JsonValue dikeConfigToJson(const core::DikeConfig& c) {
-  util::JsonObject o;
-  o["swapSize"] = c.params.swapSize;
-  o["quantaLengthMs"] = c.params.quantaLengthMs;
-  o["fairnessThreshold"] = c.fairnessThreshold;
-  o["goal"] = static_cast<int>(c.goal);
-  o["swapOhMs"] = c.swapOhMs;
-  o["cooldownQuanta"] = c.cooldownQuanta;
-  o["minCooldownMs"] = c.minCooldownMs;
-  o["requirePositiveProfit"] = c.requirePositiveProfit;
-  o["rotateWhenNoViolator"] = c.rotateWhenNoViolator;
-  o["pairRateMargin"] = c.pairRateMargin;
-  o["useFreeCores"] = c.useFreeCores;
-  util::JsonObject obs;
-  obs["llcMissThreshold"] = c.observer.llcMissThreshold;
-  obs["coreBwDecay"] = c.observer.coreBwDecay;
-  obs["symmetricMovingMean"] = c.observer.symmetricMovingMean;
-  obs["movingMeanWindow"] = static_cast<int>(c.observer.movingMeanWindow);
-  obs["socketShare"] = c.observer.socketShare;
-  obs["balanceTolerance"] = c.observer.balanceTolerance;
-  obs["threadRateWindow"] = static_cast<int>(c.observer.threadRateWindow);
-  obs["processRateFloor"] = c.observer.processRateFloor;
-  obs["sanitizeSamples"] = c.observer.sanitizeSamples;
-  obs["maxSampleHoldQuanta"] = c.observer.maxSampleHoldQuanta;
-  obs["maxPlausibleRate"] = c.observer.maxPlausibleRate;
-  o["observer"] = util::JsonValue{std::move(obs)};
-  util::JsonObject res;
-  res["divergenceWatchdog"] = c.resilience.divergenceWatchdog;
-  res["divergenceErrorThreshold"] = c.resilience.divergenceErrorThreshold;
-  res["divergenceQuanta"] = c.resilience.divergenceQuanta;
-  res["fairnessWatchdog"] = c.resilience.fairnessWatchdog;
-  res["fairnessStallQuanta"] = c.resilience.fairnessStallQuanta;
-  res["fallbackQuanta"] = c.resilience.fallbackQuanta;
-  res["failedActuationCooldownQuanta"] =
-      c.resilience.failedActuationCooldownQuanta;
-  o["resilience"] = util::JsonValue{std::move(res)};
-  // The cluster section is written only when clustering actually changes
-  // behaviour (>= 2 clusters): a 1-cluster run builds the flat scheduler,
-  // and dike_diff compares embedded specs verbatim — the
-  // equivalence check depends on these specs matching too.
-  if (c.cluster.clusters >= 2) {
-    // decideJobs is deliberately NOT encoded: it is an execution knob
-    // (plan-phase worker count), not logical configuration — a checkpoint
-    // taken under decideJobs=N must byte-match one taken under decideJobs=1
-    // (the decide-jobs equivalence test in the scale tier cmp's exactly
-    // this), and a restore may freely pick a different jobs count.
-    util::JsonObject cl;
-    cl["clusters"] = c.cluster.clusters;
-    cl["rebalanceQuanta"] = c.cluster.rebalanceQuanta;
-    cl["rebalanceThreshold"] = c.cluster.rebalanceThreshold;
-    cl["rebalanceStreak"] = c.cluster.rebalanceStreak;
-    cl["rebalanceBudget"] = c.cluster.rebalanceBudget;
-    o["cluster"] = util::JsonValue{std::move(cl)};
-  }
-  return util::JsonValue{std::move(o)};
-}
-
-core::DikeConfig dikeConfigFromJson(const util::JsonValue& v) {
-  core::DikeConfig c;
-  c.params.swapSize = v.intOr("swapSize", c.params.swapSize);
-  c.params.quantaLengthMs = v.intOr("quantaLengthMs", c.params.quantaLengthMs);
-  c.fairnessThreshold = v.numberOr("fairnessThreshold", c.fairnessThreshold);
-  const int goal = v.intOr("goal", static_cast<int>(c.goal));
-  if (goal < 0 || goal > static_cast<int>(core::AdaptationGoal::Performance))
-    throw std::runtime_error{"run spec field 'dike.goal' is out of range: " +
-                             std::to_string(goal)};
-  c.goal = static_cast<core::AdaptationGoal>(goal);
-  c.swapOhMs = v.numberOr("swapOhMs", c.swapOhMs);
-  c.cooldownQuanta = v.intOr("cooldownQuanta", c.cooldownQuanta);
-  c.minCooldownMs = v.intOr("minCooldownMs", c.minCooldownMs);
-  c.requirePositiveProfit =
-      v.boolOr("requirePositiveProfit", c.requirePositiveProfit);
-  c.rotateWhenNoViolator =
-      v.boolOr("rotateWhenNoViolator", c.rotateWhenNoViolator);
-  c.pairRateMargin = v.numberOr("pairRateMargin", c.pairRateMargin);
-  c.useFreeCores = v.boolOr("useFreeCores", c.useFreeCores);
-  if (const auto obs = v.get("observer")) {
-    core::ObserverConfig& ob = c.observer;
-    ob.llcMissThreshold = obs->numberOr("llcMissThreshold",
-                                        ob.llcMissThreshold);
-    ob.coreBwDecay = obs->numberOr("coreBwDecay", ob.coreBwDecay);
-    ob.symmetricMovingMean =
-        obs->boolOr("symmetricMovingMean", ob.symmetricMovingMean);
-    ob.movingMeanWindow = static_cast<std::size_t>(obs->intOr(
-        "movingMeanWindow", static_cast<int>(ob.movingMeanWindow)));
-    ob.socketShare = obs->numberOr("socketShare", ob.socketShare);
-    ob.balanceTolerance = obs->numberOr("balanceTolerance",
-                                        ob.balanceTolerance);
-    ob.threadRateWindow = static_cast<std::size_t>(obs->intOr(
-        "threadRateWindow", static_cast<int>(ob.threadRateWindow)));
-    ob.processRateFloor = obs->numberOr("processRateFloor",
-                                        ob.processRateFloor);
-    ob.sanitizeSamples = obs->boolOr("sanitizeSamples", ob.sanitizeSamples);
-    ob.maxSampleHoldQuanta =
-        obs->intOr("maxSampleHoldQuanta", ob.maxSampleHoldQuanta);
-    ob.maxPlausibleRate = obs->numberOr("maxPlausibleRate",
-                                        ob.maxPlausibleRate);
-  }
-  if (const auto res = v.get("resilience")) {
-    core::ResilienceConfig& rc = c.resilience;
-    rc.divergenceWatchdog =
-        res->boolOr("divergenceWatchdog", rc.divergenceWatchdog);
-    rc.divergenceErrorThreshold = res->numberOr("divergenceErrorThreshold",
-                                                rc.divergenceErrorThreshold);
-    rc.divergenceQuanta = res->intOr("divergenceQuanta", rc.divergenceQuanta);
-    rc.fairnessWatchdog =
-        res->boolOr("fairnessWatchdog", rc.fairnessWatchdog);
-    rc.fairnessStallQuanta =
-        res->intOr("fairnessStallQuanta", rc.fairnessStallQuanta);
-    rc.fallbackQuanta = res->intOr("fallbackQuanta", rc.fallbackQuanta);
-    rc.failedActuationCooldownQuanta = res->intOr(
-        "failedActuationCooldownQuanta", rc.failedActuationCooldownQuanta);
-  }
-  if (const auto cl = v.get("cluster")) {
-    core::ClusterConfig& cc = c.cluster;
-    cc.clusters = cl->intOr("clusters", cc.clusters);
-    if (cc.clusters < 0)
-      throw std::runtime_error{
-          "run spec field 'dike.cluster.clusters' is out of range: " +
-          std::to_string(cc.clusters)};
-    cc.rebalanceQuanta = cl->intOr("rebalanceQuanta", cc.rebalanceQuanta);
-    cc.rebalanceThreshold =
-        cl->numberOr("rebalanceThreshold", cc.rebalanceThreshold);
-    cc.rebalanceStreak = cl->intOr("rebalanceStreak", cc.rebalanceStreak);
-    cc.rebalanceBudget = cl->intOr("rebalanceBudget", cc.rebalanceBudget);
-  }
-  return c;
-}
+constexpr auto kFrequencyChangeFields = [](auto& c, auto&& field) {
+  field("atTick", c.atTick);
+  field("socket", c.socket);
+  field("freqGhz", c.freqGhz);
+};
 
 util::JsonValue workloadSpecToJson(const wl::WorkloadSpec& w) {
   util::JsonObject o;
   o["id"] = w.id;
   o["name"] = w.name;
   o["class"] = static_cast<int>(w.cls);
-  util::JsonArray apps;
-  for (const std::string& app : w.apps) apps.emplace_back(app);
-  o["apps"] = util::JsonValue{std::move(apps)};
+  o["apps"] = util::JsonArray(w.apps.begin(), w.apps.end());
   o["includeKmeans"] = w.includeKmeans;
   return util::JsonValue{std::move(o)};
 }
 
-wl::WorkloadSpec workloadSpecFromJson(const util::JsonValue& v) {
+wl::WorkloadSpec workloadSpecFromJson(util::JsonReader& r) {
   wl::WorkloadSpec w;
-  w.id = v.intOr("id", 0);
-  w.name = v.stringOr("name", "");
-  const int cls = v.intOr("class", 0);
-  if (cls < 0 || cls > static_cast<int>(wl::WorkloadClass::UnbalancedMemory))
-    throw std::runtime_error{
-        "run spec field 'customWorkload.class' is out of range: " +
-        std::to_string(cls)};
+  r.read("id", w.id);
+  r.read("name", w.name);
+  int cls = static_cast<int>(w.cls);
+  r.read("class", cls);
+  r.require(
+      cls >= 0 && cls <= static_cast<int>(wl::WorkloadClass::UnbalancedMemory),
+      "class", "is out of range: " + std::to_string(cls));
   w.cls = static_cast<wl::WorkloadClass>(cls);
-  if (const auto apps = v.get("apps"))
-    for (const util::JsonValue& app : apps->asArray())
-      w.apps.push_back(app.asString());
-  w.includeKmeans = v.boolOr("includeKmeans", true);
+  if (const util::JsonValue* apps = r.take("apps")) {
+    r.require(apps->isArray(), "apps", "must be an array");
+    for (const util::JsonValue& app : apps->asArray()) {
+      const std::string path = r.pathOf("apps") + "[" +
+                               std::to_string(w.apps.size()) + "]";
+      util::decodeValue(app, path, w.apps.emplace_back());
+    }
+  }
+  r.read("includeKmeans", w.includeKmeans);
   return w;
-}
-
-SchedulerKind schedulerKindFromString(const std::string& name) {
-  static constexpr SchedulerKind kAll[] = {
-      SchedulerKind::Cfs,          SchedulerKind::Dio,
-      SchedulerKind::Dike,         SchedulerKind::DikeAF,
-      SchedulerKind::DikeAP,       SchedulerKind::Random,
-      SchedulerKind::StaticOracle, SchedulerKind::Suspension};
-  for (const SchedulerKind kind : kAll)
-    if (name == toString(kind)) return kind;
-  throw std::runtime_error{"run spec names an unknown scheduler: '" + name +
-                           "'"};
 }
 
 util::JsonValue ticksToJson(util::Tick t) {
   return util::JsonValue{static_cast<double>(t)};
 }
 
-/// The typed run-spec error for `field`, unless `ok`.
-void requireField(bool ok, const std::string& field, const std::string& what) {
-  if (!ok) throw std::runtime_error{"run spec field '" + field + "' " + what};
+/// Script ticks: non-negative and exactly representable as a JSON number.
+void requireScriptTick(const util::JsonReader& r, util::Tick t) {
+  r.require(t >= 0 && t <= (util::Tick{1} << 53), "atTick",
+            "must be a non-negative whole tick");
 }
 
-/// Script ticks: whole, non-negative, and exactly representable.
-util::Tick scriptTickFromJson(const util::JsonValue& v,
-                              const std::string& prefix) {
-  const double t = v.numberOr("atTick", 0.0);
-  requireField(t >= 0.0 && t <= 9007199254740992.0 && t == std::floor(t),
-               prefix + "atTick", "must be a non-negative whole tick");
-  return static_cast<util::Tick>(t);
-}
-
-util::JsonValue arrivalsToJson(const std::vector<Arrival>& arrivals) {
+template <class T, class Fields>
+util::JsonValue scriptToJson(const std::vector<T>& script,
+                             const Fields& fields) {
   util::JsonArray out;
-  for (const Arrival& a : arrivals) {
-    util::JsonObject o;
-    o["atTick"] = ticksToJson(a.atTick);
-    o["benchmark"] = a.benchmark;
-    o["threads"] = a.threads;
-    o["scale"] = a.scale;
-    out.emplace_back(std::move(o));
-  }
+  for (const T& entry : script)
+    out.emplace_back(util::encodeFields(entry, fields));
   return util::JsonValue{std::move(out)};
-}
-
-std::vector<Arrival> arrivalsFromJson(const util::JsonValue& v) {
-  requireField(v.isArray(), "arrivals", "must be an array");
-  std::vector<Arrival> arrivals;
-  for (const util::JsonValue& av : v.asArray()) {
-    const std::string f = "arrivals[" + std::to_string(arrivals.size()) + "].";
-    Arrival a;
-    a.atTick = scriptTickFromJson(av, f);
-    a.benchmark = av.stringOr("benchmark", "");
-    requireField(wl::isKnownBenchmark(a.benchmark), f + "benchmark",
-                 "names an unknown benchmark: '" + a.benchmark + "'");
-    a.threads = av.intOr("threads", a.threads);
-    requireField(a.threads >= 1, f + "threads", "must be positive");
-    a.scale = av.numberOr("scale", a.scale);
-    requireField(a.scale > 0.0 && std::isfinite(a.scale), f + "scale",
-                 "must be positive");
-    arrivals.push_back(std::move(a));
-  }
-  return arrivals;
-}
-
-util::JsonValue dvfsToJson(const std::vector<FrequencyChange>& script) {
-  util::JsonArray out;
-  for (const FrequencyChange& c : script) {
-    util::JsonObject o;
-    o["atTick"] = ticksToJson(c.atTick);
-    o["socket"] = c.socket;
-    o["freqGhz"] = c.freqGhz;
-    out.emplace_back(std::move(o));
-  }
-  return util::JsonValue{std::move(out)};
-}
-
-std::vector<FrequencyChange> dvfsFromJson(const util::JsonValue& v,
-                                          int socketCount) {
-  requireField(v.isArray(), "dvfs", "must be an array");
-  std::vector<FrequencyChange> script;
-  for (const util::JsonValue& cv : v.asArray()) {
-    const std::string f = "dvfs[" + std::to_string(script.size()) + "].";
-    FrequencyChange c;
-    c.atTick = scriptTickFromJson(cv, f);
-    c.socket = cv.intOr("socket", c.socket);
-    requireField(c.socket >= 0 && c.socket < socketCount, f + "socket",
-                 "is " + std::to_string(c.socket) + " but the machine has " +
-                     std::to_string(socketCount) + " sockets");
-    c.freqGhz = cv.numberOr("freqGhz", c.freqGhz);
-    requireField(c.freqGhz > 0.0 && std::isfinite(c.freqGhz), f + "freqGhz",
-                 "must be positive");
-    script.push_back(c);
-  }
-  return script;
 }
 
 }  // namespace
@@ -358,80 +103,92 @@ util::JsonValue runSpecToJson(const RunSpec& spec) {
   if (spec.customWorkload)
     o["customWorkload"] = workloadSpecToJson(*spec.customWorkload);
   o["scheduler"] = std::string{toString(spec.kind)};
+  // Run-spec-only keys: the run's own <swapSize, quantaLength> and Dike's
+  // goal (makeScheduler writes both into the Dike config from the spec's
+  // params and kind) and the machine seed (RunSession overwrites it with
+  // the spec's). 64-bit seeds are decimal strings: JSON numbers are doubles
+  // and silently lose integer precision above 2^53.
   o["swapSize"] = spec.params.swapSize;
   o["quantaLengthMs"] = spec.params.quantaLengthMs;
-  if (spec.dikeConfig) o["dike"] = dikeConfigToJson(*spec.dikeConfig);
-  o["scale"] = spec.scale;
-  o["seed"] = u64ToString(spec.seed);
-  o["heterogeneous"] = spec.heterogeneous;
-  if (!spec.topology.empty()) {
-    util::JsonArray sockets;
-    for (const sim::SocketSpec& s : spec.topology) {
-      util::JsonObject so;
-      so["physicalCores"] = s.physicalCores;
-      so["smtWays"] = s.smtWays;
-      so["freqGhz"] = s.freqGhz;
-      so["type"] = std::string{sim::toString(s.type)};
-      sockets.emplace_back(std::move(so));
-    }
-    o["topology"] = util::JsonValue{std::move(sockets)};
+  if (spec.dikeConfig) {
+    util::JsonObject dike = toJson(*spec.dikeConfig, ConfigDocument::RunSpec);
+    dike.emplace("goal", static_cast<int>(spec.dikeConfig->goal));
+    o["dike"] = std::move(dike);
   }
-  o["machine"] = machineConfigToJson(spec.machine);
+  o["scale"] = spec.scale;
+  o["seed"] = std::to_string(spec.seed);
+  o["heterogeneous"] = spec.heterogeneous;
+  if (!spec.topology.empty()) o["topology"] = topologyToJson(spec.topology);
+  util::JsonObject machine = toJson(spec.machine);
+  machine.emplace("seed", std::to_string(spec.machine.seed));
+  o["machine"] = std::move(machine);
   o["threadsPerApp"] = spec.threadsPerApp;
   if (spec.faults) o["faults"] = fault::toJson(*spec.faults);
   // Written only when scripted, so every other spec encodes as before.
-  if (!spec.arrivals.empty()) o["arrivals"] = arrivalsToJson(spec.arrivals);
-  if (!spec.dvfs.empty()) o["dvfs"] = dvfsToJson(spec.dvfs);
+  if (!spec.arrivals.empty())
+    o["arrivals"] = scriptToJson(spec.arrivals, kArrivalFields);
+  if (!spec.dvfs.empty())
+    o["dvfs"] = scriptToJson(spec.dvfs, kFrequencyChangeFields);
   return util::JsonValue{std::move(o)};
 }
 
 RunSpec runSpecFromJson(const util::JsonValue& doc) {
-  if (!doc.isObject())
-    throw std::runtime_error{"run spec document must be a JSON object"};
+  util::JsonReader r{doc, ""};
   RunSpec spec;
-  spec.workloadId = doc.intOr("workloadId", spec.workloadId);
-  if (const auto custom = doc.get("customWorkload"))
-    spec.customWorkload = workloadSpecFromJson(*custom);
-  spec.kind = schedulerKindFromString(
-      doc.stringOr("scheduler", toString(spec.kind)));
-  spec.params.swapSize = doc.intOr("swapSize", spec.params.swapSize);
-  spec.params.quantaLengthMs =
-      doc.intOr("quantaLengthMs", spec.params.quantaLengthMs);
-  if (const auto dike = doc.get("dike"))
-    spec.dikeConfig = dikeConfigFromJson(*dike);
-  spec.scale = doc.numberOr("scale", spec.scale);
-  if (const auto seed = doc.get("seed"))
-    spec.seed = u64FromString(seed->asString(), "seed");
-  spec.heterogeneous = doc.boolOr("heterogeneous", spec.heterogeneous);
-  if (const auto topology = doc.get("topology")) {
-    if (!topology->isArray())
-      throw std::runtime_error{
-          "run spec field 'topology' must be an array of socket specs"};
-    for (const util::JsonValue& v : topology->asArray()) {
-      sim::SocketSpec s;
-      s.physicalCores = v.intOr("physicalCores", s.physicalCores);
-      s.smtWays = v.intOr("smtWays", s.smtWays);
-      if (s.physicalCores < 1 || s.smtWays < 1)
-        throw std::runtime_error{
-            "run spec field 'topology' has a non-positive core count"};
-      s.freqGhz = v.numberOr("freqGhz", s.freqGhz);
-      const std::string type = v.stringOr("type", "fast");
-      if (type != "fast" && type != "slow")
-        throw std::runtime_error{
-            "run spec field 'topology[].type' must be 'fast' or 'slow'"};
-      s.type = type == "fast" ? sim::CoreType::Fast : sim::CoreType::Slow;
-      spec.topology.push_back(s);
-    }
-  }
-  if (const auto machine = doc.get("machine"))
-    spec.machine = machineConfigFromJson(*machine);
-  spec.threadsPerApp = doc.intOr("threadsPerApp", spec.threadsPerApp);
-  if (const auto faults = doc.get("faults"))
+  r.read("workloadId", spec.workloadId);
+  r.readObject("customWorkload", [&spec](util::JsonReader& w) {
+    spec.customWorkload = workloadSpecFromJson(w);
+  });
+  std::string scheduler{toString(spec.kind)};
+  r.read("scheduler", scheduler);
+  spec.kind = schedulerKindFromName(scheduler);
+  r.read("swapSize", spec.params.swapSize);
+  r.read("quantaLengthMs", spec.params.quantaLengthMs);
+  r.readObject("dike", [&spec](util::JsonReader& d) {
+    core::DikeConfig c;
+    int goal = static_cast<int>(c.goal);
+    d.read("goal", goal);
+    constexpr auto kLast = static_cast<int>(core::AdaptationGoal::Performance);
+    d.require(goal >= 0 && goal <= kLast, "goal",
+              "is out of range: " + std::to_string(goal));
+    c.goal = static_cast<core::AdaptationGoal>(goal);
+    readDikeConfig(d, c);
+    spec.dikeConfig = c;
+  });
+  r.read("scale", spec.scale);
+  r.read("seed", spec.seed);
+  r.read("heterogeneous", spec.heterogeneous);
+  spec.topology = readTopology(r);
+  r.readObject("machine", [&spec](util::JsonReader& m) {
+    m.read("seed", spec.machine.seed);
+    readMachineConfig(m, spec.machine);
+  });
+  r.read("threadsPerApp", spec.threadsPerApp);
+  if (const util::JsonValue* faults = r.take("faults"))
     spec.faults = fault::parseFaultPlan(*faults);
-  if (const auto arrivals = doc.get("arrivals"))
-    spec.arrivals = arrivalsFromJson(*arrivals);
-  if (const auto dvfs = doc.get("dvfs"))
-    spec.dvfs = dvfsFromJson(*dvfs, topologyForSpec(spec).socketCount());
+  r.readObjects("arrivals", [&spec](util::JsonReader& a) {
+    Arrival& arrival = spec.arrivals.emplace_back();
+    a.readFields(arrival, kArrivalFields);
+    requireScriptTick(a, arrival.atTick);
+    a.require(wl::isKnownBenchmark(arrival.benchmark), "benchmark",
+              "names an unknown benchmark: '" + arrival.benchmark + "'");
+    a.require(arrival.threads >= 1, "threads", "must be positive");
+    a.require(arrival.scale > 0.0 && std::isfinite(arrival.scale), "scale",
+              "must be positive");
+  });
+  r.readObjects("dvfs", [&spec](util::JsonReader& d) {
+    const int socketCount = topologyForSpec(spec).socketCount();
+    FrequencyChange& change = spec.dvfs.emplace_back();
+    d.readFields(change, kFrequencyChangeFields);
+    requireScriptTick(d, change.atTick);
+    d.require(change.socket >= 0 && change.socket < socketCount, "socket",
+              "is " + std::to_string(change.socket) +
+                  " but the machine has " + std::to_string(socketCount) +
+                  " sockets");
+    d.require(change.freqGhz > 0.0 && std::isfinite(change.freqGhz),
+              "freqGhz", "must be positive");
+  });
+  r.finish();
   return spec;
 }
 

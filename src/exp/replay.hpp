@@ -45,11 +45,13 @@ namespace dike::exp {
 /// integer precision above 2^53. Telemetry paths are not encoded.
 [[nodiscard]] util::JsonValue runSpecToJson(const RunSpec& spec);
 
-/// Decode a RunSpec encoded by runSpecToJson. Throws std::runtime_error
-/// with the offending field on malformed input — including arrivals naming
-/// an unknown benchmark or a non-positive thread count or scale, and
-/// frequency changes outside the machine's sockets or at a non-positive
-/// frequency; negative ticks are rejected in both scripts.
+/// Decode a RunSpec encoded by runSpecToJson. Throws util::ConfigError
+/// naming the offending path on malformed input: an unknown, mistyped or
+/// out-of-range key (the machine, dike and topology sections are read by the
+/// experiment config's decoders, exp/config_io.hpp), arrivals naming an
+/// unknown benchmark or a non-positive thread count or scale, and frequency
+/// changes outside the machine's sockets or at a non-positive frequency;
+/// negative ticks are rejected in both scripts.
 [[nodiscard]] RunSpec runSpecFromJson(const util::JsonValue& doc);
 
 /// Encode run metrics as JSON. Deterministic: object keys sort, doubles

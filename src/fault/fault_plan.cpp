@@ -1,86 +1,92 @@
 #include "fault/fault_plan.hpp"
 
-#include <stdexcept>
-#include <string>
+#include <string_view>
+#include <utility>
 
 namespace dike::fault {
 
 namespace {
 
-void requireProbability(double p, const char* name) {
-  if (p < 0.0 || p > 1.0)
-    throw std::runtime_error{std::string{"'faults."} + name +
-                             "' must be in [0, 1]"};
+constexpr auto kWindowFields = [](auto& w, auto&& field) {
+  field("startTick", w.startTick);
+  field("endTick", w.endTick);
+};
+
+constexpr auto kSampleFields = [](auto& s, auto&& field) {
+  field("dropProbability", s.dropProbability);
+  field("corruptProbability", s.corruptProbability);
+  field("corruptScaleMin", s.corruptScaleMin);
+  field("corruptScaleMax", s.corruptScaleMax);
+  field("stuckAtZeroProbability", s.stuckAtZeroProbability);
+  field("stuckQuanta", s.stuckQuanta);
+  field("saturateMissRatioProbability", s.saturateMissRatioProbability);
+};
+
+constexpr auto kActuationFields = [](auto& a, auto&& field) {
+  field("swapFailProbability", a.swapFailProbability);
+  field("migrationFailProbability", a.migrationFailProbability);
+};
+
+constexpr auto kCoreFields = [](auto& c, auto&& field) {
+  field("freqDipProbability", c.freqDipProbability);
+  field("freqDipFactor", c.freqDipFactor);
+  field("dipQuanta", c.dipQuanta);
+};
+
+constexpr auto kChurnFields = [](auto& c, auto&& field) {
+  field("arrivals", c.arrivals);
+  field("threadsPerArrival", c.threadsPerArrival);
+  field("arrivalScale", c.arrivalScale);
+};
+
+void requireProbability(const util::JsonReader& r, double p,
+                        std::string_view key) {
+  r.require(p >= 0.0 && p <= 1.0, key, "must be in [0, 1]");
 }
 
-void decodeWindow(const util::JsonValue& w, FaultWindow& out) {
-  out.startTick = static_cast<util::Tick>(
-      w.numberOr("startTick", static_cast<double>(out.startTick)));
-  out.endTick = static_cast<util::Tick>(
-      w.numberOr("endTick", static_cast<double>(out.endTick)));
-  if (out.startTick < 0 || out.endTick < 0)
-    throw std::runtime_error{"'faults.window' ticks must be >= 0"};
-  if (out.endTick != 0 && out.endTick <= out.startTick)
-    throw std::runtime_error{
-        "'faults.window.endTick' must be 0 (open) or > startTick"};
+void decodeWindow(util::JsonReader& r, FaultWindow& out) {
+  r.readFields(out, kWindowFields);
+  r.require(out.startTick >= 0, "startTick", "must be >= 0");
+  r.require(out.endTick >= 0, "endTick", "must be >= 0");
+  r.require(out.endTick == 0 || out.endTick > out.startTick, "endTick",
+            "must be 0 (open) or > startTick");
 }
 
-void decodeSamples(const util::JsonValue& s, SampleFaults& out) {
-  out.dropProbability = s.numberOr("dropProbability", out.dropProbability);
-  out.corruptProbability =
-      s.numberOr("corruptProbability", out.corruptProbability);
-  out.corruptScaleMin = s.numberOr("corruptScaleMin", out.corruptScaleMin);
-  out.corruptScaleMax = s.numberOr("corruptScaleMax", out.corruptScaleMax);
-  out.stuckAtZeroProbability =
-      s.numberOr("stuckAtZeroProbability", out.stuckAtZeroProbability);
-  out.stuckQuanta = s.intOr("stuckQuanta", out.stuckQuanta);
-  out.saturateMissRatioProbability = s.numberOr(
-      "saturateMissRatioProbability", out.saturateMissRatioProbability);
-  requireProbability(out.dropProbability, "samples.dropProbability");
-  requireProbability(out.corruptProbability, "samples.corruptProbability");
-  requireProbability(out.stuckAtZeroProbability,
-                     "samples.stuckAtZeroProbability");
-  requireProbability(out.saturateMissRatioProbability,
-                     "samples.saturateMissRatioProbability");
-  if (out.corruptScaleMin <= 0.0 || out.corruptScaleMax < out.corruptScaleMin)
-    throw std::runtime_error{
-        "'faults.samples' corrupt scale range must satisfy 0 < min <= max"};
-  if (out.stuckQuanta < 1)
-    throw std::runtime_error{"'faults.samples.stuckQuanta' must be >= 1"};
+void decodeSamples(util::JsonReader& r, SampleFaults& out) {
+  r.readFields(out, kSampleFields);
+  requireProbability(r, out.dropProbability, "dropProbability");
+  requireProbability(r, out.corruptProbability, "corruptProbability");
+  requireProbability(r, out.stuckAtZeroProbability, "stuckAtZeroProbability");
+  requireProbability(r, out.saturateMissRatioProbability,
+                     "saturateMissRatioProbability");
+  r.require(out.corruptScaleMin > 0.0, "corruptScaleMin", "must be > 0");
+  r.require(out.corruptScaleMax >= out.corruptScaleMin, "corruptScaleMax",
+            "must be >= corruptScaleMin");
+  r.require(out.stuckQuanta >= 1, "stuckQuanta", "must be >= 1");
 }
 
-void decodeActuation(const util::JsonValue& a, ActuationFaults& out) {
-  out.swapFailProbability =
-      a.numberOr("swapFailProbability", out.swapFailProbability);
-  out.migrationFailProbability =
-      a.numberOr("migrationFailProbability", out.migrationFailProbability);
-  requireProbability(out.swapFailProbability, "actuation.swapFailProbability");
-  requireProbability(out.migrationFailProbability,
-                     "actuation.migrationFailProbability");
+void decodeActuation(util::JsonReader& r, ActuationFaults& out) {
+  r.readFields(out, kActuationFields);
+  requireProbability(r, out.swapFailProbability, "swapFailProbability");
+  requireProbability(r, out.migrationFailProbability,
+                     "migrationFailProbability");
 }
 
-void decodeCores(const util::JsonValue& c, CoreFaults& out) {
-  out.freqDipProbability =
-      c.numberOr("freqDipProbability", out.freqDipProbability);
-  out.freqDipFactor = c.numberOr("freqDipFactor", out.freqDipFactor);
-  out.dipQuanta = c.intOr("dipQuanta", out.dipQuanta);
-  requireProbability(out.freqDipProbability, "cores.freqDipProbability");
-  if (out.freqDipFactor <= 0.0 || out.freqDipFactor > 1.0)
-    throw std::runtime_error{"'faults.cores.freqDipFactor' must be in (0, 1]"};
-  if (out.dipQuanta < 1)
-    throw std::runtime_error{"'faults.cores.dipQuanta' must be >= 1"};
+void decodeCores(util::JsonReader& r, CoreFaults& out) {
+  r.readFields(out, kCoreFields);
+  requireProbability(r, out.freqDipProbability, "freqDipProbability");
+  r.require(out.freqDipFactor > 0.0 && out.freqDipFactor <= 1.0,
+            "freqDipFactor", "must be in (0, 1]");
+  r.require(out.dipQuanta >= 1, "dipQuanta", "must be >= 1");
 }
 
-void decodeChurn(const util::JsonValue& c, ChurnFaults& out) {
-  out.arrivals = c.intOr("arrivals", out.arrivals);
-  out.threadsPerArrival = c.intOr("threadsPerArrival", out.threadsPerArrival);
-  out.arrivalScale = c.numberOr("arrivalScale", out.arrivalScale);
-  if (out.arrivals < 0)
-    throw std::runtime_error{"'faults.churn.arrivals' must be >= 0"};
-  if (out.arrivals > 0 && out.threadsPerArrival < 1)
-    throw std::runtime_error{"'faults.churn.threadsPerArrival' must be >= 1"};
-  if (out.arrivals > 0 && out.arrivalScale <= 0.0)
-    throw std::runtime_error{"'faults.churn.arrivalScale' must be > 0"};
+void decodeChurn(util::JsonReader& r, ChurnFaults& out) {
+  r.readFields(out, kChurnFields);
+  r.require(out.arrivals >= 0, "arrivals", "must be >= 0");
+  r.require(out.arrivals == 0 || out.threadsPerArrival >= 1,
+            "threadsPerArrival", "must be >= 1");
+  r.require(out.arrivals == 0 || out.arrivalScale > 0.0, "arrivalScale",
+            "must be > 0");
 }
 
 }  // namespace
@@ -95,58 +101,34 @@ bool FaultPlan::enabled() const noexcept {
 }
 
 FaultPlan parseFaultPlan(const util::JsonValue& document) {
-  if (!document.isObject())
-    throw std::runtime_error{"fault plan must be a JSON object"};
+  util::JsonReader r{document, "faults"};
   FaultPlan plan;
-  plan.seed = static_cast<std::uint64_t>(
-      document.numberOr("seed", static_cast<double>(plan.seed)));
-  if (const auto w = document.get("window")) decodeWindow(*w, plan.window);
-  if (const auto s = document.get("samples")) decodeSamples(*s, plan.samples);
-  if (const auto a = document.get("actuation"))
-    decodeActuation(*a, plan.actuation);
-  if (const auto c = document.get("cores")) decodeCores(*c, plan.cores);
-  if (const auto c = document.get("churn")) decodeChurn(*c, plan.churn);
+  r.read("seed", plan.seed);
+  r.readObject("window",
+               [&plan](util::JsonReader& w) { decodeWindow(w, plan.window); });
+  r.readObject("samples", [&plan](util::JsonReader& s) {
+    decodeSamples(s, plan.samples);
+  });
+  r.readObject("actuation", [&plan](util::JsonReader& a) {
+    decodeActuation(a, plan.actuation);
+  });
+  r.readObject("cores",
+               [&plan](util::JsonReader& c) { decodeCores(c, plan.cores); });
+  r.readObject("churn",
+               [&plan](util::JsonReader& c) { decodeChurn(c, plan.churn); });
+  r.finish();
   return plan;
 }
 
 util::JsonValue toJson(const FaultPlan& plan) {
-  util::JsonObject window;
-  window.emplace("startTick", static_cast<double>(plan.window.startTick));
-  window.emplace("endTick", static_cast<double>(plan.window.endTick));
-
-  util::JsonObject samples;
-  samples.emplace("dropProbability", plan.samples.dropProbability);
-  samples.emplace("corruptProbability", plan.samples.corruptProbability);
-  samples.emplace("corruptScaleMin", plan.samples.corruptScaleMin);
-  samples.emplace("corruptScaleMax", plan.samples.corruptScaleMax);
-  samples.emplace("stuckAtZeroProbability",
-                  plan.samples.stuckAtZeroProbability);
-  samples.emplace("stuckQuanta", plan.samples.stuckQuanta);
-  samples.emplace("saturateMissRatioProbability",
-                  plan.samples.saturateMissRatioProbability);
-
-  util::JsonObject actuation;
-  actuation.emplace("swapFailProbability", plan.actuation.swapFailProbability);
-  actuation.emplace("migrationFailProbability",
-                    plan.actuation.migrationFailProbability);
-
-  util::JsonObject cores;
-  cores.emplace("freqDipProbability", plan.cores.freqDipProbability);
-  cores.emplace("freqDipFactor", plan.cores.freqDipFactor);
-  cores.emplace("dipQuanta", plan.cores.dipQuanta);
-
-  util::JsonObject churn;
-  churn.emplace("arrivals", plan.churn.arrivals);
-  churn.emplace("threadsPerArrival", plan.churn.threadsPerArrival);
-  churn.emplace("arrivalScale", plan.churn.arrivalScale);
-
   util::JsonObject doc;
   doc.emplace("seed", static_cast<double>(plan.seed));
-  doc.emplace("window", std::move(window));
-  doc.emplace("samples", std::move(samples));
-  doc.emplace("actuation", std::move(actuation));
-  doc.emplace("cores", std::move(cores));
-  doc.emplace("churn", std::move(churn));
+  doc.emplace("window", util::encodeFields(plan.window, kWindowFields));
+  doc.emplace("samples", util::encodeFields(plan.samples, kSampleFields));
+  doc.emplace("actuation",
+              util::encodeFields(plan.actuation, kActuationFields));
+  doc.emplace("cores", util::encodeFields(plan.cores, kCoreFields));
+  doc.emplace("churn", util::encodeFields(plan.churn, kChurnFields));
   return util::JsonValue{std::move(doc)};
 }
 

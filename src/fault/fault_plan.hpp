@@ -87,8 +87,9 @@ struct FaultPlan {
 };
 
 /// Decode a plan from its JSON object form (the `faults` config section).
-/// Unknown keys are ignored; missing keys keep their defaults. Throws
-/// std::runtime_error on out-of-range values.
+/// Missing keys keep their defaults. Throws util::ConfigError naming the
+/// offending path ("faults.samples.dropProbability") on a mistyped, unknown
+/// or out-of-range key.
 [[nodiscard]] FaultPlan parseFaultPlan(const util::JsonValue& document);
 
 /// Encode a plan as the JSON object parseFaultPlan accepts (round-trips).

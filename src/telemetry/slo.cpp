@@ -1,7 +1,6 @@
 #include "telemetry/slo.hpp"
 
 #include <cmath>
-#include <stdexcept>
 #include <utility>
 
 #include "telemetry/registry.hpp"
@@ -9,75 +8,32 @@
 namespace dike::telemetry {
 namespace {
 
-// Loud lookups: a present-but-mistyped key is a config bug, not a default.
-double loudNumberOr(const util::JsonValue& obj, const char* key,
-                    double fallback) {
-  const auto v = obj.get(key);
-  if (!v.has_value()) return fallback;
-  if (!v->isNumber()) {
-    throw std::runtime_error(std::string{"slo."} + key + " must be a number");
-  }
-  return v->asNumber();
-}
-
-bool loudBoolOr(const util::JsonValue& obj, const char* key, bool fallback) {
-  const auto v = obj.get(key);
-  if (!v.has_value()) return fallback;
-  if (!v->isBool()) {
-    throw std::runtime_error(std::string{"slo."} + key + " must be a boolean");
-  }
-  return v->asBool();
-}
-
-int loudIntOr(const util::JsonValue& obj, const char* key, int fallback) {
-  const double d = loudNumberOr(obj, key, static_cast<double>(fallback));
-  const int i = static_cast<int>(d);
-  if (static_cast<double>(i) != d) {
-    throw std::runtime_error(std::string{"slo."} + key +
-                             " must be an integer");
-  }
-  return i;
-}
+constexpr auto kSloFields = [](auto& c, auto&& field) {
+  field("enabled", c.enabled);
+  field("maxFairnessSpread", c.maxFairnessSpread);
+  field("maxPredictionAbsError", c.maxPredictionAbsError);
+  field("windowQuanta", c.windowQuanta);
+  field("warmupQuanta", c.warmupQuanta);
+};
 
 }  // namespace
 
 SloConfig parseSloConfig(const util::JsonValue& section) {
-  if (!section.isObject()) {
-    throw std::runtime_error("config \"slo\" section must be an object");
-  }
+  util::JsonReader r{section, "slo"};
   SloConfig config;
-  config.enabled = loudBoolOr(section, "enabled", config.enabled);
-  config.maxFairnessSpread =
-      loudNumberOr(section, "maxFairnessSpread", config.maxFairnessSpread);
-  config.maxPredictionAbsError = loudNumberOr(
-      section, "maxPredictionAbsError", config.maxPredictionAbsError);
-  config.windowQuanta = loudIntOr(section, "windowQuanta", config.windowQuanta);
-  config.warmupQuanta = loudIntOr(section, "warmupQuanta", config.warmupQuanta);
-  if (!(config.maxFairnessSpread >= 1.0)) {
-    throw std::runtime_error(
-        "slo.maxFairnessSpread must be >= 1 (a slowdown spread below 1 is "
-        "impossible)");
-  }
-  if (std::isnan(config.maxPredictionAbsError)) {
-    throw std::runtime_error("slo.maxPredictionAbsError must not be NaN");
-  }
-  if (config.windowQuanta < 1) {
-    throw std::runtime_error("slo.windowQuanta must be >= 1");
-  }
-  if (config.warmupQuanta < 0) {
-    throw std::runtime_error("slo.warmupQuanta must be >= 0");
-  }
+  r.readFields(config, kSloFields);
+  r.require(config.maxFairnessSpread >= 1.0, "maxFairnessSpread",
+            "must be >= 1 (a slowdown spread below 1 is impossible)");
+  r.require(!std::isnan(config.maxPredictionAbsError),
+            "maxPredictionAbsError", "must not be NaN");
+  r.require(config.windowQuanta >= 1, "windowQuanta", "must be >= 1");
+  r.require(config.warmupQuanta >= 0, "warmupQuanta", "must be >= 0");
+  r.finish();
   return config;
 }
 
 util::JsonValue toJson(const SloConfig& config) {
-  util::JsonObject out;
-  out.emplace("enabled", config.enabled);
-  out.emplace("maxFairnessSpread", config.maxFairnessSpread);
-  out.emplace("maxPredictionAbsError", config.maxPredictionAbsError);
-  out.emplace("windowQuanta", config.windowQuanta);
-  out.emplace("warmupQuanta", config.warmupQuanta);
-  return util::JsonValue{std::move(out)};
+  return util::JsonValue{util::encodeFields(config, kSloFields)};
 }
 
 SloMonitor::SloMonitor(SloConfig config) : config_(std::move(config)) {

@@ -42,9 +42,10 @@ struct SloConfig {
 };
 
 /// Decode {"enabled": bool, "maxFairnessSpread": x, "maxPredictionAbsError":
-/// x, "windowQuanta": n, "warmupQuanta": n}. Throws std::runtime_error
-/// naming the offending field for out-of-range values (spread < 1,
-/// non-positive window, negative warmup) or a non-object section.
+/// x, "windowQuanta": n, "warmupQuanta": n}. Throws util::ConfigError
+/// naming the offending path ("slo.windowQuanta") for a mistyped, unknown or
+/// out-of-range key (spread < 1, non-positive window, negative warmup) or a
+/// non-object section.
 [[nodiscard]] SloConfig parseSloConfig(const util::JsonValue& section);
 
 /// Serialise (the --print-default-config schema surface).

@@ -1,10 +1,12 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "util/number_text.hpp"
@@ -63,6 +65,97 @@ std::string JsonValue::stringOr(std::string_view key,
                                 std::string_view fallback) const {
   const auto v = get(key);
   return v && v->isString() ? v->asString() : std::string{fallback};
+}
+
+ConfigError::ConfigError(std::string_view path, std::string_view what)
+    : std::runtime_error{(path.empty() ? std::string{"document"}
+                                       : "'" + std::string{path} + "'") +
+                         " " + std::string{what}} {}
+
+void decodeValue(const JsonValue& value, std::string_view path, bool& out) {
+  if (!value.isBool()) throw ConfigError{path, "must be a boolean"};
+  out = value.asBool();
+}
+
+void decodeValue(const JsonValue& value, std::string_view path,
+                 double& out) {
+  if (!value.isNumber()) throw ConfigError{path, "must be a number"};
+  out = value.asNumber();
+}
+
+void decodeValue(const JsonValue& value, std::string_view path,
+                 std::string& out) {
+  if (!value.isString()) throw ConfigError{path, "must be a string"};
+  out = value.asString();
+}
+
+namespace {
+
+/// `value` as a whole number of the integer type T. Both bounds of T's range
+/// are exact doubles (zero or a power of two), so the cast is defined.
+template <class T>
+T wholeNumber(const JsonValue& value, std::string_view path) {
+  if (!value.isNumber()) throw ConfigError{path, "must be an integer"};
+  const double d = value.asNumber();
+  if (d != std::trunc(d)) throw ConfigError{path, "must be an integer"};
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (d < lo || d >= hi) {
+    std::string what = "must be an integer in [";
+    appendJsonNumber(what, lo);
+    what += ", ";
+    appendJsonNumber(what, hi);
+    what += ")";
+    throw ConfigError{path, what};
+  }
+  return static_cast<T>(d);
+}
+
+}  // namespace
+
+void decodeValue(const JsonValue& value, std::string_view path, int& out) {
+  out = wholeNumber<int>(value, path);
+}
+
+void decodeValue(const JsonValue& value, std::string_view path,
+                 std::int64_t& out) {
+  out = wholeNumber<std::int64_t>(value, path);
+}
+
+void decodeValue(const JsonValue& value, std::string_view path,
+                 std::uint64_t& out) {
+  if (!value.isString()) {
+    out = wholeNumber<std::uint64_t>(value, path);
+    return;
+  }
+  const std::string& text = value.asString();
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), out);
+  if (ec != std::errc{} || end != text.data() + text.size() || text.empty())
+    throw ConfigError{path, "is not a valid unsigned integer: '" + text + "'"};
+}
+
+JsonReader::JsonReader(const JsonValue& section, std::string path)
+    : path_(std::move(path)) {
+  if (!section.isObject()) throw ConfigError{path_, "must be a JSON object"};
+  object_ = &section.asObject();
+}
+
+const JsonValue* JsonReader::take(std::string_view key) {
+  const auto it = object_->find(key);
+  if (it == object_->end()) return nullptr;
+  taken_.push_back(&it->first);
+  return &it->second;
+}
+
+std::string JsonReader::pathOf(std::string_view key) const {
+  return path_.empty() ? std::string{key} : path_ + "." + std::string{key};
+}
+
+void JsonReader::finish() const {
+  for (const auto& [key, value] : *object_)
+    if (std::find(taken_.begin(), taken_.end(), &key) == taken_.end())
+      throw ConfigError{pathOf(key), "is not a known key"};
 }
 
 void appendJsonString(std::string& out, std::string_view s) {

@@ -140,7 +140,8 @@ TEST(CheckpointFuzz, MutatedPayloadsNeverCrashTheArchiveReader) {
   EXPECT_GT(rejected, 0);
 }
 
-/// A config exercising every top-level section the parser knows.
+/// A config exercising every top-level section the parser knows, each key
+/// where the strict reader reads it.
 const char* kConfigText = R"({
   "experiment": "fuzz-base",
   "workloads": [2, 7],
@@ -154,10 +155,10 @@ const char* kConfigText = R"({
     "quantaLengthMs": 500,
     "fairnessThreshold": 0.03,
     "swapOhMs": 25.0,
-    "resilience": {
+    "cooldownQuanta": 3,
+    "observer": {
       "sanitizeSamples": true,
-      "maxPlausibleRate": 4000000000.0,
-      "cooldownQuanta": 3
+      "maxPlausibleRate": 4000000000.0
     }
   },
   "machine": {
@@ -171,10 +172,9 @@ const char* kConfigText = R"({
   },
   "slo": {
     "enabled": true,
-    "fairness": 0.08
+    "maxFairnessSpread": 1.08
   },
   "faults": {
-    "enabled": true,
     "seed": 99,
     "samples": {"dropProbability": 0.05}
   }

@@ -113,6 +113,219 @@ TEST(ConfigIo, RejectsInvalidDocuments) {
   }
 }
 
+// Every user field of MachineConfig and DikeConfig (observer, resilience
+// and cluster included), each set to a non-default value.
+constexpr const char* kEveryField = R"({
+  "workloads": [3], "schedulers": ["dike-af"],
+  "machine": {
+    "controllerAccessesPerSec": 1.5e8, "socketLinkAccessesPerSec": 1.1e8,
+    "smtSharedFactor": 0.5, "migrationStallTicks": 7, "cacheColdTicks": 30,
+    "cacheColdFactor": 1.5, "cacheColdSlowdown": 0.8, "llcPerSocketMB": 12,
+    "llcPressureFactor": 0.3, "conflictSpread": 0.05,
+    "measurementNoiseSigma": 0.02, "idlePowerW": 3, "dynamicPowerW": 9,
+    "refFreqGhz": 2.5, "tickLeaping": false, "utilizationSnapEpsilon": 1e-5
+  },
+  "dike": {
+    "swapSize": 4, "quantaLengthMs": 200, "fairnessThreshold": 0.05,
+    "swapOhMs": 30, "cooldownQuanta": 2, "minCooldownMs": 300,
+    "requirePositiveProfit": false, "rotateWhenNoViolator": false,
+    "pairRateMargin": 0.04, "useFreeCores": false,
+    "observer": {
+      "llcMissThreshold": 0.2, "coreBwDecay": 0.8,
+      "symmetricMovingMean": false, "movingMeanWindow": 5,
+      "socketShare": 0.7, "balanceTolerance": 0.2, "threadRateWindow": 4,
+      "processRateFloor": 1e6, "sanitizeSamples": false,
+      "maxSampleHoldQuanta": 3, "maxPlausibleRate": 1e12
+    },
+    "resilience": {
+      "divergenceWatchdog": false, "divergenceErrorThreshold": 0.5,
+      "divergenceQuanta": 4, "fairnessWatchdog": false,
+      "fairnessStallQuanta": 12, "fallbackQuanta": 6,
+      "failedActuationCooldownQuanta": 2
+    },
+    "cluster": {
+      "clusters": 3, "rebalanceQuanta": 4, "rebalanceThreshold": 0.05,
+      "rebalanceStreak": 2, "rebalanceBudget": 1, "decideJobs": 2
+    }
+  }
+})";
+
+/// kEveryField's values, except cluster.decideJobs (an execution knob the
+/// run spec does not carry).
+void expectEveryField(const sim::MachineConfig& m, const core::DikeConfig& d) {
+  EXPECT_EQ(m.memory.controllerAccessesPerSec, 1.5e8);
+  EXPECT_EQ(m.memory.socketLinkAccessesPerSec, 1.1e8);
+  EXPECT_EQ(m.smtSharedFactor, 0.5);
+  EXPECT_EQ(m.migrationStallTicks, 7);
+  EXPECT_EQ(m.cacheColdTicks, 30);
+  EXPECT_EQ(m.cacheColdFactor, 1.5);
+  EXPECT_EQ(m.cacheColdSlowdown, 0.8);
+  EXPECT_EQ(m.llcPerSocketMB, 12.0);
+  EXPECT_EQ(m.llcPressureFactor, 0.3);
+  EXPECT_EQ(m.conflictSpread, 0.05);
+  EXPECT_EQ(m.measurementNoiseSigma, 0.02);
+  EXPECT_EQ(m.idlePowerW, 3.0);
+  EXPECT_EQ(m.dynamicPowerW, 9.0);
+  EXPECT_EQ(m.refFreqGhz, 2.5);
+  EXPECT_FALSE(m.tickLeaping);
+  EXPECT_EQ(m.utilizationSnapEpsilon, 1e-5);
+
+  EXPECT_EQ(d.params, (core::DikeParams{4, 200}));
+  EXPECT_EQ(d.fairnessThreshold, 0.05);
+  EXPECT_EQ(d.swapOhMs, 30.0);
+  EXPECT_EQ(d.cooldownQuanta, 2);
+  EXPECT_EQ(d.minCooldownMs, 300);
+  EXPECT_FALSE(d.requirePositiveProfit);
+  EXPECT_FALSE(d.rotateWhenNoViolator);
+  EXPECT_EQ(d.pairRateMargin, 0.04);
+  EXPECT_FALSE(d.useFreeCores);
+
+  const core::ObserverConfig& o = d.observer;
+  EXPECT_EQ(o.llcMissThreshold, 0.2);
+  EXPECT_EQ(o.coreBwDecay, 0.8);
+  EXPECT_FALSE(o.symmetricMovingMean);
+  EXPECT_EQ(o.movingMeanWindow, 5u);
+  EXPECT_EQ(o.socketShare, 0.7);
+  EXPECT_EQ(o.balanceTolerance, 0.2);
+  EXPECT_EQ(o.threadRateWindow, 4u);
+  EXPECT_EQ(o.processRateFloor, 1e6);
+  EXPECT_FALSE(o.sanitizeSamples);
+  EXPECT_EQ(o.maxSampleHoldQuanta, 3);
+  EXPECT_EQ(o.maxPlausibleRate, 1e12);
+
+  const core::ResilienceConfig& r = d.resilience;
+  EXPECT_FALSE(r.divergenceWatchdog);
+  EXPECT_EQ(r.divergenceErrorThreshold, 0.5);
+  EXPECT_EQ(r.divergenceQuanta, 4);
+  EXPECT_FALSE(r.fairnessWatchdog);
+  EXPECT_EQ(r.fairnessStallQuanta, 12);
+  EXPECT_EQ(r.fallbackQuanta, 6);
+  EXPECT_EQ(r.failedActuationCooldownQuanta, 2);
+
+  EXPECT_EQ(d.cluster.clusters, 3);
+  EXPECT_EQ(d.cluster.rebalanceQuanta, 4);
+  EXPECT_EQ(d.cluster.rebalanceThreshold, 0.05);
+  EXPECT_EQ(d.cluster.rebalanceStreak, 2);
+  EXPECT_EQ(d.cluster.rebalanceBudget, 1);
+}
+
+/// Every key of `defaults` has a different value in `set` (recursing into
+/// sections): kEveryField leaves no encoded field at its default.
+void expectNoDefaultLeft(const util::JsonObject& defaults,
+                         const util::JsonObject& set,
+                         const std::string& path) {
+  for (const auto& [key, value] : defaults) {
+    const auto it = set.find(key);
+    ASSERT_NE(it, set.end()) << path << key;
+    if (value.isObject())
+      expectNoDefaultLeft(value.asObject(), it->second.asObject(),
+                          path + key + ".");
+    else
+      EXPECT_NE(it->second, value) << path << key << " is left at default";
+  }
+}
+
+TEST(ConfigIo, EveryFieldReachesTheRunSpecAndSurvivesTheRoundTrip) {
+  const ExperimentConfig config =
+      parseExperimentConfig(parseJson(kEveryField));
+  expectNoDefaultLeft(toJson(sim::MachineConfig{}), toJson(config.machine),
+                      "machine.");
+  expectNoDefaultLeft(
+      toJson(core::DikeConfig{}, ConfigDocument::Experiment),
+      toJson(config.dike, ConfigDocument::Experiment), "dike.");
+
+  const RunSpec spec = firstCellRunSpec(config);
+  ASSERT_TRUE(spec.dikeConfig.has_value());
+  expectEveryField(spec.machine, *spec.dikeConfig);
+  EXPECT_EQ(spec.dikeConfig->cluster.decideJobs, 2);
+  EXPECT_EQ(spec.params, (core::DikeParams{4, 200}));
+
+  const util::JsonValue encoded = runSpecToJson(spec);
+  const RunSpec decoded = runSpecFromJson(parseJson(encoded.dump()));
+  ASSERT_TRUE(decoded.dikeConfig.has_value());
+  expectEveryField(decoded.machine, *decoded.dikeConfig);
+  EXPECT_EQ(decoded.dikeConfig->goal, spec.dikeConfig->goal);
+  EXPECT_EQ(decoded.params, spec.params);
+  EXPECT_EQ(decoded.machine.seed, spec.machine.seed);
+  EXPECT_EQ(runSpecToJson(decoded).dump(), encoded.dump());
+}
+
+/// The config --print-default-config describes: an empty document's, with
+/// its (disabled) fault plan shown.
+ExperimentConfig printedDefaults() {
+  ExperimentConfig config = parseExperimentConfig(parseJson("{}"));
+  config.faults = fault::FaultPlan{};
+  return config;
+}
+
+TEST(ConfigIo, PrintedDefaultConfigParsesBackToTheDefaults) {
+  const ExperimentConfig defaults = printedDefaults();
+  const std::string printed = experimentConfigToJson(defaults).dump(2);
+  const ExperimentConfig back = parseExperimentConfig(parseJson(printed));
+  EXPECT_EQ(experimentConfigToJson(back).dump(2), printed);
+  EXPECT_EQ(back.workloadIds, defaults.workloadIds);
+  EXPECT_EQ(back.kinds, defaults.kinds);
+  EXPECT_EQ(back.dike.params, defaults.dike.params);
+  EXPECT_EQ(back.dike.cluster, defaults.dike.cluster);
+  EXPECT_EQ(back.dike.cluster.decideJobs, defaults.dike.cluster.decideJobs);
+  EXPECT_EQ(back.machine.refFreqGhz, defaults.machine.refFreqGhz);
+  EXPECT_EQ(back.dike.observer.processRateFloor,
+            defaults.dike.observer.processRateFloor);
+  EXPECT_EQ(back.telemetry.traceCapacity, defaults.telemetry.traceCapacity);
+  ASSERT_TRUE(back.faults.has_value());
+  EXPECT_FALSE(back.faults->enabled());
+}
+
+// Each setting is applied or refused: a mistyped, fractional, out-of-range
+// or unknown key throws ConfigError naming its path, in the experiment
+// config and in the run spec alike.
+TEST(ConfigIo, RejectsBadValuesNamingThePath) {
+  struct Row {
+    const char* json;
+    const char* path;          ///< named by parseExperimentConfig
+    const char* runSpecPath;   ///< named by runSpecFromJson
+  };
+  const Row rows[] = {
+      {R"({"dike": {"swapSize": "2"}})", "dike.swapSize", "dike.swapSize"},
+      {R"({"dike": {"swapSize": 2.9}})", "dike.swapSize", "dike.swapSize"},
+      {R"({"dike": {"swapSize": 1e300}})", "dike.swapSize", "dike.swapSize"},
+      {R"({"swapSize": "2"})", "swapSize", "swapSize"},
+      {R"({"swapSize": 2.9})", "swapSize", "swapSize"},
+      {R"({"swapSize": 1e300})", "swapSize", "swapSize"},
+      {R"({"machine": {"tickLeaping": "false"}})", "machine.tickLeaping",
+       "machine.tickLeaping"},
+      {R"({"dike": {"fairnesThreshold": 0.1}})", "dike.fairnesThreshold",
+       "dike.fairnesThreshold"},
+      {R"({"dike": {"observer": {"movingMeanWindow": 0}}})",
+       "dike.observer.movingMeanWindow", "dike.observer.movingMeanWindow"},
+      {R"({"dike": {"observer": {"movingMeanWindow": -1}}})",
+       "dike.observer.movingMeanWindow", "dike.observer.movingMeanWindow"},
+      {R"({"dike": {"observer": {"processRateFloor": -1}}})",
+       "dike.observer.processRateFloor", "dike.observer.processRateFloor"},
+      {R"({"machine": {"migrationStallTicks": 1e300}})",
+       "machine.migrationStallTicks", "machine.migrationStallTicks"},
+      {R"({"seed": -1})", "seed", "seed"},
+      {R"({"faults": {"enabled": true}})", "faults.enabled",
+       "faults.enabled"},
+      {R"({"slo": {"fairness": 0.08}})", "slo.fairness", "slo"},
+  };
+  const auto rejects = [](const auto& parse, const char* json,
+                          const std::string& path) {
+    try {
+      (void)parse(parseJson(json));
+      ADD_FAILURE() << "accepted: " << json;
+    } catch (const util::ConfigError& e) {
+      EXPECT_NE(std::string{e.what()}.find("'" + path + "'"),
+                std::string::npos)
+          << json << ": " << e.what();
+    }
+  };
+  for (const Row& row : rows) {
+    rejects(parseExperimentConfig, row.json, row.path);
+    rejects(runSpecFromJson, row.json, row.runSpecPath);
+  }
+}
+
 TEST(ConfigIo, RunExperimentProducesGrid) {
   ExperimentConfig config;
   config.workloadIds = {2};
@@ -204,6 +417,15 @@ TEST(ConfigIoTools, SingleRunToolsRunTheConfiguredCell) {
                                 config + " --dir " + dir + "/sup > /dev/null";
   ASSERT_EQ(std::system(supervise.c_str()), 0) << supervise;
   EXPECT_EQ(slurp(reportPath(dir + "/sup")), expected) << "dike_supervise";
+}
+
+TEST(ConfigIoTools, PrintDefaultConfigIsTheEncodersOutput) {
+  const std::string path = ::testing::TempDir() + "/printed_default.json";
+  const std::string cmd =
+      std::string{DIKE_RUN_BIN} + " --print-default-config > " + path;
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  EXPECT_EQ(slurp(path), experimentConfigToJson(printedDefaults()).dump(2) +
+                             "\n");
 }
 #endif
 

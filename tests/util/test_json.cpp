@@ -127,6 +127,63 @@ TEST(Json, TypeMismatchThrows) {
                std::runtime_error);
 }
 
+// The strict reader's integer bounds are the target type's exact range.
+TEST(JsonReader, IntegersMustBeWholeAndInRange) {
+  const auto decodeInt = [](const char* text) {
+    int out = 0;
+    decodeValue(parseJson(text), "k", out);
+    return out;
+  };
+  EXPECT_EQ(decodeInt("2147483647"), 2147483647);
+  EXPECT_EQ(decodeInt("-2147483648"), std::numeric_limits<int>::min());
+  EXPECT_EQ(decodeInt("-0"), 0);
+  for (const char* bad : {"2147483648", "-2147483649", "2.5", "1e300", "\"2\"",
+                          "true", "null"})
+    EXPECT_THROW(decodeInt(bad), ConfigError) << bad;
+
+  std::int64_t tick = 0;
+  decodeValue(parseJson("-9223372036854775808"), "k", tick);
+  EXPECT_EQ(tick, std::numeric_limits<std::int64_t>::min());
+  EXPECT_THROW(decodeValue(parseJson("9223372036854775808"), "k", tick),
+               ConfigError);
+
+  std::uint64_t u = 0;
+  decodeValue(parseJson("\"18446744073709551615\""), "k", u);
+  EXPECT_EQ(u, std::numeric_limits<std::uint64_t>::max());
+  decodeValue(parseJson("42"), "k", u);
+  EXPECT_EQ(u, 42u);
+  for (const char* bad : {"-1", "18446744073709551616", "\"-1\"", "\"12x\"",
+                          "\"\""})
+    EXPECT_THROW(decodeValue(parseJson(bad), "k", u), ConfigError) << bad;
+}
+
+TEST(JsonReader, UnreadKeysAndBadSectionsNameTheirPath) {
+  const JsonValue doc = parseJson(R"({"a": 1, "inner": {"b": true, "c": 2}})");
+  JsonReader r{doc, "root"};
+  int a = 0;
+  EXPECT_TRUE(r.read("a", a));
+  EXPECT_FALSE(r.read("missing", a));
+  EXPECT_EQ(a, 1);
+  try {
+    r.readObject("inner", [](JsonReader& inner) {
+      bool b = false;
+      inner.read("b", b);
+    });
+    ADD_FAILURE() << "unread key 'c' accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "'root.inner.c' is not a known key");
+  }
+  r.finish();  // "inner" was taken, so the root has nothing unread
+
+  const JsonValue array = parseJson("[1]");
+  try {
+    JsonReader entry{array, ""};
+    ADD_FAILURE() << "array accepted as a section";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "document must be a JSON object");
+  }
+}
+
 TEST(Json, ParseFileMissingThrows) {
   EXPECT_THROW({ [[maybe_unused]] auto v = parseJsonFile("/no/such.json"); },
                std::runtime_error);

@@ -11,11 +11,13 @@
 //   dike_run --resume-from run.ckpt [--json out.json] [--decide-jobs N]
 //   dike_run --print-default-config
 //
-// The config schema is documented in src/exp/config_io.hpp; every machine
+// --print-default-config prints the full config schema with its defaults
+// (top-level keys are documented in src/exp/config_io.hpp); every machine
 // and Dike parameter is overridable, so reviewers can re-run any figure
-// with modified physics from one file. The telemetry flags override the
-// config's "telemetry" section; run outputs attach to the experiment's
-// first cell (first workload x first scheduler, rep 0).
+// with modified physics from one file. An unknown or mistyped key is an
+// error naming its path, never silently ignored. The telemetry flags
+// override the config's "telemetry" section; run outputs attach to the
+// experiment's first cell (first workload x first scheduler, rep 0).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -49,46 +51,14 @@ void requireWritable(const std::string& path, const char* flag) {
                              " (check the directory exists and is writable)"};
 }
 
+/// The full config schema: the config an empty document yields, with its
+/// (disabled) fault plan shown, printed by the encoders the parser mirrors.
 void printDefaultConfig() {
-  dike::util::JsonObject dike;
-  dike.emplace("swapSize", 8);
-  dike.emplace("quantaLengthMs", 500);
-  dike.emplace("fairnessThreshold", 0.03);
-  dike.emplace("swapOhMs", 25.0);
-  dike::util::JsonObject machine;
-  machine.emplace("conflictSpread", 0.12);
-  machine.emplace("llcPerSocketMB", 25.0);
-  machine.emplace("tickLeaping", true);
-  dike::util::JsonObject telemetry;
-  telemetry.emplace("enabled", false);
-  telemetry.emplace("quantumMetrics", "");
-  telemetry.emplace("traceOut", "");
-  telemetry.emplace("eventsCsv", "");
-  telemetry.emplace("registryOut", "");
-  telemetry.emplace("traceCapacity", 1048576);
-  telemetry.emplace("livePublish", false);
-  // The "slo" section: print the real default (telemetry::SloConfig) so the
-  // printed schema and the parser can never drift apart.
-  dike::util::JsonValue slo = dike::telemetry::toJson(dike::telemetry::SloConfig{});
-  // The "faults" section (off by default). Its full schema is the
-  // serialisation of fault::FaultPlan — print the real default so the two
-  // can never drift apart.
-  dike::util::JsonValue faults = dike::fault::toJson(dike::fault::FaultPlan{});
-  dike::util::JsonObject doc;
-  doc.emplace("experiment", "example");
-  doc.emplace("workloads", "all");
-  doc.emplace("schedulers",
-              dike::util::JsonArray{"cfs", "dio", "dike", "dike-af",
-                                    "dike-ap"});
-  doc.emplace("scale", 0.5);
-  doc.emplace("seed", 42);
-  doc.emplace("reps", 1);
-  doc.emplace("machine", std::move(machine));
-  doc.emplace("dike", std::move(dike));
-  doc.emplace("telemetry", std::move(telemetry));
-  doc.emplace("slo", std::move(slo));
-  doc.emplace("faults", std::move(faults));
-  std::printf("%s\n", dike::util::JsonValue{std::move(doc)}.dump(2).c_str());
+  dike::exp::ExperimentConfig config = dike::exp::parseExperimentConfig(
+      dike::util::JsonValue{dike::util::JsonObject{}});
+  config.faults = dike::fault::FaultPlan{};
+  std::printf("%s\n",
+              dike::exp::experimentConfigToJson(config).dump(2).c_str());
 }
 
 /// --decide-jobs N: worker budget for the clustered scheduler's intra-
