@@ -17,6 +17,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "core/clustered_scheduler.hpp"
 #include "sched/placement.hpp"
@@ -300,10 +301,11 @@ constexpr ScalingPoint kScalingPoints[] = {
 /// with no deployed counterpart — lands in scatterNs instead.
 class DecideLatencyPolicy final : public dike::sim::QuantumPolicy {
  public:
-  explicit DecideLatencyPolicy(dike::sched::Scheduler& scheduler)
-      : scheduler_(&scheduler),
-        clustered_(dynamic_cast<dike::core::ClusteredDikeScheduler*>(
-            &scheduler)) {}
+  /// `clustered` is `scheduler` itself when it is the clustered Dike,
+  /// else nullptr.
+  DecideLatencyPolicy(dike::sched::Scheduler& scheduler,
+                      dike::core::ClusteredDikeScheduler* clustered)
+      : scheduler_(&scheduler), clustered_(clustered) {}
 
   [[nodiscard]] dike::util::Tick quantumTicks() const override {
     return scheduler_->quantumTicks();
@@ -390,12 +392,17 @@ ScalingRun runScalingPointOnce(const ScalingPoint& point, int clusters,
   dike::core::DikeConfig cfg;
   cfg.cluster.clusters = clusters;
   cfg.cluster.decideJobs = decideJobs;
-  const std::unique_ptr<dike::sched::Scheduler> scheduler =
-      clusters >= 2
-          ? std::make_unique<dike::core::ClusteredDikeScheduler>(cfg)
-          : std::make_unique<dike::core::DikeScheduler>(cfg);
+  std::unique_ptr<dike::sched::Scheduler> scheduler;
+  dike::core::ClusteredDikeScheduler* clustered = nullptr;
+  if (clusters >= 2) {
+    auto owned = std::make_unique<dike::core::ClusteredDikeScheduler>(cfg);
+    clustered = owned.get();
+    scheduler = std::move(owned);
+  } else {
+    scheduler = std::make_unique<dike::core::DikeScheduler>(cfg);
+  }
 
-  DecideLatencyPolicy policy{*scheduler};
+  DecideLatencyPolicy policy{*scheduler, clustered};
   constexpr int kWarmupQuanta = 4;
   constexpr int kMeasuredQuanta = 32;
   dike::sim::RunLimits limits;

@@ -1,5 +1,6 @@
 #include "ckpt/archive.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <limits>
@@ -401,6 +402,26 @@ std::vector<Token> tokenize(std::string_view bytes) {
     throw CheckpointError{"corrupt checkpoint payload: section '" +
                           path.back() + "' never ends"};
   return tokens;
+}
+
+std::optional<std::string> firstDivergence(std::string_view payloadA,
+                                           std::string_view payloadB) {
+  const std::vector<Token> a = tokenize(payloadA);
+  const std::vector<Token> b = tokenize(payloadB);
+  const std::size_t shared = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < shared; ++i) {
+    if (a[i] == b[i]) continue;
+    if (a[i].path != b[i].path)
+      return "structure diverges at record " + std::to_string(i) + ": '" +
+             a[i].path + "' vs '" + b[i].path + "'";
+    return a[i].path + ": " + a[i].value + " vs " + b[i].value;
+  }
+  if (a.size() != b.size())
+    return "payloads agree for " + std::to_string(shared) +
+           " records, then " + (a.size() < b.size() ? "A" : "B") +
+           " ends early (" + std::to_string(a.size()) + " vs " +
+           std::to_string(b.size()) + " records)";
+  return std::nullopt;
 }
 
 }  // namespace dike::ckpt

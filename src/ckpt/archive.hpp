@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -134,5 +135,11 @@ struct Token {
 /// Flatten a payload into its token stream. Throws CheckpointError on a
 /// malformed payload.
 [[nodiscard]] std::vector<Token> tokenize(std::string_view bytes);
+
+/// Compare two payloads token by token. Returns nullopt when they are
+/// identical, else a one-line description of the first diverging quantity
+/// (its path plus both rendered values).
+[[nodiscard]] std::optional<std::string> firstDivergence(
+    std::string_view payloadA, std::string_view payloadB);
 
 }  // namespace dike::ckpt

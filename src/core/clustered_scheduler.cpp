@@ -24,10 +24,75 @@ using Clock = std::chrono::steady_clock;
       .count();
 }
 
+using Clusters = std::vector<std::unique_ptr<DikeScheduler>>;
+
+// The aggregates every consumer reads, computed from the instances: counters
+// sum across clusters; unfairness is the worst cluster's (one starving
+// cluster is an unfair machine), and the workload class follows the worst
+// cluster too, since that is the cluster the signal describes.
+// `quantumIndex` counts the quanta this scheduler has completed.
+
+[[nodiscard]] QuantumDecisionStats aggregateStats(const Clusters& clusters,
+                                                  std::int64_t quantumIndex,
+                                                  const DikeParams& params) {
+  if (clusters.empty()) return {};  // no quantum decided yet
+  QuantumDecisionStats agg;
+  agg.quantumIndex = quantumIndex - 1;
+  agg.params = params;
+  double worstU = -1.0;
+  for (const auto& sub : clusters) {
+    const QuantumDecisionStats s = sub->lastQuantumStats();
+    agg.acted = agg.acted || s.acted;
+    agg.pairsConsidered += s.pairsConsidered;
+    agg.pairsRejectedCooldown += s.pairsRejectedCooldown;
+    agg.pairsRejectedProfit += s.pairsRejectedProfit;
+    agg.swapsExecuted += s.swapsExecuted;
+    agg.swapsFailed += s.swapsFailed;
+    agg.migrationsFailed += s.migrationsFailed;
+    agg.fallbackActive = agg.fallbackActive || s.fallbackActive;
+    if (s.unfairness > worstU) {
+      worstU = s.unfairness;
+      agg.workloadType = s.workloadType;
+    }
+  }
+  agg.unfairness = std::max(worstU, 0.0);
+  return agg;
+}
+
+[[nodiscard]] DecisionTotals aggregateTotals(const Clusters& clusters,
+                                             std::int64_t quantumIndex) {
+  DecisionTotals totals;
+  for (const auto& sub : clusters) {
+    const DecisionTotals t = sub->decisionTotals();
+    totals.actedQuanta = std::max(totals.actedQuanta, t.actedQuanta);
+    totals.pairsConsidered += t.pairsConsidered;
+    totals.rejectedCooldown += t.rejectedCooldown;
+    totals.rejectedProfit += t.rejectedProfit;
+    totals.swapsExecuted += t.swapsExecuted;
+    totals.swapsFailed += t.swapsFailed;
+    totals.migrationsFailed += t.migrationsFailed;
+    totals.fallbackQuanta += t.fallbackQuanta;
+    totals.fallbackEngagements += t.fallbackEngagements;
+    totals.divergenceResets += t.divergenceResets;
+  }
+  // Wall quanta, not the sum of per-cluster quanta (every cluster runs in
+  // the same machine quantum); actedQuanta is the busiest cluster's count,
+  // bounded by wall quanta by construction.
+  totals.quanta = quantumIndex;
+  return totals;
+}
+
+[[nodiscard]] std::int64_t sumSwaps(const Clusters& clusters) {
+  std::int64_t swaps = 0;
+  for (const auto& sub : clusters) swaps += sub->totalSwaps();
+  return swaps;
+}
+
 }  // namespace
 
 ClusteredDikeScheduler::ClusteredDikeScheduler(DikeConfig config)
-    : DikeScheduler(config) {
+    : config_(config) {
+  validateDikeConfig(config_);
   if (config.cluster.clusters < 2)
     throw std::invalid_argument{
         "cluster.clusters must be >= 2 (fewer runs the plain DikeScheduler)"};
@@ -43,9 +108,8 @@ ClusteredDikeScheduler::ClusteredDikeScheduler(DikeConfig config)
     throw std::invalid_argument{"cluster.decideJobs must be >= 0"};
 }
 
-void ClusteredDikeScheduler::setDecideJobs(int jobs) {
-  if (jobs < 0) throw std::invalid_argument{"decideJobs must be >= 0"};
-  config_.cluster.decideJobs = jobs;
+util::Tick ClusteredDikeScheduler::quantumTicks() const {
+  return util::millisToTicks(config_.params.quantaLengthMs);
 }
 
 int ClusteredDikeScheduler::effectiveDecideJobs() const {
@@ -57,7 +121,7 @@ int ClusteredDikeScheduler::effectiveDecideJobs() const {
 }
 
 DikeConfig ClusteredDikeScheduler::clusterConfig() const {
-  DikeConfig sub = configuration();
+  DikeConfig sub = config_;
   // The sub-schedulers must not recurse into clustering, and per-cluster
   // adaptive quantum lengths would desynchronise the clusters from the one
   // machine-wide quantum cadence this object reports via quantumTicks() —
@@ -82,8 +146,14 @@ void ClusteredDikeScheduler::resolveGeometry(int coreCount) {
   clusters_.reserve(static_cast<std::size_t>(clusterCount_));
   for (int k = 0; k < clusterCount_; ++k)
     clusters_.push_back(std::make_unique<DikeScheduler>(clusterConfig()));
+  indexObservers();
   clusterSamples_.resize(static_cast<std::size_t>(clusterCount_));
   indexClusterCores(coreCount);
+}
+
+void ClusteredDikeScheduler::indexObservers() {
+  observers_.clear();
+  for (const auto& sub : clusters_) observers_.push_back(&sub->observer());
 }
 
 void ClusteredDikeScheduler::indexClusterCores(int coreCount) {
@@ -145,8 +215,8 @@ void ClusteredDikeScheduler::onQuantum(sched::SchedulerView& view) {
   childViews_.reserve(static_cast<std::size_t>(clusterCount_));
   for (int k = 0; k < clusterCount_; ++k) {
     DikeScheduler& sub = *clusters_[static_cast<std::size_t>(k)];
-    sub.setFaultsActiveHint(faultsActiveHint());
-    sub.setDecisionTrace(decisionTrace());
+    sub.setFaultsActiveHint(faultsActive_);
+    sub.setDecisionTrace(decisionTrace_);
     childViews_.emplace_back(view, clusterSamples_[static_cast<std::size_t>(k)],
                              clusterOfCore_, k,
                              clusterCores_[static_cast<std::size_t>(k)]);
@@ -184,14 +254,12 @@ void ClusteredDikeScheduler::onQuantum(sched::SchedulerView& view) {
   // hook / fault-injector feedback, decision-trace appends, counters. This
   // is the order the fully-serial pipeline actuated in, so traces, faults,
   // and checkpoints are unchanged.
-  bool anyActed = false;
   std::int64_t maxClusterNs = 0;
   for (int k = 0; k < clusterCount_; ++k) {
     const std::size_t kk = static_cast<std::size_t>(k);
     const auto start = Clock::now();
     clusters_[kk]->commitQuantum(childViews_[kk]);
     commitNs_[kk] = nsSince(start);
-    anyActed = anyActed || clusters_[kk]->lastQuantumStats().acted;
     maxClusterNs = std::max(maxClusterNs, planNs_[kk] + commitNs_[kk]);
   }
 
@@ -202,7 +270,6 @@ void ClusteredDikeScheduler::onQuantum(sched::SchedulerView& view) {
   // quantum's decide latency regardless of how this process executed it.
   lastDecideNs_ = maxClusterNs + nsSince(rebalanceStart);
 
-  refreshAggregates(anyActed);
   lastDecideWallNs_ = nsSince(decideStart);
   // One decide-latency record per quantum: the wall-clock critical path of
   // the (possibly parallel) decide step, which is what an online scheduler
@@ -300,57 +367,80 @@ void ClusteredDikeScheduler::rebalance(sched::SchedulerView& view) {
   }
 }
 
-void ClusteredDikeScheduler::refreshAggregates(bool anyActed) {
-  // Keep every aggregate a DikeScheduler consumer reads (reports, metrics
-  // listeners, the soak checker all dynamic_cast to the base) meaningful:
-  // counters sum across clusters; unfairness is the worst cluster (one
-  // starving cluster is an unfair machine); the workload class follows the
-  // worst cluster too, since that is the cluster the signal describes.
-  QuantumDecisionStats agg;
-  agg.quantumIndex = quantumIndex_;
-  agg.acted = anyActed;
-  agg.params = params_;
-  double worstU = -1.0;
-  std::int64_t swaps = 0;
-  DecisionTotals totals;
+QuantumDecisionStats ClusteredDikeScheduler::lastQuantumStats() const {
+  return aggregateStats(clusters_, quantumIndex_, config_.params);
+}
+
+DecisionTotals ClusteredDikeScheduler::decisionTotals() const {
+  return aggregateTotals(clusters_, quantumIndex_);
+}
+
+std::int64_t ClusteredDikeScheduler::totalSwaps() const {
+  return sumSwaps(clusters_);
+}
+
+CoreObservers ClusteredDikeScheduler::coreObservers() const {
+  if (clusters_.empty()) return CoreObservers{};
+  return CoreObservers{observers_, clusterOfCore_};
+}
+
+void ClusteredDikeScheduler::lastScoredInto(
+    std::vector<ScoredPrediction>& out) const {
+  out.clear();
   for (const auto& sub : clusters_) {
-    const QuantumDecisionStats& s = sub->lastQuantumStats();
-    agg.pairsConsidered += s.pairsConsidered;
-    agg.pairsRejectedCooldown += s.pairsRejectedCooldown;
-    agg.pairsRejectedProfit += s.pairsRejectedProfit;
-    agg.swapsExecuted += s.swapsExecuted;
-    agg.swapsFailed += s.swapsFailed;
-    agg.migrationsFailed += s.migrationsFailed;
-    agg.fallbackActive = agg.fallbackActive || s.fallbackActive;
-    if (s.unfairness > worstU) {
-      worstU = s.unfairness;
-      agg.workloadType = s.workloadType;
-    }
-    const DecisionTotals& t = sub->decisionTotals();
-    totals.actedQuanta = std::max(totals.actedQuanta, t.actedQuanta);
-    totals.pairsConsidered += t.pairsConsidered;
-    totals.rejectedCooldown += t.rejectedCooldown;
-    totals.rejectedProfit += t.rejectedProfit;
-    totals.swapsExecuted += t.swapsExecuted;
-    totals.swapsFailed += t.swapsFailed;
-    totals.migrationsFailed += t.migrationsFailed;
-    totals.fallbackQuanta += t.fallbackQuanta;
-    totals.fallbackEngagements += t.fallbackEngagements;
-    totals.divergenceResets += t.divergenceResets;
-    swaps += sub->totalSwaps();
+    const std::vector<ScoredPrediction>& scored =
+        sub->predictions().lastScored();
+    out.insert(out.end(), scored.begin(), scored.end());
   }
-  agg.unfairness = std::max(worstU, 0.0);
-  lastStats_ = agg;
-  // Wall quanta, not the sum of per-cluster quanta (every cluster runs in
-  // the same machine quantum); actedQuanta is the busiest cluster's count,
-  // bounded by wall quanta by construction.
-  totals.quanta = quantumIndex_ + 1;
-  totals_ = totals;
-  totalSwaps_ = swaps;
+}
+
+std::vector<double> ClusteredDikeScheduler::perThreadMeanErrors() const {
+  std::vector<double> means;
+  for (const auto& sub : clusters_) {
+    const std::vector<double> cluster = sub->perThreadMeanErrors();
+    means.insert(means.end(), cluster.begin(), cluster.end());
+  }
+  return means;
+}
+
+std::vector<PredictionErrorPoint> ClusteredDikeScheduler::predictionTrace()
+    const {
+  std::vector<PredictionErrorPoint> points;
+  for (const auto& sub : clusters_) {
+    const std::vector<PredictionErrorPoint>& trace = sub->predictions().trace();
+    points.insert(points.end(), trace.begin(), trace.end());
+  }
+  // Stable: equal ticks stay in ascending cluster order, so the fold below
+  // is deterministic, and a tick only one cluster scored keeps its point
+  // bit for bit.
+  std::stable_sort(points.begin(), points.end(),
+                   [](const PredictionErrorPoint& a,
+                      const PredictionErrorPoint& b) { return a.tick < b.tick; });
+  std::vector<PredictionErrorPoint> merged;
+  for (const PredictionErrorPoint& p : points) {
+    if (merged.empty() || merged.back().tick != p.tick) {
+      merged.push_back(p);
+      continue;
+    }
+    PredictionErrorPoint& m = merged.back();
+    const int samples = m.samples + p.samples;
+    m.mean = (m.mean * m.samples + p.mean * p.samples) / samples;
+    m.min = std::min(m.min, p.min);
+    m.max = std::max(m.max, p.max);
+    m.samples = samples;
+  }
+  return merged;
 }
 
 void ClusteredDikeScheduler::saveExtraState(ckpt::BinWriter& w) const {
-  DikeScheduler::saveExtraState(w);
+  // The flat scheduler's layout up to the component records: the header,
+  // its aggregates computed from the clusters, then the records of a
+  // pipeline that never ran, which is what this level is. Restore checks
+  // both against the cluster sections that follow.
+  saveDikeHeader(w, DikeHeader{config_.params, quantumIndex_, totalSwaps(),
+                               lastQuantumStats(), decisionTotals(),
+                               faultsActive_, 0, 0});
+  saveConstructedComponents(w, config_);
   w.beginSection("clustered");
   w.i64("clusterCount", clusterCount_);
   w.vecInt("clusterOfCore", clusterOfCore_);
@@ -366,7 +456,8 @@ void ClusteredDikeScheduler::saveExtraState(ckpt::BinWriter& w) const {
 }
 
 void ClusteredDikeScheduler::loadExtraState(ckpt::BinReader& r) {
-  DikeScheduler::loadExtraState(r);
+  const DikeHeader header = loadDikeHeader(r);
+  expectConstructedComponents(r, config_);
   r.beginSection("clustered");
   const int count = util::checkedInt<ckpt::CheckpointError>(
       r.i64("clusterCount"), "clustered checkpoint: clusterCount");
@@ -386,29 +477,51 @@ void ClusteredDikeScheduler::loadExtraState(ckpt::BinReader& r) {
       throw ckpt::CheckpointError{
           "clustered checkpoint: clusterOfCore entry out of range"};
 
-  // Rebuild the per-cluster instances from the serialized geometry, then
-  // restore each one; a schema failure inside cluster j leaves this object
-  // with fewer restored clusters, but the thrown error aborts the whole
-  // scheduler restore anyway (Scheduler::loadState propagates).
+  // Rebuild the per-cluster instances from the serialized geometry and
+  // restore each one into scratch, so a failure anywhere below leaves this
+  // object untouched.
+  Clusters clusters;
+  clusters.reserve(static_cast<std::size_t>(count));
+  for (int k = 0; k < count; ++k) {
+    clusters.push_back(std::make_unique<DikeScheduler>(clusterConfig()));
+    r.beginSection("cluster" + std::to_string(k));
+    clusters.back()->loadState(r);
+    r.endSection();
+  }
+
+  // The header's aggregates are redundant with the cluster sections; a
+  // checkpoint where the two disagree was not written by this scheduler.
+  const DikeHeader expected{
+      config_.params,
+      header.quantumIndex,
+      sumSwaps(clusters),
+      aggregateStats(clusters, header.quantumIndex, config_.params),
+      aggregateTotals(clusters, header.quantumIndex),
+      header.faultsActive,
+      0,
+      0};
+  ckpt::BinWriter found;
+  saveDikeHeader(found, header);
+  ckpt::BinWriter recomputed;
+  saveDikeHeader(recomputed, expected);
+  if (const auto diff = ckpt::firstDivergence(found.take(), recomputed.take()))
+    throw ckpt::CheckpointError{
+        "clustered checkpoint: the header disagrees with the cluster "
+        "sections (" + *diff + ")"};
+
+  quantumIndex_ = header.quantumIndex;
+  faultsActive_ = header.faultsActive;
   clusterCount_ = count;
   clusterOfCore_ = std::move(clusterOfCore);
   quantaSinceRebalance_ = quantaSince;
   imbalanceStreak_ = streak;
   rebalanceMoves_ = moves;
-  clusters_.clear();
-  clusterSamples_.clear();
+  clusters_ = std::move(clusters);
+  indexObservers();
+  clusterSamples_.assign(static_cast<std::size_t>(count), {});
   // Derived from clusterOfCore_ on the first post-restore quantum, once
   // the machine is known to match it (indexClusterCores).
   clusterCores_.clear();
-  clusters_.reserve(static_cast<std::size_t>(count));
-  for (int k = 0; k < count; ++k)
-    clusters_.push_back(std::make_unique<DikeScheduler>(clusterConfig()));
-  clusterSamples_.resize(static_cast<std::size_t>(count));
-  for (int k = 0; k < count; ++k) {
-    r.beginSection("cluster" + std::to_string(k));
-    clusters_[static_cast<std::size_t>(k)]->loadState(r);
-    r.endSection();
-  }
 }
 
 }  // namespace dike::core

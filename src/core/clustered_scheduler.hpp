@@ -18,6 +18,9 @@
 // touched after sizing), so each instance's memory is O(C) words plus
 // O(n/K) thread slots.
 //
+// This object owns the K DikeScheduler instances and has no pipeline of its
+// own: everything it reports through DikePolicy is computed from them.
+//
 // At least 2 clusters are required: exp::makeScheduler builds the plain
 // DikeScheduler for `cluster.clusters <= 1`, so a 1-cluster run is the flat
 // policy itself — same name, decisions and checkpoint bytes (the `scale`
@@ -34,14 +37,43 @@ namespace dike::core {
 
 struct ClusteredSchedulerTestPeer;
 
-class ClusteredDikeScheduler final : public DikeScheduler {
+class ClusteredDikeScheduler final : public DikePolicy {
  public:
   explicit ClusteredDikeScheduler(DikeConfig config);
 
   [[nodiscard]] std::string_view name() const override {
     return "dike-clustered";
   }
+  /// The configured quantum length: the instances run fixed parameters
+  /// (see clusterConfig), so it never adapts.
+  [[nodiscard]] util::Tick quantumTicks() const override;
   void onQuantum(sched::SchedulerView& view) override;
+
+  // DikePolicy, computed from the cluster instances on every call: counters
+  // sum across clusters, unfairness and the workload class are the worst
+  // cluster's, per-core reads go to the owning cluster's observer, and
+  // predictions concatenate in ascending cluster order.
+  [[nodiscard]] QuantumDecisionStats lastQuantumStats() const override;
+  [[nodiscard]] DecisionTotals decisionTotals() const override;
+  [[nodiscard]] CoreObservers coreObservers() const override;
+  void lastScoredInto(std::vector<ScoredPrediction>& out) const override;
+  [[nodiscard]] std::vector<double> perThreadMeanErrors() const override;
+  /// Points with the same tick merge: samples add, the mean is weighted by
+  /// samples, min and max combine.
+  [[nodiscard]] std::vector<PredictionErrorPoint> predictionTrace()
+      const override;
+  void setFaultsActiveHint(bool active) noexcept override {
+    faultsActive_ = active;
+  }
+  void setDecisionTrace(telemetry::DecisionTrace* trace) noexcept override {
+    decisionTrace_ = trace;
+  }
+
+  [[nodiscard]] const DikeConfig& configuration() const noexcept {
+    return config_;
+  }
+  /// Swaps executed by every cluster instance (rebalancer moves excluded).
+  [[nodiscard]] std::int64_t totalSwaps() const;
 
   /// Clusters actually formed: configuration().cluster.clusters capped at
   /// the machine's core count; 0 until the first quantum (or a restore)
@@ -81,20 +113,19 @@ class ClusteredDikeScheduler final : public DikeScheduler {
     return lastDecideWallNs_;
   }
 
-  /// Worker budget for the parallel plan phase (cluster.decideJobs):
-  /// 1 = serial fast path, 0 = util::defaultJobs() (the DIKE_JOBS knob),
-  /// N = at most N concurrent cluster plans. An execution knob only — any
-  /// value produces byte-identical decisions, reports, and checkpoints.
-  void setDecideJobs(int jobs);
+  /// Worker budget for the parallel plan phase (cluster.decideJobs, fixed
+  /// at construction): 1 = serial fast path, 0 = util::defaultJobs() (the
+  /// DIKE_JOBS knob), N = at most N concurrent cluster plans. An execution
+  /// knob only — any value produces byte-identical decisions, reports, and
+  /// checkpoints.
   [[nodiscard]] int decideJobs() const noexcept {
     return config_.cluster.decideJobs;
   }
 
- protected:
+ private:
   void saveExtraState(ckpt::BinWriter& w) const override;
   void loadExtraState(ckpt::BinReader& r) override;
 
- private:
   /// White-box seam for the rebalance-cadence regression tests (the
   /// warmup early-return is unreachable through onQuantum, which always
   /// observes before rebalancing).
@@ -108,9 +139,15 @@ class ClusteredDikeScheduler final : public DikeScheduler {
   void indexClusterCores(int coreCount);
   void scatterSample(const sched::SchedulerView& view);
   void rebalance(sched::SchedulerView& view);
-  void refreshAggregates(bool anyActed);
+  /// Rebuild observers_ from clusters_.
+  void indexObservers();
   /// decideJobs resolved against DIKE_JOBS and the cluster count.
   [[nodiscard]] int effectiveDecideJobs() const;
+
+  DikeConfig config_;
+  std::int64_t quantumIndex_ = 0;
+  bool faultsActive_ = false;
+  telemetry::DecisionTrace* decisionTrace_ = nullptr;
 
   int clusterCount_ = 0;  ///< resolved (min(configured, cores)); 0 = not yet
   std::vector<int> clusterOfCore_;
@@ -119,6 +156,9 @@ class ClusteredDikeScheduler final : public DikeScheduler {
   /// machine's cores. Empty after a restore until the first quantum.
   std::vector<std::vector<int>> clusterCores_;
   std::vector<std::unique_ptr<DikeScheduler>> clusters_;
+  /// clusters_[k]->observer() for each k, so coreObservers() can hand out
+  /// a span (not serialized).
+  std::vector<const Observer*> observers_;
   /// Per-cluster sample buffers; capacity persists across quanta.
   std::vector<sim::QuantumSample> clusterSamples_;
   /// Cluster-scoped child views of the current quantum's parent view.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "ckpt/archive.hpp"
@@ -16,7 +17,58 @@ namespace dike::core {
 
 namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+DeciderConfig deciderConfigOf(const DikeConfig& config) {
+  return DeciderConfig{config.cooldownQuanta, config.minCooldownMs,
+                       config.requirePositiveProfit,
+                       config.resilience.failedActuationCooldownQuanta};
+}
+
+PredictionTracker constructedTracker(const DikeConfig& config) {
+  PredictionTracker tracker;
+  if (config.resilience.divergenceWatchdog)
+    tracker.armDivergenceWatchdog(config.resilience.divergenceErrorThreshold,
+                                  config.resilience.divergenceQuanta);
+  return tracker;
+}
+
 }  // namespace
+
+void validateDikeConfig(const DikeConfig& config) {
+  if (config.params.swapSize < kMinSwapSize || config.params.swapSize % 2 != 0)
+    throw std::invalid_argument{"swapSize must be an even number >= 2"};
+  if (config.params.quantaLengthMs <= 0)
+    throw std::invalid_argument{"quantaLengthMs must be > 0"};
+  if (config.fairnessThreshold <= 0.0)
+    throw std::invalid_argument{"fairnessThreshold must be > 0"};
+}
+
+void saveConstructedComponents(ckpt::BinWriter& w, const DikeConfig& config) {
+  Observer{config.observer}.saveState(w);
+  Decider{deciderConfigOf(config)}.saveState(w);
+  constructedTracker(config).saveState(w);
+}
+
+void expectConstructedComponents(ckpt::BinReader& r,
+                                 const DikeConfig& config) {
+  Observer observer{config.observer};
+  observer.loadState(r);
+  Decider decider{deciderConfigOf(config)};
+  decider.loadState(r);
+  PredictionTracker tracker;
+  tracker.loadState(r);
+  ckpt::BinWriter found;
+  observer.saveState(found);
+  decider.saveState(found);
+  tracker.saveState(found);
+  ckpt::BinWriter constructed;
+  saveConstructedComponents(constructed, config);
+  if (const auto diff =
+          ckpt::firstDivergence(found.take(), constructed.take()))
+    throw ckpt::CheckpointError{
+        "dike checkpoint: a component record is not in constructed state "
+        "(" + *diff + ")"};
+}
 
 DikeScheduler::DikeScheduler(DikeConfig config)
     : config_(config),
@@ -26,19 +78,9 @@ DikeScheduler::DikeScheduler(DikeConfig config)
                                config.rotateWhenNoViolator,
                                config.pairRateMargin}),
       predictor_(PredictorConfig{config.swapOhMs}),
-      decider_(DeciderConfig{config.cooldownQuanta, config.minCooldownMs,
-                             config.requirePositiveProfit,
-                             config.resilience.failedActuationCooldownQuanta}) {
-  if (config_.params.swapSize < kMinSwapSize ||
-      config_.params.swapSize % 2 != 0)
-    throw std::invalid_argument{"swapSize must be an even number >= 2"};
-  if (config_.params.quantaLengthMs <= 0)
-    throw std::invalid_argument{"quantaLengthMs must be > 0"};
-  if (config_.fairnessThreshold <= 0.0)
-    throw std::invalid_argument{"fairnessThreshold must be > 0"};
-  if (config_.resilience.divergenceWatchdog)
-    tracker_.armDivergenceWatchdog(config_.resilience.divergenceErrorThreshold,
-                                   config_.resilience.divergenceQuanta);
+      decider_(deciderConfigOf(config)),
+      tracker_(constructedTracker(config)) {
+  validateDikeConfig(config_);
 }
 
 std::string_view DikeScheduler::name() const {
@@ -445,61 +487,60 @@ void DikeScheduler::migrateToFreeCores(sched::SchedulerView& view,
   }
 }
 
-void DikeScheduler::saveExtraState(ckpt::BinWriter& w) const {
-  w.i64("swapSize", params_.swapSize);
-  w.i64("quantaLengthMs", params_.quantaLengthMs);
-  w.i64("quantumIndex", quantumIndex_);
-  w.i64("totalSwaps", totalSwaps_);
+void saveDikeHeader(ckpt::BinWriter& w, const DikeHeader& header) {
+  const QuantumDecisionStats& lastStats = header.lastStats;
+  const DecisionTotals& totals = header.totals;
+  w.i64("swapSize", header.params.swapSize);
+  w.i64("quantaLengthMs", header.params.quantaLengthMs);
+  w.i64("quantumIndex", header.quantumIndex);
+  w.i64("totalSwaps", header.totalSwaps);
   w.beginSection("lastStats");
-  w.i64("quantumIndex", lastStats_.quantumIndex);
-  w.f64("unfairness", lastStats_.unfairness);
-  w.boolean("acted", lastStats_.acted);
-  w.i64("pairsConsidered", lastStats_.pairsConsidered);
-  w.i64("pairsRejectedCooldown", lastStats_.pairsRejectedCooldown);
-  w.i64("pairsRejectedProfit", lastStats_.pairsRejectedProfit);
-  w.i64("swapsExecuted", lastStats_.swapsExecuted);
-  w.i64("swapsFailed", lastStats_.swapsFailed);
-  w.i64("migrationsFailed", lastStats_.migrationsFailed);
-  w.boolean("fallbackActive", lastStats_.fallbackActive);
-  w.i64("paramsSwapSize", lastStats_.params.swapSize);
-  w.i64("paramsQuantaLengthMs", lastStats_.params.quantaLengthMs);
-  w.i64("workloadType", static_cast<std::int64_t>(lastStats_.workloadType));
+  w.i64("quantumIndex", lastStats.quantumIndex);
+  w.f64("unfairness", lastStats.unfairness);
+  w.boolean("acted", lastStats.acted);
+  w.i64("pairsConsidered", lastStats.pairsConsidered);
+  w.i64("pairsRejectedCooldown", lastStats.pairsRejectedCooldown);
+  w.i64("pairsRejectedProfit", lastStats.pairsRejectedProfit);
+  w.i64("swapsExecuted", lastStats.swapsExecuted);
+  w.i64("swapsFailed", lastStats.swapsFailed);
+  w.i64("migrationsFailed", lastStats.migrationsFailed);
+  w.boolean("fallbackActive", lastStats.fallbackActive);
+  w.i64("paramsSwapSize", lastStats.params.swapSize);
+  w.i64("paramsQuantaLengthMs", lastStats.params.quantaLengthMs);
+  w.i64("workloadType", static_cast<std::int64_t>(lastStats.workloadType));
   w.endSection();
   w.beginSection("totals");
-  w.i64("quanta", totals_.quanta);
-  w.i64("actedQuanta", totals_.actedQuanta);
-  w.i64("pairsConsidered", totals_.pairsConsidered);
-  w.i64("rejectedCooldown", totals_.rejectedCooldown);
-  w.i64("rejectedProfit", totals_.rejectedProfit);
-  w.i64("swapsExecuted", totals_.swapsExecuted);
-  w.i64("swapsFailed", totals_.swapsFailed);
-  w.i64("migrationsFailed", totals_.migrationsFailed);
-  w.i64("fallbackQuanta", totals_.fallbackQuanta);
-  w.i64("fallbackEngagements", totals_.fallbackEngagements);
-  w.i64("divergenceResets", totals_.divergenceResets);
+  w.i64("quanta", totals.quanta);
+  w.i64("actedQuanta", totals.actedQuanta);
+  w.i64("pairsConsidered", totals.pairsConsidered);
+  w.i64("rejectedCooldown", totals.rejectedCooldown);
+  w.i64("rejectedProfit", totals.rejectedProfit);
+  w.i64("swapsExecuted", totals.swapsExecuted);
+  w.i64("swapsFailed", totals.swapsFailed);
+  w.i64("migrationsFailed", totals.migrationsFailed);
+  w.i64("fallbackQuanta", totals.fallbackQuanta);
+  w.i64("fallbackEngagements", totals.fallbackEngagements);
+  w.i64("divergenceResets", totals.divergenceResets);
   w.endSection();
-  w.boolean("faultsActive", faultsActive_);
-  w.i64("fairnessStallStreak", fairnessStallStreak_);
-  w.i64("fallbackLeft", fallbackLeft_);
-  observer_.saveState(w);
-  decider_.saveState(w);
-  tracker_.saveState(w);
+  w.boolean("faultsActive", header.faultsActive);
+  w.i64("fairnessStallStreak", header.fairnessStallStreak);
+  w.i64("fallbackLeft", header.fallbackLeft);
 }
 
-void DikeScheduler::loadExtraState(ckpt::BinReader& r) {
+DikeHeader loadDikeHeader(ckpt::BinReader& r) {
   // All int-typed fields restore through checked narrowing: a corrupt or
   // wildly-scaled checkpoint must fail the load with a typed error instead
   // of silently wrapping a counter.
   const auto asInt = [](std::int64_t v, const char* what) {
     return util::checkedInt<ckpt::CheckpointError>(v, what);
   };
-  DikeParams params;
-  params.swapSize = asInt(r.i64("swapSize"), "dike checkpoint: swapSize");
-  params.quantaLengthMs =
+  DikeHeader h;
+  h.params.swapSize = asInt(r.i64("swapSize"), "dike checkpoint: swapSize");
+  h.params.quantaLengthMs =
       asInt(r.i64("quantaLengthMs"), "dike checkpoint: quantaLengthMs");
-  const std::int64_t quantumIndex = r.i64("quantumIndex");
-  const std::int64_t totalSwaps = r.i64("totalSwaps");
-  QuantumDecisionStats lastStats;
+  h.quantumIndex = r.i64("quantumIndex");
+  h.totalSwaps = r.i64("totalSwaps");
+  QuantumDecisionStats& lastStats = h.lastStats;
   r.beginSection("lastStats");
   lastStats.quantumIndex = r.i64("quantumIndex");
   lastStats.unfairness = r.f64("unfairness");
@@ -523,7 +564,7 @@ void DikeScheduler::loadExtraState(ckpt::BinReader& r) {
       r.i64("paramsQuantaLengthMs"), "dike checkpoint: paramsQuantaLengthMs");
   lastStats.workloadType = static_cast<WorkloadType>(r.i64("workloadType"));
   r.endSection();
-  DecisionTotals totals;
+  DecisionTotals& totals = h.totals;
   r.beginSection("totals");
   totals.quanta = r.i64("quanta");
   totals.actedQuanta = r.i64("actedQuanta");
@@ -537,31 +578,42 @@ void DikeScheduler::loadExtraState(ckpt::BinReader& r) {
   totals.fallbackEngagements = r.i64("fallbackEngagements");
   totals.divergenceResets = r.i64("divergenceResets");
   r.endSection();
-  const bool faultsActive = r.boolean("faultsActive");
-  const int fairnessStallStreak = asInt(
-      r.i64("fairnessStallStreak"), "dike checkpoint: fairnessStallStreak");
-  const int fallbackLeft =
+  h.faultsActive = r.boolean("faultsActive");
+  h.fairnessStallStreak = asInt(r.i64("fairnessStallStreak"),
+                                "dike checkpoint: fairnessStallStreak");
+  h.fallbackLeft =
       asInt(r.i64("fallbackLeft"), "dike checkpoint: fallbackLeft");
+  return h;
+}
+
+void DikeScheduler::saveExtraState(ckpt::BinWriter& w) const {
+  saveDikeHeader(w, DikeHeader{params_, quantumIndex_, totalSwaps_,
+                               lastStats_, totals_, faultsActive_,
+                               fairnessStallStreak_, fallbackLeft_});
+  observer_.saveState(w);
+  decider_.saveState(w);
+  tracker_.saveState(w);
+}
+
+void DikeScheduler::loadExtraState(ckpt::BinReader& r) {
+  const DikeHeader header = loadDikeHeader(r);
   // The components restore into scratch copies first, so a schema failure
   // deep in one of them leaves this scheduler untouched.
   Observer observer{config_.observer};
   observer.loadState(r);
   Decider decider{decider_.config()};
   decider.loadState(r);
-  PredictionTracker tracker;
-  if (config_.resilience.divergenceWatchdog)
-    tracker.armDivergenceWatchdog(config_.resilience.divergenceErrorThreshold,
-                                  config_.resilience.divergenceQuanta);
+  PredictionTracker tracker = constructedTracker(config_);
   tracker.loadState(r);
 
-  params_ = params;
-  quantumIndex_ = quantumIndex;
-  totalSwaps_ = totalSwaps;
-  lastStats_ = lastStats;
-  totals_ = totals;
-  faultsActive_ = faultsActive;
-  fairnessStallStreak_ = fairnessStallStreak;
-  fallbackLeft_ = fallbackLeft;
+  params_ = header.params;
+  quantumIndex_ = header.quantumIndex;
+  totalSwaps_ = header.totalSwaps;
+  lastStats_ = header.lastStats;
+  totals_ = header.totals;
+  faultsActive_ = header.faultsActive;
+  fairnessStallStreak_ = header.fairnessStallStreak;
+  fallbackLeft_ = header.fallbackLeft;
   observer_ = std::move(observer);
   decider_ = std::move(decider);
   tracker_ = std::move(tracker);

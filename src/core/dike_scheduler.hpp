@@ -7,6 +7,7 @@
 #include "core/arena.hpp"
 #include "core/config.hpp"
 #include "core/decider.hpp"
+#include "core/dike_policy.hpp"
 #include "core/observer.hpp"
 #include "core/optimizer.hpp"
 #include "core/prediction_tracker.hpp"
@@ -17,38 +18,36 @@
 
 namespace dike::core {
 
-/// Statistics about one quantum's decisions (mainly for tests/reports).
-struct QuantumDecisionStats {
+/// The leading fields of a Dike scheduler's checkpoint section, in record
+/// order. Both schedulers write it through saveDikeHeader, so a flat and a
+/// clustered checkpoint share one layout up to the component records.
+struct DikeHeader {
+  DikeParams params{};
   std::int64_t quantumIndex = 0;
-  double unfairness = 0.0;
-  bool acted = false;       ///< false when the fairness check short-circuited
-  int pairsConsidered = 0;  ///< pairs formed by the Selector
-  int pairsRejectedCooldown = 0;
-  int pairsRejectedProfit = 0;
-  int swapsExecuted = 0;
-  int swapsFailed = 0;       ///< actuation failures (hook vetoed the swap)
-  int migrationsFailed = 0;  ///< failed free-core migrations
-  bool fallbackActive = false;  ///< fairness watchdog ran round-robin
-  DikeParams params{};      ///< parameters in effect this quantum
-  WorkloadType workloadType = WorkloadType::Balanced;
+  std::int64_t totalSwaps = 0;
+  QuantumDecisionStats lastStats{};
+  DecisionTotals totals{};
+  bool faultsActive = false;
+  int fairnessStallStreak = 0;
+  int fallbackLeft = 0;
 };
+void saveDikeHeader(ckpt::BinWriter& w, const DikeHeader& header);
+/// Int-typed fields narrow through checked conversion: a corrupt or
+/// wildly-scaled checkpoint throws ckpt::CheckpointError.
+[[nodiscard]] DikeHeader loadDikeHeader(ckpt::BinReader& r);
 
-/// Whole-run decision totals.
-struct DecisionTotals {
-  std::int64_t quanta = 0;
-  std::int64_t actedQuanta = 0;
-  std::int64_t pairsConsidered = 0;
-  std::int64_t rejectedCooldown = 0;
-  std::int64_t rejectedProfit = 0;
-  std::int64_t swapsExecuted = 0;
-  std::int64_t swapsFailed = 0;
-  std::int64_t migrationsFailed = 0;
-  std::int64_t fallbackQuanta = 0;       ///< quanta spent in round-robin
-  std::int64_t fallbackEngagements = 0;  ///< times the watchdog tripped
-  std::int64_t divergenceResets = 0;     ///< closed-loop state resets
-};
+/// Throws std::invalid_argument unless `config` can drive a pipeline.
+void validateDikeConfig(const DikeConfig& config);
 
-class DikeScheduler : public sched::Scheduler {
+/// Write the Observer, Decider and PredictionTracker records of a pipeline
+/// built from `config` that has not run a quantum.
+void saveConstructedComponents(ckpt::BinWriter& w, const DikeConfig& config);
+/// Read the three component records and throw ckpt::CheckpointError,
+/// naming the first differing field, unless they are exactly what
+/// saveConstructedComponents writes for `config`.
+void expectConstructedComponents(ckpt::BinReader& r, const DikeConfig& config);
+
+class DikeScheduler final : public DikePolicy {
  public:
   explicit DikeScheduler(DikeConfig config = {});
 
@@ -78,6 +77,33 @@ class DikeScheduler : public sched::Scheduler {
   void planQuantum(sched::SchedulerView& view);
   void commitQuantum(sched::SchedulerView& view);
 
+  // DikePolicy.
+  [[nodiscard]] QuantumDecisionStats lastQuantumStats() const override {
+    return lastStats_;
+  }
+  [[nodiscard]] DecisionTotals decisionTotals() const override {
+    return totals_;
+  }
+  [[nodiscard]] CoreObservers coreObservers() const override {
+    return CoreObservers{&observer_};
+  }
+  void lastScoredInto(std::vector<ScoredPrediction>& out) const override {
+    out.assign(tracker_.lastScored().begin(), tracker_.lastScored().end());
+  }
+  [[nodiscard]] std::vector<double> perThreadMeanErrors() const override {
+    return tracker_.perThreadMeanErrors();
+  }
+  [[nodiscard]] std::vector<PredictionErrorPoint> predictionTrace()
+      const override {
+    return tracker_.trace();
+  }
+  void setFaultsActiveHint(bool active) noexcept override {
+    faultsActive_ = active;
+  }
+  void setDecisionTrace(telemetry::DecisionTrace* trace) noexcept override {
+    decisionTrace_ = trace;
+  }
+
   [[nodiscard]] const DikeConfig& configuration() const noexcept {
     return config_;
   }
@@ -88,40 +114,14 @@ class DikeScheduler : public sched::Scheduler {
   [[nodiscard]] const PredictionTracker& predictions() const noexcept {
     return tracker_;
   }
-  [[nodiscard]] const QuantumDecisionStats& lastQuantumStats() const noexcept {
-    return lastStats_;
-  }
-  [[nodiscard]] const DecisionTotals& decisionTotals() const noexcept {
-    return totals_;
-  }
   [[nodiscard]] std::int64_t totalSwaps() const noexcept {
     return totalSwaps_;
-  }
-
-  /// Fault layer hint: set true while injection is armed, false when the
-  /// window closes. The fairness watchdog (round-robin fallback) only trips
-  /// while this is set — fault-free runs never change behaviour, preserving
-  /// byte-identical golden outputs. The divergence watchdog is independent
-  /// of this hint (its thresholds are conservative enough for clean runs).
-  void setFaultsActiveHint(bool active) noexcept { faultsActive_ = active; }
-  [[nodiscard]] bool faultsActiveHint() const noexcept {
-    return faultsActive_;
   }
   /// True while the fairness watchdog has Dike running the round-robin
   /// fallback instead of the predictive pipeline.
   [[nodiscard]] bool inFallback() const noexcept { return fallbackLeft_ > 0; }
 
-  /// Attach (or detach with nullptr) a decision-trace sink. Off by
-  /// default; when attached, every quantum appends one DecisionRecord with
-  /// the candidate ranking inputs and per-pair outcomes.
-  void setDecisionTrace(telemetry::DecisionTrace* trace) noexcept {
-    decisionTrace_ = trace;
-  }
-  [[nodiscard]] telemetry::DecisionTrace* decisionTrace() const noexcept {
-    return decisionTrace_;
-  }
-
- protected:
+ private:
   void saveExtraState(ckpt::BinWriter& w) const override;
   void loadExtraState(ckpt::BinReader& r) override;
 
@@ -136,11 +136,6 @@ class DikeScheduler : public sched::Scheduler {
   /// (the Selector's ranking input); NaN when the thread is not listed.
   [[nodiscard]] double observedRate(int threadId) const noexcept;
 
-  // State is protected (not private) for ClusteredDikeScheduler, which
-  // bypasses this object's pipeline entirely and maintains the
-  // aggregate-facing members (lastStats_, totals_, totalSwaps_,
-  // quantumIndex_) from its per-cluster instances, so every consumer that
-  // dynamic_casts to DikeScheduler keeps reading meaningful numbers.
   DikeConfig config_;
   DikeParams params_;
   Observer observer_;

@@ -11,8 +11,7 @@
 
 #include "ckpt/archive.hpp"
 #include "ckpt/checkpoint.hpp"
-#include "core/clustered_scheduler.hpp"
-#include "core/dike_scheduler.hpp"
+#include "core/dike_policy.hpp"
 #include "exp/analysis.hpp"
 #include "exp/chrome_trace.hpp"
 #include "exp/config_io.hpp"
@@ -361,9 +360,9 @@ class LiveQuantumPublisher final : public sched::QuantumListener {
     }
     slowdown_.finishQuantum();
 
-    const auto* dike = dynamic_cast<const core::DikeScheduler*>(&scheduler);
+    const core::DikePolicy* dike = core::asDikePolicy(scheduler);
     const double unfairness =
-        dike != nullptr ? dike->observer().systemUnfairness()
+        dike != nullptr ? dike->lastQuantumStats().unfairness
                         : std::numeric_limits<double>::quiet_NaN();
     const double spread = slowdown_.fairnessSpread();
 
@@ -381,12 +380,15 @@ class LiveQuantumPublisher final : public sched::QuantumListener {
       state.fairnessSpread = std::isnan(spread) ? 0.0 : spread;
       state.scheduler.assign(scheduler.name());
       state.cores.reserve(static_cast<std::size_t>(view.coreCount()));
+      const core::CoreObservers observers =
+          dike != nullptr ? dike->coreObservers() : core::CoreObservers{};
       for (int core = 0; core < view.coreCount(); ++core) {
         telemetry::LiveCoreState c;
         c.core = core;
         c.thread = view.coreOccupant(core);
-        if (dike != nullptr && dike->observer().ready())
-          c.highBw = dike->observer().isHighBandwidthCore(core);
+        if (const core::Observer* observer = observers.ofCore(core);
+            observer != nullptr && observer->ready())
+          c.highBw = observer->isHighBandwidthCore(core);
         state.cores.push_back(c);
       }
     }
@@ -482,7 +484,7 @@ RunSession::RunSession(RunSpec spec)
   }
   if (injector_) {
     faultPolicy_.emplace(*policy_, *injector_);
-    if (auto* dike = dynamic_cast<core::DikeScheduler*>(scheduler_.get()))
+    if (core::DikePolicy* dike = core::asDikePolicy(*scheduler_))
       faultPolicy_->setFaultsActiveListener(
           [dike](bool active) { dike->setFaultsActiveHint(active); });
     policy_ = &*faultPolicy_;
@@ -516,7 +518,7 @@ void RunSession::attachTelemetry() {
     addQuantumListener(*livePublisher_);
   }
   if (tel.any())
-    if (auto* dike = dynamic_cast<core::DikeScheduler*>(scheduler_.get()))
+    if (core::DikePolicy* dike = core::asDikePolicy(*scheduler_))
       dike->setDecisionTrace(&decisions_);
   // Route live-SLO alerts into this run's decision trace so breach records
   // line up with the scheduler decisions around them.
@@ -534,12 +536,6 @@ void RunSession::attachQuantumStream(telemetry::QuantumStreamWriter& writer) {
 void RunSession::addQuantumListener(sched::QuantumListener& listener) {
   listeners_.add(&listener);
   adapter_->setListener(&listeners_);
-}
-
-void RunSession::setDecideJobs(int jobs) {
-  if (auto* clustered =
-          dynamic_cast<core::ClusteredDikeScheduler*>(scheduler_.get()))
-    clustered->setDecideJobs(jobs);
 }
 
 int RunSession::arrivalsInjected() const noexcept {
@@ -642,7 +638,8 @@ void RunSession::writeCheckpoint(const std::string& path) const {
 }
 
 std::unique_ptr<RunSession> RunSession::restore(
-    const std::string& path, telemetry::QuantumStreamWriter* stream) {
+    const std::string& path, telemetry::QuantumStreamWriter* stream,
+    int decideJobs) {
   const std::string payload = ckpt::readCheckpointFile(path);
   ckpt::BinReader r{payload};
   r.beginSection("run");
@@ -655,6 +652,10 @@ std::unique_ptr<RunSession> RunSession::restore(
         std::string{"checkpoint carries an unreadable run spec: "} +
         e.what()};
   }
+  // The spec never encodes decideJobs, so overriding it here changes how
+  // the restored run executes, never a byte it writes.
+  if (decideJobs >= 0 && spec.dikeConfig)
+    spec.dikeConfig->cluster.decideJobs = decideJobs;
   // Rebuild-then-overwrite: the stack is reconstructed from the embedded
   // spec exactly as a fresh run would build it, then the mutable state is
   // loaded over it. A throw anywhere below destroys the half-built session
@@ -725,31 +726,8 @@ RunMetrics runWorkloadCheckpointed(const RunSpec& spec,
 
 RunMetrics resumeWorkload(const std::string& checkpointPath,
                           const CheckpointOptions& opts, int decideJobs) {
-  const std::unique_ptr<RunSession> session =
-      RunSession::restore(checkpointPath);
-  if (decideJobs >= 0) session->setDecideJobs(decideJobs);
-  return session->finish(opts);
-}
-
-
-std::optional<std::string> firstDivergence(std::string_view payloadA,
-                                           std::string_view payloadB) {
-  const std::vector<ckpt::Token> a = ckpt::tokenize(payloadA);
-  const std::vector<ckpt::Token> b = ckpt::tokenize(payloadB);
-  const std::size_t shared = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < shared; ++i) {
-    if (a[i] == b[i]) continue;
-    if (a[i].path != b[i].path)
-      return "structure diverges at record " + std::to_string(i) + ": '" +
-             a[i].path + "' vs '" + b[i].path + "'";
-    return a[i].path + ": " + a[i].value + " vs " + b[i].value;
-  }
-  if (a.size() != b.size())
-    return "payloads agree for " + std::to_string(shared) +
-           " records, then " + (a.size() < b.size() ? "A" : "B") +
-           " ends early (" + std::to_string(a.size()) + " vs " +
-           std::to_string(b.size()) + " records)";
-  return std::nullopt;
+  return RunSession::restore(checkpointPath, nullptr, decideJobs)
+      ->finish(opts);
 }
 
 }  // namespace dike::exp

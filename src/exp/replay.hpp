@@ -26,6 +26,7 @@
 #include <string>
 #include <string_view>
 
+#include "ckpt/archive.hpp"
 #include "exp/dynamic.hpp"
 #include "exp/runner.hpp"
 #include "fault/fault_policy.hpp"
@@ -126,15 +127,13 @@ class RunSession {
   /// is reattached with its saved cursor (byte-identical resumed records);
   /// with `stream == nullptr` the cursor is read and discarded, so
   /// stream-less consumers (dike_diff) restore supervised checkpoints too.
+  /// `decideJobs >= 0` replaces the restored spec's clustered plan-phase
+  /// worker budget before the scheduler is built (see
+  /// ClusterConfig::decideJobs; the knob is not part of any checkpoint, so
+  /// a restored run may pick a different value freely).
   [[nodiscard]] static std::unique_ptr<RunSession> restore(
       const std::string& path,
-      telemetry::QuantumStreamWriter* stream = nullptr);
-
-  /// Override the clustered scheduler's plan-phase worker budget for this
-  /// session (see ClusterConfig::decideJobs; the knob is not part of any
-  /// checkpoint, so a restored run may pick a different value freely).
-  /// No-op when the active scheduler is not the clustered Dike.
-  void setDecideJobs(int jobs);
+      telemetry::QuantumStreamWriter* stream = nullptr, int decideJobs = -1);
 
   /// Completed quanta so far.
   [[nodiscard]] std::int64_t quantumIndex() const noexcept {
@@ -191,10 +190,7 @@ class RunSession {
                                         const CheckpointOptions& opts = {},
                                         int decideJobs = -1);
 
-/// Compare two checkpoint payloads token by token. Returns nullopt when
-/// they are identical, else a one-line description of the first diverging
-/// quantity (its path plus both rendered values).
-[[nodiscard]] std::optional<std::string> firstDivergence(
-    std::string_view payloadA, std::string_view payloadB);
+/// Names the first quantity at which two checkpoint payloads differ.
+using ckpt::firstDivergence;
 
 }  // namespace dike::exp

@@ -91,16 +91,15 @@ RunMetrics collectRunMetrics(sim::Machine& machine,
     m.processes = processResults(machine);
   }
 
-  if (const auto* dike = dynamic_cast<const core::DikeScheduler*>(&scheduler)) {
+  if (const core::DikePolicy* dike = core::asDikePolicy(scheduler)) {
     m.decisions = dike->decisionTotals();
-    const std::vector<double> perThread =
-        dike->predictions().perThreadMeanErrors();
+    const std::vector<double> perThread = dike->perThreadMeanErrors();
     if (!perThread.empty()) {
       m.hasPredictions = true;
       m.predErrMean = util::mean(perThread);
       m.predErrMin = util::minOf(perThread);
       m.predErrMax = util::maxOf(perThread);
-      m.predTrace = dike->predictions().trace();
+      m.predTrace = dike->predictionTrace();
     }
   }
   return m;

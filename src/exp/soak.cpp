@@ -4,7 +4,7 @@
 #include <optional>
 #include <stdexcept>
 
-#include "core/dike_scheduler.hpp"
+#include "core/dike_policy.hpp"
 #include "exp/replay.hpp"
 #include "telemetry/slowdown.hpp"
 #include "util/types.hpp"
@@ -79,10 +79,8 @@ class SoakInvariantListener final : public sched::QuantumListener {
       if (occupancy != 1) ++placementViolations_;
     }
 
-    if (const auto* dike =
-            dynamic_cast<const core::DikeScheduler*>(&scheduler))
-      if (dike->observer().ready() &&
-          !std::isfinite(dike->observer().systemUnfairness()))
+    if (const core::DikePolicy* dike = core::asDikePolicy(scheduler))
+      if (!std::isfinite(dike->lastQuantumStats().unfairness))
         ++nanViolations_;
   }
 

@@ -2,7 +2,7 @@
 
 #include <limits>
 
-#include "core/dike_scheduler.hpp"
+#include "core/dike_policy.hpp"
 #include "sim/machine.hpp"
 
 namespace dike::exp {
@@ -43,16 +43,21 @@ void QuantumMetricsListener::afterQuantum(const sim::Machine& machine,
   rec.migrationsExecuted = view.migrationsThisQuantum();
   rec.fairnessSpread = slowdown_.fairnessSpread();
 
-  const auto* dike = dynamic_cast<const core::DikeScheduler*>(&scheduler);
+  const core::DikePolicy* dike = core::asDikePolicy(scheduler);
+  // Resolved once per quantum: the row loop below indexes it per core
+  // without a virtual call.
+  core::CoreObservers observers;
   std::unordered_map<int, core::ScoredPrediction>& scored = scored_;
   scored.clear();
   if (dike != nullptr) {
-    const core::Observer& observer = dike->observer();
-    rec.unfairness = observer.systemUnfairness();
-    rec.workloadClass = toString(observer.workloadType());
-    rec.quantaLengthMs = dike->params().quantaLengthMs;
-    rec.swapSize = dike->params().swapSize;
-    for (const core::ScoredPrediction& p : dike->predictions().lastScored())
+    const core::QuantumDecisionStats stats = dike->lastQuantumStats();
+    rec.unfairness = stats.unfairness;
+    rec.workloadClass = toString(stats.workloadType);
+    rec.quantaLengthMs = stats.params.quantaLengthMs;
+    rec.swapSize = stats.params.swapSize;
+    observers = dike->coreObservers();
+    dike->lastScoredInto(scoredList_);
+    for (const core::ScoredPrediction& p : scoredList_)
       scored.emplace(p.threadId, p);
   }
 
@@ -72,10 +77,10 @@ void QuantumMetricsListener::afterQuantum(const sim::Machine& machine,
     t.realizedRate = kQuietNaN;
     t.predictionError = kQuietNaN;
     t.slowdown = slowdown_.slowdownOf(s.threadId);
-    if (dike != nullptr && dike->observer().ready()) {
-      t.coreBwEstimate = dike->observer().coreBw(s.coreId);
-      t.highBandwidthCore =
-          dike->observer().isHighBandwidthCore(s.coreId) ? 1 : 0;
+    if (const core::Observer* observer = observers.ofCore(s.coreId);
+        observer != nullptr && observer->ready()) {
+      t.coreBwEstimate = observer->coreBw(s.coreId);
+      t.highBandwidthCore = observer->isHighBandwidthCore(s.coreId) ? 1 : 0;
     }
     if (const auto it = scored.find(s.threadId); it != scored.end()) {
       t.predictedRate = it->second.predicted;

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "ckpt/archive.hpp"
 #include "core/prediction_tracker.hpp"
@@ -54,6 +55,7 @@ class QuantumMetricsListener final : public sched::QuantumListener {
   util::Tick lastTick_ = 0;
   telemetry::SlowdownEstimator slowdown_;
   telemetry::QuantumRecord rec_;
+  std::vector<core::ScoredPrediction> scoredList_;
   std::unordered_map<int, core::ScoredPrediction> scored_;
 };
 

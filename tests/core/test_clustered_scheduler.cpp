@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "sched/scheduler.hpp"
 #include "sim/machine.hpp"
 #include "telemetry/registry.hpp"
+#include "observation_builder.hpp"
 #include "workload/workloads.hpp"
 
 namespace dike::core {
@@ -231,6 +233,101 @@ TEST(ClusteredDikeScheduler, RejectsCorruptGeometry) {
   EXPECT_THROW(target.loadState(r), ckpt::CheckpointError);
 }
 
+static_assert(!std::is_base_of_v<DikeScheduler, ClusteredDikeScheduler>,
+              "the clustered scheduler owns its cluster instances; it is not "
+              "one itself");
+
+/// The clustered section opens with the flat layout's header, whose
+/// aggregates are redundant with the cluster sections: a header that
+/// disagrees with them is refused, naming the field.
+TEST(ClusteredDikeScheduler, RejectsHeaderThatDisagreesWithClusters) {
+  sim::Machine machine = clusterMachine();
+  ClusteredDikeScheduler scheduler{clusteredConfig(4)};
+  sched::SchedulerAdapter adapter{scheduler};
+  (void)sim::runMachine(machine, adapter);
+  std::string saved = stateBytes(scheduler);
+
+  // totals/swapsExecuted (the second swapsExecuted; lastStats has the
+  // first) plus one.
+  const std::size_t totals = saved.find("totals");
+  ASSERT_NE(totals, std::string::npos);
+  const std::size_t pos = saved.find("swapsExecuted", totals);
+  ASSERT_NE(pos, std::string::npos);
+  const std::size_t off = pos + std::string{"swapsExecuted"}.size();
+  std::uint64_t value = 0;
+  for (int i = 0; i < 8; ++i)
+    value |= std::uint64_t{static_cast<unsigned char>(
+                 saved[off + static_cast<std::size_t>(i)])}
+             << (8 * i);
+  ++value;
+  for (int i = 0; i < 8; ++i)
+    saved[off + static_cast<std::size_t>(i)] =
+        static_cast<char>((value >> (8 * i)) & 0xFF);
+
+  ClusteredDikeScheduler target{clusteredConfig(4)};
+  ckpt::BinReader r{saved};
+  try {
+    target.loadState(r);
+    FAIL() << "a header disagreeing with its clusters restored";
+  } catch (const ckpt::CheckpointError& e) {
+    EXPECT_NE(std::string{e.what()}.find("totals/swapsExecuted"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// The top-level component records describe a pipeline that never runs;
+/// one that holds a thread is refused.
+TEST(ClusteredDikeScheduler, RejectsTopLevelObserverThatHoldsAThread) {
+  sim::Machine machine = clusterMachine();
+  ClusteredDikeScheduler scheduler{clusteredConfig(4)};
+  sched::SchedulerAdapter adapter{scheduler};
+  (void)sim::runMachine(machine, adapter);
+  std::string saved = stateBytes(scheduler);
+
+  const auto bytesOf = [](const Observer& observer) {
+    ckpt::BinWriter w;
+    observer.saveState(w);
+    return w.take();
+  };
+  const ObserverConfig observerConfig = clusteredConfig(4).observer;
+  const std::string constructed = bytesOf(Observer{observerConfig});
+  testing::ObservationBuilder oneThread{4, 2};
+  oneThread.thread(0, 0, 0, 2e7, 0.3);
+  Observer fed{observerConfig};
+  fed.observe(oneThread.get());
+  // The first constructed observer record is the top-level one: it
+  // precedes every cluster section.
+  const std::size_t pos = saved.find(constructed);
+  ASSERT_NE(pos, std::string::npos);
+  saved.replace(pos, constructed.size(), bytesOf(fed));
+
+  ClusteredDikeScheduler target{clusteredConfig(4)};
+  ckpt::BinReader r{saved};
+  try {
+    target.loadState(r);
+    FAIL() << "a fed top-level observer restored";
+  } catch (const ckpt::CheckpointError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("not in constructed state"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("observer/"), std::string::npos) << what;
+  }
+}
+
+/// A checkpoint taken before the first quantum has no clusters and
+/// all-zero aggregates, and restores as such.
+TEST(ClusteredDikeScheduler, RoundTripsBeforeTheFirstQuantum) {
+  const ClusteredDikeScheduler fresh{clusteredConfig(4)};
+  const std::string saved = stateBytes(fresh);
+  ClusteredDikeScheduler restored{clusteredConfig(4)};
+  ckpt::BinReader r{saved};
+  restored.loadState(r);
+  EXPECT_EQ(restored.resolvedClusters(), 0);
+  EXPECT_EQ(restored.decisionTotals().quanta, 0);
+  EXPECT_EQ(stateBytes(restored), saved);
+}
+
 /// A restored geometry names machine core ids. Stepped on a machine with
 /// more cores, it used to index clusterOfCore past its end while
 /// scattering the sample; the first post-restore quantum must refuse it.
@@ -390,11 +487,10 @@ TEST(ClusteredDikeScheduler, RejectsInvalidDecideJobs) {
   bad.cluster.decideJobs = -1;
   EXPECT_THROW(ClusteredDikeScheduler{bad}, std::invalid_argument);
 
-  ClusteredDikeScheduler scheduler{clusteredConfig(2)};
-  EXPECT_EQ(scheduler.decideJobs(), 1);
-  EXPECT_THROW(scheduler.setDecideJobs(-1), std::invalid_argument);
-  scheduler.setDecideJobs(4);
-  EXPECT_EQ(scheduler.decideJobs(), 4);
+  EXPECT_EQ(ClusteredDikeScheduler{clusteredConfig(2)}.decideJobs(), 1);
+  DikeConfig pooled = clusteredConfig(2);
+  pooled.cluster.decideJobs = 4;
+  EXPECT_EQ(ClusteredDikeScheduler{pooled}.decideJobs(), 4);
 }
 
 /// The tentpole's equivalence contract in-process: a serial plan phase and

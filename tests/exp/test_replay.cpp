@@ -185,8 +185,8 @@ TEST(Replay, DecideJobsLockstep) {
   const std::string path = tempPath("decide_jobs_lockstep.ckpt");
   pooled.writeCheckpoint(path);
 
-  const std::unique_ptr<RunSession> serial = RunSession::restore(path);
-  serial->setDecideJobs(1);
+  const std::unique_ptr<RunSession> serial =
+      RunSession::restore(path, nullptr, /*decideJobs=*/1);
   ASSERT_EQ(firstDivergence(pooled.checkpointPayload(),
                             serial->checkpointPayload()),
             std::nullopt)
