@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 
 #include "util/number_text.hpp"
@@ -55,83 +56,148 @@ std::string_view toString(Tag tag) noexcept {
 
 // ---------------------------------------------------------------- BinWriter
 
-void BinWriter::raw32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    buf_.push_back(static_cast<char>((v >> shift) & 0xFF));
+namespace {
+
+char* putBytes(char* p, const void* src, std::size_t n) noexcept {
+  if (n != 0) std::memcpy(p, src, n);  // an empty span may have no data()
+  return p + n;
 }
 
-void BinWriter::raw64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    buf_.push_back(static_cast<char>((v >> shift) & 0xFF));
+char* put32(char* p, std::uint32_t v) noexcept {
+  if constexpr (std::endian::native == std::endian::little)
+    return putBytes(p, &v, 4);
+  for (int i = 0; i < 4; ++i) *p++ = static_cast<char>((v >> (8 * i)) & 0xFF);
+  return p;
 }
 
-void BinWriter::header(Tag tag, std::string_view name) {
-  buf_.push_back(static_cast<char>(tag));
-  raw32(static_cast<std::uint32_t>(name.size()));
-  buf_.append(name);
+char* put64(char* p, std::uint64_t v) noexcept {
+  if constexpr (std::endian::native == std::endian::little)
+    return putBytes(p, &v, 8);
+  for (int i = 0; i < 8; ++i) *p++ = static_cast<char>((v >> (8 * i)) & 0xFF);
+  return p;
+}
+
+/// Packed little-endian 8-byte elements: one block copy on a
+/// little-endian host.
+template <typename T>
+char* putPacked(char* p, std::span<const T> v) noexcept {
+  static_assert(sizeof(T) == 8);
+  if constexpr (std::endian::native == std::endian::little)
+    return putBytes(p, v.data(), v.size_bytes());
+  for (const T x : v) p = put64(p, std::bit_cast<std::uint64_t>(x));
+  return p;
+}
+
+}  // namespace
+
+BinWriter BinWriter::sized(std::size_t bytes) {
+  BinWriter w{Mode::Sized};
+  w.buf_.resize(bytes);
+  return w;
+}
+
+char* BinWriter::record(Tag tag, std::string_view name,
+                        std::size_t valueBytes) {
+  const std::size_t at = size_;
+  const std::size_t end = at + 1 + 4 + name.size() + valueBytes;
+  switch (mode_) {
+    case Mode::Counting:
+      size_ = end;
+      return nullptr;
+    case Mode::Sized:
+      if (end > buf_.size())
+        throw CheckpointError{
+            "BinWriter: record '" + std::string{name} + "' runs past the " +
+            std::to_string(buf_.size()) +
+            " bytes the payload was sized for (the save wrote more than "
+            "it counted)"};
+      break;
+    case Mode::Growing:
+      if (end > buf_.size())
+        buf_.resize(std::max({end, 2 * buf_.size(), std::size_t{256}}));
+      break;
+  }
+  size_ = end;
+  char* p = buf_.data() + at;
+  *p++ = static_cast<char>(tag);
+  p = put32(p, static_cast<std::uint32_t>(name.size()));
+  return putBytes(p, name.data(), name.size());
 }
 
 void BinWriter::u64(std::string_view name, std::uint64_t v) {
-  header(Tag::U64, name);
-  raw64(v);
+  if (char* p = record(Tag::U64, name, 8)) put64(p, v);
 }
 
 void BinWriter::i64(std::string_view name, std::int64_t v) {
-  header(Tag::I64, name);
-  raw64(static_cast<std::uint64_t>(v));
+  if (char* p = record(Tag::I64, name, 8))
+    put64(p, static_cast<std::uint64_t>(v));
 }
 
 void BinWriter::f64(std::string_view name, double v) {
-  header(Tag::F64, name);
-  raw64(std::bit_cast<std::uint64_t>(v));
+  if (char* p = record(Tag::F64, name, 8))
+    put64(p, std::bit_cast<std::uint64_t>(v));
 }
 
 void BinWriter::boolean(std::string_view name, bool v) {
-  header(Tag::Bool, name);
-  buf_.push_back(v ? 1 : 0);
+  if (char* p = record(Tag::Bool, name, 1)) *p = v ? 1 : 0;
 }
 
 void BinWriter::str(std::string_view name, std::string_view v) {
-  header(Tag::Str, name);
-  raw32(static_cast<std::uint32_t>(v.size()));
-  buf_.append(v);
+  if (char* p = record(Tag::Str, name, 4 + v.size()))
+    putBytes(put32(p, static_cast<std::uint32_t>(v.size())), v.data(),
+             v.size());
 }
 
-void BinWriter::vecF64(std::string_view name, std::span<const double> v) {
-  header(Tag::VecF64, name);
-  raw32(static_cast<std::uint32_t>(v.size()));
-  for (const double x : v) raw64(std::bit_cast<std::uint64_t>(x));
+void BinWriter::vecF64(std::string_view name, std::span<const double> first,
+                       std::span<const double> second) {
+  const std::size_t count = first.size() + second.size();
+  if (char* p = record(Tag::VecF64, name, 4 + 8 * count))
+    putPacked(putPacked(put32(p, static_cast<std::uint32_t>(count)), first),
+              second);
 }
 
 void BinWriter::vecI64(std::string_view name,
                        std::span<const std::int64_t> v) {
-  header(Tag::VecI64, name);
-  raw32(static_cast<std::uint32_t>(v.size()));
-  for (const std::int64_t x : v) raw64(static_cast<std::uint64_t>(x));
+  if (char* p = record(Tag::VecI64, name, 4 + 8 * v.size()))
+    putPacked(put32(p, static_cast<std::uint32_t>(v.size())), v);
 }
 
 void BinWriter::vecInt(std::string_view name, std::span<const int> v) {
-  header(Tag::VecI64, name);
-  raw32(static_cast<std::uint32_t>(v.size()));
-  for (const int x : v) raw64(static_cast<std::uint64_t>(std::int64_t{x}));
+  if (char* p = record(Tag::VecI64, name, 4 + 8 * v.size())) {
+    p = put32(p, static_cast<std::uint32_t>(v.size()));
+    for (const int x : v)
+      p = put64(p, static_cast<std::uint64_t>(std::int64_t{x}));
+  }
 }
 
 void BinWriter::beginSection(std::string_view name) {
-  header(Tag::SectionBegin, name);
-  open_.emplace_back(name);
+  (void)record(Tag::SectionBegin, name, 0);
+  openStarts_.push_back(openNames_.size());
+  openNames_.append(name);
 }
 
 void BinWriter::endSection() {
-  if (open_.empty())
+  if (openStarts_.empty())
     throw CheckpointError{"BinWriter::endSection with no open section"};
-  header(Tag::SectionEnd, open_.back());
-  open_.pop_back();
+  const std::size_t start = openStarts_.back();
+  (void)record(Tag::SectionEnd, std::string_view{openNames_}.substr(start),
+               0);
+  openNames_.resize(start);
+  openStarts_.pop_back();
 }
 
 std::string BinWriter::take() {
-  if (!open_.empty())
-    throw CheckpointError{"BinWriter::take with unclosed section '" +
-                          open_.back() + "'"};
+  if (!openStarts_.empty())
+    throw CheckpointError{
+        "BinWriter::take with unclosed section '" +
+        openNames_.substr(openStarts_.back()) + "'"};
+  if (mode_ == Mode::Sized && size_ != buf_.size())
+    throw CheckpointError{"BinWriter::take: " + std::to_string(size_) +
+                          " bytes written but the payload was sized for " +
+                          std::to_string(buf_.size()) +
+                          " (the save wrote less than it counted)"};
+  if (mode_ != Mode::Counting) buf_.resize(size_);
+  size_ = 0;
   return std::move(buf_);
 }
 

@@ -52,14 +52,31 @@ enum class Tag : std::uint8_t {
 
 /// Serializer. Field order is the schema: the reader must consume the same
 /// fields in the same order, which the per-field name check enforces.
+///
+/// Each record is claimed whole (one bounds check) and written through a
+/// raw cursor. Three modes share that one path, so the code that saves a
+/// payload is also the code that sizes it:
+///   * default-constructed: the buffer grows on demand;
+///   * counting(): adds up each record's encoded size and stores nothing;
+///   * sized(n): allocates exactly n bytes once. A record that would run
+///     past n throws, and take() throws unless exactly n bytes were written.
 class BinWriter {
  public:
+  BinWriter() = default;
+  [[nodiscard]] static BinWriter counting() {
+    return BinWriter{Mode::Counting};
+  }
+  [[nodiscard]] static BinWriter sized(std::size_t bytes);
+
   void u64(std::string_view name, std::uint64_t v);
   void i64(std::string_view name, std::int64_t v);
   void f64(std::string_view name, double v);
   void boolean(std::string_view name, bool v);
   void str(std::string_view name, std::string_view v);
-  void vecF64(std::string_view name, std::span<const double> v);
+  /// One vec<f64> record holding `first` then `second`: a ring buffer's two
+  /// contiguous runs are written without joining them first.
+  void vecF64(std::string_view name, std::span<const double> first,
+              std::span<const double> second = {});
   void vecI64(std::string_view name, std::span<const std::int64_t> v);
   /// Convenience: widen a vector<int> (placement maps, live-thread lists).
   void vecInt(std::string_view name, std::span<const int> v);
@@ -67,17 +84,30 @@ class BinWriter {
   void beginSection(std::string_view name);
   void endSection();
 
-  /// Finish and take the payload. Throws if a section is still open.
+  /// Finish and take the payload. Throws if a section is still open, or if
+  /// a sized writer got fewer bytes than it was sized for. A counting
+  /// writer yields an empty string.
   [[nodiscard]] std::string take();
-  [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
+  /// Bytes written so far; for a counting writer, the bytes it would have
+  /// written.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
-  void header(Tag tag, std::string_view name);
-  void raw32(std::uint32_t v);
-  void raw64(std::uint64_t v);
+  enum class Mode : std::uint8_t { Growing, Counting, Sized };
+  explicit BinWriter(Mode mode) : mode_(mode) {}
 
+  /// Claim one record of `valueBytes` value bytes, write its tag and name,
+  /// and return the cursor for the value (nullptr when counting).
+  [[nodiscard]] char* record(Tag tag, std::string_view name,
+                             std::size_t valueBytes);
+
+  Mode mode_ = Mode::Growing;
   std::string buf_;
-  std::vector<std::string> open_;  // open section names, for error messages
+  std::size_t size_ = 0;  ///< bytes written (or counted); buf_ may be longer
+  /// Open section names, concatenated, for the section-end records and
+  /// error messages; openStarts_ holds where each one begins.
+  std::string openNames_;
+  std::vector<std::size_t> openStarts_;
 };
 
 /// Deserializer over a payload produced by BinWriter. Every accessor

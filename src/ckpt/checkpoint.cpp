@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "util/atomic_file.hpp"
 
@@ -64,7 +63,11 @@ std::string encodeCheckpoint(std::string_view payload) {
   return out;
 }
 
-std::string decodeCheckpoint(std::string_view bytes) {
+namespace {
+
+/// Run the four container checks and return the payload's view into
+/// `bytes`.
+std::string_view validatedPayload(std::string_view bytes) {
   if (bytes.size() < kCheckpointMagic.size() ||
       bytes.substr(0, kCheckpointMagic.size()) != kCheckpointMagic)
     throw CheckpointError{
@@ -103,7 +106,13 @@ std::string decodeCheckpoint(std::string_view bytes) {
         std::string{"corrupt checkpoint: payload checksum "} + buf +
         "; nothing was restored"};
   }
-  return std::string{payload};
+  return payload;
+}
+
+}  // namespace
+
+std::string decodeCheckpoint(std::string_view bytes) {
+  return std::string{validatedPayload(bytes)};
 }
 
 void writeCheckpointFile(const std::string& path, std::string_view payload) {
@@ -122,15 +131,23 @@ std::string readCheckpointFile(const std::string& path) {
   std::ifstream in{path, std::ios::binary};
   if (!in)
     throw CheckpointError{"cannot open checkpoint file: " + path};
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  // One buffer of the file's size: read, validate, then strip the header
+  // in place. A path with no size (a directory) reads as empty and fails
+  // the magic check.
+  std::error_code ec;
+  const std::uintmax_t fileSize = std::filesystem::file_size(path, ec);
+  std::string bytes(ec ? 0 : static_cast<std::size_t>(fileSize), '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (in.bad())
     throw CheckpointError{"failed reading checkpoint file: " + path};
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
   try {
-    return decodeCheckpoint(buffer.str());
+    (void)validatedPayload(bytes);
   } catch (const CheckpointError& e) {
     throw CheckpointError{path + ": " + e.what()};
   }
+  bytes.erase(0, kHeaderSize);
+  return bytes;
 }
 
 std::string checkpointFileName(std::int64_t quantum) {

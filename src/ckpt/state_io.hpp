@@ -63,9 +63,10 @@ inline void load(BinReader& r, std::string_view name,
 
 inline void save(BinWriter& w, std::string_view name,
                  const util::MovingMean& mm) {
+  const util::MovingMean::Runs runs = mm.runs();
   w.beginSection(name);
   w.u64("window", mm.window());
-  w.vecF64("samples", mm.samples());
+  w.vecF64("samples", runs.first, runs.second);
   w.f64("sum", mm.rawSum());
   w.endSection();
 }

@@ -604,9 +604,20 @@ RunMetrics RunSession::finish(const CheckpointOptions& opts) {
 }
 
 std::string RunSession::checkpointPayload() const {
-  ckpt::BinWriter w;
+  // Size first with the same save code, then write once into a buffer of
+  // exactly that size: no regrowth, no re-copy, no re-fault.
+  const std::string config = runSpecToJson(spec_).dump();
+  ckpt::BinWriter counter = ckpt::BinWriter::counting();
+  savePayload(counter, config);
+  ckpt::BinWriter w = ckpt::BinWriter::sized(counter.size());
+  savePayload(w, config);
+  return w.take();
+}
+
+void RunSession::savePayload(ckpt::BinWriter& w,
+                             std::string_view config) const {
   w.beginSection("run");
-  w.str("config", runSpecToJson(spec_).dump());
+  w.str("config", config);
   w.str("schedulerName", scheduler_->name());
   w.i64("quantumIndex", quantumIndex_);
   w.i64("nextQuantumAt", nextQuantumAt_);
@@ -630,7 +641,6 @@ std::string RunSession::checkpointPayload() const {
   w.boolean("hasQuantumStream", streamListener_ != nullptr);
   if (streamListener_) streamListener_->saveState(w);
   w.endSection();
-  return w.take();
 }
 
 void RunSession::writeCheckpoint(const std::string& path) const {

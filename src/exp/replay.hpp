@@ -151,6 +151,10 @@ class RunSession {
 
  private:
   void attachTelemetry();
+  /// The body of checkpointPayload(): run once against a counting writer
+  /// to size the payload, then once against a writer of exactly that size.
+  /// `config` is the embedded run spec's JSON text.
+  void savePayload(ckpt::BinWriter& w, std::string_view config) const;
 
   RunSpec spec_;
   wl::WorkloadSpec workload_;

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 
 #include "ckpt/archive.hpp"
 #include "ckpt/state_io.hpp"
@@ -17,6 +19,23 @@ namespace dike::sim {
 
 namespace {
 constexpr double kEps = 1e-9;
+
+/// A checkpoint section name such as "thread 12", formatted into a stack
+/// buffer: saving a 4096-thread machine costs no heap allocation per
+/// section.
+class NumberedSection {
+ public:
+  NumberedSection(std::string_view prefix, int id) noexcept {
+    char* p = std::copy(prefix.begin(), prefix.end(), buf_);
+    len_ = static_cast<std::size_t>(
+        std::to_chars(p, buf_ + sizeof buf_, id).ptr - buf_);
+  }
+  operator std::string_view() const noexcept { return {buf_, len_}; }
+
+ private:
+  char buf_[24];  // the longest prefix, "process ", plus 11 digits
+  std::size_t len_ = 0;
+};
 
 /// Largest number of ticks a quantity growing by `rate` per tick can safely
 /// advance while provably staying below `room`, under per-tick floating-point
@@ -866,7 +885,7 @@ void Machine::saveState(ckpt::BinWriter& w) const {
   w.vecF64("coreQuantumAccesses", coreQuantumAccesses_);
   w.i64("threadCount", util::isize(threads_));
   for (const SimThread& t : threads_) {
-    w.beginSection("thread " + std::to_string(t.id));
+    w.beginSection(NumberedSection{"thread ", t.id});
     w.i64("id", t.id);
     w.i64("processId", t.processId);
     w.i64("indexInProcess", t.indexInProcess);
@@ -899,7 +918,7 @@ void Machine::saveState(ckpt::BinWriter& w) const {
   }
   w.i64("processCount", util::isize(processes_));
   for (const SimProcess& p : processes_) {
-    w.beginSection("process " + std::to_string(p.id));
+    w.beginSection(NumberedSection{"process ", p.id});
     w.str("name", p.name);
     w.i64("finishTick", p.finishTick);
     w.endSection();
@@ -949,7 +968,7 @@ void Machine::loadState(ckpt::BinReader& r) {
         " — the checkpoint was taken under a different config"};
   std::vector<SimThread> restored = threads_;
   for (SimThread& t : restored) {
-    r.beginSection("thread " + std::to_string(t.id));
+    r.beginSection(NumberedSection{"thread ", t.id});
     const std::int64_t id = r.i64("id");
     const std::int64_t processId = r.i64("processId");
     const std::int64_t indexInProcess = r.i64("indexInProcess");
@@ -1009,7 +1028,7 @@ void Machine::loadState(ckpt::BinReader& r) {
         " — the checkpoint was taken under a different config"};
   std::vector<util::Tick> processFinish(processes_.size(), -1);
   for (std::size_t i = 0; i < processes_.size(); ++i) {
-    r.beginSection("process " + std::to_string(processes_[i].id));
+    r.beginSection(NumberedSection{"process ", processes_[i].id});
     const std::string name = r.str("name");
     if (name != processes_[i].name)
       throw ckpt::CheckpointError{

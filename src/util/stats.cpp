@@ -101,13 +101,15 @@ void MovingMean::add(double x) {
   // round-off is path dependent and checkpoints carry it verbatim.
   sum_ += x;
   if (size_ < window_) {
-    ring_[(head_ + size_) % window_] = x;
+    std::size_t slot = head_ + size_;  // < 2 * window_
+    if (slot >= window_) slot -= window_;
+    ring_[slot] = x;
     ++size_;
     return;
   }
   sum_ -= ring_[head_];
   ring_[head_] = x;
-  head_ = (head_ + 1) % window_;
+  if (++head_ == window_) head_ = 0;
 }
 
 void MovingMean::reset() noexcept {
@@ -117,11 +119,17 @@ void MovingMean::reset() noexcept {
 }
 
 std::vector<double> MovingMean::samples() const {
-  std::vector<double> out;
-  out.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i)
-    out.push_back(ring_[(head_ + i) % window_]);
+  const Runs r = runs();
+  std::vector<double> out(r.first.begin(), r.first.end());
+  out.insert(out.end(), r.second.begin(), r.second.end());
   return out;
+}
+
+MovingMean::Runs MovingMean::runs() const noexcept {
+  if (size_ == 0) return {};
+  const std::span<const double> ring{ring_};
+  const std::size_t firstLen = std::min(size_, window_ - head_);
+  return {ring.subspan(head_, firstLen), ring.first(size_ - firstLen)};
 }
 
 void MovingMean::restore(std::span<const double> samples, double sum) {

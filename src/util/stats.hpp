@@ -90,6 +90,14 @@ class MovingMean {
   /// window's history, so recomputing it from the samples would not be
   /// bit-exact.
   [[nodiscard]] std::vector<double> samples() const;
+  /// The same contents without a copy: the ring's two contiguous runs,
+  /// oldest first (samples() is `first` followed by `second`). Valid until
+  /// the next add, reset or restore.
+  struct Runs {
+    std::span<const double> first;
+    std::span<const double> second;
+  };
+  [[nodiscard]] Runs runs() const noexcept;
   [[nodiscard]] double rawSum() const noexcept { return sum_; }
   /// Restore a previously captured window verbatim (oldest first). Throws
   /// std::invalid_argument when more samples than the window are supplied.

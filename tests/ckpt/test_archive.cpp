@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -156,6 +157,150 @@ TEST(BinArchive, TokensCompareByBitsNotRendering) {
   ASSERT_EQ(ta.size(), 1u);
   ASSERT_EQ(tb.size(), 1u);
   EXPECT_FALSE(ta[0] == tb[0]);
+}
+
+// --- writer modes and size accounting --------------------------------------
+
+/// Run `save` through a counting writer, a writer sized to that count and a
+/// default (growing) writer: the count must equal both writers' sizes and
+/// both payloads must be the same bytes. Returns the payload.
+template <typename Save>
+std::string checkedAcrossModes(const Save& save) {
+  BinWriter counter = BinWriter::counting();
+  save(counter);
+  BinWriter sized = BinWriter::sized(counter.size());
+  save(sized);
+  BinWriter growing;
+  save(growing);
+  const std::size_t counted = counter.size();
+  EXPECT_EQ(sized.size(), counted);
+  EXPECT_EQ(growing.size(), counted);
+  EXPECT_EQ(counter.take(), "");
+  const std::string exact = sized.take();
+  EXPECT_EQ(exact.size(), counted);
+  EXPECT_EQ(growing.take(), exact);
+  return exact;
+}
+
+TEST(BinWriterModes, EveryRecordKindCountsItsExactSize) {
+  const std::string longName(300, 'n');  // name length > 255
+  const std::vector<double> doubles{1.5, -0.0, 1e300};
+  const std::vector<double> none;
+  const std::vector<std::int64_t> wide{-1, 0, INT64_MAX};
+  const std::vector<int> narrow{-7, 0, 42};
+  const std::vector<std::function<void(BinWriter&)>> cases{
+      [](BinWriter& w) { w.u64("u", 0xFFFFFFFFFFFFFFFFULL); },
+      [](BinWriter& w) { w.i64("i", -42); },
+      [](BinWriter& w) {
+        w.f64("f", std::numeric_limits<double>::quiet_NaN());
+      },
+      [](BinWriter& w) { w.boolean("t", true); },
+      [](BinWriter& w) { w.boolean("f", false); },
+      [](BinWriter& w) { w.str("s", "hello"); },
+      [](BinWriter& w) { w.str("empty", ""); },
+      [&](BinWriter& w) { w.vecF64("v", doubles); },
+      [&](BinWriter& w) { w.vecF64("v", none); },
+      [&](BinWriter& w) { w.vecF64("v", doubles, doubles); },
+      [&](BinWriter& w) { w.vecF64("v", none, doubles); },
+      [&](BinWriter& w) { w.vecI64("v", wide); },
+      [](BinWriter& w) { w.vecI64("v", {}); },
+      [&](BinWriter& w) { w.vecInt("v", narrow); },
+      [](BinWriter& w) { w.vecInt("v", {}); },
+      [](BinWriter& w) { w.u64("", 1); },
+      [&](BinWriter& w) { w.f64(longName, 2.0); },
+      [&](BinWriter& w) {
+        w.beginSection("outer");
+        w.beginSection("");
+        w.beginSection(longName);
+        w.i64("x", 1);
+        w.endSection();
+        w.endSection();
+        w.endSection();
+      },
+      [](BinWriter& w) {  // grows past the default writer's first buffer
+        const std::vector<double> big(1000, 0.25);
+        for (int i = 0; i < 5; ++i) w.vecF64("big", big);
+      },
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    (void)checkedAcrossModes(cases[i]);
+  }
+}
+
+TEST(BinWriterModes, EncodingIsLittleEndianTagNameValue) {
+  const std::string bytes = checkedAcrossModes(
+      [](BinWriter& w) { w.u64("ab", 0x0102030405060708ULL); });
+  const std::string expected{
+      "\x01"              // Tag::U64
+      "\x02\0\0\0" "ab"  // name length + name
+      "\x08\x07\x06\x05\x04\x03\x02\x01",
+      1 + 4 + 2 + 8};
+  EXPECT_EQ(bytes, expected);
+}
+
+TEST(BinWriterModes, TwoRunVectorEqualsTheJoinedVector) {
+  const std::vector<double> head{1.0, 2.0};
+  const std::vector<double> tail{3.0};
+  const std::vector<double> joined{1.0, 2.0, 3.0};
+  const std::string split =
+      checkedAcrossModes([&](BinWriter& w) { w.vecF64("v", head, tail); });
+  EXPECT_EQ(split,
+            checkedAcrossModes([&](BinWriter& w) { w.vecF64("v", joined); }));
+}
+
+TEST(BinWriterModes, SizedWriterRejectsMoreBytesThanCounted) {
+  BinWriter counter = BinWriter::counting();
+  counter.u64("a", 1);
+  BinWriter sized = BinWriter::sized(counter.size());
+  sized.u64("a", 1);
+  EXPECT_THROW(sized.boolean("extra", true), CheckpointError);
+
+  BinWriter tooSmall = BinWriter::sized(counter.size() - 1);
+  EXPECT_THROW(tooSmall.u64("a", 1), CheckpointError);
+}
+
+TEST(BinWriterModes, SizedWriterRejectsFewerBytesThanCounted) {
+  BinWriter counter = BinWriter::counting();
+  counter.u64("a", 1);
+  counter.u64("b", 2);
+  BinWriter sized = BinWriter::sized(counter.size());
+  sized.u64("a", 1);
+  EXPECT_THROW((void)sized.take(), CheckpointError);
+
+  BinWriter tooLarge = BinWriter::sized(counter.size() + 1);
+  tooLarge.u64("a", 1);
+  tooLarge.u64("b", 2);
+  EXPECT_THROW((void)tooLarge.take(), CheckpointError);
+}
+
+TEST(BinWriterModes, UnbalancedSectionsThrowInEveryMode) {
+  BinWriter counter = BinWriter::counting();
+  counter.beginSection("outer");
+  counter.beginSection("inner");
+  counter.endSection();
+  counter.endSection();
+  for (BinWriter w :
+       {BinWriter{}, BinWriter::counting(), BinWriter::sized(counter.size())}) {
+    EXPECT_THROW(w.endSection(), CheckpointError);
+    w.beginSection("outer");
+    w.beginSection("inner");
+    try {
+      (void)w.take();
+      FAIL() << "expected CheckpointError";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string{e.what()}.find("'inner'"), std::string::npos)
+          << e.what();
+    }
+    w.endSection();
+    try {
+      (void)w.take();
+      FAIL() << "expected CheckpointError";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string{e.what()}.find("'outer'"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --- container format -----------------------------------------------------

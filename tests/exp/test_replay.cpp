@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "ckpt/checkpoint.hpp"
 #include "exp/config_io.hpp"
 #include "exp/parallel.hpp"
+#include "telemetry/quantum_stream.hpp"
 #include "util/json.hpp"
 #include "util/stop.hpp"
 
@@ -467,6 +471,84 @@ TEST(Replay, FirstDivergenceLengthMismatch) {
       firstDivergence(wa.take(), wb.take());
   ASSERT_TRUE(diff.has_value());
   EXPECT_NE(diff->find("ends early"), std::string::npos) << *diff;
+}
+
+// --- golden payload bytes ------------------------------------------------
+
+// checkpointPayload() is pinned by the FNV-1a of its bytes after a few
+// quanta of four representative runs (tests/data/checkpoint_payload_
+// golden.txt). A writer or saver refactor must leave every digest alone; a
+// deliberate format change bumps kCheckpointVersion and re-records the file
+// from the digests this test prints.
+struct GoldenRun {
+  RunSpec spec;
+  bool stream = false;  ///< attach a JSON Lines quantum stream
+};
+
+GoldenRun goldenRun(const std::string& name) {
+  if (name == "flat_dike") return {smallSpec(SchedulerKind::Dike)};
+  if (name == "clustered")
+    return {firstCellRunSpec(parseExperimentConfig(util::parseJsonFile(
+        std::string{DIKE_CONFIG_DIR} +
+        "/quantum_stream_golden_clustered.json")))};
+  if (name == "faults") {
+    RunSpec spec = smallSpec(SchedulerKind::DikeAF);
+    spec.faults = noisyPlan();
+    return {spec};
+  }
+  if (name == "quantum_stream")
+    return {smallSpec(SchedulerKind::Dike), /*stream=*/true};
+  throw std::invalid_argument{"unknown golden run '" + name + "'"};
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(ReplayGolden, PayloadBytesMatchTheRecordedDigests) {
+  std::ifstream in{std::string{DIKE_TEST_DATA_DIR} +
+                   "/checkpoint_payload_golden.txt"};
+  ASSERT_TRUE(in) << "missing tests/data/checkpoint_payload_golden.txt";
+  constexpr int kQuanta = 5;
+  int checked = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields{line};
+    std::string name;
+    std::string digest;
+    ASSERT_TRUE(fields >> name >> digest) << "bad golden line: " << line;
+    SCOPED_TRACE(name);
+    const GoldenRun run = goldenRun(name);
+
+    std::ostringstream text;
+    telemetry::QuantumStreamWriter writer{text,
+                                          telemetry::StreamFormat::JsonLines};
+    RunSession session{run.spec};
+    if (run.stream) session.attachQuantumStream(writer);
+    for (int i = 0; i < kQuanta; ++i) ASSERT_TRUE(session.stepQuantum());
+    const std::string payload = session.checkpointPayload();
+    EXPECT_EQ(hex64(ckpt::fnv1a64(payload)), digest)
+        << name << ": payload of " << payload.size()
+        << " bytes; re-record only with a format version bump";
+
+    // Restoring and re-serializing reproduces the same bytes.
+    const std::string path = tempPath("golden_" + name + ".ckpt");
+    session.writeCheckpoint(path);
+    std::ostringstream resumedText;
+    telemetry::QuantumStreamWriter resumedWriter{
+        resumedText, telemetry::StreamFormat::JsonLines};
+    const std::unique_ptr<RunSession> restored =
+        RunSession::restore(path, run.stream ? &resumedWriter : nullptr);
+    const std::string again = restored->checkpointPayload();
+    EXPECT_TRUE(again == payload)
+        << firstDivergence(payload, again).value_or("same records");
+    std::filesystem::remove(path);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 4);
 }
 
 // --- schema evolution / corruption ---------------------------------------

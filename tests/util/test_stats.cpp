@@ -211,6 +211,31 @@ TEST(MovingMeanTest, RestoredFullWindowKeepsEvictingOldestFirst) {
                std::invalid_argument);
 }
 
+TEST(MovingMeanTest, RunsSplitTheRingOldestFirst) {
+  MovingMean m{4};
+  EXPECT_TRUE(m.runs().first.empty());
+  EXPECT_TRUE(m.runs().second.empty());
+  for (int i = 1; i <= 6; ++i) m.add(static_cast<double>(i));
+  // Ring holds [5, 6, 3, 4] with the oldest sample at index 2.
+  const MovingMean::Runs runs = m.runs();
+  EXPECT_EQ(std::vector<double>(runs.first.begin(), runs.first.end()),
+            (std::vector<double>{3.0, 4.0}));
+  EXPECT_EQ(std::vector<double>(runs.second.begin(), runs.second.end()),
+            (std::vector<double>{5.0, 6.0}));
+
+  // The checkpoint record is the oldest-first vector, written from the two
+  // runs without joining them.
+  ckpt::BinWriter fromRuns;
+  ckpt::save(fromRuns, "mm", m);
+  ckpt::BinWriter joined;
+  joined.beginSection("mm");
+  joined.u64("window", 4);
+  joined.vecF64("samples", m.samples());
+  joined.f64("sum", m.rawSum());
+  joined.endSection();
+  EXPECT_EQ(fromRuns.take(), joined.take());
+}
+
 TEST(MovingMeanTest, WrappedWindowCheckpointRoundTripIsByteIdentical) {
   MovingMean m{4};
   for (int i = 0; i < 7; ++i) m.add(0.1 * static_cast<double>(i * i));
