@@ -195,7 +195,7 @@ CheckpointDirScan findLatestValidCheckpoint(const std::string& dir) {
   for (const std::string& name : names) {
     const std::string path = dir + "/" + name;
     try {
-      (void)readCheckpointFile(path);
+      scan.payload = readCheckpointFile(path);
       scan.path = path;
       scan.quantum = quantumFromFileName(name);
       return scan;

@@ -56,6 +56,9 @@ void writeCheckpointFile(const std::string& path, std::string_view payload);
 struct CheckpointDirScan {
   std::string path;           ///< newest valid checkpoint; empty when none
   std::int64_t quantum = -1;  ///< index parsed from its name; -1 if unnamed
+  /// The validated payload of `path` (empty when none), so a resume
+  /// restores from it without reading and checksumming the file again.
+  std::string payload;
   /// Every ".ckpt" file that failed validation (corrupt, truncated, wrong
   /// version), as "path: reason" strings — loud by construction, counted by
   /// callers. Damage here means bytes under the *final* name are bad.
@@ -68,9 +71,9 @@ struct CheckpointDirScan {
 
 /// Scan `dir` for "*.ckpt" files (plus partial "*.ckpt.tmp" debris), newest
 /// name first, and return the first one that passes full container
-/// validation. Invalid files are skipped and reported, so a corrupt newest
-/// checkpoint falls back to the previous good one instead of wedging
-/// resume. A missing or empty directory returns an empty scan.
+/// validation, with its payload. Invalid files are skipped and reported, so
+/// a corrupt newest checkpoint falls back to the previous good one instead
+/// of wedging resume. A missing or empty directory returns an empty scan.
 [[nodiscard]] CheckpointDirScan findLatestValidCheckpoint(
     const std::string& dir);
 

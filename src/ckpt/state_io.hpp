@@ -61,32 +61,51 @@ inline void load(BinReader& r, std::string_view name,
   stats.setState(s);
 }
 
-inline void save(BinWriter& w, std::string_view name,
-                 const util::MovingMean& mm) {
-  const util::MovingMean::Runs runs = mm.runs();
+/// One sliding window's record: its window, samples oldest first, and raw
+/// running sum. A MovingMean saves through it, and so does a window kept
+/// outside one (the Observer's per-thread rate rings).
+inline void saveWindow(BinWriter& w, std::string_view name,
+                       std::size_t window, util::RingRuns runs, double sum) {
   w.beginSection(name);
-  w.u64("window", mm.window());
+  w.u64("window", window);
   w.vecF64("samples", runs.first, runs.second);
-  w.f64("sum", mm.rawSum());
+  w.f64("sum", sum);
   w.endSection();
 }
 
-/// The MovingMean must already be constructed with its configured window —
-/// window size is configuration, not state — and the checkpointed window
+inline void save(BinWriter& w, std::string_view name,
+                 const util::MovingMean& mm) {
+  saveWindow(w, name, mm.window(), mm.runs(), mm.rawSum());
+}
+
+/// A saveWindow record's samples and running sum. `window` is the
+/// configured window — configuration, not state — and the checkpointed one
 /// must agree, else the configs differ and the restore refuses.
-inline void load(BinReader& r, std::string_view name, util::MovingMean& mm) {
+struct WindowRecord {
+  std::vector<double> samples;
+  double sum = 0.0;
+};
+inline WindowRecord loadWindow(BinReader& r, std::string_view name,
+                               std::size_t window) {
   r.beginSection(name);
-  const std::uint64_t window = r.u64("window");
-  if (window != mm.window())
+  const std::uint64_t saved = r.u64("window");
+  if (saved != window)
     throw CheckpointError{
         "checkpointed MovingMean '" + std::string{name} + "' has window " +
-        std::to_string(window) + " but this configuration uses " +
-        std::to_string(mm.window()) +
+        std::to_string(saved) + " but this configuration uses " +
+        std::to_string(window) +
         " — the checkpoint was taken under a different config"};
-  const std::vector<double> samples = r.vecF64("samples");
-  const double sum = r.f64("sum");
+  WindowRecord record;
+  record.samples = r.vecF64("samples");
+  record.sum = r.f64("sum");
   r.endSection();
-  mm.restore(samples, sum);
+  return record;
+}
+
+/// The MovingMean must already be constructed with its configured window.
+inline void load(BinReader& r, std::string_view name, util::MovingMean& mm) {
+  const WindowRecord record = loadWindow(r, name, mm.window());
+  mm.restore(record.samples, record.sum);
 }
 
 }  // namespace dike::ckpt

@@ -20,6 +20,11 @@
 //
 // This object owns the K DikeScheduler instances and has no pipeline of its
 // own: everything it reports through DikePolicy is computed from them.
+// Each quantum runs every instance's planQuantum (concurrently when
+// decideJobs > 1), then every commitQuantum serially in cluster order. A
+// quiet cluster (fair, no fallback) registers its persistence predictions
+// in its plan, so only the clusters that act do per-thread work in the
+// serial commit phase.
 //
 // At least 2 clusters are required: exp::makeScheduler builds the plain
 // DikeScheduler for `cluster.clusters <= 1`, so a 1-cluster run is the flat

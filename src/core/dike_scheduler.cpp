@@ -131,7 +131,10 @@ void DikeScheduler::planQuantum(sched::SchedulerView& view) {
   const bool live = telemetry::liveEnabled();
   // Close the loop: score the predictions registered last quantum against
   // the rates just measured.
-  tracker_.scoreQuantum(view.sample(), view.now());
+  {
+    DIKE_SCOPE_TIMER("core.tracker.score");
+    tracker_.scoreQuantum(view.sample(), view.now());
+  }
   if (live) {
     for (const ScoredPrediction& scored : tracker_.lastScored()) {
       if (std::isnan(scored.error)) continue;
@@ -152,8 +155,11 @@ void DikeScheduler::planQuantum(sched::SchedulerView& view) {
     DIKE_COUNTER("core.dike.divergence_reset");
   }
 
-  makeObservationInto(view, arena_.obs);
-  observer_.observe(arena_.obs);
+  {
+    DIKE_SCOPE_TIMER("core.observer.observe");
+    makeObservationInto(view, arena_.obs);
+    observer_.observe(arena_.obs);
+  }
 
   plan_ = QuantumPlan{};
   QuantumDecisionStats& stats = plan_.stats;
@@ -219,8 +225,21 @@ void DikeScheduler::planQuantum(sched::SchedulerView& view) {
     selector_.formPairsInto(observer_, params_.swapSize * 2, arena_.selector,
                             arena_.pairs);
     stats.pairsConsidered = util::isize(arena_.pairs);
+  } else {
+    // A quiet plan: its commit registers no prediction of its own, so the
+    // persistence predictions are final now and are set here, in the plan
+    // phase that clustered instances run concurrently.
+    persistPredictions();
+    plan_.persisted = true;
   }
   plan_.planned = true;
+}
+
+void DikeScheduler::persistPredictions() {
+  // Persistence prediction for every live thread that did not migrate
+  // (migrated threads already carry the predictor's post-swap estimate).
+  for (const ThreadInfo& t : observer_.threadsByAccessRate())
+    tracker_.setPredictionIfAbsent(t.threadId, t.accessRate);
 }
 
 void DikeScheduler::commitQuantum(sched::SchedulerView& view) {
@@ -313,10 +332,7 @@ void DikeScheduler::commitQuantum(sched::SchedulerView& view) {
   if (!fair && !plan_.fallbackQuantum && config_.useFreeCores)
     migrateToFreeCores(view, rec, stats);
 
-  // Persistence prediction for every live thread that did not migrate
-  // (migrated threads already carry the predictor's post-swap estimate).
-  for (const ThreadInfo& t : observer_.threadsByAccessRate())
-    tracker_.setPredictionIfAbsent(t.threadId, t.accessRate);
+  if (!plan_.persisted) persistPredictions();
 
   if (rec != nullptr) {
     rec->acted = stats.acted;

@@ -61,9 +61,10 @@ class DikeScheduler final : public DikePolicy {
   /// state and only *reads* the view: prediction scoring, the divergence
   /// watchdog, observation, the fairness check and watchdog bookkeeping,
   /// the optimizer step, and Selector pair formation (into this instance's
-  /// arena). It performs no actuation and never writes the (shared)
-  /// decision trace, so plans of disjoint cluster instances may run
-  /// concurrently.
+  /// arena). A quiet plan (fair, no fallback) also sets its persistence
+  /// predictions, since no actuation can precede them. It performs no
+  /// actuation and never writes the (shared) decision trace, so plans of
+  /// disjoint cluster instances may run concurrently.
   ///
   /// commitQuantum then applies the plan: actuations (swaps, fallback
   /// rotation, free-core migrations) with their hook/decider/tracker
@@ -132,6 +133,9 @@ class DikeScheduler final : public DikePolicy {
   /// trusting no counters (they are what got us here).
   void rotateRoundRobin(sched::SchedulerView& view,
                         QuantumDecisionStats& stats);
+  /// Register every listed thread's current rate as its next-quantum
+  /// prediction, unless an actuation this quantum already registered one.
+  void persistPredictions();
   /// Moving-mean access rate of a thread in the Observer's current view
   /// (the Selector's ranking input); NaN when the thread is not listed.
   [[nodiscard]] double observedRate(int threadId) const noexcept;
@@ -164,6 +168,7 @@ class DikeScheduler final : public DikePolicy {
     bool traced = false;
     bool fair = false;
     bool fallbackQuantum = false;
+    bool persisted = false;  ///< persistPredictions already ran in the plan
     bool planned = false;
   };
   QuantumPlan plan_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -24,15 +25,15 @@ std::string_view toString(WorkloadType type) noexcept {
 }
 
 void makeObservationInto(const sched::SchedulerView& view, Observation& out) {
-  const sim::QuantumSample& sample = view.sample();
   const std::span<const int> domain = view.clusterCores();
   const int cores = view.coreCount();
   const std::size_t n = static_cast<std::size_t>(cores);
+  out.sample = &view.sample();
   // The per-core vectors are machine-sized and indexed by global core id.
-  // Entries outside the view's domain never change, so they are written
-  // only when the shape changes; every quantum then refreshes just the
-  // domain (copy-assignment of the thread rows reuses their capacity).
-  if (out.coreOccupant.size() != n || out.sample.coreAchievedBw.size() != n ||
+  // Entries outside the view's domain never change, and neither does the
+  // socket map, so they are written only when the shape changes; every
+  // quantum then refreshes just the domain's occupants.
+  if (out.coreOccupant.size() != n ||
       !std::equal(out.cores.begin(), out.cores.end(), domain.begin(),
                   domain.end())) {
     out.cores.assign(domain.begin(), domain.end());
@@ -40,19 +41,19 @@ void makeObservationInto(const sched::SchedulerView& view, Observation& out) {
     out.coreSocket.resize(n);
     for (int c = 0; c < cores; ++c)
       out.coreSocket[static_cast<std::size_t>(c)] = view.socketOf(c);
-    out.sample.coreAchievedBw.assign(n, 0.0);
   }
-  out.sample.periodTicks = sample.periodTicks;
-  out.sample.threads = sample.threads;
   view.forEachCore([&](int c) {
-    const std::size_t i = static_cast<std::size_t>(c);
-    out.coreOccupant[i] = view.coreOccupant(c);
-    out.coreSocket[i] = view.socketOf(c);
-    out.sample.coreAchievedBw[i] = sample.coreAchievedBw[i];
+    out.coreOccupant[static_cast<std::size_t>(c)] = view.coreOccupant(c);
   });
 }
 
-Observer::Observer(ObserverConfig config) : config_(config) {}
+Observer::Observer(ObserverConfig config) : config_(config) {
+  // The windows' rings live in flat arrays of window-sized runs; an empty
+  // window has no slot to hold a sample.
+  if (config_.threadRateWindow == 0 ||
+      (config_.symmetricMovingMean && config_.movingMeanWindow == 0))
+    throw std::invalid_argument{"MovingMean window must be > 0"};
+}
 
 void Observer::observe(const Observation& obs) {
   // Per-core estimates are indexed by core id. They are sized by the first
@@ -61,14 +62,23 @@ void Observer::observe(const Observation& obs) {
   const std::size_t cores = obs.coreOccupant.size();
   if (coreBwRaw_.size() < cores) coreBwRaw_.resize(cores, 0.0);
   if (coreBwEffective_.size() < cores) coreBwEffective_.resize(cores, 0.0);
-  if (highBandwidth_.size() < cores) highBandwidth_.resize(cores, false);
-  if (config_.symmetricMovingMean && coreBwWindow_.size() < cores)
-    coreBwWindow_.resize(cores, util::MovingMean{config_.movingMeanWindow});
+  if (highBandwidth_.size() < cores) highBandwidth_.resize(cores, 0);
+  if (config_.symmetricMovingMean && coreBwWindow_.size() < cores) {
+    coreBwWindow_.resize(cores);
+    coreBwRingOf_.resize(cores, -1);
+  }
 
+  // A new generation lists no thread yet. On the (once per 2^32 quanta)
+  // wrap, clear every stamp so no slot reads as listed by accident.
+  if (++generation_ == 0) {
+    for (ThreadSlot& slot : slots_) slot.seen = 0;
+    for (ProcessSlot& process : processes_) process.seen = 0;
+    generation_ = 1;
+  }
   const std::vector<int>& domain = domainOf(obs);
-  classifyThreads(obs.sample);
-  updateCoreBw(obs, domain);
-  partitionCores(obs, domain);
+  ingestRows(*obs.sample);
+  rankThreads();
+  updateCores(obs, domain);
   computeUnfairness();
   classifyWorkload();
   ++observedQuanta_;
@@ -89,34 +99,45 @@ int Observer::slotIndex(int threadId) const noexcept {
   return slotOfThread_[static_cast<std::size_t>(threadId)];
 }
 
-Observer::ThreadSlot& Observer::slotFor(int threadId) {
+int Observer::slotFor(int threadId) {
   const std::size_t id = static_cast<std::size_t>(threadId);
-  if (id >= slotOfThread_.size()) slotOfThread_.resize(id + 1, -1);
-  int& index = slotOfThread_[id];
-  if (index < 0) {
-    index = util::isize(slots_);
-    slots_.emplace_back(config_.threadRateWindow);
-  }
-  return slots_[static_cast<std::size_t>(index)];
+  if (id < slotOfThread_.size() && slotOfThread_[id] >= 0)
+    return slotOfThread_[id];
+  return addSlot(threadId);
 }
 
-bool Observer::sanitize(const sim::ThreadSample& raw, ThreadSlot& slot,
-                        double& accessRate, double& llcMissRatio,
-                        int& staleAge) {
+int Observer::addSlot(int threadId) {
+  const std::size_t id = static_cast<std::size_t>(threadId);
+  if (id >= slotOfThread_.size()) slotOfThread_.resize(id + 1, -1);
+  const int index = util::isize(slots_);
+  slotOfThread_[id] = index;
+  slots_.emplace_back();
+  rateRings_.resize(rateRings_.size() + config_.threadRateWindow, 0.0);
+  return index;
+}
+
+std::span<double> Observer::rateRing(int slot) noexcept {
+  return std::span<double>{rateRings_}.subspan(
+      static_cast<std::size_t>(slot) * config_.threadRateWindow,
+      config_.threadRateWindow);
+}
+
+std::span<const double> Observer::rateRing(int slot) const noexcept {
+  return std::span<const double>{rateRings_}.subspan(
+      static_cast<std::size_t>(slot) * config_.threadRateWindow,
+      config_.threadRateWindow);
+}
+
+bool Observer::plausible(const sim::ThreadSample& raw) const noexcept {
   const bool bad = raw.dropped || !std::isfinite(raw.accessRate) ||
                    raw.accessRate < 0.0 ||
                    raw.accessRate > config_.maxPlausibleRate ||
                    !std::isfinite(raw.llcMissRatio) || raw.llcMissRatio < 0.0;
-  if (!bad) {
-    accessRate = raw.accessRate;
-    // A miss *ratio* cannot exceed 1; clamp rather than reject (saturated
-    // counters still carry the "memory-bound" signal).
-    llcMissRatio = std::min(raw.llcMissRatio, 1.0);
-    staleAge = 0;
-    slot.hold = HeldSample{accessRate, llcMissRatio, 0};
-    slot.hasHold = true;
-    return true;
-  }
+  return !bad;
+}
+
+bool Observer::substitute(const sim::ThreadSample& raw, ThreadSlot& slot,
+                          ThreadInfo& info) {
   if (!config_.sanitizeSamples) {
     // Hygiene off (ablation): dropped samples still cannot be ingested —
     // their fields are zeros, not measurements — but corrupt values pass.
@@ -124,9 +145,8 @@ bool Observer::sanitize(const sim::ThreadSample& raw, ThreadSlot& slot,
       ++discardedSamples_;
       return false;
     }
-    accessRate = raw.accessRate;
-    llcMissRatio = raw.llcMissRatio;
-    staleAge = 0;
+    info.accessRate = raw.accessRate;
+    info.llcMissRatio = raw.llcMissRatio;
     return true;
   }
   if (!slot.hasHold || slot.hold.age >= config_.maxSampleHoldQuanta) {
@@ -137,20 +157,22 @@ bool Observer::sanitize(const sim::ThreadSample& raw, ThreadSlot& slot,
     return false;
   }
   ++slot.hold.age;
-  accessRate = slot.hold.accessRate;
-  llcMissRatio = slot.hold.llcMissRatio;
-  staleAge = slot.hold.age;
+  info.accessRate = slot.hold.accessRate;
+  info.llcMissRatio = slot.hold.llcMissRatio;
+  info.staleAge = slot.hold.age;
   ++heldSamples_;
   DIKE_COUNTER("core.observer.sample_held");
   return true;
 }
 
-void Observer::classifyThreads(const sim::QuantumSample& sample) {
-  // infoIndex is valid for the latest quantum only: unmark the previous
-  // quantum's threads before rebuilding the list.
-  for (const ThreadInfo& t : threads_)
-    slots_[static_cast<std::size_t>(slotIndex(t.threadId))].infoIndex = -1;
-  threads_.clear();
+void Observer::ingestRows(const sim::QuantumSample& sample) {
+  rows_.clear();
+  rowSlots_.clear();
+  keys_.clear();
+  liveProcesses_.clear();
+  rateLow_ = std::numeric_limits<double>::infinity();
+  rateHigh_ = -std::numeric_limits<double>::infinity();
+  ratesFinite_ = true;
   memCount_ = 0;
   compCount_ = 0;
   // Guard zero-length quanta (adaptive policies can in principle sample
@@ -167,11 +189,19 @@ void Observer::classifyThreads(const sim::QuantumSample& sample) {
     info.threadId = s.threadId;
     info.processId = s.processId;
     info.coreId = s.coreId;
-    ThreadSlot& slot = slotFor(s.threadId);
-    if (!sanitize(s, slot, info.accessRate, info.llcMissRatio,
-                  info.staleAge))
+    const int k = slotFor(s.threadId);
+    ThreadSlot& slot = slots_[static_cast<std::size_t>(k)];
+    if (plausible(s)) {
+      info.accessRate = s.accessRate;
+      // A miss *ratio* cannot exceed 1; clamp rather than reject (saturated
+      // counters still carry the "memory-bound" signal).
+      info.llcMissRatio = std::min(s.llcMissRatio, 1.0);
+      slot.hold = HeldSample{info.accessRate, info.llcMissRatio, 0};
+      slot.hasHold = true;
+    } else if (!substitute(s, slot, info)) {
       continue;
-    slot.rate.add(info.accessRate);
+    }
+    slot.rate.add(rateRing(k), info.accessRate);
     info.avgAccessRate = slot.rate.value();
     slot.cumAccesses += info.accessRate * periodSec;
     slot.cumSeconds += periodSec;
@@ -182,176 +212,191 @@ void Observer::classifyThreads(const sim::QuantumSample& sample) {
                    ? ThreadClass::Memory
                    : ThreadClass::Compute;
     (info.cls == ThreadClass::Memory ? memCount_ : compCount_) += 1;
-    slot.infoIndex = util::isize(threads_);
-    threads_.push_back(info);
-  }
 
-  // Deficits: starvation relative to sibling threads of the same process.
-  // Computed before the sort so the per-process accumulation order (sample
-  // order) matches the historical behaviour exactly.
-  accumulatePerProcess();
-  for (ThreadInfo& t : threads_) {
-    const ThreadSlot& slot =
-        slots_[static_cast<std::size_t>(slotIndex(t.threadId))];
-    const int perIndex =
-        processes_[static_cast<std::size_t>(slot.processSlot)].perIndex;
-    const double mean =
-        perProcess_[static_cast<std::size_t>(perIndex)].second.mean();
-    t.deficit = mean > config_.processRateFloor
-                    ? 1.0 - t.cumAccessRate / mean
-                    : 0.0;
-  }
-
-  const auto byRate = [](const ThreadInfo& a, const ThreadInfo& b) {
-    if (a.avgAccessRate != b.avgAccessRate)
-      return a.avgAccessRate < b.avgAccessRate;
-    return a.threadId < b.threadId;
-  };
-
-  // Decide between the incremental repair path and a full sort.
-  // Membership is unchanged when the previous order has the same length
-  // and every id it names is live this quantum — distinct ids on both
-  // sides make that a bijection.
-  bool sameMembership = prevOrder_.size() == threads_.size();
-  if (sameMembership)
-    for (int id : prevOrder_) {
-      const int k = slotIndex(id);
-      if (k < 0 || slots_[static_cast<std::size_t>(k)].infoIndex < 0) {
-        sameMembership = false;
-        break;
-      }
-    }
-
-  if (sameMembership) {
-    // Rates drift slowly quantum to quantum, so the previous sorted order
-    // is near-sorted for the new keys: permute into it and repair with an
-    // adaptive insertion sort (O(n + inversions)). The comparator is a
-    // strict total order, so this yields the identical sequence a full
-    // sort would.
-    DIKE_COUNTER("core.observer.sort_repair");
-    orderScratch_.clear();
-    for (int id : prevOrder_)
-      orderScratch_.push_back(threads_[static_cast<std::size_t>(
-          slots_[static_cast<std::size_t>(slotIndex(id))].infoIndex)]);
-    threads_.swap(orderScratch_);
-    for (std::size_t i = 1; i < threads_.size(); ++i) {
-      ThreadInfo key = threads_[i];
-      std::size_t j = i;
-      while (j > 0 && byRate(key, threads_[j - 1])) {
-        threads_[j] = threads_[j - 1];
-        --j;
-      }
-      threads_[j] = key;
-    }
-  } else {
-    DIKE_COUNTER("core.observer.sort_full");
-    std::sort(threads_.begin(), threads_.end(), byRate);
-  }
-  recordThreadOrder();
-}
-
-void Observer::accumulatePerProcess() {
-  // O(threads): each thread's slot caches its process slot, which records
-  // the process's perProcess_ index for this pass — no scan over the
-  // processes, and the process-id hash is consulted only on a cache miss.
-  perProcess_.clear();
-  ++accumulatePass_;
-  for (const ThreadInfo& t : threads_) {
-    ThreadSlot& slot = slotFor(t.threadId);
-    if (slot.processSlot < 0 || slot.processId != t.processId) {
+    // The process's sample-order mean, which the deficits divide by. The
+    // slot caches its process slot; the process-id hash is consulted only
+    // when that cache is unresolved or names another process.
+    if (slot.processSlot < 0 ||
+        processes_[static_cast<std::size_t>(slot.processSlot)].processId !=
+            s.processId) {
       const auto [it, inserted] =
-          processSlotOf_.try_emplace(t.processId, util::isize(processes_));
-      if (inserted) processes_.emplace_back();
-      slot.processId = t.processId;
+          processSlotOf_.try_emplace(s.processId, util::isize(processes_));
+      if (inserted) {
+        processes_.emplace_back();
+        processes_.back().processId = s.processId;
+      }
       slot.processSlot = it->second;
     }
     ProcessSlot& process =
         processes_[static_cast<std::size_t>(slot.processSlot)];
-    if (process.pass != accumulatePass_) {
-      process.pass = accumulatePass_;
-      process.perIndex = util::isize(perProcess_);
-      perProcess_.emplace_back(t.processId, util::OnlineStats{});
+    if (process.seen != generation_) {
+      process.seen = generation_;
+      process.bySample.reset();
+      process.byRank.reset();
+      liveProcesses_.push_back(slot.processSlot);
     }
-    perProcess_[static_cast<std::size_t>(process.perIndex)].second.add(
-        t.cumAccessRate);
+    process.bySample.add(info.cumAccessRate);
+
+    slot.seen = generation_;
+    slot.infoIndex = util::isize(rows_);
+    const double rate = info.avgAccessRate;
+    keys_.push_back(RankKey{rate, info.threadId, util::isize(rows_)});
+    rateLow_ = std::min(rateLow_, rate);
+    rateHigh_ = std::max(rateHigh_, rate);
+    ratesFinite_ = ratesFinite_ && std::isfinite(rate);
+    rows_.push_back(info);
+    rowSlots_.push_back(RowSlots{k, slot.processSlot});
   }
 }
 
-void Observer::recordThreadOrder() {
-  prevOrder_.clear();
+void Observer::rankThreads() {
+  const std::size_t n = keys_.size();
+  // Interpolation bucket sort. The rates of one cluster's threads sit in a
+  // narrow band that reshuffles every quantum (near-equal tenants), so the
+  // previous order is no head start; instead each key drops into one of n
+  // buckets by where its rate lies between the minimum and maximum. The
+  // bucket index is monotone in the rate (subtraction, scaling and
+  // truncation all round monotonically) and equal rates share a bucket,
+  // so keys in different buckets are already in order and sorting within
+  // each bucket by the exact comparator finishes the job: the result is
+  // the one sequence the strict total order (avgAccessRate, threadId)
+  // admits. Buckets hold about one key each here; a crowded bucket (a
+  // skewed distribution) is sorted by std::sort first, and non-finite
+  // rates (a corrupt feed with sanitization off) put every key in one.
+  const auto byRate = [](const RankKey& a, const RankKey& b) {
+    if (a.rate != b.rate) return a.rate < b.rate;
+    return a.threadId < b.threadId;
+  };
+  const double span = rateHigh_ - rateLow_;
+  const double scale =
+      ratesFinite_ && span > 0.0 ? static_cast<double>(n - 1) / span : 0.0;
+  const bool spread = std::isfinite(scale) && scale > 0.0;
+  const auto bucketOf = [&](double rate) -> std::size_t {
+    if (!spread) return 0;
+    // In [0, n - 1] up to rounding; clamp the top.
+    const auto b = static_cast<std::int64_t>((rate - rateLow_) * scale);
+    return std::min(static_cast<std::size_t>(b), n - 1);
+  };
+  // bucketEnd_[b + 1] counts bucket b, then becomes its end offset.
+  bucketEnd_.assign(n + 1, 0);
+  for (const RankKey& key : keys_) ++bucketEnd_[bucketOf(key.rate) + 1];
+  int largest = 0;
+  for (std::size_t b = 1; b <= n; ++b) {
+    largest = std::max(largest, bucketEnd_[b]);
+    bucketEnd_[b] += bucketEnd_[b - 1];
+  }
+  ranked_.resize(n);
+  for (const RankKey& key : keys_)
+    ranked_[static_cast<std::size_t>(bucketEnd_[bucketOf(key.rate)]++)] = key;
+  if (static_cast<std::size_t>(largest) > kInsertionBucket) {
+    std::size_t begin = 0;
+    for (std::size_t b = 0; b < n; ++b) {
+      const std::size_t end = static_cast<std::size_t>(bucketEnd_[b]);
+      if (end - begin > kInsertionBucket)
+        std::sort(ranked_.begin() + static_cast<std::ptrdiff_t>(begin),
+                  ranked_.begin() + static_cast<std::ptrdiff_t>(end), byRate);
+      begin = end;
+    }
+  }
+  // Every inversion left lies inside one small bucket: one insertion pass
+  // over the whole sequence finishes them.
+  for (std::size_t i = 1; i < n; ++i) {
+    const RankKey key = ranked_[i];
+    std::size_t j = i;
+    for (; j > 0 && byRate(key, ranked_[j - 1]); --j)
+      ranked_[j] = ranked_[j - 1];
+    ranked_[j] = key;
+  }
+
+  // Gather: each row moves once, into its rank. The deficit divides by the
+  // process's sample-order mean (complete after ingestRows); the fairness
+  // signal's statistics accumulate here, in rank order.
+  threads_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t row = static_cast<std::size_t>(ranked_[i].row);
+    const RowSlots slots = rowSlots_[row];
+    ProcessSlot& process = processes_[static_cast<std::size_t>(slots.process)];
+    ThreadInfo& t = threads_[i];
+    t = rows_[row];
+    const double mean = process.bySample.mean();
+    t.deficit = mean > config_.processRateFloor
+                    ? 1.0 - t.cumAccessRate / mean
+                    : 0.0;
+    process.byRank.add(t.cumAccessRate);
+    slots_[static_cast<std::size_t>(slots.thread)].infoIndex =
+        static_cast<int>(i);
+  }
+}
+
+void Observer::indexThreads() {
   for (int i = 0; i < util::isize(threads_); ++i) {
-    const ThreadInfo& t = threads_[static_cast<std::size_t>(i)];
-    prevOrder_.push_back(t.threadId);
-    slotFor(t.threadId).infoIndex = i;
+    ThreadSlot& slot = slots_[static_cast<std::size_t>(
+        slotFor(threads_[static_cast<std::size_t>(i)].threadId))];
+    slot.infoIndex = i;
+    slot.seen = generation_;
   }
 }
 
 const ThreadInfo* Observer::findThread(int threadId) const noexcept {
   const int k = slotIndex(threadId);
   if (k < 0) return nullptr;
-  const int idx = slots_[static_cast<std::size_t>(k)].infoIndex;
-  return idx >= 0 ? &threads_[static_cast<std::size_t>(idx)] : nullptr;
+  const ThreadSlot& slot = slots_[static_cast<std::size_t>(k)];
+  return slot.seen == generation_
+             ? &threads_[static_cast<std::size_t>(slot.infoIndex)]
+             : nullptr;
 }
 
-void Observer::updateCoreBw(const Observation& obs,
-                            const std::vector<int>& cores) {
-  // Per-core filter: rise immediately to demonstrated bandwidth, decay
-  // slowly when the core hosts an undemanding thread. Only covered cores
-  // are visited: a cluster-scoped observation's foreign cores belong to
-  // another cluster's observer, so their estimates here stay at zero.
+void Observer::updateCores(const Observation& obs,
+                           const std::vector<int>& cores) {
+  const std::vector<double>& achievedBw = obs.sample->coreAchievedBw;
+  // Pass 1. Per-core filter: rise immediately to demonstrated bandwidth,
+  // decay slowly when the core hosts an undemanding thread. Only covered
+  // cores are visited: a cluster-scoped observation's foreign cores belong
+  // to another cluster's observer, so their estimates here stay at zero.
+  //
+  // Socket blending's maxima accumulate in the same pass: a core can
+  // deliver at least `socketShare` of what the best core on its
+  // (homogeneous-silicon) socket has demonstrated. A socket may straddle a
+  // cluster boundary; only covered cores enter the maxima, so a neighbour
+  // cluster's capability never leaks onto cores this observer cannot
+  // schedule.
+  std::vector<double>& socketCap = socketCapScratch_;
+  std::fill(socketCap.begin(), socketCap.end(), 0.0);
   for (const int core : cores) {
     const std::size_t c = static_cast<std::size_t>(core);
-    const double achieved = obs.sample.coreAchievedBw[c];
-    if (obs.coreOccupant[c] < 0 && achieved <= 0.0)
-      continue;  // idle core: keep the last estimate
-    if (config_.symmetricMovingMean) {
-      coreBwWindow_[c].add(achieved);
-      coreBwRaw_[c] = coreBwWindow_[c].value();
-    } else if (achieved >= coreBwRaw_[c]) {
-      coreBwRaw_[c] = achieved;
-    } else {
-      coreBwRaw_[c] = config_.coreBwDecay * coreBwRaw_[c] +
-                      (1.0 - config_.coreBwDecay) * achieved;
+    const double achieved = achievedBw[c];
+    // An idle core keeps its last estimate.
+    if (obs.coreOccupant[c] >= 0 || achieved > 0.0) {
+      if (config_.symmetricMovingMean) {
+        coreBwWindow_[c].add(coreBwRing(c), achieved);
+        coreBwRaw_[c] = coreBwWindow_[c].value();
+      } else if (achieved >= coreBwRaw_[c]) {
+        coreBwRaw_[c] = achieved;
+      } else {
+        coreBwRaw_[c] = config_.coreBwDecay * coreBwRaw_[c] +
+                        (1.0 - config_.coreBwDecay) * achieved;
+      }
     }
+    const std::size_t socket = static_cast<std::size_t>(obs.coreSocket[c]);
+    if (socket >= socketCap.size()) socketCap.resize(socket + 1, 0.0);
+    socketCap[socket] = std::max(socketCap[socket], coreBwRaw_[c]);
   }
 
-  // Socket blending: a core can deliver at least `socketShare` of what the
-  // best core on its (homogeneous-silicon) socket has demonstrated. A
-  // socket may straddle a cluster boundary; only covered cores enter the
-  // maxima, so a neighbour cluster's capability never leaks onto cores
-  // this observer cannot schedule.
-  int socketCount = 0;
-  for (const int c : cores)
-    socketCount =
-        std::max(socketCount, obs.coreSocket[static_cast<std::size_t>(c)] + 1);
-  socketCapScratch_.assign(static_cast<std::size_t>(socketCount), 0.0);
-  for (const int core : cores) {
-    const std::size_t c = static_cast<std::size_t>(core);
-    double& cap = socketCapScratch_[static_cast<std::size_t>(obs.coreSocket[c])];
-    cap = std::max(cap, coreBwRaw_[c]);
-  }
+  // Pass 2: blend, then rank every covered core with a bandwidth estimate
+  // (occupied now, or exercised earlier — a freed fast core keeps its
+  // capability); the top half is "high bandwidth". Uncovered cores are
+  // never ranked and stay false.
+  std::vector<CoreRank>& known = knownScratch_;
+  known.clear();
   for (const int core : cores) {
     const std::size_t c = static_cast<std::size_t>(core);
     const double blended =
         config_.socketShare *
-        socketCapScratch_[static_cast<std::size_t>(obs.coreSocket[c])];
+        socketCap[static_cast<std::size_t>(obs.coreSocket[c])];
     coreBwEffective_[c] = std::max(coreBwRaw_[c], blended);
-  }
-}
-
-void Observer::partitionCores(const Observation& obs,
-                              const std::vector<int>& cores) {
-  // Rank every covered core with a bandwidth estimate (occupied now, or
-  // exercised earlier — a freed fast core keeps its capability); top half
-  // is "high bandwidth". Uncovered cores are never ranked and stay false.
-  std::vector<int>& known = knownScratch_;
-  known.clear();
-  known.reserve(cores.size());
-  for (const int c : cores) {
-    const std::size_t i = static_cast<std::size_t>(c);
-    highBandwidth_[i] = false;
-    if (obs.coreOccupant[i] >= 0 || coreBwEffective_[i] > 0.0)
-      known.push_back(c);
+    highBandwidth_[c] = 0;
+    if (obs.coreOccupant[c] >= 0 || coreBwEffective_[c] > 0.0)
+      known.push_back(CoreRank{coreBwEffective_[c], core});
   }
 
   if (known.empty()) return;
@@ -361,26 +406,35 @@ void Observer::partitionCores(const Observation& obs,
   std::nth_element(
       known.begin(),
       known.begin() + static_cast<std::ptrdiff_t>(highCount - 1), known.end(),
-      [this](int a, int b) {
-        const double ea = coreBwEffective_[static_cast<std::size_t>(a)];
-        const double eb = coreBwEffective_[static_cast<std::size_t>(b)];
-        if (ea != eb) return ea > eb;
-        return a < b;
+      [](const CoreRank& a, const CoreRank& b) {
+        if (a.bw != b.bw) return a.bw > b.bw;
+        return a.core < b.core;
       });
   for (std::size_t i = 0; i < highCount; ++i)
-    highBandwidth_[static_cast<std::size_t>(known[i])] = true;
+    highBandwidth_[static_cast<std::size_t>(known[i].core)] = 1;
+}
+
+std::span<double> Observer::coreBwRing(std::size_t core) {
+  int& ring = coreBwRingOf_[core];
+  if (ring < 0) {
+    ring = static_cast<int>(coreBwRings_.size() / config_.movingMeanWindow);
+    coreBwRings_.resize(coreBwRings_.size() + config_.movingMeanWindow, 0.0);
+  }
+  return std::span<double>{coreBwRings_}.subspan(
+      static_cast<std::size_t>(ring) * config_.movingMeanWindow,
+      config_.movingMeanWindow);
 }
 
 void Observer::computeUnfairness() {
   // CV of cumulative access rates across each process's live threads:
   // homogeneous data-parallel threads should accumulate service equally.
-  accumulatePerProcess();
-
   // The signal is the *worst* process: one starving application is an
   // unfair system even when the others are uniform (a mean would dilute it
   // below theta_f).
   double worst = 0.0;
-  for (const auto& [pid, stats] : perProcess_) {
+  for (const int p : liveProcesses_) {
+    const util::OnlineStats& stats =
+        processes_[static_cast<std::size_t>(p)].byRank;
     if (stats.count() < 2) continue;
     if (stats.mean() < config_.processRateFloor) continue;  // noise-dominated
     worst = std::max(worst, stats.coefficientOfVariation());
@@ -413,7 +467,8 @@ void Observer::resetClosedLoopState() {
     // forgets poisoned history without zeroing the capability map.
     for (std::size_t c = 0; c < coreBwWindow_.size(); ++c) {
       coreBwWindow_[c].reset();
-      if (coreBwRaw_[c] > 0.0) coreBwWindow_[c].add(coreBwRaw_[c]);
+      if (coreBwRaw_[c] > 0.0)
+        coreBwWindow_[c].add(coreBwRing(c), coreBwRaw_[c]);
     }
   }
   DIKE_COUNTER("core.observer.closed_loop_reset");
@@ -424,7 +479,7 @@ double Observer::coreBw(int coreId) const {
 }
 
 bool Observer::isHighBandwidthCore(int coreId) const {
-  return highBandwidth_.at(static_cast<std::size_t>(coreId));
+  return highBandwidth_.at(static_cast<std::size_t>(coreId)) != 0;
 }
 
 void Observer::saveState(ckpt::BinWriter& w) const {
@@ -455,33 +510,40 @@ void Observer::saveState(ckpt::BinWriter& w) const {
 
   // Slots in ascending thread-id order, not creation order: the bytes
   // depend only on the state, never on the order threads were first seen.
-  std::vector<std::pair<std::int64_t, const ThreadSlot*>> byId;
+  std::vector<std::pair<std::int64_t, int>> byId;
   for (std::size_t id = 0; id < slotOfThread_.size(); ++id)
     if (slotOfThread_[id] >= 0)
-      byId.emplace_back(static_cast<std::int64_t>(id),
-                        &slots_[static_cast<std::size_t>(slotOfThread_[id])]);
+      byId.emplace_back(static_cast<std::int64_t>(id), slotOfThread_[id]);
+  const auto slotAt = [this](int k) -> const ThreadSlot& {
+    return slots_[static_cast<std::size_t>(k)];
+  };
 
   w.i64("threadRateCount",
-        std::count_if(byId.begin(), byId.end(),
-                      [](const auto& e) { return !e.second->rate.empty(); }));
-  for (const auto& [id, slot] : byId) {
-    if (slot->rate.empty()) continue;
+        std::count_if(byId.begin(), byId.end(), [&](const auto& e) {
+          return !slotAt(e.second).rate.empty();
+        }));
+  for (const auto& [id, k] : byId) {
+    const util::WindowedMean& rate = slotAt(k).rate;
+    if (rate.empty()) continue;
     w.beginSection("rate");
     w.i64("threadId", id);
-    ckpt::save(w, "window", slot->rate);
+    ckpt::saveWindow(w, "window", config_.threadRateWindow,
+                     rate.runs(rateRing(k)), rate.sum);
     w.endSection();
   }
 
   w.i64("holdCount",
-        std::count_if(byId.begin(), byId.end(),
-                      [](const auto& e) { return e.second->hasHold; }));
-  for (const auto& [id, slot] : byId) {
-    if (!slot->hasHold) continue;
+        std::count_if(byId.begin(), byId.end(), [&](const auto& e) {
+          return slotAt(e.second).hasHold;
+        }));
+  for (const auto& [id, k] : byId) {
+    const ThreadSlot& slot = slotAt(k);
+    if (!slot.hasHold) continue;
     w.beginSection("hold");
     w.i64("threadId", id);
-    w.f64("accessRate", slot->hold.accessRate);
-    w.f64("llcMissRatio", slot->hold.llcMissRatio);
-    w.i64("age", slot->hold.age);
+    w.f64("accessRate", slot.hold.accessRate);
+    w.f64("llcMissRatio", slot.hold.llcMissRatio);
+    w.i64("age", slot.hold.age);
     w.endSection();
   }
 
@@ -489,11 +551,12 @@ void Observer::saveState(ckpt::BinWriter& w) const {
     std::vector<std::int64_t> cumIds;
     std::vector<double> accesses;
     std::vector<double> seconds;
-    for (const auto& [id, slot] : byId) {
-      if (!slot->hasCum) continue;
+    for (const auto& [id, k] : byId) {
+      const ThreadSlot& slot = slotAt(k);
+      if (!slot.hasCum) continue;
       cumIds.push_back(id);
-      accesses.push_back(slot->cumAccesses);
-      seconds.push_back(slot->cumSeconds);
+      accesses.push_back(slot.cumAccesses);
+      seconds.push_back(slot.cumSeconds);
     }
     w.vecI64("cumThreadIds", cumIds);
     w.vecF64("cumAccesses", accesses);
@@ -502,12 +565,24 @@ void Observer::saveState(ckpt::BinWriter& w) const {
 
   w.vecF64("coreBwRaw", coreBwRaw_);
   w.vecF64("coreBwEffective", coreBwEffective_);
+  // One MovingMean record per core; a never-fed core has no ring and saves
+  // an empty window.
   w.i64("coreBwWindowCount", util::isize(coreBwWindow_));
-  for (const util::MovingMean& mm : coreBwWindow_)
-    ckpt::save(w, "coreBwWindow", mm);
+  for (std::size_t c = 0; c < coreBwWindow_.size(); ++c) {
+    const util::WindowedMean& window = coreBwWindow_[c];
+    const int ring = coreBwRingOf_[c];
+    const std::span<const double> samples =
+        ring < 0 ? std::span<const double>{}
+                 : std::span<const double>{coreBwRings_}.subspan(
+                       static_cast<std::size_t>(ring) *
+                           config_.movingMeanWindow,
+                       config_.movingMeanWindow);
+    ckpt::saveWindow(w, "coreBwWindow", config_.movingMeanWindow,
+                     window.runs(samples), window.sum);
+  }
   std::vector<std::int64_t> high(highBandwidth_.size());
   for (std::size_t i = 0; i < highBandwidth_.size(); ++i)
-    high[i] = highBandwidth_[i] ? 1 : 0;
+    high[i] = highBandwidth_[i] != 0 ? 1 : 0;
   w.vecI64("highBandwidth", high);
   w.endSection();
 }
@@ -551,15 +626,19 @@ void Observer::loadState(ckpt::BinReader& r) {
   const std::int64_t rateCount = r.i64("threadRateCount");
   for (std::int64_t i = 0; i < rateCount; ++i) {
     r.beginSection("rate");
-    ThreadSlot& slot = fresh.slotFor(threadIdOf(r.i64("threadId")));
-    ckpt::load(r, "window", slot.rate);
+    const int k = fresh.slotFor(threadIdOf(r.i64("threadId")));
+    const ckpt::WindowRecord window =
+        ckpt::loadWindow(r, "window", config_.threadRateWindow);
+    fresh.slots_[static_cast<std::size_t>(k)].rate.restore(
+        fresh.rateRing(k), window.samples, window.sum);
     r.endSection();
   }
 
   const std::int64_t holdCount = r.i64("holdCount");
   for (std::int64_t i = 0; i < holdCount; ++i) {
     r.beginSection("hold");
-    ThreadSlot& slot = fresh.slotFor(threadIdOf(r.i64("threadId")));
+    const int k = fresh.slotFor(threadIdOf(r.i64("threadId")));
+    ThreadSlot& slot = fresh.slots_[static_cast<std::size_t>(k)];
     slot.hold.accessRate = r.f64("accessRate");
     slot.hold.llcMissRatio = r.f64("llcMissRatio");
     slot.hold.age = static_cast<int>(r.i64("age"));
@@ -576,7 +655,8 @@ void Observer::loadState(ckpt::BinReader& r) {
         "observer checkpoint: cumulative id/accesses/seconds lists disagree "
         "in length"};
   for (std::size_t i = 0; i < cumIds.size(); ++i) {
-    ThreadSlot& slot = fresh.slotFor(threadIdOf(cumIds[i]));
+    const int k = fresh.slotFor(threadIdOf(cumIds[i]));
+    ThreadSlot& slot = fresh.slots_[static_cast<std::size_t>(k)];
     slot.cumAccesses = cumAccesses[i];
     slot.cumSeconds = cumSeconds[i];
     slot.hasCum = true;
@@ -587,14 +667,21 @@ void Observer::loadState(ckpt::BinReader& r) {
   const std::int64_t windowCount = r.i64("coreBwWindowCount");
   fresh.coreBwWindow_.reserve(static_cast<std::size_t>(windowCount));
   for (std::int64_t i = 0; i < windowCount; ++i) {
-    util::MovingMean mm{config_.movingMeanWindow};
-    ckpt::load(r, "coreBwWindow", mm);
-    fresh.coreBwWindow_.push_back(std::move(mm));
+    const ckpt::WindowRecord window =
+        ckpt::loadWindow(r, "coreBwWindow", config_.movingMeanWindow);
+    const std::size_t c = fresh.coreBwWindow_.size();
+    fresh.coreBwWindow_.emplace_back();
+    fresh.coreBwRingOf_.push_back(-1);
+    // Like a MovingMean, a window restored empty allocates no ring.
+    fresh.coreBwWindow_[c].restore(window.samples.empty()
+                                       ? std::span<double>{}
+                                       : fresh.coreBwRing(c),
+                                   window.samples, window.sum);
   }
   const std::vector<std::int64_t> high = r.vecI64("highBandwidth");
   fresh.highBandwidth_.resize(high.size());
   for (std::size_t i = 0; i < high.size(); ++i)
-    fresh.highBandwidth_[i] = high[i] != 0;
+    fresh.highBandwidth_[i] = high[i] != 0 ? 1 : 0;
   r.endSection();
 
   *this = std::move(fresh);
@@ -602,7 +689,8 @@ void Observer::loadState(ckpt::BinReader& r) {
   // them from the restored thread list so findThread and the sort-repair
   // path work from the first post-restore quantum — exactly as they would
   // have in the uninterrupted run.
-  recordThreadOrder();
+  generation_ = 1;
+  indexThreads();
 }
 
 }  // namespace dike::core

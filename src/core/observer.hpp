@@ -8,6 +8,8 @@
 // estimate the Optimizer keys on.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -22,7 +24,11 @@ namespace dike::core {
 /// makeObservationInto — over the simulator or the Linux host backend
 /// alike.
 struct Observation {
-  sim::QuantumSample sample;
+  /// The quantum's counter sample. Not owned: makeObservationInto points it
+  /// at the view's sample (no row is copied), so it must outlive the
+  /// observe() call that reads it. Only the covered cores' coreAchievedBw
+  /// entries are read.
+  const sim::QuantumSample* sample = nullptr;
   std::vector<int> coreOccupant;  ///< thread id per core, -1 when free
   std::vector<int> coreSocket;    ///< socket id per core
   /// Ascending ids of the cores this observation covers (a cluster-scoped
@@ -34,12 +40,11 @@ struct Observation {
 };
 
 /// Build an Observation from a scheduler view, refilling `out` in place so
-/// its vectors (and the sample's per-thread rows) keep their capacity
-/// across quanta.
-/// A cluster-scoped view refreshes only its own cores' entries — O(cluster
-/// cores) per quantum; the machine-sized vectors are (re)initialised, with
-/// foreign entries reading kForeignCore / zero bandwidth, only when the
-/// view's core count or domain differs from the one `out` last held.
+/// its vectors keep their capacity across quanta.
+/// A cluster-scoped view refreshes only its own cores' occupants — O(cluster
+/// cores) per quantum; the machine-sized vectors, the socket map included,
+/// are (re)initialised, with foreign entries reading kForeignCore, only when
+/// the view's core count or domain differs from the one `out` last held.
 void makeObservationInto(const sched::SchedulerView& view, Observation& out);
 
 enum class ThreadClass { Compute, Memory };
@@ -151,16 +156,23 @@ class Observer {
  private:
   /// The covered cores of `obs` (see Observation::cores), ascending.
   [[nodiscard]] const std::vector<int>& domainOf(const Observation& obs);
-  void updateCoreBw(const Observation& obs, const std::vector<int>& cores);
-  void classifyThreads(const sim::QuantumSample& sample);
-  void partitionCores(const Observation& obs, const std::vector<int>& cores);
+  /// Pass 1 over the sample rows: sanitize, update each thread's slot
+  /// (rate window, hold, cumulative progress), classify, and accumulate the
+  /// per-process means the deficits divide by — each row's slot resolved
+  /// once.
+  void ingestRows(const sim::QuantumSample& sample);
+  /// Sort the ingested rows by (avgAccessRate, threadId) through 16-byte
+  /// keys, then gather them into threads_ with their deficits and
+  /// accumulate the per-process statistics of the fairness signal in that
+  /// order.
+  void rankThreads();
+  /// CoreBW filter, socket blending and the high/low partition, in two
+  /// passes over the covered cores.
+  void updateCores(const Observation& obs, const std::vector<int>& cores);
   void computeUnfairness();
   void classifyWorkload();
-  /// Accumulate per-process OnlineStats of cumAccessRate over threads_ in
-  /// its current iteration order, into the reusable flat scratch.
-  void accumulatePerProcess();
-  /// Rebuild prevOrder_ and the slots' infoIndex from the (sorted) threads_.
-  void recordThreadOrder();
+  /// Point the listed threads' slots at threads_ (restore).
+  void indexThreads();
 
   ObserverConfig config_;
   std::int64_t observedQuanta_ = 0;
@@ -179,30 +191,46 @@ class Observer {
   /// and resetClosedLoopState drops the window and the hold but keeps the
   /// cumulative progress — and the checkpoint lists each kind separately.
   struct ThreadSlot {
-    explicit ThreadSlot(std::size_t rateWindow) : rate{rateWindow} {}
-    util::MovingMean rate;  ///< avg-rate window; empty = no window yet
+    /// Avg-rate window; its samples are the slot's ring in rateRings_.
+    util::WindowedMean rate;
+    double cumAccesses = 0.0;
+    double cumSeconds = 0.0;
     HeldSample hold;
     bool hasHold = false;
     bool hasCum = false;  ///< cumulative progress recorded at least once
-    double cumAccesses = 0.0;
-    double cumSeconds = 0.0;
     // --- Scratch (never serialized). ---
-    int processId = -1;    ///< process the cached processSlot belongs to
     int processSlot = -1;  ///< index into processes_, -1 = unresolved
-    int infoIndex = -1;    ///< index into threads_, -1 = not observed now
+    /// Index into threads_ (into rows_ during observe); valid only while
+    /// `seen` equals the observer's generation_.
+    int infoIndex = -1;
+    std::uint32_t seen = 0;  ///< generation that last listed the thread
   };
   /// Slot index of a thread, or -1 when it has none (or the id is
   /// negative — such rows are never observed).
   [[nodiscard]] int slotIndex(int threadId) const noexcept;
-  /// Slot of a (non-negative) thread id, created on first use.
-  ThreadSlot& slotFor(int threadId);
-  /// Sanitized copy of one raw sample, or nullopt to skip the thread.
-  [[nodiscard]] bool sanitize(const sim::ThreadSample& raw, ThreadSlot& slot,
-                              double& accessRate, double& llcMissRatio,
-                              int& staleAge);
+  /// Slot index of a (non-negative) thread id, created on first use.
+  int slotFor(int threadId);
+  int addSlot(int threadId);  ///< slotFor's first-use path
+  /// A core's CoreBW ring in coreBwRings_, allocated on first use.
+  [[nodiscard]] std::span<double> coreBwRing(std::size_t core);
+  /// The slot's ring of threadRateWindow samples in rateRings_.
+  [[nodiscard]] std::span<double> rateRing(int slot) noexcept;
+  [[nodiscard]] std::span<const double> rateRing(int slot) const noexcept;
+  /// True when a raw reading is a measurement the Observer ingests as is
+  /// (and keeps as the thread's last-known-good hold).
+  [[nodiscard]] bool plausible(const sim::ThreadSample& raw) const noexcept;
+  /// Sample hygiene for an implausible reading: fill `info`'s rate, miss
+  /// ratio and staleness from the hold (or pass the raw values through
+  /// with sanitization off); false to skip the thread this quantum.
+  [[nodiscard]] bool substitute(const sim::ThreadSample& raw,
+                                ThreadSlot& slot, ThreadInfo& info);
 
   std::vector<ThreadInfo> threads_;       // live, ascending avg access rate
   std::vector<ThreadSlot> slots_;
+  /// Every slot's rate ring, back to back: slot k owns the threadRateWindow
+  /// doubles from k * threadRateWindow. One array instead of a heap ring
+  /// per thread, so the window update stays in the slot's neighbourhood.
+  std::vector<double> rateRings_;
   /// Thread id -> index into slots_ (-1 when absent). Dense by thread id:
   /// both backends number threads densely (the simulator's global ids, the
   /// host's denseId), so it grows with the threads this observer has seen,
@@ -212,42 +240,73 @@ class Observer {
   std::int64_t discardedSamples_ = 0;
   std::vector<double> coreBwRaw_;         // per-core filtered estimate
   std::vector<double> coreBwEffective_;   // after socket blending
-  std::vector<util::MovingMean> coreBwWindow_;  // symmetric variant storage
-  std::vector<bool> highBandwidth_;
+  /// CoreBW moving means (the symmetric variant), per machine core: the
+  /// window bookkeeping, and where the core's ring sits in coreBwRings_
+  /// (-1 until the core is first fed, so a foreign core costs no ring).
+  std::vector<util::WindowedMean> coreBwWindow_;
+  std::vector<int> coreBwRingOf_;
+  std::vector<double> coreBwRings_;
+  std::vector<std::uint8_t> highBandwidth_;
   double unfairness_ = 0.0;
   WorkloadType type_ = WorkloadType::Balanced;
   int memCount_ = 0;
   int compCount_ = 0;
 
   // --- Reusable per-quantum scratch (never serialized; pure caches). ---
-  /// (processId, stats) pairs, first-encounter order over threads_. The
-  /// accumulation order per process is the encounter order, and the
-  /// unfairness reduction is a max — order-independent — so the fairness
-  /// signal is bit-identical to the historical std::map version.
-  std::vector<std::pair<int, util::OnlineStats>> perProcess_;
+  /// Bumped once per observe(); a slot whose `seen` differs is not listed
+  /// this quantum, so nothing has to be unmarked between quanta.
+  std::uint32_t generation_ = 0;
+  /// This quantum's ingested rows in sample order, and each row's thread
+  /// and process slots.
+  std::vector<ThreadInfo> rows_;
+  struct RowSlots {
+    int thread;
+    int process;
+  };
+  std::vector<RowSlots> rowSlots_;
+  /// Sort key of one row: (avgAccessRate, threadId) is a strict total
+  /// order, so every sorting algorithm yields the one sorted sequence.
+  struct RankKey {
+    double rate;
+    int threadId;
+    int row;  ///< index into rows_
+  };
+  std::vector<RankKey> keys_;    ///< sample order, built by ingestRows
+  std::vector<RankKey> ranked_;  ///< sorted by rankThreads
+  std::vector<int> bucketEnd_;   ///< rankThreads' bucket offsets
+  /// Buckets larger than this are sorted by std::sort before the final
+  /// insertion pass.
+  static constexpr std::size_t kInsertionBucket = 16;
+  /// Range of this quantum's avg rates, and whether all are finite.
+  double rateLow_ = 0.0;
+  double rateHigh_ = 0.0;
+  bool ratesFinite_ = true;
   /// One entry per process ever seen, found through a thread's cached
-  /// processSlot; it records where the process sits in perProcess_ during
-  /// the current accumulation pass, so each pass is O(threads).
+  /// processSlot. Two means per quantum, both bit-identical to a plain
+  /// per-process accumulation: the deficits divide by the mean over the
+  /// process's threads in sample order, the fairness signal takes the CV
+  /// over them in sorted order (Welford updates do not commute bit-exactly,
+  /// so each keeps its order).
   struct ProcessSlot {
-    int perIndex = -1;         ///< index into perProcess_, valid for `pass`
-    std::uint64_t pass = 0;    ///< accumulation pass that set perIndex
+    int processId = -1;
+    std::uint32_t seen = 0;  ///< generation the stats below belong to
+    util::OnlineStats bySample;
+    util::OnlineStats byRank;
   };
   std::vector<ProcessSlot> processes_;
+  /// Process slots listed this quantum, first-encounter order.
+  std::vector<int> liveProcesses_;
   /// Process id -> index into processes_. Hashed, not dense: the host
   /// backend reports real PIDs. Consulted only when a thread's cached
-  /// process slot is unresolved or stale.
+  /// process slot is unresolved or names another process.
   std::unordered_map<int, int> processSlotOf_;
-  std::uint64_t accumulatePass_ = 0;
-  /// Thread ids in the previous quantum's sorted order. When the live set
-  /// is unchanged, threads_ is permuted into this order and repaired with
-  /// an adaptive insertion sort instead of a full re-sort; the comparator
-  /// (avgAccessRate, threadId) is a strict total order, so every sorting
-  /// algorithm produces the one and only sorted sequence — the repair path
-  /// is bit-identical to the full sort by construction.
-  std::vector<int> prevOrder_;
-  std::vector<ThreadInfo> orderScratch_;  ///< permutation staging buffer
-  std::vector<double> socketCapScratch_;  ///< updateCoreBw per-socket maxima
-  std::vector<int> knownScratch_;         ///< partitionCores ranking buffer
+  std::vector<double> socketCapScratch_;  ///< updateCores per-socket maxima
+  /// Partition ranking buffer: each candidate core with its bandwidth.
+  struct CoreRank {
+    double bw;
+    int core;
+  };
+  std::vector<CoreRank> knownScratch_;
   std::vector<int> domainScratch_;  ///< domainOf when obs.cores is empty
 };
 

@@ -16,7 +16,7 @@ int PredictionTracker::slotIndex(int threadId) const noexcept {
   return slotOfThread_[static_cast<std::size_t>(threadId)];
 }
 
-PredictionTracker::Slot& PredictionTracker::slotFor(int threadId) {
+int PredictionTracker::slotFor(int threadId) {
   if (threadId < 0)
     throw std::invalid_argument{"prediction tracker: negative thread id " +
                                 std::to_string(threadId)};
@@ -26,25 +26,23 @@ PredictionTracker::Slot& PredictionTracker::slotFor(int threadId) {
   if (index < 0) {
     index = util::isize(slots_);
     slots_.emplace_back();
+    errors_.emplace_back();
   }
-  return slots_[static_cast<std::size_t>(index)];
+  return index;
 }
 
 void PredictionTracker::setPrediction(int threadId, double predictedRate) {
-  Slot& slot = slotFor(threadId);
-  if (!slot.hasPending) {
-    slot.hasPending = true;
-    pendingSlots_.push_back(slotIndex(threadId));
-  }
+  Slot& slot = slots_[static_cast<std::size_t>(slotFor(threadId))];
   slot.pending = predictedRate;
+  slot.pendingRound = round_;
 }
 
 void PredictionTracker::setPredictionIfAbsent(int threadId,
                                               double predictedRate) {
-  if (const int k = slotIndex(threadId);
-      k >= 0 && slots_[static_cast<std::size_t>(k)].hasPending)
-    return;
-  setPrediction(threadId, predictedRate);
+  Slot& slot = slots_[static_cast<std::size_t>(slotFor(threadId))];
+  if (slot.pendingRound == round_) return;
+  slot.pending = predictedRate;
+  slot.pendingRound = round_;
 }
 
 void PredictionTracker::scoreQuantum(const sim::QuantumSample& sample,
@@ -55,7 +53,7 @@ void PredictionTracker::scoreQuantum(const sim::QuantumSample& sample,
     const int k = slotIndex(s.threadId);
     if (k < 0) continue;
     Slot& slot = slots_[static_cast<std::size_t>(k)];
-    if (!slot.hasPending) continue;
+    if (slot.pendingRound != round_) continue;
     if (s.finished) continue;
     const double actual = s.accessRate;
     const double predicted = slot.pending;
@@ -75,11 +73,15 @@ void PredictionTracker::scoreQuantum(const sim::QuantumSample& sample,
       slot.scored = true;
       threadOrder_.push_back(s.threadId);
     }
-    slot.errors.add(error);
+    errors_[static_cast<std::size_t>(k)].add(error);
   }
-  for (const int k : pendingSlots_)
-    slots_[static_cast<std::size_t>(k)].hasPending = false;
-  pendingSlots_.clear();
+  // Every outstanding prediction is spent: the next round starts empty. On
+  // the (once per 2^32 quanta) wrap, clear the stamps so none reads as
+  // pending by accident.
+  if (++round_ == 0) {
+    for (Slot& slot : slots_) slot.pendingRound = 0;
+    round_ = 1;
+  }
 
   if (quantum.count() > 0) {
     trace_.push_back(PredictionErrorPoint{
@@ -113,15 +115,16 @@ std::vector<double> PredictionTracker::perThreadMeanErrors() const {
     if (k < 0 || !slots_[static_cast<std::size_t>(k)].scored)
       throw std::out_of_range{"prediction tracker: no error aggregate for "
                               "thread " + std::to_string(id)};
-    means.push_back(slots_[static_cast<std::size_t>(k)].errors.mean());
+    means.push_back(errors_[static_cast<std::size_t>(k)].mean());
   }
   return means;
 }
 
 void PredictionTracker::reset() {
   slots_.clear();
+  errors_.clear();
   slotOfThread_.clear();
-  pendingSlots_.clear();
+  round_ = 1;
   threadOrder_.clear();
   trace_.clear();
   lastScored_.clear();
@@ -139,13 +142,14 @@ void PredictionTracker::saveState(ckpt::BinWriter& w) const {
   std::vector<std::pair<std::int64_t, const util::OnlineStats*>> scored;
   for (std::size_t id = 0; id < slotOfThread_.size(); ++id) {
     if (slotOfThread_[id] < 0) continue;
-    const Slot& slot = slots_[static_cast<std::size_t>(slotOfThread_[id])];
-    if (slot.hasPending) {
+    const std::size_t k = static_cast<std::size_t>(slotOfThread_[id]);
+    const Slot& slot = slots_[k];
+    if (slot.pendingRound == round_) {
       pendingIds.push_back(static_cast<std::int64_t>(id));
       pendingRates.push_back(slot.pending);
     }
     if (slot.scored)
-      scored.emplace_back(static_cast<std::int64_t>(id), &slot.errors);
+      scored.emplace_back(static_cast<std::int64_t>(id), &errors_[k]);
   }
   w.vecI64("pendingThreadIds", pendingIds);
   w.vecF64("pendingRates", pendingRates);
@@ -215,13 +219,14 @@ void PredictionTracker::loadState(ckpt::BinReader& r) {
   const std::int64_t perThreadCount = r.i64("perThreadCount");
   for (std::int64_t i = 0; i < perThreadCount; ++i) {
     r.beginSection("perThread");
-    Slot& slot = fresh.slotFor(threadIdOf(r.i64("threadId")));
+    const int k = fresh.slotFor(threadIdOf(r.i64("threadId")));
+    Slot& slot = fresh.slots_[static_cast<std::size_t>(k)];
     util::OnlineStats stats;
     ckpt::load(r, "stats", stats);
     r.endSection();
     if (!slot.scored) {
       slot.scored = true;
-      slot.errors = stats;
+      fresh.errors_[static_cast<std::size_t>(k)] = stats;
     }
   }
   const std::int64_t traceCount = r.i64("traceCount");

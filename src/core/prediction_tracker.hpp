@@ -8,6 +8,7 @@
 // the tracker computes signed relative errors against the measured rates.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -109,24 +110,28 @@ class PredictionTracker {
   void loadState(ckpt::BinReader& r);
 
  private:
-  /// One thread's state: its outstanding prediction and its whole-run
-  /// error aggregate. Created on first use, never freed.
+  /// One thread's outstanding prediction. Created on first use, never
+  /// freed; errors_ holds the thread's whole-run error aggregate under the
+  /// same index, apart from these 16 bytes that scoring and persistence
+  /// touch for every thread every quantum.
   struct Slot {
     double pending = 0.0;
-    bool hasPending = false;
-    bool scored = false;  ///< `errors` holds at least one scored quantum
-    util::OnlineStats errors;
+    /// The prediction is outstanding while this equals round_.
+    std::uint32_t pendingRound = 0;
+    bool scored = false;  ///< errors_ holds at least one scored quantum
   };
   /// Slot index of a thread, or -1 when it has none (or the id is negative).
   [[nodiscard]] int slotIndex(int threadId) const noexcept;
-  Slot& slotFor(int threadId);
+  /// Slot index of a thread, created on first use.
+  int slotFor(int threadId);
 
   std::vector<Slot> slots_;
+  std::vector<util::OnlineStats> errors_;  ///< per slot
   /// Thread id -> index into slots_ (-1 when absent), dense by thread id.
   std::vector<int> slotOfThread_;
-  /// Slots holding an outstanding prediction, so scoring clears them in
-  /// O(pending) instead of walking every slot.
-  std::vector<int> pendingSlots_;
+  /// Stamp of the predictions registered for the next scoreQuantum, which
+  /// spends them all by moving to the next round — no per-slot clearing.
+  std::uint32_t round_ = 1;
   std::vector<int> threadOrder_;
   std::vector<PredictionErrorPoint> trace_;
   std::vector<ScoredPrediction> lastScored_;

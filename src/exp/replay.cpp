@@ -650,7 +650,13 @@ void RunSession::writeCheckpoint(const std::string& path) const {
 std::unique_ptr<RunSession> RunSession::restore(
     const std::string& path, telemetry::QuantumStreamWriter* stream,
     int decideJobs) {
-  const std::string payload = ckpt::readCheckpointFile(path);
+  return restoreFromPayload(ckpt::readCheckpointFile(path), stream,
+                            decideJobs);
+}
+
+std::unique_ptr<RunSession> RunSession::restoreFromPayload(
+    std::string_view payload, telemetry::QuantumStreamWriter* stream,
+    int decideJobs) {
   ckpt::BinReader r{payload};
   r.beginSection("run");
   const std::string configJson = r.str("config");

@@ -134,6 +134,11 @@ class RunSession {
   [[nodiscard]] static std::unique_ptr<RunSession> restore(
       const std::string& path,
       telemetry::QuantumStreamWriter* stream = nullptr, int decideJobs = -1);
+  /// restore() from a payload already read and validated (a
+  /// ckpt::CheckpointDirScan's), with the same arguments and guarantees.
+  [[nodiscard]] static std::unique_ptr<RunSession> restoreFromPayload(
+      std::string_view payload,
+      telemetry::QuantumStreamWriter* stream = nullptr, int decideJobs = -1);
 
   /// Completed quanta so far.
   [[nodiscard]] std::int64_t quantumIndex() const noexcept {

@@ -117,7 +117,7 @@ int runSupervisedChild(const SuperviseSpec& spec, int heartbeatFd,
                                         telemetry::StreamFormat::JsonLines};
   std::unique_ptr<RunSession> session;
   if (!scan.path.empty()) {
-    session = RunSession::restore(scan.path, &writer);
+    session = RunSession::restoreFromPayload(scan.payload, &writer);
     // The checkpoint claims quantumIndex() completed quanta; the stream was
     // fsynced before the checkpoint committed, so at least that many lines
     // exist. Anything beyond (later quanta, a torn tail) is re-derived.

@@ -176,15 +176,13 @@ class Registry {
   std::map<std::string, Entry, std::less<>> entries_;
 };
 
-/// RAII wall-clock scope accumulator. Resolves its Timer only when
-/// telemetry is enabled at construction; otherwise costs one branch.
+/// RAII wall-clock scope accumulator into `timer`; a null timer (telemetry
+/// off at construction) records nothing and costs one branch.
+/// DIKE_SCOPE_TIMER resolves the timer once per site.
 class ScopeTimer {
  public:
-  explicit ScopeTimer(std::string_view name) {
-    if (enabled()) {
-      timer_ = &Registry::instance().timer(name);
-      start_ = std::chrono::steady_clock::now();
-    }
+  explicit ScopeTimer(Timer* timer) : timer_(timer) {
+    if (timer_ != nullptr) start_ = std::chrono::steady_clock::now();
   }
   ~ScopeTimer() {
     if (timer_ != nullptr) {
@@ -232,6 +230,14 @@ class ScopeTimer {
     }                                                               \
   } while (0)
 
-#define DIKE_SCOPE_TIMER(name)                     \
-  ::dike::telemetry::ScopeTimer DIKE_TELEMETRY_CONCAT( \
-      dikeScopeTimer_, __LINE__) { name }
+#define DIKE_SCOPE_TIMER(name)                                         \
+  ::dike::telemetry::ScopeTimer DIKE_TELEMETRY_CONCAT(dikeScopeTimer_, \
+                                                      __LINE__) {      \
+    ::dike::telemetry::enabled()                                       \
+        ? [] {                                                         \
+            static ::dike::telemetry::Timer& dikeTelemetrySiteTimer =  \
+                ::dike::telemetry::Registry::instance().timer(name);   \
+            return &dikeTelemetrySiteTimer;                            \
+          }()                                                          \
+        : nullptr                                                      \
+  }

@@ -6,20 +6,6 @@
 
 namespace dike::util {
 
-void OnlineStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
 void OnlineStats::merge(const OnlineStats& other) noexcept {
   if (other.n_ == 0) return;
   if (n_ == 0) {
@@ -91,32 +77,28 @@ double maxOf(std::span<const double> xs) noexcept {
   return *std::max_element(xs.begin(), xs.end());
 }
 
+RingRuns WindowedMean::runs(std::span<const double> ring) const noexcept {
+  if (size == 0) return {};
+  const std::size_t firstLen = std::min(size, ring.size() - head);
+  return {ring.subspan(head, firstLen), ring.first(size - firstLen)};
+}
+
+void WindowedMean::restore(std::span<double> ring,
+                           std::span<const double> samples, double total) {
+  if (samples.size() > ring.size())
+    throw std::invalid_argument{
+        "MovingMean::restore: more samples than the window holds"};
+  std::copy(samples.begin(), samples.end(), ring.begin());
+  head = 0;
+  size = samples.size();
+  sum = total;
+}
+
 MovingMean::MovingMean(std::size_t window) : window_(window) {
   if (window_ == 0) throw std::invalid_argument{"MovingMean window must be > 0"};
 }
 
-void MovingMean::add(double x) {
-  if (ring_.empty()) ring_.resize(window_);
-  // Add first, then subtract the evicted sample: the running sum's
-  // round-off is path dependent and checkpoints carry it verbatim.
-  sum_ += x;
-  if (size_ < window_) {
-    std::size_t slot = head_ + size_;  // < 2 * window_
-    if (slot >= window_) slot -= window_;
-    ring_[slot] = x;
-    ++size_;
-    return;
-  }
-  sum_ -= ring_[head_];
-  ring_[head_] = x;
-  if (++head_ == window_) head_ = 0;
-}
-
-void MovingMean::reset() noexcept {
-  head_ = 0;
-  size_ = 0;
-  sum_ = 0.0;
-}
+void MovingMean::reset() noexcept { state_.reset(); }
 
 std::vector<double> MovingMean::samples() const {
   const Runs r = runs();
@@ -125,31 +107,15 @@ std::vector<double> MovingMean::samples() const {
   return out;
 }
 
-MovingMean::Runs MovingMean::runs() const noexcept {
-  if (size_ == 0) return {};
-  const std::span<const double> ring{ring_};
-  const std::size_t firstLen = std::min(size_, window_ - head_);
-  return {ring.subspan(head_, firstLen), ring.first(size_ - firstLen)};
-}
-
 void MovingMean::restore(std::span<const double> samples, double sum) {
-  if (samples.size() > window_)
-    throw std::invalid_argument{
-        "MovingMean::restore: more samples than the window holds"};
   if (!samples.empty() && ring_.empty()) ring_.resize(window_);
-  std::copy(samples.begin(), samples.end(), ring_.begin());
-  head_ = 0;
-  size_ = samples.size();
-  sum_ = sum;
-}
-
-double MovingMean::value() const noexcept {
-  if (size_ == 0) return 0.0;
-  return sum_ / static_cast<double>(size_);
+  state_.restore(ring_, samples, sum);
 }
 
 double MovingMean::last() const noexcept {
-  return size_ == 0 ? 0.0 : ring_[(head_ + size_ - 1) % window_];
+  return state_.size == 0
+             ? 0.0
+             : ring_[(state_.head + state_.size - 1) % window_];
 }
 
 EwmaMean::EwmaMean(double alpha) : alpha_(alpha) {

@@ -10,7 +10,20 @@ namespace dike::util {
 /// Numerically stable single-pass mean/variance accumulator (Welford).
 class OnlineStats {
  public:
-  void add(double x) noexcept;
+  /// Inline: the Observer folds one sample per thread per quantum.
+  void add(double x) noexcept {
+    if (n_ == 0) {
+      min_ = x;
+      max_ = x;
+    } else {
+      min_ = x < min_ ? x : min_;
+      max_ = max_ < x ? x : max_;
+    }
+    ++n_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+  }
   void merge(const OnlineStats& other) noexcept;
   void reset() noexcept { *this = OnlineStats{}; }
 
@@ -65,24 +78,76 @@ class OnlineStats {
 [[nodiscard]] double minOf(std::span<const double> xs) noexcept;
 [[nodiscard]] double maxOf(std::span<const double> xs) noexcept;
 
+/// A sliding window's contents as the ring's two contiguous runs, oldest
+/// first (the samples in order are `first` followed by `second`).
+struct RingRuns {
+  std::span<const double> first;
+  std::span<const double> second;
+};
+
+/// The bookkeeping of one sliding-window mean whose samples live in a ring
+/// the caller owns (`ring.size()` is the window). MovingMean pairs one with
+/// its own ring; the Observer keeps one per thread over a single flat array
+/// of rings. Both update through add(), so the running sum — whose
+/// round-off is path dependent and which checkpoints carry verbatim — has
+/// one definition.
+struct WindowedMean {
+  double sum = 0.0;
+  std::size_t head = 0;  ///< ring index of the oldest sample
+  std::size_t size = 0;
+
+  /// Inline: the Observer steps one window per thread per quantum.
+  void add(std::span<double> ring, double x) noexcept {
+    const std::size_t window = ring.size();
+    // Add first, then subtract the evicted sample: the running sum's
+    // round-off is path dependent and checkpoints carry it verbatim.
+    sum += x;
+    if (size < window) {
+      std::size_t slot = head + size;  // < 2 * window
+      if (slot >= window) slot -= window;
+      ring[slot] = x;
+      ++size;
+      return;
+    }
+    sum -= ring[head];
+    ring[head] = x;
+    if (++head == window) head = 0;
+  }
+  void reset() noexcept { *this = WindowedMean{}; }
+  [[nodiscard]] bool empty() const noexcept { return size == 0; }
+  /// Mean over the held samples; zero when there are none.
+  [[nodiscard]] double value() const noexcept {
+    return size == 0 ? 0.0 : sum / static_cast<double>(size);
+  }
+  /// Valid until the next add, reset or restore.
+  [[nodiscard]] RingRuns runs(std::span<const double> ring) const noexcept;
+  /// Load `samples` (oldest first) into `ring` with the running sum
+  /// `sum`. Throws std::invalid_argument when they exceed the ring.
+  void restore(std::span<double> ring, std::span<const double> samples,
+               double sum);
+};
+
 /// Fixed-capacity sliding-window mean. Used for the per-core CoreBW moving
-/// mean the paper's Observer maintains (Section III-A) and the per-thread
-/// rate windows. The window lives in a ring whose storage is allocated on
-/// the first add (or non-empty restore): a never-fed window — e.g. one of
-/// the foreign-core entries of a cluster observer — costs no heap memory.
+/// mean the paper's Observer maintains (Section III-A). The window lives in
+/// a ring whose storage is allocated on the first add (or non-empty
+/// restore): a never-fed window — e.g. one of the foreign-core entries of a
+/// cluster observer — costs no heap memory.
 class MovingMean {
  public:
   explicit MovingMean(std::size_t window);
 
-  void add(double x);
+  void add(double x) {
+    if (ring_.empty()) ring_.resize(window_);
+    state_.add(ring_, x);
+  }
   /// Empty the window; the ring's storage is kept for reuse.
   void reset() noexcept;
 
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return state_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return state_.size; }
   [[nodiscard]] std::size_t window() const noexcept { return window_; }
   /// Mean over the last `window` samples; zero when no samples yet.
-  [[nodiscard]] double value() const noexcept;
+  [[nodiscard]] double value() const noexcept { return state_.value(); }
   [[nodiscard]] double last() const noexcept;
 
   /// Window contents, oldest first, for checkpointing. The running sum is
@@ -93,12 +158,9 @@ class MovingMean {
   /// The same contents without a copy: the ring's two contiguous runs,
   /// oldest first (samples() is `first` followed by `second`). Valid until
   /// the next add, reset or restore.
-  struct Runs {
-    std::span<const double> first;
-    std::span<const double> second;
-  };
-  [[nodiscard]] Runs runs() const noexcept;
-  [[nodiscard]] double rawSum() const noexcept { return sum_; }
+  using Runs = RingRuns;
+  [[nodiscard]] Runs runs() const noexcept { return state_.runs(ring_); }
+  [[nodiscard]] double rawSum() const noexcept { return state_.sum; }
   /// Restore a previously captured window verbatim (oldest first). Throws
   /// std::invalid_argument when more samples than the window are supplied.
   void restore(std::span<const double> samples, double sum);
@@ -106,9 +168,7 @@ class MovingMean {
  private:
   std::size_t window_;
   std::vector<double> ring_;  ///< window_ slots once allocated, else empty
-  std::size_t head_ = 0;      ///< ring index of the oldest sample
-  std::size_t size_ = 0;
-  double sum_ = 0.0;
+  WindowedMean state_;
 };
 
 /// Exponentially weighted moving average (alternative smoother; used by the

@@ -52,6 +52,7 @@ TEST_F(CheckpointDirTest, PicksTheNewestValidFile) {
   const ckpt::CheckpointDirScan scan = ckpt::findLatestValidCheckpoint(dir_);
   EXPECT_EQ(scan.path, newest);
   EXPECT_EQ(scan.quantum, 16);
+  EXPECT_EQ(scan.payload, "new");  // validated once, handed to the resume
   EXPECT_TRUE(scan.skipped.empty());
   EXPECT_TRUE(scan.partials.empty());
 }
@@ -65,6 +66,7 @@ TEST_F(CheckpointDirTest, TruncatedNewestFallsBackToPreviousGood) {
   const ckpt::CheckpointDirScan scan = ckpt::findLatestValidCheckpoint(dir_);
   EXPECT_EQ(scan.path, good);
   EXPECT_EQ(scan.quantum, 8);
+  EXPECT_EQ(scan.payload, "good");
   ASSERT_EQ(scan.skipped.size(), 1u);
   EXPECT_NE(scan.skipped.front().find("truncated"), std::string::npos)
       << scan.skipped.front();
@@ -79,6 +81,7 @@ TEST_F(CheckpointDirTest, BitFlippedNewestFallsBackToPreviousGood) {
   const ckpt::CheckpointDirScan scan = ckpt::findLatestValidCheckpoint(dir_);
   EXPECT_EQ(scan.path, good);
   EXPECT_EQ(scan.quantum, 8);
+  EXPECT_EQ(scan.payload, "good");
   ASSERT_EQ(scan.skipped.size(), 1u);
   EXPECT_NE(scan.skipped.front().find("checksum"), std::string::npos)
       << scan.skipped.front();
@@ -89,6 +92,7 @@ TEST_F(CheckpointDirTest, AllCorruptMeansEmptyScanWithEveryFileReported) {
   rawWrite(ckpt::checkpointFileName(16), "more garbage");
   const ckpt::CheckpointDirScan scan = ckpt::findLatestValidCheckpoint(dir_);
   EXPECT_TRUE(scan.path.empty());
+  EXPECT_TRUE(scan.payload.empty());
   EXPECT_EQ(scan.quantum, -1);
   EXPECT_EQ(scan.skipped.size(), 2u);
 }

@@ -14,8 +14,8 @@ class ObservationBuilder {
  public:
   ObservationBuilder(int coreCount, int socketCount, util::Tick periodTicks = 500)
       : coreCount_(coreCount), socketCount_(socketCount) {
-    obs_.sample.periodTicks = periodTicks;
-    obs_.sample.coreAchievedBw.assign(static_cast<std::size_t>(coreCount), 0.0);
+    sample_.periodTicks = periodTicks;
+    sample_.coreAchievedBw.assign(static_cast<std::size_t>(coreCount), 0.0);
     obs_.coreOccupant.assign(static_cast<std::size_t>(coreCount), -1);
     const int perSocket = coreCount / socketCount;
     for (int c = 0; c < coreCount; ++c)
@@ -34,12 +34,12 @@ class ObservationBuilder {
     s.accessRate = accessRate;
     s.llcMissRatio = llcMissRatio;
     const double periodSec =
-        static_cast<double>(obs_.sample.periodTicks) * util::kTickSeconds;
+        static_cast<double>(sample_.periodTicks) * util::kTickSeconds;
     s.accesses = accessRate * periodSec;
     s.instructions = s.accesses * 50;  // arbitrary plausible ratio
-    obs_.sample.threads.push_back(s);
+    sample_.threads.push_back(s);
     obs_.coreOccupant[static_cast<std::size_t>(core)] = threadId;
-    obs_.sample.coreAchievedBw[static_cast<std::size_t>(core)] = accessRate;
+    sample_.coreAchievedBw[static_cast<std::size_t>(core)] = accessRate;
     return *this;
   }
 
@@ -50,21 +50,30 @@ class ObservationBuilder {
     s.processId = processId;
     s.coreId = -1;
     s.finished = true;
-    obs_.sample.threads.push_back(s);
+    sample_.threads.push_back(s);
     return *this;
   }
 
   /// Override a core's achieved bandwidth.
   ObservationBuilder& coreBw(int core, double bw) {
-    obs_.sample.coreAchievedBw[static_cast<std::size_t>(core)] = bw;
+    sample_.coreAchievedBw[static_cast<std::size_t>(core)] = bw;
     return *this;
   }
 
-  [[nodiscard]] const Observation& get() const noexcept { return obs_; }
+  /// The i-th sample row added so far, for tests that corrupt a reading.
+  sim::ThreadSample& row(std::size_t i) { return sample_.threads.at(i); }
+
+  /// The observation, pointing at this builder's sample (valid while the
+  /// builder lives and is not moved).
+  [[nodiscard]] const Observation& get() noexcept {
+    obs_.sample = &sample_;
+    return obs_;
+  }
 
  private:
   int coreCount_;
   int socketCount_;
+  sim::QuantumSample sample_;
   Observation obs_;
 };
 

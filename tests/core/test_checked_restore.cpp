@@ -101,9 +101,11 @@ TEST(CheckedRestore, ObserverRejectsNegativeThreadId) {
   // A valid observer stream with one thread; then the same stream with that
   // thread's id patched to -1 (ids key the observer's slot table).
   Observer observer;
+  sim::QuantumSample sample;
+  sample.periodTicks = 500;
+  sample.coreAchievedBw = {1e7, 0.0};
   Observation obs;
-  obs.sample.periodTicks = 500;
-  obs.sample.coreAchievedBw = {1e7, 0.0};
+  obs.sample = &sample;
   obs.coreOccupant = {5, -1};
   obs.coreSocket = {0, 0};
   sim::ThreadSample t;
@@ -112,7 +114,7 @@ TEST(CheckedRestore, ObserverRejectsNegativeThreadId) {
   t.coreId = 0;
   t.accessRate = 1e7;
   t.llcMissRatio = 0.1;
-  obs.sample.threads.push_back(t);
+  sample.threads.push_back(t);
   observer.observe(obs);
   ckpt::BinWriter w;
   observer.saveState(w);

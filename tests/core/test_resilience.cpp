@@ -35,20 +35,20 @@ void primeObserver(Observer& observer) {
 }
 
 /// An observation whose only thread carries a corrupt access rate.
-Observation corruptObservation(double accessRate, bool dropped = false) {
+testing::ObservationBuilder corruptObservation(double accessRate,
+                                               bool dropped = false) {
   testing::ObservationBuilder b{4, 2};
   b.thread(0, 0, 0, 2e7, 0.3);
-  Observation obs = b.get();
-  obs.sample.threads[0].accessRate = accessRate;
-  obs.sample.threads[0].dropped = dropped;
-  return obs;
+  b.row(0).accessRate = accessRate;
+  b.row(0).dropped = dropped;
+  return b;
 }
 
 TEST(ObserverSanitize, HoldsLastGoodOnNaNRate) {
   Observer observer;
   primeObserver(observer);
 
-  observer.observe(corruptObservation(kNaN));
+  observer.observe(corruptObservation(kNaN).get());
   ASSERT_EQ(observer.threadsByAccessRate().size(), 1u);
   const ThreadInfo& info = observer.threadsByAccessRate().front();
   EXPECT_DOUBLE_EQ(info.accessRate, 2e7);
@@ -62,9 +62,9 @@ TEST(ObserverSanitize, HoldsOnDroppedNegativeAndImplausibleRates) {
   Observer observer;
   primeObserver(observer);
 
-  observer.observe(corruptObservation(0.0, /*dropped=*/true));
-  observer.observe(corruptObservation(-5.0));
-  observer.observe(corruptObservation(1e20));  // > maxPlausibleRate
+  observer.observe(corruptObservation(0.0, /*dropped=*/true).get());
+  observer.observe(corruptObservation(-5.0).get());
+  observer.observe(corruptObservation(1e20).get());  // > maxPlausibleRate
   EXPECT_EQ(observer.heldSamples(), 3);
   ASSERT_EQ(observer.threadsByAccessRate().size(), 1u);
   EXPECT_EQ(observer.threadsByAccessRate().front().staleAge, 3);
@@ -77,12 +77,13 @@ TEST(ObserverSanitize, HoldExpiresAfterMaxSampleHoldQuanta) {
   Observer observer{cfg};
   primeObserver(observer);
 
-  observer.observe(corruptObservation(kNaN));  // age 1: held
-  observer.observe(corruptObservation(kNaN));  // age 2: held
+  observer.observe(corruptObservation(kNaN).get());  // age 1: held
+  observer.observe(corruptObservation(kNaN).get());  // age 2: held
   EXPECT_EQ(observer.heldSamples(), 2);
   EXPECT_EQ(observer.threadsByAccessRate().size(), 1u);
 
-  observer.observe(corruptObservation(kNaN));  // hold exhausted: discarded
+  // Hold exhausted: discarded.
+  observer.observe(corruptObservation(kNaN).get());
   EXPECT_EQ(observer.discardedSamples(), 1);
   EXPECT_TRUE(observer.threadsByAccessRate().empty());
 }
@@ -93,13 +94,13 @@ TEST(ObserverSanitize, FreshGoodSampleResetsTheHoldAge) {
   Observer observer{cfg};
   primeObserver(observer);
 
-  observer.observe(corruptObservation(kNaN));  // age 1
+  observer.observe(corruptObservation(kNaN).get());  // age 1
   testing::ObservationBuilder good{4, 2};
   good.thread(0, 0, 0, 3e7, 0.2);
   observer.observe(good.get());  // trustworthy again: age back to 0
   EXPECT_EQ(observer.threadsByAccessRate().front().staleAge, 0);
 
-  observer.observe(corruptObservation(kNaN));  // holds the NEW reading
+  observer.observe(corruptObservation(kNaN).get());  // holds the NEW reading
   ASSERT_EQ(observer.threadsByAccessRate().size(), 1u);
   EXPECT_DOUBLE_EQ(observer.threadsByAccessRate().front().accessRate, 3e7);
   EXPECT_EQ(observer.threadsByAccessRate().front().staleAge, 1);
@@ -107,7 +108,7 @@ TEST(ObserverSanitize, FreshGoodSampleResetsTheHoldAge) {
 
 TEST(ObserverSanitize, CorruptSampleWithNoHistoryIsDiscarded) {
   Observer observer;
-  observer.observe(corruptObservation(kNaN));
+  observer.observe(corruptObservation(kNaN).get());
   EXPECT_TRUE(observer.threadsByAccessRate().empty());
   EXPECT_EQ(observer.heldSamples(), 0);
   EXPECT_EQ(observer.discardedSamples(), 1);
@@ -134,13 +135,13 @@ TEST(ObserverSanitize, AblationPassesCorruptionButStillSkipsDropped) {
   Observer observer{cfg};
   primeObserver(observer);
 
-  observer.observe(corruptObservation(kNaN));
+  observer.observe(corruptObservation(kNaN).get());
   ASSERT_EQ(observer.threadsByAccessRate().size(), 1u);
   EXPECT_TRUE(std::isnan(observer.threadsByAccessRate().front().accessRate));
   EXPECT_EQ(observer.heldSamples(), 0);
 
   // A dropped sample's zeros are not measurements under any setting.
-  observer.observe(corruptObservation(0.0, /*dropped=*/true));
+  observer.observe(corruptObservation(0.0, /*dropped=*/true).get());
   EXPECT_TRUE(observer.threadsByAccessRate().empty());
   EXPECT_EQ(observer.discardedSamples(), 1);
 }
@@ -150,7 +151,7 @@ TEST(ObserverSanitize, ResetClosedLoopStateForgetsHeldReadings) {
   primeObserver(observer);
   observer.resetClosedLoopState();
   // With the hold gone, corruption right after a reset is a discard.
-  observer.observe(corruptObservation(kNaN));
+  observer.observe(corruptObservation(kNaN).get());
   EXPECT_TRUE(observer.threadsByAccessRate().empty());
   EXPECT_EQ(observer.discardedSamples(), 1);
 }

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -491,6 +492,18 @@ GoldenRun goldenRun(const std::string& name) {
     return {firstCellRunSpec(parseExperimentConfig(util::parseJsonFile(
         std::string{DIKE_CONFIG_DIR} +
         "/quantum_stream_golden_clustered.json")))};
+  if (name == "clustered_mixed") {
+    // One cluster per socket, seeded so that acting and quiet clusters mix
+    // within the checkpointed quanta (clusters 0 and 3 act in quanta 0-2,
+    // only cluster 3 in quanta 3-4): quiet plans register their
+    // persistence predictions in the plan phase, acting ones in commit.
+    ExperimentConfig config = parseExperimentConfig(util::parseJsonFile(
+        std::string{DIKE_CONFIG_DIR} +
+        "/quantum_stream_golden_clustered.json"));
+    config.seed = 5;
+    config.dike.cluster.clusters = 4;
+    return {firstCellRunSpec(config)};
+  }
   if (name == "faults") {
     RunSpec spec = smallSpec(SchedulerKind::DikeAF);
     spec.faults = noisyPlan();
@@ -548,7 +561,94 @@ TEST(ReplayGolden, PayloadBytesMatchTheRecordedDigests) {
     std::filesystem::remove(path);
     ++checked;
   }
-  EXPECT_EQ(checked, 4);
+  EXPECT_EQ(checked, 5);
+}
+
+// --- resume from a directory scan -----------------------------------------
+
+std::string readBytes(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+}
+
+void writeBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out << bytes;
+}
+
+// A supervised resume restores from the payload findLatestValidCheckpoint
+// already read and validated. That session must be the one restore(path)
+// builds — same report, same resumed stream — and the scan must still step
+// over damaged newer files and report each of them.
+TEST(Replay, RestoreFromTheScanMatchesRestoreFromThePath) {
+  namespace fs = std::filesystem;
+  const std::string dir = tempPath("replay_scan_restore");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  RunSpec spec = smallSpec(SchedulerKind::DikeAF);
+  spec.faults = noisyPlan();
+  std::ostringstream liveText;
+  telemetry::QuantumStreamWriter liveWriter{
+      liveText, telemetry::StreamFormat::JsonLines};
+  RunSession live{spec};
+  live.attachQuantumStream(liveWriter);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(live.stepQuantum());
+  live.writeCheckpoint(dir + "/" + ckpt::checkpointFileName(3));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(live.stepQuantum());
+  const std::string good = dir + "/" + ckpt::checkpointFileName(6);
+  live.writeCheckpoint(good);
+
+  // Two newer files that fail validation: a flipped payload bit (checksum)
+  // and a container from a future format version.
+  const std::string bytes = readBytes(good);
+  std::string flipped = bytes;
+  flipped[flipped.size() / 2] =
+      static_cast<char>(flipped[flipped.size() / 2] ^ 0x10);
+  writeBytes(dir + "/" + ckpt::checkpointFileName(9), flipped);
+  std::string future = bytes;
+  future[8] = static_cast<char>(ckpt::kCheckpointVersion + 1);
+  writeBytes(dir + "/" + ckpt::checkpointFileName(12), future);
+
+  const ckpt::CheckpointDirScan scan = ckpt::findLatestValidCheckpoint(dir);
+  ASSERT_EQ(scan.path, good);
+  EXPECT_EQ(scan.quantum, 6);
+  EXPECT_EQ(scan.payload, ckpt::readCheckpointFile(good));
+  ASSERT_EQ(scan.skipped.size(), 2u);
+  EXPECT_NE(scan.skipped[0].find(ckpt::checkpointFileName(12)),
+            std::string::npos)
+      << scan.skipped[0];
+  EXPECT_NE(scan.skipped[1].find(ckpt::checkpointFileName(9)),
+            std::string::npos)
+      << scan.skipped[1];
+
+  std::ostringstream fromPathText;
+  telemetry::QuantumStreamWriter fromPathWriter{
+      fromPathText, telemetry::StreamFormat::JsonLines};
+  const std::unique_ptr<RunSession> fromPath =
+      RunSession::restore(scan.path, &fromPathWriter);
+  std::ostringstream fromScanText;
+  telemetry::QuantumStreamWriter fromScanWriter{
+      fromScanText, telemetry::StreamFormat::JsonLines};
+  const std::unique_ptr<RunSession> fromScan =
+      RunSession::restoreFromPayload(scan.payload, &fromScanWriter);
+  EXPECT_EQ(fromScan->quantumIndex(), 6);
+  EXPECT_TRUE(fromScan->checkpointPayload() == fromPath->checkpointPayload());
+
+  const std::string uninterrupted = report(live.finish());
+  EXPECT_EQ(report(fromScan->finish()), uninterrupted);
+  EXPECT_EQ(report(fromPath->finish()), uninterrupted);
+  EXPECT_FALSE(fromScanText.str().empty());
+  EXPECT_EQ(fromScanText.str(), fromPathText.str());
+
+  // A directory with nothing valid scans empty: no path, no payload.
+  fs::remove(good);
+  fs::remove(dir + "/" + ckpt::checkpointFileName(3));
+  const ckpt::CheckpointDirScan none = ckpt::findLatestValidCheckpoint(dir);
+  EXPECT_TRUE(none.path.empty());
+  EXPECT_TRUE(none.payload.empty());
+  EXPECT_EQ(none.skipped.size(), 2u);
+  fs::remove_all(dir);
 }
 
 // --- schema evolution / corruption ---------------------------------------
