@@ -231,6 +231,17 @@ std::uint64_t BinReader::raw64(std::string_view what) {
   return v;
 }
 
+std::uint32_t BinReader::vectorCount(std::string_view name) {
+  const std::uint32_t count = raw32(name);
+  if (count > remaining() / 8)
+    throw CheckpointError{"truncated checkpoint payload at offset " +
+                          std::to_string(pos_) + ": '" + path(name) +
+                          "' claims " + std::to_string(count) +
+                          " elements but " + std::to_string(remaining()) +
+                          " bytes remain"};
+  return count;
+}
+
 void BinReader::expectHeader(Tag tag, std::string_view name) {
   const std::size_t at = pos_;
   const std::string_view tagByte = rawBytes(1, "record tag");
@@ -244,7 +255,7 @@ void BinReader::expectHeader(Tag tag, std::string_view name) {
   if (found != tag || foundName != name)
     throw CheckpointError{
         "checkpoint schema mismatch at offset " + std::to_string(at) +
-        ": expected " + std::string{toString(tag)} + " '" + std::string{name} +
+        ": expected " + std::string{toString(tag)} + " '" + path(name) +
         "', found " + std::string{toString(found)} + " '" +
         printable(foundName) + "'"};
 }
@@ -275,44 +286,61 @@ std::string BinReader::str(std::string_view name) {
   return std::string{rawBytes(len, name)};
 }
 
-std::vector<double> BinReader::vecF64(std::string_view name) {
-  expectHeader(Tag::VecF64, name);
-  const std::uint32_t count = raw32(name);
-  std::vector<double> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i)
-    out.push_back(std::bit_cast<double>(raw64(name)));
+template <class T>
+std::vector<T> BinReader::packed(Tag tag, std::string_view name) {
+  expectHeader(tag, name);
+  std::vector<T> out(vectorCount(name));
+  for (T& x : out) x = std::bit_cast<T>(raw64(name));
   return out;
+}
+
+std::vector<double> BinReader::vecF64(std::string_view name) {
+  return packed<double>(Tag::VecF64, name);
 }
 
 std::vector<std::int64_t> BinReader::vecI64(std::string_view name) {
-  expectHeader(Tag::VecI64, name);
-  const std::uint32_t count = raw32(name);
-  std::vector<std::int64_t> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i)
-    out.push_back(static_cast<std::int64_t>(raw64(name)));
-  return out;
+  return packed<std::int64_t>(Tag::VecI64, name);
 }
 
 std::vector<int> BinReader::vecInt(std::string_view name) {
-  const std::size_t at = pos_;
   const std::vector<std::int64_t> wide = vecI64(name);
   std::vector<int> out;
   out.reserve(wide.size());
-  for (const std::int64_t v : wide) {
-    if (v < std::numeric_limits<int>::min() ||
-        v > std::numeric_limits<int>::max())
-      throw CheckpointError{"checkpoint field '" + std::string{name} +
-                            "' at offset " + std::to_string(at) +
-                            " holds a value outside int range"};
-    out.push_back(static_cast<int>(v));
+  for (std::size_t i = 0; i < wide.size(); ++i) {
+    if (wide[i] < std::numeric_limits<int>::min() ||
+        wide[i] > std::numeric_limits<int>::max())
+      fail(name, "holds " + std::to_string(wide[i]) + " at [" +
+                     std::to_string(i) + "], outside int range");
+    out.push_back(static_cast<int>(wide[i]));
   }
   return out;
 }
 
 void BinReader::beginSection(std::string_view name) {
   expectHeader(Tag::SectionBegin, name);
+  pathStarts_.push_back(path_.size());
+  if (!path_.empty()) path_ += '/';
+  path_.append(name);
+}
+
+void BinReader::beginSection(std::string_view name, std::size_t index) {
+  beginSection(name);
+  path_ += '[';
+  path_ += std::to_string(index);
+  path_ += ']';
+}
+
+std::string BinReader::path(std::string_view field) const {
+  if (path_.empty()) return std::string{field};
+  std::string out = path_;
+  out += '/';
+  out.append(field);
+  return out;
+}
+
+void BinReader::fail(std::string_view field, std::string_view what) const {
+  throw CheckpointError{"checkpoint field '" + path(field) + "' " +
+                        std::string{what}};
 }
 
 void BinReader::endSection() {
@@ -327,9 +355,13 @@ void BinReader::endSection() {
   const std::string_view name = rawBytes(nameLen, "section-end name");
   if (found != Tag::SectionEnd)
     throw CheckpointError{"checkpoint schema mismatch at offset " +
-                          std::to_string(at) + ": expected end of section, " +
-                          "found " + std::string{toString(found)} + " '" +
-                          printable(name) + "'"};
+                          std::to_string(at) + ": expected end of section '" +
+                          path_ + "', found " + std::string{toString(found)} +
+                          " '" + printable(name) + "'"};
+  if (!pathStarts_.empty()) {
+    path_.resize(pathStarts_.back());
+    pathStarts_.pop_back();
+  }
 }
 
 void BinReader::expectEnd() const {
@@ -344,112 +376,57 @@ void BinReader::expectEnd() const {
 std::vector<Token> tokenize(std::string_view bytes) {
   std::vector<Token> tokens;
   std::vector<std::string> path;
-  std::size_t pos = 0;
-  const auto need = [&](std::size_t n, const char* what) -> std::string_view {
-    if (bytes.size() - pos < n)
-      throw CheckpointError{"truncated checkpoint payload at offset " +
-                            std::to_string(pos) + " while tokenizing " +
-                            what};
-    const std::string_view out = bytes.substr(pos, n);
-    pos += n;
-    return out;
-  };
-  const auto get32 = [&](const char* what) {
-    const std::string_view b = need(4, what);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(b[i]))
-           << (8 * i);
-    return v;
-  };
-  const auto get64 = [&](const char* what) {
-    const std::string_view b = need(8, what);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[i]))
-           << (8 * i);
-    return v;
-  };
-  const auto joinPath = [&](std::string_view leaf) {
-    std::string out;
-    for (const std::string& p : path) {
-      out += p;
-      out += '/';
-    }
-    out += leaf;
-    return out;
-  };
-
-  while (pos < bytes.size()) {
-    const std::size_t at = pos;
-    const auto tag =
-        static_cast<Tag>(static_cast<unsigned char>(need(1, "tag")[0]));
-    const std::uint32_t nameLen = get32("name length");
+  BinReader r{bytes};
+  while (!r.atEnd()) {
+    Token tok;
+    tok.offset = r.pos_;
+    tok.tag =
+        static_cast<Tag>(static_cast<unsigned char>(r.rawBytes(1, "tag")[0]));
+    const std::uint32_t nameLen = r.raw32("name length");
     if (nameLen > kMaxNameLength)
       throw CheckpointError{"corrupt checkpoint payload at offset " +
-                            std::to_string(at) +
+                            std::to_string(tok.offset) +
                             ": implausible field-name length"};
-    const std::string name{need(nameLen, "name")};
-
-    Token tok;
-    tok.tag = tag;
-    tok.offset = at;
-    switch (tag) {
+    const std::string name{r.rawBytes(nameLen, "name")};
+    std::size_t valueStart = r.pos_;
+    switch (tok.tag) {
       case Tag::SectionBegin:
         path.push_back(name);
         continue;
       case Tag::SectionEnd:
         if (path.empty())
           throw CheckpointError{"corrupt checkpoint payload at offset " +
-                                std::to_string(at) +
+                                std::to_string(tok.offset) +
                                 ": section end without a section"};
         path.pop_back();
         continue;
-      case Tag::U64: {
-        const std::uint64_t v = get64(name.c_str());
-        tok.bits = std::string{bytes.substr(pos - 8, 8)};
-        tok.value = std::to_string(v);
+      case Tag::U64:
+        tok.value = std::to_string(r.raw64(name));
         break;
-      }
-      case Tag::I64: {
-        const auto v = static_cast<std::int64_t>(get64(name.c_str()));
-        tok.bits = std::string{bytes.substr(pos - 8, 8)};
-        tok.value = std::to_string(v);
+      case Tag::I64:
+        tok.value = std::to_string(static_cast<std::int64_t>(r.raw64(name)));
         break;
-      }
-      case Tag::F64: {
-        const double v = std::bit_cast<double>(get64(name.c_str()));
-        tok.bits = std::string{bytes.substr(pos - 8, 8)};
-        tok.value = formatF64(v);
+      case Tag::F64:
+        tok.value = formatF64(std::bit_cast<double>(r.raw64(name)));
         break;
-      }
-      case Tag::Bool: {
-        const char v = need(1, name.c_str())[0];
-        tok.bits = std::string(1, v);
-        tok.value = v != 0 ? "true" : "false";
+      case Tag::Bool:
+        tok.value = r.rawBytes(1, name)[0] != 0 ? "true" : "false";
         break;
-      }
       case Tag::Str: {
-        const std::uint32_t len = get32(name.c_str());
-        tok.bits = std::string{need(len, name.c_str())};
-        tok.value = '"' + printable(tok.bits) + '"';
+        const std::uint32_t len = r.raw32(name);
+        valueStart = r.pos_;
+        tok.value = '"' + printable(r.rawBytes(len, name)) + '"';
         break;
       }
       case Tag::VecF64:
       case Tag::VecI64: {
-        const std::uint32_t count = get32(name.c_str());
-        const std::string_view payload =
-            need(std::size_t{count} * 8, name.c_str());
-        tok.bits = std::string{payload};
+        const std::uint32_t count = r.vectorCount(name);
+        valueStart = r.pos_;
         tok.value = '[';
         for (std::uint32_t i = 0; i < count; ++i) {
           if (i > 0) tok.value += ", ";
-          std::uint64_t v = 0;
-          for (int b = 0; b < 8; ++b)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(payload[i * 8 + b]))
-                 << (8 * b);
-          tok.value += tag == Tag::VecF64
+          const std::uint64_t v = r.raw64(name);
+          tok.value += tok.tag == Tag::VecF64
                            ? formatF64(std::bit_cast<double>(v))
                            : std::to_string(static_cast<std::int64_t>(v));
         }
@@ -458,10 +435,16 @@ std::vector<Token> tokenize(std::string_view bytes) {
       }
       default:
         throw CheckpointError{"corrupt checkpoint payload at offset " +
-                              std::to_string(at) + ": unknown record tag " +
-                              std::to_string(static_cast<unsigned>(tag))};
+                              std::to_string(tok.offset) +
+                              ": unknown record tag " +
+                              std::to_string(static_cast<unsigned>(tok.tag))};
     }
-    tok.path = joinPath(name);
+    tok.bits = std::string{bytes.substr(valueStart, r.pos_ - valueStart)};
+    for (const std::string& p : path) {
+      tok.path += p;
+      tok.path += '/';
+    }
+    tok.path += name;
     tokens.push_back(std::move(tok));
   }
   if (!path.empty())

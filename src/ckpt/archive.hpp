@@ -110,10 +110,14 @@ class BinWriter {
   std::vector<std::size_t> openStarts_;
 };
 
+struct Token;
+
 /// Deserializer over a payload produced by BinWriter. Every accessor
 /// verifies the tag and field name before touching the value; every read is
 /// bounds-checked, so a truncated payload throws instead of reading past
-/// the end — a failed read never yields a value.
+/// the end — a failed read never yields a value. The reader keeps the path
+/// of its open sections, so every error names the field it was reading
+/// ("observer/info[3]/class").
 class BinReader {
  public:
   explicit BinReader(std::string_view bytes) : bytes_(bytes) {}
@@ -129,21 +133,41 @@ class BinReader {
   [[nodiscard]] std::vector<int> vecInt(std::string_view name);
 
   void beginSection(std::string_view name);
+  /// A repeated section: the payload names it `name`, the error path
+  /// `name[index]`.
+  void beginSection(std::string_view name, std::size_t index);
   void endSection();
 
   [[nodiscard]] bool atEnd() const noexcept { return pos_ >= bytes_.size(); }
   /// Throws when payload bytes remain unconsumed (schema drift guard).
   void expectEnd() const;
-  [[nodiscard]] std::size_t offset() const noexcept { return pos_; }
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return bytes_.size() - pos_;
+  }
+
+  /// The path of `field` under the open sections ("observer/info[3]/class").
+  [[nodiscard]] std::string path(std::string_view field) const;
+  /// Throw CheckpointError "checkpoint field '<path of field>' <what>".
+  [[noreturn]] void fail(std::string_view field, std::string_view what) const;
 
  private:
+  friend std::vector<Token> tokenize(std::string_view bytes);
+
   void expectHeader(Tag tag, std::string_view name);
   [[nodiscard]] std::uint32_t raw32(std::string_view what);
   [[nodiscard]] std::uint64_t raw64(std::string_view what);
+  /// A vector record's element count, refused when the remaining bytes
+  /// cannot hold that many elements (so nothing is reserved for it).
+  [[nodiscard]] std::uint32_t vectorCount(std::string_view name);
+  template <class T>
+  [[nodiscard]] std::vector<T> packed(Tag tag, std::string_view name);
   [[nodiscard]] std::string_view rawBytes(std::size_t n, std::string_view what);
 
   std::string_view bytes_;
   std::size_t pos_ = 0;
+  /// Open section names joined by '/', and where each one starts.
+  std::string path_;
+  std::vector<std::size_t> pathStarts_;
 };
 
 /// One record of a payload, re-parsed for differential comparison. `path`

@@ -5,8 +5,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
-#include "ckpt/archive.hpp"
+#include "ckpt/fields.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/registry.hpp"
 #include "util/task_pool.hpp"
@@ -26,6 +28,14 @@ using Clock = std::chrono::steady_clock;
 
 using Clusters = std::vector<std::unique_ptr<DikeScheduler>>;
 
+/// acc += x, wrapping instead of overflowing: a restore sums counters read
+/// from the cluster sections before it checks them against the header.
+template <class T>
+void addTo(T& acc, T x) noexcept {
+  using U = std::make_unsigned_t<T>;
+  acc = static_cast<T>(static_cast<U>(acc) + static_cast<U>(x));
+}
+
 // The aggregates every consumer reads, computed from the instances: counters
 // sum across clusters; unfairness is the worst cluster's (one starving
 // cluster is an unfair machine), and the workload class follows the worst
@@ -43,12 +53,12 @@ using Clusters = std::vector<std::unique_ptr<DikeScheduler>>;
   for (const auto& sub : clusters) {
     const QuantumDecisionStats s = sub->lastQuantumStats();
     agg.acted = agg.acted || s.acted;
-    agg.pairsConsidered += s.pairsConsidered;
-    agg.pairsRejectedCooldown += s.pairsRejectedCooldown;
-    agg.pairsRejectedProfit += s.pairsRejectedProfit;
-    agg.swapsExecuted += s.swapsExecuted;
-    agg.swapsFailed += s.swapsFailed;
-    agg.migrationsFailed += s.migrationsFailed;
+    addTo(agg.pairsConsidered, s.pairsConsidered);
+    addTo(agg.pairsRejectedCooldown, s.pairsRejectedCooldown);
+    addTo(agg.pairsRejectedProfit, s.pairsRejectedProfit);
+    addTo(agg.swapsExecuted, s.swapsExecuted);
+    addTo(agg.swapsFailed, s.swapsFailed);
+    addTo(agg.migrationsFailed, s.migrationsFailed);
     agg.fallbackActive = agg.fallbackActive || s.fallbackActive;
     if (s.unfairness > worstU) {
       worstU = s.unfairness;
@@ -65,15 +75,15 @@ using Clusters = std::vector<std::unique_ptr<DikeScheduler>>;
   for (const auto& sub : clusters) {
     const DecisionTotals t = sub->decisionTotals();
     totals.actedQuanta = std::max(totals.actedQuanta, t.actedQuanta);
-    totals.pairsConsidered += t.pairsConsidered;
-    totals.rejectedCooldown += t.rejectedCooldown;
-    totals.rejectedProfit += t.rejectedProfit;
-    totals.swapsExecuted += t.swapsExecuted;
-    totals.swapsFailed += t.swapsFailed;
-    totals.migrationsFailed += t.migrationsFailed;
-    totals.fallbackQuanta += t.fallbackQuanta;
-    totals.fallbackEngagements += t.fallbackEngagements;
-    totals.divergenceResets += t.divergenceResets;
+    addTo(totals.pairsConsidered, t.pairsConsidered);
+    addTo(totals.rejectedCooldown, t.rejectedCooldown);
+    addTo(totals.rejectedProfit, t.rejectedProfit);
+    addTo(totals.swapsExecuted, t.swapsExecuted);
+    addTo(totals.swapsFailed, t.swapsFailed);
+    addTo(totals.migrationsFailed, t.migrationsFailed);
+    addTo(totals.fallbackQuanta, t.fallbackQuanta);
+    addTo(totals.fallbackEngagements, t.fallbackEngagements);
+    addTo(totals.divergenceResets, t.divergenceResets);
   }
   // Wall quanta, not the sum of per-cluster quanta (every cluster runs in
   // the same machine quantum); actedQuanta is the busiest cluster's count,
@@ -84,7 +94,7 @@ using Clusters = std::vector<std::unique_ptr<DikeScheduler>>;
 
 [[nodiscard]] std::int64_t sumSwaps(const Clusters& clusters) {
   std::int64_t swaps = 0;
-  for (const auto& sub : clusters) swaps += sub->totalSwaps();
+  for (const auto& sub : clusters) addTo(swaps, sub->totalSwaps());
   return swaps;
 }
 
@@ -432,22 +442,45 @@ std::vector<PredictionErrorPoint> ClusteredDikeScheduler::predictionTrace()
   return merged;
 }
 
+namespace {
+
+/// The rebalancer's checkpointed geometry and history.
+struct Geometry {
+  int clusterCount = 0;
+  std::vector<int> clusterOfCore;
+  int quantaSinceRebalance = 0;
+  int imbalanceStreak = 0;
+  std::int64_t rebalanceMoves = 0;
+};
+
+constexpr auto kGeometryFields = [](auto& g, auto&& field) {
+  field.section("clustered", [&] {
+    field("clusterCount", g.clusterCount);
+    field("clusterOfCore", g.clusterOfCore);
+    field("quantaSinceRebalance", g.quantaSinceRebalance);
+    field("imbalanceStreak", g.imbalanceStreak);
+    field("rebalanceMoves", g.rebalanceMoves);
+  });
+};
+
+}  // namespace
+
 void ClusteredDikeScheduler::saveExtraState(ckpt::BinWriter& w) const {
   // The flat scheduler's layout up to the component records: the header,
   // its aggregates computed from the clusters, then the records of a
   // pipeline that never ran, which is what this level is. Restore checks
   // both against the cluster sections that follow.
-  saveDikeHeader(w, DikeHeader{config_.params, quantumIndex_, totalSwaps(),
+  ckpt::writeFields(w,
+                    DikeHeader{config_.params, quantumIndex_, totalSwaps(),
                                lastQuantumStats(), decisionTotals(),
-                               faultsActive_, 0, 0});
+                               faultsActive_, 0, 0},
+                    kDikeHeaderFields);
   saveConstructedComponents(w, config_);
-  w.beginSection("clustered");
-  w.i64("clusterCount", clusterCount_);
-  w.vecInt("clusterOfCore", clusterOfCore_);
-  w.i64("quantaSinceRebalance", quantaSinceRebalance_);
-  w.i64("imbalanceStreak", imbalanceStreak_);
-  w.i64("rebalanceMoves", rebalanceMoves_);
-  w.endSection();
+  ckpt::writeFields(w,
+                    Geometry{clusterCount_, clusterOfCore_,
+                             quantaSinceRebalance_, imbalanceStreak_,
+                             rebalanceMoves_},
+                    kGeometryFields);
   for (int k = 0; k < clusterCount_; ++k) {
     w.beginSection("cluster" + std::to_string(k));
     clusters_[static_cast<std::size_t>(k)]->saveState(w);
@@ -456,23 +489,18 @@ void ClusteredDikeScheduler::saveExtraState(ckpt::BinWriter& w) const {
 }
 
 void ClusteredDikeScheduler::loadExtraState(ckpt::BinReader& r) {
-  const DikeHeader header = loadDikeHeader(r);
+  DikeHeader header;
+  ckpt::readFields(r, header, kDikeHeaderFields);
   expectConstructedComponents(r, config_);
-  r.beginSection("clustered");
-  const int count = util::checkedInt<ckpt::CheckpointError>(
-      r.i64("clusterCount"), "clustered checkpoint: clusterCount");
-  std::vector<int> clusterOfCore = r.vecInt("clusterOfCore");
-  const int quantaSince = util::checkedInt<ckpt::CheckpointError>(
-      r.i64("quantaSinceRebalance"),
-      "clustered checkpoint: quantaSinceRebalance");
-  const int streak = util::checkedInt<ckpt::CheckpointError>(
-      r.i64("imbalanceStreak"), "clustered checkpoint: imbalanceStreak");
-  const std::int64_t moves = r.i64("rebalanceMoves");
-  r.endSection();
-  if (count < 0 || (count == 0 && !clusterOfCore.empty()))
+  Geometry g;
+  ckpt::readFields(r, g, kGeometryFields);
+  // resolveGeometry gives every cluster at least one core.
+  const int count = g.clusterCount;
+  if (count < 0 || std::cmp_greater(count, g.clusterOfCore.size()) ||
+      (count == 0 && !g.clusterOfCore.empty()))
     throw ckpt::CheckpointError{
         "clustered checkpoint: inconsistent cluster geometry"};
-  for (const int k : clusterOfCore)
+  for (const int k : g.clusterOfCore)
     if (k < 0 || k >= std::max(count, 1))
       throw ckpt::CheckpointError{
           "clustered checkpoint: clusterOfCore entry out of range"};
@@ -501,9 +529,9 @@ void ClusteredDikeScheduler::loadExtraState(ckpt::BinReader& r) {
       0,
       0};
   ckpt::BinWriter found;
-  saveDikeHeader(found, header);
+  ckpt::writeFields(found, header, kDikeHeaderFields);
   ckpt::BinWriter recomputed;
-  saveDikeHeader(recomputed, expected);
+  ckpt::writeFields(recomputed, expected, kDikeHeaderFields);
   if (const auto diff = ckpt::firstDivergence(found.take(), recomputed.take()))
     throw ckpt::CheckpointError{
         "clustered checkpoint: the header disagrees with the cluster "
@@ -512,10 +540,10 @@ void ClusteredDikeScheduler::loadExtraState(ckpt::BinReader& r) {
   quantumIndex_ = header.quantumIndex;
   faultsActive_ = header.faultsActive;
   clusterCount_ = count;
-  clusterOfCore_ = std::move(clusterOfCore);
-  quantaSinceRebalance_ = quantaSince;
-  imbalanceStreak_ = streak;
-  rebalanceMoves_ = moves;
+  clusterOfCore_ = std::move(g.clusterOfCore);
+  quantaSinceRebalance_ = g.quantaSinceRebalance;
+  imbalanceStreak_ = g.imbalanceStreak;
+  rebalanceMoves_ = g.rebalanceMoves;
   clusters_ = std::move(clusters);
   indexObservers();
   clusterSamples_.assign(static_cast<std::size_t>(count), {});

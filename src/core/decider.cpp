@@ -1,11 +1,11 @@
 #include "core/decider.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "ckpt/archive.hpp"
+#include "ckpt/fields.hpp"
 #include "util/types.hpp"
 
 namespace dike::core {
@@ -72,64 +72,29 @@ bool Decider::inCooldown(int threadId, util::Tick now,
   return now - it->second < cooldownWindow(quantumTicks);
 }
 
+template <class Self, class Field>
+void Decider::stateFields(Self& s, Field&& field) {
+  field.section("decider", [&] {
+    field.keyed("migrationThreadIds", s.lastMigration_,
+                [](auto& tick, auto&& column) {
+                  column("migrationTicks", tick);
+                });
+    field.keyed("failureThreadIds", s.failures_,
+                [](auto& failure, auto&& column) {
+                  column("failureTicks", failure.at);
+                  column("failureCounts", failure.consecutive);
+                });
+  });
+}
+
 void Decider::saveState(ckpt::BinWriter& w) const {
-  w.beginSection("decider");
-  {
-    const std::map<int, util::Tick> sorted{lastMigration_.begin(),
-                                           lastMigration_.end()};
-    std::vector<std::int64_t> ids;
-    std::vector<std::int64_t> ticks;
-    for (const auto& [id, tick] : sorted) {
-      ids.push_back(id);
-      ticks.push_back(tick);
-    }
-    w.vecI64("migrationThreadIds", ids);
-    w.vecI64("migrationTicks", ticks);
-  }
-  {
-    const std::map<int, FailureState> sorted{failures_.begin(),
-                                             failures_.end()};
-    std::vector<std::int64_t> ids;
-    std::vector<std::int64_t> ats;
-    std::vector<std::int64_t> consecutives;
-    for (const auto& [id, f] : sorted) {
-      ids.push_back(id);
-      ats.push_back(f.at);
-      consecutives.push_back(f.consecutive);
-    }
-    w.vecI64("failureThreadIds", ids);
-    w.vecI64("failureTicks", ats);
-    w.vecI64("failureCounts", consecutives);
-  }
-  w.endSection();
+  stateFields(*this, ckpt::FieldWriter{w});
 }
 
 void Decider::loadState(ckpt::BinReader& r) {
-  r.beginSection("decider");
-  const std::vector<std::int64_t> migIds = r.vecI64("migrationThreadIds");
-  const std::vector<std::int64_t> migTicks = r.vecI64("migrationTicks");
-  if (migIds.size() != migTicks.size())
-    throw ckpt::CheckpointError{
-        "decider checkpoint: migration id/tick lists disagree in length"};
-  const std::vector<std::int64_t> failIds = r.vecI64("failureThreadIds");
-  const std::vector<std::int64_t> failTicks = r.vecI64("failureTicks");
-  const std::vector<std::int64_t> failCounts = r.vecI64("failureCounts");
-  if (failIds.size() != failTicks.size() ||
-      failIds.size() != failCounts.size())
-    throw ckpt::CheckpointError{
-        "decider checkpoint: failure id/tick/count lists disagree in length"};
-  r.endSection();
-  lastMigration_.clear();
-  for (std::size_t i = 0; i < migIds.size(); ++i)
-    lastMigration_[util::checkedInt<ckpt::CheckpointError>(
-        migIds[i], "decider checkpoint: migration thread id")] = migTicks[i];
-  failures_.clear();
-  for (std::size_t i = 0; i < failIds.size(); ++i)
-    failures_[util::checkedInt<ckpt::CheckpointError>(
-        failIds[i], "decider checkpoint: failure thread id")] =
-        FailureState{failTicks[i],
-                     util::checkedInt<ckpt::CheckpointError>(
-                         failCounts[i], "decider checkpoint: failure count")};
+  Decider fresh{config_};
+  stateFields(fresh, ckpt::FieldReader{r});
+  *this = std::move(fresh);
 }
 
 }  // namespace dike::core

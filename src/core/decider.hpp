@@ -80,6 +80,9 @@ class Decider {
     util::Tick at = 0;
     int consecutive = 0;
   };
+  /// The checkpoint field list, run by saveState and loadState.
+  template <class Self, class Field>
+  static void stateFields(Self& self, Field&& field);
 
   DeciderConfig config_;
   std::unordered_map<int, util::Tick> lastMigration_;

@@ -51,6 +51,20 @@ struct DecisionTotals {
   std::int64_t fallbackEngagements = 0;  ///< times the watchdog tripped
   std::int64_t divergenceResets = 0;     ///< closed-loop state resets
 };
+/// Its field list, shared by the checkpoint and the run report.
+constexpr auto kDecisionTotalsFields = [](auto& t, auto&& field) {
+  field("quanta", t.quanta);
+  field("actedQuanta", t.actedQuanta);
+  field("pairsConsidered", t.pairsConsidered);
+  field("rejectedCooldown", t.rejectedCooldown);
+  field("rejectedProfit", t.rejectedProfit);
+  field("swapsExecuted", t.swapsExecuted);
+  field("swapsFailed", t.swapsFailed);
+  field("migrationsFailed", t.migrationsFailed);
+  field("fallbackQuanta", t.fallbackQuanta);
+  field("fallbackEngagements", t.fallbackEngagements);
+  field("divergenceResets", t.divergenceResets);
+};
 
 /// Which Observer owns each core: the flat scheduler's one Observer for
 /// every core, or the owning cluster's. Resolved once per read, so a

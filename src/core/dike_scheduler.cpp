@@ -8,7 +8,7 @@
 #include <string>
 #include <utility>
 
-#include "ckpt/archive.hpp"
+#include "ckpt/fields.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/registry.hpp"
 #include "util/types.hpp"
@@ -503,116 +503,20 @@ void DikeScheduler::migrateToFreeCores(sched::SchedulerView& view,
   }
 }
 
-void saveDikeHeader(ckpt::BinWriter& w, const DikeHeader& header) {
-  const QuantumDecisionStats& lastStats = header.lastStats;
-  const DecisionTotals& totals = header.totals;
-  w.i64("swapSize", header.params.swapSize);
-  w.i64("quantaLengthMs", header.params.quantaLengthMs);
-  w.i64("quantumIndex", header.quantumIndex);
-  w.i64("totalSwaps", header.totalSwaps);
-  w.beginSection("lastStats");
-  w.i64("quantumIndex", lastStats.quantumIndex);
-  w.f64("unfairness", lastStats.unfairness);
-  w.boolean("acted", lastStats.acted);
-  w.i64("pairsConsidered", lastStats.pairsConsidered);
-  w.i64("pairsRejectedCooldown", lastStats.pairsRejectedCooldown);
-  w.i64("pairsRejectedProfit", lastStats.pairsRejectedProfit);
-  w.i64("swapsExecuted", lastStats.swapsExecuted);
-  w.i64("swapsFailed", lastStats.swapsFailed);
-  w.i64("migrationsFailed", lastStats.migrationsFailed);
-  w.boolean("fallbackActive", lastStats.fallbackActive);
-  w.i64("paramsSwapSize", lastStats.params.swapSize);
-  w.i64("paramsQuantaLengthMs", lastStats.params.quantaLengthMs);
-  w.i64("workloadType", static_cast<std::int64_t>(lastStats.workloadType));
-  w.endSection();
-  w.beginSection("totals");
-  w.i64("quanta", totals.quanta);
-  w.i64("actedQuanta", totals.actedQuanta);
-  w.i64("pairsConsidered", totals.pairsConsidered);
-  w.i64("rejectedCooldown", totals.rejectedCooldown);
-  w.i64("rejectedProfit", totals.rejectedProfit);
-  w.i64("swapsExecuted", totals.swapsExecuted);
-  w.i64("swapsFailed", totals.swapsFailed);
-  w.i64("migrationsFailed", totals.migrationsFailed);
-  w.i64("fallbackQuanta", totals.fallbackQuanta);
-  w.i64("fallbackEngagements", totals.fallbackEngagements);
-  w.i64("divergenceResets", totals.divergenceResets);
-  w.endSection();
-  w.boolean("faultsActive", header.faultsActive);
-  w.i64("fairnessStallStreak", header.fairnessStallStreak);
-  w.i64("fallbackLeft", header.fallbackLeft);
-}
-
-DikeHeader loadDikeHeader(ckpt::BinReader& r) {
-  // All int-typed fields restore through checked narrowing: a corrupt or
-  // wildly-scaled checkpoint must fail the load with a typed error instead
-  // of silently wrapping a counter.
-  const auto asInt = [](std::int64_t v, const char* what) {
-    return util::checkedInt<ckpt::CheckpointError>(v, what);
-  };
-  DikeHeader h;
-  h.params.swapSize = asInt(r.i64("swapSize"), "dike checkpoint: swapSize");
-  h.params.quantaLengthMs =
-      asInt(r.i64("quantaLengthMs"), "dike checkpoint: quantaLengthMs");
-  h.quantumIndex = r.i64("quantumIndex");
-  h.totalSwaps = r.i64("totalSwaps");
-  QuantumDecisionStats& lastStats = h.lastStats;
-  r.beginSection("lastStats");
-  lastStats.quantumIndex = r.i64("quantumIndex");
-  lastStats.unfairness = r.f64("unfairness");
-  lastStats.acted = r.boolean("acted");
-  lastStats.pairsConsidered =
-      asInt(r.i64("pairsConsidered"), "dike checkpoint: pairsConsidered");
-  lastStats.pairsRejectedCooldown = asInt(
-      r.i64("pairsRejectedCooldown"), "dike checkpoint: pairsRejectedCooldown");
-  lastStats.pairsRejectedProfit = asInt(
-      r.i64("pairsRejectedProfit"), "dike checkpoint: pairsRejectedProfit");
-  lastStats.swapsExecuted =
-      asInt(r.i64("swapsExecuted"), "dike checkpoint: swapsExecuted");
-  lastStats.swapsFailed =
-      asInt(r.i64("swapsFailed"), "dike checkpoint: swapsFailed");
-  lastStats.migrationsFailed =
-      asInt(r.i64("migrationsFailed"), "dike checkpoint: migrationsFailed");
-  lastStats.fallbackActive = r.boolean("fallbackActive");
-  lastStats.params.swapSize =
-      asInt(r.i64("paramsSwapSize"), "dike checkpoint: paramsSwapSize");
-  lastStats.params.quantaLengthMs = asInt(
-      r.i64("paramsQuantaLengthMs"), "dike checkpoint: paramsQuantaLengthMs");
-  lastStats.workloadType = static_cast<WorkloadType>(r.i64("workloadType"));
-  r.endSection();
-  DecisionTotals& totals = h.totals;
-  r.beginSection("totals");
-  totals.quanta = r.i64("quanta");
-  totals.actedQuanta = r.i64("actedQuanta");
-  totals.pairsConsidered = r.i64("pairsConsidered");
-  totals.rejectedCooldown = r.i64("rejectedCooldown");
-  totals.rejectedProfit = r.i64("rejectedProfit");
-  totals.swapsExecuted = r.i64("swapsExecuted");
-  totals.swapsFailed = r.i64("swapsFailed");
-  totals.migrationsFailed = r.i64("migrationsFailed");
-  totals.fallbackQuanta = r.i64("fallbackQuanta");
-  totals.fallbackEngagements = r.i64("fallbackEngagements");
-  totals.divergenceResets = r.i64("divergenceResets");
-  r.endSection();
-  h.faultsActive = r.boolean("faultsActive");
-  h.fairnessStallStreak = asInt(r.i64("fairnessStallStreak"),
-                                "dike checkpoint: fairnessStallStreak");
-  h.fallbackLeft =
-      asInt(r.i64("fallbackLeft"), "dike checkpoint: fallbackLeft");
-  return h;
-}
-
 void DikeScheduler::saveExtraState(ckpt::BinWriter& w) const {
-  saveDikeHeader(w, DikeHeader{params_, quantumIndex_, totalSwaps_,
-                               lastStats_, totals_, faultsActive_,
-                               fairnessStallStreak_, fallbackLeft_});
+  ckpt::writeFields(w,
+                    DikeHeader{params_, quantumIndex_, totalSwaps_, lastStats_,
+                               totals_, faultsActive_, fairnessStallStreak_,
+                               fallbackLeft_},
+                    kDikeHeaderFields);
   observer_.saveState(w);
   decider_.saveState(w);
   tracker_.saveState(w);
 }
 
 void DikeScheduler::loadExtraState(ckpt::BinReader& r) {
-  const DikeHeader header = loadDikeHeader(r);
+  DikeHeader header;
+  ckpt::readFields(r, header, kDikeHeaderFields);
   // The components restore into scratch copies first, so a schema failure
   // deep in one of them leaves this scheduler untouched.
   Observer observer{config_.observer};

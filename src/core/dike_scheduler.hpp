@@ -19,8 +19,8 @@
 namespace dike::core {
 
 /// The leading fields of a Dike scheduler's checkpoint section, in record
-/// order. Both schedulers write it through saveDikeHeader, so a flat and a
-/// clustered checkpoint share one layout up to the component records.
+/// order. Both schedulers write it through kDikeHeaderFields, so a flat and
+/// a clustered checkpoint share one layout up to the component records.
 struct DikeHeader {
   DikeParams params{};
   std::int64_t quantumIndex = 0;
@@ -31,10 +31,33 @@ struct DikeHeader {
   int fairnessStallStreak = 0;
   int fallbackLeft = 0;
 };
-void saveDikeHeader(ckpt::BinWriter& w, const DikeHeader& header);
-/// Int-typed fields narrow through checked conversion: a corrupt or
-/// wildly-scaled checkpoint throws ckpt::CheckpointError.
-[[nodiscard]] DikeHeader loadDikeHeader(ckpt::BinReader& r);
+constexpr auto kDikeHeaderFields = [](auto& h, auto&& field) {
+  field("swapSize", h.params.swapSize);
+  field("quantaLengthMs", h.params.quantaLengthMs);
+  field("quantumIndex", h.quantumIndex);
+  field.require(h.quantumIndex >= 0, "quantumIndex", "is negative");
+  field("totalSwaps", h.totalSwaps);
+  field.section("lastStats", [&] {
+    auto& s = h.lastStats;
+    field("quantumIndex", s.quantumIndex);
+    field("unfairness", s.unfairness);
+    field("acted", s.acted);
+    field("pairsConsidered", s.pairsConsidered);
+    field("pairsRejectedCooldown", s.pairsRejectedCooldown);
+    field("pairsRejectedProfit", s.pairsRejectedProfit);
+    field("swapsExecuted", s.swapsExecuted);
+    field("swapsFailed", s.swapsFailed);
+    field("migrationsFailed", s.migrationsFailed);
+    field("fallbackActive", s.fallbackActive);
+    field("paramsSwapSize", s.params.swapSize);
+    field("paramsQuantaLengthMs", s.params.quantaLengthMs);
+    field("workloadType", s.workloadType);
+  });
+  field.section("totals", [&] { kDecisionTotalsFields(h.totals, field); });
+  field("faultsActive", h.faultsActive);
+  field("fairnessStallStreak", h.fairnessStallStreak);
+  field("fallbackLeft", h.fallbackLeft);
+};
 
 /// Throws std::invalid_argument unless `config` can drive a pipeline.
 void validateDikeConfig(const DikeConfig& config);

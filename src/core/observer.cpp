@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/state_io.hpp"
+#include "ckpt/fields.hpp"
 #include "telemetry/registry.hpp"
 #include "util/types.hpp"
 
@@ -425,6 +425,14 @@ std::span<double> Observer::coreBwRing(std::size_t core) {
       config_.movingMeanWindow);
 }
 
+std::span<const double> Observer::coreBwRing(std::size_t core) const noexcept {
+  const int ring = coreBwRingOf_[core];
+  if (ring < 0) return {};
+  return std::span<const double>{coreBwRings_}.subspan(
+      static_cast<std::size_t>(ring) * config_.movingMeanWindow,
+      config_.movingMeanWindow);
+}
+
 void Observer::computeUnfairness() {
   // CV of cumulative access rates across each process's live threads:
   // homogeneous data-parallel threads should accumulate service equally.
@@ -482,208 +490,103 @@ bool Observer::isHighBandwidthCore(int coreId) const {
   return highBandwidth_.at(static_cast<std::size_t>(coreId)) != 0;
 }
 
-void Observer::saveState(ckpt::BinWriter& w) const {
-  w.beginSection("observer");
-  w.i64("observedQuanta", observedQuanta_);
-  w.i64("heldSamples", heldSamples_);
-  w.i64("discardedSamples", discardedSamples_);
-  w.f64("unfairness", unfairness_);
-  w.i64("workloadType", static_cast<std::int64_t>(type_));
-  w.i64("memCount", memCount_);
-  w.i64("compCount", compCount_);
+namespace {
 
-  w.i64("threadInfoCount", util::isize(threads_));
-  for (const ThreadInfo& t : threads_) {
-    w.beginSection("info");
-    w.i64("threadId", t.threadId);
-    w.i64("processId", t.processId);
-    w.i64("coreId", t.coreId);
-    w.f64("accessRate", t.accessRate);
-    w.f64("avgAccessRate", t.avgAccessRate);
-    w.f64("cumAccessRate", t.cumAccessRate);
-    w.f64("deficit", t.deficit);
-    w.f64("llcMissRatio", t.llcMissRatio);
-    w.i64("class", static_cast<std::int64_t>(t.cls));
-    w.i64("staleAge", t.staleAge);
-    w.endSection();
-  }
+constexpr auto kThreadInfoFields = [](auto& t, auto&& field) {
+  field.index("threadId", t.threadId);
+  field("processId", t.processId);
+  field("coreId", t.coreId);
+  field("accessRate", t.accessRate);
+  field("avgAccessRate", t.avgAccessRate);
+  field("cumAccessRate", t.cumAccessRate);
+  field("deficit", t.deficit);
+  field("llcMissRatio", t.llcMissRatio);
+  field("class", t.cls);
+  field("staleAge", t.staleAge);
+};
 
+}  // namespace
+
+template <class Self, class Field>
+void Observer::stateFields(Self& s, Field&& field) {
   // Slots in ascending thread-id order, not creation order: the bytes
   // depend only on the state, never on the order threads were first seen.
-  std::vector<std::pair<std::int64_t, int>> byId;
-  for (std::size_t id = 0; id < slotOfThread_.size(); ++id)
-    if (slotOfThread_[id] >= 0)
-      byId.emplace_back(static_cast<std::int64_t>(id), slotOfThread_[id]);
-  const auto slotAt = [this](int k) -> const ThreadSlot& {
-    return slots_[static_cast<std::size_t>(k)];
+  const auto slots = [&s](auto has, auto mark) {
+    return ckpt::slotTable(
+        s.slots_, s.slotOfThread_, [&s](auto id) { return s.slotFor(id); },
+        has, mark);
   };
+  field.section("observer", [&] {
+    field("observedQuanta", s.observedQuanta_);
+    field("heldSamples", s.heldSamples_);
+    field("discardedSamples", s.discardedSamples_);
+    field("unfairness", s.unfairness_);
+    field("workloadType", s.type_);
+    field("memCount", s.memCount_);
+    field("compCount", s.compCount_);
+    field.records("threadInfoCount", "info", s.threads_, kThreadInfoFields);
 
-  w.i64("threadRateCount",
-        std::count_if(byId.begin(), byId.end(), [&](const auto& e) {
-          return !slotAt(e.second).rate.empty();
-        }));
-  for (const auto& [id, k] : byId) {
-    const util::WindowedMean& rate = slotAt(k).rate;
-    if (rate.empty()) continue;
-    w.beginSection("rate");
-    w.i64("threadId", id);
-    ckpt::saveWindow(w, "window", config_.threadRateWindow,
-                     rate.runs(rateRing(k)), rate.sum);
-    w.endSection();
-  }
+    field.keyedRecords(
+        "threadRateCount", "rate", "threadId",
+        slots([](const ThreadSlot& t) { return !t.rate.empty(); },
+              [](auto&) {}),
+        [&s](int id, auto& slot, auto&& f) {
+          const int k = s.slotIndex(id);
+          f.window("window", s.config_.threadRateWindow, slot.rate,
+                   [&s, k] { return s.rateRing(k); });
+        });
+    field.keyedRecords(
+        "holdCount", "hold", "threadId",
+        slots([](const ThreadSlot& t) { return t.hasHold; },
+              [](auto& t) { t.hasHold = true; }),
+        [](int, auto& slot, auto&& f) {
+          f("accessRate", slot.hold.accessRate);
+          f("llcMissRatio", slot.hold.llcMissRatio);
+          f("age", slot.hold.age);
+        });
+    field.keyed("cumThreadIds",
+                slots([](const ThreadSlot& t) { return t.hasCum; },
+                      [](auto& t) { t.hasCum = true; }),
+                [](auto& slot, auto&& column) {
+                  column("cumAccesses", slot.cumAccesses);
+                  column("cumSeconds", slot.cumSeconds);
+                });
 
-  w.i64("holdCount",
-        std::count_if(byId.begin(), byId.end(), [&](const auto& e) {
-          return slotAt(e.second).hasHold;
-        }));
-  for (const auto& [id, k] : byId) {
-    const ThreadSlot& slot = slotAt(k);
-    if (!slot.hasHold) continue;
-    w.beginSection("hold");
-    w.i64("threadId", id);
-    w.f64("accessRate", slot.hold.accessRate);
-    w.f64("llcMissRatio", slot.hold.llcMissRatio);
-    w.i64("age", slot.hold.age);
-    w.endSection();
-  }
-
-  {
-    std::vector<std::int64_t> cumIds;
-    std::vector<double> accesses;
-    std::vector<double> seconds;
-    for (const auto& [id, k] : byId) {
-      const ThreadSlot& slot = slotAt(k);
-      if (!slot.hasCum) continue;
-      cumIds.push_back(id);
-      accesses.push_back(slot.cumAccesses);
-      seconds.push_back(slot.cumSeconds);
+    field("coreBwRaw", s.coreBwRaw_);
+    field("coreBwEffective", s.coreBwEffective_);
+    // One window record per core; a never-fed core has no ring and saves
+    // an empty window, and restores without allocating one.
+    const std::size_t windows =
+        field.count("coreBwWindowCount", s.coreBwWindow_.size());
+    for (std::size_t c = 0; c < windows; ++c) {
+      if constexpr (ckpt::kLoading<Field>) {
+        s.coreBwWindow_.emplace_back();
+        s.coreBwRingOf_.push_back(-1);
+      }
+      field.window("coreBwWindow", s.config_.movingMeanWindow,
+                   s.coreBwWindow_[c], [&s, c] { return s.coreBwRing(c); });
     }
-    w.vecI64("cumThreadIds", cumIds);
-    w.vecF64("cumAccesses", accesses);
-    w.vecF64("cumSeconds", seconds);
-  }
+    field("highBandwidth", s.highBandwidth_);
+    // The per-core estimates are indexed by the same core ids (and
+    // resetClosedLoopState reads coreBwRaw_ for every window).
+    const std::size_t cores = s.coreBwRaw_.size();
+    field.require(s.coreBwEffective_.size() == cores, "coreBwEffective",
+                  "disagrees in length with coreBwRaw");
+    field.require(windows == cores ||
+                      (windows == 0 && !s.config_.symmetricMovingMean),
+                  "coreBwWindowCount", "disagrees with coreBwRaw's length");
+    field.require(s.highBandwidth_.size() == cores, "highBandwidth",
+                  "disagrees in length with coreBwRaw");
+  });
+}
 
-  w.vecF64("coreBwRaw", coreBwRaw_);
-  w.vecF64("coreBwEffective", coreBwEffective_);
-  // One MovingMean record per core; a never-fed core has no ring and saves
-  // an empty window.
-  w.i64("coreBwWindowCount", util::isize(coreBwWindow_));
-  for (std::size_t c = 0; c < coreBwWindow_.size(); ++c) {
-    const util::WindowedMean& window = coreBwWindow_[c];
-    const int ring = coreBwRingOf_[c];
-    const std::span<const double> samples =
-        ring < 0 ? std::span<const double>{}
-                 : std::span<const double>{coreBwRings_}.subspan(
-                       static_cast<std::size_t>(ring) *
-                           config_.movingMeanWindow,
-                       config_.movingMeanWindow);
-    ckpt::saveWindow(w, "coreBwWindow", config_.movingMeanWindow,
-                     window.runs(samples), window.sum);
-  }
-  std::vector<std::int64_t> high(highBandwidth_.size());
-  for (std::size_t i = 0; i < highBandwidth_.size(); ++i)
-    high[i] = highBandwidth_[i] != 0 ? 1 : 0;
-  w.vecI64("highBandwidth", high);
-  w.endSection();
+void Observer::saveState(ckpt::BinWriter& w) const {
+  stateFields(*this, ckpt::FieldWriter{w});
 }
 
 void Observer::loadState(ckpt::BinReader& r) {
-  // Thread ids index the slot table: a negative or non-int id in the
-  // stream is refused rather than used.
-  const auto threadIdOf = [](std::int64_t v) {
-    return util::checkedIndex<ckpt::CheckpointError>(
-        v, "observer checkpoint: threadId");
-  };
   Observer fresh{config_};
-  r.beginSection("observer");
-  fresh.observedQuanta_ = r.i64("observedQuanta");
-  fresh.heldSamples_ = r.i64("heldSamples");
-  fresh.discardedSamples_ = r.i64("discardedSamples");
-  fresh.unfairness_ = r.f64("unfairness");
-  fresh.type_ = static_cast<WorkloadType>(r.i64("workloadType"));
-  fresh.memCount_ = static_cast<int>(r.i64("memCount"));
-  fresh.compCount_ = static_cast<int>(r.i64("compCount"));
-
-  const std::int64_t infoCount = r.i64("threadInfoCount");
-  fresh.threads_.reserve(static_cast<std::size_t>(infoCount));
-  for (std::int64_t i = 0; i < infoCount; ++i) {
-    r.beginSection("info");
-    ThreadInfo t;
-    t.threadId = threadIdOf(r.i64("threadId"));
-    t.processId = static_cast<int>(r.i64("processId"));
-    t.coreId = static_cast<int>(r.i64("coreId"));
-    t.accessRate = r.f64("accessRate");
-    t.avgAccessRate = r.f64("avgAccessRate");
-    t.cumAccessRate = r.f64("cumAccessRate");
-    t.deficit = r.f64("deficit");
-    t.llcMissRatio = r.f64("llcMissRatio");
-    t.cls = static_cast<ThreadClass>(r.i64("class"));
-    t.staleAge = static_cast<int>(r.i64("staleAge"));
-    r.endSection();
-    fresh.threads_.push_back(t);
-  }
-
-  const std::int64_t rateCount = r.i64("threadRateCount");
-  for (std::int64_t i = 0; i < rateCount; ++i) {
-    r.beginSection("rate");
-    const int k = fresh.slotFor(threadIdOf(r.i64("threadId")));
-    const ckpt::WindowRecord window =
-        ckpt::loadWindow(r, "window", config_.threadRateWindow);
-    fresh.slots_[static_cast<std::size_t>(k)].rate.restore(
-        fresh.rateRing(k), window.samples, window.sum);
-    r.endSection();
-  }
-
-  const std::int64_t holdCount = r.i64("holdCount");
-  for (std::int64_t i = 0; i < holdCount; ++i) {
-    r.beginSection("hold");
-    const int k = fresh.slotFor(threadIdOf(r.i64("threadId")));
-    ThreadSlot& slot = fresh.slots_[static_cast<std::size_t>(k)];
-    slot.hold.accessRate = r.f64("accessRate");
-    slot.hold.llcMissRatio = r.f64("llcMissRatio");
-    slot.hold.age = static_cast<int>(r.i64("age"));
-    slot.hasHold = true;
-    r.endSection();
-  }
-
-  const std::vector<std::int64_t> cumIds = r.vecI64("cumThreadIds");
-  const std::vector<double> cumAccesses = r.vecF64("cumAccesses");
-  const std::vector<double> cumSeconds = r.vecF64("cumSeconds");
-  if (cumIds.size() != cumAccesses.size() ||
-      cumIds.size() != cumSeconds.size())
-    throw ckpt::CheckpointError{
-        "observer checkpoint: cumulative id/accesses/seconds lists disagree "
-        "in length"};
-  for (std::size_t i = 0; i < cumIds.size(); ++i) {
-    const int k = fresh.slotFor(threadIdOf(cumIds[i]));
-    ThreadSlot& slot = fresh.slots_[static_cast<std::size_t>(k)];
-    slot.cumAccesses = cumAccesses[i];
-    slot.cumSeconds = cumSeconds[i];
-    slot.hasCum = true;
-  }
-
-  fresh.coreBwRaw_ = r.vecF64("coreBwRaw");
-  fresh.coreBwEffective_ = r.vecF64("coreBwEffective");
-  const std::int64_t windowCount = r.i64("coreBwWindowCount");
-  fresh.coreBwWindow_.reserve(static_cast<std::size_t>(windowCount));
-  for (std::int64_t i = 0; i < windowCount; ++i) {
-    const ckpt::WindowRecord window =
-        ckpt::loadWindow(r, "coreBwWindow", config_.movingMeanWindow);
-    const std::size_t c = fresh.coreBwWindow_.size();
-    fresh.coreBwWindow_.emplace_back();
-    fresh.coreBwRingOf_.push_back(-1);
-    // Like a MovingMean, a window restored empty allocates no ring.
-    fresh.coreBwWindow_[c].restore(window.samples.empty()
-                                       ? std::span<double>{}
-                                       : fresh.coreBwRing(c),
-                                   window.samples, window.sum);
-  }
-  const std::vector<std::int64_t> high = r.vecI64("highBandwidth");
-  fresh.highBandwidth_.resize(high.size());
-  for (std::size_t i = 0; i < high.size(); ++i)
-    fresh.highBandwidth_[i] = high[i] != 0 ? 1 : 0;
-  r.endSection();
-
+  stateFields(fresh, ckpt::FieldReader{r});
   *this = std::move(fresh);
   // The order/index caches are never serialized (pure scratch); rebuild
   // them from the restored thread list so findThread and the sort-repair

@@ -48,11 +48,18 @@ struct Observation {
 void makeObservationInto(const sched::SchedulerView& view, Observation& out);
 
 enum class ThreadClass { Compute, Memory };
+/// The last enumerator, for the checkpoint's range check.
+[[nodiscard]] constexpr ThreadClass lastEnumerator(ThreadClass) noexcept {
+  return ThreadClass::Memory;
+}
 
 /// Online estimate of the workload mix (Section III-F). This mirrors the
 /// evaluation's B/UC/UM taxonomy but is inferred from counters, never from
 /// ground truth.
 enum class WorkloadType { Balanced, UnbalancedCompute, UnbalancedMemory };
+[[nodiscard]] constexpr WorkloadType lastEnumerator(WorkloadType) noexcept {
+  return WorkloadType::UnbalancedMemory;
+}
 
 [[nodiscard]] std::string_view toString(WorkloadType type) noexcept;
 
@@ -173,6 +180,9 @@ class Observer {
   void classifyWorkload();
   /// Point the listed threads' slots at threads_ (restore).
   void indexThreads();
+  /// The checkpoint field list, run by saveState and loadState.
+  template <class Self, class Field>
+  static void stateFields(Self& self, Field&& field);
 
   ObserverConfig config_;
   std::int64_t observedQuanta_ = 0;
@@ -213,6 +223,9 @@ class Observer {
   int addSlot(int threadId);  ///< slotFor's first-use path
   /// A core's CoreBW ring in coreBwRings_, allocated on first use.
   [[nodiscard]] std::span<double> coreBwRing(std::size_t core);
+  /// A core's CoreBW ring, empty while the core was never fed.
+  [[nodiscard]] std::span<const double> coreBwRing(
+      std::size_t core) const noexcept;
   /// The slot's ring of threadRateWindow samples in rateRings_.
   [[nodiscard]] std::span<double> rateRing(int slot) noexcept;
   [[nodiscard]] std::span<const double> rateRing(int slot) const noexcept;

@@ -7,7 +7,7 @@
 #include <string>
 #include <utility>
 
-#include "ckpt/state_io.hpp"
+#include "ckpt/fields.hpp"
 
 namespace dike::core {
 
@@ -133,131 +133,64 @@ void PredictionTracker::reset() {
   diverged_ = false;
 }
 
-void PredictionTracker::saveState(ckpt::BinWriter& w) const {
-  w.beginSection("predictionTracker");
+namespace {
+
+constexpr auto kScoredFields = [](auto& s, auto&& field) {
+  field("threadId", s.threadId);
+  field("predicted", s.predicted);
+  field("actual", s.actual);
+  field("error", s.error);
+};
+
+}  // namespace
+
+template <class Self, class Field>
+void PredictionTracker::stateFields(Self& s, Field&& field) {
   // Slots in ascending thread-id order, not creation order: the bytes
   // depend only on the state, never on the order threads were first seen.
-  std::vector<std::int64_t> pendingIds;
-  std::vector<double> pendingRates;
-  std::vector<std::pair<std::int64_t, const util::OnlineStats*>> scored;
-  for (std::size_t id = 0; id < slotOfThread_.size(); ++id) {
-    if (slotOfThread_[id] < 0) continue;
-    const std::size_t k = static_cast<std::size_t>(slotOfThread_[id]);
-    const Slot& slot = slots_[k];
-    if (slot.pendingRound == round_) {
-      pendingIds.push_back(static_cast<std::int64_t>(id));
-      pendingRates.push_back(slot.pending);
-    }
-    if (slot.scored)
-      scored.emplace_back(static_cast<std::int64_t>(id), &errors_[k]);
-  }
-  w.vecI64("pendingThreadIds", pendingIds);
-  w.vecF64("pendingRates", pendingRates);
-  // threadOrder_ is first-appearance order; a restored stream may name a
-  // thread in only one of the two lists, so persist the aggregates keyed
-  // explicitly.
-  {
-    std::vector<std::int64_t> order{threadOrder_.begin(), threadOrder_.end()};
-    w.vecI64("threadOrder", order);
-  }
-  w.i64("perThreadCount", util::isize(scored));
-  for (const auto& [id, errors] : scored) {
-    w.beginSection("perThread");
-    w.i64("threadId", id);
-    ckpt::save(w, "stats", *errors);
-    w.endSection();
-  }
-  w.i64("traceCount", util::isize(trace_));
-  for (const PredictionErrorPoint& p : trace_) {
-    w.beginSection("point");
-    w.i64("tick", p.tick);
-    w.i64("samples", p.samples);
-    w.f64("mean", p.mean);
-    w.f64("min", p.min);
-    w.f64("max", p.max);
-    w.endSection();
-  }
-  w.i64("lastScoredCount", util::isize(lastScored_));
-  for (const ScoredPrediction& s : lastScored_) {
-    w.beginSection("scored");
-    w.i64("threadId", s.threadId);
-    w.f64("predicted", s.predicted);
-    w.f64("actual", s.actual);
-    w.f64("error", s.error);
-    w.endSection();
-  }
-  ckpt::save(w, "overall", overall_);
-  w.i64("divergenceStreak", divergenceStreak_);
-  w.boolean("diverged", diverged_);
-  w.endSection();
+  const auto slots = [&s](auto has, auto mark) {
+    return ckpt::slotTable(
+        s.slots_, s.slotOfThread_, [&s](auto id) { return s.slotFor(id); },
+        has, mark);
+  };
+  field.section("predictionTracker", [&] {
+    field.keyed(
+        "pendingThreadIds",
+        slots([&s](const Slot& t) { return t.pendingRound == s.round_; },
+              [&s](auto& t) { t.pendingRound = s.round_; }),
+        [](auto& slot, auto&& column) {
+          column("pendingRates", slot.pending);
+        });
+    // threadOrder_ is first-appearance order; a restored stream may name a
+    // thread in only one of the two lists, so the aggregates are keyed
+    // explicitly.
+    field("threadOrder", s.threadOrder_);
+    field.keyedRecords(
+        "perThreadCount", "perThread", "threadId",
+        slots([](const Slot& t) { return t.scored; },
+              [](auto& t) { t.scored = true; }),
+        [&s](int id, auto&, auto&& f) {
+          f("stats", s.errors_[static_cast<std::size_t>(s.slotIndex(id))]);
+        });
+    field.records("traceCount", "point", s.trace_,
+                  kPredictionErrorPointFields);
+    field.records("lastScoredCount", "scored", s.lastScored_, kScoredFields);
+    field("overall", s.overall_);
+    field("divergenceStreak", s.divergenceStreak_);
+    field("diverged", s.diverged_);
+  });
+}
+
+void PredictionTracker::saveState(ckpt::BinWriter& w) const {
+  stateFields(*this, ckpt::FieldWriter{w});
 }
 
 void PredictionTracker::loadState(ckpt::BinReader& r) {
-  // Thread ids index the slot table: a negative or non-int id in the
-  // stream is refused rather than used.
-  const auto threadIdOf = [](std::int64_t v) {
-    return util::checkedIndex<ckpt::CheckpointError>(
-        v, "prediction tracker checkpoint: threadId");
-  };
   PredictionTracker fresh;
   fresh.watchdogArmed_ = watchdogArmed_;
   fresh.watchdogThreshold_ = watchdogThreshold_;
   fresh.watchdogQuanta_ = watchdogQuanta_;
-  r.beginSection("predictionTracker");
-  const std::vector<std::int64_t> pendingIds = r.vecI64("pendingThreadIds");
-  const std::vector<double> pendingRates = r.vecF64("pendingRates");
-  if (pendingIds.size() != pendingRates.size())
-    throw ckpt::CheckpointError{
-        "prediction tracker checkpoint: pending id/rate lists disagree in "
-        "length"};
-  for (std::size_t i = 0; i < pendingIds.size(); ++i)
-    fresh.setPrediction(threadIdOf(pendingIds[i]), pendingRates[i]);
-  const std::vector<std::int64_t> order = r.vecI64("threadOrder");
-  fresh.threadOrder_.reserve(order.size());
-  for (const std::int64_t id : order)
-    fresh.threadOrder_.push_back(static_cast<int>(id));
-  const std::int64_t perThreadCount = r.i64("perThreadCount");
-  for (std::int64_t i = 0; i < perThreadCount; ++i) {
-    r.beginSection("perThread");
-    const int k = fresh.slotFor(threadIdOf(r.i64("threadId")));
-    Slot& slot = fresh.slots_[static_cast<std::size_t>(k)];
-    util::OnlineStats stats;
-    ckpt::load(r, "stats", stats);
-    r.endSection();
-    if (!slot.scored) {
-      slot.scored = true;
-      fresh.errors_[static_cast<std::size_t>(k)] = stats;
-    }
-  }
-  const std::int64_t traceCount = r.i64("traceCount");
-  fresh.trace_.reserve(static_cast<std::size_t>(traceCount));
-  for (std::int64_t i = 0; i < traceCount; ++i) {
-    r.beginSection("point");
-    PredictionErrorPoint p;
-    p.tick = r.i64("tick");
-    p.samples = static_cast<int>(r.i64("samples"));
-    p.mean = r.f64("mean");
-    p.min = r.f64("min");
-    p.max = r.f64("max");
-    r.endSection();
-    fresh.trace_.push_back(p);
-  }
-  const std::int64_t scoredCount = r.i64("lastScoredCount");
-  fresh.lastScored_.reserve(static_cast<std::size_t>(scoredCount));
-  for (std::int64_t i = 0; i < scoredCount; ++i) {
-    r.beginSection("scored");
-    ScoredPrediction s;
-    s.threadId = static_cast<int>(r.i64("threadId"));
-    s.predicted = r.f64("predicted");
-    s.actual = r.f64("actual");
-    s.error = r.f64("error");
-    r.endSection();
-    fresh.lastScored_.push_back(s);
-  }
-  ckpt::load(r, "overall", fresh.overall_);
-  fresh.divergenceStreak_ = static_cast<int>(r.i64("divergenceStreak"));
-  fresh.diverged_ = r.boolean("diverged");
-  r.endSection();
+  stateFields(fresh, ckpt::FieldReader{r});
   *this = std::move(fresh);
 }
 

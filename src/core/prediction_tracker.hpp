@@ -25,6 +25,14 @@ struct PredictionErrorPoint {
   double min = 0.0;
   double max = 0.0;
 };
+/// Its field list, shared by the checkpoint and the run report.
+constexpr auto kPredictionErrorPointFields = [](auto& p, auto&& field) {
+  field("tick", p.tick);
+  field("samples", p.samples);
+  field("mean", p.mean);
+  field("min", p.min);
+  field("max", p.max);
+};
 
 /// One (predicted, realised) pair from the most recent scoring pass —
 /// the telemetry quantum stream emits these so predictor error is directly
@@ -124,6 +132,9 @@ class PredictionTracker {
   [[nodiscard]] int slotIndex(int threadId) const noexcept;
   /// Slot index of a thread, created on first use.
   int slotFor(int threadId);
+  /// The checkpoint field list, run by saveState and loadState.
+  template <class Self, class Field>
+  static void stateFields(Self& self, Field&& field);
 
   std::vector<Slot> slots_;
   std::vector<util::OnlineStats> errors_;  ///< per slot

@@ -6,10 +6,11 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "ckpt/archive.hpp"
+#include "ckpt/fields.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "core/dike_policy.hpp"
 #include "exp/analysis.hpp"
@@ -75,10 +76,6 @@ wl::WorkloadSpec workloadSpecFromJson(util::JsonReader& r) {
   return w;
 }
 
-util::JsonValue ticksToJson(util::Tick t) {
-  return util::JsonValue{static_cast<double>(t)};
-}
-
 /// Script ticks: non-negative and exactly representable as a JSON number.
 void requireScriptTick(const util::JsonReader& r, util::Tick t) {
   r.require(t >= 0 && t <= (util::Tick{1} << 53), "atTick",
@@ -86,10 +83,10 @@ void requireScriptTick(const util::JsonReader& r, util::Tick t) {
 }
 
 template <class T, class Fields>
-util::JsonValue scriptToJson(const std::vector<T>& script,
-                             const Fields& fields) {
+util::JsonValue recordsToJson(const std::vector<T>& records,
+                              const Fields& fields) {
   util::JsonArray out;
-  for (const T& entry : script)
+  for (const T& entry : records)
     out.emplace_back(util::encodeFields(entry, fields));
   return util::JsonValue{std::move(out)};
 }
@@ -125,9 +122,9 @@ util::JsonValue runSpecToJson(const RunSpec& spec) {
   if (spec.faults) o["faults"] = fault::toJson(*spec.faults);
   // Written only when scripted, so every other spec encodes as before.
   if (!spec.arrivals.empty())
-    o["arrivals"] = scriptToJson(spec.arrivals, kArrivalFields);
+    o["arrivals"] = recordsToJson(spec.arrivals, kArrivalFields);
   if (!spec.dvfs.empty())
-    o["dvfs"] = scriptToJson(spec.dvfs, kFrequencyChangeFields);
+    o["dvfs"] = recordsToJson(spec.dvfs, kFrequencyChangeFields);
   return util::JsonValue{std::move(o)};
 }
 
@@ -191,152 +188,88 @@ RunSpec runSpecFromJson(const util::JsonValue& doc) {
   return spec;
 }
 
+namespace {
+
+constexpr auto kRunMetricsFields = [](auto& m, auto&& field) {
+  field("scheduler", m.scheduler);
+  field("workload", m.workload);
+  field("makespan", m.makespan);
+  field("timedOut", m.timedOut);
+  field("fairness", m.fairness);
+  field("swaps", m.swaps);
+  field("migrations", m.migrations);
+  field("energyJoules", m.energyJoules);
+  field("traceDropped", m.traceDropped);
+  field("coreFreqDips", m.coreFreqDips);
+  field("hasPredictions", m.hasPredictions);
+};
+
+/// Present only when hasPredictions (with the predTrace array).
+constexpr auto kPredictionErrorFields = [](auto& m, auto&& field) {
+  field("predErrMean", m.predErrMean);
+  field("predErrMin", m.predErrMin);
+  field("predErrMax", m.predErrMax);
+};
+
+/// Each process also carries its threadFinishTicks array.
+constexpr auto kProcessResultFields = [](auto& p, auto&& field) {
+  field("processId", p.processId);
+  field("name", p.name);
+  field("memoryIntensive", p.memoryIntensive);
+  field("finishTick", p.finishTick);
+  field("runtimeCv", p.runtimeCv);
+};
+
+}  // namespace
+
 util::JsonValue runMetricsToJson(const RunMetrics& m) {
-  util::JsonObject o;
-  o["scheduler"] = m.scheduler;
-  o["workload"] = m.workload;
-  o["makespan"] = ticksToJson(m.makespan);
-  o["timedOut"] = m.timedOut;
-  o["fairness"] = m.fairness;
-  o["swaps"] = static_cast<double>(m.swaps);
-  o["migrations"] = static_cast<double>(m.migrations);
-  o["energyJoules"] = m.energyJoules;
-  o["traceDropped"] = static_cast<double>(m.traceDropped);
+  util::JsonObject o = util::encodeFields(m, kRunMetricsFields);
   util::JsonArray processes;
   for (const ProcessResult& p : m.processes) {
-    util::JsonObject po;
-    po["processId"] = p.processId;
-    po["name"] = p.name;
-    po["memoryIntensive"] = p.memoryIntensive;
-    po["finishTick"] = ticksToJson(p.finishTick);
-    po["runtimeCv"] = p.runtimeCv;
+    util::JsonObject po = util::encodeFields(p, kProcessResultFields);
     util::JsonArray finishes;
     for (const util::Tick t : p.threadFinishTicks)
-      finishes.push_back(ticksToJson(t));
-    po["threadFinishTicks"] = util::JsonValue{std::move(finishes)};
+      finishes.emplace_back(static_cast<double>(t));
+    po.emplace("threadFinishTicks", std::move(finishes));
     processes.emplace_back(std::move(po));
   }
-  o["processes"] = util::JsonValue{std::move(processes)};
-  util::JsonObject d;
-  d["quanta"] = static_cast<double>(m.decisions.quanta);
-  d["actedQuanta"] = static_cast<double>(m.decisions.actedQuanta);
-  d["pairsConsidered"] = static_cast<double>(m.decisions.pairsConsidered);
-  d["rejectedCooldown"] = static_cast<double>(m.decisions.rejectedCooldown);
-  d["rejectedProfit"] = static_cast<double>(m.decisions.rejectedProfit);
-  d["swapsExecuted"] = static_cast<double>(m.decisions.swapsExecuted);
-  d["swapsFailed"] = static_cast<double>(m.decisions.swapsFailed);
-  d["migrationsFailed"] = static_cast<double>(m.decisions.migrationsFailed);
-  d["fallbackQuanta"] = static_cast<double>(m.decisions.fallbackQuanta);
-  d["fallbackEngagements"] =
-      static_cast<double>(m.decisions.fallbackEngagements);
-  d["divergenceResets"] = static_cast<double>(m.decisions.divergenceResets);
-  o["decisions"] = util::JsonValue{std::move(d)};
-  util::JsonObject f;
-  f["droppedSamples"] = static_cast<double>(m.faults.droppedSamples);
-  f["corruptedSamples"] = static_cast<double>(m.faults.corruptedSamples);
-  f["stuckSamples"] = static_cast<double>(m.faults.stuckSamples);
-  f["stuckEpisodes"] = static_cast<double>(m.faults.stuckEpisodes);
-  f["saturatedMissRatios"] =
-      static_cast<double>(m.faults.saturatedMissRatios);
-  f["failedSwaps"] = static_cast<double>(m.faults.failedSwaps);
-  f["failedMigrations"] = static_cast<double>(m.faults.failedMigrations);
-  o["faults"] = util::JsonValue{std::move(f)};
-  o["coreFreqDips"] = static_cast<double>(m.coreFreqDips);
-  o["hasPredictions"] = m.hasPredictions;
+  o.emplace("processes", std::move(processes));
+  o.emplace("decisions",
+            util::encodeFields(m.decisions, core::kDecisionTotalsFields));
+  o.emplace("faults", util::encodeFields(m.faults, fault::kFaultTallyFields));
   if (m.hasPredictions) {
-    o["predErrMean"] = m.predErrMean;
-    o["predErrMin"] = m.predErrMin;
-    o["predErrMax"] = m.predErrMax;
-    util::JsonArray trace;
-    for (const core::PredictionErrorPoint& p : m.predTrace) {
-      util::JsonObject po;
-      po["tick"] = ticksToJson(p.tick);
-      po["samples"] = p.samples;
-      po["mean"] = p.mean;
-      po["min"] = p.min;
-      po["max"] = p.max;
-      trace.emplace_back(std::move(po));
-    }
-    o["predTrace"] = util::JsonValue{std::move(trace)};
+    o.merge(util::encodeFields(m, kPredictionErrorFields));
+    o.emplace("predTrace", recordsToJson(m.predTrace,
+                                        core::kPredictionErrorPointFields));
   }
   return util::JsonValue{std::move(o)};
 }
 
 RunMetrics runMetricsFromJson(const util::JsonValue& doc) {
-  if (!doc.isObject())
-    throw std::runtime_error{"run metrics document must be a JSON object"};
   RunMetrics m;
-  m.scheduler = doc.stringOr("scheduler", "");
-  m.workload = doc.stringOr("workload", "");
-  m.makespan = static_cast<util::Tick>(doc.numberOr("makespan", 0.0));
-  m.timedOut = doc.boolOr("timedOut", false);
-  m.fairness = doc.numberOr("fairness", 0.0);
-  m.swaps = static_cast<std::int64_t>(doc.numberOr("swaps", 0.0));
-  m.migrations = static_cast<std::int64_t>(doc.numberOr("migrations", 0.0));
-  m.energyJoules = doc.numberOr("energyJoules", 0.0);
-  m.traceDropped = static_cast<std::size_t>(doc.numberOr("traceDropped", 0.0));
-  if (const auto processes = doc.get("processes")) {
-    for (const util::JsonValue& pv : processes->asArray()) {
-      ProcessResult p;
-      p.processId = pv.intOr("processId", 0);
-      p.name = pv.stringOr("name", "");
-      p.memoryIntensive = pv.boolOr("memoryIntensive", false);
-      p.finishTick = static_cast<util::Tick>(pv.numberOr("finishTick", 0.0));
-      p.runtimeCv = pv.numberOr("runtimeCv", 0.0);
-      if (const auto finishes = pv.get("threadFinishTicks"))
-        for (const util::JsonValue& t : finishes->asArray())
-          p.threadFinishTicks.push_back(
-              static_cast<util::Tick>(t.asNumber()));
-      m.processes.push_back(std::move(p));
-    }
-  }
-  if (const auto d = doc.get("decisions")) {
-    const auto i64 = [&d](const char* key) {
-      return static_cast<std::int64_t>(d->numberOr(key, 0.0));
-    };
-    m.decisions.quanta = i64("quanta");
-    m.decisions.actedQuanta = i64("actedQuanta");
-    m.decisions.pairsConsidered = i64("pairsConsidered");
-    m.decisions.rejectedCooldown = i64("rejectedCooldown");
-    m.decisions.rejectedProfit = i64("rejectedProfit");
-    m.decisions.swapsExecuted = i64("swapsExecuted");
-    m.decisions.swapsFailed = i64("swapsFailed");
-    m.decisions.migrationsFailed = i64("migrationsFailed");
-    m.decisions.fallbackQuanta = i64("fallbackQuanta");
-    m.decisions.fallbackEngagements = i64("fallbackEngagements");
-    m.decisions.divergenceResets = i64("divergenceResets");
-  }
-  if (const auto f = doc.get("faults")) {
-    const auto i64 = [&f](const char* key) {
-      return static_cast<std::int64_t>(f->numberOr(key, 0.0));
-    };
-    m.faults.droppedSamples = i64("droppedSamples");
-    m.faults.corruptedSamples = i64("corruptedSamples");
-    m.faults.stuckSamples = i64("stuckSamples");
-    m.faults.stuckEpisodes = i64("stuckEpisodes");
-    m.faults.saturatedMissRatios = i64("saturatedMissRatios");
-    m.faults.failedSwaps = i64("failedSwaps");
-    m.faults.failedMigrations = i64("failedMigrations");
-  }
-  m.coreFreqDips =
-      static_cast<std::int64_t>(doc.numberOr("coreFreqDips", 0.0));
-  m.hasPredictions = doc.boolOr("hasPredictions", false);
+  util::JsonReader r{doc, ""};
+  r.readFields(m, kRunMetricsFields);
+  r.readObjects("processes", [&m](util::JsonReader& pr) {
+    ProcessResult& p = m.processes.emplace_back();
+    pr.readFields(p, kProcessResultFields);
+    if (const util::JsonValue* finishes = pr.take("threadFinishTicks"))
+      for (const util::JsonValue& t : finishes->asArray())
+        p.threadFinishTicks.push_back(static_cast<util::Tick>(t.asNumber()));
+  });
+  r.readObject("decisions", [&m](util::JsonReader& d) {
+    d.readFields(m.decisions, core::kDecisionTotalsFields);
+  });
+  r.readObject("faults", [&m](util::JsonReader& f) {
+    f.readFields(m.faults, fault::kFaultTallyFields);
+  });
   if (m.hasPredictions) {
-    m.predErrMean = doc.numberOr("predErrMean", 0.0);
-    m.predErrMin = doc.numberOr("predErrMin", 0.0);
-    m.predErrMax = doc.numberOr("predErrMax", 0.0);
-    if (const auto trace = doc.get("predTrace")) {
-      for (const util::JsonValue& pv : trace->asArray()) {
-        core::PredictionErrorPoint p;
-        p.tick = static_cast<util::Tick>(pv.numberOr("tick", 0.0));
-        p.samples = pv.intOr("samples", 0);
-        p.mean = pv.numberOr("mean", 0.0);
-        p.min = pv.numberOr("min", 0.0);
-        p.max = pv.numberOr("max", 0.0);
-        m.predTrace.push_back(p);
-      }
-    }
+    r.readFields(m, kPredictionErrorFields);
+    r.readObjects("predTrace", [&m](util::JsonReader& pr) {
+      pr.readFields(m.predTrace.emplace_back(),
+                    core::kPredictionErrorPointFields);
+    });
   }
+  r.finish();
   return m;
 }
 
@@ -603,6 +536,38 @@ RunMetrics RunSession::finish(const CheckpointOptions& opts) {
   return metrics;
 }
 
+namespace {
+
+/// The run section's leading fields.
+struct RunHeader {
+  std::string config;  ///< the RunSpec as JSON
+  std::string schedulerName;
+  std::int64_t quantumIndex = 0;
+  util::Tick nextQuantumAt = 0;
+  util::Tick maxTicks = 0;
+};
+
+constexpr auto kRunHeaderFields = [](auto& h, auto&& field) {
+  field("config", h.config);
+  field("schedulerName", h.schedulerName);
+  field("quantumIndex", h.quantumIndex);
+  field("nextQuantumAt", h.nextQuantumAt);
+  field("maxTicks", h.maxTicks);
+};
+
+/// Script progress; only scripted runs carry it.
+struct ScriptCursor {
+  std::int64_t arrivalsInjected = 0;
+  std::int64_t dvfsApplied = 0;
+};
+
+constexpr auto kScriptFields = [](auto& s, auto&& field) {
+  field("arrivalsInjected", s.arrivalsInjected);
+  field("dvfsApplied", s.dvfsApplied);
+};
+
+}  // namespace
+
 std::string RunSession::checkpointPayload() const {
   // Size first with the same save code, then write once into a buffer of
   // exactly that size: no regrowth, no re-copy, no re-fault.
@@ -616,31 +581,33 @@ std::string RunSession::checkpointPayload() const {
 
 void RunSession::savePayload(ckpt::BinWriter& w,
                              std::string_view config) const {
-  w.beginSection("run");
-  w.str("config", config);
-  w.str("schedulerName", scheduler_->name());
-  w.i64("quantumIndex", quantumIndex_);
-  w.i64("nextQuantumAt", nextQuantumAt_);
-  w.i64("maxTicks", limits_.maxTicks);
-  // Script progress (only scripted runs carry it) precedes the machine:
-  // restore re-adds the arrived processes before loading the machine.
-  if (arrivals_ || dvfs_) {
-    w.i64("arrivalsInjected", arrivalsInjected());
-    w.i64("dvfsApplied", dvfs_ ? dvfs_->applied() : 0);
-  }
-  machine_->saveState(w);
-  scheduler_->saveState(w);
-  w.boolean("hasFaultLayer", injector_.has_value());
-  if (injector_) {
-    injector_->saveState(w);
-    faultPolicy_->saveState(w);
-  }
-  // The stream cursor rides in the payload when a stream is attached:
-  // resumed NDJSON records are only byte-identical if the listener's
-  // path-dependent accumulators restart exactly (format version 2).
-  w.boolean("hasQuantumStream", streamListener_ != nullptr);
-  if (streamListener_) streamListener_->saveState(w);
-  w.endSection();
+  ckpt::FieldWriter field{w};
+  field.section("run", [&] {
+    ckpt::writeFields(w,
+                      RunHeader{std::string{config},
+                                std::string{scheduler_->name()},
+                                quantumIndex_, nextQuantumAt_,
+                                limits_.maxTicks},
+                      kRunHeaderFields);
+    // Script progress precedes the machine: restore re-adds the arrived
+    // processes before loading the machine.
+    if (arrivals_ || dvfs_)
+      ckpt::writeFields(
+          w, ScriptCursor{arrivalsInjected(), dvfs_ ? dvfs_->applied() : 0},
+          kScriptFields);
+    machine_->saveState(w);
+    scheduler_->saveState(w);
+    field("hasFaultLayer", injector_.has_value());
+    if (injector_) {
+      injector_->saveState(w);
+      faultPolicy_->saveState(w);
+    }
+    // The stream cursor rides in the payload when a stream is attached:
+    // resumed NDJSON records are only byte-identical if the listener's
+    // path-dependent accumulators restart exactly (format version 2).
+    field("hasQuantumStream", streamListener_ != nullptr);
+    if (streamListener_) streamListener_->saveState(w);
+  });
 }
 
 void RunSession::writeCheckpoint(const std::string& path) const {
@@ -658,11 +625,13 @@ std::unique_ptr<RunSession> RunSession::restoreFromPayload(
     std::string_view payload, telemetry::QuantumStreamWriter* stream,
     int decideJobs) {
   ckpt::BinReader r{payload};
+  ckpt::FieldReader field{r};
   r.beginSection("run");
-  const std::string configJson = r.str("config");
+  RunHeader header;
+  ckpt::readFields(r, header, kRunHeaderFields);
   RunSpec spec;
   try {
-    spec = runSpecFromJson(util::parseJson(configJson));
+    spec = runSpecFromJson(util::parseJson(header.config));
   } catch (const std::exception& e) {
     throw ckpt::CheckpointError{
         std::string{"checkpoint carries an unreadable run spec: "} +
@@ -677,41 +646,42 @@ std::unique_ptr<RunSession> RunSession::restoreFromPayload(
   // loaded over it. A throw anywhere below destroys the half-built session
   // — the caller never observes a partial restore.
   auto session = std::make_unique<RunSession>(std::move(spec));
-  const std::string schedulerName = r.str("schedulerName");
-  if (schedulerName != session->scheduler_->name())
+  if (header.schedulerName != session->scheduler_->name())
     throw ckpt::CheckpointError{
-        "checkpoint names scheduler '" + schedulerName +
+        "checkpoint names scheduler '" + header.schedulerName +
         "' but the embedded run spec builds '" +
         std::string{session->scheduler_->name()} + "'"};
-  session->quantumIndex_ = r.i64("quantumIndex");
-  session->nextQuantumAt_ = r.i64("nextQuantumAt");
-  session->limits_.maxTicks = r.i64("maxTicks");
+  session->quantumIndex_ = header.quantumIndex;
+  session->nextQuantumAt_ = header.nextQuantumAt;
+  session->limits_.maxTicks = header.maxTicks;
   if (session->arrivals_ || session->dvfs_) {
-    const std::int64_t injected = r.i64("arrivalsInjected");
-    const std::int64_t applied = r.i64("dvfsApplied");
+    ScriptCursor script;
+    ckpt::readFields(r, script, kScriptFields);
     if (session->arrivals_)
-      session->arrivals_->restoreInjected(*session->machine_, injected);
-    else if (injected != 0)
+      session->arrivals_->restoreInjected(*session->machine_,
+                                          script.arrivalsInjected);
+    else if (script.arrivalsInjected != 0)
       throw ckpt::CheckpointError{
           "checkpoint claims injected arrivals but the run spec has none"};
     if (session->dvfs_)
-      session->dvfs_->restoreApplied(applied);
-    else if (applied != 0)
+      session->dvfs_->restoreApplied(script.dvfsApplied);
+    else if (script.dvfsApplied != 0)
       throw ckpt::CheckpointError{
           "checkpoint claims applied frequency changes but the run spec "
           "scripts none"};
   }
   session->machine_->loadState(r);
   session->scheduler_->loadState(r);
-  const bool hasFaultLayer = r.boolean("hasFaultLayer");
-  if (hasFaultLayer != session->injector_.has_value())
-    throw ckpt::CheckpointError{
-        "checkpoint fault-layer flag contradicts the embedded run spec"};
+  bool hasFaultLayer = false;
+  field("hasFaultLayer", hasFaultLayer);
+  field.require(hasFaultLayer == session->injector_.has_value(),
+                "hasFaultLayer", "contradicts the embedded run spec");
   if (session->injector_) {
     session->injector_->loadState(r);
     session->faultPolicy_->loadState(r);
   }
-  const bool hasStream = r.boolean("hasQuantumStream");
+  bool hasStream = false;
+  field("hasQuantumStream", hasStream);
   if (hasStream) {
     if (stream != nullptr) {
       session->attachQuantumStream(*stream);

@@ -1,7 +1,10 @@
 #include "exp/stream_listener.hpp"
 
+#include <cstddef>
 #include <limits>
+#include <vector>
 
+#include "ckpt/fields.hpp"
 #include "core/dike_policy.hpp"
 #include "sim/machine.hpp"
 
@@ -92,49 +95,54 @@ void QuantumMetricsListener::afterQuantum(const sim::Machine& machine,
   writer_->write(rec);
 }
 
+namespace {
+
+using ThreadSnapshot = telemetry::SlowdownEstimator::ThreadSnapshot;
+
+/// The stream cursor as checkpointed: the slowdown accumulators are a
+/// snapshot in ascending thread-id order.
+struct Cursor {
+  std::int64_t quantumIndex = 0;
+  util::Tick lastTick = 0;
+  std::vector<ThreadSnapshot> threads;
+};
+
+constexpr auto kCursorFields = [](auto& c, auto&& field) {
+  field.section("quantumStream", [&] {
+    field("quantumIndex", c.quantumIndex);
+    field("lastTick", c.lastTick);
+    const std::size_t count = field.count("threadCount", c.threads.size());
+    field.keyed("threadIds",
+                ckpt::table<ThreadSnapshot>(
+                    [&c](auto&& visit) {
+                      for (const ThreadSnapshot& t : c.threads)
+                        visit(t.threadId, t);
+                    },
+                    [&c](auto id) -> auto& {
+                      return c.threads.emplace_back(id);
+                    }),
+                [](auto& t, auto&& column) {
+                  column("processIds", t.processId);
+                  column("cumWork", t.cum);
+                });
+    field.require(count == c.threads.size(), "threadCount",
+                  "disagrees with the thread columns");
+  });
+};
+
+}  // namespace
+
 void QuantumMetricsListener::saveState(ckpt::BinWriter& w) const {
-  w.beginSection("quantumStream");
-  w.i64("quantumIndex", quantumIndex_);
-  w.i64("lastTick", lastTick_);
-  const std::vector<telemetry::SlowdownEstimator::ThreadSnapshot> threads =
-      slowdown_.snapshot();
-  w.i64("threadCount", static_cast<std::int64_t>(threads.size()));
-  std::vector<std::int64_t> ids, procs;
-  std::vector<double> cums;
-  ids.reserve(threads.size());
-  procs.reserve(threads.size());
-  cums.reserve(threads.size());
-  for (const auto& t : threads) {
-    ids.push_back(t.threadId);
-    procs.push_back(t.processId);
-    cums.push_back(t.cum);
-  }
-  w.vecI64("threadIds", ids);
-  w.vecI64("processIds", procs);
-  w.vecF64("cumWork", cums);
-  w.endSection();
+  ckpt::writeFields(w, Cursor{quantumIndex_, lastTick_, slowdown_.snapshot()},
+                    kCursorFields);
 }
 
 void QuantumMetricsListener::loadState(ckpt::BinReader& r) {
-  r.beginSection("quantumStream");
-  quantumIndex_ = r.i64("quantumIndex");
-  lastTick_ = r.i64("lastTick");
-  const std::int64_t count = r.i64("threadCount");
-  const std::vector<std::int64_t> ids = r.vecI64("threadIds");
-  const std::vector<std::int64_t> procs = r.vecI64("processIds");
-  const std::vector<double> cums = r.vecF64("cumWork");
-  if (static_cast<std::int64_t>(ids.size()) != count ||
-      procs.size() != ids.size() || cums.size() != ids.size())
-    throw ckpt::CheckpointError{
-        "quantum-stream cursor arrays disagree with the declared thread "
-        "count; the checkpoint is internally inconsistent"};
-  std::vector<telemetry::SlowdownEstimator::ThreadSnapshot> threads;
-  threads.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i)
-    threads.push_back({static_cast<int>(ids[i]), static_cast<int>(procs[i]),
-                       cums[i]});
-  slowdown_.restore(threads);
-  r.endSection();
+  Cursor cursor;
+  ckpt::readFields(r, cursor, kCursorFields);
+  quantumIndex_ = cursor.quantumIndex;
+  lastTick_ = cursor.lastTick;
+  slowdown_.restore(cursor.threads);
 }
 
 }  // namespace dike::exp

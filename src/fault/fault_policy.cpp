@@ -1,9 +1,9 @@
 #include "fault/fault_policy.hpp"
 
-#include <map>
+#include <utility>
 #include <vector>
 
-#include "ckpt/state_io.hpp"
+#include "ckpt/fields.hpp"
 #include "telemetry/registry.hpp"
 
 namespace dike::fault {
@@ -59,49 +59,27 @@ void FaultInjectionPolicy::applyCoreFaults(sim::Machine& machine) {
   }
 }
 
+template <class Self, class Field>
+void FaultInjectionPolicy::stateFields(Self& s, Field&& field) {
+  field.section("faultPolicy", [&] {
+    field("coreRng", s.coreRng_);
+    field.keyed("dipCores", s.dips_, [](auto& dip, auto&& column) {
+      column("dipSavedGhz", dip.savedGhz);
+      column("dipQuantaLeft", dip.quantaLeft);
+    });
+    field("freqDips", s.freqDips_);
+    field("lastActive", s.lastActive_);
+  });
+}
+
 void FaultInjectionPolicy::saveState(ckpt::BinWriter& w) const {
-  w.beginSection("faultPolicy");
-  ckpt::save(w, "coreRng", coreRng_);
-  {
-    const std::map<int, Dip> sorted{dips_.begin(), dips_.end()};
-    std::vector<std::int64_t> cores;
-    std::vector<double> savedGhz;
-    std::vector<std::int64_t> quantaLeft;
-    for (const auto& [core, dip] : sorted) {
-      cores.push_back(core);
-      savedGhz.push_back(dip.savedGhz);
-      quantaLeft.push_back(dip.quantaLeft);
-    }
-    w.vecI64("dipCores", cores);
-    w.vecF64("dipSavedGhz", savedGhz);
-    w.vecI64("dipQuantaLeft", quantaLeft);
-  }
-  w.i64("freqDips", freqDips_);
-  w.boolean("lastActive", lastActive_);
-  w.endSection();
+  stateFields(*this, ckpt::FieldWriter{w});
 }
 
 void FaultInjectionPolicy::loadState(ckpt::BinReader& r) {
-  r.beginSection("faultPolicy");
-  util::Rng coreRng{0};
-  ckpt::load(r, "coreRng", coreRng);
-  const std::vector<std::int64_t> cores = r.vecI64("dipCores");
-  const std::vector<double> savedGhz = r.vecF64("dipSavedGhz");
-  const std::vector<std::int64_t> quantaLeft = r.vecI64("dipQuantaLeft");
-  if (cores.size() != savedGhz.size() || cores.size() != quantaLeft.size())
-    throw ckpt::CheckpointError{
-        "fault policy checkpoint: dip core/ghz/quanta lists disagree in "
-        "length"};
-  const std::int64_t freqDips = r.i64("freqDips");
-  const bool lastActive = r.boolean("lastActive");
-  r.endSection();
-  coreRng_ = coreRng;
-  dips_.clear();
-  for (std::size_t i = 0; i < cores.size(); ++i)
-    dips_[static_cast<int>(cores[i])] =
-        Dip{savedGhz[i], static_cast<int>(quantaLeft[i])};
-  freqDips_ = freqDips;
-  lastActive_ = lastActive;
+  FaultInjectionPolicy fresh = *this;
+  stateFields(fresh, ckpt::FieldReader{r});
+  *this = std::move(fresh);
 }
 
 }  // namespace dike::fault

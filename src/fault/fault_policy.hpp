@@ -49,6 +49,9 @@ class FaultInjectionPolicy final : public sim::QuantumPolicy {
     double savedGhz = 0.0;
     int quantaLeft = 0;
   };
+  /// The checkpoint field list, run by saveState and loadState.
+  template <class Self, class Field>
+  static void stateFields(Self& self, Field&& field);
 
   void applyCoreFaults(sim::Machine& machine);
 

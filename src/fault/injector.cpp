@@ -1,9 +1,8 @@
 #include "fault/injector.hpp"
 
-#include <map>
-#include <vector>
+#include <utility>
 
-#include "ckpt/state_io.hpp"
+#include "ckpt/fields.hpp"
 #include "telemetry/registry.hpp"
 
 namespace dike::fault {
@@ -111,63 +110,27 @@ bool FaultInjector::onMigrationAttempt(int /*threadId*/, int /*coreId*/,
   return true;
 }
 
+template <class Self, class Field>
+void FaultInjector::stateFields(Self& s, Field&& field) {
+  field.section("faultInjector", [&] {
+    field("sampleRng", s.sampleRng_);
+    field("actuationRng", s.actuationRng_);
+    field("streamSource", s.streamSource_);
+    field.keyed("stuckThreadIds", s.stuck_, [](auto& episode, auto&& column) {
+      column("stuckQuantaLeft", episode.quantaLeft);
+    });
+    kFaultTallyFields(s.tally_, field);
+  });
+}
+
 void FaultInjector::saveState(ckpt::BinWriter& w) const {
-  w.beginSection("faultInjector");
-  ckpt::save(w, "sampleRng", sampleRng_);
-  ckpt::save(w, "actuationRng", actuationRng_);
-  ckpt::save(w, "streamSource", streamSource_);
-  {
-    const std::map<int, StuckEpisode> sorted{stuck_.begin(), stuck_.end()};
-    std::vector<std::int64_t> ids;
-    std::vector<std::int64_t> quantaLeft;
-    for (const auto& [id, ep] : sorted) {
-      ids.push_back(id);
-      quantaLeft.push_back(ep.quantaLeft);
-    }
-    w.vecI64("stuckThreadIds", ids);
-    w.vecI64("stuckQuantaLeft", quantaLeft);
-  }
-  w.i64("droppedSamples", tally_.droppedSamples);
-  w.i64("corruptedSamples", tally_.corruptedSamples);
-  w.i64("stuckSamples", tally_.stuckSamples);
-  w.i64("stuckEpisodes", tally_.stuckEpisodes);
-  w.i64("saturatedMissRatios", tally_.saturatedMissRatios);
-  w.i64("failedSwaps", tally_.failedSwaps);
-  w.i64("failedMigrations", tally_.failedMigrations);
-  w.endSection();
+  stateFields(*this, ckpt::FieldWriter{w});
 }
 
 void FaultInjector::loadState(ckpt::BinReader& r) {
-  r.beginSection("faultInjector");
-  util::Rng sampleRng{0};
-  util::Rng actuationRng{0};
-  util::Rng streamSource{0};
-  ckpt::load(r, "sampleRng", sampleRng);
-  ckpt::load(r, "actuationRng", actuationRng);
-  ckpt::load(r, "streamSource", streamSource);
-  const std::vector<std::int64_t> ids = r.vecI64("stuckThreadIds");
-  const std::vector<std::int64_t> quantaLeft = r.vecI64("stuckQuantaLeft");
-  if (ids.size() != quantaLeft.size())
-    throw ckpt::CheckpointError{
-        "fault injector checkpoint: stuck id/quanta lists disagree in "
-        "length"};
-  FaultTally tally;
-  tally.droppedSamples = r.i64("droppedSamples");
-  tally.corruptedSamples = r.i64("corruptedSamples");
-  tally.stuckSamples = r.i64("stuckSamples");
-  tally.stuckEpisodes = r.i64("stuckEpisodes");
-  tally.saturatedMissRatios = r.i64("saturatedMissRatios");
-  tally.failedSwaps = r.i64("failedSwaps");
-  tally.failedMigrations = r.i64("failedMigrations");
-  r.endSection();
-  sampleRng_ = sampleRng;
-  actuationRng_ = actuationRng;
-  streamSource_ = streamSource;
-  stuck_.clear();
-  for (std::size_t i = 0; i < ids.size(); ++i)
-    stuck_[static_cast<int>(ids[i])] =
-        StuckEpisode{static_cast<int>(quantaLeft[i])};
-  tally_ = tally;
+  FaultInjector fresh = *this;
+  stateFields(fresh, ckpt::FieldReader{r});
+  *this = std::move(fresh);
 }
 
 }  // namespace dike::fault

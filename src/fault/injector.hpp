@@ -32,6 +32,16 @@ struct FaultTally {
            saturatedMissRatios + failedSwaps + failedMigrations;
   }
 };
+/// Its field list, shared by the checkpoint and the run report.
+constexpr auto kFaultTallyFields = [](auto& t, auto&& field) {
+  field("droppedSamples", t.droppedSamples);
+  field("corruptedSamples", t.corruptedSamples);
+  field("stuckSamples", t.stuckSamples);
+  field("stuckEpisodes", t.stuckEpisodes);
+  field("saturatedMissRatios", t.saturatedMissRatios);
+  field("failedSwaps", t.failedSwaps);
+  field("failedMigrations", t.failedMigrations);
+};
 
 class FaultInjector final : public sched::SampleFilter,
                             public sched::ActuationHook {
@@ -63,6 +73,9 @@ class FaultInjector final : public sched::SampleFilter,
   struct StuckEpisode {
     int quantaLeft = 0;
   };
+  /// The checkpoint field list, run by saveState and loadState.
+  template <class Self, class Field>
+  static void stateFields(Self& self, Field&& field);
 
   FaultPlan plan_;
   util::Rng sampleRng_;

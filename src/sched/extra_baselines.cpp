@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "ckpt/state_io.hpp"
+#include "ckpt/fields.hpp"
 
 namespace dike::sched {
 
@@ -28,12 +28,17 @@ void RandomScheduler::onQuantum(SchedulerView& view) {
   }
 }
 
+template <class Self, class Field>
+void RandomScheduler::stateFields(Self& s, Field&& field) {
+  field("rng", s.rng_);
+}
+
 void RandomScheduler::saveExtraState(ckpt::BinWriter& w) const {
-  ckpt::save(w, "rng", rng_);
+  stateFields(*this, ckpt::FieldWriter{w});
 }
 
 void RandomScheduler::loadExtraState(ckpt::BinReader& r) {
-  ckpt::load(r, "rng", rng_);
+  stateFields(*this, ckpt::FieldReader{r});  // the Rng commits whole
 }
 
 }  // namespace dike::sched

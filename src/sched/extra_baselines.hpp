@@ -29,6 +29,10 @@ class RandomScheduler final : public Scheduler {
   void loadExtraState(ckpt::BinReader& r) override;
 
  private:
+  /// The checkpoint field list, run by saveExtraState and loadExtraState.
+  template <class Self, class Field>
+  static void stateFields(Self& self, Field&& field);
+
   util::Tick quantum_;
   int pairs_;
   util::Rng rng_;

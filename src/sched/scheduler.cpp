@@ -2,32 +2,39 @@
 
 #include <string>
 
-#include "ckpt/archive.hpp"
+#include "ckpt/fields.hpp"
 
 namespace dike::sched {
 
+namespace {
+
+/// The envelope's field list: the policy name, then the policy's own state
+/// (`extra`).
+template <class Field, class Extra>
+void envelopeFields(Field&& field, std::string& policy, Extra&& extra) {
+  field.section("scheduler", [&] {
+    field("policy", policy);
+    extra();
+  });
+}
+
+}  // namespace
+
 void Scheduler::saveState(ckpt::BinWriter& w) const {
-  w.beginSection("scheduler");
-  w.str("policy", name());
-  saveExtraState(w);
-  w.endSection();
+  std::string policy{name()};
+  envelopeFields(ckpt::FieldWriter{w}, policy, [&] { saveExtraState(w); });
 }
 
 void Scheduler::loadState(ckpt::BinReader& r) {
-  r.beginSection("scheduler");
-  const std::string policy = r.str("policy");
-  if (policy != name())
-    throw ckpt::CheckpointError{
-        "checkpoint was taken under scheduler '" + policy +
-        "' but this run uses '" + std::string{name()} +
-        "' — nothing was restored"};
-  loadExtraState(r);
-  r.endSection();
+  std::string policy;
+  ckpt::FieldReader field{r};
+  envelopeFields(field, policy, [&] {
+    field.require(policy == name(), "policy",
+                  "is '" + policy + "', not this run's '" +
+                      std::string{name()} + "' — nothing was restored");
+    loadExtraState(r);
+  });
 }
-
-void Scheduler::saveExtraState(ckpt::BinWriter&) const {}
-
-void Scheduler::loadExtraState(ckpt::BinReader&) {}
 
 SchedulerView::SchedulerView(Backend& backend,
                              const sim::QuantumSample& sample,

@@ -221,8 +221,8 @@ class Scheduler {
 
  protected:
   /// Hooks for stateful policies; the base implementations hold no state.
-  virtual void saveExtraState(ckpt::BinWriter& w) const;
-  virtual void loadExtraState(ckpt::BinReader& r);
+  virtual void saveExtraState(ckpt::BinWriter&) const {}
+  virtual void loadExtraState(ckpt::BinReader&) {}
 };
 
 /// Observer of quantum boundaries, called after the scheduler has made its

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/archive.hpp"
+#include "ckpt/fields.hpp"
 #include "util/stats.hpp"
 
 namespace dike::sched {
@@ -46,35 +46,23 @@ void SuspensionScheduler::onQuantum(SchedulerView& view) {
   }
 }
 
+template <class Self, class Field>
+void SuspensionScheduler::stateFields(Self& s, Field&& field) {
+  field.keyed("cumulativeThreadIds", s.cumulativeInstructions_,
+              [](auto& instructions, auto&& column) {
+                column("cumulativeInstructions", instructions);
+              });
+  field("suspensions", s.suspensions_);
+}
+
 void SuspensionScheduler::saveExtraState(ckpt::BinWriter& w) const {
-  // Sort the lookup-only map so the serialized order is deterministic.
-  const std::map<int, double> sorted{cumulativeInstructions_.begin(),
-                                     cumulativeInstructions_.end()};
-  std::vector<std::int64_t> ids;
-  std::vector<double> values;
-  ids.reserve(sorted.size());
-  values.reserve(sorted.size());
-  for (const auto& [id, value] : sorted) {
-    ids.push_back(id);
-    values.push_back(value);
-  }
-  w.vecI64("cumulativeThreadIds", ids);
-  w.vecF64("cumulativeInstructions", values);
-  w.i64("suspensions", suspensions_);
+  stateFields(*this, ckpt::FieldWriter{w});
 }
 
 void SuspensionScheduler::loadExtraState(ckpt::BinReader& r) {
-  const std::vector<std::int64_t> ids = r.vecI64("cumulativeThreadIds");
-  const std::vector<double> values = r.vecF64("cumulativeInstructions");
-  if (ids.size() != values.size())
-    throw ckpt::CheckpointError{
-        "suspension scheduler checkpoint has " + std::to_string(ids.size()) +
-        " thread ids but " + std::to_string(values.size()) + " values"};
-  const std::int64_t suspensions = r.i64("suspensions");
-  cumulativeInstructions_.clear();
-  for (std::size_t i = 0; i < ids.size(); ++i)
-    cumulativeInstructions_[static_cast<int>(ids[i])] = values[i];
-  suspensions_ = suspensions;
+  SuspensionScheduler fresh = *this;
+  stateFields(fresh, ckpt::FieldReader{r});
+  *this = std::move(fresh);
 }
 
 }  // namespace dike::sched

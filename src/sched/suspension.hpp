@@ -35,6 +35,10 @@ class SuspensionScheduler final : public Scheduler {
   void loadExtraState(ckpt::BinReader& r) override;
 
  private:
+  /// The checkpoint field list, run by saveExtraState and loadExtraState.
+  template <class Self, class Field>
+  static void stateFields(Self& self, Field&& field);
+
   util::Tick quantum_;
   double margin_;
   std::unordered_map<int, double> cumulativeInstructions_;

@@ -311,6 +311,11 @@ class Machine {
   void refreshPhaseCache(int threadId);
   /// Rebuild every SoA array from the structs (loadState).
   void rebuildHotState();
+  /// The checkpoint field list, run by saveState over this machine and by
+  /// loadState over a copy that commits once every check passed; `built`
+  /// is the machine the run spec constructed.
+  template <class Self, class Field>
+  static void stateFields(Self& self, const Machine& built, Field&& field);
   /// Write the authoritative SoA accumulators back into the SimThread
   /// structs so external readers (reports, checkpoints, tests) see them.
   void flushHotState() const noexcept;

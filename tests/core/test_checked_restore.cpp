@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 
 #include "ckpt/archive.hpp"
@@ -62,8 +63,9 @@ TEST(CheckedRestore, DeciderRejectsOutOfRangeThreadId) {
     decider.loadState(r);
     FAIL() << "out-of-range migration thread id was accepted";
   } catch (const ckpt::CheckpointError& e) {
-    EXPECT_NE(std::string{e.what()}.find("migration thread id"),
-              std::string::npos);
+    EXPECT_NE(std::string{e.what()}.find("decider/migrationThreadIds"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -93,7 +95,9 @@ TEST(CheckedRestore, PredictionTrackerRejectsNegativeThreadId) {
     tracker.loadState(r);
     FAIL() << "negative pending thread id was accepted";
   } catch (const ckpt::CheckpointError& e) {
-    EXPECT_NE(std::string{e.what()}.find("threadId"), std::string::npos);
+    EXPECT_NE(std::string{e.what()}.find("predictionTracker/pendingThreadIds"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -135,6 +139,100 @@ TEST(CheckedRestore, ObserverRejectsNegativeThreadId) {
         static_cast<char>((bad >> (8 * i)) & 0xFF);
   ckpt::BinReader r{bytes};
   EXPECT_THROW(restored.loadState(r), ckpt::CheckpointError);
+}
+
+/// An observer record with no threads and the given per-core vectors:
+/// `windows` empty CoreBW windows and the `high` partition flags.
+std::string observerCores(std::span<const double> raw,
+                          std::span<const double> effective,
+                          std::int64_t windows,
+                          std::span<const std::int64_t> high) {
+  ckpt::BinWriter w;
+  w.beginSection("observer");
+  w.i64("observedQuanta", 1);
+  w.i64("heldSamples", 0);
+  w.i64("discardedSamples", 0);
+  w.f64("unfairness", 0.0);
+  w.i64("workloadType", 0);
+  w.i64("memCount", 0);
+  w.i64("compCount", 0);
+  w.i64("threadInfoCount", 0);
+  w.i64("threadRateCount", 0);
+  w.i64("holdCount", 0);
+  w.vecI64("cumThreadIds", {});
+  w.vecF64("cumAccesses", {});
+  w.vecF64("cumSeconds", {});
+  w.vecF64("coreBwRaw", raw);
+  w.vecF64("coreBwEffective", effective);
+  w.i64("coreBwWindowCount", windows);
+  for (std::int64_t c = 0; c < windows; ++c) {
+    w.beginSection("coreBwWindow");
+    w.u64("window", ObserverConfig{}.movingMeanWindow);
+    w.vecF64("samples", {});
+    w.f64("sum", 0.0);
+    w.endSection();
+  }
+  w.vecI64("highBandwidth", high);
+  w.endSection();
+  return w.take();
+}
+
+// The core-indexed estimates share one index space: resetClosedLoopState
+// reads coreBwRaw for every CoreBW window, and coreBw() and the partition
+// read the other two by the same core id. A restore refuses vectors that
+// disagree in length, and partition flags other than 0 or 1.
+TEST(CheckedRestore, ObserverCrossChecksTheCoreVectors) {
+  const double two[] = {1e7, 2e7};
+  const double one[] = {1e7};
+  const std::int64_t flags[] = {1, 0};
+  const std::int64_t threeFlags[] = {1, 0, 0};
+  const std::int64_t badFlag[] = {2, 0};
+  const auto restores = [](const ObserverConfig& config,
+                           const std::string& bytes) {
+    Observer observer{config};
+    ckpt::BinReader r{bytes};
+    observer.loadState(r);
+    ckpt::BinWriter again;
+    observer.saveState(again);
+    EXPECT_EQ(again.take(), bytes);
+  };
+  ObserverConfig asymmetric;
+  asymmetric.symmetricMovingMean = false;
+
+  EXPECT_NO_THROW(restores({}, observerCores(two, two, 2, flags)));
+  EXPECT_NO_THROW(restores(asymmetric, observerCores(two, two, 0, flags)));
+  EXPECT_NO_THROW(restores(asymmetric, observerCores(two, two, 2, flags)));
+  struct Case {
+    const char* what;
+    std::string bytes;
+    const char* field;
+  };
+  const Case cases[] = {
+      {"effective shorter than raw", observerCores(two, one, 2, flags),
+       "observer/coreBwEffective"},
+      {"more windows than raw", observerCores(one, one, 2, flags),
+       "observer/coreBwWindowCount"},
+      {"no windows under the symmetric filter",
+       observerCores(two, two, 0, flags), "observer/coreBwWindowCount"},
+      {"partition longer than raw", observerCores(two, two, 2, threeFlags),
+       "observer/highBandwidth"},
+      {"partition flag 2", observerCores(two, two, 2, badFlag),
+       "observer/highBandwidth"},
+      {"negative window count", observerCores(two, two, -1, flags),
+       "observer/coreBwWindowCount"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    Observer observer;
+    ckpt::BinReader r{c.bytes};
+    try {
+      observer.loadState(r);
+      ADD_FAILURE() << "accepted";
+    } catch (const ckpt::CheckpointError& e) {
+      EXPECT_NE(std::string{e.what()}.find(c.field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CheckedRestore, DeciderRejectsOutOfRangeFailureCount) {

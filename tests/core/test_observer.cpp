@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "ckpt/archive.hpp"
-#include "ckpt/state_io.hpp"
+#include "ckpt/fields.hpp"
 
 #include "observation_builder.hpp"
 
@@ -538,7 +538,7 @@ class ReferenceObserver {
       if (st.rate.empty()) continue;
       w.beginSection("rate");
       w.i64("threadId", id);
-      ckpt::save(w, "window", st.rate);
+      ckpt::FieldWriter{w}("window", st.rate);
       w.endSection();
     }
     w.i64("holdCount", holds);
@@ -567,7 +567,7 @@ class ReferenceObserver {
     w.vecF64("coreBwEffective", coreBwEffective_);
     w.i64("coreBwWindowCount", static_cast<std::int64_t>(coreBwWindow_.size()));
     for (const util::MovingMean& mm : coreBwWindow_)
-      ckpt::save(w, "coreBwWindow", mm);
+      ckpt::FieldWriter{w}("coreBwWindow", mm);
     std::vector<std::int64_t> high;
     for (const bool h : high_) high.push_back(h ? 1 : 0);
     w.vecI64("highBandwidth", high);

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "ckpt/archive.hpp"
-#include "ckpt/state_io.hpp"
+#include "ckpt/fields.hpp"
 #include "util/rng.hpp"
 
 namespace dike::util {
@@ -226,7 +226,7 @@ TEST(MovingMeanTest, RunsSplitTheRingOldestFirst) {
   // The checkpoint record is the oldest-first vector, written from the two
   // runs without joining them.
   ckpt::BinWriter fromRuns;
-  ckpt::save(fromRuns, "mm", m);
+  ckpt::FieldWriter{fromRuns}("mm", m);
   ckpt::BinWriter joined;
   joined.beginSection("mm");
   joined.u64("window", 4);
@@ -240,16 +240,16 @@ TEST(MovingMeanTest, WrappedWindowCheckpointRoundTripIsByteIdentical) {
   MovingMean m{4};
   for (int i = 0; i < 7; ++i) m.add(0.1 * static_cast<double>(i * i));
   ckpt::BinWriter w;
-  ckpt::save(w, "mm", m);
+  ckpt::FieldWriter{w}("mm", m);
   const std::string bytes = w.take();
 
   MovingMean restored{4};
   ckpt::BinReader r{bytes};
-  ckpt::load(r, "mm", restored);
+  ckpt::FieldReader{r}("mm", restored);
   EXPECT_EQ(restored.samples(), m.samples());
   EXPECT_EQ(restored.rawSum(), m.rawSum());
   ckpt::BinWriter again;
-  ckpt::save(again, "mm", restored);
+  ckpt::FieldWriter{again}("mm", restored);
   EXPECT_EQ(again.take(), bytes);
 
   // Both continue identically past the restore point.
