@@ -297,7 +297,7 @@ constexpr ScalingPoint kScalingPoints[] = {
 /// Mimics SchedulerAdapter::onQuantum (sample -> view -> decide) while
 /// recording per-quantum decide latency: wall-clocked around onQuantum for
 /// flat schedulers, lastDecideNs() (max-over-clusters per-instance latency)
-/// for the clustered one, whose sample-scatter cost — simulator plumbing
+/// for the clustered one, whose row-routing cost — simulator plumbing
 /// with no deployed counterpart — lands in scatterNs instead.
 class DecideLatencyPolicy final : public dike::sim::QuantumPolicy {
  public:

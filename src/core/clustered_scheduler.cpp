@@ -98,6 +98,30 @@ void addTo(T& acc, T x) noexcept {
   return swaps;
 }
 
+/// The cluster of core `c` when `count` clusters split `cores` cores into
+/// contiguous equal chunks in core-id order.
+[[nodiscard]] int contiguousCluster(int c, int count, int cores) {
+  return static_cast<int>(static_cast<std::int64_t>(c) * count / cores);
+}
+
+/// First core of each of `count` clusters of a contiguous split, plus the
+/// core count at the end. Every cluster has a core (count <= cores).
+[[nodiscard]] std::vector<int> clusterFirsts(
+    const std::vector<int>& clusterOfCore, int count) {
+  std::vector<int> first(static_cast<std::size_t>(count) + 1,
+                         util::isize(clusterOfCore));
+  for (int c = util::isize(clusterOfCore) - 1; c >= 0; --c)
+    first[static_cast<std::size_t>(
+        clusterOfCore[static_cast<std::size_t>(c)])] = c;
+  return first;
+}
+
+/// Cluster k's cores as the range its instance is built with.
+[[nodiscard]] CoreRange clusterRange(const std::vector<int>& first, int k) {
+  const std::size_t kk = static_cast<std::size_t>(k);
+  return CoreRange{first[kk], first[kk + 1] - first[kk], first.back()};
+}
+
 }  // namespace
 
 ClusteredDikeScheduler::ClusteredDikeScheduler(DikeConfig config)
@@ -145,20 +169,20 @@ DikeConfig ClusteredDikeScheduler::clusterConfig() const {
 void ClusteredDikeScheduler::resolveGeometry(int coreCount) {
   clusterCount_ = std::min(config_.cluster.clusters, coreCount);
   clusterOfCore_.resize(static_cast<std::size_t>(coreCount));
-  for (int c = 0; c < coreCount; ++c) {
-    // Contiguous equal chunks in core-id order. Core ids are socket-major
-    // (sim/topology numbers socket 0's cores first), so whenever K divides
-    // the socket count every cluster is a whole group of sockets.
-    clusterOfCore_[static_cast<std::size_t>(c)] = static_cast<int>(
-        static_cast<std::int64_t>(c) * clusterCount_ / coreCount);
-  }
+  // Contiguous equal chunks in core-id order. Core ids are socket-major
+  // (sim/topology numbers socket 0's cores first), so whenever K divides
+  // the socket count every cluster is a whole group of sockets.
+  for (int c = 0; c < coreCount; ++c)
+    clusterOfCore_[static_cast<std::size_t>(c)] =
+        contiguousCluster(c, clusterCount_, coreCount);
+  clusterFirst_ = clusterFirsts(clusterOfCore_, clusterCount_);
   clusters_.clear();
   clusters_.reserve(static_cast<std::size_t>(clusterCount_));
   for (int k = 0; k < clusterCount_; ++k)
-    clusters_.push_back(std::make_unique<DikeScheduler>(clusterConfig()));
+    clusters_.push_back(std::make_unique<DikeScheduler>(
+        clusterConfig(), clusterRange(clusterFirst_, k)));
   indexObservers();
-  clusterSamples_.resize(static_cast<std::size_t>(clusterCount_));
-  indexClusterCores(coreCount);
+  clusterRows_.resize(static_cast<std::size_t>(clusterCount_));
 }
 
 void ClusteredDikeScheduler::indexObservers() {
@@ -166,56 +190,36 @@ void ClusteredDikeScheduler::indexObservers() {
   for (const auto& sub : clusters_) observers_.push_back(&sub->observer());
 }
 
-void ClusteredDikeScheduler::indexClusterCores(int coreCount) {
-  // A restored geometry names machine core ids: on a machine of another
-  // size it would index past (or fall short of) the cores, so refuse it.
-  if (util::isize(clusterOfCore_) != coreCount)
-    throw ckpt::CheckpointError{
-        "clustered checkpoint: clusterOfCore covers " +
-        std::to_string(clusterOfCore_.size()) +
-        " cores but this machine has " + std::to_string(coreCount)};
-  clusterCores_.assign(static_cast<std::size_t>(clusterCount_), {});
-  for (int c = 0; c < coreCount; ++c)
-    clusterCores_[static_cast<std::size_t>(
-                      clusterOfCore_[static_cast<std::size_t>(c)])]
-        .push_back(c);
-}
-
-void ClusteredDikeScheduler::scatterSample(const sched::SchedulerView& view) {
-  const sim::QuantumSample& sample = view.sample();
-  for (std::size_t k = 0; k < clusterSamples_.size(); ++k) {
-    sim::QuantumSample& s = clusterSamples_[k];
-    s.periodTicks = sample.periodTicks;
-    s.threads.clear();
-    // Full-size bandwidth vector indexed by global core id. Only the
-    // cluster's own entries are ever written, so the foreign ones keep the
-    // zero they were sized with — and the cluster observer never reads
-    // them.
-    if (s.coreAchievedBw.size() != sample.coreAchievedBw.size())
-      s.coreAchievedBw.assign(sample.coreAchievedBw.size(), 0.0);
-    for (const int c : clusterCores_[k])
-      s.coreAchievedBw[static_cast<std::size_t>(c)] =
-          sample.coreAchievedBw[static_cast<std::size_t>(c)];
-  }
-  for (const sim::ThreadSample& t : sample.threads) {
+void ClusteredDikeScheduler::routeRows(const sim::QuantumSample& sample) {
+  for (std::vector<int>& rows : clusterRows_) rows.clear();
+  const int n = util::isize(sample.threads);
+  for (int i = 0; i < n; ++i) {
     // Rows without a core (finished threads) are invisible to every
     // observer regardless of routing; drop them instead of guessing.
-    if (t.coreId < 0) continue;
-    const int k = clusterOfCore_[static_cast<std::size_t>(t.coreId)];
-    clusterSamples_[static_cast<std::size_t>(k)].threads.push_back(t);
+    const int core = sample.threads[static_cast<std::size_t>(i)].coreId;
+    if (core < 0) continue;
+    clusterRows_[static_cast<std::size_t>(
+                     clusterOfCore_[static_cast<std::size_t>(core)])]
+        .push_back(i);
   }
 }
 
 void ClusteredDikeScheduler::onQuantum(sched::SchedulerView& view) {
   DIKE_SCOPE_TIMER("core.dike.clustered_quantum");
-  if (clusters_.empty())
+  if (clusters_.empty()) {
     resolveGeometry(view.coreCount());
-  else if (clusterCores_.empty())
-    indexClusterCores(view.coreCount());  // first quantum after a restore
+  } else if (util::isize(clusterOfCore_) != view.coreCount()) {
+    // A restored geometry names machine core ids: on a machine of another
+    // size it would index past (or fall short of) the cores, so refuse it.
+    throw ckpt::CheckpointError{
+        "clustered checkpoint: clusterOfCore covers " +
+        std::to_string(clusterOfCore_.size()) +
+        " cores but this machine has " + std::to_string(view.coreCount())};
+  }
 
-  const auto scatterStart = Clock::now();
-  scatterSample(view);
-  lastScatterNs_ = nsSince(scatterStart);
+  const auto routeStart = Clock::now();
+  routeRows(view.sample());
+  lastScatterNs_ = nsSince(routeStart);
 
   const auto decideStart = Clock::now();
 
@@ -227,17 +231,17 @@ void ClusteredDikeScheduler::onQuantum(sched::SchedulerView& view) {
     DikeScheduler& sub = *clusters_[static_cast<std::size_t>(k)];
     sub.setFaultsActiveHint(faultsActive_);
     sub.setDecisionTrace(decisionTrace_);
-    childViews_.emplace_back(view, clusterSamples_[static_cast<std::size_t>(k)],
-                             clusterOfCore_, k,
-                             clusterCores_[static_cast<std::size_t>(k)]);
+    childViews_.emplace_back(view, clusterRows_[static_cast<std::size_t>(k)],
+                             clusterFirst_[static_cast<std::size_t>(k)],
+                             clusterFirst_[static_cast<std::size_t>(k) + 1]);
   }
   planNs_.assign(static_cast<std::size_t>(clusterCount_), 0);
   commitNs_.assign(static_cast<std::size_t>(clusterCount_), 0);
 
   // Plan phase: every cluster observes/predicts/selects over its own state
   // and a read-only view. The instances are independent by construction
-  // (cluster-local samples, actuations never cross cluster lines, foreign
-  // cores read as a sentinel), so the shared pool may run plans
+  // (cluster-local rows and cores, actuations never cross cluster lines,
+  // foreign cores read as a sentinel), so the shared pool may run plans
   // concurrently — and decideJobs=1 runs the *same* plan-all-then-
   // commit-all sequence inline, which is what keeps every jobs value
   // byte-identical.
@@ -339,9 +343,9 @@ void ClusteredDikeScheduler::rebalance(sched::SchedulerView& view) {
             });
 
   int moved = 0;
-  const std::vector<int>& recipientCores =
-      clusterCores_[static_cast<std::size_t>(best)];
-  std::size_t freeScan = 0;  // resume point into the recipient's cores
+  // Resume point into the recipient's cores.
+  int freeScan = clusterFirst_[static_cast<std::size_t>(best)];
+  const int recipientEnd = clusterFirst_[static_cast<std::size_t>(best) + 1];
   std::size_t surplusIdx = 0;
   const std::vector<ThreadInfo>& recipientThreads =
       recipient.threadsByAccessRate();
@@ -357,9 +361,9 @@ void ClusteredDikeScheduler::rebalance(sched::SchedulerView& view) {
     if (moved >= config_.cluster.rebalanceBudget) break;
     // Free core in the recipient cluster?
     int dest = -1;
-    for (; freeScan < recipientCores.size(); ++freeScan) {
-      if (view.coreOccupant(recipientCores[freeScan]) == -1) {
-        dest = recipientCores[freeScan++];
+    for (; freeScan < recipientEnd; ++freeScan) {
+      if (view.coreOccupant(freeScan) == -1) {
+        dest = freeScan++;
         break;
       }
     }
@@ -488,32 +492,43 @@ void ClusteredDikeScheduler::saveExtraState(ckpt::BinWriter& w) const {
   }
 }
 
-void ClusteredDikeScheduler::loadExtraState(ckpt::BinReader& r) {
+void ClusteredDikeScheduler::loadExtraState(ckpt::BinReader& r,
+                                            int threadCount) {
   DikeHeader header;
   ckpt::readFields(r, header, kDikeHeaderFields);
-  expectConstructedComponents(r, config_);
+  expectConstructedComponents(r, config_, threadCount);
   Geometry g;
   ckpt::readFields(r, g, kGeometryFields);
-  // resolveGeometry gives every cluster at least one core.
+  // The geometry is what resolveGeometry writes — min(configured, cores)
+  // clusters over the contiguous split — or, before the first quantum,
+  // none at all.
   const int count = g.clusterCount;
-  if (count < 0 || std::cmp_greater(count, g.clusterOfCore.size()) ||
-      (count == 0 && !g.clusterOfCore.empty()))
+  const int cores = util::isize(g.clusterOfCore);
+  if (count != (cores == 0 ? 0 : std::min(config_.cluster.clusters, cores)))
     throw ckpt::CheckpointError{
-        "clustered checkpoint: inconsistent cluster geometry"};
-  for (const int k : g.clusterOfCore)
-    if (k < 0 || k >= std::max(count, 1))
+        "clustered checkpoint: " + std::to_string(count) +
+        " clusters over " + std::to_string(cores) +
+        " cores is not this configuration's cluster geometry"};
+  for (int c = 0; c < cores; ++c) {
+    const int k = g.clusterOfCore[static_cast<std::size_t>(c)];
+    if (k != contiguousCluster(c, count, cores))
       throw ckpt::CheckpointError{
-          "clustered checkpoint: clusterOfCore entry out of range"};
+          "clustered checkpoint: clusterOfCore[" + std::to_string(c) +
+          "] is " + std::to_string(k) + ", not the contiguous split's " +
+          std::to_string(contiguousCluster(c, count, cores))};
+  }
+  std::vector<int> firsts = clusterFirsts(g.clusterOfCore, count);
 
-  // Rebuild the per-cluster instances from the serialized geometry and
-  // restore each one into scratch, so a failure anywhere below leaves this
-  // object untouched.
+  // Rebuild the per-cluster instances over their ranges and restore each
+  // one into scratch, so a failure anywhere below leaves this object
+  // untouched.
   Clusters clusters;
   clusters.reserve(static_cast<std::size_t>(count));
   for (int k = 0; k < count; ++k) {
-    clusters.push_back(std::make_unique<DikeScheduler>(clusterConfig()));
+    clusters.push_back(std::make_unique<DikeScheduler>(
+        clusterConfig(), clusterRange(firsts, k)));
     r.beginSection("cluster" + std::to_string(k));
-    clusters.back()->loadState(r);
+    clusters.back()->loadState(r, threadCount);
     r.endSection();
   }
 
@@ -541,15 +556,13 @@ void ClusteredDikeScheduler::loadExtraState(ckpt::BinReader& r) {
   faultsActive_ = header.faultsActive;
   clusterCount_ = count;
   clusterOfCore_ = std::move(g.clusterOfCore);
+  clusterFirst_ = std::move(firsts);
   quantaSinceRebalance_ = g.quantaSinceRebalance;
   imbalanceStreak_ = g.imbalanceStreak;
   rebalanceMoves_ = g.rebalanceMoves;
   clusters_ = std::move(clusters);
   indexObservers();
-  clusterSamples_.assign(static_cast<std::size_t>(count), {});
-  // Derived from clusterOfCore_ on the first post-restore quantum, once
-  // the machine is known to match it (indexClusterCores).
-  clusterCores_.clear();
+  clusterRows_.assign(static_cast<std::size_t>(count), {});
 }
 
 }  // namespace dike::core

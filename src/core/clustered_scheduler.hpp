@@ -10,13 +10,13 @@
 // rebalancer on top that migrates whole threads between clusters only on
 // *sustained* fairness imbalance. Each instance's per-quantum work —
 // observe, select, predict, decide — is O((n/K) log(n/K)) in its own n/K
-// threads and C/K cores: the child view hands it the cluster's ascending
-// core list, so no per-instance loop walks the machine's C cores, and its
-// per-thread state lives in slots found by thread id. The parent's
-// per-quantum scatter is O(n + C) for all clusters together. Per-core
-// vectors stay machine-sized (indexed by core id; foreign entries are never
-// touched after sizing), so each instance's memory is O(C) words plus
-// O(n/K) thread slots.
+// threads and C/K cores: the child view hands it the cluster's core range
+// and the indices of its rows in the machine's sample, so no per-instance
+// loop walks the machine's C cores or n rows, and no row is copied. The
+// parent's per-quantum row routing is one O(n) pass for all clusters
+// together. Each instance's per-core state is indexed locally over its own
+// range, so its memory is O(C/K) words plus O(n/K) thread slots (the dense
+// thread-id maps of its Observer and tracker aside).
 //
 // This object owns the K DikeScheduler instances and has no pipeline of its
 // own: everything it reports through DikePolicy is computed from them.
@@ -97,11 +97,13 @@ class ClusteredDikeScheduler final : public DikePolicy {
   /// rebalancer. Clusters are independent — deployed, each instance runs on
   /// its own socket — so the slowest instance is the quantum's decide
   /// latency; this process executes them serially only because it is a
-  /// simulation. The sample-scatter cost (simulator plumbing with no
-  /// deployed counterpart) is reported separately via lastScatterNs().
+  /// simulation. The row-routing cost (simulator plumbing with no deployed
+  /// counterpart) is reported separately via lastScatterNs().
   [[nodiscard]] std::int64_t lastDecideNs() const noexcept {
     return lastDecideNs_;
   }
+  /// Wall time of the last quantum's row routing, in nanoseconds (named
+  /// "scatter" in the benchmark files, which keep their field names).
   [[nodiscard]] std::int64_t lastScatterNs() const noexcept {
     return lastScatterNs_;
   }
@@ -111,7 +113,7 @@ class ClusteredDikeScheduler final : public DikePolicy {
   }
   /// Wall-clock decide time of the last quantum, in nanoseconds: cluster
   /// plans (concurrent when decideJobs > 1) + serial commits + rebalance,
-  /// excluding the sample scatter. This is the parallel critical path the
+  /// excluding the row routing. This is the parallel critical path the
   /// live plane's decide-latency record reports, unlike the *modeled*
   /// per-instance latency of lastDecideNs().
   [[nodiscard]] std::int64_t lastDecideWallNs() const noexcept {
@@ -129,7 +131,7 @@ class ClusteredDikeScheduler final : public DikePolicy {
 
  private:
   void saveExtraState(ckpt::BinWriter& w) const override;
-  void loadExtraState(ckpt::BinReader& r) override;
+  void loadExtraState(ckpt::BinReader& r, int threadCount) override;
 
   /// White-box seam for the rebalance-cadence regression tests (the
   /// warmup early-return is unreachable through onQuantum, which always
@@ -138,11 +140,9 @@ class ClusteredDikeScheduler final : public DikePolicy {
 
   [[nodiscard]] DikeConfig clusterConfig() const;
   void resolveGeometry(int coreCount);
-  /// Derive clusterCores_ from clusterOfCore_, which must cover exactly
-  /// `coreCount` cores (throws ckpt::CheckpointError otherwise — a restored
-  /// geometry from another machine).
-  void indexClusterCores(int coreCount);
-  void scatterSample(const sched::SchedulerView& view);
+  /// List each sample row's index under its core's cluster, in sample
+  /// order; rows without a core (finished threads) go nowhere.
+  void routeRows(const sim::QuantumSample& sample);
   void rebalance(sched::SchedulerView& view);
   /// Rebuild observers_ from clusters_.
   void indexObservers();
@@ -155,17 +155,19 @@ class ClusteredDikeScheduler final : public DikePolicy {
   telemetry::DecisionTrace* decisionTrace_ = nullptr;
 
   int clusterCount_ = 0;  ///< resolved (min(configured, cores)); 0 = not yet
+  /// Cluster of each machine core: the contiguous split c * K / C.
   std::vector<int> clusterOfCore_;
-  /// Ascending core ids of each cluster (derived from clusterOfCore_; not
-  /// serialized). Child views and the rebalancer walk these instead of the
-  /// machine's cores. Empty after a restore until the first quantum.
-  std::vector<std::vector<int>> clusterCores_;
+  /// First core of each cluster, plus the machine's core count at the end
+  /// (derived from clusterOfCore_; not serialized). Child views and the
+  /// rebalancer walk these ranges instead of the machine's cores.
+  std::vector<int> clusterFirst_;
   std::vector<std::unique_ptr<DikeScheduler>> clusters_;
   /// clusters_[k]->observer() for each k, so coreObservers() can hand out
   /// a span (not serialized).
   std::vector<const Observer*> observers_;
-  /// Per-cluster sample buffers; capacity persists across quanta.
-  std::vector<sim::QuantumSample> clusterSamples_;
+  /// This quantum's rows of each cluster, as indices into the machine's
+  /// sample; capacity persists across quanta.
+  std::vector<std::vector<int>> clusterRows_;
   /// Cluster-scoped child views of the current quantum's parent view.
   /// Rebuilt (and cleared — they hold a pointer to the parent) every
   /// quantum; a vector only so plan and commit share one set of views.

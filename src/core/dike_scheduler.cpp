@@ -49,14 +49,14 @@ void saveConstructedComponents(ckpt::BinWriter& w, const DikeConfig& config) {
   constructedTracker(config).saveState(w);
 }
 
-void expectConstructedComponents(ckpt::BinReader& r,
-                                 const DikeConfig& config) {
+void expectConstructedComponents(ckpt::BinReader& r, const DikeConfig& config,
+                                 int threadCount) {
   Observer observer{config.observer};
-  observer.loadState(r);
+  observer.loadState(r, threadCount);
   Decider decider{deciderConfigOf(config)};
   decider.loadState(r);
   PredictionTracker tracker;
-  tracker.loadState(r);
+  tracker.loadState(r, threadCount);
   ckpt::BinWriter found;
   observer.saveState(found);
   decider.saveState(found);
@@ -70,10 +70,11 @@ void expectConstructedComponents(ckpt::BinReader& r,
         "(" + *diff + ")"};
 }
 
-DikeScheduler::DikeScheduler(DikeConfig config)
+DikeScheduler::DikeScheduler(DikeConfig config, CoreRange cores)
     : config_(config),
+      cores_(cores),
       params_(config.params),
-      observer_(config.observer),
+      observer_(config.observer, cores),
       selector_(SelectorConfig{config.fairnessThreshold,
                                config.rotateWhenNoViolator,
                                config.pairRateMargin}),
@@ -133,7 +134,7 @@ void DikeScheduler::planQuantum(sched::SchedulerView& view) {
   // the rates just measured.
   {
     DIKE_SCOPE_TIMER("core.tracker.score");
-    tracker_.scoreQuantum(view.sample(), view.now());
+    tracker_.scoreQuantum(view.rows(), view.now());
   }
   if (live) {
     for (const ScoredPrediction& scored : tracker_.lastScored()) {
@@ -514,17 +515,17 @@ void DikeScheduler::saveExtraState(ckpt::BinWriter& w) const {
   tracker_.saveState(w);
 }
 
-void DikeScheduler::loadExtraState(ckpt::BinReader& r) {
+void DikeScheduler::loadExtraState(ckpt::BinReader& r, int threadCount) {
   DikeHeader header;
   ckpt::readFields(r, header, kDikeHeaderFields);
   // The components restore into scratch copies first, so a schema failure
   // deep in one of them leaves this scheduler untouched.
-  Observer observer{config_.observer};
-  observer.loadState(r);
+  Observer observer{config_.observer, cores_};
+  observer.loadState(r, threadCount);
   Decider decider{decider_.config()};
   decider.loadState(r);
   PredictionTracker tracker = constructedTracker(config_);
-  tracker.loadState(r);
+  tracker.loadState(r, threadCount);
 
   params_ = header.params;
   quantumIndex_ = header.quantumIndex;

@@ -65,14 +65,18 @@ void validateDikeConfig(const DikeConfig& config);
 /// Write the Observer, Decider and PredictionTracker records of a pipeline
 /// built from `config` that has not run a quantum.
 void saveConstructedComponents(ckpt::BinWriter& w, const DikeConfig& config);
-/// Read the three component records and throw ckpt::CheckpointError,
-/// naming the first differing field, unless they are exactly what
-/// saveConstructedComponents writes for `config`.
-void expectConstructedComponents(ckpt::BinReader& r, const DikeConfig& config);
+/// Read the three component records (thread ids bounded by `threadCount`)
+/// and throw ckpt::CheckpointError, naming the first differing field,
+/// unless they are exactly what saveConstructedComponents writes for
+/// `config`.
+void expectConstructedComponents(ckpt::BinReader& r, const DikeConfig& config,
+                                 int threadCount);
 
 class DikeScheduler final : public DikePolicy {
  public:
-  explicit DikeScheduler(DikeConfig config = {});
+  /// `cores` is the range the pipeline schedules: a cluster's, or (left
+  /// open) the whole machine of the first quantum or restore.
+  explicit DikeScheduler(DikeConfig config = {}, CoreRange cores = {});
 
   [[nodiscard]] std::string_view name() const override;
   [[nodiscard]] util::Tick quantumTicks() const override;
@@ -147,7 +151,7 @@ class DikeScheduler final : public DikePolicy {
 
  private:
   void saveExtraState(ckpt::BinWriter& w) const override;
-  void loadExtraState(ckpt::BinReader& r) override;
+  void loadExtraState(ckpt::BinReader& r, int threadCount) override;
 
   void migrateToFreeCores(sched::SchedulerView& view,
                           telemetry::DecisionRecord* record,
@@ -164,6 +168,7 @@ class DikeScheduler final : public DikePolicy {
   [[nodiscard]] double observedRate(int threadId) const noexcept;
 
   DikeConfig config_;
+  CoreRange cores_;  ///< the Observer's range as constructed (for restores)
   DikeParams params_;
   Observer observer_;
   Selector selector_;

@@ -1,11 +1,13 @@
 #include "core/observer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -25,48 +27,37 @@ std::string_view toString(WorkloadType type) noexcept {
 }
 
 void makeObservationInto(const sched::SchedulerView& view, Observation& out) {
-  const std::span<const int> domain = view.clusterCores();
-  const int cores = view.coreCount();
-  const std::size_t n = static_cast<std::size_t>(cores);
-  out.sample = &view.sample();
-  // The per-core vectors are machine-sized and indexed by global core id.
-  // Entries outside the view's domain never change, and neither does the
-  // socket map, so they are written only when the shape changes; every
-  // quantum then refreshes just the domain's occupants.
-  if (out.coreOccupant.size() != n ||
-      !std::equal(out.cores.begin(), out.cores.end(), domain.begin(),
-                  domain.end())) {
-    out.cores.assign(domain.begin(), domain.end());
-    out.coreOccupant.assign(n, sched::SchedulerView::kForeignCore);
-    out.coreSocket.resize(n);
-    for (int c = 0; c < cores; ++c)
-      out.coreSocket[static_cast<std::size_t>(c)] = view.socketOf(c);
+  const int first = view.firstCore();
+  const int count = view.endCore() - first;
+  out.rows = view.rows();
+  // The socket map never changes for a range, so it is written only when
+  // the range does; every quantum then refreshes just the occupants.
+  if (out.firstCore != first || util::isize(out.coreOccupant) != count) {
+    out.firstCore = first;
+    out.coreOccupant.resize(static_cast<std::size_t>(count));
+    out.coreSocket.resize(static_cast<std::size_t>(count));
+    for (int i = 0; i < count; ++i)
+      out.coreSocket[static_cast<std::size_t>(i)] = view.socketOf(first + i);
   }
-  view.forEachCore([&](int c) {
-    out.coreOccupant[static_cast<std::size_t>(c)] = view.coreOccupant(c);
-  });
+  for (int i = 0; i < count; ++i)
+    out.coreOccupant[static_cast<std::size_t>(i)] =
+        view.coreOccupant(first + i);
 }
 
-Observer::Observer(ObserverConfig config) : config_(config) {
+Observer::Observer(ObserverConfig config, CoreRange cores)
+    : config_(config), range_(cores), rangeFixed_(cores.count > 0) {
   // The windows' rings live in flat arrays of window-sized runs; an empty
   // window has no slot to hold a sample.
   if (config_.threadRateWindow == 0 ||
       (config_.symmetricMovingMean && config_.movingMeanWindow == 0))
     throw std::invalid_argument{"MovingMean window must be > 0"};
+  if (range_.count < 0 || range_.first < 0 ||
+      range_.first + range_.count > range_.machineCores)
+    throw std::invalid_argument{"observer core range lies outside its machine"};
 }
 
 void Observer::observe(const Observation& obs) {
-  // Per-core estimates are indexed by core id. They are sized by the first
-  // observation and grow if a wider one arrives (new cores start
-  // unexercised), so no covered core is ever indexed past them.
-  const std::size_t cores = obs.coreOccupant.size();
-  if (coreBwRaw_.size() < cores) coreBwRaw_.resize(cores, 0.0);
-  if (coreBwEffective_.size() < cores) coreBwEffective_.resize(cores, 0.0);
-  if (highBandwidth_.size() < cores) highBandwidth_.resize(cores, 0);
-  if (config_.symmetricMovingMean && coreBwWindow_.size() < cores) {
-    coreBwWindow_.resize(cores);
-    coreBwRingOf_.resize(cores, -1);
-  }
+  coverCores(obs);
 
   // A new generation lists no thread yet. On the (once per 2^32 quanta)
   // wrap, clear every stamp so no slot reads as listed by accident.
@@ -75,23 +66,49 @@ void Observer::observe(const Observation& obs) {
     for (ProcessSlot& process : processes_) process.seen = 0;
     generation_ = 1;
   }
-  const std::vector<int>& domain = domainOf(obs);
-  ingestRows(*obs.sample);
+  ingestRows(obs.rows);
   rankThreads();
-  updateCores(obs, domain);
+  updateCores(obs);
   computeUnfairness();
   classifyWorkload();
   ++observedQuanta_;
 }
 
-const std::vector<int>& Observer::domainOf(const Observation& obs) {
-  if (!obs.cores.empty()) return obs.cores;
-  domainScratch_.clear();
-  for (int c = 0; c < util::isize(obs.coreOccupant); ++c)
-    if (obs.coreOccupant[static_cast<std::size_t>(c)] >
-        sched::SchedulerView::kForeignCore)
-      domainScratch_.push_back(c);
-  return domainScratch_;
+void Observer::coverCores(const Observation& obs) {
+  const int count = util::isize(obs.coreOccupant);
+  if (util::isize(obs.coreSocket) != count)
+    throw std::invalid_argument{"observation's socket map is not per core"};
+  if (rangeFixed_) {
+    if (obs.firstCore != range_.first || count != range_.count)
+      throw std::invalid_argument{
+          "observation covers cores from " + std::to_string(obs.firstCore) +
+          ", " + std::to_string(count) + " of them, not this observer's range"};
+  } else {
+    // An open range is the whole machine: it starts at core 0, a wider
+    // observation grows it (new cores start unexercised), and a narrower
+    // one leaves the cores it does not cover untouched.
+    if (obs.firstCore != 0)
+      throw std::invalid_argument{
+          "an observer without a fixed core range observes whole machines"};
+    range_.count = std::max(range_.count, count);
+    range_.machineCores = range_.count;
+  }
+  const std::size_t n = static_cast<std::size_t>(range_.count);
+  if (coreBwRaw_.size() < n) coreBwRaw_.resize(n, 0.0);
+  if (coreBwEffective_.size() < n) coreBwEffective_.resize(n, 0.0);
+  if (highBandwidth_.size() < n) highBandwidth_.resize(n, 0);
+  if (config_.symmetricMovingMean && coreBwWindow_.size() < n) {
+    coreBwWindow_.resize(n);
+    coreBwRingOf_.resize(n, -1);
+  }
+}
+
+int Observer::localCore(int coreId) const {
+  if (coreId < 0 || coreId >= range_.machineCores)
+    throw std::out_of_range{"core " + std::to_string(coreId) +
+                            " lies outside the observed machine"};
+  const int i = coreId - range_.first;
+  return i >= 0 && i < util::isize(coreBwEffective_) ? i : -1;
 }
 
 int Observer::slotIndex(int threadId) const noexcept {
@@ -165,7 +182,7 @@ bool Observer::substitute(const sim::ThreadSample& raw, ThreadSlot& slot,
   return true;
 }
 
-void Observer::ingestRows(const sim::QuantumSample& sample) {
+void Observer::ingestRows(const sched::SampleRows& rows) {
   rows_.clear();
   rowSlots_.clear();
   keys_.clear();
@@ -178,11 +195,12 @@ void Observer::ingestRows(const sim::QuantumSample& sample) {
   // Guard zero-length quanta (adaptive policies can in principle sample
   // back-to-back): no time passed, so rates are undefined — skip the
   // cumulative-rate accrual rather than divide by zero.
+  const util::Tick periodTicks = rows.sample().periodTicks;
   const double periodSec =
-      sample.periodTicks > 0
-          ? static_cast<double>(sample.periodTicks) * util::kTickSeconds
-          : 0.0;
-  for (const sim::ThreadSample& s : sample.threads) {
+      periodTicks > 0 ? static_cast<double>(periodTicks) * util::kTickSeconds
+                      : 0.0;
+  for (std::size_t row = 0; row < rows.size(); ++row) {
+    const sim::ThreadSample& s = rows[row];
     // Rows without a core (finished) or without a valid id are unobserved.
     if (s.finished || s.coreId < 0 || s.threadId < 0) continue;
     ThreadInfo info;
@@ -346,13 +364,14 @@ const ThreadInfo* Observer::findThread(int threadId) const noexcept {
              : nullptr;
 }
 
-void Observer::updateCores(const Observation& obs,
-                           const std::vector<int>& cores) {
-  const std::vector<double>& achievedBw = obs.sample->coreAchievedBw;
+void Observer::updateCores(const Observation& obs) {
+  const std::vector<double>& achievedBw = obs.rows.sample().coreAchievedBw;
+  const std::size_t first = static_cast<std::size_t>(obs.firstCore);
+  const std::size_t cores = obs.coreOccupant.size();
   // Pass 1. Per-core filter: rise immediately to demonstrated bandwidth,
   // decay slowly when the core hosts an undemanding thread. Only covered
-  // cores are visited: a cluster-scoped observation's foreign cores belong
-  // to another cluster's observer, so their estimates here stay at zero.
+  // cores exist here: another cluster's cores belong to that cluster's
+  // observer.
   //
   // Socket blending's maxima accumulate in the same pass: a core can
   // deliver at least `socketShare` of what the best core on its
@@ -362,9 +381,8 @@ void Observer::updateCores(const Observation& obs,
   // schedule.
   std::vector<double>& socketCap = socketCapScratch_;
   std::fill(socketCap.begin(), socketCap.end(), 0.0);
-  for (const int core : cores) {
-    const std::size_t c = static_cast<std::size_t>(core);
-    const double achieved = achievedBw[c];
+  for (std::size_t c = 0; c < cores; ++c) {
+    const double achieved = achievedBw[first + c];
     // An idle core keeps its last estimate.
     if (obs.coreOccupant[c] >= 0 || achieved > 0.0) {
       if (config_.symmetricMovingMean) {
@@ -384,24 +402,23 @@ void Observer::updateCores(const Observation& obs,
 
   // Pass 2: blend, then rank every covered core with a bandwidth estimate
   // (occupied now, or exercised earlier — a freed fast core keeps its
-  // capability); the top half is "high bandwidth". Uncovered cores are
-  // never ranked and stay false.
+  // capability); the top half is "high bandwidth".
   std::vector<CoreRank>& known = knownScratch_;
   known.clear();
-  for (const int core : cores) {
-    const std::size_t c = static_cast<std::size_t>(core);
+  for (std::size_t c = 0; c < cores; ++c) {
     const double blended =
         config_.socketShare *
         socketCap[static_cast<std::size_t>(obs.coreSocket[c])];
     coreBwEffective_[c] = std::max(coreBwRaw_[c], blended);
     highBandwidth_[c] = 0;
     if (obs.coreOccupant[c] >= 0 || coreBwEffective_[c] > 0.0)
-      known.push_back(CoreRank{coreBwEffective_[c], core});
+      known.push_back(CoreRank{coreBwEffective_[c], static_cast<int>(c)});
   }
 
   if (known.empty()) return;
   // Bandwidth, then core id, is a strict total order, so the top half is
-  // one set however the selection reaches it: no full sort is needed.
+  // one set however the selection reaches it: no full sort is needed. The
+  // local index orders like the core id it stands for.
   const std::size_t highCount = (known.size() + 1) / 2;
   std::nth_element(
       known.begin(),
@@ -483,11 +500,13 @@ void Observer::resetClosedLoopState() {
 }
 
 double Observer::coreBw(int coreId) const {
-  return coreBwEffective_.at(static_cast<std::size_t>(coreId));
+  const int c = localCore(coreId);
+  return c < 0 ? 0.0 : coreBwEffective_[static_cast<std::size_t>(c)];
 }
 
 bool Observer::isHighBandwidthCore(int coreId) const {
-  return highBandwidth_.at(static_cast<std::size_t>(coreId)) != 0;
+  const int c = localCore(coreId);
+  return c >= 0 && highBandwidth_[static_cast<std::size_t>(c)] != 0;
 }
 
 namespace {
@@ -505,15 +524,39 @@ constexpr auto kThreadInfoFields = [](auto& t, auto&& field) {
   field("staleAge", t.staleAge);
 };
 
+/// True for a saved zero: +0.0 for a double (the only zero a save writes).
+template <class T>
+[[nodiscard]] bool isSavedZero(T v) noexcept {
+  if constexpr (std::is_same_v<T, double>)
+    return std::bit_cast<std::uint64_t>(v) == 0;
+  else
+    return v == T{};
+}
+
+/// "for core C, outside this observer's cores F-L"
+[[nodiscard]] std::string foreignCore(std::size_t core, const CoreRange& r) {
+  return "for core " + std::to_string(core) +
+         ", outside this observer's cores " + std::to_string(r.first) + "-" +
+         std::to_string(r.first + r.count - 1);
+}
+
 }  // namespace
 
 template <class Self, class Field>
-void Observer::stateFields(Self& s, Field&& field) {
+void Observer::stateFields(Self& s, Field&& field, int threadCount) {
   // Slots in ascending thread-id order, not creation order: the bytes
   // depend only on the state, never on the order threads were first seen.
-  const auto slots = [&s](auto has, auto mark) {
+  // A restored id is checked against the run's thread count before its
+  // slot (and the dense id map) is created.
+  const auto slots = [&s, &field, threadCount](std::string_view idName,
+                                               auto has, auto mark) {
     return ckpt::slotTable(
-        s.slots_, s.slotOfThread_, [&s](auto id) { return s.slotFor(id); },
+        s.slots_, s.slotOfThread_,
+        [&s, &field, threadCount, idName](auto id) {
+          field.require(id < threadCount, idName,
+                        "names a thread the run does not have");
+          return s.slotFor(id);
+        },
         has, mark);
   };
   field.section("observer", [&] {
@@ -524,11 +567,16 @@ void Observer::stateFields(Self& s, Field&& field) {
     field("workloadType", s.type_);
     field("memCount", s.memCount_);
     field("compCount", s.compCount_);
-    field.records("threadInfoCount", "info", s.threads_, kThreadInfoFields);
+    field.records("threadInfoCount", "info", s.threads_,
+                  [threadCount](auto& t, auto&& f) {
+                    kThreadInfoFields(t, f);
+                    f.require(t.threadId < threadCount, "threadId",
+                              "names a thread the run does not have");
+                  });
 
     field.keyedRecords(
         "threadRateCount", "rate", "threadId",
-        slots([](const ThreadSlot& t) { return !t.rate.empty(); },
+        slots("threadId", [](const ThreadSlot& t) { return !t.rate.empty(); },
               [](auto&) {}),
         [&s](int id, auto& slot, auto&& f) {
           const int k = s.slotIndex(id);
@@ -537,7 +585,7 @@ void Observer::stateFields(Self& s, Field&& field) {
         });
     field.keyedRecords(
         "holdCount", "hold", "threadId",
-        slots([](const ThreadSlot& t) { return t.hasHold; },
+        slots("threadId", [](const ThreadSlot& t) { return t.hasHold; },
               [](auto& t) { t.hasHold = true; }),
         [](int, auto& slot, auto&& f) {
           f("accessRate", slot.hold.accessRate);
@@ -545,48 +593,111 @@ void Observer::stateFields(Self& s, Field&& field) {
           f("age", slot.hold.age);
         });
     field.keyed("cumThreadIds",
-                slots([](const ThreadSlot& t) { return t.hasCum; },
+                slots("cumThreadIds",
+                      [](const ThreadSlot& t) { return t.hasCum; },
                       [](auto& t) { t.hasCum = true; }),
                 [](auto& slot, auto&& column) {
                   column("cumAccesses", slot.cumAccesses);
                   column("cumSeconds", slot.cumSeconds);
                 });
-
-    field("coreBwRaw", s.coreBwRaw_);
-    field("coreBwEffective", s.coreBwEffective_);
-    // One window record per core; a never-fed core has no ring and saves
-    // an empty window, and restores without allocating one.
-    const std::size_t windows =
-        field.count("coreBwWindowCount", s.coreBwWindow_.size());
-    for (std::size_t c = 0; c < windows; ++c) {
-      if constexpr (ckpt::kLoading<Field>) {
-        s.coreBwWindow_.emplace_back();
-        s.coreBwRingOf_.push_back(-1);
-      }
-      field.window("coreBwWindow", s.config_.movingMeanWindow,
-                   s.coreBwWindow_[c], [&s, c] { return s.coreBwRing(c); });
-    }
-    field("highBandwidth", s.highBandwidth_);
-    // The per-core estimates are indexed by the same core ids (and
-    // resetClosedLoopState reads coreBwRaw_ for every window).
-    const std::size_t cores = s.coreBwRaw_.size();
-    field.require(s.coreBwEffective_.size() == cores, "coreBwEffective",
-                  "disagrees in length with coreBwRaw");
-    field.require(windows == cores ||
-                      (windows == 0 && !s.config_.symmetricMovingMean),
-                  "coreBwWindowCount", "disagrees with coreBwRaw's length");
-    field.require(s.highBandwidth_.size() == cores, "highBandwidth",
-                  "disagrees in length with coreBwRaw");
+    coreFields(s, field);
   });
 }
 
-void Observer::saveState(ckpt::BinWriter& w) const {
-  stateFields(*this, ckpt::FieldWriter{w});
+template <class Self, class Field>
+void Observer::coreFields(Self& s, Field&& field) {
+  // The records are indexed by machine core id whatever the range: a core
+  // outside it saves as a zero and an empty window, so a cluster observer
+  // writes the bytes of one that held every core. A restore keeps the
+  // range's slice and refuses anything else outside it.
+  constexpr bool loading = ckpt::kLoading<Field>;
+  std::size_t machine =
+      s.coreBwRaw_.empty() ? 0
+                           : static_cast<std::size_t>(s.range_.machineCores);
+  // The machine-indexed form of a per-core vector: padded when saving,
+  // checked and sliced when restoring. Before the per-core state is sized
+  // every record is empty; on restore, coreBwRaw (the first) says which.
+  const auto perCore = [&](std::string_view name, auto& local) {
+    std::remove_cvref_t<decltype(local)> all;
+    const std::size_t first = static_cast<std::size_t>(s.range_.first);
+    if constexpr (!loading) {
+      all.resize(machine);
+      std::copy(local.begin(), local.end(),
+                all.begin() + static_cast<std::ptrdiff_t>(first));
+    }
+    field(name, all);
+    if constexpr (loading) {
+      if (name == "coreBwRaw" && !all.empty()) {
+        // The first record fixes the machine: an open range becomes the
+        // whole machine, a fixed one must be of a machine this size.
+        if (s.range_.count == 0)
+          s.range_ = CoreRange{0, util::isize(all), util::isize(all)};
+        machine = all.size();
+        field.require(std::cmp_equal(machine, s.range_.machineCores), name,
+                      "covers " + std::to_string(machine) +
+                          " cores, but this observer's machine has " +
+                          std::to_string(s.range_.machineCores));
+      }
+      field.require(all.size() == machine, name,
+                    "disagrees in length with coreBwRaw");
+      const std::size_t count =
+          machine == 0 ? 0 : static_cast<std::size_t>(s.range_.count);
+      for (std::size_t c = 0; c < all.size(); ++c)
+        if ((c < first || c >= first + count) && !isSavedZero(all[c]))
+          field.require(false, name,
+                        "holds a nonzero entry " +
+                            foreignCore(c, s.range_));
+      local.assign(all.begin() + static_cast<std::ptrdiff_t>(first),
+                   all.begin() + static_cast<std::ptrdiff_t>(first + count));
+    }
+  };
+  perCore("coreBwRaw", s.coreBwRaw_);
+  perCore("coreBwEffective", s.coreBwEffective_);
+  // One window record per machine core; a never-fed core has no ring and
+  // saves an empty window, and restores without allocating one.
+  const std::size_t windows = field.count(
+      "coreBwWindowCount", s.coreBwWindow_.empty() ? 0 : machine);
+  field.require(windows == machine ||
+                    (windows == 0 && !s.config_.symmetricMovingMean),
+                "coreBwWindowCount", "disagrees with coreBwRaw's length");
+  const std::size_t window = s.config_.movingMeanWindow;
+  std::vector<double> foreignRing;
+  for (std::size_t c = 0; c < windows; ++c) {
+    const int local = static_cast<int>(c) - s.range_.first;
+    if (local >= 0 && local < s.range_.count) {
+      const std::size_t i = static_cast<std::size_t>(local);
+      if constexpr (loading) {
+        s.coreBwWindow_.emplace_back();
+        s.coreBwRingOf_.push_back(-1);
+      }
+      field.window("coreBwWindow", window, s.coreBwWindow_[i],
+                   [&s, i] { return s.coreBwRing(i); });
+      continue;
+    }
+    util::WindowedMean empty;
+    if constexpr (loading) {
+      field.window("coreBwWindow", window, empty, [&]() -> std::span<double> {
+        foreignRing.assign(window, 0.0);
+        return foreignRing;
+      });
+      field.require(empty.empty() && isSavedZero(empty.sum), "coreBwWindow",
+                    "is not empty " + foreignCore(c, s.range_));
+    } else {
+      field.window("coreBwWindow", window, empty,
+                   [] { return std::span<const double>{}; });
+    }
+  }
+  perCore("highBandwidth", s.highBandwidth_);
 }
 
-void Observer::loadState(ckpt::BinReader& r) {
-  Observer fresh{config_};
-  stateFields(fresh, ckpt::FieldReader{r});
+void Observer::saveState(ckpt::BinWriter& w) const {
+  stateFields(*this, ckpt::FieldWriter{w}, std::numeric_limits<int>::max());
+}
+
+void Observer::loadState(ckpt::BinReader& r, int threadCount) {
+  // A range left open restores as the records' machine; a fixed one stays.
+  Observer fresh{config_, rangeFixed_ ? range_ : CoreRange{}};
+  stateFields(fresh, ckpt::FieldReader{r}, threadCount);
   *this = std::move(fresh);
   // The order/index caches are never serialized (pure scratch); rebuild
   // them from the restored thread list so findThread and the sort-repair

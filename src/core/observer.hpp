@@ -22,30 +22,35 @@ namespace dike::core {
 
 /// One quantum's raw observations, built from a SchedulerView by
 /// makeObservationInto — over the simulator or the Linux host backend
-/// alike.
+/// alike. They cover the contiguous cores [firstCore, firstCore +
+/// coreOccupant.size()); the per-core vectors are indexed locally, entry i
+/// describing core firstCore + i.
 struct Observation {
-  /// The quantum's counter sample. Not owned: makeObservationInto points it
-  /// at the view's sample (no row is copied), so it must outlive the
-  /// observe() call that reads it. Only the covered cores' coreAchievedBw
-  /// entries are read.
-  const sim::QuantumSample* sample = nullptr;
-  std::vector<int> coreOccupant;  ///< thread id per core, -1 when free
-  std::vector<int> coreSocket;    ///< socket id per core
-  /// Ascending ids of the cores this observation covers (a cluster-scoped
-  /// view's domain). Empty means every core whose coreOccupant entry is
-  /// not SchedulerView::kForeignCore. The per-core vectors above stay
-  /// indexed by machine core id either way; the Observer only reads and
-  /// writes the entries of covered cores.
-  std::vector<int> cores;
+  /// The quantum's counter sample and the rows this observation reads. Not
+  /// owned: makeObservationInto points it at the view's sample (no row is
+  /// copied), so it must outlive the observe() call that reads it. Only the
+  /// covered cores' coreAchievedBw entries are read.
+  sched::SampleRows rows;
+  int firstCore = 0;
+  std::vector<int> coreOccupant;  ///< thread id per covered core, -1 = free
+  std::vector<int> coreSocket;    ///< socket id per covered core
 };
 
 /// Build an Observation from a scheduler view, refilling `out` in place so
-/// its vectors keep their capacity across quanta.
-/// A cluster-scoped view refreshes only its own cores' occupants — O(cluster
-/// cores) per quantum; the machine-sized vectors, the socket map included,
-/// are (re)initialised, with foreign entries reading kForeignCore, only when
-/// the view's core count or domain differs from the one `out` last held.
+/// its vectors keep their capacity across quanta. It covers the view's own
+/// cores (a cluster-scoped view's range), refreshing their occupants —
+/// O(covered cores) per quantum; the socket map is rebuilt only when the
+/// view's range differs from the one `out` last held.
 void makeObservationInto(const sched::SchedulerView& view, Observation& out);
+
+/// The contiguous machine cores one Observer estimates: [first, first +
+/// count) of a machine of machineCores cores. count == 0 leaves the range
+/// open: the whole machine, sized by the observations (or the restore).
+struct CoreRange {
+  int first = 0;
+  int count = 0;
+  int machineCores = 0;
+};
 
 enum class ThreadClass { Compute, Memory };
 /// The last enumerator, for the checkpoint's range check.
@@ -86,7 +91,10 @@ struct ThreadInfo {
 
 class Observer {
  public:
-  explicit Observer(ObserverConfig config = {});
+  /// An Observer estimates the cores of `cores` and nothing else: its
+  /// per-core state is sized by the range, not by the machine. With a
+  /// fixed range, observations must cover exactly it.
+  explicit Observer(ObserverConfig config = {}, CoreRange cores = {});
 
   /// Ingest one quantum's counter sample.
   void observe(const Observation& obs);
@@ -109,11 +117,13 @@ class Observer {
   /// invalidated by the next observe()/loadState() call.
   [[nodiscard]] const ThreadInfo* findThread(int threadId) const noexcept;
 
-  /// CoreBW: the capability estimate for a core (accesses/second).
+  /// CoreBW: the capability estimate for a core (accesses/second); 0 for
+  /// a core outside this observer's range. Throws std::out_of_range for an
+  /// id outside the machine.
   [[nodiscard]] double coreBw(int coreId) const;
 
   /// Core identification: true if the core is in the higher-bandwidth half
-  /// of currently occupied cores.
+  /// of currently occupied cores; false outside this observer's range.
   [[nodiscard]] bool isHighBandwidthCore(int coreId) const;
 
   /// Fairness signal: the worst, over processes with at least two live
@@ -156,18 +166,27 @@ class Observer {
   /// Serialize every mutable estimate — the closed-loop filters, sanitization
   /// holds, cumulative progress accounting, and the core partition. The
   /// moving-window filters carry their raw running sums (path dependent), so
-  /// restore is bit-exact.
+  /// restore is bit-exact. Per-core records are indexed by machine core id:
+  /// cores outside the range save as zeros and empty windows.
   void saveState(ckpt::BinWriter& w) const;
-  void loadState(ckpt::BinReader& r);
+  /// Restore saveState's records into this observer's range. Refuses, with
+  /// a CheckpointError naming the field, a thread id at or above
+  /// `threadCount`, per-core records of another machine size than a fixed
+  /// range's, and any non-zero (or non-empty) entry outside the range.
+  void loadState(ckpt::BinReader& r, int threadCount);
 
  private:
-  /// The covered cores of `obs` (see Observation::cores), ascending.
-  [[nodiscard]] const std::vector<int>& domainOf(const Observation& obs);
+  /// Check `obs` against a fixed range, or grow an open one to it, and
+  /// size the per-core state to the range.
+  void coverCores(const Observation& obs);
+  /// Local index of a machine core: -1 outside the range or before the
+  /// per-core state is sized; std::out_of_range outside the machine.
+  [[nodiscard]] int localCore(int coreId) const;
   /// Pass 1 over the sample rows: sanitize, update each thread's slot
   /// (rate window, hold, cumulative progress), classify, and accumulate the
   /// per-process means the deficits divide by — each row's slot resolved
   /// once.
-  void ingestRows(const sim::QuantumSample& sample);
+  void ingestRows(const sched::SampleRows& rows);
   /// Sort the ingested rows by (avgAccessRate, threadId) through 16-byte
   /// keys, then gather them into threads_ with their deficits and
   /// accumulate the per-process statistics of the fairness signal in that
@@ -175,16 +194,26 @@ class Observer {
   void rankThreads();
   /// CoreBW filter, socket blending and the high/low partition, in two
   /// passes over the covered cores.
-  void updateCores(const Observation& obs, const std::vector<int>& cores);
+  void updateCores(const Observation& obs);
   void computeUnfairness();
   void classifyWorkload();
   /// Point the listed threads' slots at threads_ (restore).
   void indexThreads();
-  /// The checkpoint field list, run by saveState and loadState.
+  /// The checkpoint field list, run by saveState and loadState; restored
+  /// thread ids must lie below `threadCount`.
   template <class Self, class Field>
-  static void stateFields(Self& self, Field&& field);
+  static void stateFields(Self& self, Field&& field, int threadCount);
+  /// The per-core records, machine-indexed (part of stateFields).
+  template <class Self, class Field>
+  static void coreFields(Self& self, Field&& field);
 
   ObserverConfig config_;
+  /// The cores estimated below; the per-core vectors hold range_.count
+  /// entries once the first observation (or a restore) sized them, entry i
+  /// describing core range_.first + i.
+  CoreRange range_;
+  /// True when the constructor fixed the range; a restore keeps it.
+  bool rangeFixed_ = false;
   std::int64_t observedQuanta_ = 0;
 
   /// Last trustworthy reading per thread, for the sanitization hold.
@@ -221,9 +250,10 @@ class Observer {
   /// Slot index of a (non-negative) thread id, created on first use.
   int slotFor(int threadId);
   int addSlot(int threadId);  ///< slotFor's first-use path
-  /// A core's CoreBW ring in coreBwRings_, allocated on first use.
+  /// A covered core's CoreBW ring in coreBwRings_ (by local index),
+  /// allocated on first use.
   [[nodiscard]] std::span<double> coreBwRing(std::size_t core);
-  /// A core's CoreBW ring, empty while the core was never fed.
+  /// A covered core's CoreBW ring, empty while the core was never fed.
   [[nodiscard]] std::span<const double> coreBwRing(
       std::size_t core) const noexcept;
   /// The slot's ring of threadRateWindow samples in rateRings_.
@@ -251,11 +281,12 @@ class Observer {
   std::vector<int> slotOfThread_;
   std::int64_t heldSamples_ = 0;
   std::int64_t discardedSamples_ = 0;
+  // Per covered core, by local index.
   std::vector<double> coreBwRaw_;         // per-core filtered estimate
   std::vector<double> coreBwEffective_;   // after socket blending
-  /// CoreBW moving means (the symmetric variant), per machine core: the
-  /// window bookkeeping, and where the core's ring sits in coreBwRings_
-  /// (-1 until the core is first fed, so a foreign core costs no ring).
+  /// CoreBW moving means (the symmetric variant): the window bookkeeping,
+  /// and where the core's ring sits in coreBwRings_ (-1 until the core is
+  /// first fed, so an idle core costs no ring).
   std::vector<util::WindowedMean> coreBwWindow_;
   std::vector<int> coreBwRingOf_;
   std::vector<double> coreBwRings_;
@@ -314,13 +345,13 @@ class Observer {
   /// process slot is unresolved or names another process.
   std::unordered_map<int, int> processSlotOf_;
   std::vector<double> socketCapScratch_;  ///< updateCores per-socket maxima
-  /// Partition ranking buffer: each candidate core with its bandwidth.
+  /// Partition ranking buffer: each candidate core (local index) with its
+  /// bandwidth.
   struct CoreRank {
     double bw;
     int core;
   };
   std::vector<CoreRank> knownScratch_;
-  std::vector<int> domainScratch_;  ///< domainOf when obs.cores is empty
 };
 
 }  // namespace dike::core

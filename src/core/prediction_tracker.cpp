@@ -45,11 +45,12 @@ void PredictionTracker::setPredictionIfAbsent(int threadId,
   slot.pendingRound = round_;
 }
 
-void PredictionTracker::scoreQuantum(const sim::QuantumSample& sample,
+void PredictionTracker::scoreQuantum(const sched::SampleRows& rows,
                                      util::Tick now) {
   util::OnlineStats quantum;
   lastScored_.clear();
-  for (const sim::ThreadSample& s : sample.threads) {
+  for (std::size_t row = 0; row < rows.size(); ++row) {
+    const sim::ThreadSample& s = rows[row];
     const int k = slotIndex(s.threadId);
     if (k < 0) continue;
     Slot& slot = slots_[static_cast<std::size_t>(k)];
@@ -145,18 +146,27 @@ constexpr auto kScoredFields = [](auto& s, auto&& field) {
 }  // namespace
 
 template <class Self, class Field>
-void PredictionTracker::stateFields(Self& s, Field&& field) {
+void PredictionTracker::stateFields(Self& s, Field&& field, int threadCount) {
   // Slots in ascending thread-id order, not creation order: the bytes
   // depend only on the state, never on the order threads were first seen.
-  const auto slots = [&s](auto has, auto mark) {
+  // A restored id is checked against the run's thread count before its
+  // slot (and the dense id map) is created.
+  const auto slots = [&s, &field, threadCount](std::string_view idName,
+                                               auto has, auto mark) {
     return ckpt::slotTable(
-        s.slots_, s.slotOfThread_, [&s](auto id) { return s.slotFor(id); },
+        s.slots_, s.slotOfThread_,
+        [&s, &field, threadCount, idName](auto id) {
+          field.require(id < threadCount, idName,
+                        "names a thread the run does not have");
+          return s.slotFor(id);
+        },
         has, mark);
   };
   field.section("predictionTracker", [&] {
     field.keyed(
         "pendingThreadIds",
-        slots([&s](const Slot& t) { return t.pendingRound == s.round_; },
+        slots("pendingThreadIds",
+              [&s](const Slot& t) { return t.pendingRound == s.round_; },
               [&s](auto& t) { t.pendingRound = s.round_; }),
         [](auto& slot, auto&& column) {
           column("pendingRates", slot.pending);
@@ -165,9 +175,12 @@ void PredictionTracker::stateFields(Self& s, Field&& field) {
     // thread in only one of the two lists, so the aggregates are keyed
     // explicitly.
     field("threadOrder", s.threadOrder_);
+    for (const int id : s.threadOrder_)
+      field.require(id >= 0 && id < threadCount, "threadOrder",
+                    "names a thread the run does not have");
     field.keyedRecords(
         "perThreadCount", "perThread", "threadId",
-        slots([](const Slot& t) { return t.scored; },
+        slots("threadId", [](const Slot& t) { return t.scored; },
               [](auto& t) { t.scored = true; }),
         [&s](int id, auto&, auto&& f) {
           f("stats", s.errors_[static_cast<std::size_t>(s.slotIndex(id))]);
@@ -182,15 +195,15 @@ void PredictionTracker::stateFields(Self& s, Field&& field) {
 }
 
 void PredictionTracker::saveState(ckpt::BinWriter& w) const {
-  stateFields(*this, ckpt::FieldWriter{w});
+  stateFields(*this, ckpt::FieldWriter{w}, std::numeric_limits<int>::max());
 }
 
-void PredictionTracker::loadState(ckpt::BinReader& r) {
+void PredictionTracker::loadState(ckpt::BinReader& r, int threadCount) {
   PredictionTracker fresh;
   fresh.watchdogArmed_ = watchdogArmed_;
   fresh.watchdogThreshold_ = watchdogThreshold_;
   fresh.watchdogQuanta_ = watchdogQuanta_;
-  stateFields(fresh, ckpt::FieldReader{r});
+  stateFields(fresh, ckpt::FieldReader{r}, threadCount);
   *this = std::move(fresh);
 }
 

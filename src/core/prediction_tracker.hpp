@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/machine.hpp"
+#include "sched/scheduler.hpp"
 #include "util/stats.hpp"
 #include "util/types.hpp"
 
@@ -64,10 +64,10 @@ class PredictionTracker {
   /// Register a prediction only if the thread has none outstanding.
   void setPredictionIfAbsent(int threadId, double predictedRate);
 
-  /// Score outstanding predictions against the new sample; records one
-  /// trace point (stamped with `now`) and folds the errors into per-thread
-  /// aggregates. Clears the outstanding predictions.
-  void scoreQuantum(const sim::QuantumSample& sample, util::Tick now);
+  /// Score outstanding predictions against the new sample's rows (read in
+  /// place); records one trace point (stamped with `now`) and folds the
+  /// errors into per-thread aggregates. Clears the outstanding predictions.
+  void scoreQuantum(const sched::SampleRows& rows, util::Tick now);
 
   /// Time series of per-quantum error aggregates (Figure 8).
   [[nodiscard]] const std::vector<PredictionErrorPoint>& trace()
@@ -115,7 +115,9 @@ class PredictionTracker {
   /// trace, and the watchdog streak. Watchdog *configuration* (threshold,
   /// quanta) is not state — the owner re-arms it from its config on rebuild.
   void saveState(ckpt::BinWriter& w) const;
-  void loadState(ckpt::BinReader& r);
+  /// Refuses, with a CheckpointError naming the field, a thread id at or
+  /// above `threadCount` before any slot is sized by it.
+  void loadState(ckpt::BinReader& r, int threadCount);
 
  private:
   /// One thread's outstanding prediction. Created on first use, never
@@ -132,9 +134,10 @@ class PredictionTracker {
   [[nodiscard]] int slotIndex(int threadId) const noexcept;
   /// Slot index of a thread, created on first use.
   int slotFor(int threadId);
-  /// The checkpoint field list, run by saveState and loadState.
+  /// The checkpoint field list, run by saveState and loadState; restored
+  /// thread ids must lie below `threadCount`.
   template <class Self, class Field>
-  static void stateFields(Self& self, Field&& field);
+  static void stateFields(Self& self, Field&& field, int threadCount);
 
   std::vector<Slot> slots_;
   std::vector<util::OnlineStats> errors_;  ///< per slot

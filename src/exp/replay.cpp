@@ -671,7 +671,10 @@ std::unique_ptr<RunSession> RunSession::restoreFromPayload(
           "scripts none"};
   }
   session->machine_->loadState(r);
-  session->scheduler_->loadState(r);
+  // The machine is restored first, so its thread count bounds the
+  // scheduler's restored thread ids.
+  session->scheduler_->loadState(
+      r, util::isize(session->machine_->threads()));
   bool hasFaultLayer = false;
   field("hasFaultLayer", hasFaultLayer);
   field.require(hasFaultLayer == session->injector_.has_value(),

@@ -37,7 +37,8 @@ void RandomScheduler::saveExtraState(ckpt::BinWriter& w) const {
   stateFields(*this, ckpt::FieldWriter{w});
 }
 
-void RandomScheduler::loadExtraState(ckpt::BinReader& r) {
+void RandomScheduler::loadExtraState(ckpt::BinReader& r,
+                                     int /*threadCount*/) {
   stateFields(*this, ckpt::FieldReader{r});  // the Rng commits whole
 }
 

@@ -26,7 +26,7 @@ class RandomScheduler final : public Scheduler {
 
  protected:
   void saveExtraState(ckpt::BinWriter& w) const override;
-  void loadExtraState(ckpt::BinReader& r) override;
+  void loadExtraState(ckpt::BinReader& r, int threadCount) override;
 
  private:
   /// The checkpoint field list, run by saveExtraState and loadExtraState.

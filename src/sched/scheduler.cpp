@@ -25,14 +25,14 @@ void Scheduler::saveState(ckpt::BinWriter& w) const {
   envelopeFields(ckpt::FieldWriter{w}, policy, [&] { saveExtraState(w); });
 }
 
-void Scheduler::loadState(ckpt::BinReader& r) {
+void Scheduler::loadState(ckpt::BinReader& r, int threadCount) {
   std::string policy;
   ckpt::FieldReader field{r};
   envelopeFields(field, policy, [&] {
     field.require(policy == name(), "policy",
                   "is '" + policy + "', not this run's '" +
                       std::string{name()} + "' — nothing was restored");
-    loadExtraState(r);
+    loadExtraState(r, threadCount);
   });
 }
 
@@ -41,21 +41,18 @@ SchedulerView::SchedulerView(Backend& backend,
                              ActuationHook* hook)
     : backend_(&backend), sample_(&sample), hook_(hook) {}
 
-SchedulerView::SchedulerView(SchedulerView& parent,
-                             const sim::QuantumSample& clusterSample,
-                             const std::vector<int>& clusterOfCore,
-                             int cluster, std::span<const int> clusterCores)
+SchedulerView::SchedulerView(SchedulerView& parent, std::span<const int> rows,
+                             int firstCore, int endCore)
     : backend_(parent.backend_),
-      sample_(&clusterSample),
+      sample_(parent.sample_),
       hook_(nullptr),  // the parent applies its hook when we delegate
       parent_(&parent),
-      clusterOfCore_(&clusterOfCore),
-      cluster_(cluster),
-      clusterCores_(clusterCores) {}
+      rows_(rows),
+      firstCore_(firstCore),
+      endCore_(endCore) {}
 
 int SchedulerView::coreOccupant(int coreId) const {
-  if (clusterOfCore_ != nullptr &&
-      (*clusterOfCore_)[static_cast<std::size_t>(coreId)] != cluster_)
+  if (parent_ != nullptr && (coreId < firstCore_ || coreId >= endCore_))
     return kForeignCore;
   return backend_->coreOccupant(coreId);
 }

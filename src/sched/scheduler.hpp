@@ -88,6 +88,42 @@ class MachineBackend final : public Backend {
   sim::Machine* m_;
 };
 
+/// The rows of a quantum sample that one scheduler instance reads: every
+/// row, or — for a cluster-scoped view — the rows listed by their index into
+/// the sample, in sample order. No row is copied; the sample and the list
+/// must outlive this object.
+class SampleRows {
+ public:
+  SampleRows() = default;
+  /// Every row of `sample`. Implicit, so a whole sample passes wherever
+  /// rows are read.
+  SampleRows(const sim::QuantumSample& sample) noexcept : sample_(&sample) {}
+  SampleRows(const sim::QuantumSample& sample,
+             std::span<const int> rows) noexcept
+      : sample_(&sample), rows_(rows), listed_(true) {}
+
+  /// The whole sample: its period and the per-core bandwidths (indexed by
+  /// machine core id) are read through this.
+  [[nodiscard]] const sim::QuantumSample& sample() const noexcept {
+    return *sample_;
+  }
+
+  /// The rows, in sample order: row i for i < size(). An indexed loop
+  /// rather than a visitor, so the caller's loop body stays inline.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return listed_ ? rows_.size() : sample_->threads.size();
+  }
+  [[nodiscard]] const sim::ThreadSample& operator[](
+      std::size_t i) const noexcept {
+    return sample_->threads[listed_ ? static_cast<std::size_t>(rows_[i]) : i];
+  }
+
+ private:
+  const sim::QuantumSample* sample_ = nullptr;
+  std::span<const int> rows_;
+  bool listed_ = false;
+};
+
 /// Per-quantum window a scheduler operates through.
 class SchedulerView {
  public:
@@ -101,21 +137,25 @@ class SchedulerView {
   SchedulerView(Backend& backend, const sim::QuantumSample& sample,
                 ActuationHook* hook = nullptr);
 
-  /// Cluster-scoped child view: presents `clusterSample` (the parent
-  /// quantum's rows filtered to one cluster) while delegating every
-  /// actuation and topology query to `parent`, whose swap/migration
-  /// counters keep the totals. Cores whose `clusterOfCore` entry differs
-  /// from `cluster` read as kForeignCore; `clusterCores` lists the others
-  /// in ascending order (the caller derives it from `clusterOfCore`). Used
-  /// by ClusteredDikeScheduler; `parent`, `clusterOfCore` and
-  /// `clusterCores` must outlive this view.
-  SchedulerView(SchedulerView& parent, const sim::QuantumSample& clusterSample,
-                const std::vector<int>& clusterOfCore, int cluster,
-                std::span<const int> clusterCores);
+  /// Cluster-scoped child view over the contiguous cores [firstCore,
+  /// endCore): presents the parent's sample restricted to `rows` (indices
+  /// into it, in sample order) while delegating every actuation and
+  /// topology query to `parent`, whose swap/migration counters keep the
+  /// totals. Cores outside the range read as kForeignCore. Used by
+  /// ClusteredDikeScheduler; `parent` and `rows` must outlive this view.
+  SchedulerView(SchedulerView& parent, std::span<const int> rows,
+                int firstCore, int endCore);
 
-  /// Counter readings for the quantum that just ended.
+  /// Counter readings for the quantum that just ended: the whole machine's
+  /// sample, also for a child view (whose own rows are rows()).
   [[nodiscard]] const sim::QuantumSample& sample() const noexcept {
     return *sample_;
+  }
+  /// The rows this view's scheduler reads: every row of a machine view,
+  /// the cluster's rows of a child view.
+  [[nodiscard]] SampleRows rows() const noexcept {
+    return parent_ != nullptr ? SampleRows{*sample_, rows_}
+                              : SampleRows{*sample_};
   }
 
   // Observable topology (an OS can always read this from sysfs).
@@ -127,23 +167,19 @@ class SchedulerView {
   /// the core lies outside this (cluster-scoped) view's domain.
   [[nodiscard]] int coreOccupant(int coreId) const;
 
-  /// Ascending ids of a cluster-scoped view's own cores; empty for a
-  /// machine view, whose domain is every core.
-  [[nodiscard]] std::span<const int> clusterCores() const noexcept {
-    return clusterCores_;
+  /// This view's own cores are [firstCore(), endCore()): every core of a
+  /// machine view, the cluster's range of a child view.
+  [[nodiscard]] int firstCore() const noexcept { return firstCore_; }
+  [[nodiscard]] int endCore() const {
+    return parent_ != nullptr ? endCore_ : coreCount();
   }
 
-  /// Visit this view's own cores in ascending id order: every core of a
-  /// machine view, only the cluster's cores of a child view (foreign cores
-  /// are never visited). O(cores in the domain), not O(machine cores).
+  /// Visit this view's own cores in ascending id order (foreign cores are
+  /// never visited). O(cores in the domain), not O(machine cores).
   template <typename Visit>
   void forEachCore(Visit&& visit) const {
-    if (clusterOfCore_ != nullptr) {
-      for (const int c : clusterCores_) visit(c);
-      return;
-    }
-    const int cores = coreCount();
-    for (int c = 0; c < cores; ++c) visit(c);
+    const int end = endCore();
+    for (int c = firstCore_; c < end; ++c) visit(c);
   }
 
   [[nodiscard]] util::Tick now() const { return backend_->now(); }
@@ -187,9 +223,10 @@ class SchedulerView {
   /// Set on cluster-scoped child views; actuations and counters then live
   /// on the parent so adapter totals see every swap exactly once.
   SchedulerView* parent_ = nullptr;
-  const std::vector<int>* clusterOfCore_ = nullptr;
-  int cluster_ = -1;
-  std::span<const int> clusterCores_;
+  /// A child view's rows and core range (a machine view's are all).
+  std::span<const int> rows_;
+  int firstCore_ = 0;
+  int endCore_ = 0;
   std::int64_t swaps_ = 0;
   std::int64_t migrations_ = 0;
   std::int64_t failedActuations_ = 0;
@@ -217,12 +254,15 @@ class Scheduler {
   /// Restore state captured by saveState. Verifies the recorded policy name
   /// against name() — restoring a checkpoint into a different policy throws
   /// ckpt::CheckpointError instead of silently misreading the stream.
-  void loadState(ckpt::BinReader& r);
+  /// `threadCount` is the restored machine's thread count: thread ids are
+  /// dense, so a restored id at or above it is refused with a
+  /// CheckpointError before anything is sized by it.
+  void loadState(ckpt::BinReader& r, int threadCount);
 
  protected:
   /// Hooks for stateful policies; the base implementations hold no state.
   virtual void saveExtraState(ckpt::BinWriter&) const {}
-  virtual void loadExtraState(ckpt::BinReader&) {}
+  virtual void loadExtraState(ckpt::BinReader&, int /*threadCount*/) {}
 };
 
 /// Observer of quantum boundaries, called after the scheduler has made its

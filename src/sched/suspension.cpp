@@ -59,7 +59,8 @@ void SuspensionScheduler::saveExtraState(ckpt::BinWriter& w) const {
   stateFields(*this, ckpt::FieldWriter{w});
 }
 
-void SuspensionScheduler::loadExtraState(ckpt::BinReader& r) {
+void SuspensionScheduler::loadExtraState(ckpt::BinReader& r,
+                                          int /*threadCount*/) {
   SuspensionScheduler fresh = *this;
   stateFields(fresh, ckpt::FieldReader{r});
   *this = std::move(fresh);

@@ -32,7 +32,7 @@ class SuspensionScheduler final : public Scheduler {
 
  protected:
   void saveExtraState(ckpt::BinWriter& w) const override;
-  void loadExtraState(ckpt::BinReader& r) override;
+  void loadExtraState(ckpt::BinReader& r, int threadCount) override;
 
  private:
   /// The checkpoint field list, run by saveExtraState and loadExtraState.

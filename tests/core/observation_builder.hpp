@@ -66,7 +66,7 @@ class ObservationBuilder {
   /// The observation, pointing at this builder's sample (valid while the
   /// builder lives and is not moved).
   [[nodiscard]] const Observation& get() noexcept {
-    obs_.sample = &sample_;
+    obs_.rows = sample_;
     return obs_;
   }
 

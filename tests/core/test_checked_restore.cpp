@@ -15,8 +15,12 @@
 #include "core/prediction_tracker.hpp"
 #include "util/types.hpp"
 
+#include "observation_builder.hpp"
+
 namespace dike::core {
 namespace {
+
+using testing::ObservationBuilder;
 
 TEST(CheckedInt, PassesRepresentableValues) {
   EXPECT_EQ(util::checkedInt<ckpt::CheckpointError>(std::int64_t{42}, "x"),
@@ -92,7 +96,7 @@ TEST(CheckedRestore, PredictionTrackerRejectsNegativeThreadId) {
   const std::string bytes = w.take();
   ckpt::BinReader r{bytes};
   try {
-    tracker.loadState(r);
+    tracker.loadState(r, 8);
     FAIL() << "negative pending thread id was accepted";
   } catch (const ckpt::CheckpointError& e) {
     EXPECT_NE(std::string{e.what()}.find("predictionTracker/pendingThreadIds"),
@@ -109,7 +113,7 @@ TEST(CheckedRestore, ObserverRejectsNegativeThreadId) {
   sample.periodTicks = 500;
   sample.coreAchievedBw = {1e7, 0.0};
   Observation obs;
-  obs.sample = &sample;
+  obs.rows = sample;
   obs.coreOccupant = {5, -1};
   obs.coreSocket = {0, 0};
   sim::ThreadSample t;
@@ -127,7 +131,7 @@ TEST(CheckedRestore, ObserverRejectsNegativeThreadId) {
   Observer restored;
   {
     ckpt::BinReader r{bytes};
-    EXPECT_NO_THROW(restored.loadState(r));
+    EXPECT_NO_THROW(restored.loadState(r, 6));
   }
   // Patch the first "threadId" field (the thread-info record) to -1.
   const std::string key = "threadId";
@@ -138,7 +142,54 @@ TEST(CheckedRestore, ObserverRejectsNegativeThreadId) {
     bytes[pos + key.size() + static_cast<std::size_t>(i)] =
         static_cast<char>((bad >> (8 * i)) & 0xFF);
   ckpt::BinReader r{bytes};
-  EXPECT_THROW(restored.loadState(r), ckpt::CheckpointError);
+  EXPECT_THROW(restored.loadState(r, 6), ckpt::CheckpointError);
+}
+
+// Thread ids key dense slot maps, so a restore bounds them by the run's
+// thread count before anything is sized by an id: the id equal to the
+// count is the first one refused.
+TEST(CheckedRestore, ObserverRefusesThreadIdsAtTheThreadCount) {
+  ObservationBuilder b{2, 1};
+  b.thread(5, 1, 0, 1e7, 0.1);
+  Observer observer;
+  observer.observe(b.get());
+  ckpt::BinWriter w;
+  observer.saveState(w);
+  const std::string bytes = w.take();
+
+  Observer restored;
+  ckpt::BinReader ok{bytes};
+  EXPECT_NO_THROW(restored.loadState(ok, 6));
+  ckpt::BinReader r{bytes};
+  try {
+    restored.loadState(r, 5);
+    FAIL() << "thread id 5 of a 5-thread run was accepted";
+  } catch (const ckpt::CheckpointError& e) {
+    EXPECT_NE(std::string{e.what()}.find("observer/info[0]/threadId"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CheckedRestore, PredictionTrackerRefusesThreadIdsAtTheThreadCount) {
+  PredictionTracker tracker;
+  tracker.setPrediction(7, 1e7);
+  ckpt::BinWriter w;
+  tracker.saveState(w);
+  const std::string bytes = w.take();
+
+  PredictionTracker restored;
+  ckpt::BinReader ok{bytes};
+  EXPECT_NO_THROW(restored.loadState(ok, 8));
+  ckpt::BinReader r{bytes};
+  try {
+    restored.loadState(r, 7);
+    FAIL() << "thread id 7 of a 7-thread run was accepted";
+  } catch (const ckpt::CheckpointError& e) {
+    EXPECT_NE(std::string{e.what()}.find("predictionTracker/pendingThreadIds"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 /// An observer record with no threads and the given per-core vectors:
@@ -191,7 +242,7 @@ TEST(CheckedRestore, ObserverCrossChecksTheCoreVectors) {
                            const std::string& bytes) {
     Observer observer{config};
     ckpt::BinReader r{bytes};
-    observer.loadState(r);
+    observer.loadState(r, 0);
     ckpt::BinWriter again;
     observer.saveState(again);
     EXPECT_EQ(again.take(), bytes);
@@ -226,7 +277,7 @@ TEST(CheckedRestore, ObserverCrossChecksTheCoreVectors) {
     Observer observer;
     ckpt::BinReader r{c.bytes};
     try {
-      observer.loadState(r);
+      observer.loadState(r, 0);
       ADD_FAILURE() << "accepted";
     } catch (const ckpt::CheckpointError& e) {
       EXPECT_NE(std::string{e.what()}.find(c.field), std::string::npos)
@@ -278,7 +329,7 @@ TEST(CheckedRestore, DikeSchedulerRejectsOutOfRangeSwapSize) {
   DikeScheduler target;
   ckpt::BinReader r{corrupted};
   try {
-    target.loadState(r);
+    target.loadState(r, 0);
     FAIL() << "out-of-range swapSize was accepted";
   } catch (const ckpt::CheckpointError& e) {
     EXPECT_NE(std::string{e.what()}.find("swapSize"), std::string::npos);
@@ -293,7 +344,7 @@ TEST(CheckedRestore, DikeSchedulerRoundTripsUncorrupted) {
   DikeScheduler target;
   const std::string bytes = w.take();
   ckpt::BinReader r{bytes};
-  EXPECT_NO_THROW(target.loadState(r));
+  EXPECT_NO_THROW(target.loadState(r, 0));
 }
 
 }  // namespace

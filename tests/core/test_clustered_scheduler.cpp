@@ -70,6 +70,10 @@ sim::Machine clusterMachine(std::uint64_t seed = 42, int socketCount = 4) {
   return machine;
 }
 
+/// Threads clusterMachine adds, whatever its socket count: the bound on
+/// restored thread ids.
+constexpr int kClusterThreads = 16;
+
 DikeConfig clusteredConfig(int clusters) {
   DikeConfig cfg;
   cfg.cluster.clusters = clusters;
@@ -204,7 +208,7 @@ TEST(ClusteredDikeScheduler, CheckpointRoundTripsMultiClusterState) {
 
   ClusteredDikeScheduler restored{clusteredConfig(4)};
   ckpt::BinReader r{saved};
-  restored.loadState(r);
+  restored.loadState(r, kClusterThreads);
   EXPECT_EQ(restored.resolvedClusters(), scheduler.resolvedClusters());
   EXPECT_EQ(restored.clusterOfCore(), scheduler.clusterOfCore());
   EXPECT_EQ(stateBytes(restored), saved);
@@ -230,7 +234,39 @@ TEST(ClusteredDikeScheduler, RejectsCorruptGeometry) {
 
   ClusteredDikeScheduler target{clusteredConfig(4)};
   ckpt::BinReader r{saved};
-  EXPECT_THROW(target.loadState(r), ckpt::CheckpointError);
+  EXPECT_THROW(target.loadState(r, kClusterThreads), ckpt::CheckpointError);
+}
+
+/// A restored geometry must be the contiguous split resolveGeometry
+/// writes (cluster c * K / C for core c): two swapped entries keep every
+/// entry in range, but no run could have written them.
+TEST(ClusteredDikeScheduler, RejectsAGeometryThatIsNotTheContiguousSplit) {
+  sim::Machine machine = clusterMachine();
+  ClusteredDikeScheduler scheduler{clusteredConfig(4)};
+  sched::SchedulerAdapter adapter{scheduler};
+  (void)sim::runMachine(machine, adapter);
+  std::string saved = stateBytes(scheduler);
+  ASSERT_EQ(scheduler.clusterOfCore(),
+            (std::vector<int>{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3}));
+
+  // Swap cores 3 and 4 (clusters 0 and 1) in the serialized vector.
+  const std::string name = "clusterOfCore";
+  const std::size_t pos = saved.find(name);
+  ASSERT_NE(pos, std::string::npos);
+  const std::size_t elements = pos + name.size() + 4;  // past the count
+  for (std::size_t b = 0; b < 8; ++b)
+    std::swap(saved[elements + 8 * 3 + b], saved[elements + 8 * 4 + b]);
+
+  ClusteredDikeScheduler target{clusteredConfig(4)};
+  ckpt::BinReader r{saved};
+  try {
+    target.loadState(r, kClusterThreads);
+    FAIL() << "a permuted geometry restored";
+  } catch (const ckpt::CheckpointError& e) {
+    EXPECT_NE(std::string{e.what()}.find("clusterOfCore[3] is 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 static_assert(!std::is_base_of_v<DikeScheduler, ClusteredDikeScheduler>,
@@ -267,7 +303,7 @@ TEST(ClusteredDikeScheduler, RejectsHeaderThatDisagreesWithClusters) {
   ClusteredDikeScheduler target{clusteredConfig(4)};
   ckpt::BinReader r{saved};
   try {
-    target.loadState(r);
+    target.loadState(r, kClusterThreads);
     FAIL() << "a header disagreeing with its clusters restored";
   } catch (const ckpt::CheckpointError& e) {
     EXPECT_NE(std::string{e.what()}.find("totals/swapsExecuted"),
@@ -305,7 +341,7 @@ TEST(ClusteredDikeScheduler, RejectsTopLevelObserverThatHoldsAThread) {
   ClusteredDikeScheduler target{clusteredConfig(4)};
   ckpt::BinReader r{saved};
   try {
-    target.loadState(r);
+    target.loadState(r, kClusterThreads);
     FAIL() << "a fed top-level observer restored";
   } catch (const ckpt::CheckpointError& e) {
     const std::string what = e.what();
@@ -322,7 +358,7 @@ TEST(ClusteredDikeScheduler, RoundTripsBeforeTheFirstQuantum) {
   const std::string saved = stateBytes(fresh);
   ClusteredDikeScheduler restored{clusteredConfig(4)};
   ckpt::BinReader r{saved};
-  restored.loadState(r);
+  restored.loadState(r, kClusterThreads);
   EXPECT_EQ(restored.resolvedClusters(), 0);
   EXPECT_EQ(restored.decisionTotals().quanta, 0);
   EXPECT_EQ(stateBytes(restored), saved);
@@ -342,7 +378,7 @@ TEST(ClusteredDikeScheduler, RestoredGeometryMustMatchTheMachine) {
   ASSERT_GT(wider.topology().coreCount(), machine.topology().coreCount());
   ClusteredDikeScheduler restored{clusteredConfig(4)};
   ckpt::BinReader r{saved};
-  restored.loadState(r);
+  restored.loadState(r, kClusterThreads);
   sched::SchedulerAdapter widerAdapter{restored};
   EXPECT_THROW(widerAdapter.onQuantum(wider), ckpt::CheckpointError);
 
@@ -350,20 +386,25 @@ TEST(ClusteredDikeScheduler, RestoredGeometryMustMatchTheMachine) {
   sim::Machine same = clusterMachine();
   ClusteredDikeScheduler resumed{clusteredConfig(4)};
   ckpt::BinReader again{saved};
-  resumed.loadState(again);
+  resumed.loadState(again, kClusterThreads);
   sched::SchedulerAdapter sameAdapter{resumed};
   EXPECT_NO_THROW(sameAdapter.onQuantum(same));
 }
 
-/// The full-scan observation builder the cluster-scoped path replaced,
-/// kept as the oracle: every machine core read through the view, foreign
-/// ones included.
-Observation fullScanObservation(const sched::SchedulerView& view) {
+/// The oracle for a cluster's observation: the whole machine scanned
+/// through the cluster's child view (foreign cores read as free) over a
+/// copy of the cluster's rows — the flat observer's path, fed only what
+/// the cluster owns. clusterMachine's clusters are whole sockets, so socket
+/// blending leaves the foreign cores at zero here too.
+Observation fullScanObservation(const sched::SchedulerView& child,
+                                const sim::QuantumSample& clusterSample) {
   Observation obs;
-  obs.sample = &view.sample();
-  for (int c = 0; c < view.coreCount(); ++c) {
-    obs.coreOccupant.push_back(view.coreOccupant(c));
-    obs.coreSocket.push_back(view.socketOf(c));
+  obs.rows = clusterSample;
+  for (int c = 0; c < child.coreCount(); ++c) {
+    const int occupant = child.coreOccupant(c);
+    obs.coreOccupant.push_back(
+        occupant == sched::SchedulerView::kForeignCore ? -1 : occupant);
+    obs.coreSocket.push_back(child.socketOf(c));
   }
   return obs;
 }
@@ -375,10 +416,12 @@ std::string observerBytes(const Observer& observer) {
 }
 
 /// Runs a clustered Dike scheduler and, before it decides each quantum,
-/// observes every cluster twice: through makeObservationInto on a
-/// cluster-scoped child view (which touches only the cluster's cores) and
-/// through the full-scan oracle. Both observations must agree, and so must
-/// two observers fed one each.
+/// observes every cluster twice: through makeObservationInto on a child
+/// view that lists the cluster's rows of the machine sample by index (and
+/// covers only the cluster's cores), into an observer sized to the
+/// cluster, and through the full-scan oracle, into a whole-machine
+/// observer. The observations, the observers' readings for every core and
+/// their checkpoint bytes must agree.
 class ObserveOracle final : public sched::Scheduler {
  public:
   explicit ObserveOracle(int clusters)
@@ -396,45 +439,63 @@ class ObserveOracle final : public sched::Scheduler {
     const int cores = view.coreCount();
     const std::size_t clusterCount = static_cast<std::size_t>(clusters_);
     if (clusterOfCore_.empty()) {
-      coresOf_.resize(clusterCount);
-      for (int c = 0; c < cores; ++c) {
+      first_.assign(clusterCount + 1, cores);
+      for (int c = cores - 1; c >= 0; --c) {
         const int k = c * clusters_ / cores;
-        clusterOfCore_.push_back(k);
-        coresOf_[static_cast<std::size_t>(k)].push_back(c);
+        first_[static_cast<std::size_t>(k)] = c;
       }
+      for (int c = 0; c < cores; ++c)
+        clusterOfCore_.push_back(c * clusters_ / cores);
+      rows_.resize(clusterCount);
       samples_.resize(clusterCount);
       scoped_.resize(clusterCount);
-      fast_.resize(clusterCount, Observer{DikeConfig{}.observer});
-      reference_.resize(clusterCount, Observer{DikeConfig{}.observer});
+      for (std::size_t k = 0; k < clusterCount; ++k) {
+        fast_.emplace_back(DikeConfig{}.observer,
+                           CoreRange{first_[k], first_[k + 1] - first_[k],
+                                     cores});
+        reference_.emplace_back(DikeConfig{}.observer);
+      }
     }
+    // The cluster's rows by index for the child view, and copied (the
+    // scatter the row lists replaced) for the oracle.
     const sim::QuantumSample& sample = view.sample();
     for (std::size_t k = 0; k < clusterCount; ++k) {
+      rows_[k].clear();
       samples_[k].periodTicks = sample.periodTicks;
       samples_[k].threads.clear();
       samples_[k].coreAchievedBw.assign(sample.coreAchievedBw.size(), 0.0);
-      for (const int c : coresOf_[k])
+      for (int c = first_[k]; c < first_[k + 1]; ++c)
         samples_[k].coreAchievedBw[static_cast<std::size_t>(c)] =
             sample.coreAchievedBw[static_cast<std::size_t>(c)];
     }
-    for (const sim::ThreadSample& t : sample.threads)
-      if (t.coreId >= 0)
-        samples_[static_cast<std::size_t>(
-                     clusterOfCore_[static_cast<std::size_t>(t.coreId)])]
-            .threads.push_back(t);
+    for (std::size_t i = 0; i < sample.threads.size(); ++i) {
+      const sim::ThreadSample& t = sample.threads[i];
+      if (t.coreId < 0) continue;
+      const std::size_t k = static_cast<std::size_t>(
+          clusterOfCore_[static_cast<std::size_t>(t.coreId)]);
+      rows_[k].push_back(static_cast<int>(i));
+      samples_[k].threads.push_back(t);
+    }
 
     for (int k = 0; k < clusters_; ++k) {
       const std::size_t kk = static_cast<std::size_t>(k);
-      sched::SchedulerView child{view, samples_[kk], clusterOfCore_, k,
-                                 coresOf_[kk]};
+      sched::SchedulerView child{view, rows_[kk], first_[kk], first_[kk + 1]};
       makeObservationInto(child, scoped_[kk]);
-      const Observation full = fullScanObservation(child);
-      EXPECT_EQ(scoped_[kk].coreOccupant, full.coreOccupant) << "cluster " << k;
-      EXPECT_EQ(scoped_[kk].coreSocket, full.coreSocket) << "cluster " << k;
+      const Observation full = fullScanObservation(child, samples_[kk]);
+      const Observation& scoped = scoped_[kk];
+      EXPECT_EQ(scoped.firstCore, first_[kk]) << "cluster " << k;
+      ASSERT_EQ(util::isize(scoped.coreOccupant), first_[kk + 1] - first_[kk]);
+      ASSERT_EQ(scoped.coreSocket.size(), scoped.coreOccupant.size());
+      for (int c = first_[kk]; c < first_[kk + 1]; ++c) {
+        const std::size_t i = static_cast<std::size_t>(c - first_[kk]);
+        const std::size_t m = static_cast<std::size_t>(c);
+        EXPECT_EQ(scoped.coreOccupant[i], full.coreOccupant[m]) << "core " << c;
+        EXPECT_EQ(scoped.coreSocket[i], full.coreSocket[m]) << "core " << c;
+      }
       // The rows and bandwidths are read in place, never copied.
-      EXPECT_EQ(scoped_[kk].sample, &child.sample()) << "cluster " << k;
-      EXPECT_EQ(scoped_[kk].cores, coresOf_[kk]) << "cluster " << k;
+      EXPECT_EQ(&scoped.rows.sample(), &sample) << "cluster " << k;
 
-      fast_[kk].observe(scoped_[kk]);
+      fast_[kk].observe(scoped);
       reference_[kk].observe(full);
       const auto& a = fast_[kk].threadsByAccessRate();
       const auto& b = reference_[kk].threadsByAccessRate();
@@ -449,6 +510,11 @@ class ObserveOracle final : public sched::Scheduler {
         EXPECT_EQ(fast_[kk].isHighBandwidthCore(c),
                   reference_[kk].isHighBandwidthCore(c))
             << "cluster " << k << " core " << c;
+        if (c < first_[kk] || c >= first_[kk + 1]) {
+          EXPECT_EQ(fast_[kk].coreBw(c), 0.0) << "foreign core " << c;
+          EXPECT_FALSE(fast_[kk].isHighBandwidthCore(c))
+              << "foreign core " << c;
+        }
       }
       EXPECT_EQ(fast_[kk].systemUnfairness(),
                 reference_[kk].systemUnfairness());
@@ -464,7 +530,8 @@ class ObserveOracle final : public sched::Scheduler {
   int clusters_;
   int checked_ = 0;
   std::vector<int> clusterOfCore_;
-  std::vector<std::vector<int>> coresOf_;
+  std::vector<int> first_;  ///< each cluster's first core, then the count
+  std::vector<std::vector<int>> rows_;
   std::vector<sim::QuantumSample> samples_;
   std::vector<Observation> scoped_;  ///< reused across quanta, like the arena
   std::vector<Observer> fast_;

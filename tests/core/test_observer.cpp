@@ -349,29 +349,34 @@ INSTANTIATE_TEST_SUITE_P(Scales, ObserverScaleProperty,
 
 /// The Observer's contract written plainly, as the oracle for the
 /// production pipeline (slot tables, one flat ring array, generation
-/// stamps, bucketed ranking): per-thread state in a std::map with one
-/// util::MovingMean each, fresh per-process maps every quantum, and a full
-/// std::sort of the thread list every quantum. saveState writes the same
-/// records from that plain state.
+/// stamps, bucketed ranking, per-core state over its own range only):
+/// per-thread state in a std::map with one util::MovingMean each, fresh
+/// per-process maps every quantum, a full std::sort of the thread list
+/// every quantum, and per-core state for every machine core. saveState
+/// writes the same records from that plain state.
 class ReferenceObserver {
  public:
-  explicit ReferenceObserver(ObserverConfig config) : config_(config) {}
+  ReferenceObserver(ObserverConfig config, int machineCores)
+      : config_(config), machineCores_(machineCores) {}
 
   void observe(const Observation& obs) {
-    const std::size_t cores = obs.coreOccupant.size();
+    const std::size_t cores = static_cast<std::size_t>(machineCores_);
     if (coreBwRaw_.size() < cores) coreBwRaw_.resize(cores, 0.0);
     if (coreBwEffective_.size() < cores) coreBwEffective_.resize(cores, 0.0);
     if (high_.size() < cores) high_.resize(cores, false);
     if (config_.symmetricMovingMean && coreBwWindow_.size() < cores)
       coreBwWindow_.resize(cores, util::MovingMean{config_.movingMeanWindow});
-    std::vector<int> domain = obs.cores;
-    if (domain.empty())
-      for (int c = 0; c < static_cast<int>(cores); ++c)
-        if (obs.coreOccupant[static_cast<std::size_t>(c)] >
-            sched::SchedulerView::kForeignCore)
-          domain.push_back(c);
+    std::vector<int> domain;
+    for (int i = 0; i < static_cast<int>(obs.coreOccupant.size()); ++i)
+      domain.push_back(obs.firstCore + i);
+    const auto occupant = [&obs](std::size_t c) {
+      return obs.coreOccupant[c - static_cast<std::size_t>(obs.firstCore)];
+    };
+    const auto socketOf = [&obs](std::size_t c) {
+      return obs.coreSocket[c - static_cast<std::size_t>(obs.firstCore)];
+    };
 
-    const sim::QuantumSample& sample = *obs.sample;
+    const sim::QuantumSample& sample = obs.rows.sample();
     threads_.clear();
     memCount_ = 0;
     compCount_ = 0;
@@ -379,7 +384,8 @@ class ReferenceObserver {
         sample.periodTicks > 0
             ? static_cast<double>(sample.periodTicks) * util::kTickSeconds
             : 0.0;
-    for (const sim::ThreadSample& s : sample.threads) {
+    for (std::size_t row = 0; row < obs.rows.size(); ++row) {
+      const sim::ThreadSample& s = obs.rows[row];
       if (s.finished || s.coreId < 0 || s.threadId < 0) continue;
       State& st = states_.try_emplace(s.threadId, config_).first->second;
       ThreadInfo info;
@@ -419,7 +425,7 @@ class ReferenceObserver {
     for (const int core : domain) {
       const std::size_t c = static_cast<std::size_t>(core);
       const double achieved = sample.coreAchievedBw[c];
-      if (obs.coreOccupant[c] < 0 && achieved <= 0.0) continue;
+      if (occupant(c) < 0 && achieved <= 0.0) continue;
       if (config_.symmetricMovingMean) {
         coreBwWindow_[c].add(achieved);
         coreBwRaw_[c] = coreBwWindow_[c].value();
@@ -432,7 +438,7 @@ class ReferenceObserver {
     }
     std::map<int, double> socketCap;
     for (const int c : domain) {
-      double& cap = socketCap[obs.coreSocket[static_cast<std::size_t>(c)]];
+      double& cap = socketCap[socketOf(static_cast<std::size_t>(c))];
       cap = std::max(cap, coreBwRaw_[static_cast<std::size_t>(c)]);
     }
     std::vector<int> known;
@@ -440,9 +446,9 @@ class ReferenceObserver {
       const std::size_t c = static_cast<std::size_t>(core);
       coreBwEffective_[c] =
           std::max(coreBwRaw_[c],
-                   config_.socketShare * socketCap[obs.coreSocket[c]]);
+                   config_.socketShare * socketCap[socketOf(c)]);
       high_[c] = false;
-      if (obs.coreOccupant[c] >= 0 || coreBwEffective_[c] > 0.0)
+      if (occupant(c) >= 0 || coreBwEffective_[c] > 0.0)
         known.push_back(core);
     }
     std::sort(known.begin(), known.end(), [this](int a, int b) {
@@ -618,6 +624,7 @@ class ReferenceObserver {
   }
 
   ObserverConfig config_;
+  int machineCores_;
   std::map<int, State> states_;
   std::vector<ThreadInfo> threads_;
   std::vector<double> coreBwRaw_;
@@ -656,8 +663,10 @@ struct ReferenceCase {
   double rateNoise = 0.01;  ///< relative per-quantum noise
   double churn = 0.0;       ///< per-quantum chance a thread finishes / arrives
   double badSamples = 0.0;  ///< per-row chance of a dropped/corrupt reading
-  /// Cover only cores [coverFrom, coverTo) like a cluster-scoped view; the
-  /// rest read as foreign. coverTo == 0 covers every core.
+  /// Cover only cores [coverFrom, coverTo) like a cluster-scoped view: the
+  /// production observer's range is fixed to them, and it reads only the
+  /// covered rows, listed by index among every live thread's row.
+  /// coverTo == 0 covers every core.
   int coverFrom = 0;
   int coverTo = 0;
   int quanta = 80;
@@ -700,29 +709,30 @@ TEST_P(ObserverReference, MatchesThePlainReferenceEveryQuantum) {
     return core >= rc.coverFrom && core < coverTo;
   };
 
-  Observer production{rc.config};
-  ReferenceObserver reference{rc.config};
+  const CoreRange range =
+      rc.coverTo > 0 ? CoreRange{rc.coverFrom, coverTo - rc.coverFrom, rc.cores}
+                     : CoreRange{};
+  Observer production{rc.config, range};
+  ReferenceObserver reference{rc.config, rc.cores};
   sim::QuantumSample sample;
   sample.periodTicks = 500;
+  std::vector<int> rows;  ///< the covered rows of a cluster-scoped case
   Observation obs;
-  obs.sample = &sample;
-  obs.coreSocket.resize(static_cast<std::size_t>(rc.cores));
-  for (int c = 0; c < rc.cores; ++c)
-    obs.coreSocket[static_cast<std::size_t>(c)] =
-        c / std::max(rc.cores / rc.sockets, 1);
-  if (rc.coverTo > 0)
-    for (int c = rc.coverFrom; c < coverTo; ++c) obs.cores.push_back(c);
+  obs.firstCore = rc.coverFrom;
+  for (int c = rc.coverFrom; c < coverTo; ++c)
+    obs.coreSocket.push_back(c / std::max(rc.cores / rc.sockets, 1));
+  const auto local = [&rc](int core) {
+    return static_cast<std::size_t>(core - rc.coverFrom);
+  };
 
   std::vector<int> everSeen;
   for (int q = 0; q < rc.quanta; ++q) {
     SCOPED_TRACE("quantum " + std::to_string(q));
     sample.threads.clear();
+    rows.clear();
     sample.coreAchievedBw.assign(static_cast<std::size_t>(rc.cores), 0.0);
-    obs.coreOccupant.assign(static_cast<std::size_t>(rc.cores), -1);
-    for (int c = 0; c < rc.cores; ++c)
-      if (!covered(c))
-        obs.coreOccupant[static_cast<std::size_t>(c)] =
-            sched::SchedulerView::kForeignCore;
+    obs.coreOccupant.assign(static_cast<std::size_t>(coverTo - rc.coverFrom),
+                            -1);
 
     // Churn: a finished thread reports one last row without a core and
     // leaves; an arrival takes the freed core under a fresh id.
@@ -746,7 +756,6 @@ TEST_P(ObserverReference, MatchesThePlainReferenceEveryQuantum) {
     }
 
     for (const Live& t : live) {
-      if (!covered(t.core)) continue;
       sim::ThreadSample s;
       s.threadId = t.id;
       s.processId = t.pid;
@@ -763,10 +772,12 @@ TEST_P(ObserverReference, MatchesThePlainReferenceEveryQuantum) {
           default: s.llcMissRatio = -0.5; break;
         }
       }
-      sample.threads.push_back(s);
-      obs.coreOccupant[static_cast<std::size_t>(t.core)] = t.id;
       sample.coreAchievedBw[static_cast<std::size_t>(t.core)] =
           std::isfinite(s.accessRate) ? std::max(s.accessRate, 0.0) : 0.0;
+      sample.threads.push_back(s);
+      if (!covered(t.core)) continue;
+      rows.push_back(static_cast<int>(sample.threads.size()) - 1);
+      obs.coreOccupant[local(t.core)] = t.id;
       everSeen.push_back(t.id);
     }
 
@@ -774,13 +785,15 @@ TEST_P(ObserverReference, MatchesThePlainReferenceEveryQuantum) {
       production.resetClosedLoopState();
       reference.resetClosedLoopState();
     }
+    obs.rows = rc.coverTo > 0 ? sched::SampleRows{sample, rows}
+                              : sched::SampleRows{sample};
     production.observe(obs);
     reference.observe(obs);
     if (q == rc.restoreAt) {
-      Observer restored{rc.config};
+      Observer restored{rc.config, range};
       const std::string bytes = savedBytes(production);
       ckpt::BinReader r{bytes};
-      restored.loadState(r);
+      restored.loadState(r, nextId + 1);
       production = std::move(restored);
     }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -16,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -640,6 +642,134 @@ TEST(ReplayGolden, CorruptIntegerFieldsAreRefusedOrRestoredCanonically) {
   EXPECT_GT(restores, 1000);
 }
 
+// --- cluster-local observer state ------------------------------------------
+
+/// The payload of golden run `name` after five quanta.
+std::string goldenPayload(const std::string& name) {
+  RunSession session{goldenRun(name).spec};
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(session.stepQuantum());
+  return session.checkpointPayload();
+}
+
+/// Restore `checkpoint` and return the CheckpointError's message, or
+/// report that it restored.
+std::string refusal(const std::string& checkpoint) {
+  try {
+    (void)RunSession::restoreFromPayload(ckpt::decodeCheckpoint(checkpoint));
+  } catch (const ckpt::CheckpointError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "the corrupt payload restored";
+  return {};
+}
+
+/// The tokens at `path` in payload order.
+std::vector<ckpt::Token> tokensAt(const std::string& payload,
+                                  const std::string& path) {
+  std::vector<ckpt::Token> out;
+  for (ckpt::Token& tok : ckpt::tokenize(payload))
+    if (tok.path == path) out.push_back(std::move(tok));
+  return out;
+}
+
+// quantum_stream_golden_clustered splits 16 cores into two clusters of 8.
+// Each cluster observer saves machine-indexed per-core records, zeros and
+// empty windows outside its own cores; a restore keeps its own slice and
+// refuses anything else there, naming the field. (That the canonical
+// payload restores and re-saves byte for byte is ReplayGolden's check.)
+constexpr const char* kCluster0Observer =
+    "run/scheduler/cluster0/scheduler/observer";
+
+TEST(ClusterLocalRestore, RefusesANonzeroForeignCoreBw) {
+  const std::string payload = goldenPayload("clustered");
+  const std::string path = std::string{kCluster0Observer} + "/coreBwRaw";
+  ASSERT_EQ(tokensAt(payload, path).size(), 1u);
+  // Core 3 is cluster 0's own: a changed estimate there restores.
+  EXPECT_NO_THROW((void)RunSession::restoreFromPayload(
+      ckpt::decodeCheckpoint(ckpt::test::corrupted(
+          payload, path, 3, std::bit_cast<std::int64_t>(1e7)))));
+  const std::string what = refusal(ckpt::test::corrupted(
+      payload, path, 12, std::bit_cast<std::int64_t>(1e7)));
+  EXPECT_NE(what.find(path), std::string::npos) << what;
+  EXPECT_NE(what.find("core 12, outside this observer's cores 0-7"),
+            std::string::npos)
+      << what;
+  // A negative zero is a nonzero save too: it would re-save as +0.
+  EXPECT_NE(refusal(ckpt::test::corrupted(payload, path, 8,
+                                          std::bit_cast<std::int64_t>(-0.0)))
+                .find(path),
+            std::string::npos);
+}
+
+TEST(ClusterLocalRestore, RefusesANonEmptyForeignWindow) {
+  const std::string payload = goldenPayload("clustered");
+  const std::string window = "coreBwWindow";
+  const std::vector<ckpt::Token> windows = tokensAt(
+      payload, std::string{kCluster0Observer} + "/" + window + "/window");
+  ASSERT_EQ(windows.size(), 16u);  // one per machine core
+  // Core 9 is cluster 1's: its record, from the section start, is an
+  // empty window of the configured size.
+  const std::size_t sectionHead = 1 + 4 + window.size();
+  const std::size_t at = windows[9].offset - sectionHead;
+  std::uint64_t size = 0;
+  for (std::size_t b = 0; b < 8; ++b)
+    size |= std::uint64_t{static_cast<unsigned char>(windows[9].bits[b])}
+            << (8 * b);
+  const auto record = [&](std::span<const double> samples, double sum) {
+    ckpt::BinWriter w;
+    w.beginSection(window);
+    w.u64("window", size);
+    w.vecF64("samples", samples);
+    w.f64("sum", sum);
+    w.endSection();
+    return w.take();
+  };
+  const std::string empty = record({}, 0.0);
+  ASSERT_EQ(payload.substr(at, empty.size()), empty);
+  const auto withWindow = [&](const std::string& replacement) {
+    std::string bad = payload;
+    bad.replace(at, empty.size(), replacement);
+    return ckpt::encodeCheckpoint(bad);
+  };
+  const double sample[] = {2e7};
+  for (const std::string& bad :
+       {withWindow(record(sample, 2e7)), withWindow(record({}, 1.0))}) {
+    const std::string what = refusal(bad);
+    EXPECT_NE(what.find(std::string{kCluster0Observer} + "/" + window),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("core 9, outside this observer's cores 0-7"),
+              std::string::npos)
+        << what;
+  }
+}
+
+// Thread ids key dense slot maps, so a restore bounds them by the restored
+// machine's thread count — the first id refused is the count itself.
+TEST(ClusterLocalRestore, RefusesThreadIdsAtTheMachinesThreadCount) {
+  for (const char* name : {"flat_dike", "clustered"}) {
+    SCOPED_TRACE(name);
+    RunSession session{goldenRun(name).spec};
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(session.stepQuantum());
+    const std::string payload = session.checkpointPayload();
+    const auto threads =
+        static_cast<std::int64_t>(session.machine().threads().size());
+    const std::string observer = std::string{name} == "flat_dike"
+                                     ? "run/scheduler/observer"
+                                     : kCluster0Observer;
+    const std::string info = observer + "/info/threadId";
+    ASSERT_FALSE(tokensAt(payload, info).empty());
+    // The first listed thread renumbered to the thread count.
+    const std::string what =
+        refusal(ckpt::test::corrupted(payload, info, 0, threads));
+    EXPECT_NE(what.find(observer + "/info[0]/threadId"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("names a thread the run does not have"),
+              std::string::npos)
+        << what;
+  }
+}
+
 // --- resume from a directory scan -----------------------------------------
 
 std::string readBytes(const std::string& path) {
@@ -818,7 +948,7 @@ TEST(Replay, SchedulerStateRejectsWrongPolicy) {
   const std::string payload = w.take();
   ckpt::BinReader r{payload};
   try {
-    dike->loadState(r);
+    dike->loadState(r, 0);
     FAIL() << "expected CheckpointError";
   } catch (const ckpt::CheckpointError& e) {
     const std::string what = e.what();

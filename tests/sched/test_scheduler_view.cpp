@@ -48,18 +48,46 @@ TEST(SchedulerView, ForEachCoreVisitsOnlyTheViewsDomain) {
   std::vector<int> visited;
   view.forEachCore([&](int c) { visited.push_back(c); });
   EXPECT_EQ(visited, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_TRUE(view.clusterCores().empty());
+  EXPECT_EQ(view.firstCore(), 0);
+  EXPECT_EQ(view.endCore(), 4);
 
-  // Cluster 1 owns cores 1 and 3 (non-contiguous on purpose).
-  const std::vector<int> clusterOfCore{0, 1, 0, 1};
-  const std::vector<int> cores{1, 3};
-  SchedulerView child{view, sample, clusterOfCore, 1, cores};
+  // The child owns the contiguous cores [1, 3).
+  const std::vector<int> rows;
+  SchedulerView child{view, rows, 1, 3};
   visited.clear();
   child.forEachCore([&](int c) { visited.push_back(c); });
-  EXPECT_EQ(visited, cores);
+  EXPECT_EQ(visited, (std::vector<int>{1, 2}));
   EXPECT_EQ(child.coreOccupant(0), SchedulerView::kForeignCore);
   EXPECT_EQ(child.coreOccupant(1), -1);
+  EXPECT_EQ(child.coreOccupant(2), 1);
+  EXPECT_EQ(child.coreOccupant(3), SchedulerView::kForeignCore);
   EXPECT_EQ(child.coreCount(), 4);
+}
+
+/// A child view reads the parent's sample in place, restricted to the rows
+/// it lists, in the listed (sample) order; a machine view reads every row.
+TEST(SchedulerView, ChildViewReadsOnlyItsListedRows) {
+  sim::Machine m = twoThreadMachine();
+  const sim::QuantumSample sample = m.sampleAndReset();
+  ASSERT_EQ(sample.threads.size(), 2u);
+  MachineBackend backend{m};
+  SchedulerView view{backend, sample};
+  const auto ids = [](const SampleRows& rows) {
+    std::vector<int> out;
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      out.push_back(rows[i].threadId);
+    return out;
+  };
+  EXPECT_EQ(ids(view.rows()), (std::vector<int>{0, 1}));
+
+  const std::vector<int> rows{1};
+  SchedulerView child{view, rows, 2, 4};
+  EXPECT_EQ(ids(child.rows()), (std::vector<int>{1}));
+  EXPECT_EQ(&child.sample(), &sample);
+  EXPECT_EQ(&child.rows().sample(), &sample);
+  const std::vector<int> none;
+  SchedulerView empty{view, none, 0, 2};
+  EXPECT_TRUE(ids(empty.rows()).empty());
 }
 
 TEST(SchedulerView, SwapCountsAndForwards) {
