@@ -10,7 +10,8 @@
 // test), so all three produce the same metrics and the comparison is pure
 // engine speed. Results are written to --json=<path> (default
 // BENCH_sim.json in the working directory) so future changes can be
-// checked against the recorded trajectory.
+// checked against the recorded trajectory. --help prints the flags and
+// exits; an unknown flag exits 2. Neither runs the bench or writes --json.
 #include "common.hpp"
 
 #include <algorithm>
@@ -596,11 +597,29 @@ void BM_RunNoLeap(benchmark::State& state) {
 }
 BENCHMARK(BM_RunNoLeap)->Unit(benchmark::kMillisecond);
 
+constexpr const char* kUsage =
+    "usage: %s [--scale=X] [--seed=N] [--jobs=N] [--max-threads=N]\n"
+    "          [--json=PATH] [--gbench=true|false] [--reps=N] [--csv=PATH]\n"
+    "Times the simulation engine and writes a JSON report to --json\n"
+    "(default BENCH_sim.json in the working directory). --help prints this\n"
+    "and exits; an unknown flag is an error. Neither runs or writes anything.\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = dike::bench::parseOptions(argc, argv);
   const dike::util::CliArgs args{argc, argv};
+  if (args.has("help")) {
+    std::printf(kUsage, argv[0]);
+    return 0;
+  }
+  if (const auto flag = args.firstUnknown({"scale", "seed", "reps", "gbench",
+                                           "csv", "jobs", "json",
+                                           "max-threads", "help"})) {
+    std::fprintf(stderr, "unknown flag --%s\n", flag->c_str());
+    std::fprintf(stderr, kUsage, argv[0]);
+    return 2;
+  }
+  const BenchOptions opts = dike::bench::parseOptions(argc, argv);
   const std::string jsonPath = args.getOr("json", "BENCH_sim.json");
   // Cap the scaling curve (smoke runs pass a small cap; the 4096-thread
   // point is the expensive one and only the full refresh/gate needs it).

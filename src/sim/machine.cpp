@@ -251,6 +251,7 @@ void Machine::rebuildHotState() {
     syncHotThread(t.id);
     refreshPhaseCache(t.id);
   }
+  hot_.counterMemo.clear();
   hotDirty_ = false;
   llcDirty_ = true;
   servedValid_ = false;
@@ -384,10 +385,10 @@ Machine::TickOutcome Machine::stepOnce() {
       smtLoadScratch_[static_cast<std::size_t>(hot_.physicalCore[i])] +=
           hot_.prevUtilization[i];
       ++hot_.runnableTicks[i];
-      if (hot_.fastCore[i] != 0)
-        ++hot_.fastCoreTicks[i];
-      else
-        ++hot_.slowCoreTicks[i];
+      // fastCore is 0 or 1, and random placement makes it a coin flip: add
+      // the tick to both counters arithmetically instead of branching.
+      hot_.fastCoreTicks[i] += hot_.fastCore[i];
+      hot_.slowCoreTicks[i] += 1 - hot_.fastCore[i];
     } else if (hot_.suspended[i] != 0) {
       ++hot_.suspendedTicks[i];
     } else if (stalled) {
@@ -560,6 +561,9 @@ void Machine::replayTicks(util::Tick n, double watts) {
   // phase lookups — is provably unchanged across the window and simply not
   // recomputed.
   hotDirty_ = true;
+  // Sized here rather than per added thread: one allocation, not a trail
+  // of outgrown ones.
+  hot_.counterMemo.resize(2 * threads_.size());
   replay_.begin(n);
   replay_.add(energyJ_, watts * util::kTickSeconds);
 
@@ -574,10 +578,8 @@ void Machine::replayTicks(util::Tick n, double watts) {
       hot_.barrierTicks[i] += n;
     } else {
       hot_.runnableTicks[i] += n;
-      if (hot_.fastCore[i] != 0)
-        hot_.fastCoreTicks[i] += n;
-      else
-        hot_.slowCoreTicks[i] += n;
+      hot_.fastCoreTicks[i] += hot_.fastCore[i] * n;
+      hot_.slowCoreTicks[i] += (1 - hot_.fastCore[i]) * n;
     }
   }
 
@@ -589,22 +591,29 @@ void Machine::replayTicks(util::Tick n, double watts) {
     const auto i = static_cast<std::size_t>(activeScratch_[k]);
     const double e = executedScratch_[k];
     const double a = accessesScratch_[k];
+    // A core counter holding the same bits as its occupant's (the thread
+    // ran there all quantum) gets the same n additions of `a`, so it ends
+    // on the same bits: copy the thread lane's result instead of replaying
+    // it. It is then never a lane, so the lanes stay distinct. The bits
+    // are compared before the thread lane is queued, since a memo hit
+    // overwrites that lane at once.
+    double& core =
+        coreQuantumAccesses_[static_cast<std::size_t>(hot_.coreId[i])];
+    const bool mirrored = std::bit_cast<std::uint64_t>(core) ==
+                          std::bit_cast<std::uint64_t>(hot_.quantumAccesses[i]);
     replay_.add(hot_.executed[i], e);
     replay_.add(hot_.phaseExecuted[i], e);
     replay_.add(hot_.totalAccesses[i], a);
     // The per-quantum counters restart at zero every quantum, so a leap
     // usually carries them across several binades, where the jump cannot
-    // apply: trying it would only cost time.
-    replay_.addLiteral(hot_.quantumInstructions[i], e);
-    replay_.addLiteral(hot_.quantumAccesses[i], a);
-    // A core counter holding the same bits as its occupant's (the thread
-    // ran there all quantum) gets the same n additions of `a`, so it ends
-    // on the same bits: copy the thread lane's result instead of replaying
-    // it. It is then never a lane, so the lanes stay distinct.
-    double& core =
-        coreQuantumAccesses_[static_cast<std::size_t>(hot_.coreId[i])];
-    if (std::bit_cast<std::uint64_t>(core) ==
-        std::bit_cast<std::uint64_t>(hot_.quantumAccesses[i]))
+    // apply: trying it would only cost time. The first leap after a sample
+    // starts them one tick in, and when the quantum repeats the last one,
+    // so does the replay: the memo answers it without the additions.
+    replay_.addMemoised(hot_.quantumInstructions[i], e,
+                        hot_.counterMemo[2 * i]);
+    replay_.addMemoised(hot_.quantumAccesses[i], a,
+                        hot_.counterMemo[2 * i + 1]);
+    if (mirrored)
       mirrorScratch_.push_back(k);
     else
       replay_.addLiteral(core, a);
@@ -621,6 +630,8 @@ void Machine::replayTicks(util::Tick n, double watts) {
   DIKE_COUNTER("sim.leap.replays");
   DIKE_COUNTER_ADD("sim.leap.lanes_jumped", replay_.jumped());
   DIKE_COUNTER_ADD("sim.leap.lanes_literal", replay_.literal());
+  DIKE_COUNTER_ADD("sim.leap.lanes_memoised", replay_.memoised());
+  DIKE_COUNTER_ADD("sim.leap.lanes_memo_missed", replay_.memoMissed());
   DIKE_COUNTER_ADD("sim.leap.lanes_mirrored", mirrorScratch_.size());
   DIKE_GAUGE_SET("sim.leap.lane_width", replay_.width());
   DIKE_COUNTER_ADD("sim.ticks.leaped", n);

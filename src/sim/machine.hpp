@@ -302,6 +302,11 @@ class Machine {
     std::vector<const Phase*> phase;
     // Per-thread copies of per-process constants (barrier clipping inputs).
     std::vector<double> barrierEvery, totalInstructions;
+    // Leap memo: the last recorded replay of each thread's two per-quantum
+    // counters, quantumInstructions at 2*id and quantumAccesses at 2*id+1.
+    // Exact by construction (LaneMemo), so it is never checkpointed; a
+    // restore empties it, and replayTicks sizes it.
+    std::vector<LaneMemo> counterMemo;
   };
   /// Append SoA slots for a freshly constructed thread.
   void appendHotThread(const SimThread& t);

@@ -12,7 +12,9 @@
 // doubles) is the widest the CPU supports, picked once per process
 // (literalKernel). Either way each lane performs exactly its own sequence of
 // IEEE additions under round-to-nearest-even, so the result is the same bits
-// at every width.
+// at every width. That also makes a literal replay a pure function of the
+// bits of its start, increment and n, so a lane that repeats one already
+// replayed can take the recorded result from a LaneMemo instead.
 #pragma once
 
 #include <array>
@@ -68,6 +70,17 @@ struct ReplayLane {
   double inc = 0.0;
 };
 
+/// The recorded result of one literal lane that started on its own
+/// increment: adding `inc` n times to a start holding the same bits as `inc`
+/// ended on `result`. Keyed bitwise on (start, increment, n), with the start
+/// implied by the increment. The default entry is a true record as well:
+/// zero additions leave +0 at +0.
+struct LaneMemo {
+  std::uint64_t inc = 0;  ///< the bits of the increment (and the start)
+  std::int64_t n = 0;
+  double result = 0.0;
+};
+
 /// The literal replay at one vector width (replay_kernel.cpp). `replay`
 /// performs n literal additions on each of `block` lanes, eight registers
 /// of `width` doubles each with the accumulators held in registers. Every
@@ -93,12 +106,12 @@ inline constexpr std::size_t kMaxLiteralBlock = 64;
 /// The widest supported kernel, chosen once per process.
 [[nodiscard]] const LiteralKernel& literalKernel() noexcept;
 
-/// One replay of n ticks over a set of lanes. Lanes the jump finishes are
-/// done when add() returns; the rest are gathered into blocks of the
-/// kernel's size, each replayed literally as soon as it fills, and finish()
-/// replays the last, partial block. Every lane of one replay must name a
-/// distinct accumulator, and no accumulator may be read or written between
-/// add() and finish().
+/// One replay of n ticks over a set of lanes. Lanes the jump or a memo
+/// finishes are done when add() or addMemoised() returns; the rest are
+/// gathered into blocks of the kernel's size, each replayed literally as
+/// soon as it fills, and finish() replays the last, partial block. Every
+/// lane of one replay must name a distinct accumulator, and no accumulator
+/// may be read or written between add() and finish().
 class LaneReplay {
  public:
   /// Replay literal lanes with `kernel`, which must be supported.
@@ -110,6 +123,8 @@ class LaneReplay {
     n_ = n;
     jumped_ = 0;
     literal_ = 0;
+    memoised_ = 0;
+    memoMissed_ = 0;
     fill_ = 0;
   }
 
@@ -126,11 +141,25 @@ class LaneReplay {
   /// jump: for accumulators known to cross binades during the replay
   /// (counters that restart at zero), where the attempt would be wasted.
   void addLiteral(double& acc, double inc) noexcept {
-    ++literal_;
-    block_[fill_++] = ReplayLane{&acc, inc};
-    if (fill_ == kernel_->block) {
-      kernel_->replay(block_.data(), n_);
-      fill_ = 0;
+    queue(acc, inc, nullptr);
+  }
+
+  /// addLiteral through `memo`, for a counter that restarts at zero: when
+  /// `acc` holds the same bits as `inc` (one tick accumulated since the
+  /// restart), `memo` answers a repeat of the lane it recorded at once, and
+  /// a miss is replayed literally and recorded once its block has run. Any
+  /// other start is replayed literally without touching `memo`. `memo` must
+  /// serve no other lane of this replay.
+  void addMemoised(double& acc, double inc, LaneMemo& memo) noexcept {
+    const auto incBits = std::bit_cast<std::uint64_t>(inc);
+    if (std::bit_cast<std::uint64_t>(acc) != incBits) {
+      queue(acc, inc, nullptr);
+    } else if (memo.inc == incBits && memo.n == n_) {
+      acc = memo.result;
+      ++memoised_;
+    } else {
+      ++memoMissed_;
+      queue(acc, inc, &memo);
     }
   }
 
@@ -140,23 +169,53 @@ class LaneReplay {
     if (fill_ == 0) return;
     for (std::size_t j = fill_; j < kernel_->block; ++j)
       block_[j] = ReplayLane{&sink_, 0.0};
-    kernel_->replay(block_.data(), n_);
-    fill_ = 0;
+    replayBlock();
   }
 
-  /// Lanes the last replay finished by the jump / by literal additions.
+  /// Lanes the last replay finished by the jump / by literal additions /
+  /// from a memo, and the literal ones whose memo missed.
   [[nodiscard]] std::size_t jumped() const noexcept { return jumped_; }
   [[nodiscard]] std::size_t literal() const noexcept { return literal_; }
+  [[nodiscard]] std::size_t memoised() const noexcept { return memoised_; }
+  [[nodiscard]] std::size_t memoMissed() const noexcept { return memoMissed_; }
   /// Doubles per register of the literal replay.
   [[nodiscard]] std::size_t width() const noexcept { return kernel_->width; }
 
  private:
+  /// Queue a literal lane, recording its result in `memo` (if set) once
+  /// its block has run.
+  void queue(double& acc, double inc, LaneMemo* memo) noexcept {
+    ++literal_;
+    block_[fill_] = ReplayLane{&acc, inc};
+    memos_[fill_] = memo;
+    memosQueued_ |= memo != nullptr;
+    if (++fill_ == kernel_->block) replayBlock();
+  }
+
+  /// Replay the queued lanes (the block is full or padded), then record
+  /// the results of the memoised ones.
+  void replayBlock() noexcept {
+    kernel_->replay(block_.data(), n_);
+    if (memosQueued_) {
+      for (std::size_t j = 0; j < fill_; ++j)
+        if (LaneMemo* memo = memos_[j])
+          *memo = LaneMemo{std::bit_cast<std::uint64_t>(block_[j].inc), n_,
+                           *block_[j].acc};
+      memosQueued_ = false;
+    }
+    fill_ = 0;
+  }
+
   const LiteralKernel* kernel_;
   std::int64_t n_ = 0;
   std::size_t jumped_ = 0;
   std::size_t literal_ = 0;
+  std::size_t memoised_ = 0;
+  std::size_t memoMissed_ = 0;
   std::size_t fill_ = 0;
+  bool memosQueued_ = false;  // some queued lane has a memo to record
   std::array<ReplayLane, kMaxLiteralBlock> block_{};
+  std::array<LaneMemo*, kMaxLiteralBlock> memos_{};
   double sink_ = 0.0;
 };
 

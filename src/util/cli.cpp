@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <stdexcept>
 
@@ -63,6 +64,14 @@ std::string CliArgs::getOr(std::string_view name,
                            std::string_view fallback) const {
   if (auto v = get(name)) return *v;
   return std::string{fallback};
+}
+
+std::optional<std::string> CliArgs::firstUnknown(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, value] : flags_)
+    if (std::find(known.begin(), known.end(), name) == known.end())
+      return name;
+  return std::nullopt;
 }
 
 int CliArgs::getInt(std::string_view name, int fallback) const {

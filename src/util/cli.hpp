@@ -3,6 +3,7 @@
 // executables dependency-free and consistent.
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -29,6 +30,11 @@ class CliArgs {
                                       std::int64_t fallback) const;
   [[nodiscard]] double getDouble(std::string_view name, double fallback) const;
   [[nodiscard]] bool getBool(std::string_view name, bool fallback) const;
+
+  /// The first flag (in name order) that is not in `known`, if any, so a
+  /// binary can refuse a misspelt flag instead of ignoring it.
+  [[nodiscard]] std::optional<std::string> firstUnknown(
+      std::initializer_list<std::string_view> known) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;

@@ -81,12 +81,14 @@ void TaskPool::runBatch(Batch& batch) {
     } catch (...) {
       batch.errors[i] = std::current_exception();
     }
-    {
-      const std::lock_guard lock{batch.mu};
-      // The lock pairs each errors[i] write with the caller's post-wait
-      // read: the caller only reads the array after observing done == count
-      // under the same mutex.
-      if (++batch.done == batch.count) batch.doneCv.notify_all();
+    // Each decrement releases this index's errors[i] write; the waiter's
+    // acquire load of 0 reads the last of the decrements, which all belong
+    // to one release sequence, so it sees every write. Only the final
+    // decrement takes the mutex, so that its wake cannot slip between the
+    // waiter's check and its sleep.
+    if (batch.remaining.fetch_sub(1, std::memory_order_release) == 1) {
+      { const std::lock_guard lock{batch.mu}; }
+      batch.doneCv.notify_all();
     }
   }
 }
@@ -116,9 +118,16 @@ void TaskPool::forEach(std::size_t count,
   runBatch(*batch);
   {
     std::unique_lock lock{batch->mu};
-    batch->doneCv.wait(lock, [&] { return batch->done == batch->count; });
+    batch->doneCv.wait(lock, [&] {
+      return batch->remaining.load(std::memory_order_acquire) == 0;
+    });
   }
-  for (const std::exception_ptr& e : batch->errors)
+  // Take the exceptions onto this thread: a late helper may drop the last
+  // reference to the batch, and its release of an exception the caller is
+  // still handling is ordered only by libstdc++'s uninstrumented reference
+  // count, which ThreadSanitizer reports as a race.
+  const std::vector<std::exception_ptr> errors = std::move(batch->errors);
+  for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
 }
 

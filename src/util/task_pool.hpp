@@ -71,21 +71,22 @@ class TaskPool {
 
  private:
   /// One forEach invocation: helpers and the caller race on `next` to claim
-  /// indices; the last finisher signals `done_cv`. Heap-allocated and
-  /// shared_ptr-held so a helper task that starts after the batch completed
-  /// (queue backlog) can still observe next >= count and retire safely.
+  /// indices and count finished ones down on `remaining`; the last finisher
+  /// signals `doneCv`. Heap-allocated and shared_ptr-held so a helper task
+  /// that starts after the batch completed (queue backlog) can still
+  /// observe next >= count and retire safely.
   struct Batch {
     explicit Batch(std::size_t n,
                    const std::function<void(std::size_t)>* f)
-        : count(n), fn(f), errors(n) {}
+        : count(n), fn(f), remaining(n), errors(n) {}
     const std::size_t count;
     /// Owned by the forEach caller's frame; never dereferenced after the
     /// batch completes (no index can be claimed once next >= count).
     const std::function<void(std::size_t)>* fn;
     std::atomic<std::size_t> next{0};
-    std::mutex mu;
+    std::atomic<std::size_t> remaining;  // indices not yet finished
+    std::mutex mu;  // taken only around the final wake and the wait
     std::condition_variable doneCv;
-    std::size_t done = 0;  // guarded by mu
     std::vector<std::exception_ptr> errors;
   };
 

@@ -6,6 +6,7 @@
 // prove identical. Every EXPECT below is exact equality, not tolerance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -392,18 +393,26 @@ TEST(MachineLeap, CoreCounterUnlikeItsOccupantsIsNotMirrored) {
 /// The paper testbed's 40 threads fill only a handful of the replay
 /// kernel's blocks (16 to 64 lanes, by the CPU's vector width). A wider
 /// machine fills many more, under clustered Dike: 8 sockets x 16 cores x
-/// 2 SMT, 32 tenants of 8 threads, and a socket's worth of controller
-/// bandwidth per socket so Dike acts. The checkpoint payloads after 40
-/// quanta must match token for token, except the run config (which records
-/// the leap switch) and the step statistics (which count how ticks were
-/// advanced).
+/// 2 SMT, 32 tenants of 8 threads. With a socket's worth of controller
+/// bandwidth per socket Dike acts; with the default memory system it never
+/// swaps, and for the first 12 quanta no tenant leaves its first phase, so
+/// each quantum repeats the last and the leap's counter memo answers. The
+/// checkpoint payloads must match token for token, except the run config
+/// (which records the leap switch) and the step statistics (which count how
+/// ticks were advanced).
 struct LargeRun {
   std::string payload;
   std::int64_t swaps = 0;
+  int maxPhaseIndex = 0;
   sim::StepStats stats;
+  /// Per quantum: the leaps' memoised and memo-missed counter lanes, and
+  /// their core counters copied from the occupant's lane.
+  std::vector<std::uint64_t> memoised;
+  std::vector<std::uint64_t> memoMissed;
+  std::vector<std::uint64_t> mirrored;
 };
 
-LargeRun runLargeMachine(bool leap) {
+LargeRun runLargeMachine(bool leap, bool scaledMemory, int quanta) {
   constexpr int kSockets = 8;
   exp::RunSpec spec;
   spec.seed = 5;
@@ -430,19 +439,39 @@ LargeRun runLargeMachine(bool leap) {
   cfg.cluster.clusters = kSockets;
   spec.dikeConfig = cfg;
   spec.params = cfg.params;
-  spec.machine.memory.controllerAccessesPerSec *= kSockets;
+  if (scaledMemory) spec.machine.memory.controllerAccessesPerSec *= kSockets;
   spec.machine.tickLeaping = leap;
 
+  const bool wasEnabled = telemetry::enabled();
+  telemetry::setEnabled(true);
+  telemetry::Counter& memoised =
+      telemetry::Registry::instance().counter("sim.leap.lanes_memoised");
+  telemetry::Counter& missed =
+      telemetry::Registry::instance().counter("sim.leap.lanes_memo_missed");
+  telemetry::Counter& mirrored =
+      telemetry::Registry::instance().counter("sim.leap.lanes_mirrored");
+  LargeRun run;
   exp::RunSession session{spec};
-  for (int q = 0; q < 40; ++q)
+  for (int q = 0; q < quanta; ++q) {
+    memoised.reset();
+    missed.reset();
+    mirrored.reset();
     if (!session.stepQuantum()) break;
-  return LargeRun{session.checkpointPayload(), session.machine().swapCount(),
-                  session.machine().stepStats()};
+    run.memoised.push_back(memoised.value());
+    run.memoMissed.push_back(missed.value());
+    run.mirrored.push_back(mirrored.value());
+  }
+  telemetry::setEnabled(wasEnabled);
+  run.payload = session.checkpointPayload();
+  run.swaps = session.machine().swapCount();
+  for (const sim::SimThread& t : session.machine().threads())
+    run.maxPhaseIndex = std::max(run.maxPhaseIndex, t.phaseIndex);
+  run.stats = session.machine().stepStats();
+  return run;
 }
 
-TEST(MachineLeap, GoldenEquivalenceOnALargeClusteredMachine) {
-  const LargeRun leapRun = runLargeMachine(true);
-  const LargeRun tickRun = runLargeMachine(false);
+/// Both runs' payloads match but for the config and the two tick counters.
+void expectLargeRunsIdentical(const LargeRun& leapRun, const LargeRun& tickRun) {
   const std::vector<ckpt::Token> leap = ckpt::tokenize(leapRun.payload);
   const std::vector<ckpt::Token> tick = ckpt::tokenize(tickRun.payload);
   ASSERT_EQ(leap.size(), tick.size());
@@ -457,9 +486,48 @@ TEST(MachineLeap, GoldenEquivalenceOnALargeClusteredMachine) {
   EXPECT_EQ(leapRun.stats.computedTicks + leapRun.stats.leapedTicks,
             tickRun.stats.computedTicks);
   EXPECT_EQ(tickRun.stats.leapedTicks, 0);
-  // Not vacuous: most ticks were leaped and Dike moved threads.
+  // Not vacuous: most ticks were leaped.
   EXPECT_GT(leapRun.stats.leapedTicks, leapRun.stats.computedTicks);
-  EXPECT_GT(leapRun.swaps, 0);
+}
+
+std::uint64_t sumFrom(const std::vector<std::uint64_t>& v, std::size_t first) {
+  std::uint64_t sum = 0;
+  for (std::size_t q = first; q < v.size(); ++q) sum += v[q];
+  return sum;
+}
+
+TEST(MachineLeap, GoldenEquivalenceOnALargeClusteredMachine) {
+  const LargeRun leapRun = runLargeMachine(true, true, 40);
+  const LargeRun tickRun = runLargeMachine(false, true, 40);
+  expectLargeRunsIdentical(leapRun, tickRun);
+  EXPECT_GT(leapRun.swaps, 0) << "Dike moved threads";
+  // Moved threads run at new rates, so after the first quantum the memo
+  // misses.
+  EXPECT_GT(sumFrom(leapRun.memoMissed, 1), 0u);
+  EXPECT_EQ(sumFrom(tickRun.memoised, 0) + sumFrom(tickRun.memoMissed, 0), 0u);
+}
+
+TEST(MachineLeap, GoldenEquivalenceOnASteadyLargeMachine) {
+  const LargeRun leapRun = runLargeMachine(true, false, 12);
+  const LargeRun tickRun = runLargeMachine(false, false, 12);
+  expectLargeRunsIdentical(leapRun, tickRun);
+  EXPECT_EQ(leapRun.swaps, 0) << "Dike never acts on this machine";
+  EXPECT_EQ(leapRun.maxPhaseIndex, 0) << "every tenant is in its first phase";
+  ASSERT_EQ(leapRun.memoised.size(), 12u);
+  // The first quantum's utilisations settle over several computed ticks,
+  // so its leaps never start one tick in. The second records both
+  // counters of all 256 threads, and every later quantum repeats it.
+  EXPECT_EQ(leapRun.memoised[0] + leapRun.memoMissed[0], 0u);
+  EXPECT_EQ(leapRun.memoised[1], 0u);
+  EXPECT_EQ(leapRun.memoMissed[1], 2u * 256u);
+  for (std::size_t q = 2; q < leapRun.memoised.size(); ++q) {
+    SCOPED_TRACE("quantum " + std::to_string(q));
+    EXPECT_EQ(leapRun.memoised[q], 2u * 256u);
+    EXPECT_EQ(leapRun.memoMissed[q], 0u);
+    // Each core still mirrors its occupant: the bits are compared before
+    // a memo hit overwrites the thread's lane.
+    EXPECT_EQ(leapRun.mirrored[q], 256u);
+  }
 }
 
 }  // namespace

@@ -5,11 +5,13 @@
 // concentrate on the inputs where a closed form is most likely to be wrong:
 // zero starts, exact rounding ties, sums that cross a power of two,
 // increments too small to move the accumulator, subnormals and non-finite
-// values.
+// values. A memoised lane (LaneMemo) must give the same bits as replaying
+// it, and must miss whenever one bit of its key differs.
 #include "sim/replay_kernel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -280,6 +282,140 @@ TEST_P(LiteralKernelWidth, EveryPartialBlockUpToTwoBlocksIsExact) {
         ASSERT_EQ(bits(acc[l]), bits(literalSum(start[l], inc[l], n)))
             << k.isa << ": lane " << l << " of " << lanes << " n=" << n;
     }
+  }
+}
+
+/// Increments for the memoised lanes, which start on their own increment
+/// (one tick into a counter that restarted at zero).
+double memoIncrement(CaseGen& gen, std::mt19937_64& rng) {
+  switch (rng() % 6) {
+    case 0:  // signed zeros
+      return rng() % 2 == 0 ? 0.0 : -0.0;
+    case 1:  // subnormal increments
+      return std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(1 + rng() % (1u << 20));
+    case 2: {  // ties (q + 1/2) u: the sums round at a tie once their ulp is u
+      const double u = std::ldexp(1.0, static_cast<int>(rng() % 80) - 40);
+      return (static_cast<double>(rng() % 4096) + 0.5) * u;
+    }
+    case 3:  // an odd significand, so every binade the sum enters rounds
+      return std::bit_cast<double>(std::bit_cast<std::uint64_t>(
+                                       std::ldexp(1.0, -7)) |
+                                   (rng() & 0xf'ffff'ffff'ffffULL) | 1);
+    default:  // the engine's counters: one tick of instructions or accesses
+      return gen.next(0).e;
+  }
+}
+
+TEST_P(LiteralKernelWidth, MemoisedLanesMatchLiteralAdditionsBitwise) {
+  // Batches of memoised lanes mixed with literal and jumped ones, each
+  // batch replayed twice: the first replay records every fresh memo (a
+  // default one already holds the record of zero additions to +0), the
+  // second answers every memoised lane from its memo. Both must equal the literal loop. n = 1,
+  // 2 and 3 and sums that cross several binades (n up to 5000 from a start
+  // of one increment) are all in the sweep.
+  const LiteralKernel& k = kernel();
+  CaseGen gen{0x3e30'0000 + k.width};
+  std::mt19937_64 rng{k.width};
+  LaneReplay replay{k};
+  std::size_t hits = 0;
+  std::size_t literal = 0;
+  for (int batch = 0; batch < 600; ++batch) {
+    const auto lanes = static_cast<std::size_t>(1 + rng() % (3 * k.block));
+    const std::int64_t n = batch % 4 == 0 ? 1 + batch / 4 % 3 : gen.next(0).n;
+    std::vector<double> inc(lanes);
+    std::vector<char> memoised(lanes);
+    std::vector<double> start(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      memoised[l] = rng() % 4 != 0;
+      if (memoised[l]) {
+        inc[l] = memoIncrement(gen, rng);
+        start[l] = inc[l];
+      } else {
+        const Case c = gen.next(static_cast<int>(rng() % kKinds));
+        start[l] = c.x;
+        inc[l] = c.e;
+      }
+    }
+    std::vector<LaneMemo> memos(lanes);
+    for (const bool second : {false, true}) {
+      std::vector<double> acc = start;
+      replay.begin(n);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        if (memoised[l])
+          replay.addMemoised(acc[l], inc[l], memos[l]);
+        else
+          replay.add(acc[l], inc[l]);
+      }
+      replay.finish();
+      ASSERT_EQ(replay.jumped() + replay.literal() + replay.memoised(), lanes);
+      const auto consulted = static_cast<std::size_t>(
+          std::count(memoised.begin(), memoised.end(), 1));
+      ASSERT_EQ(replay.memoised() + replay.memoMissed(), consulted);
+      if (second) {
+        // A recorded memo answers every memoised lane, however the first
+        // replay split them into blocks.
+        ASSERT_EQ(replay.memoMissed(), 0u) << k.isa << " batch " << batch;
+        hits += replay.memoised();
+      } else {
+        literal += replay.literal();
+      }
+      for (std::size_t l = 0; l < lanes; ++l)
+        ASSERT_EQ(bits(acc[l]), bits(literalSum(start[l], inc[l], n)))
+            << k.isa << " batch " << batch << (second ? " (memo)" : "")
+            << " lane " << l << " of " << lanes << ": start=" << start[l]
+            << " inc=" << inc[l] << " n=" << n;
+    }
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(literal, 0u);
+}
+
+TEST_P(LiteralKernelWidth, AMemoMissesWhenOneBitOfItsKeyDiffers) {
+  // Record one lane, then change one bit of its start, its increment (with
+  // the start left as it was, and with the start following it) or n: each
+  // replay must miss, be replayed literally, and still be exact.
+  const LiteralKernel& k = kernel();
+  LaneReplay replay{k};
+  const double inc = 0.000123456789;
+  constexpr std::int64_t kN = 499;
+  auto replayOnce = [&](double start, double e, std::int64_t n,
+                        LaneMemo& memo) {
+    double acc = start;
+    replay.begin(n);
+    replay.addMemoised(acc, e, memo);
+    replay.finish();
+    EXPECT_EQ(replay.memoised() + replay.literal(), 1u);
+    EXPECT_EQ(bits(acc), bits(literalSum(start, e, n)))
+        << k.isa << ": start=" << start << " inc=" << e << " n=" << n;
+    return replay.memoised();
+  };
+  const auto flip = [](double x, int b) {
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^
+                                 (std::uint64_t{1} << b));
+  };
+  LaneMemo recorded;
+  EXPECT_EQ(replayOnce(inc, inc, kN, recorded), 0u);
+  EXPECT_EQ(replay.memoMissed(), 1u);
+  LaneMemo memo = recorded;
+  EXPECT_EQ(replayOnce(inc, inc, kN, memo), 1u) << "an exact repeat hits";
+  for (int b = 0; b < 64; ++b) {
+    SCOPED_TRACE("bit " + std::to_string(b));
+    const double flipped = flip(inc, b);
+    memo = recorded;
+    EXPECT_EQ(replayOnce(flipped, inc, kN, memo), 0u) << "start";
+    memo = recorded;
+    EXPECT_EQ(replayOnce(inc, flipped, kN, memo), 0u) << "increment";
+    memo = recorded;
+    EXPECT_EQ(replayOnce(flipped, flipped, kN, memo), 0u) << "both";
+  }
+  // n's low bits, and its sign bit (a negative count adds nothing). The
+  // other high bits would ask for more additions than a test can run.
+  for (const int b : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 63}) {
+    memo = recorded;
+    const auto n = static_cast<std::int64_t>(static_cast<std::uint64_t>(kN) ^
+                                             (std::uint64_t{1} << b));
+    EXPECT_EQ(replayOnce(inc, inc, n, memo), 0u) << "n bit " << b;
   }
 }
 

@@ -148,5 +148,12 @@ TEST(CliArgsTest, NegativeNumbersStillParse) {
   EXPECT_DOUBLE_EQ(args.getDouble("bias", 0.0), -0.5);
 }
 
+TEST(CliArgsTest, FirstUnknownNamesAFlagOutsideTheKnownSet) {
+  const CliArgs args = parse({"prog", "--seed=3", "--scael", "0.5", "pos"});
+  EXPECT_EQ(args.firstUnknown({"seed", "scale"}), std::string{"scael"});
+  EXPECT_EQ(args.firstUnknown({"seed", "scael"}), std::nullopt);
+  EXPECT_EQ(parse({"prog", "pos"}).firstUnknown({}), std::nullopt);
+}
+
 }  // namespace
 }  // namespace dike::util
