@@ -29,7 +29,7 @@ struct BenchOptions {
   int reps = 0;  ///< independent seeds per data point; 0 = bench default
   bool runGoogleBenchmark = true;
   std::string csvPath;  ///< optional: also dump rows as CSV
-  /// Worker threads for the sweep fan-out; <= 0 picks exp::defaultJobs()
+  /// Worker threads for the sweep fan-out; <= 0 picks util::defaultJobs()
   /// (DIKE_JOBS env or hardware concurrency), 1 forces serial execution.
   int jobs = 0;
 };

@@ -103,12 +103,12 @@ constexpr auto kSocketFields = [](auto& s, auto&& field) {
 
 constexpr auto kTelemetryFields = [](auto& t, auto&& field) {
   field("enabled", t.enabled);
-  field("quantumMetrics", t.quantumMetrics);
-  field("traceOut", t.traceOut);
-  field("eventsCsv", t.eventsCsv);
+  field("quantumMetrics", t.run.quantumMetricsPath);
+  field("traceOut", t.run.chromeTracePath);
+  field("eventsCsv", t.run.eventsCsvPath);
   field("registryOut", t.registryOut);
-  field("traceCapacity", t.traceCapacity);
-  field("livePublish", t.livePublish);
+  field("traceCapacity", t.run.traceCapacity);
+  field("livePublish", t.run.livePublish);
 };
 
 std::vector<int> decodeWorkloads(util::JsonReader& r) {
@@ -259,7 +259,7 @@ ExperimentConfig parseExperimentConfig(const util::JsonValue& document) {
   });
   r.readObject("telemetry", [&config](util::JsonReader& t) {
     t.readFields(config.telemetry, kTelemetryFields);
-    t.require(config.telemetry.traceCapacity >= 1, "traceCapacity",
+    t.require(config.telemetry.run.traceCapacity >= 1, "traceCapacity",
               "must be >= 1");
   });
   if (const util::JsonValue* slo = r.take("slo"))
@@ -335,7 +335,7 @@ std::vector<ExperimentCell> runExperiment(const ExperimentConfig& config,
   // Telemetry run outputs attach to exactly one run: the first listed
   // scheduler on the first listed workload, rep 0. When that scheduler is
   // CFS, the internally-run baseline is that run.
-  bool telemetryPending = config.telemetry.anyRunOutput();
+  bool telemetryPending = config.telemetry.run.any();
   const SchedulerKind telemetryKind =
       config.kinds.empty() ? SchedulerKind::Cfs : config.kinds.front();
   for (const int workloadId : config.workloadIds) {
@@ -343,7 +343,7 @@ std::vector<ExperimentCell> runExperiment(const ExperimentConfig& config,
       RunSpec spec =
           cellRunSpec(config, workloadId, SchedulerKind::Cfs, rep);
       if (telemetryPending && telemetryKind == SchedulerKind::Cfs) {
-        spec.telemetry = config.telemetry.runTelemetry();
+        spec.telemetry = config.telemetry.run;
         telemetryPending = false;
       }
       const std::size_t baselineIndex = specs.size();
@@ -357,7 +357,7 @@ std::vector<ExperimentCell> runExperiment(const ExperimentConfig& config,
         }
         spec.kind = kind;
         if (telemetryPending && kind == telemetryKind) {
-          spec.telemetry = config.telemetry.runTelemetry();
+          spec.telemetry = config.telemetry.run;
           telemetryPending = false;
         }
         refs.push_back({workloadId, kind, specs.size(), baselineIndex});

@@ -44,31 +44,11 @@ namespace dike::exp {
 struct ExperimentTelemetry {
   /// Turn on the process-wide counter/timer registry for the whole grid.
   bool enabled = false;
-  std::string quantumMetrics;  ///< per-quantum stream path (csv/jsonl)
-  std::string traceOut;        ///< Chrome trace_event JSON path
-  std::string eventsCsv;       ///< raw event CSV path (dike_trace input)
-  std::string registryOut;     ///< registry JSON dump path (dike_run)
-  std::size_t traceCapacity = std::size_t{1} << 20;
-  /// Publish per-quantum live events into the ring/aggregator plane
-  /// (dike_run --live-metrics implies this for the telemetry-carrying run).
-  bool livePublish = false;
-
-  /// True when some single run must carry telemetry attachments (file
-  /// outputs or the live ring publisher).
-  [[nodiscard]] bool anyRunOutput() const noexcept {
-    return !quantumMetrics.empty() || !traceOut.empty() ||
-           !eventsCsv.empty() || livePublish;
-  }
-  /// The per-run attachment view of these settings.
-  [[nodiscard]] RunTelemetry runTelemetry() const {
-    RunTelemetry t;
-    t.quantumMetricsPath = quantumMetrics;
-    t.chromeTracePath = traceOut;
-    t.eventsCsvPath = eventsCsv;
-    t.traceCapacity = traceCapacity;
-    t.livePublish = livePublish;
-    return t;
-  }
+  std::string registryOut;  ///< registry JSON dump path (dike_run)
+  /// The outputs of the one run that carries telemetry attachments (keys
+  /// "quantumMetrics", "traceOut", "eventsCsv", "traceCapacity" and
+  /// "livePublish"; dike_run --live-metrics implies livePublish).
+  RunTelemetry run{};
 };
 
 struct ExperimentConfig {
@@ -178,7 +158,7 @@ struct ExperimentCell {
 /// in exp/parallel.hpp), so a killed sweep rerun with the same config
 /// skips finished runs; the file is deleted on completion, and a state
 /// file written for a different config is rejected. jobs <= 0 picks
-/// defaultJobs(); 1 runs sequentially. Results are identical to
+/// util::defaultJobs(); 1 runs sequentially. Results are identical to
 /// runExperiment(config) regardless of jobs or interruption.
 [[nodiscard]] std::vector<ExperimentCell> runExperiment(
     const ExperimentConfig& config, const std::string& sweepStateFile,

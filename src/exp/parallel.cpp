@@ -19,12 +19,10 @@
 
 namespace dike::exp {
 
-int defaultJobs() { return util::defaultJobs(); }
-
 void parallelFor(std::size_t count,
                  const std::function<void(std::size_t)>& fn, int jobs) {
   if (count == 0) return;
-  if (jobs <= 0) jobs = defaultJobs();
+  if (jobs <= 0) jobs = util::defaultJobs();
   jobs = static_cast<int>(
       std::min<std::size_t>(static_cast<std::size_t>(jobs), count));
   if (jobs <= 1) {

@@ -20,16 +20,7 @@
 
 namespace dike::exp {
 
-/// Worker count used when a caller passes jobs <= 0. Forwards to
-/// util::defaultJobs(): DIKE_JOBS when set to a positive integer, otherwise
-/// std::thread::hardware_concurrency() (at least 1).
-[[nodiscard]] int defaultJobs();
-
-/// The sweep pool is the shared util pool; the alias keeps existing
-/// exp-layer callers and tests source-compatible.
-using ThreadPool = util::TaskPool;
-
-/// Run fn(0..count-1) across `jobs` workers (<= 0 picks defaultJobs();
+/// Run fn(0..count-1) across `jobs` workers (<= 0 picks util::defaultJobs();
 /// 1 runs inline on the calling thread). Blocks until every index has run.
 /// If any invocation throws, the first exception (by index order) is
 /// rethrown after all workers drain. Each invocation is wrapped in the

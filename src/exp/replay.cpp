@@ -275,40 +275,36 @@ RunMetrics runMetricsFromJson(const util::JsonValue& doc) {
 
 /// Publishes the per-quantum live events (thread slowdowns, fairness
 /// spread) into the ring transport and refreshes the aggregator's placement
-/// snapshot for /state. Runs its own SlowdownEstimator over exactly the
-/// inputs QuantumMetricsListener sees, so live aggregates and the NDJSON
-/// stream agree sample-for-sample.
+/// snapshot for /state. Reads the run's slowdown cursor, the one estimate
+/// the quantum stream also reads, so live aggregates and the NDJSON stream
+/// agree sample-for-sample.
 class LiveQuantumPublisher final : public sched::QuantumListener {
  public:
+  explicit LiveQuantumPublisher(const SlowdownCursor& cursor)
+      : cursor_(&cursor) {}
+
   void afterQuantum(const sim::Machine& machine,
                     const sched::SchedulerView& view,
                     sched::Scheduler& scheduler) override {
-    const double dt = util::ticksToSeconds(machine.now() - lastTick_);
-    lastTick_ = machine.now();
-    slowdown_.beginQuantum(dt);
+    const telemetry::SlowdownEstimator& slowdown = cursor_->estimate();
+    const std::int64_t quantum = cursor_->quantum();
     const sim::QuantumSample& sample = view.sample();
-    for (const sim::ThreadSample& s : sample.threads) {
-      if (s.finished || s.coreId < 0) continue;
-      slowdown_.add(s.threadId, s.processId, s.accessRate);
-    }
-    slowdown_.finishQuantum();
-
     const core::DikePolicy* dike = core::asDikePolicy(scheduler);
     const double unfairness =
         dike != nullptr ? dike->lastQuantumStats().unfairness
                         : std::numeric_limits<double>::quiet_NaN();
-    const double spread = slowdown_.fairnessSpread();
+    const double spread = slowdown.fairnessSpread();
 
     // Ring events flow every quantum (the live histograms must match the
     // NDJSON stream sample-for-sample), but the /state placement snapshot
     // only feeds a few-Hz dike_top poll — rebuilding and mutex-publishing
     // it per quantum is pure simulation-thread overhead. Refresh every
     // eighth quantum; sub-millisecond staleness at observed quantum rates.
-    const bool refresh = (quantumIndex_ & 0x7) == 0;
+    const bool refresh = (quantum & 0x7) == 0;
     telemetry::LiveState state;
     if (refresh) {
       state.tick = machine.now();
-      state.quantum = quantumIndex_;
+      state.quantum = quantum;
       state.unfairness = unfairness;
       state.fairnessSpread = std::isnan(spread) ? 0.0 : spread;
       state.scheduler.assign(scheduler.name());
@@ -327,7 +323,7 @@ class LiveQuantumPublisher final : public sched::QuantumListener {
     }
     for (const sim::ThreadSample& s : sample.threads) {
       if (s.finished || s.coreId < 0) continue;
-      const double sd = slowdown_.slowdownOf(s.threadId);
+      const double sd = slowdown.slowdownOf(s.threadId);
       telemetry::publish(telemetry::EventKind::ThreadSlowdown,
                          static_cast<std::uint32_t>(s.threadId),
                          machine.now(), sd);
@@ -338,20 +334,17 @@ class LiveQuantumPublisher final : public sched::QuantumListener {
       }
     }
     telemetry::publish(telemetry::EventKind::FairnessSpread,
-                       static_cast<std::uint32_t>(quantumIndex_),
-                       machine.now(), spread, unfairness);
+                       static_cast<std::uint32_t>(quantum), machine.now(),
+                       spread, unfairness);
     if (refresh)
       telemetry::Aggregator::instance().updateLiveState(std::move(state));
     // Liveness stamp for /healthz (two relaxed stores — negligible against
     // the live-plane overhead gate): this quantum just completed, now.
-    telemetry::heartbeat(quantumIndex_);
-    ++quantumIndex_;
+    telemetry::heartbeat(quantum);
   }
 
  private:
-  std::int64_t quantumIndex_ = 0;
-  util::Tick lastTick_ = 0;
-  telemetry::SlowdownEstimator slowdown_;
+  const SlowdownCursor* cursor_;
 };
 
 namespace {
@@ -447,12 +440,14 @@ void RunSession::attachTelemetry() {
     attachQuantumStream(metricsFile_->writer());
   }
   if (tel.livePublish) {
-    livePublisher_ = std::make_unique<LiveQuantumPublisher>();
+    livePublisher_ = std::make_unique<LiveQuantumPublisher>(slowdown_);
     addQuantumListener(*livePublisher_);
   }
-  if (tel.any())
-    if (core::DikePolicy* dike = core::asDikePolicy(*scheduler_))
-      dike->setDecisionTrace(&decisions_);
+  // The decision trace is read only into the Chrome trace, so nothing
+  // records it for a run that writes none.
+  if (tel.chromeTracePath.empty()) return;
+  if (core::DikePolicy* dike = core::asDikePolicy(*scheduler_))
+    dike->setDecisionTrace(&decisions_);
   // Route live-SLO alerts into this run's decision trace so breach records
   // line up with the scheduler decisions around them.
   if (tel.livePublish) liveSlo_ = telemetry::Aggregator::instance().slo();
@@ -462,11 +457,18 @@ void RunSession::attachTelemetry() {
 void RunSession::attachQuantumStream(telemetry::QuantumStreamWriter& writer) {
   if (streamListener_)
     throw std::logic_error{"run session already has a quantum stream"};
-  streamListener_ = std::make_unique<QuantumMetricsListener>(writer);
+  // A late stream would number its records from a cursor that skipped the
+  // quanta already run.
+  if (quantumIndex_ != 0)
+    throw std::logic_error{
+        "a quantum stream must attach before the run's first quantum"};
+  streamListener_ =
+      std::make_unique<QuantumMetricsListener>(writer, slowdown_);
   addQuantumListener(*streamListener_);
 }
 
 void RunSession::addQuantumListener(sched::QuantumListener& listener) {
+  if (listeners_.size() == 0) listeners_.add(&slowdown_);
   listeners_.add(&listener);
   adapter_->setListener(&listeners_);
 }
@@ -602,11 +604,11 @@ void RunSession::savePayload(ckpt::BinWriter& w,
       injector_->saveState(w);
       faultPolicy_->saveState(w);
     }
-    // The stream cursor rides in the payload when a stream is attached:
-    // resumed NDJSON records are only byte-identical if the listener's
-    // path-dependent accumulators restart exactly (format version 2).
+    // The slowdown cursor rides in the payload when a stream is attached:
+    // resumed NDJSON records are only byte-identical if its path-dependent
+    // accumulators restart exactly (format version 2).
     field("hasQuantumStream", streamListener_ != nullptr);
-    if (streamListener_) streamListener_->saveState(w);
+    if (streamListener_) slowdown_.saveState(w);
   });
 }
 
@@ -646,6 +648,9 @@ std::unique_ptr<RunSession> RunSession::restoreFromPayload(
   // loaded over it. A throw anywhere below destroys the half-built session
   // — the caller never observes a partial restore.
   auto session = std::make_unique<RunSession>(std::move(spec));
+  // Attached before the restored quantum count lands; a saved cursor, read
+  // below, then replaces the fresh one it starts from.
+  if (stream != nullptr) session->attachQuantumStream(*stream);
   if (header.schedulerName != session->scheduler_->name())
     throw ckpt::CheckpointError{
         "checkpoint names scheduler '" + header.schedulerName +
@@ -685,23 +690,9 @@ std::unique_ptr<RunSession> RunSession::restoreFromPayload(
   }
   bool hasStream = false;
   field("hasQuantumStream", hasStream);
-  if (hasStream) {
-    if (stream != nullptr) {
-      session->attachQuantumStream(*stream);
-      session->streamListener_->loadState(r);
-    } else {
-      // Consume (and drop) the cursor so stream-less consumers can still
-      // restore supervised checkpoints; their payloads simply lose the
-      // cursor, symmetrically on both sides of a dike_diff comparison.
-      std::ostringstream devnull;
-      telemetry::QuantumStreamWriter sink{devnull,
-                                          telemetry::StreamFormat::JsonLines};
-      QuantumMetricsListener discard{sink};
-      discard.loadState(r);
-    }
-  } else if (stream != nullptr) {
-    session->attachQuantumStream(*stream);
-  }
+  // A stream-less restore reads the cursor too; its payloads then drop it,
+  // symmetrically on both sides of a dike_diff comparison.
+  if (hasStream) session->slowdown_.loadState(r);
   r.endSection();
   r.expectEnd();
   return session;

@@ -29,6 +29,7 @@
 #include "ckpt/archive.hpp"
 #include "exp/dynamic.hpp"
 #include "exp/runner.hpp"
+#include "exp/stream_listener.hpp"
 #include "fault/fault_policy.hpp"
 #include "sched/scheduler.hpp"
 #include "telemetry/decision_trace.hpp"
@@ -65,7 +66,6 @@ namespace dike::exp {
 /// doubles parse back bit-identical.
 [[nodiscard]] RunMetrics runMetricsFromJson(const util::JsonValue& doc);
 
-class QuantumMetricsListener;
 class LiveQuantumPublisher;
 
 /// Rolling-checkpoint settings for finish()/runWorkloadCheckpointed.
@@ -92,14 +92,24 @@ class RunSession {
 
   /// Attach a per-quantum metrics stream: every subsequent stepQuantum()
   /// emits one record into `writer` (which must outlive the session). The
-  /// stream cursor — record counter, last tick, slowdown accumulators —
+  /// slowdown cursor — record counter, last tick, slowdown accumulators —
   /// becomes part of checkpointPayload(), so a run restored with a writer
-  /// appends records byte-identical to the uninterrupted stream's.
+  /// appends records byte-identical to the uninterrupted stream's. Throws
+  /// std::logic_error once the run has stepped a quantum (a restored run
+  /// counts its checkpointed quanta; hand the writer to restore() instead)
+  /// or when a stream is already attached.
   void attachQuantumStream(telemetry::QuantumStreamWriter& writer);
 
   /// Chain one more per-quantum listener (the soak's invariant checker).
-  /// It must outlive the session and is not part of any checkpoint.
+  /// It must outlive the session and is not part of any checkpoint. The
+  /// slowdown cursor runs ahead of it.
   void addQuantumListener(sched::QuantumListener& listener);
+
+  /// The run's slowdown cursor. It advances once per quantum while some
+  /// listener is attached, before any listener runs.
+  [[nodiscard]] const SlowdownCursor& slowdown() const noexcept {
+    return slowdown_;
+  }
 
   /// Advance the run through exactly one more quantum boundary. Returns
   /// false once the run is over (finished with no arrivals pending, or at
@@ -123,10 +133,11 @@ class RunSession {
   /// the embedded RunSpec, then overwrites the mutable state. Throws
   /// ckpt::CheckpointError on any corruption, version, or schema mismatch —
   /// never returns a partially-restored session. When the checkpoint was
-  /// taken from a stream-attached run and `stream` is given, the listener
-  /// is reattached with its saved cursor (byte-identical resumed records);
-  /// with `stream == nullptr` the cursor is read and discarded, so
-  /// stream-less consumers (dike_diff) restore supervised checkpoints too.
+  /// taken from a stream-attached run, its slowdown cursor is restored, and
+  /// a given `stream` resumes from it (byte-identical resumed records);
+  /// without a saved cursor the stream numbers its records from 0. With
+  /// `stream == nullptr` the payload saved later drops the cursor, so
+  /// stream-less consumers (dike_diff) compare supervised checkpoints too.
   /// `decideJobs >= 0` replaces the restored spec's clustered plan-phase
   /// worker budget before the scheduler is built (see
   /// ClusterConfig::decideJobs; the knob is not part of any checkpoint, so
@@ -179,6 +190,7 @@ class RunSession {
   std::int64_t quantumIndex_ = 0;
   util::Tick nextQuantumAt_ = -1;  ///< < 0 until the first quantum
   sched::QuantumListenerChain listeners_;
+  SlowdownCursor slowdown_;
   std::unique_ptr<QuantumMetricsListener> streamListener_;
   std::unique_ptr<LiveQuantumPublisher> livePublisher_;
   /// The live SLO monitor whose alerts this run's decision trace receives

@@ -6,8 +6,6 @@
 
 #include "core/dike_policy.hpp"
 #include "exp/replay.hpp"
-#include "telemetry/slowdown.hpp"
-#include "util/types.hpp"
 
 namespace dike::exp {
 
@@ -35,30 +33,22 @@ namespace {
 class SoakInvariantListener final : public sched::QuantumListener {
  public:
   /// `slo` may be null (SLO checking disabled). When set, the listener
-  /// feeds the monitor the same per-quantum fairness spread the live
-  /// aggregator would see, evaluated synchronously so soak verdicts stay
-  /// deterministic.
-  explicit SoakInvariantListener(telemetry::SloMonitor* slo = nullptr)
-      : slo_(slo) {}
+  /// feeds the monitor the run's per-quantum fairness spread — the one the
+  /// live aggregator would see — from the session's slowdown cursor,
+  /// evaluated synchronously so soak verdicts stay deterministic.
+  SoakInvariantListener(telemetry::SloMonitor* slo,
+                        const SlowdownCursor& cursor)
+      : slo_(slo), cursor_(&cursor) {}
 
-  void afterQuantum(const sim::Machine& machine,
+  void afterQuantum(const sim::Machine& /*machine*/,
                     const sched::SchedulerView& view,
                     sched::Scheduler& scheduler) override {
     const sim::QuantumSample& sample = view.sample();
     if (slo_ != nullptr) {
-      const double dt = util::ticksToSeconds(machine.now() - lastTick_);
-      lastTick_ = machine.now();
-      slowdown_.beginQuantum(dt);
-      for (const sim::ThreadSample& s : sample.threads) {
-        if (s.finished || s.coreId < 0) continue;
-        slowdown_.add(s.threadId, s.processId, s.accessRate);
-      }
-      slowdown_.finishQuantum();
-      const double spread = slowdown_.fairnessSpread();
+      const double spread = cursor_->estimate().fairnessSpread();
       if (std::isfinite(spread))
-        slo_->observeFairnessSpread(quantaChecked_, spread);
+        slo_->observeFairnessSpread(cursor_->quantum(), spread);
     }
-    ++quantaChecked_;
 
     for (const double bw : sample.coreAchievedBw)
       if (!std::isfinite(bw) || bw < 0.0) ++nanViolations_;
@@ -84,9 +74,6 @@ class SoakInvariantListener final : public sched::QuantumListener {
         ++nanViolations_;
   }
 
-  [[nodiscard]] std::int64_t quantaChecked() const noexcept {
-    return quantaChecked_;
-  }
   [[nodiscard]] std::int64_t nanViolations() const noexcept {
     return nanViolations_;
   }
@@ -96,9 +83,7 @@ class SoakInvariantListener final : public sched::QuantumListener {
 
  private:
   telemetry::SloMonitor* slo_;
-  telemetry::SlowdownEstimator slowdown_;
-  util::Tick lastTick_ = 0;
-  std::int64_t quantaChecked_ = 0;
+  const SlowdownCursor* cursor_;
   std::int64_t nanViolations_ = 0;
   std::int64_t placementViolations_ = 0;
 };
@@ -136,15 +121,16 @@ SoakRun runOnce(const SoakSpec& spec, bool withFaults) {
 
   std::optional<telemetry::SloMonitor> slo;
   if (spec.slo.enabled) slo.emplace(spec.slo);
-  SoakInvariantListener invariants{slo ? &*slo : nullptr};
   RunSession session{runSpec};
+  SoakInvariantListener invariants{slo ? &*slo : nullptr, session.slowdown()};
   session.addQuantumListener(invariants);
 
   SoakRun run;
   run.metrics = session.finish();
   run.churnInjected = session.arrivalsInjected();
   run.churnPending = session.arrivalsPending();
-  run.quantaChecked = invariants.quantaChecked();
+  // The cursor advanced once per quantum the invariants checked.
+  run.quantaChecked = session.slowdown().quanta();
   run.nanViolations = invariants.nanViolations();
   run.placementViolations = invariants.placementViolations();
   if (slo) {

@@ -14,14 +14,9 @@ namespace {
 constexpr double kQuietNaN = std::numeric_limits<double>::quiet_NaN();
 }  // namespace
 
-void QuantumMetricsListener::afterQuantum(const sim::Machine& machine,
-                                          const sched::SchedulerView& view,
-                                          sched::Scheduler& scheduler) {
-  // Slowdown proxy: feed this quantum's access rates into the shared
-  // estimator before building the record, so per-thread slowdown and the
-  // quantum's fairness spread come from the same closed computation the
-  // live publisher uses (the live-vs-file differential test relies on
-  // the two paths agreeing exactly).
+void SlowdownCursor::afterQuantum(const sim::Machine& machine,
+                                  const sched::SchedulerView& view,
+                                  sched::Scheduler& /*scheduler*/) {
   const double dt = util::ticksToSeconds(machine.now() - lastTick_);
   lastTick_ = machine.now();
   slowdown_.beginQuantum(dt);
@@ -30,6 +25,13 @@ void QuantumMetricsListener::afterQuantum(const sim::Machine& machine,
     slowdown_.add(s.threadId, s.processId, s.accessRate);
   }
   slowdown_.finishQuantum();
+  ++quanta_;
+}
+
+void QuantumMetricsListener::afterQuantum(const sim::Machine& machine,
+                                          const sched::SchedulerView& view,
+                                          sched::Scheduler& scheduler) {
+  const telemetry::SlowdownEstimator& slowdown = cursor_->estimate();
   // The record and the scored-prediction index are member buffers: one
   // listener serves one run, so per-quantum churn reuses their capacity
   // (thread rows, strings, hash buckets) instead of reallocating.
@@ -37,14 +39,14 @@ void QuantumMetricsListener::afterQuantum(const sim::Machine& machine,
   rec.threads.clear();
   rec.workloadClass.clear();
   rec.tick = machine.now();
-  rec.quantumIndex = quantumIndex_++;
+  rec.quantumIndex = cursor_->quantum();
   rec.scheduler.assign(scheduler.name());
   rec.unfairness = kQuietNaN;
   rec.quantaLengthMs = -1;
   rec.swapSize = -1;
   rec.swapsExecuted = view.swapsThisQuantum();
   rec.migrationsExecuted = view.migrationsThisQuantum();
-  rec.fairnessSpread = slowdown_.fairnessSpread();
+  rec.fairnessSpread = slowdown.fairnessSpread();
 
   const core::DikePolicy* dike = core::asDikePolicy(scheduler);
   // Resolved once per quantum: the row loop below indexes it per core
@@ -79,7 +81,7 @@ void QuantumMetricsListener::afterQuantum(const sim::Machine& machine,
     t.predictedRate = kQuietNaN;
     t.realizedRate = kQuietNaN;
     t.predictionError = kQuietNaN;
-    t.slowdown = slowdown_.slowdownOf(s.threadId);
+    t.slowdown = slowdown.slowdownOf(s.threadId);
     if (const core::Observer* observer = observers.ofCore(s.coreId);
         observer != nullptr && observer->ready()) {
       t.coreBwEstimate = observer->coreBw(s.coreId);
@@ -99,7 +101,7 @@ namespace {
 
 using ThreadSnapshot = telemetry::SlowdownEstimator::ThreadSnapshot;
 
-/// The stream cursor as checkpointed: the slowdown accumulators are a
+/// The slowdown cursor as checkpointed: the slowdown accumulators are a
 /// snapshot in ascending thread-id order.
 struct Cursor {
   std::int64_t quantumIndex = 0;
@@ -132,15 +134,15 @@ constexpr auto kCursorFields = [](auto& c, auto&& field) {
 
 }  // namespace
 
-void QuantumMetricsListener::saveState(ckpt::BinWriter& w) const {
-  ckpt::writeFields(w, Cursor{quantumIndex_, lastTick_, slowdown_.snapshot()},
+void SlowdownCursor::saveState(ckpt::BinWriter& w) const {
+  ckpt::writeFields(w, Cursor{quanta_, lastTick_, slowdown_.snapshot()},
                     kCursorFields);
 }
 
-void QuantumMetricsListener::loadState(ckpt::BinReader& r) {
+void SlowdownCursor::loadState(ckpt::BinReader& r) {
   Cursor cursor;
   ckpt::readFields(r, cursor, kCursorFields);
-  quantumIndex_ = cursor.quantumIndex;
+  quanta_ = cursor.quantumIndex;
   lastTick_ = cursor.lastTick;
   slowdown_.restore(cursor.threads);
 }

@@ -1,13 +1,16 @@
-// The per-quantum metrics stream listener, shared by runWorkload and
-// checkpointed/supervised runs (it used to live anonymously in runner.cpp).
+// The run's slowdown cursor and the per-quantum metrics stream listener.
 //
-// Extraction exists for one reason: crash-tolerant resume. The listener
-// carries path-dependent state — the SlowdownEstimator's cumulative
-// attained-work accumulators, the 0-based quantum counter, and the previous
-// quantum's end tick — and a resumed run can only append byte-identical
-// NDJSON records if that state is checkpointed and restored exactly, not
-// recomputed. saveState/loadState serialise it into the same named binary
-// archive the rest of the run state uses.
+// One SlowdownCursor per run feeds every consumer of the per-thread
+// slowdown proxy: the quantum stream's records, the live ring publisher and
+// the soak's SLO feed all read the one estimate it closes each quantum, so
+// the file and the live plane are one measurement, not two copies.
+//
+// The cursor carries path-dependent state — the SlowdownEstimator's
+// cumulative attained-work accumulators, the 0-based quantum counter and
+// the previous quantum's end tick — so a resumed run can only append
+// byte-identical records if that state is checkpointed and restored
+// exactly, not recomputed. saveState/loadState serialise it into the same
+// named binary archive the rest of the run state uses.
 #pragma once
 
 #include <cstdint>
@@ -23,37 +26,58 @@
 
 namespace dike::exp {
 
-/// Streams one QuantumRecord per quantum to the metrics writer. For Dike
-/// variants the record carries the Observer's fairness signal, workload
-/// class, CoreBW partition, optimizer parameters, and the predictor's value
-/// against the realised rate; other policies leave those fields NaN/-1 so
-/// the schema is scheduler-independent.
-class QuantumMetricsListener final : public sched::QuantumListener {
+/// The run's one per-quantum slowdown estimate. RunSession chains it ahead
+/// of every other listener, so by the time a consumer's afterQuantum runs
+/// the cursor already describes the quantum just closed.
+class SlowdownCursor final : public sched::QuantumListener {
  public:
-  explicit QuantumMetricsListener(telemetry::QuantumStreamWriter& writer)
-      : writer_(&writer) {}
-
+  /// Close one quantum: feed every placed live thread's access rate over
+  /// the time since the previous quantum into the estimator.
   void afterQuantum(const sim::Machine& machine,
                     const sched::SchedulerView& view,
                     sched::Scheduler& scheduler) override;
 
-  /// Records emitted so far == the index the next record will carry.
-  [[nodiscard]] std::int64_t quantumIndex() const noexcept {
-    return quantumIndex_;
+  /// Index of the quantum the estimate describes (valid after the first
+  /// afterQuantum).
+  [[nodiscard]] std::int64_t quantum() const noexcept { return quanta_ - 1; }
+  /// Quanta estimated so far == the index the next quantum will carry.
+  [[nodiscard]] std::int64_t quanta() const noexcept { return quanta_; }
+  [[nodiscard]] const telemetry::SlowdownEstimator& estimate() const noexcept {
+    return slowdown_;
   }
 
-  /// Serialise the stream cursor (counter, last tick, slowdown
-  /// accumulators) as one archive section.
+  /// Serialise the cursor (counter, last tick, slowdown accumulators) as
+  /// the "quantumStream" archive section.
   void saveState(ckpt::BinWriter& w) const;
   /// Restore a cursor saved by saveState. Throws ckpt::CheckpointError on
   /// schema mismatch; the estimator is replaced wholesale.
   void loadState(ckpt::BinReader& r);
 
  private:
-  telemetry::QuantumStreamWriter* writer_;
-  std::int64_t quantumIndex_ = 0;
+  std::int64_t quanta_ = 0;
   util::Tick lastTick_ = 0;
   telemetry::SlowdownEstimator slowdown_;
+};
+
+/// Streams one QuantumRecord per quantum to the metrics writer. For Dike
+/// variants the record carries the Observer's fairness signal, workload
+/// class, CoreBW partition, optimizer parameters, and the predictor's value
+/// against the realised rate; other policies leave those fields NaN/-1 so
+/// the schema is scheduler-independent. The record's index and slowdowns
+/// come from the run's cursor.
+class QuantumMetricsListener final : public sched::QuantumListener {
+ public:
+  QuantumMetricsListener(telemetry::QuantumStreamWriter& writer,
+                         const SlowdownCursor& cursor)
+      : writer_(&writer), cursor_(&cursor) {}
+
+  void afterQuantum(const sim::Machine& machine,
+                    const sched::SchedulerView& view,
+                    sched::Scheduler& scheduler) override;
+
+ private:
+  telemetry::QuantumStreamWriter* writer_;
+  const SlowdownCursor* cursor_;
   telemetry::QuantumRecord rec_;
   std::vector<core::ScoredPrediction> scoredList_;
   std::unordered_map<int, core::ScoredPrediction> scored_;

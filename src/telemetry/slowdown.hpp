@@ -1,6 +1,8 @@
-// Per-quantum slowdown proxy shared by the NDJSON quantum stream and the
-// live ring publisher — one implementation so the two export paths report
-// bit-identical numbers (the live-vs-file differential test depends on it).
+// Per-quantum slowdown proxy. Each run owns one estimator, inside its
+// slowdown cursor (exp::SlowdownCursor, exp/stream_listener.hpp), which
+// closes it once per quantum; the quantum stream, the live ring publisher
+// and the soak's SLO feed all read that one estimate, so the file and the
+// live plane report the same numbers by construction.
 //
 // The simulator has no cycle-accurate IPC, so slowdown is approximated from
 // cumulative attained work: each quantum every live thread accumulates

@@ -76,8 +76,8 @@ TEST(ConfigIo, LivePublishAndSloSectionsParse) {
           "slo": {"enabled": true, "maxFairnessSpread": 1.5,
                   "windowQuanta": 50, "warmupQuanta": 10}})"));
   EXPECT_TRUE(config.telemetry.enabled);
-  EXPECT_TRUE(config.telemetry.livePublish);
-  EXPECT_TRUE(config.telemetry.anyRunOutput())
+  EXPECT_TRUE(config.telemetry.run.livePublish);
+  EXPECT_TRUE(config.telemetry.run.any())
       << "livePublish alone must attach run telemetry to a cell";
   EXPECT_TRUE(config.slo.enabled);
   EXPECT_DOUBLE_EQ(config.slo.maxFairnessSpread, 1.5);
@@ -85,7 +85,7 @@ TEST(ConfigIo, LivePublishAndSloSectionsParse) {
   EXPECT_EQ(config.slo.warmupQuanta, 10);
   // Both sections default to off/disabled when absent.
   const ExperimentConfig defaults = parseExperimentConfig(parseJson("{}"));
-  EXPECT_FALSE(defaults.telemetry.livePublish);
+  EXPECT_FALSE(defaults.telemetry.run.livePublish);
   EXPECT_FALSE(defaults.slo.enabled);
 }
 
@@ -271,7 +271,8 @@ TEST(ConfigIo, PrintedDefaultConfigParsesBackToTheDefaults) {
   EXPECT_EQ(back.machine.refFreqGhz, defaults.machine.refFreqGhz);
   EXPECT_EQ(back.dike.observer.processRateFloor,
             defaults.dike.observer.processRateFloor);
-  EXPECT_EQ(back.telemetry.traceCapacity, defaults.telemetry.traceCapacity);
+  EXPECT_EQ(back.telemetry.run.traceCapacity,
+            defaults.telemetry.run.traceCapacity);
   ASSERT_TRUE(back.faults.has_value());
   EXPECT_FALSE(back.faults->enabled());
 }

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "exp/config_io.hpp"
 #include "exp/runner.hpp"
 #include "telemetry/aggregator.hpp"
 #include "telemetry/histogram.hpp"
@@ -110,44 +111,58 @@ StreamAggregates aggregateNdjson(const std::string& path) {
 // The acceptance differential: one run writes the NDJSON quantum stream
 // AND publishes into the live ring plane; after a final drain, the live
 // histograms must agree with the file aggregates exactly — same sample
-// counts (NaNs tallied separately on both sides), same sum/min/max.
+// counts (NaNs tallied separately on both sides), same sum/min/max. The
+// inputs are a flat Dike run and a two-cluster one.
 TEST_F(LivePipelineEndToEnd, LiveHistogramsMatchQuantumStreamAggregates) {
-  const std::string path = ::testing::TempDir() + "live_diff.jsonl";
-  dike::exp::RunSpec spec;
-  spec.workloadId = 2;
-  spec.kind = dike::exp::SchedulerKind::Dike;
-  spec.scale = 0.05;
-  spec.seed = 42;
-  spec.telemetry.quantumMetricsPath = path;
-  spec.telemetry.livePublish = true;
-  (void)dike::exp::runWorkload(spec);
-  telemetry::Aggregator::instance().drainNow();
+  dike::exp::RunSpec flat;
+  flat.workloadId = 2;
+  flat.kind = dike::exp::SchedulerKind::Dike;
+  flat.scale = 0.05;
+  flat.seed = 42;
+  const dike::exp::RunSpec clustered =
+      dike::exp::firstCellRunSpec(dike::exp::parseExperimentConfig(
+          util::parseJsonFile(std::string{DIKE_CONFIG_DIR} +
+                              "/replay_smoke_clustered.json")));
+  ASSERT_TRUE(clustered.dikeConfig.has_value());
+  ASSERT_EQ(clustered.dikeConfig->cluster.clusters, 2);
+  for (dike::exp::RunSpec spec : {flat, clustered}) {
+    SCOPED_TRACE(spec.dikeConfig ? "clustered" : "flat");
+    SetUp();  // fresh aggregator + registry per run
+    const std::string path = ::testing::TempDir() + "live_diff.jsonl";
+    spec.telemetry.quantumMetricsPath = path;
+    spec.telemetry.livePublish = true;
+    // The background drain runs while the simulation publishes, so the
+    // tsan preset race-checks the ring and the drain over a whole run.
+    telemetry::Aggregator::instance().start(/*intervalMs=*/1);
+    (void)dike::exp::runWorkload(spec);
+    telemetry::Aggregator::instance().drainNow();
 
-  const StreamAggregates file = aggregateNdjson(path);
-  ASSERT_GT(file.records, 0u);
-  ASSERT_GT(file.slowdownCount, 0u)
-      << "workload 2 has multi-thread processes; slowdowns must be defined";
+    const StreamAggregates file = aggregateNdjson(path);
+    ASSERT_GT(file.records, 0u);
+    ASSERT_GT(file.slowdownCount, 0u)
+        << "workload 2 has multi-thread processes; slowdowns must be defined";
 
-  auto& registry = telemetry::Registry::instance();
-  auto& slowdownHist = registry.histogram("live.slowdown");
-  const telemetry::HistogramSnapshot slowdown = slowdownHist.snapshot();
-  EXPECT_EQ(slowdown.count, file.slowdownCount);
-  EXPECT_EQ(slowdownHist.nanCount(), file.slowdownNulls)
-      << "NaN slowdowns must be counted separately, not folded in";
-  EXPECT_NEAR(slowdown.sum, file.slowdownSum,
-              1e-9 * std::max(1.0, std::fabs(file.slowdownSum)));
-  EXPECT_DOUBLE_EQ(slowdown.min, file.slowdownMin);
-  EXPECT_DOUBLE_EQ(slowdown.max, file.slowdownMax);
+    auto& registry = telemetry::Registry::instance();
+    auto& slowdownHist = registry.histogram("live.slowdown");
+    const telemetry::HistogramSnapshot slowdown = slowdownHist.snapshot();
+    EXPECT_EQ(slowdown.count, file.slowdownCount);
+    EXPECT_EQ(slowdownHist.nanCount(), file.slowdownNulls)
+        << "NaN slowdowns must be counted separately, not folded in";
+    EXPECT_NEAR(slowdown.sum, file.slowdownSum,
+                1e-9 * std::max(1.0, std::fabs(file.slowdownSum)));
+    EXPECT_DOUBLE_EQ(slowdown.min, file.slowdownMin);
+    EXPECT_DOUBLE_EQ(slowdown.max, file.slowdownMax);
 
-  auto& spreadHist = registry.histogram("live.fairness_spread");
-  const telemetry::HistogramSnapshot spread = spreadHist.snapshot();
-  EXPECT_EQ(spread.count, file.spreadCount);
-  EXPECT_EQ(spreadHist.nanCount(), file.spreadNulls);
-  EXPECT_NEAR(spread.sum, file.spreadSum,
-              1e-9 * std::max(1.0, std::fabs(file.spreadSum)));
+    auto& spreadHist = registry.histogram("live.fairness_spread");
+    const telemetry::HistogramSnapshot spread = spreadHist.snapshot();
+    EXPECT_EQ(spread.count, file.spreadCount);
+    EXPECT_EQ(spreadHist.nanCount(), file.spreadNulls);
+    EXPECT_NEAR(spread.sum, file.spreadSum,
+                1e-9 * std::max(1.0, std::fabs(file.spreadSum)));
 
-  // One FairnessSpread event per quantum record, no more, no less.
-  EXPECT_EQ(spread.count + spreadHist.nanCount(), file.records);
+    // One FairnessSpread event per quantum record, no more, no less.
+    EXPECT_EQ(spread.count + spreadHist.nanCount(), file.records);
+  }
 }
 
 // The same run executed twice must feed the live plane identically — the

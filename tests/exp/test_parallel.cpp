@@ -15,7 +15,7 @@ namespace {
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
   std::atomic<int> count{0};
-  ThreadPool pool{4};
+  util::TaskPool pool{4};
   EXPECT_EQ(pool.jobs(), 4);
   for (int i = 0; i < 100; ++i)
     pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
@@ -24,7 +24,7 @@ TEST(ThreadPool, RunsEverySubmittedTask) {
 }
 
 TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool{2};
+  util::TaskPool pool{2};
   pool.waitIdle();  // must not deadlock
   std::atomic<int> count{0};
   pool.submit([&count] { ++count; });
@@ -62,11 +62,11 @@ TEST(ParallelFor, PropagatesTheFirstExceptionByIndex) {
 
 TEST(DefaultJobs, HonoursTheEnvironmentOverride) {
   ::setenv("DIKE_JOBS", "3", 1);
-  EXPECT_EQ(defaultJobs(), 3);
+  EXPECT_EQ(util::defaultJobs(), 3);
   ::setenv("DIKE_JOBS", "not-a-number", 1);
-  EXPECT_GE(defaultJobs(), 1);
+  EXPECT_GE(util::defaultJobs(), 1);
   ::unsetenv("DIKE_JOBS");
-  EXPECT_GE(defaultJobs(), 1);
+  EXPECT_GE(util::defaultJobs(), 1);
 }
 
 void expectMetricsIdentical(const RunMetrics& a, const RunMetrics& b) {

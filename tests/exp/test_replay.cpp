@@ -29,6 +29,7 @@
 #include "exp/config_io.hpp"
 #include "exp/parallel.hpp"
 #include "telemetry/quantum_stream.hpp"
+#include "telemetry/slowdown.hpp"
 #include "util/json.hpp"
 #include "util/stop.hpp"
 
@@ -855,6 +856,131 @@ TEST(Replay, RestoreFromTheScanMatchesRestoreFromThePath) {
   EXPECT_TRUE(none.payload.empty());
   EXPECT_EQ(none.skipped.size(), 2u);
   fs::remove_all(dir);
+}
+
+// --- the slowdown cursor's restore paths ----------------------------------
+
+/// The JSON Lines records of a stream.
+std::vector<util::JsonValue> streamRecords(const std::string& text) {
+  std::vector<util::JsonValue> records;
+  std::istringstream in{text};
+  for (std::string line; std::getline(in, line);)
+    records.push_back(util::parseJson(line));
+  return records;
+}
+
+/// Recomputes each quantum's fairness spread with an estimator of its own
+/// that starts at tick 0 — what a fresh cursor must report.
+class FreshSpread final : public sched::QuantumListener {
+ public:
+  void afterQuantum(const sim::Machine& machine,
+                    const sched::SchedulerView& view,
+                    sched::Scheduler& /*scheduler*/) override {
+    estimator_.beginQuantum(util::ticksToSeconds(machine.now() - lastTick_));
+    lastTick_ = machine.now();
+    for (const sim::ThreadSample& s : view.sample().threads)
+      if (!s.finished && s.coreId >= 0)
+        estimator_.add(s.threadId, s.processId, s.accessRate);
+    estimator_.finishQuantum();
+    spreads.push_back(estimator_.fairnessSpread());
+  }
+
+  std::vector<double> spreads;
+
+ private:
+  telemetry::SlowdownEstimator estimator_;
+  util::Tick lastTick_ = 0;
+};
+
+// A checkpoint taken without a stream carries no cursor: a stream attached
+// at restore numbers its records from 0 and measures its first quantum
+// from tick 0, as a fresh cursor does.
+TEST(SlowdownCursor, StreamlessCheckpointRestoredWithAStreamStartsFresh) {
+  const std::string path = tempPath("cursor_streamless.ckpt");
+  RunSession original{smallSpec(SchedulerKind::Dike)};
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(original.stepQuantum());
+  original.writeCheckpoint(path);
+
+  std::ostringstream text;
+  telemetry::QuantumStreamWriter writer{text,
+                                        telemetry::StreamFormat::JsonLines};
+  const std::unique_ptr<RunSession> restored =
+      RunSession::restore(path, &writer);
+  FreshSpread fresh;
+  restored->addQuantumListener(fresh);
+  std::int64_t stepped = 0;
+  while (restored->stepQuantum()) ++stepped;
+  ASSERT_GE(stepped, 2);
+  EXPECT_EQ(restored->slowdown().quanta(), stepped);
+
+  const std::vector<util::JsonValue> records = streamRecords(text.str());
+  ASSERT_EQ(util::isize(records), stepped);
+  for (std::size_t q = 0; q < records.size(); ++q) {
+    EXPECT_EQ(records[q].intOr("quantum", -1), static_cast<int>(q));
+    const std::optional<util::JsonValue> spread =
+        records[q].get("fairness_spread");
+    ASSERT_TRUE(spread.has_value());
+    ASSERT_TRUE(spread->isNumber()) << "quantum " << q;
+    EXPECT_EQ(spread->asNumber(), fresh.spreads[q]) << "quantum " << q;
+  }
+  std::filesystem::remove(path);
+}
+
+// A stream checkpoint restored without a stream restores, and its payloads
+// (which drop the cursor) match a stream-less run's quantum for quantum, so
+// dike_diff sees no divergence.
+TEST(SlowdownCursor, StreamCheckpointRestoresWithoutAStream) {
+  const std::string path = tempPath("cursor_stream.ckpt");
+  std::ostringstream text;
+  telemetry::QuantumStreamWriter writer{text,
+                                        telemetry::StreamFormat::JsonLines};
+  RunSession streamed{smallSpec(SchedulerKind::Dike)};
+  streamed.attachQuantumStream(writer);
+  RunSession plain{smallSpec(SchedulerKind::Dike)};
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(streamed.stepQuantum());
+    ASSERT_TRUE(plain.stepQuantum());
+  }
+  streamed.writeCheckpoint(path);
+  const std::string plainPath = tempPath("cursor_plain.ckpt");
+  plain.writeCheckpoint(plainPath);
+
+  const std::unique_ptr<RunSession> a = RunSession::restore(path);
+  const std::unique_ptr<RunSession> b = RunSession::restore(plainPath);
+  EXPECT_EQ(firstDivergence(a->checkpointPayload(), b->checkpointPayload()),
+            std::nullopt);
+  for (bool more = true; more;) {
+    more = a->stepQuantum();
+    ASSERT_EQ(b->stepQuantum(), more);
+    ASSERT_EQ(firstDivergence(a->checkpointPayload(), b->checkpointPayload()),
+              std::nullopt)
+        << "after quantum " << a->quantumIndex();
+  }
+  EXPECT_GT(a->quantumIndex(), 3);
+  std::filesystem::remove(path);
+  std::filesystem::remove(plainPath);
+}
+
+// A stream attached after the run has stepped would number its records
+// from a cursor that missed the quanta before it: it is refused.
+TEST(SlowdownCursor, AttachingAStreamAfterAQuantumThrows) {
+  std::ostringstream text;
+  telemetry::QuantumStreamWriter writer{text,
+                                        telemetry::StreamFormat::JsonLines};
+  RunSession session{smallSpec(SchedulerKind::Dike)};
+  ASSERT_TRUE(session.stepQuantum());
+  EXPECT_THROW(session.attachQuantumStream(writer), std::logic_error);
+
+  const std::string path = tempPath("cursor_late.ckpt");
+  session.writeCheckpoint(path);
+  const std::unique_ptr<RunSession> restored = RunSession::restore(path);
+  EXPECT_THROW(restored->attachQuantumStream(writer), std::logic_error);
+  std::filesystem::remove(path);
+
+  RunSession fresh{smallSpec(SchedulerKind::Dike)};
+  fresh.attachQuantumStream(writer);
+  EXPECT_THROW(fresh.attachQuantumStream(writer), std::logic_error);
+  EXPECT_TRUE(text.str().empty());
 }
 
 // --- schema evolution / corruption ---------------------------------------

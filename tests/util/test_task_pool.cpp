@@ -164,6 +164,8 @@ TEST(TaskPoolDefaultJobs, HonoursCapsAndFallsBack) {
   EXPECT_EQ(defaultJobs(), 3);
   ::setenv("DIKE_JOBS", "0", 1);
   EXPECT_GE(defaultJobs(), 1);  // non-positive falls back to the host
+  ::setenv("DIKE_JOBS", "not-a-number", 1);
+  EXPECT_GE(defaultJobs(), 1);
   ::setenv("DIKE_JOBS", "99999", 1);
   EXPECT_EQ(defaultJobs(), 1024);  // capped
   ::unsetenv("DIKE_JOBS");

@@ -218,10 +218,11 @@ int main(int argc, char** argv) {
 
     // Telemetry flags override the config's "telemetry" section.
     if (args.getBool("telemetry", false)) config.telemetry.enabled = true;
-    if (const auto v = args.get("trace-out")) config.telemetry.traceOut = *v;
+    dike::exp::RunTelemetry& runOutputs = config.telemetry.run;
+    if (const auto v = args.get("trace-out")) runOutputs.chromeTracePath = *v;
     if (const auto v = args.get("quantum-metrics"))
-      config.telemetry.quantumMetrics = *v;
-    if (const auto v = args.get("events-csv")) config.telemetry.eventsCsv = *v;
+      runOutputs.quantumMetricsPath = *v;
+    if (const auto v = args.get("events-csv")) runOutputs.eventsCsvPath = *v;
     if (const auto v = args.get("registry-out")) {
       config.telemetry.registryOut = *v;
       config.telemetry.enabled = true;  // a dump without collection is empty
@@ -230,7 +231,7 @@ int main(int argc, char** argv) {
       const std::int64_t capacity = args.getInt64("trace-capacity", -1);
       if (capacity < 1)
         throw std::runtime_error{"--trace-capacity must be a positive count"};
-      config.telemetry.traceCapacity = static_cast<std::size_t>(capacity);
+      runOutputs.traceCapacity = static_cast<std::size_t>(capacity);
     }
     // --decide-jobs overrides the config's dike.cluster.decideJobs (plan-
     // phase parallelism; no effect on any output bytes).
@@ -255,7 +256,7 @@ int main(int argc, char** argv) {
             "--live-metrics port must be in [0, 65535] (0 = ephemeral)"};
       livePort = static_cast<int>(port);
       config.telemetry.enabled = true;
-      config.telemetry.livePublish = true;
+      runOutputs.livePublish = true;
     }
     const std::int64_t liveHoldMs = args.getInt64("live-hold-ms", 0);
     if (liveHoldMs < 0)
@@ -276,12 +277,12 @@ int main(int argc, char** argv) {
           args);
       return 0;
     }
-    if (!config.telemetry.quantumMetrics.empty())
-      requireWritable(config.telemetry.quantumMetrics, "--quantum-metrics");
-    if (!config.telemetry.traceOut.empty())
-      requireWritable(config.telemetry.traceOut, "--trace-out");
-    if (!config.telemetry.eventsCsv.empty())
-      requireWritable(config.telemetry.eventsCsv, "--events-csv");
+    if (!runOutputs.quantumMetricsPath.empty())
+      requireWritable(runOutputs.quantumMetricsPath, "--quantum-metrics");
+    if (!runOutputs.chromeTracePath.empty())
+      requireWritable(runOutputs.chromeTracePath, "--trace-out");
+    if (!runOutputs.eventsCsvPath.empty())
+      requireWritable(runOutputs.eventsCsvPath, "--events-csv");
     if (!config.telemetry.registryOut.empty())
       requireWritable(config.telemetry.registryOut, "--registry-out");
 
@@ -347,16 +348,16 @@ int main(int argc, char** argv) {
       std::printf("JSON written to %s\n", jsonPath->c_str());
     }
 
-    if (!config.telemetry.quantumMetrics.empty())
+    if (!runOutputs.quantumMetricsPath.empty())
       std::printf("quantum metrics written to %s\n",
-                  config.telemetry.quantumMetrics.c_str());
-    if (!config.telemetry.eventsCsv.empty())
+                  runOutputs.quantumMetricsPath.c_str());
+    if (!runOutputs.eventsCsvPath.empty())
       std::printf("event trace written to %s\n",
-                  config.telemetry.eventsCsv.c_str());
-    if (!config.telemetry.traceOut.empty())
+                  runOutputs.eventsCsvPath.c_str());
+    if (!runOutputs.chromeTracePath.empty())
       std::printf("Chrome trace written to %s (load in chrome://tracing or "
                   "ui.perfetto.dev; check with dike_trace --validate)\n",
-                  config.telemetry.traceOut.c_str());
+                  runOutputs.chromeTracePath.c_str());
     if (config.telemetry.enabled) {
       const auto& registry = dike::telemetry::Registry::instance();
       if (!config.telemetry.registryOut.empty()) {
