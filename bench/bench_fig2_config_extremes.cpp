@@ -25,8 +25,12 @@ void runFigure2(const BenchOptions& opts) {
     const std::string name = dike::wl::workload(workloadId).name;
 
     auto configLabel = [](const dike::core::DikeParams& p) {
-      return "<" + std::to_string(p.swapSize) + "," +
-             std::to_string(p.quantaLengthMs) + ">";
+      std::string label{"<"};
+      label += std::to_string(p.swapSize);
+      label += ',';
+      label += std::to_string(p.quantaLengthMs);
+      label += '>';
+      return label;
     };
 
     table.newRow()

@@ -23,7 +23,6 @@
 #include "core/clustered_scheduler.hpp"
 #include "sched/placement.hpp"
 #include "sim/replay_kernel.hpp"
-#include "telemetry/aggregator.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/registry.hpp"
 #include "util/json.hpp"
@@ -137,8 +136,8 @@ void runTelemetryOverhead(const BenchOptions& opts,
 }
 
 /// Cost of the live observability plane: the same workloads timed with
-/// ring publishing off (the default) and fully on — registry + live
-/// publisher + background aggregator draining, i.e. what `dike_run
+/// live publishing off (the default) and fully on — registry + live
+/// publisher recording into the live histograms, i.e. what `dike_run
 /// --live-metrics` adds to a run. The gate budget for the overhead
 /// percentage lives in bench_check (--max-live-overhead-pct).
 void runLiveOverhead(const BenchOptions& opts, dike::util::JsonObject& out) {
@@ -168,36 +167,20 @@ void runLiveOverhead(const BenchOptions& opts, dike::util::JsonObject& out) {
 
   const double offSec = bestOf(false);
 
-  auto& aggregator = dike::telemetry::Aggregator::instance();
-  aggregator.resetForTest();
   dike::telemetry::setEnabled(true);
-  dike::telemetry::setLiveEnabled(true);
-  aggregator.start();  // dike_run's --live-metrics configuration
+  dike::telemetry::setLiveEnabled(true);  // dike_run's --live-metrics setup
   const double onSec = bestOf(true);
-  aggregator.stop();
   dike::telemetry::setLiveEnabled(false);
   dike::telemetry::setEnabled(false);
-  const std::uint64_t delivered = dike::telemetry::Registry::instance()
-                                      .counter("live.ring.records")
-                                      .value();
-  const std::uint64_t dropped = dike::telemetry::Registry::instance()
-                                    .counter("live.ring.dropped")
-                                    .value();
-  aggregator.resetForTest();
 
   const double overheadPct = (onSec / offSec - 1.0) * 100.0;
   std::printf(
       "=== Live export plane overhead (%zu workloads under Dike) ===\n"
-      "live off: %.2fs   live on: %.2fs   overhead: %+.1f%%   "
-      "(%llu records aggregated, %llu dropped)\n\n",
-      kWorkloads.size(), offSec, onSec, overheadPct,
-      static_cast<unsigned long long>(delivered),
-      static_cast<unsigned long long>(dropped));
+      "live off: %.2fs   live on: %.2fs   overhead: %+.1f%%\n\n",
+      kWorkloads.size(), offSec, onSec, overheadPct);
   out.emplace("live_off_sec", offSec);
   out.emplace("live_on_sec", onSec);
   out.emplace("live_overhead_pct", overheadPct);
-  out.emplace("live_records", static_cast<double>(delivered));
-  out.emplace("live_dropped", static_cast<double>(dropped));
 }
 
 /// End-to-end Figure-6-shaped sweep (16 workloads x 5 schedulers) timed

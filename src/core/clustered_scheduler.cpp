@@ -290,7 +290,6 @@ void ClusteredDikeScheduler::onQuantum(sched::SchedulerView& view) {
   // would actually steal from the applications.
   if (telemetry::liveEnabled())
     telemetry::publish(telemetry::EventKind::DecideLatency,
-                       static_cast<std::uint32_t>(quantumIndex_), view.now(),
                        static_cast<double>(lastDecideWallNs_));
   ++quantumIndex_;
   childViews_.clear();  // the parent view dies when this call returns

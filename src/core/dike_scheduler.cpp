@@ -111,16 +111,12 @@ void DikeScheduler::onQuantum(sched::SchedulerView& view) {
   const auto decideStart =
       live ? std::chrono::steady_clock::now()
            : std::chrono::steady_clock::time_point{};
-  // The record id is the quantum being decided; commitQuantum advances the
-  // index, so capture it first.
-  const std::int64_t decidedQuantum = quantumIndex_;
   planQuantum(view);
   commitQuantum(view);
   if (live) {
     const auto elapsed = std::chrono::steady_clock::now() - decideStart;
     telemetry::publish(
         telemetry::EventKind::DecideLatency,
-        static_cast<std::uint32_t>(decidedQuantum), view.now(),
         static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
                 .count()));
@@ -129,21 +125,11 @@ void DikeScheduler::onQuantum(sched::SchedulerView& view) {
 
 void DikeScheduler::planQuantum(sched::SchedulerView& view) {
   DIKE_SCOPE_TIMER("core.dike.plan_quantum");
-  const bool live = telemetry::liveEnabled();
   // Close the loop: score the predictions registered last quantum against
   // the rates just measured.
   {
     DIKE_SCOPE_TIMER("core.tracker.score");
     tracker_.scoreQuantum(view.rows(), view.now());
-  }
-  if (live) {
-    for (const ScoredPrediction& scored : tracker_.lastScored()) {
-      if (std::isnan(scored.error)) continue;
-      telemetry::publish(telemetry::EventKind::PredictionError,
-                         static_cast<std::uint32_t>(scored.threadId),
-                         quantumIndex_, std::fabs(scored.error),
-                         scored.error);
-    }
   }
 
   // Divergence watchdog: a persistently saturated signed error means the
@@ -253,6 +239,16 @@ void DikeScheduler::commitQuantum(sched::SchedulerView& view) {
   // (annotate, append) sequence the serial pipeline produced.
   if (plan_.traced)
     decisionTrace_->annotateLastUnfairnessNext(stats.unfairness);
+  // The errors planQuantum scored go live here, not there: commit runs on
+  // the run thread in cluster order, so the live plane (and the SLO alerts
+  // it feeds) sees one fixed record order whatever decideJobs is.
+  if (telemetry::liveEnabled()) {
+    for (const ScoredPrediction& scored : tracker_.lastScored()) {
+      if (std::isnan(scored.error)) continue;
+      telemetry::publish(telemetry::EventKind::PredictionError,
+                         std::fabs(scored.error), quantumIndex_);
+    }
+  }
 
   if (plan_.fallbackQuantum) {
     // Blind round-robin rotation: trust no counters (they got us here).

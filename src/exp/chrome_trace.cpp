@@ -68,6 +68,15 @@ struct ThreadState {
   bool finished = false;
 };
 
+/// "<prefix><id>", e.g. "p3". Appended rather than `"p" + to_string(id)`,
+/// whose inlined insert GCC 12 misreports under -O3 as an overlapping copy
+/// (-Wrestrict).
+std::string prefixedId(char prefix, int id) {
+  std::string out(1, prefix);
+  out += std::to_string(id);
+  return out;
+}
+
 }  // namespace
 
 ChromeTraceMeta metaFromMachine(const sim::Machine& machine) {
@@ -95,7 +104,7 @@ ChromeTraceMeta metaFromEvents(const std::vector<sim::TraceEvent>& events) {
     meta.endTick = std::max(meta.endTick, e.tick);
   }
   for (int p = 0; p <= maxProcess; ++p)
-    meta.processNames.push_back("p" + std::to_string(p));
+    meta.processNames.push_back(prefixedId('p', p));
   return meta;
 }
 
@@ -116,7 +125,7 @@ util::JsonValue buildChromeTrace(const std::vector<sim::TraceEvent>& events,
     if (processId >= 0 &&
         processId < static_cast<int>(meta.processNames.size()))
       return meta.processNames[static_cast<std::size_t>(processId)];
-    return "p" + std::to_string(processId);
+    return prefixedId('p', processId);
   };
 
   // Track-naming metadata. Core tracks are ordered by core id; labels carry
@@ -142,7 +151,7 @@ util::JsonValue buildChromeTrace(const std::vector<sim::TraceEvent>& events,
                                   util::Tick upTo) {
     if (t.core < 0) return;
     util::JsonObject slice =
-        makeSlice("t" + std::to_string(threadId), "residency", kCoresPid,
+        makeSlice(prefixedId('t', threadId), "residency", kCoresPid,
                   t.core, t.residencyFrom, upTo);
     util::JsonObject args;
     args.emplace("thread", threadId);

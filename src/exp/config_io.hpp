@@ -68,9 +68,9 @@ struct ExperimentConfig {
   sim::MachineConfig machine{};
   core::DikeConfig dike{};
   ExperimentTelemetry telemetry{};
-  /// Fairness SLO targets (the "slo" section); evaluated online by the
-  /// aggregator during --live-metrics runs and synchronously by the soak
-  /// harness. Disabled by default.
+  /// Fairness SLO targets (the "slo" section); evaluated online from the
+  /// live fairness-spread values during --live-metrics runs and by the
+  /// soak harness. Disabled by default.
   telemetry::SloConfig slo{};
   /// Fault plan applied to every run of the grid (including the internal
   /// CFS baseline, so comparisons stay within-condition). Unset = no

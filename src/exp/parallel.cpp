@@ -1,7 +1,6 @@
 #include "exp/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -39,14 +38,10 @@ void parallelFor(std::size_t count,
                                : std::chrono::steady_clock::time_point{};
     fn(i);
     if (live) {
-      // Process-wide job ordinal: the pool is shared, but the live plane
-      // only needs a distinguishing id per record.
-      static std::atomic<std::uint32_t> jobOrdinal{0};
       const std::chrono::duration<double> elapsed =
           std::chrono::steady_clock::now() - jobStart;
       telemetry::publish(telemetry::EventKind::SweepJobSeconds,
-                         jobOrdinal.fetch_add(1, std::memory_order_relaxed),
-                         0, elapsed.count());
+                         elapsed.count());
     }
     DIKE_COUNTER("exp.pool.tasks");
   };

@@ -18,7 +18,6 @@
 #include "exp/config_io.hpp"
 #include "exp/stream_listener.hpp"
 #include "sched/placement.hpp"
-#include "telemetry/aggregator.hpp"
 #include "telemetry/health.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/slowdown.hpp"
@@ -273,11 +272,10 @@ RunMetrics runMetricsFromJson(const util::JsonValue& doc) {
   return m;
 }
 
-/// Publishes the per-quantum live events (thread slowdowns, fairness
-/// spread) into the ring transport and refreshes the aggregator's placement
-/// snapshot for /state. Reads the run's slowdown cursor, the one estimate
-/// the quantum stream also reads, so live aggregates and the NDJSON stream
-/// agree sample-for-sample.
+/// Publishes the per-quantum live values (thread slowdowns, fairness
+/// spread) and refreshes the placement snapshot for /state. Reads the run's
+/// slowdown cursor, the one estimate the quantum stream also reads, so live
+/// aggregates and the NDJSON stream agree sample-for-sample.
 class LiveQuantumPublisher final : public sched::QuantumListener {
  public:
   explicit LiveQuantumPublisher(const SlowdownCursor& cursor)
@@ -295,7 +293,7 @@ class LiveQuantumPublisher final : public sched::QuantumListener {
                         : std::numeric_limits<double>::quiet_NaN();
     const double spread = slowdown.fairnessSpread();
 
-    // Ring events flow every quantum (the live histograms must match the
+    // Live values flow every quantum (the live histograms must match the
     // NDJSON stream sample-for-sample), but the /state placement snapshot
     // only feeds a few-Hz dike_top poll — rebuilding and mutex-publishing
     // it per quantum is pure simulation-thread overhead. Refresh every
@@ -324,20 +322,15 @@ class LiveQuantumPublisher final : public sched::QuantumListener {
     for (const sim::ThreadSample& s : sample.threads) {
       if (s.finished || s.coreId < 0) continue;
       const double sd = slowdown.slowdownOf(s.threadId);
-      telemetry::publish(telemetry::EventKind::ThreadSlowdown,
-                         static_cast<std::uint32_t>(s.threadId),
-                         machine.now(), sd);
+      telemetry::publish(telemetry::EventKind::ThreadSlowdown, sd);
       if (refresh) {
         auto& c = state.cores[static_cast<std::size_t>(s.coreId)];
         c.process = s.processId;
         c.slowdown = std::isnan(sd) ? 0.0 : sd;
       }
     }
-    telemetry::publish(telemetry::EventKind::FairnessSpread,
-                       static_cast<std::uint32_t>(quantum), machine.now(),
-                       spread, unfairness);
-    if (refresh)
-      telemetry::Aggregator::instance().updateLiveState(std::move(state));
+    telemetry::publish(telemetry::EventKind::FairnessSpread, spread, quantum);
+    if (refresh) telemetry::updateLiveState(std::move(state));
     // Liveness stamp for /healthz (two relaxed stores — negligible against
     // the live-plane overhead gate): this quantum just completed, now.
     telemetry::heartbeat(quantum);
@@ -420,12 +413,7 @@ RunSession::RunSession(RunSpec spec)
 }
 
 RunSession::~RunSession() {
-  // Drain before detaching so late SLO alerts still land in this run's
-  // decision trace, whatever exit path ends the session.
-  if (liveSlo_ != nullptr) {
-    telemetry::Aggregator::instance().drainNow();
-    liveSlo_->setDecisionTrace(nullptr);
-  }
+  if (liveSlo_ != nullptr) liveSlo_->setDecisionTrace(nullptr);
 }
 
 void RunSession::attachTelemetry() {
@@ -450,7 +438,7 @@ void RunSession::attachTelemetry() {
     dike->setDecisionTrace(&decisions_);
   // Route live-SLO alerts into this run's decision trace so breach records
   // line up with the scheduler decisions around them.
-  if (tel.livePublish) liveSlo_ = telemetry::Aggregator::instance().slo();
+  if (tel.livePublish) liveSlo_ = telemetry::slo();
   if (liveSlo_ != nullptr) liveSlo_->setDecisionTrace(&decisions_);
 }
 
@@ -497,7 +485,7 @@ RunMetrics RunSession::finish(const CheckpointOptions& opts) {
   // The stop flag is checked once per quantum, so a SIGINT unwinds through
   // the normal return path and every telemetry sink finalises cleanly.
   while (!util::stopRequested() && stepQuantum()) {
-    sim::publishQuantumLength(*machine_, *policy_, quantumIndex_ - 1);
+    sim::publishQuantumLength(*policy_);
     if (opts.enabled() && quantumIndex_ % opts.everyQuanta == 0)
       writeCheckpoint(opts.path);
   }

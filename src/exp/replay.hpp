@@ -194,7 +194,7 @@ class RunSession {
   std::unique_ptr<QuantumMetricsListener> streamListener_;
   std::unique_ptr<LiveQuantumPublisher> livePublisher_;
   /// The live SLO monitor whose alerts this run's decision trace receives
-  /// (detached, after a final drain, when the session ends).
+  /// (detached when the session ends).
   telemetry::SloMonitor* liveSlo_ = nullptr;
 };
 

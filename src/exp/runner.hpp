@@ -45,8 +45,8 @@ struct RunTelemetry {
   std::string eventsCsvPath;
   /// TraceRecorder capacity; beyond it events are dropped (and reported).
   std::size_t traceCapacity = std::size_t{1} << 20;
-  /// Publish per-quantum events (slowdown, fairness spread, placement)
-  /// into the live ring -> aggregator -> /metrics plane. Requires
+  /// Publish per-quantum values (slowdown, fairness spread, placement)
+  /// into the live histograms behind /metrics and /state. Requires
   /// telemetry::setLiveEnabled(true) process-wide (dike_run --live-metrics
   /// does both); off by default so batch sweeps pay nothing.
   bool livePublish = false;

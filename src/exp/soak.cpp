@@ -34,8 +34,8 @@ class SoakInvariantListener final : public sched::QuantumListener {
  public:
   /// `slo` may be null (SLO checking disabled). When set, the listener
   /// feeds the monitor the run's per-quantum fairness spread — the one the
-  /// live aggregator would see — from the session's slowdown cursor,
-  /// evaluated synchronously so soak verdicts stay deterministic.
+  /// live plane publishes — from the session's slowdown cursor, once per
+  /// quantum, so soak verdicts stay deterministic.
   SoakInvariantListener(telemetry::SloMonitor* slo,
                         const SlowdownCursor& cursor)
       : slo_(slo), cursor_(&cursor) {}

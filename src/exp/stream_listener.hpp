@@ -1,7 +1,7 @@
 // The run's slowdown cursor and the per-quantum metrics stream listener.
 //
 // One SlowdownCursor per run feeds every consumer of the per-thread
-// slowdown proxy: the quantum stream's records, the live ring publisher and
+// slowdown proxy: the quantum stream's records, the live publisher and
 // the soak's SLO feed all read the one estimate it closes each quantum, so
 // the file and the live plane are one measurement, not two copies.
 //

@@ -282,7 +282,7 @@ class QuantumListener {
 
 /// Fans one listener slot out to several listeners, in attachment order.
 /// SchedulerAdapter holds a single listener pointer; runs that want both
-/// the quantum-metrics stream and the live ring publisher (or the soak
+/// the quantum-metrics stream and the live publisher (or the soak
 /// invariant checker) chain them through this.
 class QuantumListenerChain final : public QuantumListener {
  public:

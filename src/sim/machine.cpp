@@ -773,10 +773,9 @@ void Machine::swapThreads(int threadA, int threadB) {
   DIKE_COUNTER("sim.swaps");
   const auto stall =
       static_cast<double>(config_.migrationStallTicks + config_.cacheColdTicks);
-  telemetry::publish(telemetry::EventKind::ActuationStall,
-                     static_cast<std::uint32_t>(a.id), now_, stall, 1.0);
-  telemetry::publish(telemetry::EventKind::ActuationStall,
-                     static_cast<std::uint32_t>(b.id), now_, stall, 1.0);
+  // One stall per moved thread.
+  telemetry::publish(telemetry::EventKind::ActuationStall, stall);
+  telemetry::publish(telemetry::EventKind::ActuationStall, stall);
 }
 
 void Machine::migrateThread(int threadId, int coreId) {
@@ -791,11 +790,9 @@ void Machine::migrateThread(int threadId, int coreId) {
   applyMigrationStall(t, fromCore);
   syncHotThread(threadId);
   llcDirty_ = true;
-  telemetry::publish(
-      telemetry::EventKind::ActuationStall, static_cast<std::uint32_t>(t.id),
-      now_,
-      static_cast<double>(config_.migrationStallTicks + config_.cacheColdTicks),
-      2.0);
+  telemetry::publish(telemetry::EventKind::ActuationStall,
+                     static_cast<double>(config_.migrationStallTicks +
+                                         config_.cacheColdTicks));
 }
 
 void Machine::setPhysicalCoreFrequency(int physicalCore, double freqGhz) {
@@ -1042,11 +1039,9 @@ RunOutcome runOutcome(const Machine& machine, bool holdOpen) {
   return RunOutcome{machine.now(), workLeft && !stopped, stopped};
 }
 
-void publishQuantumLength(const Machine& machine, const QuantumPolicy& policy,
-                          std::int64_t quantumIndex) {
+void publishQuantumLength(const QuantumPolicy& policy) {
   telemetry::publish(
       telemetry::EventKind::QuantumTicks,
-      static_cast<std::uint32_t>(quantumIndex), machine.now(),
       static_cast<double>(std::max<util::Tick>(1, policy.quantumTicks())));
 }
 
@@ -1056,11 +1051,9 @@ RunOutcome runMachine(Machine& machine, QuantumPolicy& policy,
   // the normal return path and every telemetry sink finalises cleanly —
   // never mid-row, never mid-file.
   util::Tick nextQuantumAt = -1;
-  for (std::int64_t quantum = 0;
-       !util::stopRequested() &&
-       stepQuantum(machine, policy, limits, nextQuantumAt);
-       ++quantum)
-    publishQuantumLength(machine, policy, quantum);
+  while (!util::stopRequested() &&
+         stepQuantum(machine, policy, limits, nextQuantumAt))
+    publishQuantumLength(policy);
   return runOutcome(machine);
 }
 

@@ -447,8 +447,7 @@ bool stepQuantum(Machine& machine, QuantumPolicy& policy,
 /// Publish the live quantum-length event for the quantum that just
 /// completed (a no-op unless the live plane is on). Called by the
 /// run-to-completion loops after each stepQuantum.
-void publishQuantumLength(const Machine& machine, const QuantumPolicy& policy,
-                          std::int64_t quantumIndex);
+void publishQuantumLength(const QuantumPolicy& policy);
 
 /// Drive the machine until every thread completes (or the tick limit hits,
 /// or a stop is requested), invoking the policy at each quantum boundary.

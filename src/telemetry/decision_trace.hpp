@@ -99,8 +99,8 @@ class DecisionTrace {
   [[nodiscard]] std::size_t dropped() const noexcept { return dropped_; }
 
   /// SLO alert stream. Unlike the single-writer decision records, alerts
-  /// may arrive from the aggregator thread while the run thread appends
-  /// decisions, so the alert store is independently mutex-protected.
+  /// come from whichever thread publishes into the process-wide SLO
+  /// monitor, so the alert store is independently mutex-protected.
   void recordAlert(SloAlertRecord alert);
   [[nodiscard]] std::vector<SloAlertRecord> alerts() const;
 

@@ -3,7 +3,7 @@
 #include <atomic>
 #include <chrono>
 
-#include "telemetry/aggregator.hpp"
+#include "telemetry/live.hpp"
 #include "telemetry/slo.hpp"
 #include "util/json.hpp"
 
@@ -39,9 +39,9 @@ HealthSnapshot healthSnapshot() {
     snap.heartbeatAgeMs = (steadyNowNs() - beat) / 1'000'000;
     if (snap.heartbeatAgeMs < 0) snap.heartbeatAgeMs = 0;
   }
-  if (const SloMonitor* slo = Aggregator::instance().slo()) {
-    snap.sloBreaches = slo->breaches();
-    snap.sloInBreach = slo->inBreach();
+  if (const SloMonitor* monitor = slo()) {
+    snap.sloBreaches = monitor->breaches();
+    snap.sloInBreach = monitor->inBreach();
   }
   return snap;
 }

@@ -26,14 +26,14 @@ struct HealthSnapshot {
 /// blocks, callable regardless of the telemetry enabled() switch.
 void heartbeat(std::int64_t quantum) noexcept;
 
-/// Current liveness view; SLO fields come from the aggregator's attached
+/// Current liveness view; SLO fields come from the live plane's attached
 /// monitor (zero when none is attached).
 [[nodiscard]] HealthSnapshot healthSnapshot();
 
 /// Render a snapshot as the /healthz JSON body.
 [[nodiscard]] std::string renderHealthJson(const HealthSnapshot& snapshot);
 
-/// Clear the heartbeat between tests (pairs with Aggregator::resetForTest).
+/// Clear the heartbeat between tests.
 void resetHealthForTest() noexcept;
 
 }  // namespace dike::telemetry

@@ -4,8 +4,8 @@
 // subdivided into kSubBuckets linear sub-buckets, so relative error is
 // bounded (~1/kSubBuckets) across the full double range — the same scheme
 // HdrHistogram and Prometheus native histograms use. Recording is wait-free
-// (one relaxed atomic increment) so the simulator hot loop, the sweep-pool
-// workers, and the aggregator thread can all record concurrently;
+// (one relaxed atomic increment) so the run threads and the sweep-pool
+// workers can all publish into one histogram concurrently;
 // snapshot() copies the bucket array and derives count and quantiles from
 // that single copy, so every snapshot is internally consistent even while
 // writers keep hammering the buckets.

@@ -13,8 +13,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "telemetry/aggregator.hpp"
 #include "telemetry/health.hpp"
+#include "telemetry/live.hpp"
 #include "telemetry/registry.hpp"
 #include "util/json.hpp"
 #include "util/number_text.hpp"
@@ -150,7 +150,7 @@ std::string renderLiveStateJson() {
   const auto numberOrNull = [](double v) {
     return std::isnan(v) ? util::JsonValue{} : util::JsonValue{v};
   };
-  const LiveState state = Aggregator::instance().liveState();
+  const LiveState state = liveState();
   util::JsonArray cores;
   cores.reserve(state.cores.size());
   for (const LiveCoreState& core : state.cores) {
@@ -245,9 +245,6 @@ void PromHttpServer::handleConnection(int fd) {
     return;
   }
   if (path == "/metrics") {
-    // Fold in everything in flight so a scrape reflects the present, not
-    // the last background drain.
-    Aggregator::instance().drainNow();
     sendAll(fd, httpResponse(200, "OK",
                              "text/plain; version=0.0.4; charset=utf-8",
                              renderPrometheusText()));

@@ -8,7 +8,7 @@
 //                   (dike_<name>{quantile="..."} + _sum + _count). All
 //                   values come from one registry snapshot per request, so
 //                   a scrape is internally consistent even mid-run.
-//   GET /state    — Aggregator::liveState() as JSON (per-core placement,
+//   GET /state    — telemetry::liveState() as JSON (per-core placement,
 //                   slowdowns, fairness trend) — the dike_top feed.
 //   GET /healthz  — JSON liveness probe: last-completed quantum, heartbeat
 //                   age, SLO breach state (telemetry/health.hpp).
@@ -25,11 +25,11 @@
 
 namespace dike::telemetry {
 
-/// Render the current registry (and live ring totals) in Prometheus text
-/// exposition format. Deterministic: metrics sorted by name.
+/// Render the current registry in Prometheus text exposition format.
+/// Deterministic: metrics sorted by name.
 [[nodiscard]] std::string renderPrometheusText();
 
-/// Render Aggregator::liveState() as a JSON document.
+/// Render telemetry::liveState() as a JSON document.
 [[nodiscard]] std::string renderLiveStateJson();
 
 class PromHttpServer {

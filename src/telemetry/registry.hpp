@@ -1,15 +1,12 @@
 // Process-wide metrics registry: counters, timers, and gauges for the
 // simulator's hot paths and the experiment harness.
 //
-// The design goal is zero cost when observability is off, so PR 1's
+// The design goal is zero cost when observability is off, so the
 // tick-leaping speedups survive instrumentation:
-//   * compile-out: building with DIKE_TELEMETRY_DISABLED turns enabled()
-//     into a constant false, so every DIKE_COUNTER/DIKE_SCOPE_TIMER folds
-//     to nothing;
-//   * runtime-off (the default): each instrumentation site is a single
+//   * off (the default): each instrumentation site is a single
 //     relaxed atomic load and a predictable branch — no allocation, no
 //     registration, no lock;
-//   * runtime-on: sites lazily register themselves (one mutex acquisition
+//   * on: sites lazily register themselves (one mutex acquisition
 //     on first use, cached in a function-local static), then update a
 //     relaxed atomic — safe from the std::jthread sweep pool's workers.
 #pragma once
@@ -40,14 +37,9 @@ inline void setEnabled(bool on) noexcept {
   detail::gEnabled.store(on, std::memory_order_relaxed);
 }
 
-/// True when metrics should be collected. Constant false when the library
-/// is compiled out, letting the optimiser delete every instrumentation site.
+/// True when metrics should be collected.
 [[nodiscard]] inline bool enabled() noexcept {
-#if defined(DIKE_TELEMETRY_DISABLED)
-  return false;
-#else
   return detail::gEnabled.load(std::memory_order_relaxed);
-#endif
 }
 
 /// Monotonically increasing event count. Thread-safe (relaxed atomic).

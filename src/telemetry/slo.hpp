@@ -10,9 +10,10 @@
 // and emits structured SloAlertRecords into the run's decision trace so
 // alerts line up with the scheduler decisions around them.
 //
-// Evaluation sites: the background aggregator feeds it from FairnessSpread
-// ring events during a live run; the fault-soak harness calls observe()
-// synchronously per quantum so breach-latency assertions are deterministic.
+// Evaluation sites: during a live run, telemetry::publish() feeds the
+// attached monitor each FairnessSpread and PredictionError value on the
+// run thread, in a fixed order, so the alerts are deterministic; the
+// fault-soak harness calls the observe methods itself, once per quantum.
 #pragma once
 
 #include <cstdint>

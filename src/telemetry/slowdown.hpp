@@ -1,6 +1,6 @@
 // Per-quantum slowdown proxy. Each run owns one estimator, inside its
 // slowdown cursor (exp::SlowdownCursor, exp/stream_listener.hpp), which
-// closes it once per quantum; the quantum stream, the live ring publisher
+// closes it once per quantum; the quantum stream, the live publisher
 // and the soak's SLO feed all read that one estimate, so the file and the
 // live plane report the same numbers by construction.
 //

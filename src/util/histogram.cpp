@@ -77,7 +77,9 @@ std::string Histogram::render(int barWidth) const {
         static_cast<double>(counts_[b]) * barWidth /
         static_cast<double>(peak)));
     out.append(counts_[b] > 0 ? std::max<std::size_t>(bar, 1) : 0, '#');
-    out += " " + std::to_string(counts_[b]) + "\n";
+    out += ' ';
+    out += std::to_string(counts_[b]);
+    out += '\n';
   }
   return out;
 }

@@ -67,10 +67,29 @@ std::string JsonValue::stringOr(std::string_view key,
   return v && v->isString() ? v->asString() : std::string{fallback};
 }
 
+namespace {
+
+/// "'<path>' <what>", or "document <what>" for the empty path. Appended
+/// into one buffer: GCC 12 misreports the inlined copies of an
+/// `"'" + std::string{path} + "'"` chain under -O3 (-Wrestrict).
+std::string configErrorMessage(std::string_view path, std::string_view what) {
+  std::string message;
+  if (path.empty()) {
+    message.append("document");
+  } else {
+    message.push_back('\'');
+    message.append(path);
+    message.push_back('\'');
+  }
+  message.push_back(' ');
+  message.append(what);
+  return message;
+}
+
+}  // namespace
+
 ConfigError::ConfigError(std::string_view path, std::string_view what)
-    : std::runtime_error{(path.empty() ? std::string{"document"}
-                                       : "'" + std::string{path} + "'") +
-                         " " + std::string{what}} {}
+    : std::runtime_error{configErrorMessage(path, what)} {}
 
 void decodeValue(const JsonValue& value, std::string_view path, bool& out) {
   if (!value.isBool()) throw ConfigError{path, "must be a boolean"};

@@ -26,7 +26,9 @@ TaskPool::TaskPool(int jobs) {
   for (int i = 0; i < jobCount_; ++i)
     workers_.emplace_back([this, i](const std::stop_token& stop) {
       // Tag the worker's log lines so interleaved output is attributable.
-      util::Log::setThreadTag("w" + std::to_string(i));
+      std::string tag{"w"};
+      tag += std::to_string(i);
+      util::Log::setThreadTag(std::move(tag));
       workerLoop(stop);
     });
 }
@@ -41,14 +43,8 @@ void TaskPool::submit(std::function<void()> task) {
   {
     const std::lock_guard lock{mu_};
     queue_.push_back(std::move(task));
-    ++unfinished_;
   }
   taskReady_.notify_one();
-}
-
-void TaskPool::waitIdle() {
-  std::unique_lock lock{mu_};
-  idle_.wait(lock, [this] { return unfinished_ == 0; });
 }
 
 void TaskPool::workerLoop(const std::stop_token& stop) {
@@ -64,11 +60,6 @@ void TaskPool::workerLoop(const std::stop_token& stop) {
       queue_.pop_front();
     }
     task();
-    {
-      const std::lock_guard lock{mu_};
-      --unfinished_;
-      if (unfinished_ == 0) idle_.notify_all();
-    }
   }
 }
 

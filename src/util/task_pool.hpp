@@ -33,25 +33,18 @@ namespace dike::util {
 /// shared pool below all derive their budget from it.
 [[nodiscard]] int defaultJobs();
 
-/// A fixed-size worker pool over a FIFO work queue.
+/// A fixed-size worker pool over a FIFO queue of forEach() helper tasks.
 ///
-/// Tasks passed to submit() must not throw (workers have no handler);
 /// forEach() wraps user callables and captures their exceptions. Workers
 /// are std::jthreads parked on a stop_token-aware wait: destruction
 /// requests stop, wakes everyone, and drains the queue before joining, so
-/// no submitted task is ever dropped.
+/// no queued helper is ever dropped.
 class TaskPool {
  public:
   explicit TaskPool(int jobs = 0);
   ~TaskPool();
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
-
-  /// Enqueue one fire-and-forget task. Must not throw.
-  void submit(std::function<void()> task);
-
-  /// Block until the queue is empty and no task is running.
-  void waitIdle();
 
   [[nodiscard]] int jobs() const noexcept { return jobCount_; }
 
@@ -90,14 +83,14 @@ class TaskPool {
     std::vector<std::exception_ptr> errors;
   };
 
+  /// Enqueue one helper task. Must not throw (workers have no handler).
+  void submit(std::function<void()> task);
   void workerLoop(const std::stop_token& stop);
   static void runBatch(Batch& batch);
 
   std::mutex mu_;
   std::condition_variable_any taskReady_;
-  std::condition_variable idle_;
   std::deque<std::function<void()>> queue_;
-  std::size_t unfinished_ = 0;  // queued + running
   int jobCount_ = 0;
   std::vector<std::jthread> workers_;
 };

@@ -14,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -26,11 +27,11 @@
 
 #include "exp/config_io.hpp"
 #include "exp/runner.hpp"
-#include "telemetry/aggregator.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/promhttp.hpp"
 #include "telemetry/registry.hpp"
+#include "telemetry/slo.hpp"
 #include "util/json.hpp"
 
 
@@ -46,19 +47,24 @@ std::string slurp(const std::string& path) {
   return buffer.str();
 }
 
+/// Detach any SLO monitor, clear the /state snapshot and zero every metric.
+void resetLivePlane() {
+  telemetry::setSlo(nullptr);
+  telemetry::updateLiveState(telemetry::LiveState{});
+  telemetry::Registry::instance().resetAll();
+}
+
 class LivePipelineEndToEnd : public ::testing::Test {
  protected:
   void SetUp() override {
-    telemetry::Aggregator::instance().resetForTest();
-    telemetry::Registry::instance().resetAll();
+    resetLivePlane();
     telemetry::setEnabled(true);
     telemetry::setLiveEnabled(true);
   }
   void TearDown() override {
     telemetry::setLiveEnabled(false);
     telemetry::setEnabled(false);
-    telemetry::Aggregator::instance().resetForTest();
-    telemetry::Registry::instance().resetAll();
+    resetLivePlane();
   }
 };
 
@@ -109,7 +115,7 @@ StreamAggregates aggregateNdjson(const std::string& path) {
 }
 
 // The acceptance differential: one run writes the NDJSON quantum stream
-// AND publishes into the live ring plane; after a final drain, the live
+// AND publishes into the live plane; at the end of the run the live
 // histograms must agree with the file aggregates exactly — same sample
 // counts (NaNs tallied separately on both sides), same sum/min/max. The
 // inputs are a flat Dike run and a two-cluster one.
@@ -127,15 +133,11 @@ TEST_F(LivePipelineEndToEnd, LiveHistogramsMatchQuantumStreamAggregates) {
   ASSERT_EQ(clustered.dikeConfig->cluster.clusters, 2);
   for (dike::exp::RunSpec spec : {flat, clustered}) {
     SCOPED_TRACE(spec.dikeConfig ? "clustered" : "flat");
-    SetUp();  // fresh aggregator + registry per run
+    SetUp();  // fresh live plane + registry per run
     const std::string path = ::testing::TempDir() + "live_diff.jsonl";
     spec.telemetry.quantumMetricsPath = path;
     spec.telemetry.livePublish = true;
-    // The background drain runs while the simulation publishes, so the
-    // tsan preset race-checks the ring and the drain over a whole run.
-    telemetry::Aggregator::instance().start(/*intervalMs=*/1);
     (void)dike::exp::runWorkload(spec);
-    telemetry::Aggregator::instance().drainNow();
 
     const StreamAggregates file = aggregateNdjson(path);
     ASSERT_GT(file.records, 0u);
@@ -165,11 +167,24 @@ TEST_F(LivePipelineEndToEnd, LiveHistogramsMatchQuantumStreamAggregates) {
   }
 }
 
-// The same run executed twice must feed the live plane identically — the
-// ring transport adds no nondeterminism when nothing is dropped.
+/// Every live.* histogram except the two that hold wall-clock times
+/// (decide latency, sweep job seconds), which differ from run to run.
+std::vector<std::pair<std::string, telemetry::HistogramSnapshot>>
+simulatedLiveHistograms() {
+  std::vector<std::pair<std::string, telemetry::HistogramSnapshot>> out;
+  auto& registry = telemetry::Registry::instance();
+  for (auto& [name, snap] : registry.histogramSnapshots())
+    if (name.rfind("live.", 0) == 0 && name != "live.decide_latency_ns" &&
+        name != "live.sweep_job_seconds")
+      out.emplace_back(name, std::move(snap));
+  return out;
+}
+
+// The same run executed twice must feed the live plane identically: every
+// record is made on the run thread, in one fixed order.
 TEST_F(LivePipelineEndToEnd, LiveAggregatesAreDeterministic) {
   const auto runOnce = [this](const std::string& path) {
-    SetUp();  // fresh aggregator + registry per run
+    SetUp();  // fresh live plane + registry per run
     dike::exp::RunSpec spec;
     spec.workloadId = 2;
     spec.kind = dike::exp::SchedulerKind::Dike;
@@ -178,11 +193,6 @@ TEST_F(LivePipelineEndToEnd, LiveAggregatesAreDeterministic) {
     spec.telemetry.quantumMetricsPath = path;
     spec.telemetry.livePublish = true;
     (void)dike::exp::runWorkload(spec);
-    telemetry::Aggregator::instance().drainNow();
-    EXPECT_EQ(
-        telemetry::Registry::instance().counter("live.ring.dropped").value(),
-        0u)
-        << "a synchronous in-process run must not overflow the ring";
     return telemetry::Registry::instance()
         .histogram("live.slowdown")
         .snapshot();
@@ -196,6 +206,68 @@ TEST_F(LivePipelineEndToEnd, LiveAggregatesAreDeterministic) {
   EXPECT_DOUBLE_EQ(ha.min, hb.min);
   EXPECT_DOUBLE_EQ(ha.max, hb.max);
   EXPECT_EQ(slurp(a), slurp(b));
+
+  // A clustered run whose cluster plans run concurrently (decideJobs = 2)
+  // with an SLO monitor attached: the prediction errors are scored on pool
+  // workers but published at commit, on the run thread, so two runs raise
+  // the same alerts at the same quanta and fill the same histograms.
+  struct SloRun {
+    std::vector<telemetry::SloAlertRecord> alerts;
+    std::vector<std::pair<std::string, telemetry::HistogramSnapshot>> live;
+  };
+  const auto runWithSlo = [this] {
+    SetUp();
+    dike::exp::RunSpec spec =
+        dike::exp::firstCellRunSpec(dike::exp::parseExperimentConfig(
+            util::parseJsonFile(std::string{DIKE_CONFIG_DIR} +
+                                "/replay_smoke_clustered.json")));
+    spec.dikeConfig->cluster.decideJobs = 2;
+    spec.telemetry.livePublish = true;
+    telemetry::SloConfig config;
+    config.enabled = true;
+    config.maxFairnessSpread = 1.0;
+    config.maxPredictionAbsError = 0.01;
+    config.windowQuanta = 4;
+    telemetry::SloMonitor slo{config};
+    telemetry::setSlo(&slo);
+    (void)dike::exp::runWorkload(spec);
+    telemetry::setSlo(nullptr);
+    return SloRun{slo.alerts(), simulatedLiveHistograms()};
+  };
+  const SloRun first = runWithSlo();
+  const SloRun second = runWithSlo();
+  const auto hasSignal = [&first](const std::string& signal) {
+    return std::any_of(first.alerts.begin(), first.alerts.end(),
+                       [&](const telemetry::SloAlertRecord& alert) {
+                         return alert.signal == signal;
+                       });
+  };
+  ASSERT_TRUE(hasSignal("fairness_spread")) << "the target is set to breach";
+  ASSERT_TRUE(hasSignal("prediction_abs_error"))
+      << "the target is set to breach";
+  ASSERT_EQ(first.alerts.size(), second.alerts.size());
+  for (std::size_t i = 0; i < first.alerts.size(); ++i) {
+    SCOPED_TRACE(i);
+    const telemetry::SloAlertRecord& x = first.alerts[i];
+    const telemetry::SloAlertRecord& y = second.alerts[i];
+    EXPECT_EQ(x.quantumIndex, y.quantumIndex);
+    EXPECT_EQ(x.signal, y.signal);
+    EXPECT_EQ(x.windowedValue, y.windowedValue);
+    EXPECT_EQ(x.target, y.target);
+    EXPECT_EQ(x.entered, y.entered);
+  }
+  ASSERT_EQ(first.live.size(), second.live.size());
+  for (std::size_t i = 0; i < first.live.size(); ++i) {
+    const auto& [name, x] = first.live[i];
+    SCOPED_TRACE(name);
+    const telemetry::HistogramSnapshot& y = second.live[i].second;
+    EXPECT_EQ(name, second.live[i].first);
+    EXPECT_EQ(x.count, y.count);
+    EXPECT_EQ(x.sum, y.sum);
+    EXPECT_EQ(x.min, y.min);
+    EXPECT_EQ(x.max, y.max);
+    EXPECT_EQ(x.buckets, y.buckets);
+  }
 }
 
 #if defined(DIKE_RUN_BIN) && defined(DIKE_TOP_BIN)
@@ -291,8 +363,7 @@ TEST(LiveSubprocess, SigintFlushesOutputsAndExits130) {
 
 // dike_top --once against a real server: one snapshot, no TUI loop.
 TEST(LiveSubprocess, DikeTopOnceRendersThePlacementTable) {
-  telemetry::Aggregator::instance().resetForTest();
-  telemetry::Registry::instance().resetAll();
+  resetLivePlane();
   telemetry::LiveState state;
   state.tick = 123000;
   state.quantum = 123;
@@ -304,7 +375,7 @@ TEST(LiveSubprocess, DikeTopOnceRendersThePlacementTable) {
   state.cores[0].process = 1;
   state.cores[0].highBw = true;
   state.cores[0].slowdown = 1.4;
-  telemetry::Aggregator::instance().updateLiveState(std::move(state));
+  telemetry::updateLiveState(std::move(state));
 
   telemetry::PromHttpServer server;
   server.start(0);

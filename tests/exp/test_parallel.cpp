@@ -6,31 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
 namespace dike::exp {
 namespace {
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  std::atomic<int> count{0};
-  util::TaskPool pool{4};
-  EXPECT_EQ(pool.jobs(), 4);
-  for (int i = 0; i < 100; ++i)
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  pool.waitIdle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  util::TaskPool pool{2};
-  pool.waitIdle();  // must not deadlock
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.waitIdle();
-  EXPECT_EQ(count.load(), 1);
-}
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(64);
@@ -60,14 +40,6 @@ TEST(ParallelFor, PropagatesTheFirstExceptionByIndex) {
   }
 }
 
-TEST(DefaultJobs, HonoursTheEnvironmentOverride) {
-  ::setenv("DIKE_JOBS", "3", 1);
-  EXPECT_EQ(util::defaultJobs(), 3);
-  ::setenv("DIKE_JOBS", "not-a-number", 1);
-  EXPECT_GE(util::defaultJobs(), 1);
-  ::unsetenv("DIKE_JOBS");
-  EXPECT_GE(util::defaultJobs(), 1);
-}
 
 void expectMetricsIdentical(const RunMetrics& a, const RunMetrics& b) {
   EXPECT_EQ(a.scheduler, b.scheduler);

@@ -13,7 +13,6 @@
 #include <string>
 #include <thread>
 
-#include "telemetry/aggregator.hpp"
 #include "telemetry/promhttp.hpp"
 #include "util/json.hpp"
 

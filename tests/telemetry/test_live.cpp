@@ -1,17 +1,18 @@
-// Live export pipeline: publish() -> per-thread SPSC rings -> aggregator
-// drain -> registry histograms / SLO monitor. These tests double as the
-// ThreadSanitizer suite (LABELS tsan): concurrent producers, a running
-// drain thread, and racing enable-flag toggles must all be clean.
+// Live publishing: publish() -> registry histograms / SLO monitor, on the
+// calling thread. These tests double as the ThreadSanitizer suite (LABELS
+// tsan): concurrent publishers, concurrent /metrics renders, SLO attach
+// and detach, and racing enable-flag toggles must all be clean.
 #include "telemetry/live.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
-#include "telemetry/aggregator.hpp"
+#include "telemetry/promhttp.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/slo.hpp"
 
@@ -22,15 +23,18 @@ namespace {
 class LivePipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    telemetry::Aggregator::instance().resetForTest();
-    telemetry::Registry::instance().resetAll();
+    reset();
     telemetry::setEnabled(true);
     telemetry::setLiveEnabled(true);
   }
   void TearDown() override {
     telemetry::setLiveEnabled(false);
     telemetry::setEnabled(false);
-    telemetry::Aggregator::instance().resetForTest();
+    reset();
+  }
+  static void reset() {
+    telemetry::setSlo(nullptr);
+    telemetry::updateLiveState(telemetry::LiveState{});
     telemetry::Registry::instance().resetAll();
   }
 };
@@ -40,110 +44,99 @@ std::uint64_t histogramCount(const char* name) {
 }
 
 TEST_F(LivePipelineTest, PublishedRecordsLandInRegistryHistograms) {
-  for (int i = 0; i < 100; ++i) {
-    telemetry::publish(telemetry::EventKind::ThreadSlowdown,
-                       /*id=*/static_cast<std::uint32_t>(i), /*tick=*/i,
-                       /*a=*/1.0 + 0.01 * i);
-  }
-  telemetry::publish(telemetry::EventKind::DecideLatency, 0, 0, 1234.0);
-  const std::size_t consumed =
-      telemetry::Aggregator::instance().drainNow();
-  EXPECT_EQ(consumed, 101u);
+  for (int i = 0; i < 100; ++i)
+    telemetry::publish(telemetry::EventKind::ThreadSlowdown, 1.0 + 0.01 * i);
+  telemetry::publish(telemetry::EventKind::DecideLatency, 1234.0);
+  // Synchronous: the values are in the histograms the moment publish()
+  // returns, with no flush in between.
   EXPECT_EQ(histogramCount("live.slowdown"), 100u);
   EXPECT_EQ(histogramCount("live.decide_latency_ns"), 1u);
-  EXPECT_EQ(
-      telemetry::Registry::instance().counter("live.ring.records").value(),
-      101u);
+  EXPECT_DOUBLE_EQ(telemetry::Registry::instance()
+                       .histogram("live.decide_latency_ns")
+                       .snapshot()
+                       .sum,
+                   1234.0);
 }
 
 TEST_F(LivePipelineTest, PublishingWhileLiveDisabledProducesNothing) {
   telemetry::setLiveEnabled(false);
   for (int i = 0; i < 50; ++i)
-    telemetry::publish(telemetry::EventKind::ThreadSlowdown, 0, i, 2.0);
-  EXPECT_EQ(telemetry::Aggregator::instance().drainNow(), 0u);
+    telemetry::publish(telemetry::EventKind::ThreadSlowdown, 2.0);
   EXPECT_EQ(histogramCount("live.slowdown"), 0u);
 }
 
-TEST_F(LivePipelineTest, ThreadLocalRingReRegistersAfterReset) {
-  telemetry::publish(telemetry::EventKind::ThreadSlowdown, 0, 0, 1.5);
-  EXPECT_EQ(telemetry::Aggregator::instance().drainNow(), 1u);
-
-  // resetForTest drops the old ring and bumps the epoch; the next publish
-  // from this same thread must re-register instead of writing into the
-  // dead ring.
-  telemetry::Aggregator::instance().resetForTest();
-  telemetry::setLiveEnabled(true);
-  telemetry::publish(telemetry::EventKind::ThreadSlowdown, 0, 1, 1.5);
-  EXPECT_EQ(telemetry::Aggregator::instance().drainNow(), 1u);
-}
-
-TEST_F(LivePipelineTest, DrainFeedsTheAttachedSloMonitor) {
+TEST_F(LivePipelineTest, PublishFeedsTheAttachedSloMonitor) {
   telemetry::SloConfig config;
   config.enabled = true;
   config.maxFairnessSpread = 1.25;
   config.windowQuanta = 2;
   telemetry::SloMonitor slo{config};
-  telemetry::Aggregator::instance().setSlo(&slo);
+  telemetry::setSlo(&slo);
+  EXPECT_EQ(telemetry::slo(), &slo);
 
-  telemetry::publish(telemetry::EventKind::FairnessSpread, /*quantum=*/0, 0,
-                     2.0, 1.0);
-  telemetry::publish(telemetry::EventKind::FairnessSpread, /*quantum=*/1, 0,
-                     2.0, 1.0);
-  telemetry::Aggregator::instance().drainNow();
+  telemetry::publish(telemetry::EventKind::FairnessSpread, 2.0, /*quantum=*/0);
+  telemetry::publish(telemetry::EventKind::FairnessSpread, 2.0, /*quantum=*/1);
   EXPECT_EQ(slo.breaches(), 1);
+  EXPECT_EQ(slo.firstBreachQuantum(), 1);
   EXPECT_EQ(
       telemetry::Registry::instance().counter("slo.breaches").value(), 1u);
 
-  telemetry::Aggregator::instance().setSlo(nullptr);
+  // Once detached, the monitor sees nothing more.
+  telemetry::setSlo(nullptr);
+  EXPECT_EQ(telemetry::slo(), nullptr);
+  telemetry::publish(telemetry::EventKind::FairnessSpread, 1.0, 2);
+  telemetry::publish(telemetry::EventKind::FairnessSpread, 1.0, 3);
+  EXPECT_TRUE(slo.inBreach()) << "no recovery observed after detaching";
+  EXPECT_EQ(histogramCount("live.fairness_spread"), 4u);
 }
 
-// Accounting under concurrency: every record published is either folded
-// into the registry or counted as a ring drop — nothing vanishes. The
-// background drain thread runs throughout.
+// Accounting under concurrency: four threads publish while a fifth renders
+// /metrics over and over. Every published record is in the histogram
+// count exactly; publish() has no path that drops one.
 TEST_F(LivePipelineTest, ConcurrentProducersLoseNothingUnaccounted) {
-  auto& aggregator = telemetry::Aggregator::instance();
-  aggregator.start(/*intervalMs=*/1);
-
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 20000;
+  std::atomic<bool> done{false};
+  std::thread scraper{[&done] {
+    do {
+      (void)telemetry::renderPrometheusText();
+    } while (!done.load(std::memory_order_acquire));
+  }};
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        telemetry::publish(telemetry::EventKind::ThreadSlowdown,
-                           static_cast<std::uint32_t>(p), i, 1.0 + p);
-      }
+      for (int i = 0; i < kPerProducer; ++i)
+        telemetry::publish(telemetry::EventKind::ThreadSlowdown, 1.0 + p);
     });
   }
   for (std::thread& t : producers) t.join();
-  aggregator.stop();   // final drain happens inside stop()
-  aggregator.drainNow();
+  done.store(true, std::memory_order_release);
+  scraper.join();
 
-  auto& registry = telemetry::Registry::instance();
-  const std::uint64_t delivered = histogramCount("live.slowdown");
-  const std::uint64_t dropped =
-      registry.counter("live.ring.dropped").value();
-  EXPECT_EQ(delivered + dropped,
-            static_cast<std::uint64_t>(kProducers) * kPerProducer);
-  EXPECT_EQ(registry.counter("live.ring.records").value(), delivered);
+  const telemetry::HistogramSnapshot snap =
+      telemetry::Registry::instance().histogram("live.slowdown").snapshot();
+  EXPECT_EQ(snap.count, static_cast<std::uint64_t>(kProducers) * kPerProducer);
+  EXPECT_DOUBLE_EQ(snap.sum, kPerProducer * (1.0 + 2.0 + 3.0 + 4.0));
 }
 
-// The pure race test for TSan: producers publish while one thread flips
-// setLiveEnabled/setEnabled and another hammers drainNow() alongside the
-// background drain thread. No counts asserted — the property under test is
-// the absence of data races.
+// The pure race test for TSan: publishers feed the SLO monitor while one
+// thread flips setLiveEnabled/setEnabled, another attaches and detaches
+// the monitor, and a third renders /metrics. No counts asserted: the
+// property under test is the absence of data races.
 TEST_F(LivePipelineTest, EnableTogglingRacesAreClean) {
-  auto& aggregator = telemetry::Aggregator::instance();
-  aggregator.start(/*intervalMs=*/1);
+  telemetry::SloConfig config;
+  config.enabled = true;
+  config.windowQuanta = 4;
+  telemetry::SloMonitor slo{config};
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> workers;
   for (int p = 0; p < 2; ++p) {
-    workers.emplace_back([&stop, p] {
-      std::uint32_t i = 0;
+    workers.emplace_back([&stop] {
+      std::int64_t i = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        telemetry::publish(telemetry::EventKind::FairnessSpread,
-                           static_cast<std::uint32_t>(p), ++i, 1.5, 0.5);
+        telemetry::publish(telemetry::EventKind::FairnessSpread, 1.5, ++i);
+        telemetry::publish(telemetry::EventKind::PredictionError, 0.1, i);
       }
     });
   }
@@ -157,20 +150,27 @@ TEST_F(LivePipelineTest, EnableTogglingRacesAreClean) {
     telemetry::setLiveEnabled(true);
     telemetry::setEnabled(true);
   });
-  workers.emplace_back([&stop, &aggregator] {
-    while (!stop.load(std::memory_order_acquire)) aggregator.drainNow();
+  workers.emplace_back([&stop, &slo] {
+    bool attach = true;
+    while (!stop.load(std::memory_order_acquire)) {
+      telemetry::setSlo(attach ? &slo : nullptr);
+      attach = !attach;
+    }
+    telemetry::setSlo(nullptr);
+  });
+  workers.emplace_back([&stop] {
+    while (!stop.load(std::memory_order_acquire))
+      (void)telemetry::renderPrometheusText();
   });
 
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   stop.store(true, std::memory_order_release);
   for (std::thread& t : workers) t.join();
-  aggregator.stop();
   SUCCEED() << "no data race reported";
 }
 
 // Live placement snapshot: last write wins, reads never tear.
 TEST_F(LivePipelineTest, LiveStateRoundTripsUnderConcurrentUpdates) {
-  auto& aggregator = telemetry::Aggregator::instance();
   std::atomic<bool> stop{false};
   std::thread writer{[&] {
     std::int64_t q = 0;
@@ -185,12 +185,12 @@ TEST_F(LivePipelineTest, LiveStateRoundTripsUnderConcurrentUpdates) {
         state.cores[c].thread = c;
         state.cores[c].slowdown = 1.0;
       }
-      aggregator.updateLiveState(std::move(state));
+      telemetry::updateLiveState(std::move(state));
       ++q;
     }
   }};
   for (int i = 0; i < 2000; ++i) {
-    const telemetry::LiveState got = aggregator.liveState();
+    const telemetry::LiveState got = telemetry::liveState();
     if (got.quantum > 0) {
       EXPECT_EQ(got.tick, got.quantum * 1000) << "torn snapshot";
       EXPECT_EQ(got.scheduler, "dike");

@@ -8,7 +8,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "telemetry/aggregator.hpp"
+#include "telemetry/live.hpp"
 #include "telemetry/registry.hpp"
 #include "util/json.hpp"
 
@@ -20,13 +20,13 @@ namespace {
 class PromHttpTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    telemetry::Aggregator::instance().resetForTest();
+    telemetry::updateLiveState(telemetry::LiveState{});
     telemetry::Registry::instance().resetAll();
     telemetry::setEnabled(true);
   }
   void TearDown() override {
     telemetry::setEnabled(false);
-    telemetry::Aggregator::instance().resetForTest();
+    telemetry::updateLiveState(telemetry::LiveState{});
     telemetry::Registry::instance().resetAll();
   }
 };
@@ -81,7 +81,7 @@ TEST_F(PromHttpTest, StateWithNanSignalsIsStillValidJson) {
   state.fairnessSpread = std::numeric_limits<double>::quiet_NaN();
   state.cores.resize(1);
   state.cores[0].slowdown = std::numeric_limits<double>::quiet_NaN();
-  telemetry::Aggregator::instance().updateLiveState(std::move(state));
+  telemetry::updateLiveState(std::move(state));
 
   const util::JsonValue doc =
       util::parseJson(telemetry::renderLiveStateJson());
@@ -101,7 +101,7 @@ TEST_F(PromHttpTest, ServerServesMetricsStateAndHealthOnEphemeralPort) {
   state.cores[0].core = 0;
   state.cores[0].thread = 11;
   state.cores[1].core = 1;
-  telemetry::Aggregator::instance().updateLiveState(std::move(state));
+  telemetry::updateLiveState(std::move(state));
 
   telemetry::PromHttpServer server;
   server.start(0);

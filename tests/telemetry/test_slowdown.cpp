@@ -1,5 +1,5 @@
 // SlowdownEstimator: the shared per-quantum slowdown proxy behind the
-// NDJSON stream, the live ring publisher, and the soak SLO feed.
+// NDJSON stream, the live publisher, and the soak SLO feed.
 #include "telemetry/slowdown.hpp"
 
 #include <gtest/gtest.h>

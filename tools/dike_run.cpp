@@ -27,7 +27,6 @@
 #include "exp/config_io.hpp"
 #include "exp/replay.hpp"
 #include "fault/fault_plan.hpp"
-#include "telemetry/aggregator.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/promhttp.hpp"
 #include "telemetry/registry.hpp"
@@ -107,21 +106,20 @@ void printSingleRunReport(const dike::exp::RunMetrics& metrics,
   }
 }
 
-/// The live observability plane behind --live-metrics: ring aggregation,
+/// The live observability plane behind --live-metrics: live publishing,
 /// the /metrics HTTP endpoint, and the fairness SLO monitor. RAII so the
-/// server and aggregator always wind down (including on exceptions), with
-/// a final drain so late records still reach the histograms.
+/// server always winds down and the monitor is detached (including on
+/// exceptions).
 class LivePlane {
  public:
   LivePlane(int port, const dike::telemetry::SloConfig& sloConfig,
             const std::string& portFile) {
     if (sloConfig.enabled) {
       slo_.emplace(sloConfig);
-      dike::telemetry::Aggregator::instance().setSlo(&*slo_);
+      dike::telemetry::setSlo(&*slo_);
     }
     dike::telemetry::setEnabled(true);
     dike::telemetry::setLiveEnabled(true);
-    dike::telemetry::Aggregator::instance().start();
     server_.start(static_cast<std::uint16_t>(port));
     std::printf("live metrics: http://127.0.0.1:%u/metrics (state: /state)\n",
                 static_cast<unsigned>(server_.port()));
@@ -138,7 +136,6 @@ class LivePlane {
   LivePlane& operator=(const LivePlane&) = delete;
 
   ~LivePlane() {
-    dike::telemetry::Aggregator::instance().drainNow();
     if (slo_) {
       std::printf("SLO: %lld breach(es)%s\n",
                   static_cast<long long>(slo_->breaches()),
@@ -146,8 +143,7 @@ class LivePlane {
     }
     server_.stop();
     dike::telemetry::setLiveEnabled(false);
-    dike::telemetry::Aggregator::instance().stop();
-    dike::telemetry::Aggregator::instance().setSlo(nullptr);
+    dike::telemetry::setSlo(nullptr);
   }
 
   /// Keep /metrics up for `holdMs` after the run so an attached dike_top
@@ -245,7 +241,7 @@ int main(int argc, char** argv) {
 
     // --live-metrics PORT: serve Prometheus /metrics (+ /state JSON) from
     // an embedded HTTP endpoint while the experiment runs, fed by the
-    // lock-free ring -> aggregator plane. Port 0 picks an ephemeral port
+    // live histograms. Port 0 picks an ephemeral port
     // (written to --live-port-file for scripts/tests). Implies telemetry
     // and per-quantum live publishing for the telemetry-carrying run.
     std::optional<int> livePort;
