@@ -98,14 +98,20 @@ void runLeapThroughput(const BenchOptions& opts, dike::util::JsonObject& out) {
   out.emplace("leap_speedup_geomean", geo);
 }
 
-/// Cost of the telemetry registry on the simulation hot loop: the same
-/// workloads timed with collection off (the default — each site is one
-/// relaxed atomic load) and on (counters/timers updating). Records the
-/// overhead percentage so regressions against the "off is free" goal are
-/// visible in BENCH_sim.json.
-void runTelemetryOverhead(const BenchOptions& opts,
-                          dike::util::JsonObject& out) {
-  auto timeRuns = [&opts] {
+/// Cost of the telemetry registry and of the live plane on the simulation
+/// hot loop. The same workloads run under Dike in three modes: off (the
+/// default; each registry site is one relaxed atomic load), registry on,
+/// and live on (registry plus the live publisher, what `dike_run
+/// --live-metrics` adds). One pass is tens of milliseconds, so passes
+/// alternate off, registry, live until each mode has run for at least a
+/// second; a mode's time is its mean pass, so drift in the host's speed
+/// falls on every mode alike. The live budget is bench_check's
+/// --max-live-overhead-pct.
+void runOverhead(const BenchOptions& opts, dike::util::JsonObject& out) {
+  enum Mode { Off, Registry, Live, kModes };
+  auto timePass = [&opts](Mode mode) {
+    dike::telemetry::setEnabled(mode != Off);
+    dike::telemetry::setLiveEnabled(mode == Live);
     const auto start = std::chrono::steady_clock::now();
     for (const int workloadId : kWorkloads) {
       dike::exp::RunSpec spec;
@@ -113,74 +119,39 @@ void runTelemetryOverhead(const BenchOptions& opts,
       spec.kind = SchedulerKind::Dike;
       spec.scale = opts.scale;
       spec.seed = opts.seed;
+      spec.telemetry.livePublish = mode == Live;
       const RunMetrics m = dike::exp::runWorkload(spec);
       benchmark::DoNotOptimize(m.fairness);
     }
-    return secondsSince(start);
+    const double sec = secondsSince(start);
+    dike::telemetry::setLiveEnabled(false);
+    dike::telemetry::setEnabled(false);
+    return sec;
   };
-
-  dike::telemetry::setEnabled(false);
-  const double offSec = timeRuns();
-  dike::telemetry::setEnabled(true);
-  const double onSec = timeRuns();
-  dike::telemetry::setEnabled(false);
-
-  const double overheadPct = (onSec / offSec - 1.0) * 100.0;
+  constexpr double kMinSecondsPerMode = 1.0;
+  double total[kModes] = {};
+  int passes = 0;
+  while (*std::min_element(total, total + kModes) < kMinSecondsPerMode) {
+    for (const Mode mode : {Off, Registry, Live}) total[mode] += timePass(mode);
+    ++passes;
+  }
+  const auto meanPass = [&](Mode mode) { return total[mode] / passes; };
+  const auto overheadPct = [&](Mode mode) {
+    return (total[mode] / total[Off] - 1.0) * 100.0;
+  };
   std::printf(
-      "=== Telemetry registry overhead (%zu workloads under Dike) ===\n"
-      "telemetry off: %.2fs   telemetry on: %.2fs   overhead: %+.1f%%\n\n",
-      kWorkloads.size(), offSec, onSec, overheadPct);
-  out.emplace("telemetry_off_sec", offSec);
-  out.emplace("telemetry_on_sec", onSec);
-  out.emplace("telemetry_overhead_pct", overheadPct);
-}
-
-/// Cost of the live observability plane: the same workloads timed with
-/// live publishing off (the default) and fully on — registry + live
-/// publisher recording into the live histograms, i.e. what `dike_run
-/// --live-metrics` adds to a run. The gate budget for the overhead
-/// percentage lives in bench_check (--max-live-overhead-pct).
-void runLiveOverhead(const BenchOptions& opts, dike::util::JsonObject& out) {
-  auto timeRuns = [&opts](bool live) {
-    const auto start = std::chrono::steady_clock::now();
-    for (const int workloadId : kWorkloads) {
-      dike::exp::RunSpec spec;
-      spec.workloadId = workloadId;
-      spec.kind = SchedulerKind::Dike;
-      spec.scale = opts.scale;
-      spec.seed = opts.seed;
-      spec.telemetry.livePublish = live;
-      const RunMetrics m = dike::exp::runWorkload(spec);
-      benchmark::DoNotOptimize(m.fairness);
-    }
-    return secondsSince(start);
-  };
-  // One pass is tens of milliseconds — single-shot timing would compare
-  // scheduler-noise, not plane cost. Best-of-N keeps the gate honest.
-  constexpr int kReps = 3;
-  auto bestOf = [&timeRuns](bool live) {
-    double best = timeRuns(live);
-    for (int rep = 1; rep < kReps; ++rep)
-      best = std::min(best, timeRuns(live));
-    return best;
-  };
-
-  const double offSec = bestOf(false);
-
-  dike::telemetry::setEnabled(true);
-  dike::telemetry::setLiveEnabled(true);  // dike_run's --live-metrics setup
-  const double onSec = bestOf(true);
-  dike::telemetry::setLiveEnabled(false);
-  dike::telemetry::setEnabled(false);
-
-  const double overheadPct = (onSec / offSec - 1.0) * 100.0;
-  std::printf(
-      "=== Live export plane overhead (%zu workloads under Dike) ===\n"
-      "live off: %.2fs   live on: %.2fs   overhead: %+.1f%%\n\n",
-      kWorkloads.size(), offSec, onSec, overheadPct);
-  out.emplace("live_off_sec", offSec);
-  out.emplace("live_on_sec", onSec);
-  out.emplace("live_overhead_pct", overheadPct);
+      "=== Telemetry and live-plane overhead (%zu workloads under Dike, "
+      "%d alternating passes per mode) ===\n"
+      "mean pass: off %.3fs   registry on %.3fs (%+.1f%%)   live on %.3fs "
+      "(%+.1f%%)\n\n",
+      kWorkloads.size(), passes, meanPass(Off), meanPass(Registry),
+      overheadPct(Registry), meanPass(Live), overheadPct(Live));
+  out.emplace("telemetry_off_sec", meanPass(Off));
+  out.emplace("telemetry_on_sec", meanPass(Registry));
+  out.emplace("telemetry_overhead_pct", overheadPct(Registry));
+  out.emplace("live_off_sec", meanPass(Off));
+  out.emplace("live_on_sec", meanPass(Live));
+  out.emplace("live_overhead_pct", overheadPct(Live));
 }
 
 /// End-to-end Figure-6-shaped sweep (16 workloads x 5 schedulers) timed
@@ -417,8 +388,7 @@ ScalingRun runScalingPointOnce(const ScalingPoint& point, int clusters,
 /// Best-of-N over whole runs: a single preempted quantum inflates that
 /// run's p99 (for the clustered scheduler the metric is a max over K
 /// serial per-cluster timings, so any hiccup lands in it); the minimum
-/// across repetitions is the machine's actual cost, same reasoning as
-/// runLiveOverhead's best-of-N.
+/// across repetitions is the machine's actual cost.
 ScalingRun runScalingPoint(const ScalingPoint& point, int clusters,
                            std::uint64_t seed, int decideJobs = 1) {
   constexpr int kReps = 3;
@@ -580,29 +550,12 @@ void BM_RunNoLeap(benchmark::State& state) {
 }
 BENCHMARK(BM_RunNoLeap)->Unit(benchmark::kMillisecond);
 
-constexpr const char* kUsage =
-    "usage: %s [--scale=X] [--seed=N] [--jobs=N] [--max-threads=N]\n"
-    "          [--json=PATH] [--gbench=true|false] [--reps=N] [--csv=PATH]\n"
-    "Times the simulation engine and writes a JSON report to --json\n"
-    "(default BENCH_sim.json in the working directory). --help prints this\n"
-    "and exits; an unknown flag is an error. Neither runs or writes anything.\n";
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  const BenchOptions opts =
+      dike::bench::parseOptions(argc, argv, {"json", "max-threads"});
   const dike::util::CliArgs args{argc, argv};
-  if (args.has("help")) {
-    std::printf(kUsage, argv[0]);
-    return 0;
-  }
-  if (const auto flag = args.firstUnknown({"scale", "seed", "reps", "gbench",
-                                           "csv", "jobs", "json",
-                                           "max-threads", "help"})) {
-    std::fprintf(stderr, "unknown flag --%s\n", flag->c_str());
-    std::fprintf(stderr, kUsage, argv[0]);
-    return 2;
-  }
-  const BenchOptions opts = dike::bench::parseOptions(argc, argv);
   const std::string jsonPath = args.getOr("json", "BENCH_sim.json");
   // Cap the scaling curve (smoke runs pass a small cap; the 4096-thread
   // point is the expensive one and only the full refresh/gate needs it).
@@ -613,8 +566,7 @@ int main(int argc, char** argv) {
   out.emplace("scale", opts.scale);
   out.emplace("seed", static_cast<std::int64_t>(opts.seed));
   runLeapThroughput(opts, out);
-  runTelemetryOverhead(opts, out);
-  runLiveOverhead(opts, out);
+  runOverhead(opts, out);
   runSweepThroughput(opts, out);
   runThreadScaling(opts, maxThreads, out);
   runDecideParallelScaling(opts, maxThreads, out);

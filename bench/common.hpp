@@ -10,8 +10,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/parallel.hpp"
@@ -39,8 +42,32 @@ inline int repsOr(const BenchOptions& opts, int fallback) {
   return opts.reps > 0 ? opts.reps : fallback;
 }
 
-inline BenchOptions parseOptions(int argc, char** argv) {
+/// Read the shared flags; a bench that reads more names them in
+/// `extraFlags`. Before anything runs, --help prints the usage and exits 0,
+/// and an unknown flag prints it to stderr and exits 2.
+inline BenchOptions parseOptions(
+    int argc, char** argv,
+    std::initializer_list<std::string_view> extraFlags = {}) {
   const util::CliArgs args{argc, argv};
+  std::vector<std::string_view> known{"scale", "seed", "reps", "gbench",
+                                      "csv",   "jobs", "help"};
+  std::string usage = "usage: ";
+  usage += argv[0];
+  usage += " [--scale=X] [--seed=N] [--reps=N] [--jobs=N]"
+           " [--gbench=true|false] [--csv=PATH]";
+  for (const std::string_view flag : extraFlags) {
+    known.push_back(flag);
+    usage.append(" [--").append(flag).append("=V]");
+  }
+  if (args.has("help")) {
+    std::printf("%s\n", usage.c_str());
+    std::exit(0);
+  }
+  if (const auto flag = args.firstUnknown(known)) {
+    std::fprintf(stderr, "unknown flag --%s\n%s\n", flag->c_str(),
+                 usage.c_str());
+    std::exit(2);
+  }
   BenchOptions opts;
   opts.scale = args.getDouble("scale", 0.5);
   opts.seed = static_cast<std::uint64_t>(args.getInt64("seed", 42));

@@ -56,9 +56,4 @@ std::string renderHealthJson(const HealthSnapshot& snapshot) {
   return util::JsonValue{std::move(doc)}.dump();
 }
 
-void resetHealthForTest() noexcept {
-  gLastQuantum.store(-1, std::memory_order_relaxed);
-  gLastBeatNs.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace dike::telemetry

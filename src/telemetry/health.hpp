@@ -23,7 +23,9 @@ struct HealthSnapshot {
 };
 
 /// Stamp the heartbeat: `quantum` just completed, now. Thread-safe, never
-/// blocks, callable regardless of the telemetry enabled() switch.
+/// blocks, callable regardless of the telemetry enabled() switch. A
+/// negative `quantum` (-1) means "not started": the snapshot then reads
+/// "starting" with no age, as before the first beat.
 void heartbeat(std::int64_t quantum) noexcept;
 
 /// Current liveness view; SLO fields come from the live plane's attached
@@ -32,8 +34,5 @@ void heartbeat(std::int64_t quantum) noexcept;
 
 /// Render a snapshot as the /healthz JSON body.
 [[nodiscard]] std::string renderHealthJson(const HealthSnapshot& snapshot);
-
-/// Clear the heartbeat between tests.
-void resetHealthForTest() noexcept;
 
 }  // namespace dike::telemetry

@@ -67,7 +67,7 @@ std::string CliArgs::getOr(std::string_view name,
 }
 
 std::optional<std::string> CliArgs::firstUnknown(
-    std::initializer_list<std::string_view> known) const {
+    const std::vector<std::string_view>& known) const {
   for (const auto& [name, value] : flags_)
     if (std::find(known.begin(), known.end(), name) == known.end())
       return name;

@@ -3,7 +3,6 @@
 // executables dependency-free and consistent.
 #pragma once
 
-#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -34,7 +33,7 @@ class CliArgs {
   /// The first flag (in name order) that is not in `known`, if any, so a
   /// binary can refuse a misspelt flag instead of ignoring it.
   [[nodiscard]] std::optional<std::string> firstUnknown(
-      std::initializer_list<std::string_view> known) const;
+      const std::vector<std::string_view>& known) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;

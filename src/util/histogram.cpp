@@ -8,23 +8,6 @@
 
 namespace dike::util {
 
-double percentile(std::span<const double> xs, double p) {
-  // Validate p before the empty-input shortcut, and with a negated range
-  // test so NaN (for which both p < 0 and p > 100 are false) is rejected
-  // instead of flowing into floor()/array indexing as undefined behaviour.
-  if (!(p >= 0.0 && p <= 100.0))
-    throw std::invalid_argument{"percentile must be in [0, 100], got " +
-                                std::to_string(p)};
-  if (xs.empty()) return 0.0;
-  std::vector<double> sorted{xs.begin(), xs.end()};
-  std::sort(sorted.begin(), sorted.end());
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto below = static_cast<std::size_t>(std::floor(rank));
-  const auto above = static_cast<std::size_t>(std::ceil(rank));
-  const double weight = rank - static_cast<double>(below);
-  return sorted[below] * (1.0 - weight) + sorted[above] * weight;
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), counts_(buckets, 0) {
   if (!(hi > lo)) throw std::invalid_argument{"histogram needs hi > lo"};

@@ -1,4 +1,4 @@
-// Fixed-range histograms and exact percentiles for result analysis.
+// Fixed-range histograms for result analysis.
 #pragma once
 
 #include <span>
@@ -6,11 +6,6 @@
 #include <vector>
 
 namespace dike::util {
-
-/// Exact percentile: linear interpolation between order statistics at
-/// rank p/100 * (n-1). Throws std::invalid_argument when p is outside
-/// [0, 100] or NaN (even for empty input); returns 0 for empty input.
-[[nodiscard]] double percentile(std::span<const double> xs, double p);
 
 /// Equal-width histogram over [lo, hi); out-of-range samples clamp into the
 /// first/last bucket so totals are conserved.

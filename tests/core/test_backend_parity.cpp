@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "../support/lockstep.hpp"
 #include "ckpt/archive.hpp"
 #include "core/dike_scheduler.hpp"
 #include "sched/placement.hpp"
@@ -53,12 +54,6 @@ struct Recording {
   std::vector<Actuation> actuations;
   std::string finalState;
 };
-
-std::string stateBytes(const sched::Scheduler& scheduler) {
-  ckpt::BinWriter w;
-  scheduler.saveState(w);
-  return w.take();
-}
 
 class RecordingHook final : public sched::ActuationHook {
  public:
@@ -179,7 +174,7 @@ Recording recordSimulatorRun(AdaptationGoal goal) {
   sched::SchedulerAdapter adapter{recorder};
   adapter.setActuationHook(&hook);
   (void)sim::runMachine(machine, adapter);
-  recording.finalState = stateBytes(dike);
+  recording.finalState = test::savedBytes(dike);
   return recording;
 }
 
@@ -226,7 +221,7 @@ void expectReplayParity(AdaptationGoal goal) {
     expectSameStats(quantum.stats, replayed.lastQuantumStats(), q);
   }
   EXPECT_EQ(backend.calls(), recording.actuations);
-  EXPECT_EQ(stateBytes(replayed), recording.finalState);
+  EXPECT_EQ(test::savedBytes(replayed), recording.finalState);
 }
 
 TEST(BackendParity, DikeReplaysIdenticallyThroughATableBackend) {

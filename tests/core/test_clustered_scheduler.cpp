@@ -1,6 +1,8 @@
-// ClusteredDikeScheduler: the flat scheduler standing in at 1 cluster,
-// cluster geometry, multi-cluster aggregates and determinism, and the
-// checkpoint round trip (including corrupt-geometry rejection).
+// ClusteredDikeScheduler: cluster geometry, multi-cluster aggregates and
+// determinism, and the checkpoint round trip (including corrupt-geometry
+// rejection). That 1 cluster runs byte-identical to the flat scheduler, and
+// decideJobs 4 to decideJobs 1, are the lockstep harness's rows
+// (tests/exp/test_lockstep.cpp).
 #include "core/clustered_scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -12,14 +14,13 @@
 #include <utility>
 #include <vector>
 
+#include "../support/lockstep.hpp"
 #include "ckpt/archive.hpp"
 #include "exp/runner.hpp"
-#include "sched/placement.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/machine.hpp"
 #include "telemetry/registry.hpp"
 #include "observation_builder.hpp"
-#include "workload/workloads.hpp"
 
 namespace dike::core {
 
@@ -43,31 +44,12 @@ struct ClusteredSchedulerTestPeer {
 
 namespace {
 
-/// A 4-socket, 16-vcore machine (alternating fast/slow) filled by a
-/// 16-thread two-app workload — small enough for fast runs, large enough
-/// for 4 real clusters of 4 cores each. More sockets give a wider machine
-/// with the same workload.
+/// test::clusteredSpec's machine: 4 sockets of 4 cores (alternating
+/// fast/slow) filled by a 16-thread two-app workload, small enough for fast
+/// runs, large enough for 4 real clusters of 4 cores each. More sockets
+/// give a wider machine with the same workload.
 sim::Machine clusterMachine(std::uint64_t seed = 42, int socketCount = 4) {
-  std::vector<sim::SocketSpec> sockets(static_cast<std::size_t>(socketCount));
-  for (int s = 0; s < socketCount; ++s) {
-    sockets[static_cast<std::size_t>(s)] = sim::SocketSpec{
-        .physicalCores = 4,
-        .smtWays = 1,
-        .freqGhz = s % 2 == 0 ? 2.33 : 1.21,
-        .type = s % 2 == 0 ? sim::CoreType::Fast : sim::CoreType::Slow};
-  }
-  sim::MachineConfig cfg;
-  cfg.seed = seed;
-  sim::Machine machine{sim::MachineTopology{sockets}, cfg};
-  wl::WorkloadSpec workload;
-  workload.id = 0;
-  workload.name = "cluster-test";
-  workload.apps = {"stream_omp", "hotspot"};
-  workload.includeKmeans = false;
-  wl::addWorkloadProcesses(machine, workload, /*scale=*/0.4,
-                           /*threadsPerApp=*/8);
-  sched::placeRandom(machine, seed);
-  return machine;
+  return test::machineFor(test::clusteredSpec(0, socketCount, seed));
 }
 
 /// Threads clusterMachine adds, whatever its socket count: the bound on
@@ -78,12 +60,6 @@ DikeConfig clusteredConfig(int clusters) {
   DikeConfig cfg;
   cfg.cluster.clusters = clusters;
   return cfg;
-}
-
-std::string stateBytes(const sched::Scheduler& scheduler) {
-  ckpt::BinWriter w;
-  scheduler.saveState(w);
-  return w.take();
 }
 
 /// The Dike scheduler exp::makeScheduler builds for `clusters`.
@@ -105,30 +81,6 @@ TEST(ClusteredDikeScheduler, RejectsInvalidClusterKnobs) {
   bad = clusteredConfig(2);
   bad.cluster.rebalanceBudget = -3;
   EXPECT_THROW(ClusteredDikeScheduler{bad}, std::invalid_argument);
-}
-
-/// A 1-cluster spec builds the flat DikeScheduler itself: same name, same
-/// run, same checkpoint bytes as a 0-cluster spec.
-TEST(ClusteredDikeScheduler, OneClusterIsByteIdenticalToFlat) {
-  const std::unique_ptr<sched::Scheduler> flat = specScheduler(0);
-  const std::unique_ptr<sched::Scheduler> oneCluster = specScheduler(1);
-  EXPECT_NE(dynamic_cast<DikeScheduler*>(oneCluster.get()), nullptr);
-  EXPECT_EQ(dynamic_cast<ClusteredDikeScheduler*>(oneCluster.get()), nullptr);
-  EXPECT_EQ(oneCluster->name(), "dike");
-  EXPECT_EQ(oneCluster->name(), flat->name());
-
-  sim::Machine flatMachine = clusterMachine();
-  sched::SchedulerAdapter flatAdapter{*flat};
-  const sim::RunOutcome flatOutcome = sim::runMachine(flatMachine, flatAdapter);
-  sim::Machine oneClusterMachine = clusterMachine();
-  sched::SchedulerAdapter oneClusterAdapter{*oneCluster};
-  const sim::RunOutcome oneClusterOutcome =
-      sim::runMachine(oneClusterMachine, oneClusterAdapter);
-
-  EXPECT_EQ(flatOutcome.finishTick, oneClusterOutcome.finishTick);
-  EXPECT_EQ(flatMachine.swapCount(), oneClusterMachine.swapCount());
-  EXPECT_EQ(flatMachine.migrationCount(), oneClusterMachine.migrationCount());
-  EXPECT_EQ(stateBytes(*flat), stateBytes(*oneCluster));
 }
 
 TEST(ClusteredDikeScheduler, ResolvesContiguousSocketAlignedGeometry) {
@@ -196,7 +148,8 @@ TEST(ClusteredDikeScheduler, RunsAreDeterministic) {
   const sim::RunOutcome secondOutcome = sim::runMachine(second, secondAdapter);
 
   EXPECT_EQ(firstOutcome.finishTick, secondOutcome.finishTick);
-  EXPECT_EQ(stateBytes(firstScheduler), stateBytes(secondScheduler));
+  EXPECT_EQ(test::savedBytes(firstScheduler),
+            test::savedBytes(secondScheduler));
 }
 
 TEST(ClusteredDikeScheduler, CheckpointRoundTripsMultiClusterState) {
@@ -204,14 +157,14 @@ TEST(ClusteredDikeScheduler, CheckpointRoundTripsMultiClusterState) {
   ClusteredDikeScheduler scheduler{clusteredConfig(4)};
   sched::SchedulerAdapter adapter{scheduler};
   (void)sim::runMachine(machine, adapter);
-  const std::string saved = stateBytes(scheduler);
+  const std::string saved = test::savedBytes(scheduler);
 
   ClusteredDikeScheduler restored{clusteredConfig(4)};
   ckpt::BinReader r{saved};
   restored.loadState(r, kClusterThreads);
   EXPECT_EQ(restored.resolvedClusters(), scheduler.resolvedClusters());
   EXPECT_EQ(restored.clusterOfCore(), scheduler.clusterOfCore());
-  EXPECT_EQ(stateBytes(restored), saved);
+  EXPECT_EQ(test::savedBytes(restored), saved);
 }
 
 TEST(ClusteredDikeScheduler, RejectsCorruptGeometry) {
@@ -219,7 +172,7 @@ TEST(ClusteredDikeScheduler, RejectsCorruptGeometry) {
   ClusteredDikeScheduler scheduler{clusteredConfig(4)};
   sched::SchedulerAdapter adapter{scheduler};
   (void)sim::runMachine(machine, adapter);
-  std::string saved = stateBytes(scheduler);
+  std::string saved = test::savedBytes(scheduler);
 
   // Overwrite the serialized cluster count (first i64 named clusterCount)
   // with a negative value: the restore must fail loudly, not resize by a
@@ -245,7 +198,7 @@ TEST(ClusteredDikeScheduler, RejectsAGeometryThatIsNotTheContiguousSplit) {
   ClusteredDikeScheduler scheduler{clusteredConfig(4)};
   sched::SchedulerAdapter adapter{scheduler};
   (void)sim::runMachine(machine, adapter);
-  std::string saved = stateBytes(scheduler);
+  std::string saved = test::savedBytes(scheduler);
   ASSERT_EQ(scheduler.clusterOfCore(),
             (std::vector<int>{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3}));
 
@@ -281,7 +234,7 @@ TEST(ClusteredDikeScheduler, RejectsHeaderThatDisagreesWithClusters) {
   ClusteredDikeScheduler scheduler{clusteredConfig(4)};
   sched::SchedulerAdapter adapter{scheduler};
   (void)sim::runMachine(machine, adapter);
-  std::string saved = stateBytes(scheduler);
+  std::string saved = test::savedBytes(scheduler);
 
   // totals/swapsExecuted (the second swapsExecuted; lastStats has the
   // first) plus one.
@@ -319,15 +272,10 @@ TEST(ClusteredDikeScheduler, RejectsTopLevelObserverThatHoldsAThread) {
   ClusteredDikeScheduler scheduler{clusteredConfig(4)};
   sched::SchedulerAdapter adapter{scheduler};
   (void)sim::runMachine(machine, adapter);
-  std::string saved = stateBytes(scheduler);
+  std::string saved = test::savedBytes(scheduler);
 
-  const auto bytesOf = [](const Observer& observer) {
-    ckpt::BinWriter w;
-    observer.saveState(w);
-    return w.take();
-  };
   const ObserverConfig observerConfig = clusteredConfig(4).observer;
-  const std::string constructed = bytesOf(Observer{observerConfig});
+  const std::string constructed = test::savedBytes(Observer{observerConfig});
   testing::ObservationBuilder oneThread{4, 2};
   oneThread.thread(0, 0, 0, 2e7, 0.3);
   Observer fed{observerConfig};
@@ -336,7 +284,7 @@ TEST(ClusteredDikeScheduler, RejectsTopLevelObserverThatHoldsAThread) {
   // precedes every cluster section.
   const std::size_t pos = saved.find(constructed);
   ASSERT_NE(pos, std::string::npos);
-  saved.replace(pos, constructed.size(), bytesOf(fed));
+  saved.replace(pos, constructed.size(), test::savedBytes(fed));
 
   ClusteredDikeScheduler target{clusteredConfig(4)};
   ckpt::BinReader r{saved};
@@ -355,13 +303,13 @@ TEST(ClusteredDikeScheduler, RejectsTopLevelObserverThatHoldsAThread) {
 /// all-zero aggregates, and restores as such.
 TEST(ClusteredDikeScheduler, RoundTripsBeforeTheFirstQuantum) {
   const ClusteredDikeScheduler fresh{clusteredConfig(4)};
-  const std::string saved = stateBytes(fresh);
+  const std::string saved = test::savedBytes(fresh);
   ClusteredDikeScheduler restored{clusteredConfig(4)};
   ckpt::BinReader r{saved};
   restored.loadState(r, kClusterThreads);
   EXPECT_EQ(restored.resolvedClusters(), 0);
   EXPECT_EQ(restored.decisionTotals().quanta, 0);
-  EXPECT_EQ(stateBytes(restored), saved);
+  EXPECT_EQ(test::savedBytes(restored), saved);
 }
 
 /// A restored geometry names machine core ids. Stepped on a machine with
@@ -372,7 +320,7 @@ TEST(ClusteredDikeScheduler, RestoredGeometryMustMatchTheMachine) {
   ClusteredDikeScheduler scheduler{clusteredConfig(4)};
   sched::SchedulerAdapter adapter{scheduler};
   (void)sim::runMachine(machine, adapter);
-  const std::string saved = stateBytes(scheduler);
+  const std::string saved = test::savedBytes(scheduler);
 
   sim::Machine wider = clusterMachine(42, /*socketCount=*/8);
   ASSERT_GT(wider.topology().coreCount(), machine.topology().coreCount());
@@ -407,12 +355,6 @@ Observation fullScanObservation(const sched::SchedulerView& child,
     obs.coreSocket.push_back(child.socketOf(c));
   }
   return obs;
-}
-
-std::string observerBytes(const Observer& observer) {
-  ckpt::BinWriter w;
-  observer.saveState(w);
-  return w.take();
 }
 
 /// Runs a clustered Dike scheduler and, before it decides each quantum,
@@ -518,7 +460,7 @@ class ObserveOracle final : public sched::Scheduler {
       }
       EXPECT_EQ(fast_[kk].systemUnfairness(),
                 reference_[kk].systemUnfairness());
-      EXPECT_EQ(observerBytes(fast_[kk]), observerBytes(reference_[kk]))
+      EXPECT_EQ(test::savedBytes(fast_[kk]), test::savedBytes(reference_[kk]))
           << "cluster " << k;
     }
     ++checked_;
@@ -556,32 +498,6 @@ TEST(ClusteredDikeScheduler, RejectsInvalidDecideJobs) {
   DikeConfig pooled = clusteredConfig(2);
   pooled.cluster.decideJobs = 4;
   EXPECT_EQ(ClusteredDikeScheduler{pooled}.decideJobs(), 4);
-}
-
-/// The tentpole's equivalence contract in-process: a serial plan phase and
-/// a 4-way concurrent one must produce the same run tick for tick — same
-/// finish, same actuation counts, and byte-identical scheduler state.
-TEST(ClusteredDikeScheduler, DecideJobsDoNotChangeAnyByte) {
-  sim::Machine serialMachine = clusterMachine();
-  DikeConfig serialCfg = clusteredConfig(4);
-  serialCfg.cluster.decideJobs = 1;
-  ClusteredDikeScheduler serial{serialCfg};
-  sched::SchedulerAdapter serialAdapter{serial};
-  const sim::RunOutcome serialOutcome =
-      sim::runMachine(serialMachine, serialAdapter);
-
-  sim::Machine pooledMachine = clusterMachine();
-  DikeConfig pooledCfg = clusteredConfig(4);
-  pooledCfg.cluster.decideJobs = 4;
-  ClusteredDikeScheduler pooled{pooledCfg};
-  sched::SchedulerAdapter pooledAdapter{pooled};
-  const sim::RunOutcome pooledOutcome =
-      sim::runMachine(pooledMachine, pooledAdapter);
-
-  EXPECT_EQ(serialOutcome.finishTick, pooledOutcome.finishTick);
-  EXPECT_EQ(serialMachine.swapCount(), pooledMachine.swapCount());
-  EXPECT_EQ(serialMachine.migrationCount(), pooledMachine.migrationCount());
-  EXPECT_EQ(stateBytes(serial), stateBytes(pooled));
 }
 
 /// core.dike.plans_on_caller / plans_on_helper count every cluster plan

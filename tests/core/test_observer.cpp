@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/lockstep.hpp"
 #include "ckpt/archive.hpp"
 #include "ckpt/fields.hpp"
 
@@ -640,11 +641,7 @@ class ReferenceObserver {
   std::int64_t discarded_ = 0;
 };
 
-std::string savedBytes(const Observer& observer) {
-  ckpt::BinWriter w;
-  observer.saveState(w);
-  return w.take();
-}
+using test::savedBytes;
 
 /// One seeded scenario for the reference comparison.
 struct ReferenceCase {

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "../support/lockstep.hpp"
 #include "exp/replay.hpp"
 #include "exp/supervise.hpp"
 
@@ -386,12 +387,7 @@ TEST(ConfigIo, CellRunSpecCarriesEveryRunField) {
 
 #if defined(DIKE_RUN_BIN) && defined(DIKE_SUPERVISE_BIN) && \
     defined(DIKE_CONFIG_DIR)
-std::string slurp(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
+using dike::test::slurp;
 
 // The checkpointing tools run the grid's first cell exactly as the grid
 // does — on the config's topology, with its threads per application —

@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "../support/lockstep.hpp"
 #include "exp/config_io.hpp"
 #include "exp/runner.hpp"
 #include "telemetry/histogram.hpp"
@@ -40,12 +41,7 @@ namespace util = dike::util;
 
 namespace {
 
-std::string slurp(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+using dike::test::slurp;
 
 /// Detach any SLO monitor, clear the /state snapshot and zero every metric.
 void resetLivePlane() {

@@ -1,8 +1,8 @@
-// Deterministic checkpoint/restore: a run checkpointed at quantum k and
-// resumed must produce a final report byte-identical to the uninterrupted
-// run, for every scheduler kind, including Dike with the fault layer armed.
-// These simulations take seconds each; the target carries the "replay"
-// ctest label (select with `ctest -L replay`, skip with `-LE replay`).
+// Deterministic checkpoint/restore beyond the lockstep harness's restore
+// contract (tests/exp/test_lockstep.cpp): resumes around script events and
+// churn, the dike_run wrappers, the spec and metrics codecs, the golden
+// payload digests and corruption sweeps, the slowdown cursor's restore
+// paths and resumable sweeps. The target carries the "replay" ctest label.
 #include "exp/replay.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "../ckpt/corrupt_payload.hpp"
+#include "../support/lockstep.hpp"
 #include "ckpt/archive.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "exp/config_io.hpp"
@@ -40,191 +41,11 @@ std::string tempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-RunSpec smallSpec(SchedulerKind kind, std::uint64_t seed = 42) {
-  RunSpec spec;
-  spec.workloadId = 3;
-  spec.kind = kind;
-  spec.scale = 0.1;
-  spec.seed = seed;
-  return spec;
-}
+using test::noisyPlan;
+using test::scriptedSpec;
+using test::smallSpec;
 
 std::string report(const RunMetrics& m) { return runMetricsToJson(m).dump(2); }
-
-/// Arm every fault class inside a window the checkpoint lands in.
-fault::FaultPlan noisyPlan() {
-  fault::FaultPlan plan;
-  plan.seed = 99;
-  plan.window.startTick = 200;
-  plan.window.endTick = 0;  // until the run ends
-  plan.samples.dropProbability = 0.05;
-  plan.samples.corruptProbability = 0.05;
-  plan.samples.stuckAtZeroProbability = 0.02;
-  plan.samples.saturateMissRatioProbability = 0.05;
-  plan.actuation.swapFailProbability = 0.10;
-  plan.actuation.migrationFailProbability = 0.10;
-  plan.cores.freqDipProbability = 0.05;
-  return plan;
-}
-
-// The core guarantee, per scheduler kind: step a few quanta, checkpoint,
-// restore into a fresh session, finish both — the stepped, restored, and
-// uninterrupted reports must all be byte-identical.
-class ReplayAllKinds : public ::testing::TestWithParam<SchedulerKind> {};
-
-TEST_P(ReplayAllKinds, CheckpointRestoreIsByteExact) {
-  const RunSpec spec = smallSpec(GetParam());
-  const std::string uninterrupted = report(RunSession{spec}.finish());
-
-  RunSession stepped{spec};
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(stepped.stepQuantum());
-  const std::string path =
-      tempPath("replay_" + std::string{toString(GetParam())} + ".ckpt");
-  stepped.writeCheckpoint(path);
-
-  const std::unique_ptr<RunSession> restored = RunSession::restore(path);
-  EXPECT_EQ(restored->quantumIndex(), stepped.quantumIndex());
-  // The restored session's serialized state must match the live one's
-  // exactly before either takes another step.
-  EXPECT_EQ(firstDivergence(stepped.checkpointPayload(),
-                            restored->checkpointPayload()),
-            std::nullopt);
-
-  EXPECT_EQ(report(stepped.finish()), uninterrupted);
-  EXPECT_EQ(report(restored->finish()), uninterrupted);
-}
-
-// The hot path carries warm performance caches the checkpoint never
-// records: the machine's SoA accumulators and arbitration memos, the
-// Observer's sort-repair order and id index, the pipeline's scratch
-// arena. A restored session starts all of them cold. Step the warm
-// (checkpointed-and-continued) and cold (restored) sessions in lockstep
-// and demand a byte-identical serialized state after every quantum — the
-// first diverging field path must stay empty — proving the caches are
-// pure accelerators with no behavioural content, for every policy.
-TEST_P(ReplayAllKinds, WarmAndColdCachesStayLockstep) {
-  const RunSpec spec = smallSpec(GetParam());
-  RunSession warm{spec};
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(warm.stepQuantum());
-  const std::string path =
-      tempPath("lockstep_" + std::string{toString(GetParam())} + ".ckpt");
-  warm.writeCheckpoint(path);
-
-  const std::unique_ptr<RunSession> cold = RunSession::restore(path);
-  for (int i = 0; i < 5; ++i) {
-    const bool warmMore = warm.stepQuantum();
-    const bool coldMore = cold->stepQuantum();
-    ASSERT_EQ(warmMore, coldMore)
-        << "runs disagree on completion at quantum " << warm.quantumIndex();
-    ASSERT_EQ(firstDivergence(warm.checkpointPayload(),
-                              cold->checkpointPayload()),
-              std::nullopt)
-        << "diverged at quantum " << warm.quantumIndex();
-    if (!warmMore) break;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSchedulers, ReplayAllKinds,
-    ::testing::Values(SchedulerKind::Cfs, SchedulerKind::Dio,
-                      SchedulerKind::Dike, SchedulerKind::DikeAF,
-                      SchedulerKind::DikeAP, SchedulerKind::Random,
-                      SchedulerKind::StaticOracle, SchedulerKind::Suspension),
-    [](const ::testing::TestParamInfo<SchedulerKind>& param) {
-      std::string name{toString(param.param)};
-      for (char& c : name)
-        if (c == '-') c = '_';
-      return name;
-    });
-
-// Checkpoint taken inside the fault window: the injector and fault-policy
-// RNG forks are mid-stream, so any serialization gap would desynchronise
-// the remaining injections and show up in the tallies or the placements.
-TEST(Replay, DikeWithActiveFaultsIsByteExact) {
-  RunSpec spec = smallSpec(SchedulerKind::DikeAF);
-  spec.faults = noisyPlan();
-  const std::string uninterrupted = report(RunSession{spec}.finish());
-
-  RunSession stepped{spec};
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(stepped.stepQuantum());
-  const std::string path = tempPath("replay_faults.ckpt");
-  stepped.writeCheckpoint(path);
-
-  const std::unique_ptr<RunSession> restored = RunSession::restore(path);
-  EXPECT_EQ(report(restored->finish()), uninterrupted);
-  EXPECT_EQ(report(stepped.finish()), uninterrupted);
-}
-
-/// A multi-cluster spec: a 4-socket machine (alternating fast/slow, 4
-/// cores each) driven by the clustered Dike with `clusters = 4` and the
-/// given plan-phase worker budget.
-RunSpec clusteredSpec(int decideJobs) {
-  RunSpec spec = smallSpec(SchedulerKind::Dike);
-  // Two 8-thread apps exactly fill the 16 cores below (Table-II workload 3
-  // at the default threadsPerApp would overflow the machine).
-  wl::WorkloadSpec workload;
-  workload.id = 0;
-  workload.name = "decide-jobs";
-  workload.apps = {"stream_omp", "hotspot"};
-  workload.includeKmeans = false;
-  spec.customWorkload = workload;
-  for (int s = 0; s < 4; ++s) {
-    sim::SocketSpec socket;
-    socket.physicalCores = 4;
-    socket.smtWays = 1;
-    socket.freqGhz = s % 2 == 0 ? 2.33 : 1.21;
-    socket.type = s % 2 == 0 ? sim::CoreType::Fast : sim::CoreType::Slow;
-    spec.topology.push_back(socket);
-  }
-  core::DikeConfig cfg;
-  cfg.cluster.clusters = 4;
-  cfg.cluster.decideJobs = decideJobs;
-  spec.dikeConfig = cfg;
-  return spec;
-}
-
-// The intra-quantum parallelism contract across a checkpoint boundary: a
-// run checkpointed mid-flight under a 4-way concurrent plan phase and
-// restored under the serial one must stay in lockstep byte for byte.
-// decideJobs is deliberately not part of any checkpoint (it is how a run
-// executes, not what it computes), so the payloads must already match at
-// the restore point — pool state leaking into a checkpoint would show up
-// as an immediate divergence here.
-TEST(Replay, DecideJobsLockstep) {
-  RunSession pooled{clusteredSpec(/*decideJobs=*/4)};
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(pooled.stepQuantum());
-  const std::string path = tempPath("decide_jobs_lockstep.ckpt");
-  pooled.writeCheckpoint(path);
-
-  const std::unique_ptr<RunSession> serial =
-      RunSession::restore(path, nullptr, /*decideJobs=*/1);
-  ASSERT_EQ(firstDivergence(pooled.checkpointPayload(),
-                            serial->checkpointPayload()),
-            std::nullopt)
-      << "checkpoint written under decideJobs=4 differs from its restore";
-
-  for (int i = 0; i < 5; ++i) {
-    const bool pooledMore = pooled.stepQuantum();
-    const bool serialMore = serial->stepQuantum();
-    ASSERT_EQ(pooledMore, serialMore)
-        << "runs disagree on completion at quantum "
-        << pooled.quantumIndex();
-    ASSERT_EQ(firstDivergence(pooled.checkpointPayload(),
-                              serial->checkpointPayload()),
-              std::nullopt)
-        << "diverged at quantum " << pooled.quantumIndex();
-    if (!pooledMore) break;
-  }
-  EXPECT_EQ(report(pooled.finish()), report(serial->finish()));
-}
-
-// The same contract end to end: uninterrupted runs under decideJobs 1 and
-// 4 print byte-identical reports.
-TEST(Replay, DecideJobsReportsAreByteIdentical) {
-  const std::string serial = report(RunSession{clusteredSpec(1)}.finish());
-  const std::string pooled = report(RunSession{clusteredSpec(4)}.finish());
-  EXPECT_EQ(serial, pooled);
-}
 
 // The wrappers dike_run uses: rolling checkpoints during a full run, then
 // resume from the last one — the resumed report matches the original.
@@ -240,7 +61,7 @@ TEST(Replay, RunCheckpointedThenResumeMatches) {
 }
 
 // The acceptance-scale scenario: a ~300-quantum adaptive run checkpointed
-// at quantum 100 resumes to a byte-identical report.
+// at quantum 100 resumes in lockstep to a byte-identical report.
 TEST(Replay, LongRunCheckpointAtQuantum100) {
   RunSpec spec;
   spec.workloadId = 5;
@@ -248,53 +69,12 @@ TEST(Replay, LongRunCheckpointAtQuantum100) {
   spec.params.quantaLengthMs = 100;
   spec.scale = 3.0;
   spec.seed = 7;
-
-  RunSession stepped{spec};
-  for (int i = 0; i < 100; ++i)
-    ASSERT_TRUE(stepped.stepQuantum()) << "run too short at quantum " << i;
-  const std::string path = tempPath("replay_long.ckpt");
-  stepped.writeCheckpoint(path);
-
-  const std::unique_ptr<RunSession> restored = RunSession::restore(path);
-  const RunMetrics fromRestored = restored->finish();
-  const RunMetrics fromStepped = stepped.finish();
-  EXPECT_GE(fromStepped.decisions.quanta, 300)
+  EXPECT_GE(runWorkload(spec).decisions.quanta, 300)
       << "scenario must span >= 300 quanta to exercise a deep resume";
-  EXPECT_EQ(report(fromRestored), report(fromStepped));
-
-  const std::string uninterrupted = report(RunSession{spec}.finish());
-  EXPECT_EQ(report(fromStepped), uninterrupted);
+  test::expectResumeLockstep(spec, 100);
 }
 
 // --- open-system, DVFS and churn runs -------------------------------------
-
-/// wl3 plus two arrivals and one socket throttle, all landing mid-run.
-RunSpec scriptedSpec() {
-  RunSpec spec = smallSpec(SchedulerKind::DikeAF);
-  spec.arrivals = {Arrival{1'500, "jacobi", 4, 0.05},
-                   Arrival{3'000, "stream_omp", 4, 0.05}};
-  spec.dvfs = {FrequencyChange{2'000, 1, 1.6}};
-  return spec;
-}
-
-/// Checkpoint `spec` after `quanta` steps, restore it, and require the
-/// restored state and both final reports to match the uninterrupted run.
-void expectResumesByteExact(const RunSpec& spec, int quanta,
-                            const std::string& tag) {
-  const std::string uninterrupted = report(runWorkload(spec));
-  RunSession stepped{spec};
-  for (int i = 0; i < quanta; ++i) ASSERT_TRUE(stepped.stepQuantum());
-  const std::string path = tempPath(tag + ".ckpt");
-  stepped.writeCheckpoint(path);
-  const std::unique_ptr<RunSession> restored = RunSession::restore(path);
-  EXPECT_EQ(restored->arrivalsInjected(), stepped.arrivalsInjected());
-  EXPECT_EQ(firstDivergence(stepped.checkpointPayload(),
-                            restored->checkpointPayload()),
-            std::nullopt)
-      << tag;
-  EXPECT_EQ(report(stepped.finish()), uninterrupted) << tag;
-  EXPECT_EQ(report(restored->finish()), uninterrupted) << tag;
-}
 
 TEST(Replay, ScriptedRunResumesByteExactAroundEveryScriptEvent) {
   // The base load fills every core, so arrivals wait for free cores: find
@@ -309,8 +89,7 @@ TEST(Replay, ScriptedRunResumesByteExactAroundEveryScriptEvent) {
   }
   ASSERT_EQ(admitted.size(), 2u) << "both arrivals must land mid-run";
   for (const int k : {1, admitted[0], admitted[1], admitted[1] + 2})
-    expectResumesByteExact(scriptedSpec(), k,
-                           "scripted_" + std::to_string(k));
+    test::expectResumeLockstep(scriptedSpec(), k);
   const RunMetrics m = runWorkload(scriptedSpec());
   EXPECT_EQ(m.workload, "wl3+dynamic+dvfs");
   EXPECT_EQ(m.processes.size(),
@@ -335,8 +114,7 @@ TEST(Replay, ChurnArrivesInPlainRunsAndResumesByteExact) {
             runWorkload(smallSpec(SchedulerKind::DikeAF)).processes.size() +
                 4);
   EXPECT_EQ(m.workload, "wl3") << "churn is not an open-system workload";
-  for (const int k : {1, 4, 9})
-    expectResumesByteExact(spec, k, "churn_" + std::to_string(k));
+  for (const int k : {1, 4, 9}) test::expectResumeLockstep(spec, k);
 }
 
 // stepQuantum never honours a stop request (a supervised child must not
@@ -773,11 +551,6 @@ TEST(ClusterLocalRestore, RefusesThreadIdsAtTheMachinesThreadCount) {
 
 // --- resume from a directory scan -----------------------------------------
 
-std::string readBytes(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
-}
-
 void writeBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out{path, std::ios::binary | std::ios::trunc};
   out << bytes;
@@ -808,7 +581,7 @@ TEST(Replay, RestoreFromTheScanMatchesRestoreFromThePath) {
 
   // Two newer files that fail validation: a flipped payload bit (checksum)
   // and a container from a future format version.
-  const std::string bytes = readBytes(good);
+  const std::string bytes = test::slurp(good);
   std::string flipped = bytes;
   flipped[flipped.size() / 2] =
       static_cast<char>(flipped[flipped.size() / 2] ^ 0x10);

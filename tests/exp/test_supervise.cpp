@@ -17,9 +17,9 @@
 #include <sstream>
 #include <string>
 
+#include "../support/lockstep.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "exp/replay.hpp"
-#include "fault/fault_plan.hpp"
 
 namespace dexp = dike::exp;
 namespace fs = std::filesystem;
@@ -33,12 +33,7 @@ std::string freshDir(const std::string& name) {
   return dir;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
+using dike::test::slurp;
 
 /// ~24 quanta at scale 0.15: long enough to interrupt repeatedly, short
 /// enough that a dozen restarts stay in test-suite territory.
@@ -62,17 +57,8 @@ dexp::SuperviseSpec quickSpec(const std::string& dir) {
 dexp::SuperviseSpec faultSoakSpec(const std::string& dir) {
   dexp::SuperviseSpec spec = quickSpec(dir);
   spec.run.scale = 0.3;
-  dike::fault::FaultPlan plan;
-  plan.seed = 99;
-  plan.window.startTick = 200;
-  plan.window.endTick = 0;
-  plan.samples.dropProbability = 0.05;
-  plan.samples.corruptProbability = 0.05;
-  plan.samples.stuckAtZeroProbability = 0.02;
-  plan.actuation.swapFailProbability = 0.10;
-  plan.actuation.migrationFailProbability = 0.10;
-  plan.cores.freqDipProbability = 0.05;
-  spec.run.faults = plan;
+  spec.run.faults = dike::test::noisyPlan();
+  spec.run.faults->samples.saturateMissRatioProbability = 0.0;
   return spec;
 }
 

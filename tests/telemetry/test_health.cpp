@@ -23,8 +23,9 @@ namespace {
 
 class HealthTest : public ::testing::Test {
  protected:
-  void SetUp() override { telemetry::resetHealthForTest(); }
-  void TearDown() override { telemetry::resetHealthForTest(); }
+  // heartbeat(-1) is "not started", the state before any run's first beat.
+  void SetUp() override { telemetry::heartbeat(-1); }
+  void TearDown() override { telemetry::heartbeat(-1); }
 };
 
 TEST_F(HealthTest, NoHeartbeatYetReportsStarting) {

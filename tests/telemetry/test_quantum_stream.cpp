@@ -10,6 +10,7 @@
 #include <limits>
 #include <sstream>
 
+#include "../support/lockstep.hpp"
 #include "exp/runner.hpp"
 #include "util/csv.hpp"
 #include "util/json.hpp"
@@ -46,12 +47,7 @@ telemetry::QuantumRecord sampleRecord() {
   return record;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+using dike::test::slurp;
 
 TEST(QuantumStream, FormatFollowsExtension) {
   EXPECT_EQ(telemetry::streamFormatForPath("out.csv"),

@@ -9,6 +9,8 @@
 #include <sstream>
 #include <string>
 
+#include "../support/lockstep.hpp"
+
 namespace util = dike::util;
 namespace fs = std::filesystem;
 
@@ -18,12 +20,7 @@ std::string tempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
+using dike::test::slurp;
 
 TEST(WriteFileAtomic, CreatesAndOverwrites) {
   const std::string path = tempPath("atomic_create.txt");

@@ -2,81 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace dike::util {
 namespace {
-
-TEST(Percentile, ExactOrderStatistics) {
-  const std::vector<double> xs{4.0, 1.0, 3.0, 2.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 4.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 2.5);  // interpolated median
-  EXPECT_DOUBLE_EQ(percentile(xs, 25.0), 1.75);
-}
-
-TEST(Percentile, SingleElementAndEmpty) {
-  const std::vector<double> one{7.0};
-  EXPECT_DOUBLE_EQ(percentile(one, 0.0), 7.0);
-  EXPECT_DOUBLE_EQ(percentile(one, 99.0), 7.0);
-  EXPECT_DOUBLE_EQ(percentile({}, 50.0), 0.0);
-}
-
-TEST(Percentile, InvalidPThrows) {
-  const std::vector<double> xs{1.0};
-  EXPECT_THROW({ [[maybe_unused]] double v = percentile(xs, -1.0); },
-               std::invalid_argument);
-  EXPECT_THROW({ [[maybe_unused]] double v = percentile(xs, 101.0); },
-               std::invalid_argument);
-}
-
-// NaN compares false against any bound, so the old `p < 0 || p > 100`
-// check let it through into floor() and array indexing. It must throw.
-TEST(Percentile, NaNPThrows) {
-  const std::vector<double> xs{1.0, 2.0};
-  EXPECT_THROW(
-      { [[maybe_unused]] double v = percentile(xs, std::nan("")); },
-      std::invalid_argument);
-}
-
-// An out-of-range p is a caller bug regardless of the data, so it must
-// throw even for empty input (previously the empty shortcut returned 0
-// first and hid the bad argument).
-TEST(Percentile, InvalidPThrowsOnEmptyInput) {
-  EXPECT_THROW({ [[maybe_unused]] double v = percentile({}, 101.0); },
-               std::invalid_argument);
-  EXPECT_THROW({ [[maybe_unused]] double v = percentile({}, std::nan("")); },
-               std::invalid_argument);
-}
-
-// Pin the definition: linear interpolation between order statistics with
-// rank = p/100 * (n-1). Exact values, not approximations.
-TEST(Percentile, PinnedInterpolationDefinition) {
-  const std::vector<double> xs{10.0, 20.0, 30.0, 40.0, 50.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 10.0);    // rank 0
-  EXPECT_DOUBLE_EQ(percentile(xs, 25.0), 20.0);   // rank 1, exact
-  EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 30.0);   // rank 2, exact
-  EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 50.0);  // rank n-1
-  EXPECT_DOUBLE_EQ(percentile(xs, 10.0), 14.0);   // rank 0.4 -> 10+0.4*10
-  EXPECT_DOUBLE_EQ(percentile(xs, 90.0), 46.0);   // rank 3.6 -> 40+0.6*10
-  // Two elements: every p interpolates along the single segment.
-  const std::vector<double> two{0.0, 1.0};
-  EXPECT_DOUBLE_EQ(percentile(two, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(percentile(two, 37.5), 0.375);
-  EXPECT_DOUBLE_EQ(percentile(two, 100.0), 1.0);
-}
-
-// Boundary percentiles must index exactly, with no interpolation step
-// that could read one past the end (p=100 makes rank == n-1 exactly;
-// weight is 0 and both order statistics are the last element).
-TEST(Percentile, BoundariesDoNotOverIndex) {
-  const std::vector<double> xs{-3.0, 0.0, 9.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 9.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), -3.0);
-  const std::vector<double> one{42.0};
-  EXPECT_DOUBLE_EQ(percentile(one, 100.0), 42.0);
-  EXPECT_DOUBLE_EQ(percentile(one, 50.0), 42.0);
-}
 
 TEST(HistogramTest, CountsIntoCorrectBuckets) {
   Histogram h{0.0, 1.0, 4};
