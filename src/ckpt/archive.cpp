@@ -401,36 +401,24 @@ std::vector<Token> tokenize(std::string_view bytes) {
         path.pop_back();
         continue;
       case Tag::U64:
-        tok.value = std::to_string(r.raw64(name));
-        break;
       case Tag::I64:
-        tok.value = std::to_string(static_cast<std::int64_t>(r.raw64(name)));
-        break;
       case Tag::F64:
-        tok.value = formatF64(std::bit_cast<double>(r.raw64(name)));
+        (void)r.rawBytes(8, name);
         break;
       case Tag::Bool:
-        tok.value = r.rawBytes(1, name)[0] != 0 ? "true" : "false";
+        (void)r.rawBytes(1, name);
         break;
       case Tag::Str: {
         const std::uint32_t len = r.raw32(name);
         valueStart = r.pos_;
-        tok.value = '"' + printable(r.rawBytes(len, name)) + '"';
+        (void)r.rawBytes(len, name);
         break;
       }
       case Tag::VecF64:
       case Tag::VecI64: {
         const std::uint32_t count = r.vectorCount(name);
         valueStart = r.pos_;
-        tok.value = '[';
-        for (std::uint32_t i = 0; i < count; ++i) {
-          if (i > 0) tok.value += ", ";
-          const std::uint64_t v = r.raw64(name);
-          tok.value += tok.tag == Tag::VecF64
-                           ? formatF64(std::bit_cast<double>(v))
-                           : std::to_string(static_cast<std::int64_t>(v));
-        }
-        tok.value += ']';
+        (void)r.rawBytes(std::size_t{count} * 8, name);
         break;
       }
       default:
@@ -453,6 +441,51 @@ std::vector<Token> tokenize(std::string_view bytes) {
   return tokens;
 }
 
+std::string Token::value() const {
+  const auto word = [this](std::size_t i) {  // little-endian, as written
+    std::uint64_t v = 0;
+    for (std::size_t b = 0; b < 8; ++b)
+      v |= static_cast<std::uint64_t>(
+               static_cast<unsigned char>(bits[8 * i + b]))
+           << (8 * b);
+    return v;
+  };
+  const auto render = [&](std::size_t i) {
+    return tag == Tag::F64 || tag == Tag::VecF64
+               ? formatF64(std::bit_cast<double>(word(i)))
+           : tag == Tag::U64
+               ? std::to_string(word(i))
+               : std::to_string(static_cast<std::int64_t>(word(i)));
+  };
+  switch (tag) {
+    case Tag::Bool:
+      return bits[0] != 0 ? "true" : "false";
+    case Tag::Str:
+      return '"' + printable(bits) + '"';
+    case Tag::VecF64:
+    case Tag::VecI64: {
+      std::string out{'['};
+      for (std::size_t i = 0; i < bits.size() / 8; ++i) {
+        if (i > 0) out += ", ";
+        out += render(i);
+      }
+      out += ']';
+      return out;
+    }
+    default:
+      return render(0);
+  }
+}
+
+std::string describeDivergence(const Token& a, const Token& b) {
+  std::string out = a.path;
+  out += ": ";
+  out += a.value();
+  out += " vs ";
+  out += b.value();
+  return out;
+}
+
 std::optional<std::string> firstDivergence(std::string_view payloadA,
                                            std::string_view payloadB) {
   const std::vector<Token> a = tokenize(payloadA);
@@ -463,7 +496,7 @@ std::optional<std::string> firstDivergence(std::string_view payloadA,
     if (a[i].path != b[i].path)
       return "structure diverges at record " + std::to_string(i) + ": '" +
              a[i].path + "' vs '" + b[i].path + "'";
-    return a[i].path + ": " + a[i].value + " vs " + b[i].value;
+    return describeDivergence(a[i], b[i]);
   }
   if (a.size() != b.size())
     return "payloads agree for " + std::to_string(shared) +

@@ -173,13 +173,18 @@ class BinReader {
 /// One record of a payload, re-parsed for differential comparison. `path`
 /// joins the enclosing section names and the field name with '/'; `bits`
 /// is the raw payload (bit pattern for scalars, bytes for strings/vectors)
-/// so two tokens compare exactly; `value` is a printable rendering.
+/// so two tokens compare exactly. Comparisons read only `bits`, so the
+/// printable rendering is made on demand, by value().
 struct Token {
   std::string path;
   Tag tag = Tag::U64;
   std::string bits;
-  std::string value;
   std::size_t offset = 0;
+
+  /// The value rendered as text: integers in decimal, doubles to 17
+  /// significant digits, strings quoted with non-printable bytes escaped,
+  /// vectors as "[a, b]".
+  [[nodiscard]] std::string value() const;
 
   [[nodiscard]] friend bool operator==(const Token& a, const Token& b) {
     return a.path == b.path && a.tag == b.tag && a.bits == b.bits;
@@ -189,6 +194,9 @@ struct Token {
 /// Flatten a payload into its token stream. Throws CheckpointError on a
 /// malformed payload.
 [[nodiscard]] std::vector<Token> tokenize(std::string_view bytes);
+
+/// "path: valueA vs valueB" for two tokens at the same path.
+[[nodiscard]] std::string describeDivergence(const Token& a, const Token& b);
 
 /// Compare two payloads token by token. Returns nullopt when they are
 /// identical, else a one-line description of the first diverging quantity

@@ -30,6 +30,20 @@ void SuspensionScheduler::onQuantum(SchedulerView& view) {
   }
 
   for (const auto& [processId, threads] : threadsByProcess) {
+    // A process advances only through its running threads. When none of
+    // them retired an instruction this quantum, its suspended threads are
+    // all it has left: a leader whose siblings have finished, or leaders
+    // the others wait for at a barrier (a miscounting counter can make a
+    // thread that is behind look ahead). Resume them, or the run stalls.
+    bool advanced = false;
+    for (const sim::ThreadSample* s : threads)
+      advanced = advanced ||
+                 (!view.isSuspended(s->threadId) && s->instructions > 0.0);
+    if (!advanced) {
+      for (const sim::ThreadSample* s : threads)
+        if (view.isSuspended(s->threadId)) view.resume(s->threadId);
+      continue;
+    }
     if (threads.size() < 2) continue;
     const double mean = progressByProcess[processId].mean();
     if (mean <= 0.0) continue;

@@ -16,6 +16,7 @@
 #include "telemetry/live.hpp"
 #include "telemetry/registry.hpp"
 #include "util/stop.hpp"
+#include "util/task_pool.hpp"
 
 namespace dike::sim {
 
@@ -139,6 +140,7 @@ int Machine::addProcess(std::string name, PhaseProgram program,
                         int threadCount, bool memoryIntensive) {
   if (threadCount <= 0) throw std::invalid_argument{"threadCount must be > 0"};
   program.validate();
+  ensurePhaseCache();
 
   SimProcess proc;
   proc.id = static_cast<int>(processes_.size());
@@ -233,7 +235,14 @@ void Machine::refreshPhaseCache(int threadId) {
   hot_.totalInstructions[i] = proc.program.totalInstructions();
 }
 
+void Machine::ensurePhaseCache() {
+  if (hot_.phase.size() == threads_.size()) return;
+  hot_.phase.resize(threads_.size());
+  for (const SimThread& t : threads_) refreshPhaseCache(t.id);
+}
+
 void Machine::rebuildHotState() {
+  hot_.phase.resize(threads_.size());
   for (const SimThread& t : threads_) {
     const auto i = static_cast<std::size_t>(t.id);
     hot_.executed[i] = t.executed;
@@ -326,7 +335,10 @@ const Phase& Machine::currentPhase(const SimThread& t) const {
   return phases[idx];
 }
 
-void Machine::step() { (void)stepOnce(); }
+void Machine::step() {
+  ensurePhaseCache();
+  (void)stepOnce();
+}
 
 Machine::TickOutcome Machine::stepOnce() {
   const util::Tick tickEnd = now_ + 1;
@@ -638,6 +650,36 @@ void Machine::replayTicks(util::Tick n, double watts) {
 }
 
 void Machine::stepUntil(util::Tick target, bool stopWhenAllFinished) {
+  ensurePhaseCache();
+  const double sigma = config_.measurementNoiseSigma;
+  const std::size_t count = threads_.size();
+  if (noise_.ready || count < kNoiseOverlapThreads) {
+    stepLoop(target, stopWhenAllFinished);
+    return;
+  }
+  // The noise stream depends on nothing the stepping computes, so the next
+  // sample's draws overlap it (the contract is at NoiseBatch).
+  const util::Rng::State from = rng_.state();
+  util::TaskPool& pool = util::TaskPool::shared();
+  pool.forEach(
+      2,
+      [&](std::size_t job) {
+        if (job == 0) {
+          stepLoop(target, stopWhenAllFinished);
+          return;
+        }
+        util::Rng rng;
+        rng.setState(from);
+        drawNoise(rng, count, sigma, noise_.factors);
+        noise_.from = from;
+        noise_.to = rng.state();
+      },
+      std::min(2, pool.jobs()));
+  noise_.ready = true;
+  DIKE_COUNTER("sim.noise.prepared");
+}
+
+void Machine::stepLoop(util::Tick target, bool stopWhenAllFinished) {
   while (now_ < target) {
     if (stopWhenAllFinished && liveThreads_.empty()) return;
     const TickOutcome tick = stepOnce();
@@ -842,12 +884,26 @@ QuantumSample Machine::sampleAndReset() {
 void Machine::sampleAndResetInto(QuantumSample& out) {
   DIKE_SCOPE_TIMER("sim.sample_and_reset");
   DIKE_COUNTER("sim.samples");
+  ensurePhaseCache();
   out.periodTicks = std::max<util::Tick>(1, now_ - lastSampleTick_);
   const double periodSec =
       static_cast<double>(out.periodTicks) * util::kTickSeconds;
 
-  // Every thread — finished ones included — is visited in id order so the
-  // two noise draws per thread consume the RNG stream exactly as before.
+  // Every thread — finished ones included — draws two noise factors in id
+  // order, so the RNG stream is consumed exactly as before. A batch that
+  // stepUntil prepared from this very stream position holds those draws.
+  const bool prepared = noise_.ready && noise_.from == rng_.state() &&
+                        noise_.factors.size() == 2 * threads_.size();
+  if (prepared) {
+    rng_.setState(noise_.to);
+  } else {
+    if (noise_.ready) DIKE_COUNTER("sim.noise.discarded");
+    drawNoise(rng_, threads_.size(), config_.measurementNoiseSigma,
+              noise_.factors);
+  }
+  noise_.ready = false;
+  const std::vector<double>& noise = noise_.factors;
+
   out.threads.clear();
   out.threads.reserve(threads_.size());
   for (const SimThread& t : threads_) {
@@ -857,13 +913,11 @@ void Machine::sampleAndResetInto(QuantumSample& out) {
     s.processId = t.processId;
     s.coreId = hot_.coreId[i];
     s.finished = hot_.finished[i] != 0;
-    const double noise = rng_.noiseFactor(config_.measurementNoiseSigma);
     s.instructions = hot_.quantumInstructions[i];
     s.accesses = hot_.quantumAccesses[i];
-    s.accessRate = (hot_.quantumAccesses[i] / periodSec) * noise;
-    const double ratioNoise = rng_.noiseFactor(config_.measurementNoiseSigma);
+    s.accessRate = (hot_.quantumAccesses[i] / periodSec) * noise[2 * i];
     s.llcMissRatio =
-        std::clamp(hot_.phase[i]->llcMissRatio * ratioNoise, 0.0, 1.0);
+        std::clamp(hot_.phase[i]->llcMissRatio * noise[2 * i + 1], 0.0, 1.0);
     out.threads.push_back(s);
 
     hot_.quantumInstructions[i] = 0.0;
@@ -877,6 +931,12 @@ void Machine::sampleAndResetInto(QuantumSample& out) {
     coreQuantumAccesses_[c] = 0.0;
   }
   lastSampleTick_ = now_;
+}
+
+void Machine::drawNoise(util::Rng& rng, std::size_t threads, double sigma,
+                        std::vector<double>& factors) {
+  factors.resize(2 * threads);
+  for (double& factor : factors) factor = rng.noiseFactor(sigma);
 }
 
 namespace {

@@ -15,6 +15,7 @@
 //     sched_setaffinity. Each migration costs a cache-warmth stall (swapOH).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -130,6 +131,13 @@ struct QuantumSample {
 
 class Machine {
  public:
+  /// Machines with at least this many threads draw the next sample's
+  /// counter noise on a second pool job while stepUntil steps the quantum
+  /// (see noise_ below). Small machines would pay the pool dispatch for
+  /// draws too few to hide, so sampling draws them inline; DESIGN.md
+  /// "Event-batched time" records the measured crossover.
+  static constexpr std::size_t kNoiseOverlapThreads = 1024;
+
   Machine(MachineTopology topology, MachineConfig config);
 
   /// Register a process with `threadCount` identical threads running
@@ -149,7 +157,9 @@ class Machine {
   /// finished unless `stopWhenAllFinished` is false (dynamic workloads let
   /// time pass while waiting for future arrivals). Never steps past
   /// `target`, so callers may mutate the machine (swaps, DVFS, arrivals)
-  /// exactly at the boundary.
+  /// exactly at the boundary. On a machine of kNoiseOverlapThreads or more
+  /// threads with no noise batch ready, the next sample's noise is drawn
+  /// on a second TaskPool::shared() job meanwhile.
   void stepUntil(util::Tick target, bool stopWhenAllFinished = true);
 
   [[nodiscard]] util::Tick now() const noexcept { return now_; }
@@ -179,6 +189,8 @@ class Machine {
   /// sampleAndReset into a caller-owned sample whose vectors keep their
   /// capacity across quanta (the steady-state-allocation-free path). Draws
   /// the same RNG stream and produces the same values as sampleAndReset.
+  /// Reads the noise batch stepUntil prepared when it is still valid, else
+  /// draws the noise here; either way the batch is consumed.
   void sampleAndResetInto(QuantumSample& out);
 
   /// DVFS: change a physical core's frequency at runtime (both SMT
@@ -273,6 +285,23 @@ class Machine {
   [[nodiscard]] bool isRunnable(const SimThread& t) const noexcept;
   [[nodiscard]] const Phase& currentPhase(const SimThread& t) const;
 
+  /// Pointers into this machine's own process programs. A copied machine's
+  /// would point into the source's, which may be gone, so a copy starts
+  /// empty and re-derives them before its first use (ensurePhaseCache); a
+  /// move keeps them, as it keeps the buffers they point into.
+  struct PhaseCache : std::vector<const Phase*> {
+    PhaseCache() = default;
+    PhaseCache(const PhaseCache& /*source*/) noexcept
+        : std::vector<const Phase*>{} {}
+    PhaseCache& operator=(const PhaseCache& /*source*/) noexcept {
+      clear();
+      return *this;
+    }
+    PhaseCache(PhaseCache&&) noexcept = default;
+    PhaseCache& operator=(PhaseCache&&) noexcept = default;
+    ~PhaseCache() = default;
+  };
+
   // --- Structure-of-arrays hot state (see DESIGN.md "SoA hot path") ---
   // The per-tick loops stream over these parallel arrays, indexed by thread
   // id, instead of striding across SimThread objects. Two ownership classes:
@@ -299,7 +328,7 @@ class Machine {
     // Phase-derived caches. Phase pointers stay valid across process-vector
     // reallocation because each PhaseProgram's phases buffer is moved, not
     // copied; they are refreshed on phase transitions and loadState.
-    std::vector<const Phase*> phase;
+    PhaseCache phase;
     // Per-thread copies of per-process constants (barrier clipping inputs).
     std::vector<double> barrierEvery, totalInstructions;
     // Leap memo: the last recorded replay of each thread's two per-quantum
@@ -314,6 +343,8 @@ class Machine {
   void syncHotThread(int threadId);
   /// Refresh a thread's phase-pointer cache from its struct.
   void refreshPhaseCache(int threadId);
+  /// Re-derive every phase pointer when the cache is empty (a copy).
+  void ensurePhaseCache();
   /// Rebuild every SoA array from the structs (loadState).
   void rebuildHotState();
   /// The checkpoint field list, run by saveState over this machine and by
@@ -324,6 +355,33 @@ class Machine {
   /// Write the authoritative SoA accumulators back into the SimThread
   /// structs so external readers (reports, checkpoints, tests) see them.
   void flushHotState() const noexcept;
+  /// stepUntil's stepping loop.
+  void stepLoop(util::Tick target, bool stopWhenAllFinished);
+
+  /// The next sample's measurement noise: two factors per thread, in
+  /// thread-id order, drawn from `from` exactly as the sampling loop draws
+  /// them (noiseFactor for the access rate, then for the miss ratio), the
+  /// stream ending at `to`. A cache like HotState::counterMemo, so it is
+  /// never checkpointed: sampleAndResetInto uses it only while rng_ still
+  /// sits bitwise at `from` and the thread count matches, and otherwise
+  /// draws afresh, so a stale batch (an addProcess draw, a restore) can
+  /// only cost time.
+  //
+  // Concurrency contract: stepUntil fills the batch on one TaskPool job
+  // while the other runs stepLoop. The fill reads only a copy of rng_'s
+  // state, the thread count and the noise sigma, all taken before the
+  // dispatch, and writes only this struct; stepLoop reads and writes
+  // neither this struct nor rng_. The forEach join orders the fill before
+  // every later read.
+  struct NoiseBatch {
+    util::Rng::State from;
+    util::Rng::State to;
+    std::vector<double> factors;
+    bool ready = false;
+  };
+  /// Draw `threads` pairs of noise factors from `rng` into `factors`.
+  static void drawNoise(util::Rng& rng, std::size_t threads, double sigma,
+                        std::vector<double>& factors);
 
   MachineTopology topology_;
   MachineConfig config_;
@@ -355,6 +413,7 @@ class Machine {
 
   HotState hot_;
   mutable bool hotDirty_ = false;
+  NoiseBatch noise_;
 
   // Scratch buffers reused across ticks to avoid per-tick allocation. The
   // active/executed/accesses triple doubles as the steady-tick record that

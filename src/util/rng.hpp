@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
@@ -116,6 +117,16 @@ class Rng {
     std::array<std::uint64_t, 4> s{};
     double spare = 0.0;
     bool haveSpare = false;
+
+    /// Bitwise: `spare` compares by its bits, so -0.0 and +0.0 differ. Two
+    /// equal states produce the same stream, bit for bit.
+    [[nodiscard]] friend bool operator==(const State& a,
+                                         const State& b) noexcept {
+      return a.s == b.s &&
+             std::bit_cast<std::uint64_t>(a.spare) ==
+                 std::bit_cast<std::uint64_t>(b.spare) &&
+             a.haveSpare == b.haveSpare;
+    }
   };
   [[nodiscard]] State state() const noexcept {
     return State{s_, spare_, haveSpare_};

@@ -1,9 +1,10 @@
 // Shared worker pool for every parallel subsystem in the tree.
 //
-// Promoted from the sweep-only pool in exp/parallel: the experiment fan-out
-// and the clustered scheduler's intra-quantum plan phase now draw from one
-// process-wide jobs budget (TaskPool::shared(), sized by DIKE_JOBS), so
-// nesting the two never oversubscribes the machine.
+// Promoted from the sweep-only pool in exp/parallel: the experiment fan-out,
+// the clustered scheduler's intra-quantum plan phase and a large machine's
+// next-sample noise fill (drawn on a second job while sim::Machine::stepUntil
+// steps) all draw from one process-wide jobs budget (TaskPool::shared(),
+// sized by DIKE_JOBS), so nesting them never oversubscribes the machine.
 //
 // forEach() is the structured entry point and is safe to call from inside a
 // pool task: the caller claims indices itself (caller-runs), so a sweep

@@ -159,6 +159,60 @@ TEST(BinArchive, TokensCompareByBitsNotRendering) {
   EXPECT_FALSE(ta[0] == tb[0]);
 }
 
+// The divergence message renders exactly the two diverging values: the
+// text per record kind is pinned here.
+TEST(BinArchive, DivergenceMessageRendersTheDivergingValues) {
+  const auto divergence = [](const std::function<void(BinWriter&)>& a,
+                             const std::function<void(BinWriter&)>& b) {
+    BinWriter wa, wb;
+    for (BinWriter* w : {&wa, &wb}) {
+      w->beginSection("run");
+      w->f64("same", 0.5);
+      w->vecF64("sameVec", std::vector<double>{1.0, 2.0});
+    }
+    a(wa);
+    b(wb);
+    wa.endSection();
+    wb.endSection();
+    return firstDivergence(wa.take(), wb.take()).value_or("identical");
+  };
+  EXPECT_EQ(divergence([](BinWriter& w) { w.u64("u", 7); },
+                       [](BinWriter& w) { w.u64("u", 18446744073709551615u); }),
+            "run/u: 7 vs 18446744073709551615");
+  EXPECT_EQ(divergence([](BinWriter& w) { w.i64("i", -5); },
+                       [](BinWriter& w) { w.i64("i", 12); }),
+            "run/i: -5 vs 12");
+  EXPECT_EQ(divergence([](BinWriter& w) { w.f64("f", 0.1); },
+                       [](BinWriter& w) { w.f64("f", 1.0 / 3.0); }),
+            "run/f: 0.10000000000000001 vs 0.33333333333333331");
+  EXPECT_EQ(divergence([](BinWriter& w) { w.f64("f", 0.0); },
+                       [](BinWriter& w) { w.f64("f", -0.0); }),
+            "run/f: 0 vs -0");
+  EXPECT_EQ(divergence([](BinWriter& w) { w.boolean("b", true); },
+                       [](BinWriter& w) { w.boolean("b", false); }),
+            "run/b: true vs false");
+  EXPECT_EQ(divergence([](BinWriter& w) { w.str("s", "ab\x01"); },
+                       [](BinWriter& w) { w.str("s", "ab"); }),
+            "run/s: \"ab\\x01\" vs \"ab\"");
+  EXPECT_EQ(divergence(
+                [](BinWriter& w) {
+                  w.vecF64("v", std::vector<double>{1.5, 2.0});
+                },
+                [](BinWriter& w) {
+                  w.vecF64("v", std::vector<double>{1.5, 2.0, 1e300});
+                }),
+            "run/v: [1.5, 2] vs [1.5, 2, 1.0000000000000001e+300]");
+  EXPECT_EQ(divergence(
+                [](BinWriter& w) { w.vecI64("w", {}); },
+                [](BinWriter& w) {
+                  w.vecI64("w", std::vector<std::int64_t>{-1, 3});
+                }),
+            "run/w: [] vs [-1, 3]");
+  EXPECT_EQ(divergence([](BinWriter& w) { w.u64("x", 1); },
+                       [](BinWriter& w) { w.u64("y", 1); }),
+            "structure diverges at record 2: 'run/x' vs 'run/y'");
+}
+
 // --- writer modes and size accounting --------------------------------------
 
 /// Run `save` through a counting writer, a writer sized to that count and a

@@ -136,5 +136,17 @@ INSTANTIATE_TEST_SUITE_P(Memory, LockstepTenants, ::testing::Bool(),
                            return param.param ? "DikeActs" : "DikeObserves";
                          });
 
+/// 1024 threads under 32-cluster Dike: at sim::Machine::kNoiseOverlapThreads,
+/// so each quantum's noise is drawn while the machine steps, and the
+/// restored run, which starts without a prepared batch, must still match.
+/// A two-hundredth of the budget keeps it to nine quanta.
+TEST(LockstepTenantsLarge, RestoredMatchesUninterrupted) {
+  RunSpec spec = tenantsSpec(/*scaledMemory=*/false, /*sockets=*/32);
+  spec.scale = 0.005;
+  ASSERT_GE(machineFor(spec).threads().size(),
+            sim::Machine::kNoiseOverlapThreads);
+  expectResumeLockstep(spec, 3);
+}
+
 }  // namespace
 }  // namespace dike::test

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/replay.hpp"
 #include "sched/placement.hpp"
 #include "sim/machine.hpp"
+
+#include "../support/lockstep.hpp"
 
 namespace dike::sched {
 namespace {
@@ -116,6 +119,30 @@ TEST(SuspensionScheduler, SingleThreadProcessNeverSuspended) {
   const sim::RunOutcome outcome = sim::runMachine(m, adapter);
   EXPECT_FALSE(outcome.timedOut);
   EXPECT_EQ(scheduler.suspensionsIssued(), 0);
+}
+
+// A thread suspended while it led its siblings must run again once they
+// have finished: a process down to one live thread resumes it, so the run
+// completes instead of holding that thread until the tick limit.
+TEST(SuspensionScheduler, ResumesALoneLeaderAfterItsSiblingsFinish) {
+  const exp::RunMetrics metrics =
+      exp::RunSession{test::smallSpec(exp::SchedulerKind::Suspension)}
+          .finish();
+  EXPECT_FALSE(metrics.timedOut);
+  EXPECT_LT(metrics.makespan, sim::RunLimits{}.maxTicks);
+}
+
+// Under the fault layer's miscounting counters a thread that is behind can
+// look ahead, be suspended, and leave its running siblings waiting for it
+// at a barrier. A process whose running threads retired nothing resumes
+// its suspended ones (generated lockstep case 7 is such a run).
+TEST(SuspensionScheduler, ResumesLeadersItsBlockedSiblingsWaitFor) {
+  const exp::RunSpec spec = test::generatedSpec(7);
+  ASSERT_EQ(spec.kind, exp::SchedulerKind::Suspension);
+  ASSERT_TRUE(spec.faults.has_value());
+  const exp::RunMetrics metrics = exp::RunSession{spec}.finish();
+  EXPECT_FALSE(metrics.timedOut);
+  EXPECT_LT(metrics.makespan, sim::RunLimits{}.maxTicks);
 }
 
 TEST(SuspensionScheduler, RejectsInvalidArguments) {

@@ -5,6 +5,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -506,6 +507,45 @@ TEST(MachineRestore, PermutedLiveThreadsAreRejected) {
   EXPECT_THROW(restoreInto(m, corrupted(first, "machine/liveThreads", 1, 1)),
                ckpt::CheckpointError);
   EXPECT_EQ(m.now(), 0);
+}
+
+/// Two phases per thread, so stepping crosses a phase boundary.
+Machine twoPhaseMachine() {
+  Machine m = smallMachine();
+  PhaseProgram p;
+  p.phases = {Phase{"a", 2.33e6 * 30, 0.002, 0.3, 1.0},
+              Phase{"b", 2.33e6 * 30, 0.0, 0.1, 1.0}};
+  m.addProcess("app", p, 2, true);
+  m.placeThread(0, 0);
+  m.placeThread(1, 2);
+  return m;
+}
+
+std::string payloadOf(const Machine& m) {
+  ckpt::BinWriter w;
+  m.saveState(w);
+  return w.take();
+}
+
+// A copy owns its process programs, so it must not keep reading its
+// source's: stepped and sampled after the source is gone, it matches a
+// machine built the same way. Reading freed memory usually still finds the
+// old values, so the sanitizer builds are what catch a regression here.
+TEST(Machine, CopyOutlivesItsSource) {
+  std::optional<Machine> source{twoPhaseMachine()};
+  source->stepUntil(10);
+  Machine copy = *source;
+  source.reset();
+  Machine twin = twoPhaseMachine();
+  twin.stepUntil(10);
+  for (Machine* m : {&copy, &twin}) {
+    m->stepUntil(100);
+    (void)m->sampleAndReset();
+    m->addProcess("late", simpleProgram(2.33e6 * 5), 1, false);
+    m->placeThread(2, 1);
+    while (!m->allFinished()) m->stepUntil(m->now() + 50);
+  }
+  EXPECT_EQ(payloadOf(copy), payloadOf(twin));
 }
 
 }  // namespace

@@ -92,24 +92,25 @@ sim::Machine machineFor(const RunSpec& spec) {
   return RunSession{spec}.machine();
 }
 
-RunSpec tenantsSpec(bool scaledMemory) {
-  constexpr int kSockets = 8;
+RunSpec tenantsSpec(bool scaledMemory, int sockets) {
   RunSpec spec;
   spec.seed = 5;
-  spec.topology = alternatingSockets(kSockets, 16, 2);
+  spec.topology = alternatingSockets(sockets, 16, 2);
   std::vector<std::string> models;
   for (const std::string& name : wl::benchmarkNames())
     if (name != "kmeans") models.push_back(name);
   wl::WorkloadSpec tenants;
-  tenants.name = "tenants32";
+  tenants.name = "tenants";
+  tenants.name += std::to_string(4 * sockets);
   tenants.includeKmeans = false;
-  for (std::size_t t = 0; t < 32; ++t)
+  for (std::size_t t = 0; t < 4 * static_cast<std::size_t>(sockets); ++t)
     tenants.apps.push_back(models[(t * 5) % models.size()]);
   spec.customWorkload = tenants;
   spec.kind = SchedulerKind::Dike;
   spec.dikeConfig = core::DikeConfig{};
-  spec.dikeConfig->cluster.clusters = kSockets;
-  if (scaledMemory) spec.machine.memory.controllerAccessesPerSec *= kSockets;
+  spec.dikeConfig->cluster.clusters = sockets;
+  if (scaledMemory)
+    spec.machine.memory.controllerAccessesPerSec *= sockets;
   return spec;
 }
 
@@ -202,7 +203,7 @@ std::optional<std::string> walkTokens(std::string_view a, std::string_view b,
       foundA.push_back(span(a, ta[i]));
       foundB.push_back(span(b, tb[i]));
     } else if (!(ta[i] == tb[i])) {
-      return ta[i].path + ": " + ta[i].value + " vs " + tb[i].value;
+      return ckpt::describeDivergence(ta[i], tb[i]);
     }
   }
   if (ta.size() != tb.size())
@@ -214,7 +215,7 @@ std::optional<std::string> walkTokens(std::string_view a, std::string_view b,
 }
 
 /// Compares the successive payload pairs of two runs. Walking the tokens
-/// renders every value, so once a walk has found a pair differing only in
+/// copies every record, so once a walk has found a pair differing only in
 /// excluded tokens, later pairs compare the bytes around those tokens while
 /// each one's header still sits at its offset (the excluded fields follow
 /// fixed-size records), and walk again only when that fails.

@@ -39,11 +39,12 @@ namespace dike::test {
 /// The placed, unstepped machine RunSession builds for `spec`.
 [[nodiscard]] sim::Machine machineFor(const exp::RunSpec& spec);
 
-/// 8 sockets x 16 cores x 2 SMT (alternating fast and slow), 32 tenants of
-/// 8 threads, under 8-cluster Dike. With `scaledMemory` the controller has
-/// a socket's worth of bandwidth per socket and Dike acts; with the default
-/// memory system every thread is throttled and Dike never swaps.
-[[nodiscard]] exp::RunSpec tenantsSpec(bool scaledMemory);
+/// `sockets` sockets x 16 cores x 2 SMT (alternating fast and slow), 4
+/// tenants of 8 threads per socket, under Dike with one cluster per socket.
+/// With `scaledMemory` the controller has a socket's worth of bandwidth per
+/// socket and Dike acts; with the default memory system every thread is
+/// throttled and Dike never swaps.
+[[nodiscard]] exp::RunSpec tenantsSpec(bool scaledMemory, int sockets = 8);
 
 /// The checkpoint bytes `state.saveState` writes.
 template <class T>
