@@ -373,9 +373,15 @@ void BinReader::expectEnd() const {
 
 // ----------------------------------------------------------------- tokenize
 
-std::vector<Token> tokenize(std::string_view bytes) {
-  std::vector<Token> tokens;
-  std::vector<std::string> path;
+TokenStream tokenize(std::string_view bytes) {
+  TokenStream stream;
+  stream.sectionBounds = {0, 0};
+  // The open sections, innermost last.
+  struct Open {
+    std::size_t section;
+    std::string_view name;
+  };
+  std::vector<Open> open{Open{0, {}}};
   BinReader r{bytes};
   while (!r.atEnd()) {
     Token tok;
@@ -387,38 +393,47 @@ std::vector<Token> tokenize(std::string_view bytes) {
       throw CheckpointError{"corrupt checkpoint payload at offset " +
                             std::to_string(tok.offset) +
                             ": implausible field-name length"};
-    const std::string name{r.rawBytes(nameLen, "name")};
+    tok.name = r.rawBytes(nameLen, "name");
     std::size_t valueStart = r.pos_;
     switch (tok.tag) {
-      case Tag::SectionBegin:
-        path.push_back(name);
+      case Tag::SectionBegin: {
+        const std::size_t parent = open.back().section;
+        stream.sectionPaths.append(stream.sectionPaths,
+                                   stream.sectionBounds[parent],
+                                   stream.sectionBounds[parent + 1] -
+                                       stream.sectionBounds[parent]);
+        stream.sectionPaths += tok.name;
+        stream.sectionPaths += '/';
+        open.push_back(Open{stream.sectionBounds.size() - 1, tok.name});
+        stream.sectionBounds.push_back(stream.sectionPaths.size());
         continue;
+      }
       case Tag::SectionEnd:
-        if (path.empty())
+        if (open.size() == 1)
           throw CheckpointError{"corrupt checkpoint payload at offset " +
                                 std::to_string(tok.offset) +
                                 ": section end without a section"};
-        path.pop_back();
+        open.pop_back();
         continue;
       case Tag::U64:
       case Tag::I64:
       case Tag::F64:
-        (void)r.rawBytes(8, name);
+        (void)r.rawBytes(8, tok.name);
         break;
       case Tag::Bool:
-        (void)r.rawBytes(1, name);
+        (void)r.rawBytes(1, tok.name);
         break;
       case Tag::Str: {
-        const std::uint32_t len = r.raw32(name);
+        const std::uint32_t len = r.raw32(tok.name);
         valueStart = r.pos_;
-        (void)r.rawBytes(len, name);
+        (void)r.rawBytes(len, tok.name);
         break;
       }
       case Tag::VecF64:
       case Tag::VecI64: {
-        const std::uint32_t count = r.vectorCount(name);
+        const std::uint32_t count = r.vectorCount(tok.name);
         valueStart = r.pos_;
-        (void)r.rawBytes(std::size_t{count} * 8, name);
+        (void)r.rawBytes(std::size_t{count} * 8, tok.name);
         break;
       }
       default:
@@ -427,18 +442,43 @@ std::vector<Token> tokenize(std::string_view bytes) {
                               ": unknown record tag " +
                               std::to_string(static_cast<unsigned>(tok.tag))};
     }
-    tok.bits = std::string{bytes.substr(valueStart, r.pos_ - valueStart)};
-    for (const std::string& p : path) {
-      tok.path += p;
-      tok.path += '/';
-    }
-    tok.path += name;
-    tokens.push_back(std::move(tok));
+    tok.bits = bytes.substr(valueStart, r.pos_ - valueStart);
+    tok.section = open.back().section;
+    stream.tokens.push_back(tok);
   }
-  if (!path.empty())
+  if (open.size() > 1)
     throw CheckpointError{"corrupt checkpoint payload: section '" +
-                          path.back() + "' never ends"};
-  return tokens;
+                          std::string{open.back().name} +
+                          "' never ends"};
+  return stream;
+}
+
+std::string_view TokenStream::sectionPath(std::size_t i) const {
+  return std::string_view{sectionPaths}.substr(
+      sectionBounds[i], sectionBounds[i + 1] - sectionBounds[i]);
+}
+
+std::string TokenStream::path(const Token& t) const {
+  std::string out{sectionPath(t.section)};
+  out += t.name;
+  return out;
+}
+
+bool TokenStream::hasPath(const Token& t, std::string_view path) const {
+  const std::string_view section = sectionPath(t.section);
+  return path.size() == section.size() + t.name.size() &&
+         path.starts_with(section) && path.ends_with(t.name);
+}
+
+bool samePath(const TokenStream& a, const Token& ta, const TokenStream& b,
+              const Token& tb) {
+  return ta.name == tb.name &&
+         a.sectionPath(ta.section) == b.sectionPath(tb.section);
+}
+
+bool sameRecord(const TokenStream& a, const Token& ta, const TokenStream& b,
+                const Token& tb) {
+  return ta.tag == tb.tag && ta.bits == tb.bits && samePath(a, ta, b, tb);
 }
 
 std::string Token::value() const {
@@ -477,8 +517,9 @@ std::string Token::value() const {
   }
 }
 
-std::string describeDivergence(const Token& a, const Token& b) {
-  std::string out = a.path;
+std::string describeDivergence(std::string_view path, const Token& a,
+                               const Token& b) {
+  std::string out{path};
   out += ": ";
   out += a.value();
   out += " vs ";
@@ -488,15 +529,15 @@ std::string describeDivergence(const Token& a, const Token& b) {
 
 std::optional<std::string> firstDivergence(std::string_view payloadA,
                                            std::string_view payloadB) {
-  const std::vector<Token> a = tokenize(payloadA);
-  const std::vector<Token> b = tokenize(payloadB);
+  const TokenStream a = tokenize(payloadA);
+  const TokenStream b = tokenize(payloadB);
   const std::size_t shared = std::min(a.size(), b.size());
   for (std::size_t i = 0; i < shared; ++i) {
-    if (a[i] == b[i]) continue;
-    if (a[i].path != b[i].path)
+    if (sameRecord(a, a[i], b, b[i])) continue;
+    if (!samePath(a, a[i], b, b[i]))
       return "structure diverges at record " + std::to_string(i) + ": '" +
-             a[i].path + "' vs '" + b[i].path + "'";
-    return describeDivergence(a[i], b[i]);
+             a.path(a[i]) + "' vs '" + b.path(b[i]) + "'";
+    return describeDivergence(a.path(a[i]), a[i], b[i]);
   }
   if (a.size() != b.size())
     return "payloads agree for " + std::to_string(shared) +

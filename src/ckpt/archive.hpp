@@ -110,7 +110,7 @@ class BinWriter {
   std::vector<std::size_t> openStarts_;
 };
 
-struct Token;
+struct TokenStream;
 
 /// Deserializer over a payload produced by BinWriter. Every accessor
 /// verifies the tag and field name before touching the value; every read is
@@ -151,7 +151,7 @@ class BinReader {
   [[noreturn]] void fail(std::string_view field, std::string_view what) const;
 
  private:
-  friend std::vector<Token> tokenize(std::string_view bytes);
+  friend TokenStream tokenize(std::string_view bytes);
 
   void expectHeader(Tag tag, std::string_view name);
   [[nodiscard]] std::uint32_t raw32(std::string_view what);
@@ -170,33 +170,65 @@ class BinReader {
   std::vector<std::size_t> pathStarts_;
 };
 
-/// One record of a payload, re-parsed for differential comparison. `path`
-/// joins the enclosing section names and the field name with '/'; `bits`
-/// is the raw payload (bit pattern for scalars, bytes for strings/vectors)
-/// so two tokens compare exactly. Comparisons read only `bits`, so the
-/// printable rendering is made on demand, by value().
+/// One record of a payload, re-parsed for differential comparison. A token
+/// is a view: `name` and `bits` point into the payload, which must outlive
+/// it, and `section` indexes its TokenStream's section paths, so the
+/// record's path is that section path followed by `name`. `bits` is the raw
+/// value (bit pattern for scalars, bytes for strings/vectors) so two tokens
+/// compare exactly; the printable rendering is made on demand, by value().
 struct Token {
-  std::string path;
+  std::size_t section = 0;
+  std::string_view name;
   Tag tag = Tag::U64;
-  std::string bits;
+  std::string_view bits;
   std::size_t offset = 0;
 
   /// The value rendered as text: integers in decimal, doubles to 17
   /// significant digits, strings quoted with non-printable bytes escaped,
   /// vectors as "[a, b]".
   [[nodiscard]] std::string value() const;
+};
 
-  [[nodiscard]] friend bool operator==(const Token& a, const Token& b) {
-    return a.path == b.path && a.tag == b.tag && a.bits == b.bits;
+/// A payload's records in order, and the paths of the sections they sit
+/// in. The tokens are views into the payload, which must outlive them.
+struct TokenStream {
+  /// Every opened section's path, its names joined and ended by '/'
+  /// ("machine/thread 3/"), stored end to end: section i's path spans
+  /// [sectionBounds[i], sectionBounds[i + 1]). Section 0 is the top level,
+  /// "".
+  std::string sectionPaths;
+  std::vector<std::size_t> sectionBounds;
+  std::vector<Token> tokens;
+
+  /// The path of section `i`.
+  [[nodiscard]] std::string_view sectionPath(std::size_t i) const;
+  /// The record's path: section names and field name joined by '/'.
+  [[nodiscard]] std::string path(const Token& t) const;
+  /// True when the record's path is `path`, without building it.
+  [[nodiscard]] bool hasPath(const Token& t, std::string_view path) const;
+
+  [[nodiscard]] std::size_t size() const noexcept { return tokens.size(); }
+  [[nodiscard]] const Token& operator[](std::size_t i) const {
+    return tokens[i];
   }
+  [[nodiscard]] auto begin() const noexcept { return tokens.begin(); }
+  [[nodiscard]] auto end() const noexcept { return tokens.end(); }
 };
 
 /// Flatten a payload into its token stream. Throws CheckpointError on a
 /// malformed payload.
-[[nodiscard]] std::vector<Token> tokenize(std::string_view bytes);
+[[nodiscard]] TokenStream tokenize(std::string_view bytes);
 
-/// "path: valueA vs valueB" for two tokens at the same path.
-[[nodiscard]] std::string describeDivergence(const Token& a, const Token& b);
+/// True when two records have the same path.
+[[nodiscard]] bool samePath(const TokenStream& a, const Token& ta,
+                            const TokenStream& b, const Token& tb);
+/// True when two records have the same path, tag and value bits.
+[[nodiscard]] bool sameRecord(const TokenStream& a, const Token& ta,
+                              const TokenStream& b, const Token& tb);
+
+/// "path: valueA vs valueB" for two records at the same path.
+[[nodiscard]] std::string describeDivergence(std::string_view path,
+                                             const Token& a, const Token& b);
 
 /// Compare two payloads token by token. Returns nullopt when they are
 /// identical, else a one-line description of the first diverging quantity

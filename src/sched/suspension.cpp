@@ -18,12 +18,14 @@ SuspensionScheduler::SuspensionScheduler(util::Tick quantumTicks,
 }
 
 void SuspensionScheduler::onQuantum(SchedulerView& view) {
-  // Accumulate progress and group live threads by process.
+  // Accumulate progress and group live threads by process. A dropped read
+  // carries no numbers (its fields are zeroed), so the thread keeps its
+  // last cumulative value.
   std::map<int, util::OnlineStats> progressByProcess;
   std::map<int, std::vector<const sim::ThreadSample*>> threadsByProcess;
   for (const sim::ThreadSample& s : view.sample().threads) {
     if (s.finished || s.coreId < 0) continue;
-    cumulativeInstructions_[s.threadId] += s.instructions;
+    if (!s.dropped) cumulativeInstructions_[s.threadId] += s.instructions;
     progressByProcess[s.processId].add(
         cumulativeInstructions_[s.threadId]);
     threadsByProcess[s.processId].push_back(&s);
@@ -35,10 +37,12 @@ void SuspensionScheduler::onQuantum(SchedulerView& view) {
     // all it has left: a leader whose siblings have finished, or leaders
     // the others wait for at a barrier (a miscounting counter can make a
     // thread that is behind look ahead). Resume them, or the run stalls.
+    // A dropped read shows nothing either way, so it does not count as a
+    // stall: only reads that arrived and retired nothing do.
     bool advanced = false;
     for (const sim::ThreadSample* s : threads)
-      advanced = advanced ||
-                 (!view.isSuspended(s->threadId) && s->instructions > 0.0);
+      advanced = advanced || (!view.isSuspended(s->threadId) &&
+                              (s->dropped || s->instructions > 0.0));
     if (!advanced) {
       for (const sim::ThreadSample* s : threads)
         if (view.isSuspended(s->threadId)) view.resume(s->threadId);

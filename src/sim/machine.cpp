@@ -130,6 +130,7 @@ Machine::Machine(MachineTopology topology, MachineConfig config)
   physFreqGhz_.resize(static_cast<std::size_t>(topology_.physicalCoreCount()));
   for (const CoreDesc& core : topology_.cores())
     physFreqGhz_[static_cast<std::size_t>(core.physicalCore)] = core.freqGhz;
+  refreshDynamicPower();
   if (config_.smtSharedFactor <= 0.0 || config_.smtSharedFactor > 1.0)
     throw std::invalid_argument{"smtSharedFactor must be in (0, 1]"};
   if (config_.migrationStallTicks < 0)
@@ -196,6 +197,7 @@ void Machine::appendHotThread(const SimThread& t) {
   hot_.phase.push_back(nullptr);
   hot_.barrierEvery.push_back(0.0);
   hot_.totalInstructions.push_back(0.0);
+  hot_.phaseEnd.push_back(0.0);
   syncHotThread(t.id);
   // The phase cache is refreshed by the caller once the owning process is
   // in processes_ (currentPhase needs it there).
@@ -230,9 +232,25 @@ void Machine::refreshPhaseCache(int threadId) {
   const auto i = static_cast<std::size_t>(threadId);
   const SimThread& t = threads_[i];
   const SimProcess& proc = processes_[static_cast<std::size_t>(t.processId)];
-  hot_.phase[i] = &currentPhase(t);
+  const Phase& phase = currentPhase(t);
+  hot_.phase[i] = &phase;
   hot_.barrierEvery[i] = proc.program.barrierEveryInstructions;
   hot_.totalInstructions[i] = proc.program.totalInstructions();
+  hot_.phaseEnd[i] =
+      t.phaseIndex < static_cast<int>(proc.program.phases.size())
+          ? phase.instructions - std::max(kEps, phase.instructions * 1e-12)
+          : -std::numeric_limits<double>::infinity();
+}
+
+double Machine::dynamicPowerW(double freqGhz) const noexcept {
+  const double f = freqGhz / std::max(1e-9, config_.refFreqGhz);
+  return config_.dynamicPowerW * f * f * f;
+}
+
+void Machine::refreshDynamicPower() {
+  physDynamicPowerW_.resize(physFreqGhz_.size());
+  for (std::size_t pc = 0; pc < physFreqGhz_.size(); ++pc)
+    physDynamicPowerW_[pc] = dynamicPowerW(physFreqGhz_[pc]);
 }
 
 void Machine::ensurePhaseCache() {
@@ -261,6 +279,7 @@ void Machine::rebuildHotState() {
     refreshPhaseCache(t.id);
   }
   hot_.counterMemo.clear();
+  refreshDynamicPower();
   hotDirty_ = false;
   llcDirty_ = true;
   servedValid_ = false;
@@ -322,11 +341,6 @@ void Machine::emit(TraceEventKind kind, const SimThread& t, int fromCore,
   trace_->record(e);
 }
 
-bool Machine::isRunnable(const SimThread& t) const noexcept {
-  return !t.finished && t.coreId >= 0 && now_ >= t.stallUntilTick &&
-         !t.waitingAtBarrier && !t.suspended;
-}
-
 const Phase& Machine::currentPhase(const SimThread& t) const {
   const auto& phases =
       processes_[static_cast<std::size_t>(t.processId)].program.phases;
@@ -342,6 +356,7 @@ void Machine::step() {
 
 Machine::TickOutcome Machine::stepOnce() {
   const util::Tick tickEnd = now_ + 1;
+  const util::Tick now = now_;
   tickHadEvent_ = false;
   hotDirty_ = true;
   bool utilChanged = false;
@@ -370,7 +385,25 @@ Machine::TickOutcome Machine::stepOnce() {
     llcFactor_ = llcPressureScratch_;
     llcDirty_ = false;
   }
-  const std::vector<double>& llcFactor = llcFactor_;
+
+  // The per-thread loops below write through pointers hoisted above them,
+  // into scratch sized once per tick, and call nothing on their common path
+  // (DESIGN.md §9): rare events — a phase boundary, a barrier — go out of
+  // line. No vector a loop reads through a pointer is resized while it
+  // runs: a finish erases from liveThreads_ only in the apply loop, which
+  // walks activeScratch_.
+  const int* const live = liveThreads_.data();
+  const std::size_t liveCount = liveThreads_.size();
+  const int* const coreOf = hot_.coreId.data();
+  const int* const socketOf = hot_.socket.data();
+  const int* const physOf = hot_.physicalCore.data();
+  const util::Tick* const stallUntil = hot_.stallUntil.data();
+  const util::Tick* const coldUntil = hot_.coldUntil.data();
+  const std::uint8_t* const waiting = hot_.waiting.data();
+  const std::uint8_t* const suspended = hot_.suspended.data();
+  double* const prevUtil = hot_.prevUtilization.data();
+  const double* const llcFactor = llcFactor_.data();
+  const double* const freqOf = physFreqGhz_.data();
 
   // Fused accounting pass: energy watts, per-state tick counters, SMT load
   // per physical core, and the leap-blocking stall/cold expiry probe — one
@@ -380,70 +413,93 @@ Machine::TickOutcome Machine::stepOnce() {
                  static_cast<double>(topology_.physicalCoreCount());
   smtLoadScratch_.assign(
       static_cast<std::size_t>(topology_.physicalCoreCount()), 0.0);
-  for (int id : liveThreads_) {
-    const auto i = static_cast<std::size_t>(id);
-    const int core = hot_.coreId[i];
-    if (core < 0) continue;
-    if (hot_.stallUntil[i] == tickEnd || hot_.coldUntil[i] == tickEnd)
-      timerEdge = true;
-    const bool stalled = now_ < hot_.stallUntil[i];
-    const bool runnable =
-        !stalled && hot_.waiting[i] == 0 && hot_.suspended[i] == 0;
-    if (runnable) {
-      const double f =
-          physFreqGhz_[static_cast<std::size_t>(hot_.physicalCore[i])] /
-          std::max(1e-9, config_.refFreqGhz);
-      watts += config_.dynamicPowerW * f * f * f * hot_.prevUtilization[i];
-      smtLoadScratch_[static_cast<std::size_t>(hot_.physicalCore[i])] +=
-          hot_.prevUtilization[i];
-      ++hot_.runnableTicks[i];
-      // fastCore is 0 or 1, and random placement makes it a coin flip: add
-      // the tick to both counters arithmetically instead of branching.
-      hot_.fastCoreTicks[i] += hot_.fastCore[i];
-      hot_.slowCoreTicks[i] += 1 - hot_.fastCore[i];
-    } else if (hot_.suspended[i] != 0) {
-      ++hot_.suspendedTicks[i];
-    } else if (stalled) {
-      ++hot_.stallTicks[i];
-    } else {
-      ++hot_.barrierTicks[i];
+  {
+    double* const smtLoad = smtLoadScratch_.data();
+    const double* const dynamicW = physDynamicPowerW_.data();
+    const std::uint8_t* const fastCore = hot_.fastCore.data();
+    util::Tick* const runnableTicks = hot_.runnableTicks.data();
+    util::Tick* const fastCoreTicks = hot_.fastCoreTicks.data();
+    util::Tick* const slowCoreTicks = hot_.slowCoreTicks.data();
+    util::Tick* const suspendedTicks = hot_.suspendedTicks.data();
+    util::Tick* const stallTicks = hot_.stallTicks.data();
+    util::Tick* const barrierTicks = hot_.barrierTicks.data();
+    for (std::size_t n = 0; n < liveCount; ++n) {
+      const auto i = static_cast<std::size_t>(live[n]);
+      if (coreOf[i] < 0) continue;
+      if (stallUntil[i] == tickEnd || coldUntil[i] == tickEnd)
+        timerEdge = true;
+      const bool stalled = now < stallUntil[i];
+      if (!stalled && waiting[i] == 0 && suspended[i] == 0) {
+        const auto pc = static_cast<std::size_t>(physOf[i]);
+        watts += dynamicW[pc] * prevUtil[i];
+        smtLoad[pc] += prevUtil[i];
+        ++runnableTicks[i];
+        // fastCore is 0 or 1, and random placement makes it a coin flip:
+        // add the tick to both counters arithmetically instead of
+        // branching.
+        fastCoreTicks[i] += fastCore[i];
+        slowCoreTicks[i] += 1 - fastCore[i];
+      } else if (suspended[i] != 0) {
+        ++suspendedTicks[i];
+      } else if (stalled) {
+        ++stallTicks[i];
+      } else {
+        ++barrierTicks[i];
+      }
     }
   }
   energyJ_ += watts * util::kTickSeconds;
 
   // Gather issue capacities and memory demands for runnable threads.
-  demandScratch_.clear();
-  capScratch_.clear();
-  activeScratch_.clear();
-  std::vector<int>& activeThreads = activeScratch_;
-  for (int id : liveThreads_) {
-    const auto i = static_cast<std::size_t>(id);
-    if (hot_.coreId[i] < 0 || now_ < hot_.stallUntil[i] ||
-        hot_.waiting[i] != 0 || hot_.suspended[i] != 0)
-      continue;
-    const Phase& phase = *hot_.phase[i];
-    const double siblingUtil = std::clamp(
-        smtLoadScratch_[static_cast<std::size_t>(hot_.physicalCore[i])] -
-            hot_.prevUtilization[i],
-        0.0, 1.0);
-    const double smtFactor =
-        1.0 - (1.0 - config_.smtSharedFactor) * siblingUtil;
-    const bool cold = now_ < hot_.coldUntil[i];
-    const double coldIpc = cold ? config_.cacheColdSlowdown : 1.0;
-    const double coldTraffic = cold ? config_.cacheColdFactor : 1.0;
-    const double conflict = hot_.conflict[i];
-    const double llcInflate =
-        llcFactor[static_cast<std::size_t>(hot_.socket[i])];
-    const double freqGhz =
-        physFreqGhz_[static_cast<std::size_t>(hot_.physicalCore[i])];
-    const double capInstr = freqGhz * 1e9 * phase.ipc * smtFactor * coldIpc *
-                            util::kTickSeconds;
-    capScratch_.push_back(capInstr);
-    demandScratch_.push_back(
-        MemoryDemand{hot_.socket[i], capInstr * phase.memPerInstr *
-                                         coldTraffic * conflict * llcInflate});
-    activeThreads.push_back(id);
+  capScratch_.resize(liveCount);
+  demandScratch_.resize(liveCount);
+  effMemScratch_.resize(liveCount);
+  activeScratch_.resize(liveCount);
+  std::size_t active = 0;
+  {
+    const Phase* const* const phaseOf = hot_.phase.data();
+    const double* const conflictOf = hot_.conflict.data();
+    const double* const smtLoad = smtLoadScratch_.data();
+    double* const capOut = capScratch_.data();
+    MemoryDemand* const demandOut = demandScratch_.data();
+    double* const effMemOut = effMemScratch_.data();
+    int* const activeOut = activeScratch_.data();
+    const double smtLoss = 1.0 - config_.smtSharedFactor;
+    const double coldSlowdown = config_.cacheColdSlowdown;
+    const double coldFactor = config_.cacheColdFactor;
+    for (std::size_t n = 0; n < liveCount; ++n) {
+      const int id = live[n];
+      const auto i = static_cast<std::size_t>(id);
+      if (coreOf[i] < 0 || now < stallUntil[i] || waiting[i] != 0 ||
+          suspended[i] != 0)
+        continue;
+      const Phase& phase = *phaseOf[i];
+      const auto pc = static_cast<std::size_t>(physOf[i]);
+      const double siblingUtil =
+          std::clamp(smtLoad[pc] - prevUtil[i], 0.0, 1.0);
+      const double smtFactor = 1.0 - smtLoss * siblingUtil;
+      const bool cold = now < coldUntil[i];
+      const double coldIpc = cold ? coldSlowdown : 1.0;
+      const double coldTraffic = cold ? coldFactor : 1.0;
+      const double conflict = conflictOf[i];
+      const double llcInflate =
+          llcFactor[static_cast<std::size_t>(socketOf[i])];
+      const double capInstr = freqOf[pc] * 1e9 * phase.ipc * smtFactor *
+                              coldIpc * util::kTickSeconds;
+      capOut[active] = capInstr;
+      demandOut[active] =
+          MemoryDemand{socketOf[i], capInstr * phase.memPerInstr *
+                                        coldTraffic * conflict * llcInflate};
+      effMemOut[active] =
+          phase.memPerInstr * coldTraffic * conflict * llcInflate;
+      activeOut[active] = id;
+      ++active;
+    }
   }
+  capScratch_.resize(active);
+  demandScratch_.resize(active);
+  effMemScratch_.resize(active);
+  activeScratch_.resize(active);
 
   // Memoized arbitration: bitwise-identical demands (the active-set
   // signature) make arbitrateInto — a pure function of them — return the
@@ -456,64 +512,83 @@ Machine::TickOutcome Machine::stepOnce() {
     prevDemands_.assign(demandScratch_.begin(), demandScratch_.end());
     servedValid_ = true;
   }
-  const std::vector<double>& served = servedScratch_;
 
-  executedScratch_.clear();
-  accessesScratch_.clear();
-  for (std::size_t k = 0; k < activeThreads.size(); ++k) {
-    const auto i = static_cast<std::size_t>(activeThreads[k]);
-    const Phase& phase = *hot_.phase[i];
-    const double capInstr = capScratch_[k];
-    const double cold = now_ < hot_.coldUntil[i] ? config_.cacheColdFactor : 1.0;
-    const double conflict = hot_.conflict[i];
-    const double llcInflate =
-        llcFactor[static_cast<std::size_t>(hot_.socket[i])];
-    const double effMemPerInstr =
-        phase.memPerInstr * cold * conflict * llcInflate;
-    const double memLimited =
-        effMemPerInstr > 0.0 ? served[k] / effMemPerInstr : capInstr;
-    double executed = std::min(capInstr, memLimited);
+  // Apply: clip each thread's issue to its memory grant, phase end and next
+  // barrier, then advance its accumulators.
+  executedScratch_.resize(active);
+  accessesScratch_.resize(active);
+  {
+    const int* const activeIds = activeScratch_.data();
+    const double* const capOf = capScratch_.data();
+    const double* const effMemOf = effMemScratch_.data();
+    const double* const servedOf = servedScratch_.data();
+    const Phase* const* const phaseOf = hot_.phase.data();
+    const double* const phaseEnd = hot_.phaseEnd.data();
+    const double* const barrierEveryOf = hot_.barrierEvery.data();
+    const double* const totalOf = hot_.totalInstructions.data();
+    const int* const barriersPassed = hot_.barriersPassed.data();
+    const std::uint8_t* const finished = hot_.finished.data();
+    double* const executedOut = executedScratch_.data();
+    double* const accessesOut = accessesScratch_.data();
+    double* const executedAcc = hot_.executed.data();
+    double* const phaseExecuted = hot_.phaseExecuted.data();
+    double* const quantumInstructions = hot_.quantumInstructions.data();
+    double* const quantumAccesses = hot_.quantumAccesses.data();
+    double* const totalAccesses = hot_.totalAccesses.data();
+    double* const coreAccesses = coreQuantumAccesses_.data();
+    const double snapEpsilon = config_.utilizationSnapEpsilon;
+    for (std::size_t k = 0; k < active; ++k) {
+      const int id = activeIds[k];
+      const auto i = static_cast<std::size_t>(id);
+      const double capInstr = capOf[k];
+      const double effMemPerInstr = effMemOf[k];
+      const double memLimited =
+          effMemPerInstr > 0.0 ? servedOf[k] / effMemPerInstr : capInstr;
+      double executed = std::min(capInstr, memLimited);
 
-    // Clip to the current phase boundary.
-    const double phaseRemaining = phase.instructions - hot_.phaseExecuted[i];
-    executed = std::min(executed, phaseRemaining);
+      // Clip to the current phase boundary.
+      const double phaseRemaining =
+          phaseOf[i]->instructions - phaseExecuted[i];
+      executed = std::min(executed, phaseRemaining);
 
-    // Clip to the next barrier, if the program synchronises.
-    const double barrierEvery = hot_.barrierEvery[i];
-    bool hitBarrier = false;
-    if (barrierEvery > 0.0) {
-      const double nextBarrierAt =
-          static_cast<double>(hot_.barriersPassed[i] + 1) * barrierEvery;
-      const double total = hot_.totalInstructions[i];
-      if (nextBarrierAt < total - kEps) {
-        const double toBarrier = nextBarrierAt - hot_.executed[i];
-        if (executed >= toBarrier - kEps) {
-          executed = std::max(0.0, toBarrier);
-          hitBarrier = true;
+      // Clip to the next barrier, if the program synchronises.
+      const double barrierEvery = barrierEveryOf[i];
+      bool hitBarrier = false;
+      if (barrierEvery > 0.0) {
+        const double nextBarrierAt =
+            static_cast<double>(barriersPassed[i] + 1) * barrierEvery;
+        if (nextBarrierAt < totalOf[i] - kEps) {
+          const double toBarrier = nextBarrierAt - executedAcc[i];
+          if (executed >= toBarrier - kEps) {
+            executed = std::max(0.0, toBarrier);
+            hitBarrier = true;
+          }
         }
       }
-    }
 
-    const double newUtil = capInstr > 0.0 ? executed / capInstr : 0.0;
-    // Snap to the previous utilisation when the move is within epsilon so
-    // the SMT feedback loop reaches an exact fixed point (see MachineConfig).
-    if (std::abs(newUtil - hot_.prevUtilization[i]) >
-        config_.utilizationSnapEpsilon) {
-      hot_.prevUtilization[i] = newUtil;
-      utilChanged = true;
-    }
-    const double accesses = executed * effMemPerInstr;
-    executedScratch_.push_back(executed);
-    accessesScratch_.push_back(accesses);
-    advanceThread(activeThreads[k], executed, accesses);
-    if (hitBarrier && hot_.finished[i] == 0) {
-      SimThread& t = threads_[i];
-      ++t.barriersPassed;
-      t.waitingAtBarrier = true;
-      hot_.barriersPassed[i] = t.barriersPassed;
-      hot_.waiting[i] = 1;
-      tickHadEvent_ = true;
-      emit(TraceEventKind::BarrierWait, t, -1, -1, t.barriersPassed);
+      const double newUtil = capInstr > 0.0 ? executed / capInstr : 0.0;
+      // Snap to the previous utilisation when the move is within epsilon
+      // so the SMT feedback loop reaches an exact fixed point (see
+      // MachineConfig).
+      if (std::abs(newUtil - prevUtil[i]) > snapEpsilon) {
+        prevUtil[i] = newUtil;
+        utilChanged = true;
+      }
+      const double accesses = executed * effMemPerInstr;
+      executedOut[k] = executed;
+      accessesOut[k] = accesses;
+      executedAcc[i] += executed;
+      phaseExecuted[i] += executed;
+      quantumInstructions[i] += executed;
+      quantumAccesses[i] += accesses;
+      totalAccesses[i] += accesses;
+      coreAccesses[static_cast<std::size_t>(coreOf[i])] += accesses;
+      // Past the cached phase end (or unordered: NaN) the transition runs
+      // out of line; phaseEnd is -inf once every phase is retired.
+      if (!(phaseExecuted[i] < phaseEnd[i])) [[unlikely]]
+        finishPhase(id);
+      if (hitBarrier && finished[i] == 0) [[unlikely]]
+        waitAtBarrier(id);
     }
   }
 
@@ -690,42 +765,43 @@ void Machine::stepLoop(util::Tick target, bool stopWhenAllFinished) {
   }
 }
 
-void Machine::advanceThread(int threadId, double executed, double accesses) {
+void Machine::finishPhase(int threadId) {
   const auto i = static_cast<std::size_t>(threadId);
-  hot_.executed[i] += executed;
-  hot_.phaseExecuted[i] += executed;
-  hot_.quantumInstructions[i] += executed;
-  hot_.quantumAccesses[i] += accesses;
-  hot_.totalAccesses[i] += accesses;
-  if (hot_.coreId[i] >= 0)
-    coreQuantumAccesses_[static_cast<std::size_t>(hot_.coreId[i])] += accesses;
-
   SimThread& t = threads_[i];
-  const SimProcess& proc = processes_[static_cast<std::size_t>(t.processId)];
-  const auto& phases = proc.program.phases;
+  const auto& phases =
+      processes_[static_cast<std::size_t>(t.processId)].program.phases;
 
   // Phase transition(s): a tick never spans more than one boundary because
-  // executed was clipped to the phase remainder above. Per-phase budgets
-  // use a relative epsilon so accumulated floating error over billions of
-  // instructions cannot strand a thread one tick short of a boundary.
-  if (t.phaseIndex < static_cast<int>(phases.size())) {
-    const Phase& phase = phases[static_cast<std::size_t>(t.phaseIndex)];
-    const double slack = std::max(kEps, phase.instructions * 1e-12);
-    if (hot_.phaseExecuted[i] >= phase.instructions - slack) {
-      ++t.phaseIndex;
-      hot_.phaseExecuted[i] = 0.0;
-      tickHadEvent_ = true;
-      llcDirty_ = true;  // the new phase's working set changes LLC pressure
-      if (t.phaseIndex < static_cast<int>(phases.size()))
-        emit(TraceEventKind::PhaseChange, t, -1, -1, t.phaseIndex);
-      refreshPhaseCache(threadId);
-    }
+  // executed was clipped to the phase remainder. Per-phase budgets use a
+  // relative epsilon (the cached phaseEnd) so accumulated floating error
+  // over billions of instructions cannot strand a thread one tick short of
+  // a boundary.
+  if (t.phaseIndex < static_cast<int>(phases.size()) &&
+      hot_.phaseExecuted[i] >= hot_.phaseEnd[i]) {
+    ++t.phaseIndex;
+    hot_.phaseExecuted[i] = 0.0;
+    tickHadEvent_ = true;
+    llcDirty_ = true;  // the new phase's working set changes LLC pressure
+    if (t.phaseIndex < static_cast<int>(phases.size()))
+      emit(TraceEventKind::PhaseChange, t, -1, -1, t.phaseIndex);
+    refreshPhaseCache(threadId);
   }
 
   // A thread is done exactly when it has retired every phase — comparing
   // the cumulative counter against the total budget would double-count the
   // drift the per-phase clipping already absorbed.
   if (t.phaseIndex >= static_cast<int>(phases.size())) finishThread(t);
+}
+
+void Machine::waitAtBarrier(int threadId) {
+  const auto i = static_cast<std::size_t>(threadId);
+  SimThread& t = threads_[i];
+  ++t.barriersPassed;
+  t.waitingAtBarrier = true;
+  hot_.barriersPassed[i] = t.barriersPassed;
+  hot_.waiting[i] = 1;
+  tickHadEvent_ = true;
+  emit(TraceEventKind::BarrierWait, t, -1, -1, t.barriersPassed);
 }
 
 void Machine::finishThread(SimThread& t) {
@@ -840,6 +916,8 @@ void Machine::migrateThread(int threadId, int coreId) {
 void Machine::setPhysicalCoreFrequency(int physicalCore, double freqGhz) {
   if (freqGhz <= 0.0) throw std::invalid_argument{"frequency must be > 0"};
   physFreqGhz_.at(static_cast<std::size_t>(physicalCore)) = freqGhz;
+  physDynamicPowerW_[static_cast<std::size_t>(physicalCore)] =
+      dynamicPowerW(freqGhz);
 }
 
 void Machine::setSocketFrequency(int socket, double freqGhz) {

@@ -276,13 +276,17 @@ class Machine {
   /// per-accumulator additions per-tick stepping would perform, skipping
   /// the (unchanged) model evaluation.
   void replayTicks(util::Tick n, double watts);
-  void advanceThread(int threadId, double executed, double accesses);
+  /// A thread whose phaseExecuted reached its cached phaseEnd: move it to
+  /// its next phase, and finish it past its last one. Out of line, so the
+  /// apply loop's common path calls nothing.
+  void finishPhase(int threadId);
+  /// A thread whose issue this tick was clipped at its next barrier.
+  void waitAtBarrier(int threadId);
   void resolveBarriers();
   void finishThread(SimThread& t);
   void applyMigrationStall(SimThread& t, int fromCore);
   void emit(TraceEventKind kind, const SimThread& t, int fromCore = -1,
             int toCore = -1, int detail = 0);
-  [[nodiscard]] bool isRunnable(const SimThread& t) const noexcept;
   [[nodiscard]] const Phase& currentPhase(const SimThread& t) const;
 
   /// Pointers into this machine's own process programs. A copied machine's
@@ -331,6 +335,9 @@ class Machine {
     PhaseCache phase;
     // Per-thread copies of per-process constants (barrier clipping inputs).
     std::vector<double> barrierEvery, totalInstructions;
+    // The phaseExecuted at which the current phase ends: its instructions
+    // less the relative slack, or -inf once every phase is retired.
+    std::vector<double> phaseEnd;
     // Leap memo: the last recorded replay of each thread's two per-quantum
     // counters, quantumInstructions at 2*id and quantumAccesses at 2*id+1.
     // Exact by construction (LaneMemo), so it is never checkpointed; a
@@ -345,6 +352,11 @@ class Machine {
   void refreshPhaseCache(int threadId);
   /// Re-derive every phase pointer when the cache is empty (a copy).
   void ensurePhaseCache();
+  /// dynamicPowerW * f * f * f at `freqGhz`, f relative to refFreqGhz: the
+  /// left prefix of the accounting pass's power product.
+  [[nodiscard]] double dynamicPowerW(double freqGhz) const noexcept;
+  /// Recompute physDynamicPowerW_ from physFreqGhz_ (construction, restore).
+  void refreshDynamicPower();
   /// Rebuild every SoA array from the structs (loadState).
   void rebuildHotState();
   /// The checkpoint field list, run by saveState over this machine and by
@@ -399,6 +411,9 @@ class Machine {
   std::vector<int> liveThreads_;
 
   std::vector<double> physFreqGhz_;  // effective per-physical-core frequency
+  /// dynamicPowerW(physFreqGhz_[pc]) per physical core, refreshed whenever a
+  /// frequency is set or restored.
+  std::vector<double> physDynamicPowerW_;
   TraceRecorder* trace_ = nullptr;
   util::Tick now_ = 0;
   util::Tick lastSampleTick_ = 0;
@@ -407,7 +422,7 @@ class Machine {
   std::int64_t migrationCount_ = 0;
   double energyJ_ = 0.0;
   StepStats stats_;
-  /// Set by advanceThread/finishThread/barrier handling during a tick:
+  /// Set by finishPhase/finishThread/barrier handling during a tick:
   /// a structural event happened, so the next tick is not a repeat.
   bool tickHadEvent_ = false;
 
@@ -423,6 +438,7 @@ class Machine {
   std::vector<double> smtLoadScratch_;
   std::vector<int> activeScratch_;
   std::vector<double> capScratch_;
+  std::vector<double> effMemScratch_;  ///< accesses per instruction, per active
   std::vector<double> executedScratch_;
   std::vector<double> accessesScratch_;
   std::vector<double> servedScratch_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 
 #include "telemetry/registry.hpp"
@@ -25,22 +24,25 @@ namespace {
   return true;
 }
 
-/// True when `order` (a permutation left behind by a previous sort of a
-/// same-length demand vector) still ranks `demands` ascending. Equal
-/// neighbours are accepted only at 0.0: zero demands always rank first and
-/// contribute nothing — grant 0, remaining capacity untouched — so any
-/// order among them yields bit-identical grants. Nonzero ties are rejected
-/// because the water level is recomputed after every grant and the per-rank
-/// shares of tied demands can differ in their last bits, making the grant
-/// each index receives depend on the permutation; a full sort then
-/// reproduces the historical ordering exactly.
+/// True when `ranking` (left behind by a previous call on a same-length
+/// demand vector) still ranks `demands` ascending; each record's demand is
+/// refreshed from `demands` on the way. Equal neighbours are accepted only
+/// at 0.0: zero demands always rank first and contribute nothing — grant 0,
+/// remaining capacity untouched — so any order among them yields
+/// bit-identical grants. Nonzero ties are rejected because the water level
+/// is recomputed after every grant and the per-rank shares of tied demands
+/// can differ in their last bits, making the grant each index receives
+/// depend on the permutation; a full sort then reproduces the historical
+/// ordering exactly. On false the records are left half-refreshed, and the
+/// caller rebuilds them.
 [[nodiscard]] bool stillSorted(std::span<const double> demands,
-                               const std::vector<std::size_t>& order) {
-  if (order.size() != demands.size()) return false;
+                               std::vector<RankedDemand>& ranking) {
+  if (ranking.size() != demands.size()) return false;
   double prev = -1.0;  // demands are validated non-negative
-  for (std::size_t i : order) {
-    const double d = demands[i];
+  for (RankedDemand& r : ranking) {
+    const double d = demands[r.index];
     if (d < prev || (d == prev && d != 0.0)) return false;
+    r.demand = d;
     prev = d;
   }
   return true;
@@ -49,7 +51,7 @@ namespace {
 }  // namespace
 
 void waterFillInto(std::span<const double> demands, double capacity,
-                   std::vector<std::size_t>& order,
+                   std::vector<RankedDemand>& ranking,
                    std::vector<double>& served) {
   served.resize(demands.size());
   if (demands.empty()) return;
@@ -70,24 +72,56 @@ void waterFillInto(std::span<const double> demands, double capacity,
   // ticks, so the previous call's ranking usually still applies and the
   // sort is skipped (an ascending permutation of distinct keys is unique,
   // so the reused order is exactly what the sort would produce).
-  if (stillSorted(demands, order)) {
+  //
+  // The sort moves (demand, index) records under a demand-only comparator.
+  // std::sort's comparisons and moves depend only on the comparator's
+  // answers, which are those an index sort comparing demands[a] < demands[b]
+  // gets, so tied demands land in the same order as that sort puts them.
+  // The order matters: the shares of a tied saturated tail can differ by an
+  // ulp, so which index gets which share reaches the output bits. The sort
+  // algorithm is part of the model (DESIGN.md §9).
+  if (stillSorted(demands, ranking)) {
     DIKE_COUNTER("sim.mem.waterfill_order_reuse");
   } else {
     DIKE_COUNTER("sim.mem.waterfill_sorts");
-    order.resize(demands.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return demands[a] < demands[b];
-    });
+    ranking.resize(demands.size());
+    for (std::size_t i = 0; i < demands.size(); ++i)
+      ranking[i] = RankedDemand{demands[i], i};
+    std::sort(ranking.begin(), ranking.end(),
+              [](const RankedDemand& a, const RankedDemand& b) {
+                return a.demand < b.demand;
+              });
   }
 
+  // Each rank grants std::min(d, remaining / left), which is d unless the
+  // share rounds below d. The ascending prefix skips the division while
+  // fl(d * left) < remaining. Proof that the test implies
+  // fl(remaining / left) >= d, so the grant is d: round-to-nearest is
+  // monotone and fixes representable values, so d * left >= remaining
+  // (exact product) would give fl(d * left) >= remaining. The test thus
+  // proves d * left < remaining exactly, hence remaining / left > d, and by
+  // monotonicity again fl(remaining / left) >= d. No margin for the
+  // product's rounding is needed, and none for subnormals: the argument
+  // uses no error bound, only monotonicity, which holds across the
+  // subnormal range and at overflow (an overflowing product is +inf, never
+  // < remaining). left is below 2^53, so converting it is exact. NaN fails
+  // the test and takes the division, as does every rank after the first
+  // that fails it (the division is always the reference arithmetic).
   double remaining = capacity;
   std::size_t left = demands.size();
-  for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    const std::size_t i = order[rank];
+  std::size_t rank = 0;
+  for (; rank < ranking.size(); ++rank) {
+    const RankedDemand& r = ranking[rank];
+    if (!(r.demand * static_cast<double>(left) < remaining)) break;
+    served[r.index] = r.demand;
+    remaining -= r.demand;
+    --left;
+  }
+  for (; rank < ranking.size(); ++rank) {
+    const RankedDemand& r = ranking[rank];
     const double share = remaining / static_cast<double>(left);
-    const double grant = std::min(demands[i], share);
-    served[i] = grant;
+    const double grant = std::min(r.demand, share);
+    served[r.index] = grant;
     remaining -= grant;
     --left;
   }
@@ -96,8 +130,8 @@ void waterFillInto(std::span<const double> demands, double capacity,
 std::vector<double> waterFill(std::span<const double> demands,
                               double capacity) {
   std::vector<double> served;
-  std::vector<std::size_t> order;
-  waterFillInto(demands, capacity, order, served);
+  std::vector<RankedDemand> ranking;
+  waterFillInto(demands, capacity, ranking, served);
   return served;
 }
 

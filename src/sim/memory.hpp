@@ -12,6 +12,7 @@
 // memory apps 2-4.6x).
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -33,10 +34,17 @@ struct MemoryDemand {
   double accesses = 0.0;  ///< accesses the thread would issue if unthrottled
 };
 
+/// One demand and its position in the input: waterFillInto's ranking
+/// record, so the fill reads demands in rank order without an indirection.
+struct RankedDemand {
+  double demand = 0.0;
+  std::size_t index = 0;
+};
+
 /// Reusable buffers for allocation-free arbitration. The engine calls
 /// arbitrate once per simulated tick — millions of times per run — so the
 /// intermediate vectors live here instead of being reallocated every call.
-/// The per-stage order vectors double as sorted-order hints: demands drift
+/// The per-stage rankings double as sorted-order hints: demands drift
 /// slowly tick-to-tick, so the previous tick's ranking usually still sorts
 /// the new demands and the O(n log n) re-sort is skipped (see waterFillInto
 /// for why reusing a still-sorted permutation is bit-identical).
@@ -44,10 +52,8 @@ struct ArbitrationScratch {
   std::vector<double> afterLink;
   std::vector<double> socketDemands;
   std::vector<std::size_t> socketMembers;
-  std::vector<std::size_t> order;
-  std::vector<double> granted;
-  std::vector<std::vector<std::size_t>> linkOrder;  ///< per-socket hints
-  std::vector<std::size_t> controllerOrder;         ///< stage-2 hint
+  std::vector<std::vector<RankedDemand>> linkOrder;  ///< per-socket hints
+  std::vector<RankedDemand> controllerOrder;         ///< stage-2 hint
 
   /// Memo of one water-filling stage: when the inputs (and capacity) are
   /// bitwise identical to the previous call's, the cached grants are the
@@ -93,14 +99,14 @@ void arbitrateInto(std::span<const MemoryDemand> demands,
                                             double capacity);
 
 /// Allocation-free waterFill: identical arithmetic (bit-for-bit), reusing
-/// `order` for the ranking pass and writing into `served`. `order` is also
-/// an input: when it is a same-length permutation that still sorts the new
-/// demands it is reused as-is and the sort is skipped. Callers that want
-/// that fast path must pass the same vector for the same demand stream;
-/// passing a stale or foreign vector is safe (it fails the sortedness check
-/// and a full sort runs).
+/// `ranking` for the ranking pass and writing into `served`. `ranking` is
+/// also an input: when it is a same-length ranking left by an earlier call
+/// whose order still sorts the new demands it is reused as-is and the sort
+/// is skipped. Callers that want that fast path must pass the same vector
+/// for the same demand stream; a vector of another length fails the
+/// sortedness check and a full sort runs.
 void waterFillInto(std::span<const double> demands, double capacity,
-                   std::vector<std::size_t>& order,
+                   std::vector<RankedDemand>& ranking,
                    std::vector<double>& served);
 
 }  // namespace dike::sim

@@ -20,10 +20,10 @@ namespace dike::ckpt::test {
 /// the corrupted payload in a checkpoint container.
 inline std::string corrupted(std::string payload, std::string_view path,
                              std::size_t index, std::int64_t value) {
-  for (const Token& tok : tokenize(payload)) {
-    if (tok.path != path) continue;
-    const std::size_t nameLength = path.size() - path.rfind('/') - 1;
-    std::size_t at = tok.offset + 1 + 4 + nameLength;
+  const TokenStream tokens = tokenize(payload);
+  for (const Token& tok : tokens) {
+    if (!tokens.hasPath(tok, path)) continue;
+    std::size_t at = tok.offset + 1 + 4 + tok.name.size();
     if (tok.tag == Tag::VecI64 || tok.tag == Tag::VecF64) at += 4 + 8 * index;
     const auto raw = static_cast<std::uint64_t>(value);
     for (std::size_t b = 0; b < 8; ++b)

@@ -137,12 +137,13 @@ TEST(BinArchive, TokenizePathsJoinSections) {
   w.f64("executed", 2.5);
   w.endSection();
   w.endSection();
-  const std::vector<Token> tokens = tokenize(w.take());
+  const std::string payload = w.take();
+  const TokenStream tokens = tokenize(payload);
   ASSERT_GE(tokens.size(), 2u);
   bool sawNow = false, sawExecuted = false;
   for (const Token& t : tokens) {
-    if (t.path == "machine/now") sawNow = true;
-    if (t.path == "machine/thread 3/executed") sawExecuted = true;
+    if (tokens.path(t) == "machine/now") sawNow = true;
+    if (tokens.hasPath(t, "machine/thread 3/executed")) sawExecuted = true;
   }
   EXPECT_TRUE(sawNow);
   EXPECT_TRUE(sawExecuted);
@@ -152,11 +153,14 @@ TEST(BinArchive, TokensCompareByBitsNotRendering) {
   BinWriter a, b;
   a.f64("x", 0.0);
   b.f64("x", -0.0);  // renders similarly, different bit pattern
-  const std::vector<Token> ta = tokenize(a.take());
-  const std::vector<Token> tb = tokenize(b.take());
+  const std::string pa = a.take();
+  const std::string pb = b.take();
+  const TokenStream ta = tokenize(pa);
+  const TokenStream tb = tokenize(pb);
   ASSERT_EQ(ta.size(), 1u);
   ASSERT_EQ(tb.size(), 1u);
-  EXPECT_FALSE(ta[0] == tb[0]);
+  EXPECT_TRUE(samePath(ta, ta[0], tb, tb[0]));
+  EXPECT_FALSE(sameRecord(ta, ta[0], tb, tb[0]));
 }
 
 // The divergence message renders exactly the two diverging values: the

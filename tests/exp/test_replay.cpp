@@ -389,14 +389,15 @@ TEST(ReplayGolden, CorruptIntegerFieldsAreRefusedOrRestoredCanonically) {
     const std::string payload = session.checkpointPayload();
 
     std::set<std::string> seen;
-    for (const ckpt::Token& tok : ckpt::tokenize(payload)) {
+    const ckpt::TokenStream tokens = ckpt::tokenize(payload);
+    for (const ckpt::Token& tok : tokens) {
       if (tok.tag != ckpt::Tag::I64 && tok.tag != ckpt::Tag::VecI64) continue;
-      if (tok.bits.empty() || !seen.insert(collapsed(tok.path)).second)
-        continue;
+      const std::string path = tokens.path(tok);
+      if (tok.bits.empty() || !seen.insert(collapsed(path)).second) continue;
       for (const std::int64_t value : kValues) {
-        SCOPED_TRACE(tok.path + " = " + std::to_string(value));
+        SCOPED_TRACE(path + " = " + std::to_string(value));
         const std::string bad = ckpt::decodeCheckpoint(
-            ckpt::test::corrupted(payload, tok.path, 0, value));
+            ckpt::test::corrupted(payload, path, 0, value));
         std::ostringstream resumedText;
         telemetry::QuantumStreamWriter resumedWriter{
             resumedText, telemetry::StreamFormat::JsonLines};
@@ -446,8 +447,9 @@ std::string refusal(const std::string& checkpoint) {
 std::vector<ckpt::Token> tokensAt(const std::string& payload,
                                   const std::string& path) {
   std::vector<ckpt::Token> out;
-  for (ckpt::Token& tok : ckpt::tokenize(payload))
-    if (tok.path == path) out.push_back(std::move(tok));
+  const ckpt::TokenStream tokens = ckpt::tokenize(payload);
+  for (const ckpt::Token& tok : tokens)
+    if (tokens.hasPath(tok, path)) out.push_back(tok);
   return out;
 }
 

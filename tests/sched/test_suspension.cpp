@@ -145,6 +145,68 @@ TEST(SuspensionScheduler, ResumesLeadersItsBlockedSiblingsWaitFor) {
   EXPECT_LT(metrics.makespan, sim::RunLimits{}.maxTicks);
 }
 
+/// Drops every read of one process while armed, zeroing its numbers as a
+/// failed perf read leaves them.
+class DropProcessReads final : public SampleFilter {
+ public:
+  explicit DropProcessReads(int processId) : processId_(processId) {}
+  void filterSample(sim::QuantumSample& sample, util::Tick /*now*/) override {
+    if (!armed) return;
+    for (sim::ThreadSample& t : sample.threads) {
+      if (t.processId != processId_) continue;
+      t.dropped = true;
+      t.instructions = 0.0;
+      t.accesses = 0.0;
+      t.accessRate = 0.0;
+      t.llcMissRatio = 0.0;
+    }
+  }
+  bool armed = false;
+
+ private:
+  int processId_;
+};
+
+// Dropped reads carry no progress: while every read of a process is lost,
+// the scheduler neither resumes its suspended leader (a zeroed read looks
+// like a stall) nor counts the zeros into its cumulative progress.
+TEST(SuspensionScheduler, HoldsItsStateWhileAProcessReadsAreDropped) {
+  sim::Machine m{sim::MachineTopology::smallTestbed(2), quiet()};
+  m.addProcess("p", program(1e12), 2, false);
+  m.placeThread(0, 0);  // fast
+  m.placeThread(1, 2);  // slow
+  SuspensionScheduler scheduler{100, /*margin=*/0.05};
+  SchedulerAdapter adapter{scheduler};
+  DropProcessReads drops{0};
+  adapter.setSampleFilter(&drops);
+
+  for (int i = 0; i < 100; ++i) m.step();
+  adapter.onQuantum(m);
+  ASSERT_TRUE(m.isSuspended(0));
+  ASSERT_FALSE(m.isSuspended(1));
+  const std::int64_t issued = scheduler.suspensionsIssued();
+
+  drops.armed = true;
+  for (int q = 0; q < 4; ++q) {
+    for (int i = 0; i < 100; ++i) m.step();
+    adapter.onQuantum(m);
+    EXPECT_TRUE(m.isSuspended(0)) << "dropped quantum " << q;
+    EXPECT_FALSE(m.isSuspended(1)) << "dropped quantum " << q;
+  }
+  EXPECT_EQ(scheduler.suspensionsIssued(), issued);
+
+  // Reads resume, and the leader is released once the slow thread's
+  // counted progress catches up.
+  drops.armed = false;
+  bool resumed = false;
+  for (int q = 0; q < 50 && !resumed; ++q) {
+    for (int i = 0; i < 100; ++i) m.step();
+    adapter.onQuantum(m);
+    resumed = !m.isSuspended(0);
+  }
+  EXPECT_TRUE(resumed);
+}
+
 TEST(SuspensionScheduler, RejectsInvalidArguments) {
   EXPECT_THROW(SuspensionScheduler(0, 0.05), std::invalid_argument);
   EXPECT_THROW(SuspensionScheduler(100, 0.0), std::invalid_argument);

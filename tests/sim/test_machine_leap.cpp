@@ -97,11 +97,12 @@ TEST(MachineLeap, CoreCounterUnlikeItsOccupantsIsNotMirrored) {
   const double before = source.threads()[kCore].quantumAccesses;
   ASSERT_GT(before, 0.0);
   bool edited = false;
-  for (const ckpt::Token& tok : ckpt::tokenize(payload)) {
-    if (tok.path != "machine/coreQuantumAccesses") continue;
+  const ckpt::TokenStream tokens = ckpt::tokenize(payload);
+  for (const ckpt::Token& tok : tokens) {
+    if (!tokens.hasPath(tok, "machine/coreQuantumAccesses")) continue;
     ASSERT_EQ(tok.tag, ckpt::Tag::VecF64);
-    const std::size_t name = std::string_view{"coreQuantumAccesses"}.size();
-    const std::size_t at = tok.offset + 1 + 4 + name + 4 + 8 * kCore;
+    const std::size_t at =
+        tok.offset + 1 + 4 + tok.name.size() + 4 + 8 * kCore;
     const auto raw = std::bit_cast<std::uint64_t>(before * 1.5 + 0.1);
     for (std::size_t b = 0; b < 8; ++b)
       payload[at + b] = static_cast<char>((raw >> (8 * b)) & 0xFF);

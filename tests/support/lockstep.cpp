@@ -181,29 +181,31 @@ std::optional<std::string> walkTokens(std::string_view a, std::string_view b,
                                       const Exclusions& excluded,
                                       std::vector<Span>* spansA = nullptr,
                                       std::vector<Span>* spansB = nullptr) {
-  const std::vector<ckpt::Token> ta = ckpt::tokenize(a);
-  const std::vector<ckpt::Token> tb = ckpt::tokenize(b);
+  const ckpt::TokenStream ta = ckpt::tokenize(a);
+  const ckpt::TokenStream tb = ckpt::tokenize(b);
   const auto span = [](std::string_view payload, const ckpt::Token& tok) {
     const bool lengthPrefixed = tok.tag == ckpt::Tag::Str ||
                                 tok.tag == ckpt::Tag::VecF64 ||
                                 tok.tag == ckpt::Tag::VecI64;
-    const std::size_t name = tok.path.size() - tok.path.rfind('/') - 1;
-    const std::size_t head = 1 + 4 + name + (lengthPrefixed ? 4 : 0);
+    const std::size_t head =
+        1 + 4 + tok.name.size() + (lengthPrefixed ? 4 : 0);
     return Span{tok.offset, tok.offset + head + tok.bits.size(),
                 std::string{payload.substr(tok.offset, head)}};
   };
   std::vector<Span> foundA;
   std::vector<Span> foundB;
   for (std::size_t i = 0; i < std::min(ta.size(), tb.size()); ++i) {
-    if (ta[i].path != tb[i].path)
-      return "record " + std::to_string(i) + " is " + ta[i].path + " vs " +
-             tb[i].path;
-    if (std::find(excluded.begin(), excluded.end(), ta[i].path) !=
-        excluded.end()) {
+    if (!ckpt::samePath(ta, ta[i], tb, tb[i]))
+      return "record " + std::to_string(i) + " is " + ta.path(ta[i]) +
+             " vs " + tb.path(tb[i]);
+    if (std::any_of(excluded.begin(), excluded.end(),
+                    [&](const std::string& path) {
+                      return ta.hasPath(ta[i], path);
+                    })) {
       foundA.push_back(span(a, ta[i]));
       foundB.push_back(span(b, tb[i]));
-    } else if (!(ta[i] == tb[i])) {
-      return ckpt::describeDivergence(ta[i], tb[i]);
+    } else if (!ckpt::sameRecord(ta, ta[i], tb, tb[i])) {
+      return ckpt::describeDivergence(ta.path(ta[i]), ta[i], tb[i]);
     }
   }
   if (ta.size() != tb.size())
@@ -215,7 +217,7 @@ std::optional<std::string> walkTokens(std::string_view a, std::string_view b,
 }
 
 /// Compares the successive payload pairs of two runs. Walking the tokens
-/// copies every record, so once a walk has found a pair differing only in
+/// parses every record, so once a walk has found a pair differing only in
 /// excluded tokens, later pairs compare the bytes around those tokens while
 /// each one's header still sits at its offset (the excluded fields follow
 /// fixed-size records), and walk again only when that fails.
